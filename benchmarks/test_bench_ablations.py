@@ -1,8 +1,9 @@
 """Ablation benches for the design choices called out in DESIGN.md §6.
 
 Not paper artifacts, but quantified justifications of implementation
-choices: the cycle-time engine (Howard vs Lawler vs enumeration), exact
-Fraction vs float arithmetic in Howard, and the ILP backends.
+choices: the cycle-time engine (Howard vs Lawler vs enumeration), the
+integer Howard kernel vs its Fraction-arithmetic reference, and the ILP
+backends.
 """
 
 import pytest
@@ -45,12 +46,14 @@ class TestEngineAblation:
         ratio, __ = benchmark(maximum_cycle_ratio_enumerated, small_graph)
         assert ratio > 0
 
-    def test_bench_howard_large_float(self, benchmark, large_graph):
+    def test_bench_howard_large_fraction_reference(self, benchmark, large_graph):
+        from tests.tmg.fraction_howard import fraction_maximum_cycle_ratio
+
         result = benchmark.pedantic(
-            maximum_cycle_ratio, args=(large_graph,),
-            kwargs={"exact": False}, rounds=2, iterations=1,
+            fraction_maximum_cycle_ratio, args=(large_graph,),
+            rounds=2, iterations=1,
         )
-        assert result.ratio > 0
+        assert result == maximum_cycle_ratio(large_graph)
 
     def test_bench_howard_large_exact(self, benchmark, large_graph):
         result = benchmark.pedantic(

@@ -51,7 +51,7 @@ def test_bench_result_cache_replay(benchmark, motivating):
     faster than the uncached reference (the acceptance criterion)."""
     ordering = ChannelOrdering.declaration_order(motivating)
     stream = _latency_stream(motivating, repeats=40)
-    engine = PerformanceEngine(float_screen=False)
+    engine = PerformanceEngine()
 
     def uncached():
         return [
@@ -107,7 +107,7 @@ def test_bench_incremental_structure_reuse(benchmark):
     def incremental():
         # Fresh engine each call: result cache cannot hit across the
         # distinct latency maps; only structure reuse is in play.
-        engine = PerformanceEngine(max_results=0, float_screen=False)
+        engine = PerformanceEngine(max_results=0)
         return [
             analyze_system(system, ordering, process_latencies=lat,
                            exact=False, perf_engine=engine)

@@ -62,6 +62,7 @@ from repro.errors import (
     ConfigurationError,
     DeadlockError,
     InfeasibleError,
+    NodeLimitError,
     NotLiveError,
     ReproError,
     SimulationDeadlock,
@@ -129,6 +130,7 @@ __all__ = [
     "Implementation",
     "ImplementationLibrary",
     "InfeasibleError",
+    "NodeLimitError",
     "KnobSpace",
     "LintError",
     "LintResult",

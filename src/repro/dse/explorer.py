@@ -32,7 +32,7 @@ from repro.dse.problems import (
     process_latency_caps,
     timing_optimization_problem,
 )
-from repro.errors import DeadlockError, InfeasibleError
+from repro.errors import DeadlockError, InfeasibleError, NodeLimitError
 from repro.ilp import branch_bound
 from repro.model.performance import SystemPerformance, analyze_system
 from repro.ordering.algorithm import channel_ordering
@@ -48,6 +48,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Number = Union[Fraction, float]
 
 _log = logging.getLogger(__name__)
+
+
+def _node_limit_stop(
+    error: NodeLimitError, metrics: MetricsRegistry | None
+) -> str:
+    """Stop reason for an ILP solve aborted by its node budget; the
+    aborted search's nodes still count toward ``dse.ilp.nodes``."""
+    if metrics is not None:
+        metrics.counter("dse.ilp.nodes").add(error.nodes)
+    return f"ILP node limit reached ({error.nodes} nodes)"
+
 
 #: Hashable identity of a :class:`ChannelOrdering` (which carries plain,
 #: unhashable dicts): per-process get and put sequences, sorted by name.
@@ -339,6 +350,9 @@ class Explorer:
                     metrics.counter("dse.ilp.infeasible").add(1)
                 result.stop_reason = f"{action} infeasible"
                 break
+            except NodeLimitError as error:
+                result.stop_reason = _node_limit_stop(error, metrics)
+                break
             iteration_nodes += solution.nodes
             if metrics is not None:
                 metrics.counter("dse.ilp.solves").add(1)
@@ -363,6 +377,9 @@ class Explorer:
                     if metrics is not None:
                         metrics.counter("dse.ilp.infeasible").add(1)
                     result.stop_reason = "all candidate configurations visited"
+                    break
+                except NodeLimitError as error:
+                    result.stop_reason = _node_limit_stop(error, metrics)
                     break
                 iteration_nodes += solution.nodes
                 if metrics is not None:

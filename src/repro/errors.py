@@ -54,6 +54,17 @@ class InfeasibleError(ReproError):
     """An optimization problem (ILP, knapsack) has no feasible solution."""
 
 
+class NodeLimitError(ReproError):
+    """A branch-and-bound search hit its node budget before proving an
+    optimum or infeasibility.  Distinct from :class:`InfeasibleError`: a
+    budget abort says nothing about whether a feasible assignment exists.
+    Carries the number of nodes explored (``nodes``)."""
+
+    def __init__(self, message: str, nodes: int):
+        super().__init__(message)
+        self.nodes = nodes
+
+
 class UnboundedError(ReproError):
     """An optimization problem is unbounded (should not occur in the
     formulations of Section 5; raised defensively by the generic solver)."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import InfeasibleError
+from repro.errors import InfeasibleError, NodeLimitError
 from repro.ilp.model import Choice, MultiChoiceProblem, Sense, Solution
 
 
@@ -169,7 +169,9 @@ class _MckpBound:
 
 def solve(problem: MultiChoiceProblem, node_limit: int = 5_000_000) -> Solution:
     """Solve exactly; raises :class:`~repro.errors.InfeasibleError` when no
-    assignment satisfies the constraints (including no-good cuts)."""
+    assignment satisfies the constraints (including no-good cuts), and
+    :class:`~repro.errors.NodeLimitError` when the search visits more than
+    ``node_limit`` nodes before deciding."""
     sign = 1.0 if problem.maximize else -1.0
 
     # Presolve: a group none of whose choices touches any present
@@ -261,9 +263,10 @@ def solve(problem: MultiChoiceProblem, node_limit: int = 5_000_000) -> Solution:
     def dfs(depth: int, value: float) -> None:
         state.nodes += 1
         if state.nodes > node_limit:
-            raise InfeasibleError(
+            raise NodeLimitError(
                 f"branch-and-bound exceeded {node_limit} nodes; "
-                "the instance is larger than this solver is meant for"
+                "the instance is larger than this solver is meant for",
+                nodes=state.nodes,
             )
         if mckp is not None:
             bound = mckp.bound(depth, problem.constraints[0].rhs - usage[mckp_row])

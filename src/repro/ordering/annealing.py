@@ -90,8 +90,8 @@ def anneal_ordering(
         cooling: Geometric cooling factor per proposal.
         perf_engine: The :class:`~repro.perf.PerformanceEngine` serving the
             per-proposal analyses.  Defaults to a fresh engine per run; the
-            random walk revisits orderings often, so memoized results (and
-            float-screened Howard) cut the dominant cost directly.
+            random walk revisits orderings often, so memoized results cut
+            the dominant cost directly.
     """
     rng = random.Random(seed)
     engine = perf_engine or PerformanceEngine()

@@ -67,8 +67,8 @@ def exhaustive_search(
             time (``None`` for deadlocking orders) — handy for histograms.
         perf_engine: Optional shared :class:`~repro.perf.PerformanceEngine`.
             Every ordering has a distinct fingerprint, so within one sweep
-            only the float-screened Howard mode helps; across repeated
-            sweeps (tests, benchmarks) results hit the cache directly.
+            the cache does not help; across repeated sweeps (tests,
+            benchmarks) results hit the cache directly.
         sym_dedup: Analyze only one ordering per orbit of the design's
             automorphism group (:mod:`repro.sym`).  Two orderings whose
             lowered IRs share an orbit-canonical hash *and* whose

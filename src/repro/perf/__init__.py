@@ -6,7 +6,7 @@ that differ only in per-process latencies or statement order.  This
 package makes those repeats cheap without changing any observable result:
 
 * :class:`PerformanceEngine` — content-addressed LRU result cache +
-  incremental event-graph reuse + float-screen/exact-verify Howard.
+  incremental event-graph reuse + the exact integer Howard kernel.
 * :class:`LruCache` / :class:`CacheStats` — the bounded cache primitive
   with hit/miss/eviction counters (also used for memoized orderings).
 * :mod:`repro.perf.fingerprint` — the canonical invalidation keys.

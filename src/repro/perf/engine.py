@@ -19,14 +19,12 @@ Three mechanisms stack, each preserving the uncached semantics:
    validation, and the token-free-cycle scan (liveness is structural).
    Node and edge order are preserved exactly, so the exact engines produce
    bit-identical results to a from-scratch build.
-3. **Float-first Howard** — with ``float_screen=True`` (the default) and
-   ``exact=True``, candidates are screened by float policy iteration and
-   only the winning critical cycle is re-verified exactly
-   (:func:`repro.tmg.howard.maximum_cycle_ratio_screened`).  The returned
-   cycle time is still an exact :class:`~fractions.Fraction`; only the
-   representative cycle among equally critical ones may differ.  Pass
-   ``float_screen=False`` for fully bit-identical reports including the
-   critical-cycle choice.
+3. **Exact integer Howard** — every miss runs the one Howard kernel
+   (:func:`repro.tmg.howard.maximum_cycle_ratio`), which iterates over
+   integer CSR arrays with ratios as reduced ``(num, den)`` pairs and
+   builds a :class:`~fractions.Fraction` only for the result.  Cycle time
+   *and* critical cycle are therefore bit-identical to an uncached
+   :func:`~repro.model.performance.analyze_system` call.
 """
 
 from __future__ import annotations
@@ -69,8 +67,6 @@ class PerformanceEngine:
             (entries hold one TMG + skeleton; keep this modest).
         incremental: Reuse event-graph structures across latency-only
             changes.  Disable to ablate (every miss rebuilds the TMG).
-        float_screen: Screen exact Howard analyses in float arithmetic and
-            re-verify the winner exactly.  Exact cycle times either way.
         store: Optional persistent :class:`~repro.store.ArtifactStore`
             layered *under* the results LRU: an LRU miss consults the
             store (kind ``"analysis"``, params digest = the analysis
@@ -87,9 +83,8 @@ class PerformanceEngine:
             this design's name frame (:mod:`repro.sym.remap`) and
             served.  The cycle time is exact-identical; the reported
             critical cycle may be the symmetric image of the one a
-            fresh analysis would pick (same caveat class as
-            ``float_screen``).  Off by default so store warmth cannot
-            perturb default DSE trajectories; no effect without a
+            fresh analysis would pick.  Off by default so store warmth
+            cannot perturb default DSE trajectories; no effect without a
             ``store``.  Deadlock diagnoses are never shared this way.
     """
 
@@ -98,14 +93,12 @@ class PerformanceEngine:
         max_results: int = 4096,
         max_structures: int = 128,
         incremental: bool = True,
-        float_screen: bool = True,
         store: ArtifactStore | None = None,
         canonical_reuse: bool = False,
     ):
         self.results = LruCache(max_results)
         self.structures = LruCache(max_structures)
         self.incremental = incremental
-        self.float_screen = float_screen
         self.store = store
         self.canonical_reuse = canonical_reuse
 
@@ -128,11 +121,10 @@ class PerformanceEngine:
         if ordering is None:
             ordering = ChannelOrdering.declaration_order(system)
         latencies = effective_latencies(system, process_latencies)
-        screen = self.float_screen and exact and engine is Engine.HOWARD
         ir = lower(system, ordering)
         structure_key = ir.structural_hash
         result_key = analysis_fingerprint(
-            structure_key, latencies, engine.value, exact, screen
+            structure_key, latencies, engine.value, exact
         )
 
         cached = self.results.get(result_key)
@@ -151,7 +143,7 @@ class PerformanceEngine:
                     raise stored.error()
                 return stored
             if self.canonical_reuse:
-                translated = self._canonical_lookup(ir, latencies, engine, exact, screen)
+                translated = self._canonical_lookup(ir, latencies, engine, exact)
                 if translated is not None:
                     self.results.put(result_key, translated)
                     return translated
@@ -175,7 +167,6 @@ class PerformanceEngine:
             graph,
             engine=engine,
             exact=exact,
-            float_screen=screen,
             name=entry.model.tmg.name,
             check_live=False,
         )
@@ -193,7 +184,7 @@ class PerformanceEngine:
         if self.store is not None:
             self.store.put(structure_key, "analysis", result_key, performance)
             if self.canonical_reuse:
-                self._canonical_store(ir, latencies, engine, exact, screen, performance)
+                self._canonical_store(ir, latencies, engine, exact, performance)
         return performance
 
     # ------------------------------------------------------------------
@@ -204,7 +195,6 @@ class PerformanceEngine:
         latencies: Mapping[str, int],
         engine: Engine,
         exact: bool,
-        screen: bool,
     ) -> SystemPerformance | None:
         """Second-chance store read via the orbit-canonical key."""
         from repro.sym import analyze_symmetry
@@ -214,9 +204,7 @@ class PerformanceEngine:
         analysis = analyze_symmetry(ir)
         if not analysis.complete:
             return None  # incomplete labeling: hashes are not canonical
-        key = canonical_result_key(
-            analysis, latencies, engine.value, exact, screen
-        )
+        key = canonical_result_key(analysis, latencies, engine.value, exact)
         envelope = self.store.get(analysis.canonical_hash, "analysis", key)
         if envelope is MISS:
             return None
@@ -228,7 +216,6 @@ class PerformanceEngine:
         latencies: Mapping[str, int],
         engine: Engine,
         exact: bool,
-        screen: bool,
         performance: SystemPerformance,
     ) -> None:
         """Write the canonical-frame envelope next to the exact entry."""
@@ -239,9 +226,7 @@ class PerformanceEngine:
         analysis = analyze_symmetry(ir)
         if not analysis.complete:
             return
-        key = canonical_result_key(
-            analysis, latencies, engine.value, exact, screen
-        )
+        key = canonical_result_key(analysis, latencies, engine.value, exact)
         self.store.put(
             analysis.canonical_hash,
             "analysis",

@@ -82,7 +82,6 @@ def analysis_fingerprint(
     latencies: Mapping[str, int],
     engine: str,
     exact: bool,
-    float_screen: bool,
 ) -> str:
     """Digest identifying one fully specified analysis call.
 
@@ -90,7 +89,7 @@ def analysis_fingerprint(
     the engine/arithmetic mode — the complete set of inputs that can change
     the returned :class:`~repro.model.performance.SystemPerformance`.
     """
-    parts = ["analysis:v1", structure, engine, str(exact), str(float_screen)]
+    parts = ["analysis:v2", structure, engine, str(exact)]
     for name in sorted(latencies):
         parts.append(f"l:{name}={latencies[name]}")
     return _digest(parts)

@@ -53,7 +53,6 @@ def canonical_result_key(
     latencies: Mapping[str, int],
     engine: str,
     exact: bool,
-    float_screen: bool,
 ) -> str:
     """The orbit-invariant analogue of the analysis fingerprint.
 
@@ -66,7 +65,7 @@ def canonical_result_key(
         for i, name in enumerate(analysis.canonical_process_names)
     }
     return analysis_fingerprint(
-        analysis.canonical_hash, positional, engine, exact, float_screen
+        analysis.canonical_hash, positional, engine, exact
     )
 
 

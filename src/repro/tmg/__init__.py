@@ -34,11 +34,7 @@ from repro.tmg.firing import (
     measured_cycle_time,
 )
 from repro.tmg.graph import Place, TimedMarkedGraph, Transition
-from repro.tmg.howard import (
-    CycleRatioResult,
-    maximum_cycle_ratio,
-    maximum_cycle_ratio_screened,
-)
+from repro.tmg.howard import CycleRatioResult, maximum_cycle_ratio
 from repro.tmg.lawler import maximum_cycle_ratio_lawler
 
 __all__ = [
@@ -65,7 +61,6 @@ __all__ = [
     "is_live",
     "maximum_cycle_ratio",
     "maximum_cycle_ratio_enumerated",
-    "maximum_cycle_ratio_screened",
     "maximum_cycle_ratio_lawler",
     "measured_cycle_time",
     "strongly_connected_components",

@@ -18,7 +18,7 @@ from repro.tmg.deadlock import find_token_free_cycle
 from repro.tmg.enumeration import maximum_cycle_ratio_enumerated
 from repro.tmg.event_graph import EventGraph, build_event_graph
 from repro.tmg.graph import TimedMarkedGraph
-from repro.tmg.howard import maximum_cycle_ratio, maximum_cycle_ratio_screened
+from repro.tmg.howard import maximum_cycle_ratio
 from repro.tmg.lawler import maximum_cycle_ratio_lawler
 
 Number = Union[Fraction, float]
@@ -81,21 +81,16 @@ def analyze(
     tmg: TimedMarkedGraph,
     engine: Engine | str = Engine.HOWARD,
     exact: bool = True,
-    float_screen: bool = False,
 ) -> PerformanceReport:
     """Compute cycle time and critical cycle of a live TMG.
 
     Args:
         tmg: The timed marked graph (analyzed under its *initial* marking).
         engine: Cycle-time engine; see :class:`Engine`.
-        exact: Exact rational arithmetic (Howard/enumeration are exact by
-            construction in this mode; Lawler snaps to the nearest valid
-            rational).
-        float_screen: With ``engine=HOWARD`` and ``exact=True``, screen in
-            float arithmetic and re-verify only the winning cycle exactly
-            (see :func:`repro.tmg.howard.maximum_cycle_ratio_screened`).
-            The cycle time stays exact; only the choice among equally
-            critical cycles may differ.
+        exact: Report the cycle time as a ``Fraction`` (Howard and
+            enumeration are exact either way and return the float of the
+            exact ratio otherwise; Lawler snaps to the nearest valid
+            rational in this mode).
 
     Raises:
         NotLiveError: The TMG has a token-free cycle (deadlock).
@@ -106,7 +101,6 @@ def analyze(
         build_event_graph(tmg),
         engine=engine,
         exact=exact,
-        float_screen=float_screen,
         name=tmg.name,
     )
 
@@ -115,7 +109,6 @@ def analyze_event_graph(
     graph: EventGraph,
     engine: Engine | str = Engine.HOWARD,
     exact: bool = True,
-    float_screen: bool = False,
     name: str = "tmg",
     check_live: bool = True,
 ) -> PerformanceReport:
@@ -139,10 +132,7 @@ def analyze_event_graph(
             )
 
     if engine is Engine.HOWARD:
-        if exact and float_screen:
-            result = maximum_cycle_ratio_screened(graph)
-        else:
-            result = maximum_cycle_ratio(graph, exact=exact)
+        result = maximum_cycle_ratio(graph, exact=exact)
         if result is None:
             raise ReproError(f"TMG {name!r} has no cycles; cycle time undefined")
         return PerformanceReport(

@@ -18,9 +18,15 @@ maximum-cycle-ratio policy iteration directly:
 * *improvement* switches a node's policy edge whenever a neighbour promises
   a larger ``λ`` or, at equal ``λ``, a larger potential.
 
-With exact rational arithmetic (``fractions.Fraction``) the result is the
-exact cycle ratio; float mode trades exactness for speed on graphs with
-tens of thousands of nodes.
+The kernel is exact and runs in integer arithmetic only.  Each SCC becomes
+CSR arrays (``target``, ``delay``, ``tokens`` per edge) and the policy a list
+of edge indices.  Every ``λ = num/den`` is a reduced int pair, and every
+node potential is held scaled by its ``λ``'s denominator, so the evaluation
+recurrence ``v[u] = v[t] + d − λ·m`` becomes ``V[u] = V[t] + d·den − num·m``.
+Potentials are only ever compared between nodes of equal ``λ`` (hence equal
+``den``), and ratios by cross-multiplication, so every decision is the one
+exact rational arithmetic would make.  ``fractions.Fraction`` appears only
+at the result boundary; float mode converts that same exact result.
 
 Precondition: the graph has no token-free cycle (checked by callers via
 :mod:`repro.tmg.deadlock`); otherwise the ratio is unbounded.
@@ -30,14 +36,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 from typing import Union
 
-from repro.errors import NotLiveError, ReproError
+from repro.errors import NotLiveError
 from repro.tmg.event_graph import Edge, EventGraph, strongly_connected_components
 
 Number = Union[Fraction, float]
-
-_FLOAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,8 +71,9 @@ def maximum_cycle_ratio(
     Args:
         graph: The event graph (delays on edges toward their target
             transition, tokens from the contracted place).
-        exact: Use :class:`fractions.Fraction` arithmetic.  Float mode is
-            roughly 3-5x faster and adequate for large synthetic graphs.
+        exact: Return the ratio as a :class:`fractions.Fraction`; otherwise
+            as the nearest float to that same exact ratio.  The search and
+            the reported critical cycle do not depend on this flag.
 
     Returns:
         The best :class:`CycleRatioResult` over all strongly connected
@@ -76,308 +83,280 @@ def maximum_cycle_ratio(
     Raises:
         NotLiveError: If a reachable cycle carries zero tokens.
     """
-    best: CycleRatioResult | None = None
+    best: tuple[int, int, list[str], list[str]] | None = None
     for component in strongly_connected_components(graph):
-        members = set(component)
-        succ = {
-            u: [e for e in graph.succ[u] if e.target in members] for u in component
-        }
-        if len(component) == 1 and not succ[component[0]]:
+        scc = _Scc(component, graph.succ)
+        if not scc.target:
             continue  # trivial SCC: no cycle through it
-        result = _howard_scc(component, succ, exact)
-        if best is None or result.ratio > best.ratio:
-            best = result
-    return best
-
-
-def maximum_cycle_ratio_screened(graph: EventGraph) -> CycleRatioResult | None:
-    """Float-first screening with exact verification.
-
-    Runs Howard in float arithmetic (fast), lifts the ratio of the critical
-    cycle it reports back to an exact :class:`~fractions.Fraction`, and then
-    certifies optimality with one exact Bellman–Ford pass: if no cycle has
-    a positive weight under the reweighting ``d − λ·m``, that exact ratio
-    *is* the maximum.  Should the float screen have missed the true critical
-    cycle (a near-tie inside its tolerance), the exact cycle-ratio-iteration
-    completion takes over and converges to the exact optimum anyway.
-
-    The result is therefore always exact — identical in value to
-    ``maximum_cycle_ratio(graph, exact=True)`` — while the bulk of the work
-    runs in float.  Only the reported critical *cycle* may differ when
-    several distinct cycles share the maximal ratio (any returned cycle is
-    certified to attain it).
-
-    Raises:
-        NotLiveError: If a reachable cycle carries zero tokens.
-    """
-    screen = maximum_cycle_ratio(graph, exact=False)
-    if screen is None:
+        num, den, nodes, edges = scc.howard()
+        if best is None or num * best[1] > best[0] * den:
+            best = (
+                num,
+                den,
+                [component[u] for u in nodes],
+                [scc.edges[e].place for e in edges],
+            )
+    if best is None:
         return None
-    by_place = {edge.place: edge for edge in graph.edges}
-    edges = [by_place[place] for place in screen.places]
-    delay_sum = sum(edge.delay for edge in edges)
-    token_sum = sum(edge.tokens for edge in edges)
-    if token_sum == 0:
-        raise NotLiveError(
-            "event graph has a token-free cycle through "
-            + " -> ".join(screen.cycle),
-            cycle=list(screen.cycle),
-        )
-    ratio = Fraction(delay_sum, token_sum)
-    nodes = list(graph.nodes)
-    witness = _find_positive_cycle(nodes, graph.succ, ratio, exact=True)
-    if witness is None:
-        return CycleRatioResult(
-            ratio=ratio, cycle=screen.cycle, places=screen.places
-        )
-    return _ratio_iteration_completion(
-        nodes,
-        graph.succ,
-        ratio,
-        (list(screen.cycle), list(screen.places)),
-        exact=True,
+    ratio = Fraction(best[0], best[1])
+    return CycleRatioResult(
+        ratio=ratio if exact else float(ratio),
+        cycle=tuple(best[2]),
+        places=tuple(best[3]),
     )
 
 
-def _howard_scc(
-    nodes: list[str], succ: dict[str, list[Edge]], exact: bool
-) -> CycleRatioResult:
-    """Run policy iteration within one SCC (every node has an out-edge).
+class _Scc:
+    """One strongly connected component as integer CSR arrays.
 
-    Policy iteration's potential-improvement step compares potentials that
-    are only anchored *per policy cycle*; when the policy graph carries two
-    or more equal-ratio cycles, those comparisons can flip-flop the policy
-    forever without changing the (already maximal) ratio.  The loop
-    therefore watches for stagnation — potential-only switches that stop
-    raising the best ratio — and completes with the provably terminating
-    cycle-ratio iteration: repeatedly look for a positive cycle under the
-    reweighting ``d − λ·m`` (Bellman–Ford) and, if one exists, adopt its
-    strictly larger ratio.  No positive cycle certifies optimality.
+    Node ``u`` is ``component[u]``; its out-edges inside the component are
+    ``start[u]:start[u + 1]``, in the graph's edge order.
     """
-    zero: Number = Fraction(0) if exact else 0.0
-    tol: Number = Fraction(0) if exact else _FLOAT_TOL
 
-    policy: dict[str, Edge] = {u: succ[u][0] for u in nodes}
-    max_iterations = 10 * len(nodes) + 1000
-    stagnation_limit = len(nodes) + 8
+    def __init__(self, component: list[str], succ: dict[str, list[Edge]]):
+        local = {name: u for u, name in enumerate(component)}
+        self.names = component
+        self.start = [0]
+        self.target: list[int] = []
+        self.delay: list[int] = []
+        self.tokens: list[int] = []
+        self.edges: list[Edge] = []
+        for name in component:
+            for edge in succ[name]:
+                t = local.get(edge.target)
+                if t is not None:
+                    self.target.append(t)
+                    self.delay.append(edge.delay)
+                    self.tokens.append(edge.tokens)
+                    self.edges.append(edge)
+            self.start.append(len(self.target))
 
-    best_cycle: tuple[list[str], list[str]] = ([], [])
-    best_ratio: Number = zero
-    have_best = False
-    stagnant = 0
-    clean_convergence = False
+    def howard(self) -> tuple[int, int, list[int], list[int]]:
+        """Policy iteration: ``(num, den, cycle nodes, cycle edges)``.
 
-    for _ in range(max_iterations):
-        lam, pot, cycles = _evaluate_policy(nodes, policy, exact)
-        round_ratio, round_cycle = max(
-            ((ratio, cyc) for ratio, cyc in cycles), key=lambda item: item[0]
-        )
-        if not have_best or round_ratio > best_ratio:
-            best_ratio, best_cycle = round_ratio, round_cycle
-            have_best = True
-            stagnant = 0
+        Policy iteration's potential-improvement step compares potentials
+        that are only anchored *per policy cycle*; when the policy graph
+        carries two or more equal-ratio cycles, those comparisons can
+        flip-flop the policy forever without changing the (already maximal)
+        ratio.  The loop therefore watches for stagnation — potential-only
+        switches that stop raising the best ratio — and completes with the
+        provably terminating cycle-ratio iteration (:meth:`complete`).
+        """
+        n = len(self.names)
+        start, target, delay, tokens = self.start, self.target, self.delay, self.tokens
+        policy = start[:-1]
+        stagnation_limit = n + 8
 
-        improved = False
-        # First criterion: chase a strictly better cycle ratio.
-        for u in nodes:
-            for edge in succ[u]:
-                if lam[edge.target] > lam[u] + tol:
-                    policy[u] = edge
-                    lam[u] = lam[edge.target]
-                    improved = True
-        if improved:
-            stagnant = 0
-            continue
-        # Second criterion: same ratio, better potential.
-        for u in nodes:
-            for edge in succ[u]:
-                if lam[edge.target] != lam[u]:
+        best_num, best_den = 0, 0  # den 0: no round evaluated yet
+        best_nodes: list[int] = []
+        best_edges: list[int] = []
+        stagnant = 0
+
+        for _ in range(10 * n + 1000):
+            rank, pot, ratios, cycle = self._evaluate(policy)
+            num, den = ratios[rank[cycle[0]]]
+            if best_den == 0 or num * best_den > best_num * den:
+                best_num, best_den = num, den
+                best_nodes, best_edges = cycle, [policy[u] for u in cycle]
+                stagnant = 0
+
+            improved = False
+            # First criterion: chase a strictly better cycle ratio.
+            if len(ratios) > 1:
+                for u in range(n):
+                    ru = rank[u]
+                    for e in range(start[u], start[u + 1]):
+                        rt = rank[target[e]]
+                        if rt > ru:
+                            policy[u] = e
+                            rank[u] = ru = rt
+                            improved = True
+            if improved:
+                stagnant = 0
+                continue
+            # Second criterion: same ratio, better potential.
+            for u in range(n):
+                ru = rank[u]
+                num, den = ratios[ru]
+                pu = pot[u]
+                for e in range(start[u], start[u + 1]):
+                    t = target[e]
+                    if rank[t] != ru:
+                        continue
+                    candidate = pot[t] + delay[e] * den - num * tokens[e]
+                    if candidate > pu:
+                        policy[u] = e
+                        pot[u] = pu = candidate
+                        improved = True
+            if not improved:
+                return best_num, best_den, best_nodes, best_edges
+            stagnant += 1
+            if stagnant > stagnation_limit:
+                break
+        return self.complete(best_num, best_den, best_nodes, best_edges)
+
+    def _evaluate(
+        self, policy: list[int]
+    ) -> tuple[list[int], list[int], list[tuple[int, int]], list[int]]:
+        """Evaluate a policy.
+
+        The policy's functional graph decomposes into cycles with in-trees
+        hanging off them.  Every node inherits the ratio of the cycle its
+        policy path reaches; scaled potentials satisfy
+        ``V[u] = V[t] + d·den − num·m`` with one node per cycle pinned to 0.
+
+        Returns ``(rank, pot, ratios, cycle)``: ``rank[u]`` indexes node
+        ``u``'s ratio in ``ratios`` (distinct ``(num, den)`` pairs in
+        ascending order, so ranks compare as the ratios do), ``pot[u]`` its
+        scaled potential, and ``cycle`` the nodes of the first-found policy
+        cycle of maximal ratio.
+        """
+        n = len(self.names)
+        target, delay, tokens = self.target, self.delay, self.tokens
+        cls = [0] * n  # index into `found` of the cycle each node reaches
+        pot = [0] * n
+        state = [0] * n  # 0 = unvisited, 1 = on path, 2 = done
+        found: list[tuple[int, int]] = []
+        top = -1
+        top_cycle: list[int] = []
+
+        for root in range(n):
+            if state[root]:
+                continue
+            # Walk the policy path until we hit a finished node or close a cycle.
+            path = []
+            node = root
+            while not state[node]:
+                state[node] = 1
+                path.append(node)
+                node = target[policy[node]]
+            if state[node] == 1:
+                # Closed a new cycle at `node`: evaluate it.
+                cycle = path[path.index(node):]
+                delay_sum = token_sum = 0
+                for u in cycle:
+                    e = policy[u]
+                    delay_sum += delay[e]
+                    token_sum += tokens[e]
+                if token_sum == 0:
+                    names = [self.names[u] for u in cycle]
+                    raise NotLiveError(
+                        "event graph has a token-free cycle through "
+                        + " -> ".join(names),
+                        cycle=names,
+                    )
+                g = gcd(delay_sum, token_sum)
+                num, den = delay_sum // g, token_sum // g
+                c = len(found)
+                found.append((num, den))
+                if top < 0 or num * found[top][1] > found[top][0] * den:
+                    top, top_cycle = c, cycle
+                # Pin the closing node, then propagate potentials backward
+                # around the cycle.
+                cls[node] = c
+                for u in reversed(cycle[1:]):
+                    e = policy[u]
+                    cls[u] = c
+                    pot[u] = pot[target[e]] + delay[e] * den - num * tokens[e]
+                for u in cycle:
+                    state[u] = 2
+            # Resolve the remaining path (tree part) in reverse order.
+            for u in reversed(path):
+                if state[u] == 2:
                     continue
-                candidate = (
-                    pot[edge.target] + edge.delay - lam[u] * edge.tokens
-                )
-                if candidate > pot[u] + tol:
-                    policy[u] = edge
-                    pot[u] = candidate
-                    improved = True
-        if not improved:
-            clean_convergence = True
-            break
-        stagnant += 1
-        if stagnant > stagnation_limit:
-            break
+                e = policy[u]
+                t = target[e]
+                c = cls[t]
+                num, den = found[c]
+                cls[u] = c
+                pot[u] = pot[t] + delay[e] * den - num * tokens[e]
+                state[u] = 2
 
-    if not have_best:
-        raise ReproError(
-            "Howard policy iteration produced no cycle "
-            f"(SCC of {len(nodes)} nodes)"
+        if len(found) == 1:
+            return cls, pot, found, top_cycle
+        order = sorted(
+            range(len(found)),
+            key=cmp_to_key(
+                lambda a, b: found[a][0] * found[b][1] - found[b][0] * found[a][1]
+            ),
         )
-    if clean_convergence:
-        return CycleRatioResult(
-            ratio=best_ratio,
-            cycle=tuple(best_cycle[0]),
-            places=tuple(best_cycle[1]),
-        )
-    return _ratio_iteration_completion(
-        nodes, succ, best_ratio, best_cycle, exact
-    )
+        ratios: list[tuple[int, int]] = []
+        rank_of = [0] * len(found)
+        for c in order:
+            if not ratios or found[c] != ratios[-1]:
+                ratios.append(found[c])
+            rank_of[c] = len(ratios) - 1
+        return [rank_of[c] for c in cls], pot, ratios, top_cycle
 
-
-def _ratio_iteration_completion(
-    nodes: list[str],
-    succ: dict[str, list[Edge]],
-    ratio: Number,
-    cycle: tuple[list[str], list[str]],
-    exact: bool,
-) -> CycleRatioResult:
-    """Exact completion: raise ``ratio`` through positive cycles until none
-    remains.  Each found cycle has a strictly larger ratio and ratios come
-    from the finite set of simple-cycle ratios, so this terminates."""
-    while True:
-        found = _find_positive_cycle(nodes, succ, ratio, exact)
-        if found is None:
-            return CycleRatioResult(
-                ratio=ratio, cycle=tuple(cycle[0]), places=tuple(cycle[1])
-            )
-        delay_sum = sum(e.delay for e in found)
-        token_sum = sum(e.tokens for e in found)
-        if token_sum == 0:
-            raise NotLiveError(
-                "event graph has a token-free cycle through "
-                + " -> ".join(e.source for e in found),
-                cycle=[e.source for e in found],
-            )
-        ratio = (
-            Fraction(delay_sum, token_sum) if exact else delay_sum / token_sum
-        )
-        cycle = ([e.source for e in found], [e.place for e in found])
-
-
-def _find_positive_cycle(
-    nodes: list[str],
-    succ: dict[str, list[Edge]],
-    lam: Number,
-    exact: bool,
-) -> list[Edge] | None:
-    """A cycle with ``Σ(delay − λ·tokens) > 0``, or ``None``.
-
-    Longest-path Bellman–Ford from an implicit all-zeros source with early
-    exit; when relaxation survives ``|V|`` rounds, the predecessor graph
-    contains the witness cycle.
-    """
-    zero: Number = Fraction(0) if exact else 0.0
-    tol = 0 if exact else _FLOAT_TOL
-    dist: dict[str, Number] = {u: zero for u in nodes}
-    pred: dict[str, Edge] = {}
-    member = set(nodes)
-
-    last_changed: str | None = None
-    for _ in range(len(nodes)):
-        changed = False
-        for u in nodes:
-            base = dist[u]
-            for edge in succ[u]:
-                if edge.target not in member:
-                    continue
-                candidate = base + edge.delay - lam * edge.tokens
-                if candidate > dist[edge.target] + tol:
-                    dist[edge.target] = candidate
-                    pred[edge.target] = edge
-                    changed = True
-                    last_changed = edge.target
-        if not changed:
-            return None
-
-    # Still relaxing after |V| rounds: walk back to land on the cycle.
-    assert last_changed is not None
-    node = last_changed
-    for _ in range(len(nodes)):
-        node = pred[node].source
-    cycle_edges: list[Edge] = []
-    cursor = node
-    while True:
-        edge = pred[cursor]
-        cycle_edges.append(edge)
-        cursor = edge.source
-        if cursor == node:
-            break
-    cycle_edges.reverse()
-    return cycle_edges
-
-
-def _evaluate_policy(
-    nodes: list[str], policy: dict[str, Edge], exact: bool
-) -> tuple[
-    dict[str, Number],
-    dict[str, Number],
-    list[tuple[Number, tuple[list[str], list[str]]]],
-]:
-    """Evaluate a policy: per-node cycle ratio ``λ`` and potential ``v``.
-
-    The policy's functional graph decomposes into cycles with in-trees
-    hanging off them.  Every node inherits the ratio of the cycle its
-    policy path reaches; potentials satisfy
-    ``v[u] = v[succ] + delay - λ·tokens`` with one node per cycle pinned
-    to 0.
-    """
-    lam: dict[str, Number] = {}
-    pot: dict[str, Number] = {}
-    cycles: list[tuple[Number, tuple[list[str], list[str]]]] = []
-
-    state: dict[str, int] = {}  # 0/absent = unvisited, 1 = on path, 2 = done
-
-    for root in nodes:
-        if state.get(root) == 2:
-            continue
-        # Walk the policy path until we hit a finished node or close a cycle.
-        path: list[str] = []
-        node = root
-        while state.get(node) is None:
-            state[node] = 1
-            path.append(node)
-            node = policy[node].target
-        if state[node] == 1:
-            # Closed a new cycle at `node`: evaluate it.
-            start = path.index(node)
-            cycle_nodes = path[start:]
-            delay_sum = 0
-            token_sum = 0
-            cycle_places = []
-            for u in cycle_nodes:
-                edge = policy[u]
-                delay_sum += edge.delay
-                token_sum += edge.tokens
-                cycle_places.append(edge.place)
+    def complete(
+        self, num: int, den: int, nodes: list[int], edges: list[int]
+    ) -> tuple[int, int, list[int], list[int]]:
+        """Exact completion: raise ``num/den`` through positive cycles until
+        none remains.  Each found cycle has a strictly larger ratio and
+        ratios come from the finite set of simple-cycle ratios, so this
+        terminates; no positive cycle certifies optimality."""
+        source = [
+            u for u in range(len(self.names))
+            for _ in range(self.start[u], self.start[u + 1])
+        ]
+        while True:
+            found = self._positive_cycle(num, den, source)
+            if found is None:
+                return num, den, nodes, edges
+            nodes = [source[e] for e in found]
+            delay_sum = sum(self.delay[e] for e in found)
+            token_sum = sum(self.tokens[e] for e in found)
             if token_sum == 0:
+                names = [self.names[u] for u in nodes]
                 raise NotLiveError(
                     "event graph has a token-free cycle through "
-                    + " -> ".join(cycle_nodes),
-                    cycle=cycle_nodes,
+                    + " -> ".join(names),
+                    cycle=names,
                 )
-            ratio: Number
-            if exact:
-                ratio = Fraction(delay_sum, token_sum)
-            else:
-                ratio = delay_sum / token_sum
-            cycles.append((ratio, (cycle_nodes, cycle_places)))
-            # Pin the closing node, then propagate potentials backward
-            # around the cycle.
-            anchor = cycle_nodes[0]
-            lam[anchor] = ratio
-            pot[anchor] = Fraction(0) if exact else 0.0
-            for u in reversed(cycle_nodes[1:]):
-                edge = policy[u]
-                lam[u] = ratio
-                pot[u] = pot[edge.target] + edge.delay - ratio * edge.tokens
-            for u in cycle_nodes:
-                state[u] = 2
-        # Resolve the remaining path (tree part) in reverse order.
-        for u in reversed(path):
-            if state[u] == 2:
-                continue
-            edge = policy[u]
-            lam[u] = lam[edge.target]
-            pot[u] = pot[edge.target] + edge.delay - lam[u] * edge.tokens
-            state[u] = 2
+            g = gcd(delay_sum, token_sum)
+            num, den, edges = delay_sum // g, token_sum // g, found
 
-    return lam, pot, cycles
+    def _positive_cycle(
+        self, num: int, den: int, source: list[int]
+    ) -> list[int] | None:
+        """Edges of a cycle with ``Σ(d·den − num·m) > 0``, or ``None``.
+
+        Longest-path Bellman–Ford over integer weights from an implicit
+        all-zeros source with early exit; when relaxation survives ``|V|``
+        rounds, the predecessor graph contains the witness cycle.
+        """
+        n = len(self.names)
+        start, target = self.start, self.target
+        weight = [d * den - num * m for d, m in zip(self.delay, self.tokens)]
+        dist = [0] * n
+        pred = [-1] * n
+        last_changed = -1
+        for _ in range(n):
+            changed = False
+            for u in range(n):
+                base = dist[u]
+                for e in range(start[u], start[u + 1]):
+                    t = target[e]
+                    candidate = base + weight[e]
+                    if candidate > dist[t]:
+                        dist[t] = candidate
+                        pred[t] = e
+                        changed = True
+                        last_changed = t
+            if not changed:
+                return None
+
+        # Still relaxing after |V| rounds: walk back to land on the cycle.
+        node = last_changed
+        for _ in range(n):
+            node = source[pred[node]]
+        cycle: list[int] = []
+        cursor = node
+        while True:
+            e = pred[cursor]
+            cycle.append(e)
+            cursor = source[e]
+            if cursor == node:
+                break
+        cycle.reverse()
+        return cycle

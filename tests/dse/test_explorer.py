@@ -232,3 +232,36 @@ class TestReporting:
     def test_summarize_mentions_speedup(self, slow_config):
         result = explore(slow_config, target_cycle_time=20)
         assert "speed-up" in summarize(result)
+
+
+class TestIlpNodeLimit:
+    def test_cut_resolve_abort_is_not_reported_as_exhausted(
+        self, motivating, library, monkeypatch
+    ):
+        """A no-good-cut re-solve that runs out of branch-and-bound nodes
+        stops the run with its own reason, and its nodes are counted."""
+        import repro.dse.explorer as explorer_module
+        from repro.obs import DseProfiler
+
+        real_solve = explorer_module.branch_bound.solve
+        solved_nodes = []
+
+        def solve(problem):
+            if problem.forbidden:
+                return real_solve(problem, node_limit=1)
+            solution = real_solve(problem)
+            solved_nodes.append(solution.nodes)
+            return solution
+
+        monkeypatch.setattr(explorer_module.branch_bound, "solve", solve)
+        config = SystemConfiguration.initial(
+            motivating,
+            library,
+            ordering=ChannelOrdering.declaration_order(motivating),
+            pick="fastest",
+        )
+        profiler = DseProfiler()
+        result = Explorer(target_cycle_time=20, profiler=profiler).run(config)
+        assert result.stop_reason == "ILP node limit reached (2 nodes)"
+        counted = profiler.metrics.counter("dse.ilp.nodes").value
+        assert counted == sum(solved_nodes) + 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InfeasibleError, ValidationError
+from repro.errors import InfeasibleError, NodeLimitError, ValidationError
 from repro.ilp import (
     Choice,
     MultiChoiceProblem,
@@ -143,6 +143,16 @@ class TestBranchBound:
         p.forbid({"g": "b"})
         with pytest.raises(InfeasibleError):
             branch_bound.solve(p)
+
+    def test_node_limit_is_not_infeasibility(self):
+        p = knapsack_problem(budget=7)
+        p.forbid(branch_bound.solve(p).selection)
+        with pytest.raises(NodeLimitError) as aborted:
+            branch_bound.solve(p, node_limit=2)
+        assert not isinstance(aborted.value, InfeasibleError)
+        assert aborted.value.nodes == 3  # the node that crossed the budget
+        # The same cut-constrained problem is feasible under the default.
+        assert branch_bound.solve(p).nodes > 2
 
 
 class TestKnapsackDP:

@@ -87,8 +87,8 @@ class TestAnalysisFingerprint:
         )
         base = effective_latencies(tiny_pipeline)
         fast = effective_latencies(tiny_pipeline, {"A": 1})
-        assert analysis_fingerprint(structure, base, "howard", True, False) != \
-            analysis_fingerprint(structure, fast, "howard", True, False)
+        assert analysis_fingerprint(structure, base, "howard", True) != \
+            analysis_fingerprint(structure, fast, "howard", True)
 
     def test_mode_changes_key(self, tiny_pipeline):
         structure = structure_fingerprint(
@@ -96,12 +96,11 @@ class TestAnalysisFingerprint:
         )
         latencies = effective_latencies(tiny_pipeline)
         keys = {
-            analysis_fingerprint(structure, latencies, engine, exact, screen)
+            analysis_fingerprint(structure, latencies, engine, exact)
             for engine in ("howard", "lawler")
             for exact in (True, False)
-            for screen in (True, False)
         }
-        assert len(keys) == 8
+        assert len(keys) == 4
 
     def test_override_spelling_is_canonical(self, tiny_pipeline):
         structure = structure_fingerprint(
@@ -110,8 +109,8 @@ class TestAnalysisFingerprint:
         partial = effective_latencies(tiny_pipeline, {"A": 7})
         spelled = effective_latencies(tiny_pipeline, dict(partial))
         assert analysis_fingerprint(
-            structure, partial, "howard", True, False
-        ) == analysis_fingerprint(structure, spelled, "howard", True, False)
+            structure, partial, "howard", True
+        ) == analysis_fingerprint(structure, spelled, "howard", True)
 
 
 class TestSystemFingerprint:

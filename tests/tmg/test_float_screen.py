@@ -1,9 +1,11 @@
-"""Float-first Howard: screen in float, certify the winner exactly.
+"""Exactness where float64 collapses, on the single Howard path.
 
-``maximum_cycle_ratio_screened`` must return *exact* results — the ratio a
-``Fraction``, the cycle a true maximum-ratio cycle — even though the
-search ran in float arithmetic.  These tests check the exactness contract
-on hand-built rings and, property-style, on random live TMGs.
+These tests once covered a float-first screen with exact verification.
+That screen is gone: :func:`maximum_cycle_ratio` runs one integer kernel in
+both modes, so the same contract is now checked on it — the ratio is
+exact and the reported cycle is a true maximum-ratio cycle, even where
+float64 cannot rank the candidates, and ``exact=False`` returns the float
+of that very ratio and cycle.
 """
 
 from fractions import Fraction
@@ -19,7 +21,6 @@ from repro.tmg import (
     analyze_event_graph,
     build_event_graph,
     maximum_cycle_ratio,
-    maximum_cycle_ratio_screened,
 )
 
 from tests.strategies import live_tmgs
@@ -50,12 +51,31 @@ def cycle_ratio(graph, cycle) -> Fraction:
     return Fraction(delay, tokens)
 
 
+def float_collapse_graph() -> TimedMarkedGraph:
+    """Two rings whose ratios (10^16 + 1 vs 10^16) share one float64."""
+    big = 10**16
+    tmg = TimedMarkedGraph()
+    for name, delay in (("a1", big + 1), ("a2", 0), ("b1", big), ("b2", 0)):
+        tmg.add_transition(name, delay=delay)
+    tmg.add_place("p0", "a1", "a2", tokens=0)
+    tmg.add_place("p1", "a2", "a1", tokens=1)   # ring a: (big+1)/1
+    tmg.add_place("p2", "b1", "b2", tokens=0)
+    tmg.add_place("p3", "b2", "b1", tokens=1)   # ring b: big/1
+    # Token-heavy cross links keep the graph connected without creating a
+    # competitive mixed cycle.
+    tmg.add_place("p4", "a1", "b1", tokens=3)
+    tmg.add_place("p5", "b1", "a1", tokens=3)
+    return tmg
+
+
 class TestScreenedHoward:
     def test_simple_ring(self):
         graph = build_event_graph(ring((2, 3, 1), (1, 0, 0)))
-        result = maximum_cycle_ratio_screened(graph)
+        result = maximum_cycle_ratio(graph)
         assert result.ratio == Fraction(6, 1)
         assert isinstance(result.ratio, Fraction)
+        approx = maximum_cycle_ratio(graph, exact=False)
+        assert approx.ratio == 6.0 and isinstance(approx.ratio, float)
 
     def test_agrees_with_exact_on_competing_rings(self):
         tmg = TimedMarkedGraph()
@@ -66,78 +86,70 @@ class TestScreenedHoward:
         tmg.add_place("p2", "a", "c", tokens=1)
         tmg.add_place("p3", "c", "a", tokens=1)   # ratio 5/2
         graph = build_event_graph(tmg)
-        screened = maximum_cycle_ratio_screened(graph)
+        approx = maximum_cycle_ratio(graph, exact=False)
         exact = maximum_cycle_ratio(graph, exact=True)
-        assert screened.ratio == exact.ratio == Fraction(6, 1)
-        assert set(screened.cycle) == {"a", "b"}
+        assert exact.ratio == Fraction(6, 1)
+        assert approx.ratio == float(exact.ratio)
+        assert approx.cycle == exact.cycle
+        assert set(exact.cycle) == {"a", "b"}
 
     def test_ratios_beyond_float_precision_certified_exactly(self):
-        # Two rings whose ratios (10^16 + 1 vs 10^16) collapse to the same
-        # float64 — the screen alone cannot rank them.  The exact
-        # verification pass must still return the true maximum.
         big = 10**16
-        tmg = TimedMarkedGraph()
-        for name, delay in (("a1", big + 1), ("a2", 0),
-                            ("b1", big), ("b2", 0)):
-            tmg.add_transition(name, delay=delay)
-        tmg.add_place("p0", "a1", "a2", tokens=0)
-        tmg.add_place("p1", "a2", "a1", tokens=1)   # ring a: (big+1)/1
-        tmg.add_place("p2", "b1", "b2", tokens=0)
-        tmg.add_place("p3", "b2", "b1", tokens=1)   # ring b: big/1
-        # Token-heavy cross links keep the graph connected without
-        # creating a competitive mixed cycle.
-        tmg.add_place("p4", "a1", "b1", tokens=3)
-        tmg.add_place("p5", "b1", "a1", tokens=3)
-        graph = build_event_graph(tmg)
+        graph = build_event_graph(float_collapse_graph())
         assert float(big + 1) == float(big)  # the premise: float ties
-        result = maximum_cycle_ratio_screened(graph)
+        result = maximum_cycle_ratio(graph)
         assert result.ratio == Fraction(big + 1, 1)
         assert result.ratio == cycle_ratio(graph, list(result.cycle))
+        # Float mode reports the same (exactly maximal) cycle.
+        approx = maximum_cycle_ratio(graph, exact=False)
+        assert approx.cycle == result.cycle
+        assert approx.ratio == float(result.ratio)
 
     def test_returned_cycle_attains_the_ratio(self):
         graph = build_event_graph(ring((5, 2, 9, 1), (1, 0, 1, 0)))
-        result = maximum_cycle_ratio_screened(graph)
+        result = maximum_cycle_ratio(graph)
         assert cycle_ratio(graph, list(result.cycle)) == result.ratio
 
     def test_not_live_raises(self):
         graph = build_event_graph(ring((1, 1), (0, 0)))
-        with pytest.raises(NotLiveError):
-            maximum_cycle_ratio_screened(graph)
+        for exact in (True, False):
+            with pytest.raises(NotLiveError):
+                maximum_cycle_ratio(graph, exact=exact)
 
     @settings(max_examples=40, deadline=None)
     @given(tmg=live_tmgs())
     def test_property_ratio_matches_exact(self, tmg):
         graph = build_event_graph(tmg)
-        screened = maximum_cycle_ratio_screened(graph)
+        approx = maximum_cycle_ratio(graph, exact=False)
         exact = maximum_cycle_ratio(graph, exact=True)
-        assert screened.ratio == exact.ratio
-        assert isinstance(screened.ratio, Fraction)
-        # The certificate is genuine: its own ratio attains the maximum.
-        assert cycle_ratio(graph, list(screened.cycle)) == screened.ratio
+        if exact is None:
+            assert approx is None
+            return
+        assert isinstance(exact.ratio, Fraction)
+        assert approx.ratio == float(exact.ratio)
+        # The reported cycle is genuine: its own ratio attains the maximum.
+        assert cycle_ratio(graph, list(approx.cycle)) == exact.ratio
 
 
 class TestAnalyzeEventGraphDispatch:
-    def test_float_screen_only_applies_to_exact_howard(self):
+    def test_exact_flag_only_changes_result_type(self):
         tmg = ring((2, 3, 1), (1, 0, 0))
         graph = build_event_graph(tmg)
         reference = analyze(tmg)
         for exact in (True, False):
-            for screen in (True, False):
-                report = analyze_event_graph(
-                    graph, engine=Engine.HOWARD, exact=exact,
-                    float_screen=screen,
-                )
-                assert report.cycle_time == reference.cycle_time
-                assert isinstance(report.cycle_time, Fraction) == exact
+            report = analyze_event_graph(graph, engine=Engine.HOWARD, exact=exact)
+            assert report.cycle_time == reference.cycle_time
+            assert isinstance(report.cycle_time, Fraction) == exact
+            assert report.critical_cycle == reference.critical_cycle
 
     def test_analyze_via_tmg_level_entry_point(self):
         tmg = ring((2, 3, 1), (1, 0, 0))
-        screened = analyze(tmg, float_screen=True)
+        approx = analyze(tmg, exact=False)
         plain = analyze(tmg)
-        assert screened.cycle_time == plain.cycle_time
-        assert screened.critical_cycle == plain.critical_cycle
+        assert approx.cycle_time == plain.cycle_time
+        assert approx.critical_cycle == plain.critical_cycle
 
     def test_liveness_error_message_preserved(self):
         tmg = ring((1, 1), (0, 0))
         with pytest.raises(NotLiveError, match="not live"):
-            analyze(tmg, float_screen=True)
+            analyze(tmg, exact=False)
