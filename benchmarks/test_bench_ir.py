@@ -8,9 +8,9 @@ The lowered core IR (:mod:`repro.ir`) fronts every consumer of a
   lowering eagerly (and a warm call is a dict probe);
 * **the array simulator is fast** — executing the dense integer program
   beats the frozen interpretive engine
-  (:class:`repro.sim.ReferenceSimulator`, the pre-IR implementation kept
-  verbatim as oracle and baseline) by at least 1.5x, with bit-identical
-  results.
+  (:class:`tests.sim.reference.ReferenceSimulator`, the pre-IR
+  implementation kept verbatim as oracle and baseline) by at least 1.5x,
+  with bit-identical results.
 
 Both are asserted here so a refactor that quietly fattens the lowering
 or slows the hot loop fails the benchmark suite, not a profile later.
@@ -21,7 +21,8 @@ import time
 from repro.core import synthetic_soc
 from repro.ir import clear_lowering_cache, lower
 from repro.ordering import channel_ordering
-from repro.sim import ReferenceSimulator, Simulator
+from repro.sim import Simulator
+from tests.sim.reference import ReferenceSimulator
 
 #: Enforced floor on array-engine vs interpretive-engine speed (measured
 #: ~3.8x on this workload; 1.5x leaves room for slow CI machines).

@@ -10,7 +10,7 @@ both halves are asserted here:
   example finishes >= 5x faster than 64 sequential
   :class:`~repro.sim.Simulator` runs;
 * **bit-identity** — every one of the 64 lanes equals the frozen
-  :class:`~repro.sim.ReferenceSimulator`'s result for that candidate
+  :class:`~tests.sim.reference.ReferenceSimulator`'s result for that candidate
   alone (and the lane-0 trace matches when a sink is attached).
 """
 
@@ -19,12 +19,8 @@ import time
 
 from repro.core import ChannelOrdering, motivating_example
 from repro.obs.sinks import MemorySink
-from repro.sim import (
-    BatchLane,
-    BatchSimulator,
-    ReferenceSimulator,
-    Simulator,
-)
+from repro.sim import BatchLane, BatchSimulator, Simulator
+from tests.sim.reference import ReferenceSimulator
 
 #: Enforced floor on batch vs sequential aggregate throughput (measured
 #: well above this on a 64-lane batch; 5x is the registry's claim).

@@ -23,7 +23,7 @@ import logging
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, ContextManager, Union
+from typing import TYPE_CHECKING, ContextManager, Sequence, Union
 
 from repro.core.system import ChannelOrdering
 from repro.dse.config import SystemConfiguration
@@ -73,6 +73,44 @@ def _ordering_fingerprint(ordering: ChannelOrdering) -> OrderingFingerprint:
         tuple(sorted((p, tuple(seq)) for p, seq in ordering.gets.items())),
         tuple(sorted((p, tuple(seq)) for p, seq in ordering.puts.items())),
     )
+
+
+def _measure_cycle_times(
+    configs: Sequence[SystemConfiguration],
+    iterations: int,
+    metrics: "MetricsRegistry | None" = None,
+) -> list[Number | None]:
+    """Simulated steady-state cycle time of each configuration.
+
+    Configurations sharing an ordering share a compiled structure, so
+    each ordering group is one :class:`~repro.sim.BatchSimulator` run
+    with one lane per configuration — their selections differ only in
+    process latencies, exactly what a :class:`~repro.sim.BatchLane`
+    overrides.  A lane whose simulation deadlocks yields ``None`` (the
+    analytic loop may walk through orderings simulation rejects; that
+    disagreement is the point of cross-validation).
+    """
+    from repro.errors import SimulationDeadlock
+    from repro.sim import BatchLane, BatchSimulator, default_watch
+
+    groups: dict[OrderingFingerprint, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault(_ordering_fingerprint(cfg.ordering), []).append(i)
+    measured: list[Number | None] = [None] * len(configs)
+    for indices in groups.values():
+        first = configs[indices[0]]
+        watch = default_watch(first.system)
+        lanes = [
+            BatchLane(process_latencies=configs[i].process_latencies())
+            for i in indices
+        ]
+        outcomes = BatchSimulator(
+            first.system, first.ordering, lanes=lanes, metrics=metrics
+        ).run(iterations=iterations, watch=watch, on_deadlock="capture")
+        for i, outcome in zip(indices, outcomes):
+            if not isinstance(outcome, SimulationDeadlock):
+                measured[i] = outcome.measured_cycle_time(watch)
+    return measured
 
 
 @dataclass(frozen=True)
@@ -188,19 +226,10 @@ class Explorer:
             untouched: batching adds measurements, never decisions.
         batch_iterations: Iterations each batched lane runs for (the
             steady-state estimate uses the second half).
-        workers: Worker processes for the cross-validation measurement
-            pass.  ``> 1`` distributes the visited configurations over a
-            :class:`~repro.service.ShardedRunner` pool (workers receive
-            pickled IR work units) instead of the in-process batch
-            engine; measurements are bit-identical either way — the
-            scalar, batch, and sharded paths all execute the same
-            compiled program (differential-tested in
-            ``tests/dse/test_explorer_shard.py``).
         store: Optional persistent :class:`~repro.store.ArtifactStore`.
             Layered under the default performance engine's LRU (ignored
             when ``perf_engine`` is supplied — configure that engine's
-            store directly) and shared with the sharded measurement
-            workers, so analyses and simulations survive the process.
+            store directly), so analyses survive the process.
             Conclusive ordering verdicts are persisted too (kind
             ``"verify"``, keyed by the ordering's ``ir_hash``), so
             machine-checks survive process restarts; reuse is counted
@@ -231,7 +260,6 @@ class Explorer:
         profiler: "DseProfiler | None" = None,
         batch: bool | None = None,
         batch_iterations: int = 32,
-        workers: int = 1,
         store: "ArtifactStore | None" = None,
         sym_dedup: bool = True,
         sym_seen: set[str] | None = None,
@@ -242,12 +270,11 @@ class Explorer:
         self.verify = verify
         self.timing_area_budget = timing_area_budget
         self.engine_exact = engine_exact
-        self.workers = workers
         self.store = store
         self.perf_engine = perf_engine or PerformanceEngine(store=store)
         self.profiler = profiler
         if batch is None:
-            from repro.sim.batch import batch_enabled_by_env
+            from repro.sim import batch_enabled_by_env
 
             batch = batch_enabled_by_env()
         self.batch = batch
@@ -260,17 +287,8 @@ class Explorer:
 
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        config: SystemConfiguration,
-        workers: int | None = None,
-    ) -> ExplorationResult:
+    def run(self, config: SystemConfiguration) -> ExplorationResult:
         """Explore from ``config`` until convergence.
-
-        Args:
-            config: The starting configuration.
-            workers: Per-run override of the constructor's ``workers``
-                (the sharded measurement fan-out); ``None`` keeps it.
 
         Raises:
             LintError: When the structural pre-flight (``ERM1xx`` /
@@ -316,9 +334,9 @@ class Explorer:
             performance = self._analyze(config)
         start_record = self._record(0, "start", config, performance, (), ())
         result.history.append(start_record)
-        # Visited configurations by history index, for the optional batched
-        # simulation cross-validation after the loop.
-        trail: list[tuple[int, SystemConfiguration]] = [(0, config)]
+        # The configuration behind each history entry, for the optional
+        # batched simulation cross-validation after the loop.
+        trail: list[SystemConfiguration] = [config]
         consider(start_record, config)
         if profiler is not None:
             profiler.iteration(start_record, self.perf_engine)
@@ -432,7 +450,7 @@ class Explorer:
                     iteration, "none", config, performance, (), ()
                 )
                 result.history.append(none_record)
-                trail.append((len(result.history) - 1, config))
+                trail.append(config)
                 if profiler is not None:
                     profiler.iteration(
                         none_record, self.perf_engine, iteration_nodes
@@ -453,7 +471,7 @@ class Explorer:
                 reordered,
             )
             result.history.append(record)
-            trail.append((len(result.history) - 1, config))
+            trail.append(config)
             consider(record, config)
             if profiler is not None:
                 profiler.iteration(record, self.perf_engine, iteration_nodes)
@@ -481,11 +499,15 @@ class Explorer:
         result.cache_stats = self.perf_engine.stats_dict()
         if self.batch:
             with timed("dse.batch"):
-                result.measured_cycle_times = self._measure_batch(
-                    trail,
-                    metrics,
-                    self.workers if workers is None else workers,
+                result.measured_cycle_times = dict(
+                    enumerate(
+                        _measure_cycle_times(
+                            trail, self.batch_iterations, metrics
+                        )
+                    )
                 )
+            if metrics is not None:
+                metrics.counter("dse.batch.measured").add(len(trail))
         if profiler is not None:
             profiler.end_run(result, self.perf_engine)
             profiler.metrics.merge_cache_stats(
@@ -638,104 +660,6 @@ class Explorer:
         from repro.ir import lower
 
         return lower(config.system, config.ordering)
-
-    def _measure_batch(
-        self,
-        trail: list[tuple[int, SystemConfiguration]],
-        metrics: "MetricsRegistry | None",
-        workers: int = 1,
-    ) -> dict[int, Number | None]:
-        """Simulate every visited configuration through the batch engine.
-
-        Configurations sharing an ordering share a compiled structure, so
-        they batch into one lock-step run with one lane per configuration
-        — their selections differ only in process latencies, exactly what
-        a :class:`~repro.sim.BatchLane` overrides.  A lane whose
-        simulation deadlocks yields ``None`` (the analytic loop may walk
-        through orderings simulation rejects; that disagreement is the
-        point of cross-validation).
-
-        With ``workers > 1`` the same measurements are distributed over a
-        sharded worker pool instead — per-configuration scalar runs of
-        the same compiled program, so the two paths agree bit for bit
-        (the batch engine's SIMD guarantee composes with the shard
-        backend's sequential-identity guarantee).
-        """
-        from repro.errors import SimulationDeadlock
-        from repro.sim.batch import BatchLane, BatchSimulator
-
-        measured: dict[int, Number | None] = {}
-        groups: dict[
-            OrderingFingerprint, list[tuple[int, SystemConfiguration]]
-        ] = {}
-        for index, cfg in trail:
-            groups.setdefault(
-                _ordering_fingerprint(cfg.ordering), []
-            ).append((index, cfg))
-        if workers > 1:
-            return self._measure_sharded(groups, metrics, workers)
-        for entries in groups.values():
-            first = entries[0][1]
-            sinks = first.system.sinks()
-            watch = (
-                sinks[0].name if sinks else first.system.process_names[0]
-            )
-            lanes = [
-                BatchLane(process_latencies=cfg.process_latencies())
-                for _, cfg in entries
-            ]
-            outcomes = BatchSimulator(
-                first.system, first.ordering, lanes=lanes, metrics=metrics
-            ).run(iterations=self.batch_iterations, on_deadlock="capture")
-            for (index, _), outcome in zip(entries, outcomes):
-                measured[index] = (
-                    None
-                    if isinstance(outcome, SimulationDeadlock)
-                    else outcome.measured_cycle_time(watch)
-                )
-        if metrics is not None:
-            metrics.counter("dse.batch.measured").add(len(measured))
-        return measured
-
-    def _measure_sharded(
-        self,
-        groups: dict[
-            OrderingFingerprint, list[tuple[int, SystemConfiguration]]
-        ],
-        metrics: "MetricsRegistry | None",
-        workers: int,
-    ) -> dict[int, Number | None]:
-        """Distribute the measurement pass over a worker pool.
-
-        One pool serves every ordering group; each configuration becomes
-        a latency-only work unit against its group's base design, and
-        the shared store (when attached) makes repeated trajectories —
-        sweeps warm-starting from neighbouring targets, re-runs of the
-        same design — cross-process cache hits.
-        """
-        from repro.service.shard import ShardedRunner
-        from repro.service.units import Candidate, WorkUnit
-
-        measured: dict[int, Number | None] = {}
-        with ShardedRunner(
-            workers=workers, store=self.store, metrics=metrics
-        ) as runner:
-            for entries in groups.values():
-                first = entries[0][1]
-                units = [
-                    WorkUnit(
-                        index=lane,
-                        candidate=Candidate.of(cfg.process_latencies()),
-                        iterations=self.batch_iterations,
-                    )
-                    for lane, (_, cfg) in enumerate(entries)
-                ]
-                outcomes = runner.run(first.system, first.ordering, units)
-                for (index, _), outcome in zip(entries, outcomes):
-                    measured[index] = outcome.measured_cycle_time
-        if metrics is not None:
-            metrics.counter("dse.batch.measured").add(len(measured))
-        return measured
 
     def _reorder(self, config: SystemConfiguration) -> ChannelOrdering:
         system = config.system.with_process_latencies(config.process_latencies())

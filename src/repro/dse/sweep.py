@@ -9,14 +9,12 @@ Liu & Carloni produces, but with reordering in the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from repro.dse.config import SystemConfiguration
-from repro.dse.explorer import ExplorationResult, Explorer
+from repro.dse.explorer import ExplorationResult, Explorer, _measure_cycle_times
 from repro.perf.engine import PerformanceEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,7 +45,6 @@ def sweep_targets(
     targets: Sequence[Number],
     batch: bool | None = None,
     batch_iterations: int = 32,
-    workers: int = 1,
     store: "ArtifactStore | None" = None,
     **explorer_kwargs,
 ) -> list[SweepPoint]:
@@ -77,14 +74,11 @@ def sweep_targets(
     steady-state period (``None`` for a deadlocking lane).  Exploration
     outcomes are unchanged; batching only measures.
 
-    With ``workers > 1`` the measurement pass fans out over a
-    :class:`~repro.service.ShardedRunner` worker pool instead of the
-    in-process batch engine — measurements are bit-identical either way
-    — and a ``store`` makes every analysis and simulation artifact
-    persistent: a re-run of the same sweep (in this process or any
-    other) is served from disk.  The sweep's Pareto frontier itself is
-    filed in the store too (kind ``"pareto"``, keyed by the starting
-    design's IR hash and the target list).
+    A ``store`` makes every analysis artifact persistent: a re-run of
+    the same sweep (in this process or any other) is served from disk.
+    The sweep's Pareto frontier itself is filed in the store too (kind
+    ``"pareto"``, keyed by the starting design's IR hash and the target
+    list).
     """
     from repro.ir import lower
     from repro.lint import preflight
@@ -110,14 +104,12 @@ def sweep_targets(
             with profiler.metrics.timer("sweep.explore"):
                 result = Explorer(
                     target_cycle_time=target,
-                    workers=workers,
                     store=store,
                     **explorer_kwargs,
                 ).run(current)
         else:
             result = Explorer(
                 target_cycle_time=target,
-                workers=workers,
                 store=store,
                 **explorer_kwargs,
             ).run(current)
@@ -135,13 +127,20 @@ def sweep_targets(
         if result.final is not None:
             current = result.final
     if batch is None:
-        from repro.sim.batch import batch_enabled_by_env
+        from repro.sim import batch_enabled_by_env
 
         batch = batch_enabled_by_env()
     if batch and points:
-        points = _measure_points(
-            points, batch_iterations, profiler, workers=workers, store=store
+        # Explorer.run always sets ``final``.
+        measured = _measure_cycle_times(
+            [point.result.final for point in points],
+            batch_iterations,
+            profiler.metrics if profiler is not None else None,
         )
+        points = [
+            replace(point, measured_cycle_time=cycle_time)
+            for point, cycle_time in zip(points, measured)
+        ]
     if store is not None and points:
         _store_frontier(store, base_ir_hash, targets, points)
     return points
@@ -174,80 +173,6 @@ def _store_frontier(store, base_ir_hash, targets, points):
         for p in frontier
     )
     store.put(base_ir_hash, "pareto", digest, payload)
-
-
-def _measure_points(points, batch_iterations, profiler, workers=1, store=None):
-    """Replay each point's final configuration through the batch engine.
-
-    Points whose finals share an ordering share a compiled structure and
-    batch into one lock-step run (their selections are latency-only lane
-    overrides).  Returns new :class:`SweepPoint` instances with
-    ``measured_cycle_time`` attached.  ``workers > 1`` distributes the
-    same measurements over a sharded pool (bit-identical results).
-    """
-    from dataclasses import replace
-
-    from repro.dse.explorer import _ordering_fingerprint
-    from repro.errors import SimulationDeadlock
-    from repro.sim.batch import BatchLane, BatchSimulator
-
-    groups: dict = {}
-    for i, point in enumerate(points):
-        cfg = point.result.final
-        if cfg is None:
-            continue
-        groups.setdefault(
-            _ordering_fingerprint(cfg.ordering), []
-        ).append((i, cfg))
-    metrics = profiler.metrics if profiler is not None else None
-    measured: dict[int, Number | None] = {}
-    if workers > 1:
-        from repro.service.shard import ShardedRunner
-        from repro.service.units import Candidate, WorkUnit
-
-        with ShardedRunner(
-            workers=workers, store=store, metrics=metrics
-        ) as runner:
-            for entries in groups.values():
-                first = entries[0][1]
-                units = [
-                    WorkUnit(
-                        index=lane,
-                        candidate=Candidate.of(cfg.process_latencies()),
-                        iterations=batch_iterations,
-                    )
-                    for lane, (_, cfg) in enumerate(entries)
-                ]
-                outcomes = runner.run(first.system, first.ordering, units)
-                for (i, _), outcome in zip(entries, outcomes):
-                    measured[i] = outcome.measured_cycle_time
-        return [
-            replace(point, measured_cycle_time=measured[i])
-            if i in measured else point
-            for i, point in enumerate(points)
-        ]
-    for entries in groups.values():
-        first = entries[0][1]
-        sinks = first.system.sinks()
-        watch = sinks[0].name if sinks else first.system.process_names[0]
-        lanes = [
-            BatchLane(process_latencies=cfg.process_latencies())
-            for _, cfg in entries
-        ]
-        outcomes = BatchSimulator(
-            first.system, first.ordering, lanes=lanes, metrics=metrics
-        ).run(iterations=batch_iterations, on_deadlock="capture")
-        for (i, _), outcome in zip(entries, outcomes):
-            measured[i] = (
-                None
-                if isinstance(outcome, SimulationDeadlock)
-                else outcome.measured_cycle_time(watch)
-            )
-    return [
-        replace(point, measured_cycle_time=measured[i])
-        if i in measured else point
-        for i, point in enumerate(points)
-    ]
 
 
 def pareto_points(points: Iterable[SweepPoint]) -> list[SweepPoint]:

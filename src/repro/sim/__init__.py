@@ -3,44 +3,44 @@
 Executes a system cycle-accurately under the blocking rendezvous protocol
 (Fig. 2(b) FSM semantics) with optional functional payloads, measures
 throughput and stalls, and detects runtime deadlocks with a wait-for-cycle
-diagnosis.
+diagnosis.  One interpreter (:mod:`repro.sim.engine`) serves two front
+ends: :class:`Simulator` (one lane, exact int clocks, payloads) and
+:class:`BatchSimulator` (B lanes in lock-step on int64 vectors).
 """
 
-from repro.sim.batch import (
+from repro.sim.engine import (
     BatchLane,
     BatchSimulator,
+    Behavior,
+    SimulationResult,
+    Simulator,
     batch_enabled_by_env,
+    default_watch,
+    simulate,
     simulate_batch,
+    token_behavior,
 )
-from repro.sim.channel import ChannelState, Rendezvous
-from repro.sim.engine import SimulationResult, Simulator, simulate
 from repro.sim.metrics import (
     ProcessUtilization,
     agreement_error,
     throughput,
     utilizations,
 )
-from repro.sim.process import Behavior, ProcessState, StallStats, token_behavior
-from repro.sim.reference import ReferenceSimulator
 from repro.sim.trace import TraceEvent, TraceRecorder, TraceSink, format_trace
 
 __all__ = [
     "BatchLane",
     "BatchSimulator",
     "Behavior",
-    "ChannelState",
-    "ProcessState",
     "ProcessUtilization",
-    "ReferenceSimulator",
-    "Rendezvous",
     "SimulationResult",
     "Simulator",
-    "StallStats",
     "TraceEvent",
     "TraceRecorder",
     "TraceSink",
     "agreement_error",
     "batch_enabled_by_env",
+    "default_watch",
     "format_trace",
     "simulate",
     "simulate_batch",

@@ -15,9 +15,9 @@ Time base
 
 All event times share **one global virtual clock**: cycle 0 is the start
 of the simulation, and every ``time`` is a completion time on that shared
-axis.  Although each process keeps its own ``ProcessState.time`` cursor,
-those cursors only ever advance through rendezvous outcomes computed from
-*both* endpoints' clocks, so timestamps are directly comparable across
+axis.  Although each process keeps its own clock cursor, those cursors
+only ever advance through rendezvous outcomes computed from *both*
+endpoints' clocks, so timestamps are directly comparable across
 processes (and exported traces align without per-process offsets).  What
 *is* process-local is the final value of the cursor: a process's last
 event time is the moment *it* finished its last statement, which can

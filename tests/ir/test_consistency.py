@@ -19,9 +19,10 @@ from repro.ir import lower
 from repro.model.build import build_tmg
 from repro.ordering import channel_ordering, random_ordering
 from repro.perf.fingerprint import effective_latencies
-from repro.sim import ReferenceSimulator, Simulator
+from repro.sim import Simulator
 from repro.tmg.event_graph import build_event_graph, event_graph_from_ir
 from repro.verify.semantics import TransitionSystem
+from tests.sim.reference import ReferenceSimulator
 from tests.strategies import layered_systems
 
 SEED_SYSTEMS = sorted(

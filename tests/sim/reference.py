@@ -1,20 +1,35 @@
 """The frozen pre-IR reference simulator (differential-testing oracle).
 
 This module preserves the original interpretive discrete-event engine
-exactly as it was before :class:`repro.sim.engine.Simulator` was
-refactored to execute the lowered IR's integer arrays: it walks
+exactly as it was before :class:`repro.sim.Simulator` was refactored to
+execute the lowered IR's integer arrays: it walks
 ``ordering.statements_of(...)`` chains with string comparisons and
-name-keyed dict lookups, one :class:`~repro.sim.process.ProcessState` per
-process and one :class:`~repro.sim.channel.ChannelState` per channel.
+name-keyed dict lookups, one :class:`ProcessState` per process and one
+:class:`ChannelState` per channel.
 
 It exists for two reasons:
 
-* **differential testing** — ``tests/ir`` and the Hypothesis properties
-  run both engines on the same systems and assert bit-identical
-  :class:`~repro.sim.engine.SimulationResult`\\ s (the refactor's
-  acceptance criterion);
+* **differential testing** — ``tests/ir``, ``tests/sim`` and the
+  Hypothesis properties run it beside :class:`repro.sim.Simulator` and
+  :class:`repro.sim.BatchSimulator` on the same systems and assert
+  bit-identical :class:`~repro.sim.SimulationResult`\\ s;
 * **benchmark baseline** — ``benchmarks/test_bench_ir.py`` measures the
   IR engine's speedup against this engine on identical workloads.
+
+Channel semantics (the vendor library of Listing 1, as the synthesized
+RTL behaves):
+
+* **Rendezvous** (``capacity == 0``): a put and its matching get
+  synchronize; the transfer starts when both sides have arrived and
+  completes ``latency`` cycles later, when both sides resume.  This is the
+  self-looping I/O state of the Fig. 2(b) FSM.
+* **Buffered** (``capacity >= 1``, used for pre-loaded channels): the
+  producer needs a free slot (credit) to start a transfer; the item becomes
+  visible to the consumer ``latency`` cycles after the transfer starts; a
+  get returns the slot.  ``initial_tokens`` items are available at time 0.
+
+Arrivals pair strictly FIFO on both sides, matching the marked-graph
+semantics of :mod:`repro.model.build`.
 
 Do not optimize this module; its value is that it does not change.
 """
@@ -22,24 +37,251 @@ Do not optimize this module; its value is that it does not change.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.core.system import ChannelOrdering, SystemGraph
+from repro.core.system import Channel, ChannelOrdering, SystemGraph
 from repro.errors import SimulationDeadlock, SimulationError
-from repro.sim.channel import ChannelState
-from repro.sim.engine import SimulationResult, _find_wait_cycle
-from repro.sim.process import Behavior, ProcessState
+from repro.sim.engine import (
+    Behavior,
+    SimulationResult,
+    _find_wait_cycle,
+    token_behavior,
+)
 from repro.sim.trace import TraceRecorder, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 
+@dataclass
+class Rendezvous:
+    """Outcome of offering one side of a transfer."""
+
+    complete: bool
+    time: int = 0
+    payload: Any = None
+    peer_wait: int = 0  # cycles the *other* side spent waiting, if it did
+
+
+@dataclass
+class ChannelState:
+    """Mutable simulation state of one channel."""
+
+    channel: Channel
+    initial_payloads: tuple[Any, ...] = ()
+
+    # Rendezvous bookkeeping.
+    _pending_put: deque = field(default_factory=deque)  # (time, payload)
+    _pending_get: deque = field(default_factory=deque)  # times
+    # Buffered bookkeeping.
+    _items: deque = field(default_factory=deque)  # (available_time, payload)
+    _credits: deque = field(default_factory=deque)  # available times
+    _blocked_put: deque = field(default_factory=deque)  # (time, payload)
+    _blocked_get: deque = field(default_factory=deque)  # times
+
+    transfers: int = 0
+
+    def __post_init__(self) -> None:
+        if self.buffered:
+            payloads = list(self.initial_payloads)
+            if len(payloads) > self.channel.initial_tokens:
+                raise SimulationError(
+                    f"channel {self.channel.name!r}: more initial payloads "
+                    f"({len(payloads)}) than initial tokens "
+                    f"({self.channel.initial_tokens})"
+                )
+            payloads += [None] * (self.channel.initial_tokens - len(payloads))
+            for payload in payloads:
+                self._items.append((0, payload))
+            free = self.effective_capacity - self.channel.initial_tokens
+            for _ in range(free):
+                self._credits.append(0)
+        elif self.initial_payloads:
+            raise SimulationError(
+                f"channel {self.channel.name!r}: rendezvous channels cannot "
+                "carry initial payloads"
+            )
+
+    @property
+    def buffered(self) -> bool:
+        """Delegates to :attr:`Channel.is_buffered` — the promotion of a
+        pre-loaded ``capacity == 0`` channel to a FIFO is declared on the
+        channel itself, not re-derived here."""
+        return self.channel.is_buffered
+
+    @property
+    def effective_capacity(self) -> int:
+        return self.channel.effective_capacity
+
+    # ------------------------------------------------------------------
+    # Rendezvous protocol
+    # ------------------------------------------------------------------
+
+    def offer_put(self, time: int, payload: Any) -> Rendezvous:
+        """Producer arrives at its put statement at ``time``.
+
+        Returns a completed rendezvous when the transfer can finish now
+        (peer already arrived / credit available); otherwise registers the
+        arrival and reports ``complete=False`` — the producer blocks and
+        will be resumed by the engine.
+        """
+        if self.buffered:
+            if self._credits:
+                credit_time = self._credits.popleft()
+                start = max(time, credit_time)
+                done = start + self.channel.latency
+                self._items.append((done, payload))
+                self.transfers += 1
+                return Rendezvous(True, done, peer_wait=max(0, time - credit_time))
+            self._blocked_put.append((time, payload))
+            return Rendezvous(False)
+        if self._pending_get:
+            get_time = self._pending_get.popleft()
+            start = max(time, get_time)
+            done = start + self.channel.latency
+            self.transfers += 1
+            return Rendezvous(
+                True, done, payload=payload, peer_wait=max(0, start - get_time)
+            )
+        self._pending_put.append((time, payload))
+        return Rendezvous(False)
+
+    def offer_get(self, time: int) -> Rendezvous:
+        """Consumer arrives at its get statement at ``time``."""
+        if self.buffered:
+            if self._items:
+                item_time, payload = self._items.popleft()
+                done = max(time, item_time)
+                # The freed slot becomes available when the get completes.
+                self._release_credit(done)
+                return Rendezvous(True, done, payload=payload)
+            self._blocked_get.append(time)
+            return Rendezvous(False)
+        if self._pending_put:
+            put_time, payload = self._pending_put.popleft()
+            start = max(time, put_time)
+            done = start + self.channel.latency
+            self.transfers += 1
+            return Rendezvous(
+                True, done, payload=payload, peer_wait=max(0, start - put_time)
+            )
+        self._pending_get.append(time)
+        return Rendezvous(False)
+
+    # ------------------------------------------------------------------
+    # Wake-ups for buffered channels
+    # ------------------------------------------------------------------
+
+    def _release_credit(self, time: int) -> None:
+        """Return a slot; if a producer is blocked on it, it can now be
+        resumed by the engine via :meth:`resolve_blocked_put`."""
+        self._credits.append(time)
+
+    def resolve_blocked_put(self) -> Rendezvous | None:
+        """Try to complete the oldest blocked put (engine calls this after
+        a get released a credit)."""
+        if not self._blocked_put or not self._credits:
+            return None
+        time, payload = self._blocked_put.popleft()
+        credit_time = self._credits.popleft()
+        start = max(time, credit_time)
+        done = start + self.channel.latency
+        self._items.append((done, payload))
+        self.transfers += 1
+        return Rendezvous(True, done, peer_wait=max(0, start - time))
+
+    def resolve_blocked_get(self) -> Rendezvous | None:
+        """Try to complete the oldest blocked get (engine calls this after
+        a put appended an item)."""
+        if not self._blocked_get or not self._items:
+            return None
+        time = self._blocked_get.popleft()
+        item_time, payload = self._items.popleft()
+        done = max(time, item_time)
+        self._release_credit(done)
+        return Rendezvous(True, done, payload=payload, peer_wait=max(0, done - time))
+
+    # ------------------------------------------------------------------
+    # Introspection (deadlock diagnosis)
+    # ------------------------------------------------------------------
+
+    def waiting_put(self) -> bool:
+        return bool(self._pending_put or self._blocked_put)
+
+    def waiting_get(self) -> bool:
+        return bool(self._pending_get or self._blocked_get)
+
+
+@dataclass
+class StallStats:
+    """Waiting time accumulated on one channel endpoint."""
+
+    cycles: int = 0
+    events: int = 0
+
+    def record(self, waited: int) -> None:
+        if waited > 0:
+            self.cycles += waited
+            self.events += 1
+
+
+@dataclass
+class ProcessState:
+    """Mutable simulation state of one process."""
+
+    name: str
+    chain: tuple[tuple[str, str], ...]  # (kind, channel-or-process)
+    latency: int
+    behavior: Behavior = token_behavior
+
+    time: int = 0
+    index: int = 0
+    iteration: int = 0
+    blocked_on: str | None = None  # channel name while waiting
+    compute_cycles: int = 0
+    completion_times: list[int] = field(default_factory=list)
+    stalls: dict[str, StallStats] = field(default_factory=dict)
+
+    # Payload staging for the functional mode.
+    inputs: dict[str, Any] = field(default_factory=dict)
+    outputs: dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def current(self) -> tuple[str, str]:
+        return self.chain[self.index]
+
+    @property
+    def blocked(self) -> bool:
+        return self.blocked_on is not None
+
+    def stall(self, channel: str, waited: int) -> None:
+        self.stalls.setdefault(channel, StallStats()).record(waited)
+
+    def advance_statement(self) -> None:
+        """Move to the next statement; bumps the iteration counter when the
+        chain wraps around."""
+        self.index += 1
+        if self.index == len(self.chain):
+            self.index = 0
+            self.iteration += 1
+            self.completion_times.append(self.time)
+            self.inputs = {}
+
+    def run_behavior(self) -> None:
+        """Invoke the functional behaviour at the computation statement."""
+        produced = self.behavior(self.iteration, dict(self.inputs))
+        self.outputs = dict(produced) if produced else {}
+
+    def total_stall_cycles(self) -> int:
+        return sum(s.cycles for s in self.stalls.values())
+
+
 class ReferenceSimulator:
     """The pre-IR chain-walking simulator; see the module docstring.
 
     Same constructor, :meth:`run` contract, results, and raised errors as
-    :class:`repro.sim.engine.Simulator`.
+    :class:`repro.sim.Simulator`.
     """
 
     def __init__(

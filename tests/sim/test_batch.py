@@ -21,11 +21,11 @@ from repro.obs.sinks import MemorySink
 from repro.sim import (
     BatchLane,
     BatchSimulator,
-    ReferenceSimulator,
     Simulator,
     batch_enabled_by_env,
     simulate_batch,
 )
+from tests.sim.reference import ReferenceSimulator
 from tests.strategies import layered_systems
 
 SEED_SYSTEMS = sorted(

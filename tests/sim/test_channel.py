@@ -1,10 +1,11 @@
-"""Unit tests for simulator channel state (rendezvous and buffered)."""
+"""Unit tests for the reference simulator's channel state (rendezvous and
+buffered)."""
 
 import pytest
 
 from repro.core import Channel
 from repro.errors import SimulationError
-from repro.sim import ChannelState
+from tests.sim.reference import ChannelState
 
 
 def rendezvous(latency=3) -> ChannelState:
