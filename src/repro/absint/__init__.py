@@ -43,7 +43,7 @@ from repro.absint.invariants import (
     token_invariants,
 )
 from repro.absint.report import format_result, result_to_dict
-from repro.absint.structure import MarkedPlace, marked_places
+from repro.model.build import MarkedPlace, marked_places
 
 __all__ = [
     "CERTIFICATE_VERSION",

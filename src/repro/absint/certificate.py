@@ -1,7 +1,7 @@
 """Machine-checkable deadlock-freedom certificates.
 
-A blocking-protocol configuration deadlocks if and only if its structural
-marked graph (:mod:`repro.absint.structure`) has a token-free directed
+A blocking-protocol configuration deadlocks if and only if its marked
+graph (:func:`repro.model.build.marked_places`) has a token-free directed
 cycle — Commoner's liveness condition for marked graphs, the same
 argument :mod:`repro.tmg.deadlock` applies and
 ``tests/verify/test_agreement.py`` cross-checks against exhaustive
@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.absint.structure import MarkedPlace, marked_places
 from repro.errors import VerificationError
 from repro.ir import LoweredIR
+from repro.model.build import MarkedPlace, marked_places
 
 #: Format tag carried by every certificate (bump on layout changes).
 CERTIFICATE_VERSION = "cert:v1"
@@ -106,7 +107,7 @@ class DeadlockFreedomCertificate:
 
 
 def _token_free_graph(
-    places: tuple[MarkedPlace, ...],
+    places: Iterable[MarkedPlace],
 ) -> tuple[dict[str, list[str]], dict[str, int]]:
     """Adjacency and in-degrees of the token-free place subgraph."""
     edges: dict[str, list[str]] = {}

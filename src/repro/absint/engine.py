@@ -46,9 +46,9 @@ from repro.absint.invariants import (
     min_cycle_occupancy_bounds,
     token_invariants,
 )
-from repro.absint.structure import marked_places
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir import OP_COMPUTE, OP_GET, OP_NAMES, OP_PUT, LoweredIR, lower
+from repro.model.build import marked_places
 from repro.perf.cache import MISS, CacheStats, LruCache
 
 #: Interval bumps tolerated per channel before widening jumps straight to
@@ -313,8 +313,7 @@ def _analyze_uncached(ir: LoweredIR) -> AbsIntResult:
     fixpoint = _Fixpoint(ir)
     rounds = fixpoint.run()
 
-    places = marked_places(ir)
-    cycle_bounds = min_cycle_occupancy_bounds(ir, places)
+    cycle_bounds = min_cycle_occupancy_bounds(ir, marked_places(ir))
     invariants = token_invariants(ir, cycle_bounds)
 
     bounds: list[OccupancyBound] = []

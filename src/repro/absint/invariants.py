@@ -5,7 +5,7 @@ place and produces one into each output place, so for any directed cycle
 exactly one consumed and one produced place lie on the cycle: **the
 token count of every directed cycle is a firing invariant**.  Three
 families of invariants follow for the structural marked graph of a
-configuration (:mod:`repro.absint.structure`):
+configuration (:func:`repro.model.build.marked_places`):
 
 * **process-cycle** — each process's cyclic statement chain carries
   exactly one token forever (the serial-execution discipline);
@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Iterable
 
-from repro.absint.structure import (
+from repro.ir import LoweredIR
+from repro.model.build import (
     MarkedPlace,
     buffered_get_transition,
     buffered_put_transition,
 )
-from repro.ir import LoweredIR
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def token_invariants(
 
 
 def min_cycle_occupancy_bounds(
-    ir: LoweredIR, places: tuple[MarkedPlace, ...]
+    ir: LoweredIR, places: Iterable[MarkedPlace]
 ) -> dict[int, int]:
     """Per buffered cid, the minimum cycle token count through its data
     place — *when it beats the trivial capacity bound*.

@@ -193,8 +193,8 @@ def lower(
         # The paper's marking rule on a canonical get*-compute-put* chain:
         # first get (index 0); a process with no gets (a testbench source)
         # starts at its first put (index 1, right after the compute); a
-        # degenerate chain starts at the compute.  Mirrors
-        # ``repro.model.build._first_marked_statement``.
+        # degenerate chain starts at the compute.  Read by
+        # ``repro.model.build.marked_places``.
         first_marked.append(0 if n_gets else (1 if puts else 0))
 
     ir = LoweredIR(

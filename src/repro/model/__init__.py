@@ -1,8 +1,10 @@
 """Section 3 performance-model construction: system → Timed Marked Graph.
 
-``build_tmg`` implements the paper's blocking-protocol model;
-``build_nonblocking_tmg`` the FIFO extension from the companion technical
-report; ``analyze_system`` is the one-call façade used by the methodology.
+``marked_transitions``/``marked_places`` write down the paper's
+blocking-protocol model once, as transition and place rows; ``build_tmg``
+loads them into a TMG; ``build_nonblocking_tmg`` gives every channel a
+FIFO first (the extension from the companion technical report);
+``analyze_system`` is the one-call façade used by the methodology.
 """
 
 from repro.model.build import (
@@ -11,14 +13,13 @@ from repro.model.build import (
     SystemTmg,
     build_tmg,
     channel_transition,
+    effective_latencies,
+    marked_places,
+    marked_transitions,
     process_transition,
     statement_place,
 )
-from repro.model.nonblocking import (
-    build_nonblocking_tmg,
-    get_transition,
-    put_transition,
-)
+from repro.model.nonblocking import build_nonblocking_tmg
 from repro.model.performance import (
     SystemPerformance,
     analyze_system,
@@ -48,11 +49,12 @@ __all__ = [
     "channel_sensitivity_report",
     "channel_transition",
     "deadlock_cycle",
+    "effective_latencies",
     "format_sensitivity",
-    "get_transition",
     "is_deadlock_free",
+    "marked_places",
+    "marked_transitions",
     "sensitivity_report",
     "process_transition",
-    "put_transition",
     "statement_place",
 ]

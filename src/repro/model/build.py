@@ -1,6 +1,6 @@
-"""Section 3: building the TMG performance model of a system.
+"""Section 3: the marked graph of a system, and the TMG built from it.
 
-The construction mirrors the paper's model for blocking primitives:
+The construction follows the paper's model for blocking primitives:
 
 * the **computation phase** of each process is a single place feeding a
   transition whose delay is the process's micro-architecture latency;
@@ -27,18 +27,28 @@ tokens on the producer's put-place instead would be wrong: it would put two
 tokens in circulation on the producer's serial chain, modelling a process
 that overlaps its own iterations.
 
+:func:`marked_transitions` and :func:`marked_places` are the one place
+this construction is written down: they turn a
+:class:`~repro.ir.LoweredIR` into a stream of plain transition and place
+rows.  :func:`build_tmg` loads those rows into a
+:class:`~repro.tmg.graph.TimedMarkedGraph`; the incremental analysis
+(:mod:`repro.perf.incremental`) and the static analyses
+(:mod:`repro.absint`) read them directly.
+
 Names are systematic so analyses can be mapped back to the system:
 transition ``ch:a`` is channel ``a`` (``ch:a.put``/``ch:a.get`` for
 buffered channels), transition ``proc:P2`` is the computation of ``P2``,
-place ``P2/put:b`` is P2's put statement on ``b``.
+place ``P2/put:b`` is P2's put statement on ``b``, ``P2/comp`` its
+computation, and ``a/data``/``a/credit`` are a buffered channel's queue
+and free slots.  This module owns that scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, NamedTuple
 
-from repro.core.system import ChannelOrdering, ProcessKind, SystemGraph
+from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ValidationError
 from repro.ir import OP_COMPUTE, OP_GET, LoweredIR, lower
 from repro.tmg.graph import TimedMarkedGraph
@@ -47,6 +57,9 @@ CHANNEL_PREFIX = "ch:"
 PROCESS_PREFIX = "proc:"
 PUT_SUFFIX = ".put"
 GET_SUFFIX = ".get"
+DATA_SUFFIX = "/data"
+CREDIT_SUFFIX = "/credit"
+COMPUTE_SUFFIX = "/comp"
 
 
 def channel_transition(channel: str) -> str:
@@ -76,10 +89,176 @@ def statement_place(process: str, kind: str, channel: str | None = None) -> str:
     channel name.
     """
     if kind == "compute":
-        return f"{process}/comp"
+        return process + COMPUTE_SUFFIX
     if channel is None:
         raise ValidationError("get/put statement places need a channel name")
     return f"{process}/{kind}:{channel}"
+
+
+def data_place(channel: str) -> str:
+    """The place holding a buffered channel's queued items."""
+    return channel + DATA_SUFFIX
+
+
+def credit_place(channel: str) -> str:
+    """The place holding a buffered channel's free slots."""
+    return channel + CREDIT_SUFFIX
+
+
+def critical_processes(cycle: tuple[str, ...]) -> tuple[str, ...]:
+    """Processes whose computation transition lies on ``cycle``."""
+    return tuple(
+        name[len(PROCESS_PREFIX):]
+        for name in cycle
+        if name.startswith(PROCESS_PREFIX)
+    )
+
+
+def critical_channels(cycle: tuple[str, ...]) -> tuple[str, ...]:
+    """Channels whose transition lies on ``cycle`` (put/get sides of a
+    buffered channel map back to the channel; duplicates removed)."""
+    seen: list[str] = []
+    for name in cycle:
+        if not name.startswith(CHANNEL_PREFIX):
+            continue
+        channel = name[len(CHANNEL_PREFIX):]
+        for suffix in (PUT_SUFFIX, GET_SUFFIX):
+            if channel.endswith(suffix):
+                channel = channel[: -len(suffix)]
+        if channel not in seen:
+            seen.append(channel)
+    return tuple(seen)
+
+
+def effective_latencies(
+    system: SystemGraph,
+    process_latencies: Mapping[str, int] | None = None,
+) -> dict[str, int]:
+    """The latency of every process under an override map, validated.
+
+    Overridden processes take the override, the rest keep the latency
+    stored on the system.  This is the one place overrides are resolved,
+    so the uncached and the cached analysis accept and reject the same
+    maps with the same messages.
+
+    Raises:
+        ValidationError: An override names no process of ``system`` or
+            is negative.
+    """
+    latencies = {p.name: p.latency for p in system.processes}
+    for name, latency in (process_latencies or {}).items():
+        if name not in latencies:
+            raise ValidationError(
+                f"latency override for unknown process {name!r}"
+            )
+        if latency < 0:
+            raise ValidationError(
+                f"latency override for {name!r} must be >= 0, got {latency}"
+            )
+        latencies[name] = latency
+    return latencies
+
+
+class MarkedTransition(NamedTuple):
+    """One transition of the marked graph, with its delay binding.
+
+    Attributes:
+        name: The systematic transition name (``ch:a``, ``proc:P2``, ...).
+        process: The pid whose latency is the delay (a computation
+            transition), or ``None`` when the delay is fixed.
+        delay: The fixed delay: the channel latency, 0 on the get side
+            of a buffered channel (and 0, unused, for computations).
+    """
+
+    name: str
+    process: int | None
+    delay: int
+
+
+class MarkedPlace(NamedTuple):
+    """One place of the marked graph.
+
+    Attributes:
+        name: The systematic place name (``P2/put:b``, ``c/data``, ...).
+        source: The transition producing into this place.
+        target: The transition consuming from this place.
+        tokens: The initial marking.
+    """
+
+    name: str
+    source: str
+    target: str
+    tokens: int
+
+
+def model_name(ir: LoweredIR) -> str:
+    """The name of the performance model of ``ir`` (error messages)."""
+    return f"{ir.system_name}.tmg"
+
+
+def _channel_sides(ir: LoweredIR) -> list[tuple[str, str]]:
+    """Per cid, the transitions a put and a get on the channel fire."""
+    sides: list[tuple[str, str]] = []
+    for cid, channel in enumerate(ir.channels):
+        if ir.buffered[cid]:
+            sides.append(
+                (buffered_put_transition(channel), buffered_get_transition(channel))
+            )
+        else:
+            name = channel_transition(channel)
+            sides.append((name, name))
+    return sides
+
+
+def marked_transitions(ir: LoweredIR) -> Iterator[MarkedTransition]:
+    """The transitions of ``ir``'s marked graph, in TMG insertion order:
+    every channel's (its put and get sides when buffered), then every
+    process's computation."""
+    for cid, (put, get) in enumerate(_channel_sides(ir)):
+        yield MarkedTransition(put, None, ir.channel_latencies[cid])
+        if ir.buffered[cid]:
+            yield MarkedTransition(get, None, 0)
+    for pid, process in enumerate(ir.processes):
+        yield MarkedTransition(process_transition(process), pid, 0)
+
+
+def marked_places(ir: LoweredIR) -> Iterator[MarkedPlace]:
+    """The places of ``ir``'s marked graph, in TMG insertion order: every
+    buffered channel's data and credit places, then every process's
+    cyclic statement chain (see the module docstring).
+
+    Streamed, so a consumer that loads them one by one never holds the
+    whole table; deterministic, so two IRs with the same structural hash
+    yield the same places name for name.
+    """
+    sides = _channel_sides(ir)
+    for cid, channel in enumerate(ir.channels):
+        if ir.buffered[cid]:
+            put, get = sides[cid]
+            initial = ir.initial_tokens[cid]
+            capacity = ir.effective_capacities[cid]
+            yield MarkedPlace(data_place(channel), put, get, initial)
+            yield MarkedPlace(credit_place(channel), get, put, capacity - initial)
+    for pid, process in enumerate(ir.processes):
+        compute = process_transition(process)
+        # The transition each statement fires, and the statement's place.
+        fires: list[str] = []
+        names: list[str] = []
+        for op, arg in zip(ir.op_kinds[pid], ir.op_args[pid]):
+            if op == OP_COMPUTE:
+                fires.append(compute)
+                names.append(statement_place(process, "compute"))
+            elif op == OP_GET:
+                fires.append(sides[arg][1])
+                names.append(statement_place(process, "get", ir.channels[arg]))
+            else:
+                fires.append(sides[arg][0])
+                names.append(statement_place(process, "put", ir.channels[arg]))
+        marked = ir.first_marked[pid]
+        previous = fires[-1]  # the first statement follows the last
+        for i, (name, fire) in enumerate(zip(names, fires)):
+            yield MarkedPlace(name, previous, fire, 1 if i == marked else 0)
+            previous = fire
 
 
 @dataclass(frozen=True)
@@ -92,26 +271,11 @@ class SystemTmg:
 
     def critical_processes(self, cycle: tuple[str, ...]) -> tuple[str, ...]:
         """Processes whose computation transition lies on ``cycle``."""
-        return tuple(
-            name[len(PROCESS_PREFIX):]
-            for name in cycle
-            if name.startswith(PROCESS_PREFIX)
-        )
+        return critical_processes(cycle)
 
     def critical_channels(self, cycle: tuple[str, ...]) -> tuple[str, ...]:
-        """Channels whose transition lies on ``cycle`` (put/get sides of a
-        buffered channel map back to the channel; duplicates removed)."""
-        seen: list[str] = []
-        for name in cycle:
-            if not name.startswith(CHANNEL_PREFIX):
-                continue
-            channel = name[len(CHANNEL_PREFIX):]
-            for suffix in (PUT_SUFFIX, GET_SUFFIX):
-                if channel.endswith(suffix):
-                    channel = channel[: -len(suffix)]
-            if channel not in seen:
-                seen.append(channel)
-        return tuple(seen)
+        """Channels whose transition lies on ``cycle``."""
+        return critical_channels(cycle)
 
     def processes_touching(self, places: tuple[str, ...]) -> tuple[str, ...]:
         """Processes owning any of the given statement places (in order of
@@ -135,10 +299,8 @@ def build_tmg(
 
     The system is first compiled to its :class:`~repro.ir.LoweredIR`
     (memoized; callers that already hold the IR pass it to skip even the
-    memo probe) and the TMG is generated from the IR's integer tables.
-    Transition and place insertion order follows the IR's declaration
-    order, so the model is element-for-element identical to one built
-    directly from the object graph.
+    memo probe), and the TMG is loaded from :func:`marked_transitions`
+    and :func:`marked_places`, in their order.
 
     Args:
         system: The system topology with default latencies.
@@ -152,102 +314,20 @@ def build_tmg(
     Returns:
         A :class:`SystemTmg` wrapping the TMG and the provenance needed to
         interpret analysis results at the system level.
+
+    Raises:
+        ValidationError: See :func:`effective_latencies`.
     """
+    latencies = effective_latencies(system, process_latencies)
     if ordering is None:
         ordering = ChannelOrdering.declaration_order(system)
     if ir is None:
         ir = lower(system, ordering)
-    overrides = dict(process_latencies or {})
-
-    tmg = TimedMarkedGraph(f"{ir.system_name}.tmg")
-
-    for cid, channel_name in enumerate(ir.channels):
-        if not ir.buffered[cid]:
-            tmg.add_transition(
-                channel_transition(channel_name), delay=ir.channel_latencies[cid]
-            )
-        else:
-            # Buffered (FIFO) or pre-loaded channel: split model (see
-            # module docstring).
-            initial = ir.initial_tokens[cid]
-            tmg.add_transition(
-                buffered_put_transition(channel_name),
-                delay=ir.channel_latencies[cid],
-            )
-            tmg.add_transition(buffered_get_transition(channel_name), delay=0)
-            tmg.add_place(
-                f"{channel_name}/data",
-                buffered_put_transition(channel_name),
-                buffered_get_transition(channel_name),
-                tokens=initial,
-            )
-            tmg.add_place(
-                f"{channel_name}/credit",
-                buffered_get_transition(channel_name),
-                buffered_put_transition(channel_name),
-                tokens=ir.effective_capacities[cid] - initial,
-            )
-    for process in system.processes:
-        latency = overrides.get(process.name, process.latency)
-        if latency < 0:
-            raise ValidationError(
-                f"latency override for {process.name!r} must be >= 0, got {latency}"
-            )
-        tmg.add_transition(process_transition(process.name), delay=latency)
-
-    for pid, process_name in enumerate(ir.processes):
-        kinds = ir.op_kinds[pid]
-        args = ir.op_args[pid]
-        # Transition driven by each statement, and the statement's place.
-        transitions: list[str] = []
-        place_names: list[str] = []
-        for op, arg in zip(kinds, args):
-            if op == OP_COMPUTE:
-                transitions.append(process_transition(process_name))
-                place_names.append(statement_place(process_name, "compute"))
-                continue
-            channel_name = ir.channels[arg]
-            if not ir.buffered[arg]:
-                transitions.append(channel_transition(channel_name))
-            elif op == OP_GET:
-                transitions.append(buffered_get_transition(channel_name))
-            else:
-                transitions.append(buffered_put_transition(channel_name))
-            place_names.append(
-                statement_place(
-                    process_name, "get" if op == OP_GET else "put", channel_name
-                )
-            )
-        first_marked = ir.first_marked[pid]
-        n = len(kinds)
-        for i in range(n):
-            producer = transitions[(i - 1) % n]
-            tokens = 1 if i == first_marked else 0
-            tmg.add_place(place_names[i], producer, transitions[i], tokens=tokens)
-
+    tmg = TimedMarkedGraph(model_name(ir))
+    for name, pid, delay in marked_transitions(ir):
+        tmg.add_transition(
+            name, delay if pid is None else latencies[ir.processes[pid]]
+        )
+    for name, source, target, tokens in marked_places(ir):
+        tmg.add_place(name, source, target, tokens)
     return SystemTmg(tmg=tmg, system=system, ordering=ordering)
-
-
-def _first_marked_statement(
-    kind: ProcessKind, chain: tuple[tuple[str, str], ...]
-) -> int:
-    """Index of the statement receiving the initial token.
-
-    Processes that read start at their first get (the paper's rule: "a
-    token is placed in the first get-place of each process").  Testbench
-    sources have no gets; their token sits on the first put-place
-    ("putsrc1"), modelling an environment that always has data ready.
-    A source with no puts is degenerate and gets its token on the
-    computation place so its chain stays live.
-
-    The blocking-protocol path reads the equivalent precomputed
-    :attr:`repro.ir.LoweredIR.first_marked` table; this helper remains for
-    consumers of decoded chains (the non-blocking model variant).
-    """
-    for i, (statement_kind, _) in enumerate(chain):
-        if statement_kind == "get":
-            return i
-    for i, (statement_kind, _) in enumerate(chain):
-        if statement_kind == "put":
-            return i
-    return 0

@@ -11,9 +11,11 @@ splits the single channel transition into two:
 
 joined by a *data place* (tokens = items initially in the FIFO) from put to
 get, and a *credit place* (tokens = free slots = capacity − initial items)
-from get to put.  With ``capacity = 0`` this degenerates to a token-free
-two-transition loop — i.e. rendezvous channels must use the blocking model
-of :mod:`repro.model.build` instead, and this builder rejects them.
+from get to put.  That is exactly how :func:`repro.model.build.build_tmg`
+models a buffered channel, so this builder only gives every channel a
+capacity and delegates.  With ``capacity = 0`` the split model would
+degenerate to a token-free two-transition loop, so rendezvous channels are
+rejected here (use the blocking model for them).
 
 The effect on performance is the classic one: FIFO slack decouples producer
 and consumer iterations, breaking long serialization cycles at an area cost
@@ -27,23 +29,7 @@ from typing import Mapping
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ValidationError
-from repro.model.build import (
-    SystemTmg,
-    process_transition,
-    statement_place,
-    _first_marked_statement,
-)
-from repro.tmg.graph import TimedMarkedGraph
-
-
-def put_transition(channel: str) -> str:
-    """Producer-side transition name of a buffered channel."""
-    return f"ch:{channel}.put"
-
-
-def get_transition(channel: str) -> str:
-    """Consumer-side transition name of a buffered channel."""
-    return f"ch:{channel}.get"
+from repro.model.build import SystemTmg, build_tmg
 
 
 def build_nonblocking_tmg(
@@ -63,16 +49,10 @@ def build_nonblocking_tmg(
 
     Raises:
         ValidationError: A channel has no buffering and no default was
-            provided, or holds more initial tokens than its capacity.
+            provided, or holds more initial tokens than its capacity, or
+            a latency override is invalid.
     """
-    if ordering is None:
-        ordering = ChannelOrdering.declaration_order(system)
-    else:
-        ordering.validate(system)
-    overrides = dict(process_latencies or {})
-
-    tmg = TimedMarkedGraph(f"{system.name}.nb-tmg")
-
+    capacities: dict[str, int] = {}
     for channel in system.channels:
         capacity = channel.capacity or (default_capacity or 0)
         if capacity < 1:
@@ -85,42 +65,7 @@ def build_nonblocking_tmg(
                 f"channel {channel.name!r}: initial_tokens "
                 f"({channel.initial_tokens}) exceed capacity ({capacity})"
             )
-        tmg.add_transition(put_transition(channel.name), delay=channel.latency)
-        tmg.add_transition(get_transition(channel.name), delay=0)
-        tmg.add_place(
-            f"{channel.name}/data",
-            put_transition(channel.name),
-            get_transition(channel.name),
-            tokens=channel.initial_tokens,
-        )
-        tmg.add_place(
-            f"{channel.name}/credit",
-            get_transition(channel.name),
-            put_transition(channel.name),
-            tokens=capacity - channel.initial_tokens,
-        )
-
-    for process in system.processes:
-        latency = overrides.get(process.name, process.latency)
-        tmg.add_transition(process_transition(process.name), delay=latency)
-
-    for process in system.processes:
-        chain = ordering.statements_of(process.name)
-        transitions = []
-        for kind, target in chain:
-            if kind == "compute":
-                transitions.append(process_transition(process.name))
-            elif kind == "get":
-                transitions.append(get_transition(target))
-            else:
-                transitions.append(put_transition(target))
-        first_marked = _first_marked_statement(process.kind, chain)
-        for i, (kind, target) in enumerate(chain):
-            producer = transitions[(i - 1) % len(chain)]
-            tokens = 1 if i == first_marked else 0
-            name = statement_place(
-                process.name, kind, None if kind == "compute" else target
-            )
-            tmg.add_place(name, producer, transitions[i], tokens=tokens)
-
-    return SystemTmg(tmg=tmg, system=system, ordering=ordering)
+        capacities[channel.name] = capacity
+    return build_tmg(
+        system.with_channel_capacities(capacities), ordering, process_latencies
+    )

@@ -18,7 +18,13 @@ from repro.core.system import ChannelOrdering, SystemGraph
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a perf<->model cycle
     from repro.perf.engine import PerformanceEngine as PerformanceEngineLike
 from repro.errors import DeadlockError, NotLiveError
-from repro.model.build import SystemTmg, build_tmg
+from repro.model.build import (
+    CHANNEL_PREFIX,
+    PROCESS_PREFIX,
+    build_tmg,
+    critical_channels,
+    critical_processes,
+)
 from repro.tmg.analysis import Engine, PerformanceReport, analyze
 
 Number = Union[Fraction, float]
@@ -78,13 +84,8 @@ def analyze_system(
     try:
         report = analyze(model.tmg, engine=engine, exact=exact)
     except NotLiveError as error:
-        raise _system_deadlock(model, error) from None
-    return SystemPerformance(
-        cycle_time=report.cycle_time,
-        critical_processes=model.critical_processes(report.critical_cycle),
-        critical_channels=model.critical_channels(report.critical_cycle),
-        report=report,
-    )
+        raise _system_deadlock(system.name, error) from None
+    return _system_performance(report)
 
 
 def is_deadlock_free(
@@ -124,18 +125,25 @@ def deadlock_cycle(
     return _strip_prefixes(witness)
 
 
-def _system_deadlock(model: SystemTmg, error: NotLiveError) -> DeadlockError:
+def _system_performance(report: PerformanceReport) -> SystemPerformance:
+    return SystemPerformance(
+        cycle_time=report.cycle_time,
+        critical_processes=critical_processes(report.critical_cycle),
+        critical_channels=critical_channels(report.critical_cycle),
+        report=report,
+    )
+
+
+def _system_deadlock(system_name: str, error: NotLiveError) -> DeadlockError:
     cycle = _strip_prefixes(error.cycle or [])
     return DeadlockError(
-        f"system {model.system.name!r} deadlocks under this channel ordering; "
+        f"system {system_name!r} deadlocks under this channel ordering; "
         "circular wait: " + " -> ".join(cycle),
         cycle=list(cycle),
     )
 
 
 def _strip_prefixes(names: list[str]) -> tuple[str, ...]:
-    from repro.model.build import CHANNEL_PREFIX, PROCESS_PREFIX
-
     stripped = []
     for name in names:
         if name.startswith(CHANNEL_PREFIX):

@@ -15,8 +15,9 @@ Three mechanisms stack, each preserving the uncached semantics:
 2. **Incremental event graphs** — on a result miss whose *structure*
    (topology + channel parameters + ordering) was seen before, the cached
    event-graph skeleton is re-instantiated with patched process delays in
-   O(E), skipping TMG construction, place contraction, ordering
-   validation, and the token-free-cycle scan (liveness is structural).
+   O(E), skipping the marked-graph construction, place contraction,
+   ordering validation, and the token-free-cycle scan (liveness is
+   structural).
    Node and edge order are preserved exactly, so the exact engines produce
    bit-identical results to a from-scratch build.
 3. **Exact integer Howard** — every miss runs the one Howard kernel
@@ -35,13 +36,15 @@ from typing import Mapping
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import DeadlockError, NotLiveError
 from repro.ir import LoweredIR, lower
-from repro.model.performance import SystemPerformance, _system_deadlock
-from repro.perf.cache import MISS, CacheStats, LruCache
-from repro.perf.fingerprint import (
-    analysis_fingerprint,
-    effective_latencies,
+from repro.model.build import effective_latencies, model_name
+from repro.model.performance import (
+    SystemPerformance,
+    _system_deadlock,
+    _system_performance,
 )
-from repro.perf.incremental import StructureEntry, build_structure
+from repro.perf.cache import MISS, CacheStats, LruCache
+from repro.perf.fingerprint import analysis_fingerprint
+from repro.perf.incremental import build_structure
 from repro.store import ArtifactStore
 from repro.tmg.analysis import Engine, analyze_event_graph
 
@@ -64,9 +67,8 @@ class PerformanceEngine:
         max_results: LRU bound of the full-result cache (entries are one
             small frozen dataclass each).
         max_structures: LRU bound of the event-graph structure cache
-            (entries hold one TMG + skeleton; keep this modest).
-        incremental: Reuse event-graph structures across latency-only
-            changes.  Disable to ablate (every miss rebuilds the TMG).
+            (entries hold one event-graph skeleton; keep this modest).
+            ``0`` disables structure reuse (every miss rebuilds it).
         store: Optional persistent :class:`~repro.store.ArtifactStore`
             layered *under* the results LRU: an LRU miss consults the
             store (kind ``"analysis"``, params digest = the analysis
@@ -92,13 +94,11 @@ class PerformanceEngine:
         self,
         max_results: int = 4096,
         max_structures: int = 128,
-        incremental: bool = True,
         store: ArtifactStore | None = None,
         canonical_reuse: bool = False,
     ):
         self.results = LruCache(max_results)
         self.structures = LruCache(max_structures)
-        self.incremental = incremental
         self.store = store
         self.canonical_reuse = canonical_reuse
 
@@ -148,10 +148,13 @@ class PerformanceEngine:
                     self.results.put(result_key, translated)
                     return translated
 
-        entry = self._structure(structure_key, system, ordering, latencies, ir)
+        entry = self.structures.get(structure_key)
+        if entry is MISS:
+            entry = build_structure(ir)
+            self.structures.put(structure_key, entry)
         if entry.deadlock_cycle is not None:
             error = _system_deadlock(
-                entry.model,
+                ir.system_name,
                 NotLiveError(
                     "token-free cycle", cycle=list(entry.deadlock_cycle)
                 ),
@@ -162,24 +165,14 @@ class PerformanceEngine:
                 self.store.put(structure_key, "analysis", result_key, diagnosis)
             raise error
 
-        graph = entry.instantiate(latencies)
         report = analyze_event_graph(
-            graph,
+            entry.instantiate(latencies),
             engine=engine,
             exact=exact,
-            name=entry.model.tmg.name,
+            name=model_name(ir),
             check_live=False,
         )
-        performance = SystemPerformance(
-            cycle_time=report.cycle_time,
-            critical_processes=entry.model.critical_processes(
-                report.critical_cycle
-            ),
-            critical_channels=entry.model.critical_channels(
-                report.critical_cycle
-            ),
-            report=report,
-        )
+        performance = _system_performance(report)
         self.results.put(result_key, performance)
         if self.store is not None:
             self.store.put(structure_key, "analysis", result_key, performance)
@@ -233,24 +226,6 @@ class PerformanceEngine:
             key,
             make_envelope(performance, analysis),
         )
-
-    # ------------------------------------------------------------------
-
-    def _structure(
-        self,
-        structure_key: str,
-        system: SystemGraph,
-        ordering: ChannelOrdering,
-        latencies: Mapping[str, int],
-        ir: LoweredIR,
-    ) -> StructureEntry:
-        if not self.incremental:
-            return build_structure(system, ordering, latencies, ir=ir)
-        entry = self.structures.get(structure_key)
-        if entry is MISS:
-            entry = build_structure(system, ordering, latencies, ir=ir)
-            self.structures.put(structure_key, entry)
-        return entry
 
     # ------------------------------------------------------------------
     # Introspection

@@ -21,9 +21,9 @@ Two fingerprint layers mirror the two reuse granularities:
   effective per-process latencies and the engine/arithmetic mode; it keys
   the full-result cache.
 
-Latencies enter the key as *effective* values — ``overrides.get(name,
-process.latency)`` — exactly the resolution rule of
-:func:`repro.model.build.build_tmg`, so partial override maps hash
+Latencies enter the key as *effective* values
+(:func:`repro.model.build.effective_latencies`, the resolution rule
+:func:`repro.model.build.build_tmg` uses), so partial override maps hash
 identically to their fully spelled-out equivalents.
 """
 
@@ -34,28 +34,13 @@ from typing import Mapping
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir import lower
+from repro.model.build import effective_latencies
 
 _SEPARATOR = "\x1f"  # unit separator: cannot appear in validated names
 
 
 def _digest(parts: list[str]) -> str:
     return hashlib.sha256(_SEPARATOR.join(parts).encode("utf-8")).hexdigest()
-
-
-def effective_latencies(
-    system: SystemGraph,
-    process_latencies: Mapping[str, int] | None = None,
-) -> dict[str, int]:
-    """Resolve the latency of every process under an override map.
-
-    Matches the resolution of :func:`repro.model.build.build_tmg`:
-    overridden processes take the override, the rest keep the latency
-    stored on the system.
-    """
-    overrides = process_latencies or {}
-    return {
-        p.name: overrides.get(p.name, p.latency) for p in system.processes
-    }
 
 
 def structure_fingerprint(

@@ -3,25 +3,28 @@
 The ERMES explorer evaluates many implementation selections of the *same*
 system under the *same* ordering: between consecutive ``analyze_system``
 calls, only the per-process latencies change.  The expensive parts of an
-analysis call — validating the ordering, building the TMG, contracting it
-into the event graph, and scanning for token-free cycles — depend only on
-structure, never on delays:
+analysis call — validating the ordering, building the marked graph,
+contracting it into the event graph, and scanning for token-free cycles —
+depend only on structure, never on delays:
 
 * the set of transitions and places is fixed by topology and ordering;
 * every edge's ``tokens`` comes from the initial marking (structural);
 * liveness (existence of a token-free cycle) ignores delays entirely;
 * only each edge's ``delay`` — the delay of its *target* transition —
-  moves, and then only for edges targeting a ``proc:`` transition
-  (channel transitions carry the structural channel latency, and the get
-  side of a buffered channel is always zero-delay).
+  moves, and then only for edges targeting a process's computation
+  transition (channel transitions carry the structural channel latency,
+  and the get side of a buffered channel is always zero-delay).
 
-:class:`StructureEntry` therefore captures one build of the model and an
-edge-order-preserving skeleton of its event graph; :meth:`instantiate`
-patches process-transition delays into fresh :class:`~repro.tmg.event_graph.Edge`
-values in O(E) without touching the TMG.  Because node order, per-node edge
-order, tokens, and place names are all preserved exactly, running the exact
-Howard engine on an instantiated graph is *bit-identical* to running it on
-a from-scratch build.
+:class:`StructureEntry` therefore captures one event-graph skeleton,
+contracted from :func:`repro.model.build.marked_places` by the same
+:func:`~repro.tmg.event_graph.collapse_places` that
+:func:`~repro.tmg.event_graph.build_event_graph` uses, with each edge's
+delay bound to a process id or fixed; :meth:`StructureEntry.instantiate`
+patches process delays into fresh :class:`~repro.tmg.event_graph.Edge`
+values in O(E).  Because node order, per-node edge order, tokens, and
+place names are all preserved exactly, running the exact Howard engine on
+an instantiated graph is *bit-identical* to running it on a from-scratch
+build.
 """
 
 from __future__ import annotations
@@ -29,125 +32,71 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.system import ChannelOrdering, SystemGraph
-from repro.errors import ValidationError
-from repro.ir import LoweredIR, lower
-from repro.model.build import PROCESS_PREFIX, SystemTmg, build_tmg
-from repro.perf.fingerprint import effective_latencies
+from repro.ir import LoweredIR
+from repro.model.build import marked_places, marked_transitions
 from repro.tmg.deadlock import find_token_free_cycle
-from repro.tmg.event_graph import Edge, EventGraph, event_graph_from_ir
-
-
-@dataclass(frozen=True)
-class _EdgeTemplate:
-    """One event-graph edge with its delay binding.
-
-    ``process`` names the worker whose latency the edge's delay tracks;
-    ``None`` marks a structurally fixed delay (channel transitions), stored
-    in ``fixed_delay``.
-    """
-
-    source: str
-    target: str
-    tokens: int
-    place: str
-    process: str | None
-    fixed_delay: int
+from repro.tmg.event_graph import Edge, EventGraph, collapse_places
 
 
 @dataclass
 class StructureEntry:
     """The reusable, latency-independent part of one analysis request."""
 
-    model: SystemTmg
-    nodes: tuple[str, ...]
-    #: Per-node edge templates in the exact order build_event_graph emits.
-    templates: dict[str, tuple[_EdgeTemplate, ...]]
-    #: Token-free cycle (deadlock witness) or None — structural, computed once.
-    deadlock_cycle: list[str] | None
     #: The lowered IR this structure was compiled from; its
     #: ``structural_hash`` is the entry's cache key.
     ir: LoweredIR
+    nodes: tuple[str, ...]
+    #: Per node, its out-edges in build_event_graph order, each with the
+    #: pid whose latency is its delay (``None``: the edge's own delay is
+    #: structural).
+    templates: dict[str, tuple[tuple[Edge, int | None], ...]]
+    #: Token-free cycle (deadlock witness) or None — structural, computed once.
+    deadlock_cycle: list[str] | None
 
     def instantiate(self, latencies: Mapping[str, int]) -> EventGraph:
-        """The event graph under ``latencies`` (full effective map).
-
-        Raises:
-            ValidationError: A latency is negative, with the same message
-                :func:`repro.model.build.build_tmg` would produce.
-        """
-        for name, latency in latencies.items():
-            if latency < 0:
-                raise ValidationError(
-                    f"latency override for {name!r} must be >= 0, got {latency}"
+        """The event graph under ``latencies`` (the full effective map of
+        :func:`repro.model.build.effective_latencies`)."""
+        delays = [latencies[name] for name in self.ir.processes]
+        succ = {
+            node: [
+                edge if pid is None
+                else Edge(
+                    edge.source, edge.target, edge.tokens, delays[pid], edge.place
                 )
-        succ: dict[str, list[Edge]] = {}
-        for node in self.nodes:
-            edges = []
-            for t in self.templates[node]:
-                delay = (
-                    latencies[t.process] if t.process is not None
-                    else t.fixed_delay
-                )
-                edges.append(
-                    Edge(
-                        source=t.source,
-                        target=t.target,
-                        tokens=t.tokens,
-                        delay=delay,
-                        place=t.place,
-                    )
-                )
-            succ[node] = edges
+                for edge, pid in row
+            ]
+            for node, row in self.templates.items()
+        }
         return EventGraph(nodes=self.nodes, succ=succ)
 
 
-def build_structure(
-    system: SystemGraph,
-    ordering: ChannelOrdering | None,
-    process_latencies: Mapping[str, int] | None = None,
-    *,
-    ir: LoweredIR | None = None,
-) -> StructureEntry:
-    """Build the shared structure of a (system, ordering) pair.
+def build_structure(ir: LoweredIR) -> StructureEntry:
+    """Build the shared structure of one lowered configuration.
 
-    Lowers to the shared IR (memoized; pass ``ir`` to skip the probe),
-    builds the TMG once (with whatever latencies the first caller passed —
-    they only seed the templates' *bindings*, not their values), records
-    the event graph skeleton, and runs the structural liveness scan.  The
-    skeleton is contracted straight from the IR
-    (:func:`~repro.tmg.event_graph.event_graph_from_ir`), which replicates
-    the TMG route's node/edge order exactly.
+    Contracts the rows of :func:`~repro.model.build.marked_transitions`
+    and :func:`~repro.model.build.marked_places` into the event-graph
+    skeleton (process-bound edges carry delay 0 until instantiated) and
+    runs the structural liveness scan on it.
     """
-    if ir is None:
-        ir = lower(system, ordering)
-    model = build_tmg(system, ordering, process_latencies=process_latencies, ir=ir)
-    graph = event_graph_from_ir(ir, effective_latencies(system, process_latencies))
-    templates: dict[str, tuple[_EdgeTemplate, ...]] = {}
-    for node in graph.nodes:
+    bindings = {t.name: t for t in marked_transitions(ir)}
+    nodes = tuple(bindings)
+    templates: dict[str, tuple[tuple[Edge, int | None], ...]] = {}
+    for node, kept in collapse_places(nodes, marked_places(ir)).items():
         row = []
-        for edge in graph.succ[node]:
-            if edge.target.startswith(PROCESS_PREFIX):
-                process: str | None = edge.target[len(PROCESS_PREFIX):]
-                fixed = 0
-            else:
-                process = None
-                fixed = edge.delay
-            row.append(
-                _EdgeTemplate(
-                    source=edge.source,
-                    target=edge.target,
-                    tokens=edge.tokens,
-                    place=edge.place,
-                    process=process,
-                    fixed_delay=fixed,
-                )
+        for place in kept:
+            target = bindings[place.target]
+            edge = Edge(
+                place.source, place.target, place.tokens, target.delay, place.name
             )
+            row.append((edge, target.process))
         templates[node] = tuple(row)
+    skeleton = EventGraph(
+        nodes=nodes,
+        succ={node: [edge for edge, _ in row] for node, row in templates.items()},
+    )
     return StructureEntry(
-        model=model,
-        nodes=graph.nodes,
-        templates=templates,
-        deadlock_cycle=find_token_free_cycle(graph),
         ir=ir,
+        nodes=nodes,
+        templates=templates,
+        deadlock_cycle=find_token_free_cycle(skeleton),
     )

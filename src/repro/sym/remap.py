@@ -30,9 +30,13 @@ from typing import Callable, Mapping
 
 from repro.model.build import (
     CHANNEL_PREFIX,
+    COMPUTE_SUFFIX,
+    CREDIT_SUFFIX,
+    DATA_SUFFIX,
     GET_SUFFIX,
     PROCESS_PREFIX,
     PUT_SUFFIX,
+    statement_place,
 )
 from repro.model.performance import SystemPerformance
 from repro.perf.fingerprint import analysis_fingerprint
@@ -123,13 +127,13 @@ def remap_performance(
         return None
 
     def place(token: str) -> str | None:
-        for suffix in ("/data", "/credit"):
+        for suffix in (DATA_SUFFIX, CREDIT_SUFFIX):
             if token.endswith(suffix):
                 target = chan(token[: -len(suffix)])
                 return None if target is None else target + suffix
-        if token.endswith("/comp"):
-            target = proc(token[: -len("/comp")])
-            return None if target is None else target + "/comp"
+        if token.endswith(COMPUTE_SUFFIX):
+            target = proc(token[: -len(COMPUTE_SUFFIX)])
+            return None if target is None else target + COMPUTE_SUFFIX
         head, sep, tail = token.rpartition("/")
         if not sep:
             return None
@@ -140,7 +144,7 @@ def remap_performance(
         new_channel = chan(channel)
         if new_process is None or new_channel is None:
             return None
-        return f"{new_process}/{kind}:{new_channel}"
+        return statement_place(new_process, kind, new_channel)
 
     def remap_all(
         tokens: tuple[str, ...], fn: Callable[[str], str | None]

@@ -19,15 +19,14 @@ has infinite ratio: the system is not live (deadlock).
 
 Parallel places between the same transition pair are kept (the reduction
 produces a multigraph), but for ratio maximization only the minimum-token
-parallel edge can be binding, so :func:`build_event_graph` collapses them.
+parallel edge can be binding, so :func:`collapse_places` collapses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Protocol, TypeVar
 
-from repro.ir import OP_COMPUTE, OP_GET, LoweredIR
 from repro.tmg.graph import TimedMarkedGraph
 
 
@@ -40,10 +39,6 @@ class Edge:
     tokens: int
     delay: int
     place: str
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.source, self.target)
 
 
 @dataclass
@@ -65,130 +60,61 @@ class EventGraph:
         return pred
 
 
-def build_event_graph(tmg: TimedMarkedGraph) -> EventGraph:
-    """Contract places into weighted edges (see module docstring).
+class _PlaceLike(Protocol):
+    """What the contraction reads of a place (a TMG ``Place`` or a table
+    row of :func:`repro.model.build.marked_places`)."""
+
+    @property
+    def name(self) -> str: ...
+
+    @property
+    def source(self) -> str: ...
+
+    @property
+    def target(self) -> str: ...
+
+    @property
+    def tokens(self) -> int: ...
+
+
+_P = TypeVar("_P", bound=_PlaceLike)
+
+
+def collapse_places(
+    nodes: Iterable[str], places: Iterable[_P]
+) -> dict[str, list[_P]]:
+    """Per transition, in ``nodes`` order, the out-places that survive the
+    parallel-place collapse, in order of first appearance.
 
     Parallel places with identical endpoints are collapsed to the one with
-    the fewest tokens, which is the only one that can bind the maximum
-    cycle ratio or cause a deadlock.
+    the fewest tokens (the first on a tie), which is the only one that can
+    bind the maximum cycle ratio or cause a deadlock.  Every event graph
+    is contracted by this one function, so a graph patched from a cached
+    skeleton and one built from a fresh TMG agree edge for edge.
     """
-    best: dict[tuple[str, str], Edge] = {}
-    for place in tmg.places:
-        edge = Edge(
-            source=place.source,
-            target=place.target,
-            tokens=place.tokens,
-            delay=tmg.delay(place.target),
-            place=place.name,
-        )
-        current = best.get(edge.key)
-        if current is None or edge.tokens < current.tokens:
-            best[edge.key] = edge
+    best: dict[tuple[str, str], _P] = {}
+    for place in places:
+        key = (place.source, place.target)
+        current = best.get(key)
+        if current is None or place.tokens < current.tokens:
+            best[key] = place
+    succ: dict[str, list[_P]] = {node: [] for node in nodes}
+    for place in best.values():
+        succ[place.source].append(place)
+    return succ
 
-    succ: dict[str, list[Edge]] = {name: [] for name in tmg.transition_names}
-    for edge in best.values():
-        succ[edge.source].append(edge)
+
+def build_event_graph(tmg: TimedMarkedGraph) -> EventGraph:
+    """Contract places into weighted edges (see module docstring)."""
+    delays = {t.name: t.delay for t in tmg.transitions}
+    succ = {
+        node: [
+            Edge(p.source, p.target, p.tokens, delays[p.target], p.name)
+            for p in kept
+        ]
+        for node, kept in collapse_places(tmg.transition_names, tmg.places).items()
+    }
     return EventGraph(nodes=tmg.transition_names, succ=succ)
-
-
-def event_graph_from_ir(
-    ir: LoweredIR, process_latencies: Mapping[str, int]
-) -> EventGraph:
-    """Contract a :class:`~repro.ir.LoweredIR` straight to an event graph.
-
-    Skips materializing the intermediate :class:`TimedMarkedGraph`: the
-    IR's integer tables already carry everything the contraction needs.
-    Node order, edge order, names, and the minimum-token parallel-place
-    collapse replicate ``build_event_graph(build_tmg(...).tmg)`` exactly,
-    so maximum-cycle-ratio results (including which cycle is reported as
-    critical) are bit-identical to the TMG route.
-
-    Args:
-        ir: The lowered system.
-        process_latencies: Effective computation latency per process name
-            (the IR is latency-free; see ``repro.ir.program``).
-    """
-    # Transitions, in TMG insertion order, with their firing delays.
-    nodes: list[str] = []
-    delay: dict[str, int] = {}
-    channel_nodes: list[tuple[str, str]] = []  # (put-side, get-side) per cid
-    for cid, channel in enumerate(ir.channels):
-        if not ir.buffered[cid]:
-            name = "ch:" + channel
-            nodes.append(name)
-            delay[name] = ir.channel_latencies[cid]
-            channel_nodes.append((name, name))
-        else:
-            put_name = "ch:" + channel + ".put"
-            get_name = "ch:" + channel + ".get"
-            nodes.extend((put_name, get_name))
-            delay[put_name] = ir.channel_latencies[cid]
-            delay[get_name] = 0
-            channel_nodes.append((put_name, get_name))
-    process_nodes: list[str] = []
-    for process in ir.processes:
-        name = "proc:" + process
-        nodes.append(name)
-        delay[name] = process_latencies[process]
-        process_nodes.append(name)
-
-    # Places, in TMG insertion order, collapsed to min-token edges.
-    best: dict[tuple[str, str], Edge] = {}
-
-    def _add(place: str, source: str, target: str, tokens: int) -> None:
-        edge = Edge(
-            source=source,
-            target=target,
-            tokens=tokens,
-            delay=delay[target],
-            place=place,
-        )
-        current = best.get(edge.key)
-        if current is None or edge.tokens < current.tokens:
-            best[edge.key] = edge
-
-    for cid, channel in enumerate(ir.channels):
-        if ir.buffered[cid]:
-            put_name, get_name = channel_nodes[cid]
-            initial = ir.initial_tokens[cid]
-            _add(f"{channel}/data", put_name, get_name, initial)
-            _add(
-                f"{channel}/credit",
-                get_name,
-                put_name,
-                ir.effective_capacities[cid] - initial,
-            )
-    for pid, process in enumerate(ir.processes):
-        kinds = ir.op_kinds[pid]
-        args = ir.op_args[pid]
-        transitions: list[str] = []
-        places: list[str] = []
-        for op, arg in zip(kinds, args):
-            if op == OP_COMPUTE:
-                transitions.append(process_nodes[pid])
-                places.append(f"{process}/comp")
-            else:
-                put_name, get_name = channel_nodes[arg]
-                if op == OP_GET:
-                    transitions.append(get_name)
-                    places.append(f"{process}/get:{ir.channels[arg]}")
-                else:
-                    transitions.append(put_name)
-                    places.append(f"{process}/put:{ir.channels[arg]}")
-        first_marked = ir.first_marked[pid]
-        n = len(kinds)
-        for i in range(n):
-            _add(
-                places[i],
-                transitions[(i - 1) % n],
-                transitions[i],
-                1 if i == first_marked else 0,
-            )
-
-    succ: dict[str, list[Edge]] = {name: [] for name in nodes}
-    for edge in best.values():
-        succ[edge.source].append(edge)
-    return EventGraph(nodes=tuple(nodes), succ=succ)
 
 
 def strongly_connected_components(graph: EventGraph) -> list[list[str]]:

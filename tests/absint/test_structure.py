@@ -1,12 +1,12 @@
-"""``marked_places`` must mirror the TMG builder's place set exactly.
+"""``marked_places`` must be exactly the TMG builder's place set.
 
 The certificate checker never materialises a ``TimedMarkedGraph`` — it
-walks :class:`~repro.absint.structure.MarkedPlace` tuples derived
-straight from the IR tables.  The soundness of everything downstream
-(token invariants, the Commoner ranking, min-token cycle bounds) rests
-on those tuples matching :func:`repro.model.build_tmg`'s places
-field-for-field, so this suite pins the two constructions against each
-other on the shipped examples and on random layered systems.
+walks :func:`repro.model.build.marked_places`, the same place rows
+:func:`repro.model.build_tmg` loads.  The soundness of everything
+downstream (token invariants, the Commoner ranking, min-token cycle
+bounds) rests on those rows matching the TMG's places field-for-field,
+so this suite pins the two against each other on the shipped examples
+and on random layered systems.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The refactor's contract is bit-identity: lowering first and executing
 the arrays must change *nothing* observable.  The simulator is checked
-against the frozen reference engine, the IR event-graph translator
+against the frozen reference engine, the cached event-graph structure
 against the TMG route, and the verifier's chains against the ordering
 projection they replaced.
 """
@@ -18,9 +18,9 @@ from repro.errors import SimulationDeadlock
 from repro.ir import lower
 from repro.model.build import build_tmg
 from repro.ordering import channel_ordering, random_ordering
-from repro.perf.fingerprint import effective_latencies
+from repro.perf import build_structure, effective_latencies
 from repro.sim import Simulator
-from repro.tmg.event_graph import build_event_graph, event_graph_from_ir
+from repro.tmg.event_graph import build_event_graph
 from repro.verify.semantics import TransitionSystem
 from tests.sim.reference import ReferenceSimulator
 from tests.strategies import layered_systems
@@ -74,28 +74,34 @@ def test_simulator_matches_reference_on_random_systems(system, seed):
     assert actual == expected
 
 
+def _assert_structure_matches_tmg_route(system, ordering, overrides=None):
+    """The event graph the cached path contracts from the IR
+    (``build_structure(ir).instantiate``) equals the event graph of a
+    fresh TMG in node order, per-node edge order, names, tokens and
+    delays: the guarantee that keeps cached and uncached critical cycles
+    identical."""
+    latencies = effective_latencies(system, overrides)
+    direct = build_event_graph(build_tmg(system, ordering, overrides).tmg)
+    patched = build_structure(lower(system, ordering)).instantiate(latencies)
+    assert patched.nodes == direct.nodes
+    assert patched.succ == direct.succ
+
+
 @pytest.mark.parametrize("path", SEED_SYSTEMS)
 def test_event_graph_from_ir_matches_tmg_route(path):
     system = load_system(path)
     for ordering in _orderings(system):
-        ir = lower(system, ordering)
-        latencies = effective_latencies(system, None)
-        direct = build_event_graph(build_tmg(system, ordering).tmg)
-        translated = event_graph_from_ir(ir, latencies)
-        assert translated.nodes == direct.nodes
-        assert translated.succ == direct.succ
+        _assert_structure_matches_tmg_route(system, ordering)
+        scaled = {p.name: 3 * p.latency + 1 for p in system.processes}
+        _assert_structure_matches_tmg_route(system, ordering, scaled)
 
 
 @settings(max_examples=30, deadline=None)
-@given(system=layered_systems())
-def test_event_graph_from_ir_matches_tmg_route_on_random_systems(system):
+@given(system=layered_systems(), scale=st.integers(0, 3))
+def test_event_graph_from_ir_matches_tmg_route_on_random_systems(system, scale):
     ordering = ChannelOrdering.declaration_order(system)
-    ir = lower(system, ordering)
-    latencies = effective_latencies(system, None)
-    direct = build_event_graph(build_tmg(system, ordering).tmg)
-    translated = event_graph_from_ir(ir, latencies)
-    assert translated.nodes == direct.nodes
-    assert translated.succ == direct.succ
+    overrides = {p.name: p.latency * scale for p in system.processes}
+    _assert_structure_matches_tmg_route(system, ordering, overrides)
 
 
 @settings(max_examples=30, deadline=None)

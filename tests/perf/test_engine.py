@@ -75,11 +75,11 @@ class TestEquivalence:
         assert got == expected
 
     def test_incremental_disabled_still_correct(self, tiny_pipeline):
-        engine = PerformanceEngine(incremental=False)
+        engine = PerformanceEngine(max_structures=0)
         engine.analyze(tiny_pipeline)
         got = engine.analyze(tiny_pipeline, process_latencies={"A": 9})
         assert got == reference(tiny_pipeline, latencies={"A": 9})
-        assert engine.structures.stats.lookups == 0
+        assert len(engine.structures) == 0
 
     def test_all_engines_and_modes(self, tiny_pipeline):
         engine = PerformanceEngine()
