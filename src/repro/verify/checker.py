@@ -38,6 +38,7 @@ from repro.verify.witness import DeadlockWitness, decode_deadlock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
+    from repro.sym.perm import PairPerm
     from repro.sym.states import StateSymmetry
 
 #: Default cap on explored states — comfortably above every shipped
@@ -61,7 +62,8 @@ class VerificationResult:
     Attributes:
         verdict: The three-valued outcome.
         witness: The replayable counterexample (``DEADLOCKED`` only).
-        states_explored: Distinct states expanded.
+        states_explored: Distinct states expanded (never more than
+            ``budget_states``).
         transitions_fired: Successor computations performed.
         por_pruned: Enabled actions *not* expanded thanks to the
             stubborn-set reduction (0 when ``por=False``).
@@ -210,12 +212,9 @@ def check_deadlock(
     if timer_cm is not None:
         timer_cm.__enter__()
     try:
-        if sym_engine is not None:
-            outcome = _search_sym(
-                ts, sym_engine, por, budget_states, budget_seconds, start
-            )
-        else:
-            outcome = _search(ts, por, budget_states, budget_seconds, start)
+        outcome = _search(
+            ts, sym_engine, por, budget_states, budget_seconds, start
+        )
     finally:
         if timer_cm is not None:
             timer_cm.__exit__(None, None, None)
@@ -232,136 +231,41 @@ def check_deadlock(
     return outcome
 
 
+#: Check the time budget only every so many expanded states: a
+#: perf_counter call per state would dominate tiny searches.
+TIME_CHECK_EVERY = 256
+
+
 def _search(
     ts: TransitionSystem,
+    sym: "StateSymmetry | None",
     por: bool,
     budget_states: int,
     budget_seconds: float | None,
     start: float,
 ) -> VerificationResult:
-    initial = ts.initial_state()
-    parents: dict[State, tuple[State, Action] | None] = {initial: None}
-    frontier: deque[State] = deque([initial])
-    explored = 0
-    fired = 0
-    pruned = 0
+    """Breadth-first search over action ids, plain or quotient.
 
-    def finish(
-        verdict: Verdict, reason: str, witness: DeadlockWitness | None = None
-    ) -> VerificationResult:
-        return VerificationResult(
-            verdict=verdict,
-            witness=witness,
-            states_explored=explored,
-            transitions_fired=fired,
-            por_pruned=pruned,
-            state_space_bound=ts.state_space_bound(),
-            elapsed_s=time.perf_counter() - start,
-            budget_states=budget_states,
-            budget_seconds=budget_seconds,
-            reason=reason,
-            por=por,
-        )
-
-    # Check the time budget only every so many states: a perf_counter
-    # call per state would dominate tiny searches.
-    TIME_CHECK_EVERY = 256
-
-    while frontier:
-        state = frontier.popleft()
-        explored += 1
-        if explored > budget_states:
-            return finish(
-                Verdict.INCONCLUSIVE,
-                f"state budget exceeded ({budget_states} states)",
-            )
-        if (
-            budget_seconds is not None
-            and explored % TIME_CHECK_EVERY == 0
-            and time.perf_counter() - start > budget_seconds
-        ):
-            return finish(
-                Verdict.INCONCLUSIVE,
-                f"time budget exceeded ({budget_seconds}s)",
-            )
-        enabled = ts.enabled_actions(state)
-        if not enabled:
-            if ts.is_deadlock(state):
-                schedule = _schedule_to(parents, state)
-                witness = decode_deadlock(ts, state, schedule)
-                return finish(
-                    Verdict.DEADLOCKED,
-                    f"deadlocked state reachable in {len(schedule)} steps",
-                    witness,
-                )
-            continue  # no communicating process: nothing to do, nothing stuck
-        if por and len(enabled) > 1:
-            expand = stubborn_set(ts, state, enabled)
-            pruned += len(enabled) - len(expand)
-        else:
-            expand = enabled
-        for action in expand:
-            fired += 1
-            successor = ts.successor(state, action)
-            if successor not in parents:
-                parents[successor] = (state, action)
-                frontier.append(successor)
-    return finish(
-        Verdict.DEADLOCK_FREE,
-        f"all {explored} reachable states enumerated, none deadlocked",
-    )
-
-
-def _schedule_to(
-    parents: dict[State, tuple[State, Action] | None], state: State
-) -> tuple[Action, ...]:
-    """Walk the parent pointers back to the initial state."""
-    schedule: list[Action] = []
-    cursor = state
-    while True:
-        entry = parents[cursor]
-        if entry is None:
-            break
-        cursor, action = entry
-        schedule.append(action)
-    schedule.reverse()
-    return tuple(schedule)
-
-
-def _search_sym(
-    ts: TransitionSystem,
-    sym: "StateSymmetry",
-    por: bool,
-    budget_states: int,
-    budget_seconds: float | None,
-    start: float,
-) -> VerificationResult:
-    """BFS over orbit representatives instead of concrete states.
-
-    Every explored state is the canonical representative of its orbit
-    under the IR's verified automorphism group, so symmetric copies of
-    a state are expanded once.  Soundness (``docs/THEORY.md`` §8): an
-    automorphism commutes with the successor relation and preserves
-    deadlockedness, so a deadlock is reachable in the quotient iff one
-    is reachable concretely.  Parent pointers additionally record the
-    canonicalizing permutation of each step, letting the witness
-    reconstruction pull the representative-frame schedule back to a
-    concrete replayable one.
+    With ``sym`` set, every explored state is the canonical
+    representative of its orbit under the IR's verified automorphism
+    group, so symmetric copies of a state are expanded once.  Soundness
+    (``docs/THEORY.md`` §8): an automorphism commutes with the successor
+    relation and preserves deadlockedness, so a deadlock is reachable in
+    the quotient iff one is reachable concretely.  Parent entries then
+    also record the canonicalizing permutation of each step, letting the
+    witness reconstruction pull the representative-frame schedule back
+    to a concrete replayable one.
     """
-    from repro.sym.perm import (
-        PairPerm,
-        compose_pair,
-        invert_pair,
-        is_identity_pair,
-    )
+    initial = ts.initial_state()
+    initial_pi = None
+    if sym is not None:
+        from repro.sym.perm import is_identity_pair
 
-    concrete_initial = ts.initial_state()
-    initial, initial_pi = sym.canonicalize(concrete_initial)
-    # rep -> (parent rep, action in the parent's frame, canonicalizing
-    # permutation pi with rep == pi(successor(parent, action))).
-    parents: dict[State, tuple[State, Action, PairPerm] | None] = {
-        initial: None
-    }
+        initial, initial_pi = sym.canonicalize(initial)
+    # state -> (parent, action id) for the plain search; for the quotient
+    # search, rep -> (parent rep, action id in the parent's frame, pi)
+    # with rep == pi(successor(parent, action)).
+    parents: dict[State, tuple | None] = {initial: None}
     frontier: deque[State] = deque([initial])
     explored = 0
     fired = 0
@@ -383,38 +287,12 @@ def _search_sym(
             budget_seconds=budget_seconds,
             reason=reason,
             por=por,
-            sym=True,
+            sym=sym is not None,
             sym_merged=merged,
         )
 
-    def concrete_witness(deadlock_rep: State) -> DeadlockWitness:
-        # Walk back collecting (action, pi) per step, then replay
-        # forward tracking the cumulative frame map sigma (concrete ->
-        # representative): sigma_0 = pi_0, the concrete action is
-        # sigma_i^-1(a_{i+1}), and sigma_{i+1} = pi_{i+1} o sigma_i.
-        steps: list[tuple[Action, PairPerm]] = []
-        cursor = deadlock_rep
-        while True:
-            entry = parents[cursor]
-            if entry is None:
-                break
-            cursor, action, pi = entry
-            steps.append((action, pi))
-        steps.reverse()
-        sigma = initial_pi
-        schedule: list[Action] = []
-        for action, pi in steps:
-            schedule.append(sym.map_action(invert_pair(sigma), action))
-            sigma = compose_pair(pi, sigma)
-        concrete = sym.apply(invert_pair(sigma), deadlock_rep)
-        return decode_deadlock(ts, concrete, tuple(schedule))
-
-    TIME_CHECK_EVERY = 256
-
     while frontier:
-        state = frontier.popleft()
-        explored += 1
-        if explored > budget_states:
+        if explored == budget_states:
             return finish(
                 Verdict.INCONCLUSIVE,
                 f"state budget exceeded ({budget_states} states)",
@@ -428,10 +306,12 @@ def _search_sym(
                 Verdict.INCONCLUSIVE,
                 f"time budget exceeded ({budget_seconds}s)",
             )
-        enabled = ts.enabled_actions(state)
+        state = frontier.popleft()
+        explored += 1
+        enabled = ts.enabled(state)
         if not enabled:
             if ts.is_deadlock(state):
-                witness = concrete_witness(state)
+                witness = _witness(ts, sym, parents, state, initial_pi)
                 return finish(
                     Verdict.DEADLOCKED,
                     "deadlocked state reachable in "
@@ -447,16 +327,60 @@ def _search_sym(
         for action in expand:
             fired += 1
             successor = ts.successor(state, action)
+            if sym is None:
+                if successor not in parents:
+                    parents[successor] = (state, action)
+                    frontier.append(successor)
+                continue
             rep, pi = sym.canonicalize(successor)
             if not is_identity_pair(pi):
                 merged += 1
             if rep not in parents:
                 parents[rep] = (state, action, pi)
                 frontier.append(rep)
+    enumerated = (
+        "reachable states" if sym is None else "reachable orbit representatives"
+    )
     return finish(
         Verdict.DEADLOCK_FREE,
-        f"all {explored} reachable orbit representatives enumerated, "
-        "none deadlocked",
+        f"all {explored} {enumerated} enumerated, none deadlocked",
+    )
+
+
+def _witness(
+    ts: TransitionSystem,
+    sym: "StateSymmetry | None",
+    parents: dict[State, tuple | None],
+    state: State,
+    initial_pi: "PairPerm | None",
+) -> DeadlockWitness:
+    """Walk the parent entries back from a deadlocked ``state`` and decode
+    the schedule to :class:`Action` names.
+
+    In the quotient search, replay the steps forward tracking the
+    cumulative frame map sigma (concrete -> representative): sigma_0 =
+    pi_0, the concrete action is sigma_i^-1(a_{i+1}), and sigma_{i+1} =
+    pi_{i+1} o sigma_i.
+    """
+    steps: list[tuple] = []
+    cursor = state
+    while (entry := parents[cursor]) is not None:
+        steps.append(entry)
+        cursor = entry[0]
+    steps.reverse()
+    if sym is None:
+        schedule = tuple(ts.action(action) for _, action in steps)
+        return decode_deadlock(ts, state, schedule)
+    from repro.sym.perm import compose_pair, invert_pair
+
+    assert initial_pi is not None
+    sigma = initial_pi
+    concrete: list[Action] = []
+    for _, action, pi in steps:
+        concrete.append(sym.map_action(invert_pair(sigma), ts.action(action)))
+        sigma = compose_pair(pi, sigma)
+    return decode_deadlock(
+        ts, sym.apply(invert_pair(sigma), state), tuple(concrete)
     )
 
 

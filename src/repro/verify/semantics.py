@@ -29,13 +29,21 @@ never share a ready process (a process's current statement serves one
 channel), and a buffered endpoint action only ever *helps* the opposite
 endpoint.  Persistence is what makes the stubborn-set reduction of
 :mod:`repro.verify.stubborn` so effective here.
+
+The search runs on integers.  :class:`TransitionSystem` numbers the
+actions once, in ``(channel name, kind)`` order, and compiles the
+lowered program into per-action tables (endpoint slots, buffer slot,
+capacity, counterpart, static dependents) and per-process chains of
+action ids.  Sorting ids therefore sorts actions the way their names
+would; :meth:`TransitionSystem.action` decodes an id to its
+:class:`Action` at the API boundary (witnesses, symmetry maps).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir import OP_GET, LoweredIR, lower
@@ -80,12 +88,21 @@ class CommStatement:
     chain_index: int
 
 
+
+
 class TransitionSystem:
     """The untimed transition system of one ``(system, ordering)`` pair.
 
     Processes whose chain has no communication statement (possible only
     for channel-less degenerate processes) take no part: they can always
     run, so they never contribute to a deadlock.
+
+    Actions are dense ids ``0 .. n_actions - 1``; every integer table
+    below is indexed by action id or by process *slot* (position in
+    :attr:`process_names`).  Channels connect two distinct processes
+    (:meth:`repro.core.system.Channel.validate`), so each channel is the
+    subject of exactly one statement of each endpoint, and a process is
+    at its side of an action exactly when its current action is that id.
     """
 
     def __init__(self, system: SystemGraph, ordering: ChannelOrdering | None = None):
@@ -98,29 +115,66 @@ class TransitionSystem:
         self.ir: LoweredIR = lower(system, self.ordering)
         ir = self.ir
 
+        # Action ids in (channel name, kind) order, plus per channel the
+        # id of its put-side and get-side action (the rendezvous id for
+        # both when unbuffered).
+        universe = sorted(
+            (name, kind.value, cid, kind)
+            for cid, name in enumerate(ir.channels)
+            for kind in (
+                (ActionKind.GET, ActionKind.PUT)
+                if ir.buffered[cid]
+                else (ActionKind.RENDEZVOUS,)
+            )
+        )
+        self._actions: tuple[Action, ...] = tuple(
+            Action(kind, name) for name, _, _, kind in universe
+        )
+        self._action_ids: dict[Action, int] = {
+            action: i for i, action in enumerate(self._actions)
+        }
+        put_id = [0] * ir.n_channels
+        get_id = [0] * ir.n_channels
+        for action, (_, _, cid, kind) in enumerate(universe):
+            if kind is not ActionKind.GET:
+                put_id[cid] = action
+            if kind is not ActionKind.PUT:
+                get_id[cid] = action
+
         #: Projected communication chains, only for processes that have one.
         self.chains: dict[str, tuple[CommStatement, ...]] = {}
         #: Full-chain lengths (for witness ``index/total`` reporting).
         self.chain_totals: dict[str, int] = {}
+        chain_actions: list[tuple[int, ...]] = []
+        slot_of_pid: dict[int, int] = {}
         for pid, process in enumerate(ir.processes):
             kinds = ir.op_kinds[pid]
             args = ir.op_args[pid]
-            comm = tuple(
+            comm = ir.comm_indices[pid]
+            if not comm:
+                continue
+            slot_of_pid[pid] = len(chain_actions)
+            self.chains[process] = tuple(
                 CommStatement(
                     kind="get" if kinds[i] == OP_GET else "put",
                     channel=ir.channels[args[i]],
                     chain_index=i,
                 )
-                for i in ir.comm_indices[pid]
+                for i in comm
             )
-            if comm:
-                self.chains[process] = comm
-                self.chain_totals[process] = len(kinds)
-
+            self.chain_totals[process] = len(kinds)
+            chain_actions.append(tuple(
+                (get_id if kinds[i] == OP_GET else put_id)[args[i]]
+                for i in comm
+            ))
         self.process_names: tuple[str, ...] = tuple(self.chains)
-        self._process_slot: dict[str, int] = {
-            name: i for i, name in enumerate(self.process_names)
-        }
+        #: Per process slot: the action id of each communication statement,
+        #: the only action that can advance the process from there.
+        self.chain_actions: tuple[tuple[int, ...], ...] = tuple(chain_actions)
+        #: Per process slot: statement index -> next statement index.
+        self._next_index: tuple[tuple[int, ...], ...] = tuple(
+            tuple(range(1, len(chain))) + (0,) for chain in chain_actions
+        )
 
         #: Buffered channels carry an occupancy dimension; rendezvous
         #: channels are pure synchronizations with no state of their own.
@@ -130,27 +184,86 @@ class TransitionSystem:
         self.buffered_names: tuple[str, ...] = tuple(
             ir.channels[cid] for cid in buffered_cids
         )
-        self._buffer_slot: dict[str, int] = {
-            name: i for i, name in enumerate(self.buffered_names)
-        }
-        self._capacity: dict[str, int] = {
-            ir.channels[cid]: ir.effective_capacities[cid]
-            for cid in buffered_cids
-        }
+        buffer_of_cid = {cid: slot for slot, cid in enumerate(buffered_cids)}
         self._initial_tokens: tuple[int, ...] = tuple(
             ir.initial_tokens[cid] for cid in buffered_cids
         )
-        self._producer: dict[str, str] = {
-            name: ir.processes[ir.producers[cid]]
-            for cid, name in enumerate(ir.channels)
-        }
-        self._consumer: dict[str, str] = {
-            name: ir.processes[ir.consumers[cid]]
-            for cid, name in enumerate(ir.channels)
-        }
+        self._capacities: tuple[int, ...] = tuple(
+            ir.effective_capacities[cid] for cid in buffered_cids
+        )
+
+        slots: list[tuple[int, ...]] = []
+        buffers: list[int] = []
+        deltas: list[int] = []
+        counterparts: list[int] = []
+        for _, _, cid, kind in universe:
+            producer = slot_of_pid[ir.producers[cid]]
+            consumer = slot_of_pid[ir.consumers[cid]]
+            if kind is ActionKind.RENDEZVOUS:
+                slots.append((producer, consumer))
+                buffers.append(-1)
+                deltas.append(0)
+                counterparts.append(-1)
+            elif kind is ActionKind.PUT:
+                slots.append((producer,))
+                buffers.append(buffer_of_cid[cid])
+                deltas.append(1)
+                counterparts.append(get_id[cid])
+            else:
+                slots.append((consumer,))
+                buffers.append(buffer_of_cid[cid])
+                deltas.append(-1)
+                counterparts.append(put_id[cid])
+        #: Per action: the process slots it advances (producer, consumer
+        #: for a rendezvous; the one endpoint for a buffered put/get).
+        self.action_slots: tuple[tuple[int, ...], ...] = tuple(slots)
+        #: Per action: its slot in a state's occupancy vector (-1 for a
+        #: rendezvous).
+        self.action_buffer: tuple[int, ...] = tuple(buffers)
+        #: Per action: the buffered channel's effective capacity (0 for a
+        #: rendezvous).
+        self.action_capacity: tuple[int, ...] = tuple(
+            self._capacities[b] if b >= 0 else 0 for b in buffers
+        )
+        #: Per action: its occupancy change (+1 put, -1 get, 0 rendezvous).
+        self.action_delta: tuple[int, ...] = tuple(deltas)
+        #: Per action: the opposite endpoint action of the same buffered
+        #: channel (``get`` for a ``put`` and vice versa; -1 for a
+        #: rendezvous).
+        self.action_counterpart: tuple[int, ...] = tuple(counterparts)
+        dependents: list[tuple[int, ...]] = []
+        for action, endpoints in enumerate(slots):
+            related = [a for slot in endpoints for a in chain_actions[slot]]
+            related.append(counterparts[action])
+            dependents.append(tuple(
+                other for other in dict.fromkeys(related)
+                if other != action and other >= 0
+            ))
+        #: Per action: every other action sharing an endpoint process (the
+        #: actions of each endpoint's statements, in chain order) or the
+        #: channel (the buffered counterpart), first occurrence first.
+        #: Syntactic dependence does not depend on the state.
+        self.dependents: tuple[tuple[int, ...], ...] = tuple(dependents)
 
     # ------------------------------------------------------------------
-    # State queries
+    # Actions
+    # ------------------------------------------------------------------
+
+    def action(self, action_id: int) -> Action:
+        """Decode an action id."""
+        return self._actions[action_id]
+
+    def action_id(self, action: Action) -> int | None:
+        """The id of ``action``, or ``None`` when the system has no such
+        action (an unknown channel, or the wrong kind for it)."""
+        return self._action_ids.get(action)
+
+    @property
+    def n_actions(self) -> int:
+        return len(self._actions)
+
+    # ------------------------------------------------------------------
+    # States and transitions
     # ------------------------------------------------------------------
 
     def initial_state(self) -> State:
@@ -161,109 +274,46 @@ class TransitionSystem:
             self._initial_tokens,
         )
 
-    def statement_at(self, state: State, process: str) -> CommStatement:
-        """The communication statement ``process`` is waiting to execute."""
-        slot = self._process_slot[process]
-        return self.chains[process][state[0][slot]]
+    def enabled(self, state: State) -> tuple[int, ...]:
+        """The ids of all enabled actions, ascending.
 
-    def occupancy(self, state: State, channel: str) -> int:
-        """Items currently queued on a buffered channel."""
-        return state[1][self._buffer_slot[channel]]
-
-    def capacity(self, channel: str) -> int:
-        return self._capacity[channel]
-
-    def is_buffered(self, channel: str) -> bool:
-        return channel in self._buffer_slot
-
-    def endpoints(self, action: Action) -> tuple[str, ...]:
-        """The processes an action moves: both for a rendezvous, the one
-        endpoint for a buffered put/get."""
-        if action.kind is ActionKind.RENDEZVOUS:
-            return (
-                self._producer[action.channel],
-                self._consumer[action.channel],
-            )
-        if action.kind is ActionKind.PUT:
-            return (self._producer[action.channel],)
-        return (self._consumer[action.channel],)
-
-    def current_action(self, state: State, process: str) -> Action:
-        """The only action that can ever advance ``process`` from here."""
-        statement = self.statement_at(state, process)
-        if not self.is_buffered(statement.channel):
-            return Action(ActionKind.RENDEZVOUS, statement.channel)
-        if statement.kind == "put":
-            return Action(ActionKind.PUT, statement.channel)
-        return Action(ActionKind.GET, statement.channel)
-
-    # ------------------------------------------------------------------
-    # Transitions
-    # ------------------------------------------------------------------
-
-    def is_enabled(self, state: State, action: Action) -> bool:
-        channel = action.channel
-        if action.kind is ActionKind.RENDEZVOUS:
-            producer, consumer = self.endpoints(action)
-            put_ready = (
-                producer in self.chains
-                and self.statement_at(state, producer).kind == "put"
-                and self.statement_at(state, producer).channel == channel
-            )
-            get_ready = (
-                consumer in self.chains
-                and self.statement_at(state, consumer).kind == "get"
-                and self.statement_at(state, consumer).channel == channel
-            )
-            return put_ready and get_ready
-        (endpoint,) = self.endpoints(action)
-        statement = self.statement_at(state, endpoint)
-        if statement.channel != channel:
-            return False
-        if action.kind is ActionKind.PUT:
-            return (
-                statement.kind == "put"
-                and self.occupancy(state, channel) < self.capacity(channel)
-            )
-        return statement.kind == "get" and self.occupancy(state, channel) > 0
-
-    def enabled_actions(self, state: State) -> tuple[Action, ...]:
-        """All enabled actions, deterministically ordered.
-
-        Derived from each process's current statement, so the scan is
-        linear in the number of processes; each enabled rendezvous is
-        reported once (from its producer side).
+        Each process's current action is looked up once; a rendezvous is
+        enabled when both endpoints are at it (reported once, from the
+        producer), a put when its buffer has room, a get when its buffer
+        holds an item.
         """
-        enabled: list[Action] = []
-        for process in self.process_names:
-            action = self.current_action(state, process)
-            if action.kind is ActionKind.GET:
-                if self.is_enabled(state, action):
+        indices, occupancies = state
+        current = [chain[i] for chain, i in zip(self.chain_actions, indices)]
+        slots = self.action_slots
+        buffers = self.action_buffer
+        deltas = self.action_delta
+        enabled = []
+        for slot, action in enumerate(current):
+            delta = deltas[action]
+            if not delta:
+                producer, consumer = slots[action]
+                if producer == slot and current[consumer] == action:
                     enabled.append(action)
-            elif action.kind is ActionKind.PUT:
-                if self.is_enabled(state, action):
+            elif delta < 0:
+                if occupancies[buffers[action]]:
                     enabled.append(action)
-            else:  # rendezvous: count it once, from the producer side
-                if (
-                    self._producer[action.channel] == process
-                    and self.is_enabled(state, action)
-                ):
-                    enabled.append(action)
-        enabled.sort(key=lambda a: (a.channel, a.kind.value))
+            elif occupancies[buffers[action]] < self.action_capacity[action]:
+                enabled.append(action)
+        enabled.sort()
         return tuple(enabled)
 
-    def successor(self, state: State, action: Action) -> State:
-        """The state after firing ``action`` (must be enabled)."""
+    def successor(self, state: State, action: int) -> State:
+        """The state after firing action id ``action`` (must be enabled)."""
         indices = list(state[0])
-        occupancies = list(state[1])
-        for process in self.endpoints(action):
-            slot = self._process_slot[process]
-            indices[slot] = (indices[slot] + 1) % len(self.chains[process])
-        if action.kind is ActionKind.PUT:
-            occupancies[self._buffer_slot[action.channel]] += 1
-        elif action.kind is ActionKind.GET:
-            occupancies[self._buffer_slot[action.channel]] -= 1
-        return (tuple(indices), tuple(occupancies))
+        occupancies = state[1]
+        for slot in self.action_slots[action]:
+            indices[slot] = self._next_index[slot][indices[slot]]
+        delta = self.action_delta[action]
+        if delta:
+            queued = list(occupancies)
+            queued[self.action_buffer[action]] += delta
+            occupancies = tuple(queued)
+        return (tuple(indices), occupancies)
 
     # ------------------------------------------------------------------
     # Deadlock
@@ -278,14 +328,20 @@ class TransitionSystem:
         """
         if not self.process_names:
             return False
-        return not self.enabled_actions(state)
+        return not self.enabled(state)
+
+    def _statements(self, state: State) -> list[tuple[str, CommStatement]]:
+        return [
+            (process, self.chains[process][index])
+            for process, index in zip(self.process_names, state[0])
+        ]
 
     def blocked_map(self, state: State) -> dict[str, str]:
         """``process -> channel`` it is blocked on (every communicating
         process, in a deadlocked state)."""
         return {
-            process: self.statement_at(state, process).channel
-            for process in self.process_names
+            process: statement.channel
+            for process, statement in self._statements(state)
         }
 
     def wait_for_edges(self, state: State) -> dict[str, str]:
@@ -297,13 +353,14 @@ class TransitionSystem:
         on the consumer to free a slot; a blocked buffered get waits on
         the producer to queue an item — same edges).
         """
+        ir = self.ir
         edges: dict[str, str] = {}
-        for process in self.process_names:
-            statement = self.statement_at(state, process)
-            if statement.kind == "put":
-                edges[process] = self._consumer[statement.channel]
-            else:
-                edges[process] = self._producer[statement.channel]
+        for process, statement in self._statements(state):
+            cid = ir.cid(statement.channel)
+            server = (
+                ir.consumers[cid] if statement.kind == "put" else ir.producers[cid]
+            )
+            edges[process] = ir.processes[server]
         return edges
 
     # ------------------------------------------------------------------
@@ -311,13 +368,8 @@ class TransitionSystem:
     def state_space_bound(self) -> int:
         """The a-priori product bound on reachable states."""
         bound = 1
-        for chain in self.chains.values():
+        for chain in self.chain_actions:
             bound *= len(chain)
-        for name in self.buffered_names:
-            bound *= self._capacity[name] + 1
+        for capacity in self._capacities:
+            bound *= capacity + 1
         return bound
-
-    def iter_channels_of(self, process: str) -> Iterator[str]:
-        """Every channel ``process`` touches (for dependency closure)."""
-        for statement in self.chains.get(process, ()):
-            yield statement.channel

@@ -28,135 +28,109 @@ blocking-channel dependency structure):
 The stubborn set returned is the enabled subset of the closure.  Seeds
 are tried in deterministic order and the smallest result wins (ties go to
 the lexicographically first), so runs are reproducible action for action.
+
+Everything runs on the integer action ids and tables of
+:class:`~repro.verify.semantics.TransitionSystem`; the dependents of an
+action are a static table, since syntactic dependence does not depend on
+the state.  One exact bound prunes the seed loop: a closure only grows,
+and a later seed replaces the best set only when strictly smaller, so a
+closure is abandoned as soon as its enabled members reach the size of
+the best set so far — it could never win.
 """
 
 from __future__ import annotations
 
-from repro.verify.semantics import Action, ActionKind, State, TransitionSystem
+from repro.verify.semantics import State, TransitionSystem
 
 
 def stubborn_set(
-    ts: TransitionSystem, state: State, enabled: tuple[Action, ...]
-) -> tuple[Action, ...]:
-    """A nonempty stubborn subset of ``enabled`` (assumed nonempty)."""
-    best: tuple[Action, ...] | None = None
+    ts: TransitionSystem, state: State, enabled: tuple[int, ...]
+) -> tuple[int, ...]:
+    """A nonempty stubborn subset of the action ids ``enabled`` (assumed
+    nonempty and ascending), itself ascending."""
+    enabled_set = frozenset(enabled)
+    best: tuple[int, ...] = enabled
+    limit = len(enabled) + 1  # no bound until a first closure completes
     for seed in enabled:
-        candidate = _closure(ts, state, seed, enabled)
+        candidate = _closure(ts, state, seed, enabled_set, limit)
+        if candidate is None:
+            continue  # reached the best size: cannot be strictly smaller
         if len(candidate) == 1:
             return candidate  # cannot do better than a singleton
-        if best is None or len(candidate) < len(best):
-            best = candidate
-    assert best is not None
+        best, limit = candidate, len(candidate)
     return best
 
 
 def _closure(
     ts: TransitionSystem,
     state: State,
-    seed: Action,
-    enabled: tuple[Action, ...],
-) -> tuple[Action, ...]:
-    """Close ``{seed}`` under the stubborn conditions; return the enabled
-    members, deterministically ordered."""
-    enabled_set = set(enabled)
-    closure: set[Action] = {seed}
-    work: list[Action] = [seed]
+    seed: int,
+    enabled: frozenset[int],
+    limit: int,
+) -> tuple[int, ...] | None:
+    """Close ``{seed}`` under the stubborn conditions; return its enabled
+    members in ascending order, or ``None`` as soon as there are
+    ``limit`` of them."""
+    dependents = ts.dependents
+    closure = {seed}
+    chosen = [seed]
+    work = [seed]
     while work:
         action = work.pop()
-        if action in enabled_set:
-            additions = _dependent_actions(ts, state, action)
+        if action in enabled:
+            additions: tuple[int, ...] = dependents[action]
         else:
-            additions = _necessary_enabling_set(ts, state, action, closure)
+            enabler = _necessary_enabler(ts, state, action, closure)
+            if enabler is None:
+                continue
+            additions = (enabler,)
         for other in additions:
             if other not in closure:
                 closure.add(other)
                 work.append(other)
-    chosen = sorted(
-        closure & enabled_set, key=lambda a: (a.channel, a.kind.value)
-    )
+                if other in enabled:
+                    chosen.append(other)
+                    if len(chosen) >= limit:
+                        return None
+    chosen.sort()
     return tuple(chosen)
 
 
-def _dependent_actions(
-    ts: TransitionSystem, state: State, action: Action
-) -> list[Action]:
-    """Every action sharing a process or the channel with ``action``.
+def _necessary_enabler(
+    ts: TransitionSystem, state: State, action: int, closure: set[int]
+) -> int | None:
+    """An action that must fire before the disabled ``action`` can
+    enable, or ``None`` when one already is in the closure.
 
-    Actions are identified with the *statements that could issue them*:
-    for each endpoint process of ``action``, the current actions that any
-    statement of that process's chain could contribute, restricted to the
-    channels the process touches.  That keeps the universe local — the
-    closure never has to materialize all actions of the system.
+    For each failing precondition there is an exact necessary set of one
+    action: an endpoint process not at its side of ``action`` can only
+    advance through its current action; an empty buffer can only fill
+    through its put; a full buffer can only drain through its get.  When
+    several preconditions fail, any one suffices for soundness — prefer
+    one already in the closure (which adds nothing, keeping stubborn
+    sets small), else take the first, checking endpoints before the
+    buffer.
     """
-    dependents: list[Action] = []
-    seen: set[Action] = set()
-
-    def add(other: Action) -> None:
-        if other != action and other not in seen:
-            seen.add(other)
-            dependents.append(other)
-
-    for process in ts.endpoints(action):
-        for channel in ts.iter_channels_of(process):
-            add(_channel_action_for(ts, channel, process))
-    # Same-channel counterpart (the opposite endpoint of a buffered FIFO).
-    if action.kind is ActionKind.PUT:
-        add(Action(ActionKind.GET, action.channel))
-    elif action.kind is ActionKind.GET:
-        add(Action(ActionKind.PUT, action.channel))
-    return dependents
-
-
-def _channel_action_for(
-    ts: TransitionSystem, channel: str, process: str
-) -> Action:
-    """The action ``process`` would perform on ``channel``."""
-    if not ts.is_buffered(channel):
-        return Action(ActionKind.RENDEZVOUS, channel)
-    producer, = ts.endpoints(Action(ActionKind.PUT, channel))
-    if producer == process:
-        return Action(ActionKind.PUT, channel)
-    return Action(ActionKind.GET, channel)
-
-
-def _necessary_enabling_set(
-    ts: TransitionSystem,
-    state: State,
-    action: Action,
-    closure: set[Action],
-) -> list[Action]:
-    """Actions, one of which must fire before ``action`` can enable.
-
-    For each failing precondition there is an exact necessary set: a
-    misplaced process can only advance through its current action; an
-    empty buffer can only fill through its put; a full buffer can only
-    drain through its get.  When several preconditions fail, any one
-    suffices for soundness — prefer one whose necessary action is already
-    in the closure, which keeps stubborn sets small.
-    """
-    candidates: list[list[Action]] = []
-    channel = action.channel
-    for process in ts.endpoints(action):
-        statement = ts.statement_at(state, process)
-        wrong_statement = statement.channel != channel or (
-            action.kind is ActionKind.RENDEZVOUS
-            and statement.kind
-            != ("put" if process == ts.endpoints(action)[0] else "get")
-        )
-        if wrong_statement:
-            candidates.append([ts.current_action(state, process)])
-    if action.kind is ActionKind.PUT and ts.occupancy(
-        state, channel
-    ) >= ts.capacity(channel):
-        candidates.append([Action(ActionKind.GET, channel)])
-    if action.kind is ActionKind.GET and ts.occupancy(state, channel) == 0:
-        candidates.append([Action(ActionKind.PUT, channel)])
-    if not candidates:
-        # Every precondition holds, i.e. the action is actually enabled;
-        # the caller classifies it as such, so this is unreachable — be
-        # conservative and return nothing new.
-        return []
-    for candidate in candidates:
-        if all(member in closure for member in candidate):
-            return candidate
-    return candidates[0]
+    indices, occupancies = state
+    first: int | None = None
+    for slot in ts.action_slots[action]:
+        current = ts.chain_actions[slot][indices[slot]]
+        if current != action:
+            if current in closure:
+                return None
+            if first is None:
+                first = current
+    delta = ts.action_delta[action]
+    if delta:
+        queued = occupancies[ts.action_buffer[action]]
+        if delta > 0:
+            starved = queued >= ts.action_capacity[action]  # needs the get
+        else:
+            starved = queued == 0  # needs the put
+        if starved:
+            counterpart = ts.action_counterpart[action]
+            if counterpart in closure:
+                return None
+            if first is None:
+                first = counterpart
+    return first

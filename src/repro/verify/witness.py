@@ -172,12 +172,13 @@ def replay_schedule(
     ts = TransitionSystem(system, ordering)
     state = ts.initial_state()
     for step, action in enumerate(schedule):
-        if not ts.is_enabled(state, action):
+        action_id = ts.action_id(action)
+        if action_id is None or action_id not in ts.enabled(state):
             raise VerificationError(
                 f"witness schedule does not replay: step {step} "
                 f"({action.format()}) is not enabled"
             )
-        state = ts.successor(state, action)
+        state = ts.successor(state, action_id)
     return state
 
 

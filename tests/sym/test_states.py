@@ -23,7 +23,7 @@ def _reachable_sample(ts, limit=200):
     frontier = [initial]
     while frontier and len(seen) < limit:
         state = frontier.pop()
-        for action in ts.enabled_actions(state):
+        for action in ts.enabled(state):
             successor = ts.successor(state, action)
             if successor not in seen:
                 seen.add(successor)
@@ -144,9 +144,10 @@ class TestActionMapping:
         sym = StateSymmetry(ts)
         for g in sym.analysis.generators:
             for state in _reachable_sample(ts, limit=40):
-                for action in ts.enabled_actions(state):
+                for action in ts.enabled(state):
                     lhs = sym.apply(g, ts.successor(state, action))
+                    image = sym.map_action(g, ts.action(action))
                     rhs = ts.successor(
-                        sym.apply(g, state), sym.map_action(g, action)
+                        sym.apply(g, state), ts.action_id(image)
                     )
                     assert lhs == rhs

@@ -13,6 +13,7 @@ from repro.verify import (
     is_small_system,
     verify_ordering,
 )
+from tests.sym.conftest import build_lanes
 
 
 class TestVerdicts:
@@ -89,6 +90,19 @@ class TestBudgets:
         result = check_deadlock(motivating, budget_states=2)
         assert not result.proven_free
         assert not result.deadlocked
+
+    def test_state_budget_counts_expanded_states(self):
+        """An exhausted budget reports exactly ``budget_states`` states
+        expanded, with or without the reduction."""
+        for por in (True, False):
+            result = check_deadlock(fork_join(4), por=por, budget_states=3)
+            assert result.verdict is Verdict.INCONCLUSIVE
+            assert result.states_explored == 3
+        reduced = check_deadlock(fork_join(4), budget_states=3)
+        assert reduced.transitions_fired == 3
+        quotient = check_deadlock(build_lanes(3), sym=True, budget_states=3)
+        assert quotient.sym and quotient.verdict is Verdict.INCONCLUSIVE
+        assert quotient.states_explored == 3
 
     def test_invalid_budget_rejected(self, motivating):
         with pytest.raises(ValueError):
