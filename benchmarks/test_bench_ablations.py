@@ -1,23 +1,22 @@
 """Ablation benches for the design choices called out in DESIGN.md §6.
 
 Not paper artifacts, but quantified justifications of implementation
-choices: the cycle-time engine (Howard vs Lawler vs enumeration), the
-integer Howard kernel vs its Fraction-arithmetic reference, and the ILP
-backends.
+choices: the cycle-time engine (Howard vs the Lawler and enumeration
+oracles), the integer Howard kernel vs its Fraction-arithmetic reference,
+and branch-and-bound vs the knapsack-DP and SciPy ILP oracles.  The
+oracles live in ``tests/tmg`` and ``tests/ilp``.
 """
 
 import pytest
 
 from repro.core import motivating_example, synthetic_soc
-from repro.ilp import Choice, MultiChoiceProblem, branch_bound, knapsack, scipy_backend
+from repro.ilp import Choice, MultiChoiceProblem, branch_bound
 from repro.model import build_tmg
 from repro.ordering import channel_ordering
-from repro.tmg import (
-    build_event_graph,
-    maximum_cycle_ratio,
-    maximum_cycle_ratio_enumerated,
-    maximum_cycle_ratio_lawler,
-)
+from repro.tmg import build_event_graph, maximum_cycle_ratio
+from tests.ilp import knapsack, scipy_backend
+from tests.tmg.enumeration import maximum_cycle_ratio_enumerated
+from tests.tmg.lawler import maximum_cycle_ratio_lawler
 
 
 @pytest.fixture(scope="module")

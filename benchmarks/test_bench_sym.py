@@ -10,10 +10,15 @@ reported aggregates stay bit-identical to the plain sweep.  Third,
 canonical labeling is cheap enough to run by default: analyzing a
 60-process SoC costs under 5% of one simulation of that SoC.
 
+Wall time rides beside the state counts: the quotient benchmark records
+the quotient search's median ``wall_s`` and ``states_per_s`` (and the
+POR-only search's median ``por_wall_s``) in ``extra_info``.
+
 The measurements are published as ``BENCH_sym.json`` for CI to upload.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -87,10 +92,21 @@ def two_port_lanes(lanes=2):
 def test_bench_sym_quotient_state_reduction(benchmark):
     system = ring_with_taps(8)
     plain = check_deadlock(system, por=True)
-    quotient = benchmark.pedantic(
-        check_deadlock, args=(system,), kwargs={"por": True, "sym": True},
-        rounds=3, iterations=1, warmup_rounds=0,
+    por_wall = statistics.median(
+        _timed(lambda: check_deadlock(system, por=True)) for _ in range(3)
     )
+    walls = []
+
+    def timed_check():
+        start = time.perf_counter()
+        result = check_deadlock(system, por=True, sym=True)
+        walls.append(time.perf_counter() - start)
+        return result
+
+    quotient = benchmark.pedantic(
+        timed_check, rounds=3, iterations=1, warmup_rounds=0
+    )
+    wall = statistics.median(walls)
     assert plain.conclusive and quotient.conclusive
     assert quotient.deadlocked == plain.deadlocked
     ratio = plain.states_explored / quotient.states_explored
@@ -106,12 +122,16 @@ def test_bench_sym_quotient_state_reduction(benchmark):
         "reduction_x": round(ratio, 2),
         "sym_merged": quotient.sym_merged,
         "verdicts_agree": True,
+        "wall_s": round(wall, 5),
+        "states_per_s": round(quotient.states_explored / wall),
+        "por_wall_s": round(por_wall, 5),
     }
     _report["quotient"] = section
     benchmark.extra_info.update(section)
     print(
-        f"\nPOR {plain.states_explored} states | POR+sym "
-        f"{quotient.states_explored} states | x{ratio:.2f} reduction"
+        f"\nPOR {plain.states_explored} states in {por_wall*1e3:.1f} ms | "
+        f"POR+sym {quotient.states_explored} states in {wall*1e3:.1f} ms | "
+        f"x{ratio:.2f} reduction"
     )
 
 

@@ -106,7 +106,6 @@ from repro.sizing import (
     size_buffers,
 )
 from repro.tmg import (
-    Engine,
     PerformanceReport,
     TimedMarkedGraph,
     analyze,
@@ -124,7 +123,6 @@ __all__ = [
     "ConfigurationError",
     "DeadlockError",
     "Diagnostic",
-    "Engine",
     "ExplorationResult",
     "Explorer",
     "Implementation",

@@ -92,7 +92,8 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         id="ABL",
         artifact="extension: design-choice ablations",
-        claim="Howard vs Lawler vs enumeration; exact vs float; ILP backends; "
+        claim="Howard vs the Lawler and enumeration oracles; exact vs "
+        "float; branch-and-bound vs the knapsack-DP and SciPy oracles; "
         "annealing vs Algorithm 1",
         bench="test_bench_ablations.py",
     ),
@@ -140,14 +141,6 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "a validated certificate verifies deadlock-freedom with >= 10x "
         "fewer explored states than the exhaustive search",
         bench="test_bench_absint.py",
-    ),
-    Experiment(
-        id="SHARD",
-        artifact="extension: sharded DSE service + artifact store",
-        claim="4 workers >= 2.5x on a 64-candidate sweep, outcomes "
-        "bit-identical to sequential; a warm store serves a fresh "
-        "process entirely from disk",
-        bench="test_bench_shard.py",
     ),
     Experiment(
         id="SYM",

@@ -40,7 +40,6 @@ from repro.errors import DeadlockError, ReproError, ValidationError
 from repro.model import analyze_system, deadlock_cycle
 from repro.ordering import channel_ordering, declaration_ordering
 from repro.sim import simulate
-from repro.tmg import Engine
 
 
 def _load_ordering_arg(system, path: str | None) -> ChannelOrdering:
@@ -181,9 +180,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         return 1
 
-    performance = analyze_system(
-        system, ordering, engine=Engine(args.engine), exact=not args.float
-    )
+    performance = analyze_system(system, ordering, exact=not args.float)
     if args.format == "json":
         payload = {
             "system": system.name,
@@ -888,37 +885,6 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import ErmesService
-    from repro.store import ArtifactStore
-
-    store = ArtifactStore(args.store) if args.store else None
-    service = ErmesService(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        store=store,
-        threads=args.threads,
-    )
-    service.start()
-    try:
-        print(f"ermes serve listening on {service.url}")
-        print(f"  workers: {args.workers}  threads: {args.threads}  "
-              f"store: {args.store or '(none)'}")
-        if args.for_seconds is not None:
-            # Bounded run: CI smoke tests and scripted demos start the
-            # service, exercise it, and rely on it exiting cleanly.
-            time.sleep(args.for_seconds)
-        else:
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        service.stop()
-    return 0
-
-
 def _cmd_scalability(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",")]
     perf_engine = None
@@ -970,8 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("system", help="system JSON file")
     p.add_argument("--ordering", help="ordering JSON file")
-    p.add_argument("--engine", default="howard",
-                   choices=[e.value for e in Engine])
     p.add_argument("--symmetry", action="store_true",
                    help="include the orbit report of the lowered program "
                         "(replicated families + canonical hash)")
@@ -1187,25 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="highlight the critical cycle")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_dot)
-
-    p = sub.add_parser(
-        "serve",
-        help="long-running batch endpoint: submit design JSON jobs over "
-             "HTTP, poll status, fetch results (docs/SERVICE.md)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8181,
-                   help="TCP port (0 picks a free one)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="sharded-sweep worker processes")
-    p.add_argument("--threads", type=int, default=2,
-                   help="concurrent job-executor threads")
-    p.add_argument("--store",
-                   help="artifact-store directory (persistent cross-run "
-                        "cache); omit to run store-less")
-    p.add_argument("--for-seconds", type=float, default=None,
-                   help="serve for this long then exit 0 (smoke tests)")
-    p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("scalability", help="synthetic SoC scalability sweep")
     p.add_argument("--sizes", default="100,1000,10000")

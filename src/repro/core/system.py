@@ -412,17 +412,6 @@ class SystemGraph:
             total *= math.factorial(len(self._outputs[p.name]))
         return total
 
-    def to_networkx(self):
-        """Export as a :class:`networkx.MultiDiGraph` (channels as edges)."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph(name=self.name)
-        for p in self._processes.values():
-            graph.add_node(p.name, latency=p.latency, kind=p.kind.value)
-        for c in self._channels.values():
-            graph.add_edge(c.producer, c.consumer, key=c.name, latency=c.latency)
-        return graph
-
     def __contains__(self, name: str) -> bool:
         return name in self._processes or name in self._channels
 

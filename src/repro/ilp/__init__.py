@@ -1,7 +1,7 @@
-"""0-1 ILP substrate (GLPK substitute): multiple-choice models, an exact
-branch-and-bound solver, a knapsack DP, and an optional SciPy backend."""
+"""0-1 ILP substrate (GLPK substitute): multiple-choice models and the
+exact branch-and-bound solver (:func:`repro.ilp.branch_bound.solve`)."""
 
-from repro.ilp import branch_bound, knapsack, scipy_backend
+from repro.ilp import branch_bound
 from repro.ilp.model import (
     Choice,
     Group,
@@ -11,23 +11,6 @@ from repro.ilp.model import (
     Solution,
 )
 
-
-def solve(problem: MultiChoiceProblem, backend: str = "branch_bound") -> Solution:
-    """Solve a multiple-choice program with the selected backend.
-
-    Backends: ``branch_bound`` (default, always available), ``knapsack``
-    (only for single-``<=``-constraint integer problems), ``scipy``
-    (requires SciPy; cross-check oracle).
-    """
-    if backend == "branch_bound":
-        return branch_bound.solve(problem)
-    if backend == "knapsack":
-        return knapsack.solve(problem)
-    if backend == "scipy":
-        return scipy_backend.solve(problem)
-    raise ValueError(f"unknown ILP backend {backend!r}")
-
-
 __all__ = [
     "Choice",
     "Group",
@@ -36,7 +19,4 @@ __all__ = [
     "SideConstraint",
     "Solution",
     "branch_bound",
-    "knapsack",
-    "scipy_backend",
-    "solve",
 ]

@@ -20,8 +20,8 @@ The GLPK substitute.  Search is depth-first over groups with:
 * **presolve** of separable groups (no constraint contact) when no
   no-good cuts are present.
 
-Correctness is property-tested against exhaustive enumeration and the
-SciPy MILP backend.
+Correctness is property-tested against exhaustive enumeration, the
+knapsack DP and the SciPy MILP oracles in ``tests/ilp``.
 """
 
 from __future__ import annotations

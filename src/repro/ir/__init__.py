@@ -25,7 +25,6 @@ from repro.ir.program import (
     LoweredIR,
     kind_code,
 )
-from repro.ir.reconstruct import ordering_from_ir, system_from_ir
 
 __all__ = [
     "KIND_ORDER",
@@ -41,7 +40,5 @@ __all__ = [
     "kind_code",
     "lower",
     "lowering_cache_info",
-    "ordering_from_ir",
     "structural_hash_of",
-    "system_from_ir",
 ]

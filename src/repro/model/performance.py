@@ -25,7 +25,7 @@ from repro.model.build import (
     critical_channels,
     critical_processes,
 )
-from repro.tmg.analysis import Engine, PerformanceReport, analyze
+from repro.tmg.analysis import PerformanceReport, analyze
 
 Number = Union[Fraction, float]
 
@@ -56,7 +56,6 @@ def analyze_system(
     system: SystemGraph,
     ordering: ChannelOrdering | None = None,
     process_latencies: Mapping[str, int] | None = None,
-    engine: Engine | str = Engine.HOWARD,
     exact: bool = True,
     perf_engine: "PerformanceEngineLike | None" = None,
 ) -> SystemPerformance:
@@ -77,12 +76,11 @@ def analyze_system(
             system,
             ordering,
             process_latencies=process_latencies,
-            engine=engine,
             exact=exact,
         )
     model = build_tmg(system, ordering, process_latencies=process_latencies)
     try:
-        report = analyze(model.tmg, engine=engine, exact=exact)
+        report = analyze(model.tmg, exact=exact)
     except NotLiveError as error:
         raise _system_deadlock(system.name, error) from None
     return _system_performance(report)

@@ -119,8 +119,8 @@ class Histogram:
 class MetricsRegistry:
     """Creates-or-returns named counters, timers, and histograms.
 
-    One registry spans one observed activity (a profile run, a service
-    lifetime); pass the same instance to every layer that should report
+    One registry spans one observed activity (a profile run, one DSE
+    session); pass the same instance to every layer that should report
     into it.  ``snapshot()`` produces a JSON-friendly dict, and
     :func:`format_metrics` a fixed-width table.
     """

@@ -18,7 +18,6 @@ from repro.core.system import ChannelOrdering, SystemGraph, all_orderings
 from repro.errors import DeadlockError
 from repro.model.performance import analyze_system
 from repro.perf.engine import PerformanceEngine
-from repro.tmg.analysis import Engine
 
 Number = Union[Fraction, float]
 
@@ -51,7 +50,6 @@ class SearchResult:
 def exhaustive_search(
     system: SystemGraph,
     limit: int = 100_000,
-    engine: Engine | str = Engine.HOWARD,
     on_ordering: Callable[[ChannelOrdering, Number | None], None] | None = None,
     perf_engine: PerformanceEngine | None = None,
     sym_dedup: bool = False,
@@ -62,7 +60,6 @@ def exhaustive_search(
         system: The system to sweep (its order space must not exceed
             ``limit``).
         limit: Safety bound on the number of orderings to evaluate.
-        engine: Cycle-time engine for live orderings.
         on_ordering: Optional callback invoked per ordering with its cycle
             time (``None`` for deadlocking orders) — handy for histograms.
         perf_engine: Optional shared :class:`~repro.perf.PerformanceEngine`.
@@ -77,7 +74,7 @@ def exhaustive_search(
             time is replayed for the whole class — every counter,
             callback, and best/worst comparison still fires per
             ordering, making the result bit-identical to the undeduped
-            sweep for exact engines.
+            sweep.
 
     Raises:
         ValueError: The order space exceeds ``limit``.
@@ -134,7 +131,7 @@ def exhaustive_search(
         else:
             try:
                 performance = analyze_system(
-                    system, ordering, engine=engine, perf_engine=perf_engine
+                    system, ordering, perf_engine=perf_engine
                 )
             except DeadlockError:
                 deadlocks += 1

@@ -15,11 +15,7 @@ See ``docs/API.md`` ("Analysis caching") for the caching contract.
 """
 
 from repro.perf.cache import MISS, CacheStats, LruCache
-from repro.perf.engine import (
-    PerformanceEngine,
-    default_engine,
-    reset_default_engine,
-)
+from repro.perf.engine import PerformanceEngine
 from repro.perf.fingerprint import (
     analysis_fingerprint,
     effective_latencies,
@@ -36,9 +32,7 @@ __all__ = [
     "StructureEntry",
     "analysis_fingerprint",
     "build_structure",
-    "default_engine",
     "effective_latencies",
-    "reset_default_engine",
     "structure_fingerprint",
     "system_fingerprint",
 ]

@@ -7,7 +7,8 @@ also the exploration-cost arguments in Alias 2018 and Chavet et al.).
 Three mechanisms stack, each preserving the uncached semantics:
 
 1. **Result memoization** — a content-addressed LRU keyed on the full
-   analysis fingerprint (structure + effective latencies + engine mode).
+   analysis fingerprint (structure + effective latencies + arithmetic
+   mode).
    A hit returns the previously computed
    :class:`~repro.model.performance.SystemPerformance` (or re-raises the
    previously diagnosed :class:`~repro.errors.DeadlockError`) without any
@@ -18,8 +19,8 @@ Three mechanisms stack, each preserving the uncached semantics:
    O(E), skipping the marked-graph construction, place contraction,
    ordering validation, and the token-free-cycle scan (liveness is
    structural).
-   Node and edge order are preserved exactly, so the exact engines produce
-   bit-identical results to a from-scratch build.
+   Node and edge order are preserved exactly, so results are
+   bit-identical to a from-scratch build.
 3. **Exact integer Howard** — every miss runs the one Howard kernel
    (:func:`repro.tmg.howard.maximum_cycle_ratio`), which iterates over
    integer CSR arrays with ratios as reduced ``(num, den)`` pairs and
@@ -46,7 +47,7 @@ from repro.perf.cache import MISS, CacheStats, LruCache
 from repro.perf.fingerprint import analysis_fingerprint
 from repro.perf.incremental import build_structure
 from repro.store import ArtifactStore
-from repro.tmg.analysis import Engine, analyze_event_graph
+from repro.tmg.analysis import analyze_event_graph
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,9 @@ class PerformanceEngine:
             fingerprint) before recomputing, and every computed result —
             including memoized deadlock diagnoses — is written back.
             This is how a warm cache survives the process and is shared
-            by a worker fleet; :meth:`clear` stays process-local (use
-            ``store.clear()`` to invalidate the fleet).
+            by every process using the same store; :meth:`clear` stays
+            process-local (use ``store.clear()`` to drop the persisted
+            entries).
         canonical_reuse: Opt-in second-chance store key by the
             orbit-canonical hash (:mod:`repro.sym`): when both the exact
             structural lookup and the plain store lookup miss, a
@@ -109,7 +111,6 @@ class PerformanceEngine:
         system: SystemGraph,
         ordering: ChannelOrdering | None = None,
         process_latencies: Mapping[str, int] | None = None,
-        engine: Engine | str = Engine.HOWARD,
         exact: bool = True,
     ) -> SystemPerformance:
         """Cycle time and critical cycle, served from cache when possible.
@@ -117,15 +118,12 @@ class PerformanceEngine:
         Same signature, results, and raised errors as
         :func:`repro.model.performance.analyze_system`.
         """
-        engine = Engine(engine)
         if ordering is None:
             ordering = ChannelOrdering.declaration_order(system)
         latencies = effective_latencies(system, process_latencies)
         ir = lower(system, ordering)
         structure_key = ir.structural_hash
-        result_key = analysis_fingerprint(
-            structure_key, latencies, engine.value, exact
-        )
+        result_key = analysis_fingerprint(structure_key, latencies, exact)
 
         cached = self.results.get(result_key)
         if cached is not MISS:
@@ -143,7 +141,7 @@ class PerformanceEngine:
                     raise stored.error()
                 return stored
             if self.canonical_reuse:
-                translated = self._canonical_lookup(ir, latencies, engine, exact)
+                translated = self._canonical_lookup(ir, latencies, exact)
                 if translated is not None:
                     self.results.put(result_key, translated)
                     return translated
@@ -167,7 +165,6 @@ class PerformanceEngine:
 
         report = analyze_event_graph(
             entry.instantiate(latencies),
-            engine=engine,
             exact=exact,
             name=model_name(ir),
             check_live=False,
@@ -177,7 +174,7 @@ class PerformanceEngine:
         if self.store is not None:
             self.store.put(structure_key, "analysis", result_key, performance)
             if self.canonical_reuse:
-                self._canonical_store(ir, latencies, engine, exact, performance)
+                self._canonical_store(ir, latencies, exact, performance)
         return performance
 
     # ------------------------------------------------------------------
@@ -186,7 +183,6 @@ class PerformanceEngine:
         self,
         ir: LoweredIR,
         latencies: Mapping[str, int],
-        engine: Engine,
         exact: bool,
     ) -> SystemPerformance | None:
         """Second-chance store read via the orbit-canonical key."""
@@ -197,7 +193,7 @@ class PerformanceEngine:
         analysis = analyze_symmetry(ir)
         if not analysis.complete:
             return None  # incomplete labeling: hashes are not canonical
-        key = canonical_result_key(analysis, latencies, engine.value, exact)
+        key = canonical_result_key(analysis, latencies, exact)
         envelope = self.store.get(analysis.canonical_hash, "analysis", key)
         if envelope is MISS:
             return None
@@ -207,7 +203,6 @@ class PerformanceEngine:
         self,
         ir: LoweredIR,
         latencies: Mapping[str, int],
-        engine: Engine,
         exact: bool,
         performance: SystemPerformance,
     ) -> None:
@@ -219,7 +214,7 @@ class PerformanceEngine:
         analysis = analyze_symmetry(ir)
         if not analysis.complete:
             return
-        key = canonical_result_key(analysis, latencies, engine.value, exact)
+        key = canonical_result_key(analysis, latencies, exact)
         self.store.put(
             analysis.canonical_hash,
             "analysis",
@@ -251,20 +246,3 @@ class PerformanceEngine:
         self.results.clear()
         self.structures.clear()
 
-
-#: Process-wide engine used by callers that opt in without carrying one.
-_default_engine: PerformanceEngine | None = None
-
-
-def default_engine() -> PerformanceEngine:
-    """The lazily created process-wide :class:`PerformanceEngine`."""
-    global _default_engine
-    if _default_engine is None:
-        _default_engine = PerformanceEngine()
-    return _default_engine
-
-
-def reset_default_engine() -> None:
-    """Discard the process-wide engine (tests, long-lived services)."""
-    global _default_engine
-    _default_engine = None

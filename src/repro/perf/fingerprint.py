@@ -18,8 +18,8 @@ Two fingerprint layers mirror the two reuse granularities:
   latencies (the explorer's common case) share one structure entry and
   reuse its event graph and liveness verdict.
 * the **analysis fingerprint** extends the structure fingerprint with the
-  effective per-process latencies and the engine/arithmetic mode; it keys
-  the full-result cache.
+  effective per-process latencies and the arithmetic mode; it keys the
+  full-result cache.
 
 Latencies enter the key as *effective* values
 (:func:`repro.model.build.effective_latencies`, the resolution rule
@@ -65,16 +65,15 @@ def structure_fingerprint(
 def analysis_fingerprint(
     structure: str,
     latencies: Mapping[str, int],
-    engine: str,
     exact: bool,
 ) -> str:
     """Digest identifying one fully specified analysis call.
 
     Combines the structure fingerprint with the effective latencies and
-    the engine/arithmetic mode — the complete set of inputs that can change
-    the returned :class:`~repro.model.performance.SystemPerformance`.
+    the arithmetic mode — the complete set of inputs that can change the
+    returned :class:`~repro.model.performance.SystemPerformance`.
     """
-    parts = ["analysis:v2", structure, engine, str(exact)]
+    parts = ["analysis:v3", structure, str(exact)]
     for name in sorted(latencies):
         parts.append(f"l:{name}={latencies[name]}")
     return _digest(parts)
@@ -88,7 +87,7 @@ def system_fingerprint(
     """Digest of a system *including* its effective latencies.
 
     This is the key for derived artifacts that depend on latencies but not
-    on an engine mode — e.g. memoized channel orderings
+    on the arithmetic mode — e.g. memoized channel orderings
     (:func:`repro.ordering.algorithm.channel_ordering`), whose labels are
     functions of the latencies and the initial statement order.
     """

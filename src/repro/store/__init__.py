@@ -2,24 +2,20 @@
 
 Public surface of the ``repro.store`` layer: an on-disk cache of derived
 artifacts keyed by ``(ir_hash, kind, params_digest)``, shared across
-processes and survives them.  See ``docs/SERVICE.md`` for the on-disk
-schema and the service layers built on top.
+processes and survives them.  See ``docs/API.md`` ("Artifact store") for
+the on-disk schema.
 """
 
 from repro.store.artifacts import (
     ARTIFACT_KINDS,
     SCHEMA_VERSION,
-    STORE_ENV_VAR,
     ArtifactStore,
     params_digest,
-    store_from_env,
 )
 
 __all__ = [
     "ARTIFACT_KINDS",
     "SCHEMA_VERSION",
-    "STORE_ENV_VAR",
     "ArtifactStore",
     "params_digest",
-    "store_from_env",
 ]

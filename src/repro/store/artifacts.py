@@ -1,10 +1,10 @@
 """The on-disk content-addressed artifact store.
 
-An :class:`ArtifactStore` persists derived analysis artifacts — simulation
-results, TMG analyses, verification verdicts, deadlock-freedom
-certificates, Pareto fronts — under content-addressed keys so they survive
-the process that computed them and are shared by a fleet of workers
-(``docs/SERVICE.md`` documents the schema and the service built on top).
+An :class:`ArtifactStore` persists derived analysis artifacts — TMG
+analyses, verification verdicts, Pareto fronts — under content-addressed
+keys so they survive the process that computed them and are shared by
+every process pointed at the same root (``docs/API.md``, "Artifact
+store", documents the on-disk schema).
 
 Keys are ``(ir_hash, kind, params_digest)`` triples:
 
@@ -17,7 +17,7 @@ Keys are ``(ir_hash, kind, params_digest)`` triples:
   ``[a-z0-9_]+`` token is accepted so new layers can add kinds without
   touching this module);
 * ``params_digest`` — a digest of every non-structural input that can
-  change the artifact (latencies, iteration counts, engine modes …),
+  change the artifact (latencies, arithmetic mode, targets …),
   canonically rendered by :func:`params_digest`.
 
 Design constraints, in order of importance:
@@ -31,12 +31,6 @@ Design constraints, in order of importance:
    reader never observes a half-written entry and concurrent writers of
    the same key race benignly (last writer wins, both wrote the same
    content-addressed value).
-3. **Explicit invalidation.**  The store carries a *generation* stamp
-   (a small integer in ``GENERATION`` at the root).  :meth:`clear` bumps
-   it; long-lived worker processes compare the stamp they last saw with
-   the one in force and drop their process-local memos when it moved —
-   this is how a cache clear in one process propagates to a fleet
-   (see :mod:`repro.service.worker`).
 """
 
 from __future__ import annotations
@@ -53,26 +47,20 @@ from typing import Any, Iterator, Mapping
 from repro.perf.cache import MISS, CacheStats
 
 #: Version of the on-disk entry envelope.  Bump on any incompatible
-#: change; readers treat every other version as a miss, so mixed-version
-#: fleets degrade to recomputation instead of crashing.
+#: change; readers treat every other version as a miss, so a store
+#: written by another version degrades to recomputation, not a crash.
 SCHEMA_VERSION = 1
 
 #: Conventional artifact kinds.  The store accepts any ``[a-z0-9_]+``
 #: token; these are the ones the shipped layers read and write.
 ARTIFACT_KINDS: tuple[str, ...] = (
-    "sim",          # SimulationResult (or its deadlock diagnosis)
     "analysis",     # SystemPerformance / memoized deadlock (repro.perf)
-    "verify",       # VerificationResult verdicts
-    "certificate",  # absint DeadlockFreedomCertificate
-    "pareto",       # sweep Pareto fronts
+    "verify",       # explorer's deadlock-freedom verdicts (repro.dse)
+    "pareto",       # sweep Pareto fronts (repro.dse.sweep)
 )
-
-#: Environment variable naming the default store root.
-STORE_ENV_VAR = "ERMES_STORE"
 
 _KIND_RE = re.compile(r"^[a-z0-9_]+$")
 _HASH_RE = re.compile(r"^[0-9a-f]{8,}$")
-_GENERATION_FILE = "GENERATION"
 _ENTRY_SUFFIX = ".art"
 
 
@@ -100,11 +88,10 @@ class ArtifactStore:
 
     Layout (one file per entry)::
 
-        <root>/GENERATION                      # invalidation stamp
         <root>/<kind>/<hh>/<ir_hash>.<params_digest>.art
 
     where ``hh`` is the first two hex digits of ``ir_hash`` (a fan-out
-    level keeping directories small at fleet scale).  Entry files are
+    level keeping directories small).  Entry files are
     pickled envelopes ``{"schema", "kind", "ir_hash", "params_digest",
     "payload"}``; the redundant key fields are verified on read so a
     renamed or cross-linked file can never serve the wrong artifact.
@@ -196,7 +183,7 @@ class ArtifactStore:
         Concurrent writers of the same key are safe: each writes its own
         temporary file and the final :func:`os.replace` is atomic, so
         readers only ever see complete entries.  An unwritable store is
-        reported (OSError propagates) — a service must know its cache is
+        reported (OSError propagates) — a caller must know its cache is
         not persisting.
         """
         path = self.path_of(ir_hash, kind, digest)
@@ -225,35 +212,6 @@ class ArtifactStore:
         return self.path_of(ir_hash, kind, digest).is_file()
 
     # ------------------------------------------------------------------
-    # Generation stamp (cross-process invalidation)
-    # ------------------------------------------------------------------
-
-    def generation(self) -> int:
-        """The store's invalidation stamp (0 for a fresh/unstamped root).
-
-        Long-lived workers remember the stamp under which they built
-        their process-local memos; a moved stamp means those memos may
-        describe cleared artifacts and must be dropped.  An unreadable
-        or corrupt stamp file reads as 0 — consistent with "the store is
-        a cache": the worst case is recomputation.
-        """
-        try:
-            return int(
-                (self._root / _GENERATION_FILE).read_text().strip() or "0"
-            )
-        except (OSError, ValueError):
-            return 0
-
-    def bump_generation(self) -> int:
-        """Advance the stamp (atomically) and return the new value."""
-        new = self.generation() + 1
-        self._root.mkdir(parents=True, exist_ok=True)
-        tmp = self._root / f".tmp-gen-{os.getpid()}-{uuid.uuid4().hex}"
-        tmp.write_text(f"{new}\n")
-        os.replace(tmp, self._root / _GENERATION_FILE)
-        return new
-
-    # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
 
@@ -277,15 +235,7 @@ class ArtifactStore:
         return sum(1 for _ in self.entries(kind))
 
     def clear(self) -> int:
-        """Remove every entry and bump the generation stamp.
-
-        Returns the number of entries removed.  The bump is what makes a
-        clear *propagate*: worker processes holding warm in-memory memos
-        observe the moved stamp on their next work unit and drop them
-        (the pre-stamp behaviour — workers happily serving memos for
-        artifacts the parent just cleared — is pinned as a regression
-        test in ``tests/service/test_generation.py``).
-        """
+        """Remove every entry; returns the number of entries removed."""
         removed = 0
         for path in list(self.entries()):
             try:
@@ -293,14 +243,13 @@ class ArtifactStore:
                 removed += 1
             except OSError:
                 pass
-        self.bump_generation()
         return removed
 
     def prune(self, max_entries: int) -> int:
         """Evict oldest entries (by mtime) down to ``max_entries``.
 
-        The store is append-mostly; a long-lived service calls this
-        periodically to bound disk use.  Eviction is safe at any time —
+        The store is append-mostly; call this periodically to bound disk
+        use.  Eviction is safe at any time —
         an evicted artifact is recomputed on the next request.  Returns
         the number of entries removed.
         """
@@ -353,11 +302,3 @@ class ArtifactStore:
     def __repr__(self) -> str:
         return f"ArtifactStore({str(self._root)!r})"
 
-
-def store_from_env(environ: Mapping[str, str] | None = None) -> ArtifactStore | None:
-    """The store named by ``ERMES_STORE``, or ``None`` when unset/empty."""
-    env = os.environ if environ is None else environ
-    root = env.get(STORE_ENV_VAR, "").strip()
-    if not root:
-        return None
-    return ArtifactStore(root)

@@ -55,7 +55,6 @@ class CanonicalEnvelope:
 def canonical_result_key(
     analysis: SymmetryAnalysis,
     latencies: Mapping[str, int],
-    engine: str,
     exact: bool,
 ) -> str:
     """The orbit-invariant analogue of the analysis fingerprint.
@@ -68,9 +67,7 @@ def canonical_result_key(
         f"#{i}": latencies[name]
         for i, name in enumerate(analysis.canonical_process_names)
     }
-    return analysis_fingerprint(
-        analysis.canonical_hash, positional, engine, exact
-    )
+    return analysis_fingerprint(analysis.canonical_hash, positional, exact)
 
 
 def make_envelope(

@@ -1,13 +1,12 @@
 """Timed Marked Graph engine: the paper's performance model (Section 3).
 
 Provides the TMG data structure (Definition 1), the token game, liveness
-checking, and three interchangeable cycle-time engines — Howard's policy
-iteration (the paper's choice), Lawler's parametric search, and brute-force
-cycle enumeration.
+checking, and the cycle-time engine: Howard's policy iteration, the
+paper's choice, over exact integer arrays.  Lawler's parametric search and
+brute-force cycle enumeration are test oracles (``tests/tmg``).
 """
 
 from repro.tmg.analysis import (
-    Engine,
     PerformanceReport,
     analyze,
     analyze_event_graph,
@@ -17,11 +16,6 @@ from repro.tmg.analysis import (
 )
 from repro.tmg.deadlock import assert_live, find_token_free_cycle, is_live
 from repro.tmg.dot import tmg_to_dot
-from repro.tmg.enumeration import (
-    EnumeratedCycle,
-    enumerate_cycles,
-    maximum_cycle_ratio_enumerated,
-)
 from repro.tmg.event_graph import (
     Edge,
     EventGraph,
@@ -35,13 +29,10 @@ from repro.tmg.firing import (
 )
 from repro.tmg.graph import Place, TimedMarkedGraph, Transition
 from repro.tmg.howard import CycleRatioResult, maximum_cycle_ratio
-from repro.tmg.lawler import maximum_cycle_ratio_lawler
 
 __all__ = [
     "CycleRatioResult",
     "Edge",
-    "Engine",
-    "EnumeratedCycle",
     "EventGraph",
     "FiringRecord",
     "PerformanceReport",
@@ -55,13 +46,10 @@ __all__ = [
     "cycle_time",
     "deadlock_witness",
     "earliest_firing_times",
-    "enumerate_cycles",
     "find_token_free_cycle",
     "is_deadlocked",
     "is_live",
     "maximum_cycle_ratio",
-    "maximum_cycle_ratio_enumerated",
-    "maximum_cycle_ratio_lawler",
     "measured_cycle_time",
     "strongly_connected_components",
     "tmg_to_dot",

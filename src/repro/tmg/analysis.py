@@ -1,40 +1,24 @@
 """System-level performance analysis of Timed Marked Graphs (Section 3).
 
 The façade :func:`analyze` ties the pieces together: liveness check,
-maximum-cycle-ratio computation with the selected engine, and a
+maximum-cycle-ratio computation with Howard's algorithm, and a
 :class:`PerformanceReport` carrying the quantities the methodology consumes
 — cycle time, throughput, and the critical cycle.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from repro.errors import NotLiveError, ReproError
 from repro.tmg.deadlock import find_token_free_cycle
-from repro.tmg.enumeration import maximum_cycle_ratio_enumerated
 from repro.tmg.event_graph import EventGraph, build_event_graph
 from repro.tmg.graph import TimedMarkedGraph
 from repro.tmg.howard import maximum_cycle_ratio
-from repro.tmg.lawler import maximum_cycle_ratio_lawler
 
 Number = Union[Fraction, float]
-
-
-class Engine(enum.Enum):
-    """Available cycle-time engines.
-
-    ``HOWARD`` is the paper's choice (polynomial, fast in practice).
-    ``LAWLER`` is a parametric binary search, ``ENUMERATION`` the exact
-    brute force; both serve as independent oracles.
-    """
-
-    HOWARD = "howard"
-    LAWLER = "lawler"
-    ENUMERATION = "enumeration"
 
 
 @dataclass(frozen=True)
@@ -49,13 +33,11 @@ class PerformanceReport:
             whose mean equals the minimum — the throughput bottleneck).
         critical_places: The places along the critical cycle (one per
             step); useful to map the bottleneck back to processes/channels.
-        engine: Which engine produced the numbers.
     """
 
     cycle_time: Number
     critical_cycle: tuple[str, ...]
     critical_places: tuple[str, ...]
-    engine: Engine
 
     @property
     def throughput(self) -> Number:
@@ -77,37 +59,24 @@ def deadlock_witness(tmg: TimedMarkedGraph) -> list[str] | None:
     return find_token_free_cycle(build_event_graph(tmg))
 
 
-def analyze(
-    tmg: TimedMarkedGraph,
-    engine: Engine | str = Engine.HOWARD,
-    exact: bool = True,
-) -> PerformanceReport:
+def analyze(tmg: TimedMarkedGraph, exact: bool = True) -> PerformanceReport:
     """Compute cycle time and critical cycle of a live TMG.
 
     Args:
         tmg: The timed marked graph (analyzed under its *initial* marking).
-        engine: Cycle-time engine; see :class:`Engine`.
-        exact: Report the cycle time as a ``Fraction`` (Howard and
-            enumeration are exact either way and return the float of the
-            exact ratio otherwise; Lawler snaps to the nearest valid
-            rational in this mode).
+        exact: Report the cycle time as a ``Fraction``; otherwise as the
+            float of the same exact ratio.
 
     Raises:
         NotLiveError: The TMG has a token-free cycle (deadlock).
         ReproError: The TMG is acyclic, which cannot arise from the
             Section 3 construction and indicates a malformed model.
     """
-    return analyze_event_graph(
-        build_event_graph(tmg),
-        engine=engine,
-        exact=exact,
-        name=tmg.name,
-    )
+    return analyze_event_graph(build_event_graph(tmg), exact=exact, name=tmg.name)
 
 
 def analyze_event_graph(
     graph: EventGraph,
-    engine: Engine | str = Engine.HOWARD,
     exact: bool = True,
     name: str = "tmg",
     check_live: bool = True,
@@ -120,8 +89,6 @@ def analyze_event_graph(
     calls can skip the token-free-cycle scan with ``check_live=False``
     after establishing it once.
     """
-    engine = Engine(engine)
-
     if check_live:
         cycle = find_token_free_cycle(graph)
         if cycle is not None:
@@ -131,42 +98,16 @@ def analyze_event_graph(
                 cycle=cycle,
             )
 
-    if engine is Engine.HOWARD:
-        result = maximum_cycle_ratio(graph, exact=exact)
-        if result is None:
-            raise ReproError(f"TMG {name!r} has no cycles; cycle time undefined")
-        return PerformanceReport(
-            cycle_time=result.ratio,
-            critical_cycle=result.cycle,
-            critical_places=result.places,
-            engine=engine,
-        )
-    if engine is Engine.LAWLER:
-        ratio = maximum_cycle_ratio_lawler(graph, exact=exact)
-        if ratio is None:
-            raise ReproError(f"TMG {name!r} has no cycles; cycle time undefined")
-        return PerformanceReport(
-            cycle_time=ratio,
-            critical_cycle=(),
-            critical_places=(),
-            engine=engine,
-        )
-    best = maximum_cycle_ratio_enumerated(graph)
-    if best is None:
+    result = maximum_cycle_ratio(graph, exact=exact)
+    if result is None:
         raise ReproError(f"TMG {name!r} has no cycles; cycle time undefined")
-    ratio, witness = best
     return PerformanceReport(
-        cycle_time=ratio if exact else float(ratio),
-        critical_cycle=witness.nodes,
-        critical_places=witness.places,
-        engine=engine,
+        cycle_time=result.ratio,
+        critical_cycle=result.cycle,
+        critical_places=result.places,
     )
 
 
-def cycle_time(
-    tmg: TimedMarkedGraph,
-    engine: Engine | str = Engine.HOWARD,
-    exact: bool = True,
-) -> Number:
+def cycle_time(tmg: TimedMarkedGraph, exact: bool = True) -> Number:
     """Shorthand for ``analyze(...).cycle_time``."""
-    return analyze(tmg, engine=engine, exact=exact).cycle_time
+    return analyze(tmg, exact=exact).cycle_time

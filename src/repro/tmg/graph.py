@@ -14,7 +14,7 @@ needs repairing after the fact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import ValidationError
 
@@ -223,31 +223,6 @@ class TimedMarkedGraph:
                 raise ValidationError(
                     f"transition {name!r} is disconnected (no places)"
                 )
-
-    def cycles(self) -> Iterator[list[str]]:
-        """Yield elementary cycles as alternating transition/place name
-        lists, starting at a transition.  Exponential; small graphs only.
-
-        Parallel places between the same pair of transitions are collapsed
-        to the one with the fewest tokens — the binding one for both cycle
-        time (maximum delay/token ratio) and deadlock detection.
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for place in self._places.values():
-            edge = graph.edges.get((place.source, place.target))
-            if edge is not None and self._places[edge["place"]].tokens <= place.tokens:
-                continue
-            graph.add_edge(place.source, place.target, place=place.name)
-        for cycle in nx.simple_cycles(graph):
-            expanded: list[str] = []
-            n = len(cycle)
-            for i, u in enumerate(cycle):
-                v = cycle[(i + 1) % n]
-                expanded.append(u)
-                expanded.append(graph.edges[u, v]["place"])
-            yield expanded
 
     def __repr__(self) -> str:
         return (

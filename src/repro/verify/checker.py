@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.system import ChannelOrdering, SystemGraph
-from repro.errors import BudgetExceeded, DeadlockError
+from repro.errors import BudgetExceeded, DeadlockError, ValidationError
 from repro.verify.semantics import Action, State, TransitionSystem
 from repro.verify.stubborn import stubborn_set
 from repro.verify.witness import DeadlockWitness, decode_deadlock
@@ -168,9 +168,16 @@ def check_deadlock(
             to the plain search.
         metrics: Optional registry; the run reports under the stable
             ``verify.*`` names (``docs/OBSERVABILITY.md``).
+
+    Raises:
+        ValidationError: ``budget_states < 1`` or ``budget_seconds < 0``.
     """
     if budget_states < 1:
-        raise ValueError("budget_states must be >= 1")
+        raise ValidationError(f"budget_states must be >= 1, got {budget_states}")
+    if budget_seconds is not None and budget_seconds < 0:
+        raise ValidationError(
+            f"budget_seconds must be >= 0, got {budget_seconds}"
+        )
     ts = TransitionSystem(system, ordering)
     if use_certificate:
         from repro.absint import analyze_ir, check_certificate

@@ -190,12 +190,6 @@ class TestSystemGraph:
         clone.add_process(Process("extra"))
         assert not s.has_process("extra")
 
-    def test_to_networkx(self):
-        g = self._two_process_system().to_networkx()
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == 3
-        assert g.nodes["a"]["latency"] == 4
-
 
 class TestOrderSpace:
     def test_motivating_is_36(self, motivating):

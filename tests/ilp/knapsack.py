@@ -5,8 +5,7 @@ maximize total area gain subject to a budget on total latency loss.  When a
 :class:`~repro.ilp.model.MultiChoiceProblem` has exactly one ``<=``
 constraint with integer, non-negative consumptions, classic multiple-choice
 knapsack DP solves it in ``O(groups × budget × choices)`` — an independent
-exact oracle for the branch-and-bound solver, and the asymptotically better
-option when budgets are small.
+exact test oracle for the branch-and-bound solver.
 """
 
 from __future__ import annotations

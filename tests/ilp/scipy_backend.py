@@ -1,9 +1,9 @@
 """Optional SciPy MILP backend (`scipy.optimize.milp`, HiGHS).
 
 A third independent solver for :class:`~repro.ilp.model.MultiChoiceProblem`
-instances, used to cross-check the built-in branch-and-bound the way the
-paper cross-checks against GLPK.  Import-guarded: the rest of the package
-works without SciPy.
+instances, used as a test oracle to cross-check the built-in
+branch-and-bound the way the paper cross-checks against GLPK.
+Import-guarded: the tests that need it skip without SciPy.
 
 No-good cuts are encoded as cover constraints: for a forbidden full
 assignment ``S``, ``sum_{(g,c) in S} x_{g,c} <= |groups| - 1``.

@@ -1,4 +1,5 @@
-"""ILP substrate: model validation, all three backends, agreement."""
+"""ILP substrate: model validation, branch-and-bound, and its agreement
+with the knapsack-DP, SciPy and brute-force oracles."""
 
 import itertools
 
@@ -7,15 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InfeasibleError, NodeLimitError, ValidationError
-from repro.ilp import (
-    Choice,
-    MultiChoiceProblem,
-    Sense,
-    branch_bound,
-    knapsack,
-    scipy_backend,
-    solve,
-)
+from repro.ilp import Choice, MultiChoiceProblem, branch_bound
+from tests.ilp import knapsack, scipy_backend
 
 
 def brute_force(problem):
@@ -205,15 +199,6 @@ class TestScipyBackend:
         p.add_constraint("w", "<=", 2)
         with pytest.raises(InfeasibleError):
             scipy_backend.solve(p)
-
-
-class TestDispatch:
-    def test_backend_names(self):
-        p = knapsack_problem()
-        assert solve(p, "branch_bound").objective == \
-            solve(p, "knapsack").objective
-        with pytest.raises(ValueError):
-            solve(p, "gurobi")
 
 
 @st.composite

@@ -31,9 +31,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cycle time" in out
 
-    def test_analyze_engine_choice(self, system_file, capsys):
-        assert main(["analyze", system_file, "--engine", "lawler"]) == 0
-
     def test_order_writes_file(self, system_file, tmp_path, capsys):
         out_path = tmp_path / "ord.json"
         assert main(["order", system_file, "-o", str(out_path)]) == 0
@@ -213,6 +210,13 @@ class TestOutputErrors:
         bad.write_text('{"format_version": 1}')
         assert main(["report", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "budget", [["--budget-states", "0"], ["--budget-seconds", "-1"]]
+    )
+    def test_verify_invalid_budget_exits_2(self, system_file, budget, capsys):
+        assert main(["verify", system_file, *budget]) == 2
+        assert "error: budget_" in capsys.readouterr().err
 
     def test_trace_invalid_system_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

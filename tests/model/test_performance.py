@@ -5,8 +5,16 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import DeadlockError
-from repro.model import analyze_system, deadlock_cycle, is_deadlock_free
-from repro.tmg import Engine
+from repro.model import analyze_system, build_tmg, deadlock_cycle, is_deadlock_free
+from repro.tmg import build_event_graph
+from tests.tmg.enumeration import maximum_cycle_ratio_enumerated
+from tests.tmg.lawler import maximum_cycle_ratio_lawler
+
+#: Independent cycle-time oracles (``tests/tmg``), checked against Howard.
+ORACLES = {
+    "lawler": lambda graph: maximum_cycle_ratio_lawler(graph, exact=True),
+    "enumeration": lambda graph: maximum_cycle_ratio_enumerated(graph)[0],
+}
 
 
 class TestMotivatingNumbers:
@@ -40,10 +48,16 @@ class TestMotivatingNumbers:
         # The Section 2 circular wait: P2 on d, P6 on g, P5 on f.
         assert set(cycle) >= {"d", "g", "f"}
 
-    @pytest.mark.parametrize("engine", list(Engine))
-    def test_engines_agree(self, motivating, suboptimal_ordering, engine):
-        perf = analyze_system(motivating, suboptimal_ordering, engine=engine)
-        assert perf.cycle_time == 20
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_oracles_agree(self, motivating, suboptimal_ordering, oracle):
+        graph = build_event_graph(build_tmg(motivating, suboptimal_ordering).tmg)
+        assert ORACLES[oracle](graph) == 20
+        assert analyze_system(motivating, suboptimal_ordering).cycle_time == 20
+
+    def test_float_mode_agrees(self, motivating, suboptimal_ordering):
+        perf = analyze_system(motivating, suboptimal_ordering, exact=False)
+        assert isinstance(perf.cycle_time, float)
+        assert perf.cycle_time == 20.0
 
 
 class TestDeadlockChecks:

@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from repro.core import ChannelOrdering
 from repro.errors import DeadlockError, ValidationError
 from repro.model import analyze_system
-from repro.perf import PerformanceEngine, default_engine, reset_default_engine
-from repro.tmg import Engine
+from repro.model import build_tmg
+from repro.perf import PerformanceEngine
+from repro.tmg import build_event_graph
 
+from tests.model.test_performance import ORACLES
 from tests.strategies import layered_systems
 
 
@@ -81,14 +83,15 @@ class TestEquivalence:
         assert got == reference(tiny_pipeline, latencies={"A": 9})
         assert len(engine.structures) == 0
 
-    def test_all_engines_and_modes(self, tiny_pipeline):
+    def test_modes_agree_with_oracles(self, motivating, suboptimal_ordering):
         engine = PerformanceEngine()
-        for mode in Engine:
-            for exact in (True, False):
-                expected = reference(tiny_pipeline, engine=mode, exact=exact)
-                got = engine.analyze(tiny_pipeline, engine=mode, exact=exact)
-                assert got.cycle_time == expected.cycle_time
-                assert got.critical_processes == expected.critical_processes
+        graph = build_event_graph(build_tmg(motivating, suboptimal_ordering).tmg)
+        for exact in (True, False):
+            expected = reference(motivating, suboptimal_ordering, exact=exact)
+            got = engine.analyze(motivating, suboptimal_ordering, exact=exact)
+            assert got == expected
+            for oracle in ORACLES.values():
+                assert oracle(graph) == got.cycle_time == 20
 
     @settings(max_examples=30, deadline=None)
     @given(system=layered_systems(), scale=st.integers(1, 4))
@@ -213,13 +216,6 @@ class TestLifecycle:
         engine.analyze(tiny_pipeline)
         text = engine.format_stats()
         assert "results" in text and "structures" in text
-
-    def test_default_engine_is_process_wide(self):
-        reset_default_engine()
-        try:
-            assert default_engine() is default_engine()
-        finally:
-            reset_default_engine()
 
 
 class TestAnalyzeSystemIntegration:

@@ -87,8 +87,8 @@ class TestAnalysisFingerprint:
         )
         base = effective_latencies(tiny_pipeline)
         fast = effective_latencies(tiny_pipeline, {"A": 1})
-        assert analysis_fingerprint(structure, base, "howard", True) != \
-            analysis_fingerprint(structure, fast, "howard", True)
+        assert analysis_fingerprint(structure, base, True) != \
+            analysis_fingerprint(structure, fast, True)
 
     def test_mode_changes_key(self, tiny_pipeline):
         structure = structure_fingerprint(
@@ -96,11 +96,10 @@ class TestAnalysisFingerprint:
         )
         latencies = effective_latencies(tiny_pipeline)
         keys = {
-            analysis_fingerprint(structure, latencies, engine, exact)
-            for engine in ("howard", "lawler")
+            analysis_fingerprint(structure, latencies, exact)
             for exact in (True, False)
         }
-        assert len(keys) == 4
+        assert len(keys) == 2
 
     def test_override_spelling_is_canonical(self, tiny_pipeline):
         structure = structure_fingerprint(
@@ -109,8 +108,8 @@ class TestAnalysisFingerprint:
         partial = effective_latencies(tiny_pipeline, {"A": 7})
         spelled = effective_latencies(tiny_pipeline, dict(partial))
         assert analysis_fingerprint(
-            structure, partial, "howard", True
-        ) == analysis_fingerprint(structure, spelled, "howard", True)
+            structure, partial, True
+        ) == analysis_fingerprint(structure, spelled, True)
 
 
 class TestSystemFingerprint:

@@ -27,54 +27,54 @@ def store(tmp_path):
 
 
 def _write_raw(store: ArtifactStore, data: bytes) -> None:
-    path = store.path_of(IR_HASH, "sim", DIGEST)
+    path = store.path_of(IR_HASH, "verify", DIGEST)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
 
 
 class TestCorruptionTolerance:
     def test_truncated_entry_is_a_miss(self, store):
-        store.put(IR_HASH, "sim", DIGEST, {"payload": list(range(100))})
-        path = store.path_of(IR_HASH, "sim", DIGEST)
+        store.put(IR_HASH, "verify", DIGEST, {"payload": list(range(100))})
+        path = store.path_of(IR_HASH, "verify", DIGEST)
         path.write_bytes(path.read_bytes()[:10])
-        assert store.get(IR_HASH, "sim", DIGEST) is MISS
+        assert store.get(IR_HASH, "verify", DIGEST) is MISS
         assert not path.exists(), "corrupt entry should be removed"
 
     def test_garbage_bytes_are_a_miss(self, store):
         _write_raw(store, b"\x00\xffnot a pickle at all")
-        assert store.get(IR_HASH, "sim", DIGEST) is MISS
+        assert store.get(IR_HASH, "verify", DIGEST) is MISS
 
     def test_empty_file_is_a_miss(self, store):
         _write_raw(store, b"")
-        assert store.get(IR_HASH, "sim", DIGEST) is MISS
+        assert store.get(IR_HASH, "verify", DIGEST) is MISS
 
     def test_non_dict_pickle_is_a_miss(self, store):
         _write_raw(store, pickle.dumps([1, 2, 3]))
-        assert store.get(IR_HASH, "sim", DIGEST) is MISS
+        assert store.get(IR_HASH, "verify", DIGEST) is MISS
 
     def test_schema_version_mismatch_is_a_miss(self, store):
         envelope = {
             "schema": SCHEMA_VERSION + 1,
-            "kind": "sim",
+            "kind": "verify",
             "ir_hash": IR_HASH,
             "params_digest": DIGEST,
             "payload": "from the future",
         }
         _write_raw(store, pickle.dumps(envelope))
-        assert store.get(IR_HASH, "sim", DIGEST) is MISS
+        assert store.get(IR_HASH, "verify", DIGEST) is MISS
 
     def test_key_mismatch_inside_envelope_is_a_miss(self, store):
         # A file renamed (or hash-collided) into the wrong slot must not
         # serve the wrong artifact.
         envelope = {
             "schema": SCHEMA_VERSION,
-            "kind": "sim",
+            "kind": "verify",
             "ir_hash": "00" * 32,
             "params_digest": DIGEST,
             "payload": "wrong design",
         }
         _write_raw(store, pickle.dumps(envelope))
-        assert store.get(IR_HASH, "sim", DIGEST) is MISS
+        assert store.get(IR_HASH, "verify", DIGEST) is MISS
 
     def test_unpicklable_class_in_payload_is_a_miss(self, store):
         # Envelope referencing a class that does not exist on the reader's
@@ -83,7 +83,7 @@ class TestCorruptionTolerance:
 
         good = {
             "schema": SCHEMA_VERSION,
-            "kind": "sim",
+            "kind": "verify",
             "ir_hash": IR_HASH,
             "params_digest": DIGEST,
             "payload": Fraction(1, 3),
@@ -91,32 +91,32 @@ class TestCorruptionTolerance:
         blob = pickle.dumps(good).replace(b"fractions", b"nosuchmod")
         assert blob != pickle.dumps(good), "corruption must actually apply"
         _write_raw(store, blob)
-        assert store.get(IR_HASH, "sim", DIGEST) is MISS
+        assert store.get(IR_HASH, "verify", DIGEST) is MISS
 
     def test_corruption_counts_as_miss_in_stats(self, store):
         _write_raw(store, b"garbage")
-        store.get(IR_HASH, "sim", DIGEST)
-        assert store.stats_dict()["sim"]["misses"] == 1
+        store.get(IR_HASH, "verify", DIGEST)
+        assert store.stats_dict()["verify"]["misses"] == 1
 
     def test_good_entries_survive_a_bad_neighbour(self, store):
         other = params_digest({"other": True})
-        store.put(IR_HASH, "sim", other, "good")
+        store.put(IR_HASH, "verify", other, "good")
         _write_raw(store, b"garbage")
-        assert store.get(IR_HASH, "sim", DIGEST) is MISS
-        assert store.get(IR_HASH, "sim", other) == "good"
+        assert store.get(IR_HASH, "verify", DIGEST) is MISS
+        assert store.get(IR_HASH, "verify", other) == "good"
 
 
 def _racing_writer(root: str, worker: int, writes: int) -> None:
     store = ArtifactStore(root)
     for i in range(writes):
-        store.put(IR_HASH, "sim", DIGEST, {"worker": worker, "write": i})
+        store.put(IR_HASH, "verify", DIGEST, {"worker": worker, "write": i})
 
 
 def _racing_reader(root: str, reads: int, out) -> None:
     store = ArtifactStore(root)
     bad = 0
     for _ in range(reads):
-        value = store.get(IR_HASH, "sim", DIGEST)
+        value = store.get(IR_HASH, "verify", DIGEST)
         if value is not MISS and not (
             isinstance(value, dict) and "worker" in value
         ):
@@ -147,7 +147,7 @@ class TestConcurrentWriters:
         # Last writer wins; whichever it was, the surviving entry is a
         # complete envelope from one of the writers.
         store = ArtifactStore(root)
-        final = store.get(IR_HASH, "sim", DIGEST)
+        final = store.get(IR_HASH, "verify", DIGEST)
         assert isinstance(final, dict) and final["worker"] in {0, 1, 2}
         assert store.count() == 1
 

@@ -1,14 +1,14 @@
 """Round-trip every artifact kind through the store, plus a Hypothesis
 property over arbitrary picklable payloads.
 
-One concrete artifact per registered kind, built by the producer that
-actually files that kind in the pipeline:
+One concrete artifact per registered kind, plus the other pipeline
+results a store caller may file:
 
-- ``sim``          — :class:`repro.service.SimArtifact` from a simulator run
 - ``analysis``     — :class:`repro.model.SystemPerformance` from the engine
 - ``verify``       — :class:`repro.verify.VerificationResult`
-- ``certificate``  — an abstract-interpretation deadlock-freedom certificate
 - ``pareto``       — a sweep frontier summary
+- ``certificate``  — an abstract-interpretation deadlock-freedom certificate
+  (no conventional kind; the store accepts any ``[a-z0-9_]+`` token)
 """
 
 from __future__ import annotations
@@ -36,30 +36,10 @@ def ir_hash(motivating, optimal_ordering):
 
 def test_every_kind_is_exercised_here():
     # Keep this file honest: a new artifact kind must add a round-trip.
-    assert set(ARTIFACT_KINDS) == {
-        "sim", "analysis", "verify", "certificate", "pareto"
-    }
-
-
-def test_sim_artifact_round_trip(store, motivating, optimal_ordering, ir_hash):
-    from repro.service.units import SimArtifact
-    from repro.sim import Simulator
-
-    watch = motivating.sinks()[0].name
-    result = Simulator(motivating, optimal_ordering).run(
-        iterations=16, watch=watch
-    )
-    artifact = SimArtifact(
-        measured_cycle_time=result.measured_cycle_time(watch),
-        deadlocked=False,
-        deadlock_cycle=(),
-        result=result,
-    )
-    digest = params_digest({"op": "sim", "iterations": 16, "watch": watch})
-    store.put(ir_hash, "sim", digest, artifact)
-    loaded = store.get(ir_hash, "sim", digest)
-    assert loaded == artifact
-    assert loaded.measured_cycle_time == result.measured_cycle_time(watch)
+    # These are exactly the kinds a layer in src/ writes: PerformanceEngine
+    # ("analysis"), the explorer's verification memo ("verify") and
+    # sweep_targets ("pareto").
+    assert set(ARTIFACT_KINDS) == {"analysis", "verify", "pareto"}
 
 
 def test_analysis_round_trip(store, motivating, optimal_ordering, ir_hash):

@@ -1,4 +1,4 @@
-"""Core ArtifactStore behaviour: keys, atomicity, generations, eviction."""
+"""Core ArtifactStore behaviour: keys, atomicity, clearing, eviction."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ from repro.perf.cache import MISS
 from repro.store import (
     ARTIFACT_KINDS,
     SCHEMA_VERSION,
-    STORE_ENV_VAR,
     ArtifactStore,
     params_digest,
-    store_from_env,
 )
 
 IR_HASH = "ab" * 32
@@ -44,45 +42,45 @@ class TestKeys:
 
     def test_invalid_hash_rejected(self, store):
         with pytest.raises(ValueError):
-            store.get("../../etc/passwd", "sim", params_digest({}))
+            store.get("../../etc/passwd", "verify", params_digest({}))
 
     def test_entry_path_fans_out_by_hash_prefix(self, store):
         digest = params_digest({})
-        path = store.path_of(IR_HASH, "sim", digest)
+        path = store.path_of(IR_HASH, "verify", digest)
         assert path.parent.name == IR_HASH[:2]
-        assert path.parent.parent.name == "sim"
+        assert path.parent.parent.name == "verify"
 
 
 class TestReadWrite:
     def test_missing_root_reads_as_empty(self, store):
-        assert store.get(IR_HASH, "sim", params_digest({})) is MISS
+        assert store.get(IR_HASH, "verify", params_digest({})) is MISS
         assert store.count() == 0
 
     def test_round_trip(self, store):
         digest = params_digest({"iterations": 8})
-        store.put(IR_HASH, "sim", digest, {"answer": 42})
-        assert store.get(IR_HASH, "sim", digest) == {"answer": 42}
-        assert store.contains(IR_HASH, "sim", digest)
+        store.put(IR_HASH, "verify", digest, {"answer": 42})
+        assert store.get(IR_HASH, "verify", digest) == {"answer": 42}
+        assert store.contains(IR_HASH, "verify", digest)
 
     def test_keys_are_independent(self, store):
         digest = params_digest({})
-        store.put(IR_HASH, "sim", digest, "a")
-        store.put(OTHER_HASH, "sim", digest, "b")
+        store.put(IR_HASH, "verify", digest, "a")
+        store.put(OTHER_HASH, "verify", digest, "b")
         store.put(IR_HASH, "analysis", digest, "c")
-        assert store.get(IR_HASH, "sim", digest) == "a"
-        assert store.get(OTHER_HASH, "sim", digest) == "b"
+        assert store.get(IR_HASH, "verify", digest) == "a"
+        assert store.get(OTHER_HASH, "verify", digest) == "b"
         assert store.get(IR_HASH, "analysis", digest) == "c"
 
     def test_overwrite_is_last_writer_wins(self, store):
         digest = params_digest({})
-        store.put(IR_HASH, "sim", digest, "old")
-        store.put(IR_HASH, "sim", digest, "new")
-        assert store.get(IR_HASH, "sim", digest) == "new"
+        store.put(IR_HASH, "verify", digest, "old")
+        store.put(IR_HASH, "verify", digest, "new")
+        assert store.get(IR_HASH, "verify", digest) == "new"
         assert store.count() == 1
 
     def test_no_tmp_files_left_behind(self, store):
         digest = params_digest({})
-        store.put(IR_HASH, "sim", digest, "x")
+        store.put(IR_HASH, "verify", digest, "x")
         leftovers = [
             p for p in store.root.rglob(".tmp-*") if p.is_file()
         ]
@@ -90,38 +88,25 @@ class TestReadWrite:
 
     def test_stats_count_hits_misses_writes(self, store):
         digest = params_digest({})
-        store.get(IR_HASH, "sim", digest)
-        store.put(IR_HASH, "sim", digest, "x")
-        store.get(IR_HASH, "sim", digest)
-        stats = store.stats_dict()["sim"]
+        store.get(IR_HASH, "verify", digest)
+        store.put(IR_HASH, "verify", digest, "x")
+        store.get(IR_HASH, "verify", digest)
+        stats = store.stats_dict()["verify"]
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["writes"] == 1
-        assert "sim" in store.format_stats()
+        assert "verify" in store.format_stats()
 
 
-class TestGeneration:
-    def test_fresh_store_is_generation_zero(self, store):
-        assert store.generation() == 0
-
-    def test_bump_increments(self, store):
-        assert store.bump_generation() == 1
-        assert store.bump_generation() == 2
-        assert store.generation() == 2
-
-    def test_clear_removes_entries_and_bumps(self, store):
+class TestClear:
+    def test_clear_removes_entries(self, store):
         digest = params_digest({})
         for kind in ARTIFACT_KINDS:
             store.put(IR_HASH, kind, digest, kind)
         removed = store.clear()
         assert removed == len(ARTIFACT_KINDS)
         assert store.count() == 0
-        assert store.generation() == 1
-
-    def test_corrupt_generation_file_reads_as_zero(self, store):
-        store.bump_generation()
-        (store.root / "GENERATION").write_text("not a number")
-        assert store.generation() == 0
+        assert store.get(IR_HASH, ARTIFACT_KINDS[0], digest) is MISS
 
 
 class TestMaintenance:
@@ -132,15 +117,15 @@ class TestMaintenance:
         digests = []
         for i in range(5):
             digest = params_digest({"i": i})
-            store.put(IR_HASH, "sim", digest, i)
+            store.put(IR_HASH, "verify", digest, i)
             # mtime granularity can be coarse; force distinct stamps.
             stamp = time.time() - (5 - i)
-            os.utime(store.path_of(IR_HASH, "sim", digest), (stamp, stamp))
+            os.utime(store.path_of(IR_HASH, "verify", digest), (stamp, stamp))
             digests.append(digest)
         assert store.prune(2) == 3
         assert store.count() == 2
-        assert store.get(IR_HASH, "sim", digests[-1]) == 4
-        assert store.get(IR_HASH, "sim", digests[0]) is MISS
+        assert store.get(IR_HASH, "verify", digests[-1]) == 4
+        assert store.get(IR_HASH, "verify", digests[0]) is MISS
 
     def test_prune_same_mtime_is_deterministic(self, store):
         import os
@@ -150,11 +135,11 @@ class TestMaintenance:
         # sort key pins it: the lexicographically larger path survives.
         d1 = params_digest({"i": 1})
         d2 = params_digest({"i": 2})
-        store.put(IR_HASH, "sim", d1, "one")
-        store.put(IR_HASH, "sim", d2, "two")
+        store.put(IR_HASH, "verify", d1, "one")
+        store.put(IR_HASH, "verify", d2, "two")
         stamp = 1_000_000_000.0
-        p1 = store.path_of(IR_HASH, "sim", d1)
-        p2 = store.path_of(IR_HASH, "sim", d2)
+        p1 = store.path_of(IR_HASH, "verify", d1)
+        p2 = store.path_of(IR_HASH, "verify", d2)
         os.utime(p1, (stamp, stamp))
         os.utime(p2, (stamp, stamp))
         assert store.prune(1) == 1
@@ -163,7 +148,7 @@ class TestMaintenance:
         assert not evicted.exists()
 
     def test_prune_noop_under_limit(self, store):
-        store.put(IR_HASH, "sim", params_digest({}), "x")
+        store.put(IR_HASH, "verify", params_digest({}), "x")
         assert store.prune(10) == 0
         assert store.count() == 1
 
@@ -173,31 +158,20 @@ class TestMaintenance:
 
     def test_entries_filtered_by_kind(self, store):
         digest = params_digest({})
-        store.put(IR_HASH, "sim", digest, 1)
+        store.put(IR_HASH, "verify", digest, 1)
         store.put(IR_HASH, "analysis", digest, 2)
-        assert store.count("sim") == 1
+        assert store.count("verify") == 1
         assert store.count() == 2
-
-
-class TestEnvDefault:
-    def test_unset_env_gives_none(self):
-        assert store_from_env({}) is None
-        assert store_from_env({STORE_ENV_VAR: "  "}) is None
-
-    def test_env_names_the_root(self, tmp_path):
-        store = store_from_env({STORE_ENV_VAR: str(tmp_path / "s")})
-        assert store is not None
-        assert store.root == tmp_path / "s"
 
 
 class TestEnvelope:
     def test_envelope_is_versioned(self, store):
         digest = params_digest({})
-        store.put(IR_HASH, "sim", digest, "payload")
+        store.put(IR_HASH, "verify", digest, "payload")
         envelope = pickle.loads(
-            store.path_of(IR_HASH, "sim", digest).read_bytes()
+            store.path_of(IR_HASH, "verify", digest).read_bytes()
         )
         assert envelope["schema"] == SCHEMA_VERSION
-        assert envelope["kind"] == "sim"
+        assert envelope["kind"] == "verify"
         assert envelope["ir_hash"] == IR_HASH
         assert envelope["payload"] == "payload"

@@ -83,8 +83,8 @@ class TestEnvelopeRoundTrip:
             name: 1 if "src" in name else 2
             for name in b.canonical_process_names
         }
-        key_a = canonical_result_key(a, lat_a, "howard", True)
-        key_b = canonical_result_key(b, lat_b, "howard", True)
+        key_a = canonical_result_key(a, lat_a, True)
+        key_b = canonical_result_key(b, lat_b, True)
         assert key_a == key_b
 
 

@@ -4,7 +4,9 @@ Definition 3 computes the cycle time as the maximum, over all elementary
 cycles, of ``Σ delay / Σ tokens``.  The paper dismisses direct enumeration
 as impractical — the number of elementary cycles can be exponential — but
 for small graphs it is the most trustworthy oracle, so the test suite uses
-it to validate Howard's algorithm and Lawler's search.
+it to validate Howard's algorithm (:mod:`repro.tmg.howard`) and Lawler's
+search (:mod:`tests.tmg.lawler`).  It is the only user of networkx, which
+is therefore a test dependency only.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import networkx as nx
 
 from repro.errors import NotLiveError
 from repro.tmg.event_graph import EventGraph
+from repro.tmg.graph import TimedMarkedGraph
 
 
 @dataclass(frozen=True)
@@ -87,3 +90,27 @@ def maximum_cycle_ratio_enumerated(
         if best is None or ratio > best[0]:
             best = (ratio, cycle)
     return best
+
+
+def tmg_cycles(tmg: TimedMarkedGraph) -> Iterator[list[str]]:
+    """Yield the elementary cycles of a TMG as alternating transition/place
+    name lists, starting at a transition.  Exponential; small graphs only.
+
+    Parallel places between the same pair of transitions are collapsed
+    to the one with the fewest tokens — the binding one for both cycle
+    time (maximum delay/token ratio) and deadlock detection.
+    """
+    graph = nx.DiGraph()
+    for place in tmg.places:
+        edge = graph.edges.get((place.source, place.target))
+        if edge is not None and tmg.place(edge["place"]).tokens <= place.tokens:
+            continue
+        graph.add_edge(place.source, place.target, place=place.name)
+    for cycle in nx.simple_cycles(graph):
+        expanded: list[str] = []
+        n = len(cycle)
+        for i, u in enumerate(cycle):
+            v = cycle[(i + 1) % n]
+            expanded.append(u)
+            expanded.append(graph.edges[u, v]["place"])
+        yield expanded

@@ -1,10 +1,10 @@
 """Lawler's parametric search for the maximum cycle ratio.
 
-An independent oracle for :mod:`repro.tmg.howard`, following the classic
-reduction: a cycle with ratio ``Σdelay/Σtokens > λ`` exists iff the graph
-re-weighted with ``w_e = delay_e − λ·tokens_e`` contains a positive-weight
-cycle, detectable with Bellman–Ford.  Binary search on ``λ`` then brackets
-the maximum ratio.
+An independent test oracle for :mod:`repro.tmg.howard`, following the
+classic reduction: a cycle with ratio ``Σdelay/Σtokens > λ`` exists iff the
+graph re-weighted with ``w_e = delay_e − λ·tokens_e`` contains a
+positive-weight cycle, detectable with Bellman–Ford.  Binary search on
+``λ`` then brackets the maximum ratio.
 
 Because all delays and token counts are integers, the optimum is a rational
 ``p/q`` with ``q ≤ Σ tokens``; searching to a resolution finer than

@@ -1,4 +1,5 @@
-"""Cycle-time engines: Howard, Lawler, enumeration — units and agreement."""
+"""Howard's cycle-time engine and its Lawler and enumeration oracles —
+units and agreement."""
 
 from fractions import Fraction
 
@@ -6,7 +7,6 @@ import pytest
 
 from repro.errors import NotLiveError, ReproError
 from repro.tmg import (
-    Engine,
     TimedMarkedGraph,
     analyze,
     build_event_graph,
@@ -15,9 +15,9 @@ from repro.tmg import (
     is_deadlocked,
     is_live,
     maximum_cycle_ratio,
-    maximum_cycle_ratio_enumerated,
-    maximum_cycle_ratio_lawler,
 )
+from tests.tmg.enumeration import enumerate_cycles, maximum_cycle_ratio_enumerated
+from tests.tmg.lawler import maximum_cycle_ratio_lawler
 
 
 def simple_ring(delays=(2, 3, 1), tokens=(1, 0, 0)) -> TimedMarkedGraph:
@@ -121,8 +121,6 @@ class TestEnumeration:
         assert set(witness.nodes) == {"a", "b"}
 
     def test_counts_cycles(self):
-        from repro.tmg import enumerate_cycles
-
         cycles = list(enumerate_cycles(build_event_graph(two_rings())))
         assert len(cycles) == 2
 
@@ -134,17 +132,33 @@ class TestEnumeration:
 
 
 class TestAnalyzeFacade:
-    @pytest.mark.parametrize("engine", list(Engine))
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            pytest.param(
+                lambda tmg: maximum_cycle_ratio_enumerated(build_event_graph(tmg))[0],
+                id="Engine.ENUMERATION",
+            ),
+            pytest.param(lambda tmg: analyze(tmg).cycle_time, id="Engine.HOWARD"),
+            pytest.param(
+                lambda tmg: maximum_cycle_ratio_lawler(
+                    build_event_graph(tmg), exact=True
+                ),
+                id="Engine.LAWLER",
+            ),
+        ],
+    )
     def test_all_engines_agree(self, engine):
-        report = analyze(two_rings(), engine=engine)
-        assert report.cycle_time == 6
+        """analyze() (Howard) and both test oracles give the same cycle time."""
+        assert engine(two_rings()) == 6
 
     def test_throughput_reciprocal(self):
         report = analyze(simple_ring())
         assert report.throughput == Fraction(1, 6)
 
-    def test_engine_accepts_string(self):
-        assert cycle_time(simple_ring(), engine="lawler") == 6
+    def test_cycle_time_shorthand(self):
+        assert cycle_time(simple_ring()) == 6
+        assert cycle_time(simple_ring(), exact=False) == 6.0
 
     def test_deadlock_detected(self):
         tmg = simple_ring(tokens=(0, 0, 0))

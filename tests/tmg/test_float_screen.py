@@ -15,7 +15,6 @@ from hypothesis import given, settings
 
 from repro.errors import NotLiveError
 from repro.tmg import (
-    Engine,
     TimedMarkedGraph,
     analyze,
     analyze_event_graph,
@@ -137,7 +136,7 @@ class TestAnalyzeEventGraphDispatch:
         graph = build_event_graph(tmg)
         reference = analyze(tmg)
         for exact in (True, False):
-            report = analyze_event_graph(graph, engine=Engine.HOWARD, exact=exact)
+            report = analyze_event_graph(graph, exact=exact)
             assert report.cycle_time == reference.cycle_time
             assert isinstance(report.cycle_time, Fraction) == exact
             assert report.critical_cycle == reference.critical_cycle

@@ -4,7 +4,8 @@
 integer arrays.  It must reproduce the ``Fraction``-arithmetic reference
 (:mod:`tests.tmg.fraction_howard`) decision for decision: same ratio, same
 critical cycle, same places.  Its ratio must also match the two independent
-engines, Lawler's parametric search and brute-force enumeration.
+oracles, Lawler's parametric search (:mod:`tests.tmg.lawler`) and
+brute-force enumeration (:mod:`tests.tmg.enumeration`).
 """
 
 from fractions import Fraction
@@ -19,17 +20,17 @@ from repro.tmg import (
     TimedMarkedGraph,
     build_event_graph,
     maximum_cycle_ratio,
-    maximum_cycle_ratio_enumerated,
-    maximum_cycle_ratio_lawler,
     strongly_connected_components,
 )
 from repro.tmg.howard import _Scc
 
 from tests.strategies import live_tmgs
+from tests.tmg.enumeration import maximum_cycle_ratio_enumerated
 from tests.tmg.fraction_howard import (
     _ratio_iteration_completion,
     fraction_maximum_cycle_ratio,
 )
+from tests.tmg.lawler import maximum_cycle_ratio_lawler
 from tests.tmg.test_float_screen import cycle_ratio, float_collapse_graph
 from tests.tmg.test_howard_stress import equal_ratio_graph
 

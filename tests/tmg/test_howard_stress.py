@@ -12,12 +12,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tmg import (
-    TimedMarkedGraph,
-    build_event_graph,
-    maximum_cycle_ratio,
-    maximum_cycle_ratio_enumerated,
-)
+from repro.tmg import TimedMarkedGraph, build_event_graph, maximum_cycle_ratio
+from tests.tmg.enumeration import maximum_cycle_ratio_enumerated
 
 
 def equal_ratio_graph(n_nodes: int, n_extra: int, seed: int,

@@ -10,12 +10,12 @@ from repro.tmg import (
     analyze,
     build_event_graph,
     maximum_cycle_ratio,
-    maximum_cycle_ratio_enumerated,
-    maximum_cycle_ratio_lawler,
     measured_cycle_time,
     strongly_connected_components,
 )
 from tests.strategies import live_tmgs
+from tests.tmg.enumeration import maximum_cycle_ratio_enumerated, tmg_cycles
+from tests.tmg.lawler import maximum_cycle_ratio_lawler
 
 
 @settings(max_examples=60, deadline=None)
@@ -23,7 +23,7 @@ from tests.strategies import live_tmgs
 def test_cycle_token_count_invariant_under_firing(tmg, seed):
     """The number of tokens on any cycle is invariant under any firing
     sequence (the foundational marked-graph property of Section 3)."""
-    cycles = list(tmg.cycles())
+    cycles = list(tmg_cycles(tmg))
     place_sets = [
         [name for name in cycle if name in tmg.place_names] for cycle in cycles
     ]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import SystemBuilder
 from repro.core.generators import fork_join, pipeline
-from repro.errors import BudgetExceeded, DeadlockError
+from repro.errors import BudgetExceeded, DeadlockError, ValidationError
 from repro.obs import MetricsRegistry
 from repro.verify import (
     SMALL_SYSTEM_LIMIT,
@@ -105,8 +105,10 @@ class TestBudgets:
         assert quotient.states_explored == 3
 
     def test_invalid_budget_rejected(self, motivating):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="budget_states"):
             check_deadlock(motivating, budget_states=0)
+        with pytest.raises(ValidationError, match="budget_seconds"):
+            check_deadlock(motivating, budget_seconds=-1)
 
 
 class TestVerifyOrdering:
