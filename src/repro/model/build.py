@@ -116,8 +116,9 @@ def critical_processes(cycle: tuple[str, ...]) -> tuple[str, ...]:
 
 def critical_channels(cycle: tuple[str, ...]) -> tuple[str, ...]:
     """Channels whose transition lies on ``cycle`` (put/get sides of a
-    buffered channel map back to the channel; duplicates removed)."""
-    seen: list[str] = []
+    buffered channel map back to the channel; duplicates removed, in order
+    of first appearance)."""
+    seen: dict[str, None] = {}
     for name in cycle:
         if not name.startswith(CHANNEL_PREFIX):
             continue
@@ -125,8 +126,7 @@ def critical_channels(cycle: tuple[str, ...]) -> tuple[str, ...]:
         for suffix in (PUT_SUFFIX, GET_SUFFIX):
             if channel.endswith(suffix):
                 channel = channel[: -len(suffix)]
-        if channel not in seen:
-            seen.append(channel)
+        seen[channel] = None
     return tuple(seen)
 
 

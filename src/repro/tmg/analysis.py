@@ -16,7 +16,7 @@ from repro.errors import NotLiveError, ReproError
 from repro.tmg.deadlock import find_token_free_cycle
 from repro.tmg.event_graph import EventGraph, build_event_graph
 from repro.tmg.graph import TimedMarkedGraph
-from repro.tmg.howard import maximum_cycle_ratio
+from repro.tmg.howard import _maximum_cycle_ratio
 
 Number = Union[Fraction, float]
 
@@ -98,7 +98,7 @@ def analyze_event_graph(
                 cycle=cycle,
             )
 
-    result = maximum_cycle_ratio(graph, exact=exact)
+    result = _maximum_cycle_ratio(graph, exact)
     if result is None:
         raise ReproError(f"TMG {name!r} has no cycles; cycle time undefined")
     return PerformanceReport(

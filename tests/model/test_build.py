@@ -13,6 +13,7 @@ from repro.model import (
 from repro.model.build import (
     buffered_get_transition,
     buffered_put_transition,
+    critical_channels,
 )
 
 
@@ -159,6 +160,13 @@ class TestSystemTmgHelpers:
         model = build_tmg(feedback_system)
         cycle = ("ch:y.put", "ch:y.get", "proc:A")
         assert model.critical_channels(cycle) == ("y",)
+
+    def test_critical_channels_dedupe_in_first_appearance_order(self):
+        cycle = (
+            "ch:c", "proc:P1", "ch:a.put", "ch:b", "ch:a.get", "ch:c",
+            "proc:P2", "ch:b",
+        )
+        assert critical_channels(cycle) == ("c", "a", "b")
 
     def test_processes_touching(self, motivating):
         model = build_tmg(motivating)

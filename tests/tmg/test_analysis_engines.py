@@ -67,6 +67,21 @@ class TestHoward:
         with pytest.raises(NotLiveError):
             maximum_cycle_ratio(build_event_graph(tmg))
 
+    def test_token_free_cycle_off_every_policy_raises(self):
+        # Policy iteration alone never selects a -> b -> a here (it would
+        # report 5/2), so the public function must check liveness itself.
+        tmg = TimedMarkedGraph()
+        for name, delay in (("a", 0), ("b", 0), ("c", 5)):
+            tmg.add_transition(name, delay=delay)
+        tmg.add_place("p0", "c", "a", tokens=1)
+        tmg.add_place("p1", "a", "c", tokens=1)
+        tmg.add_place("p2", "a", "b", tokens=0)
+        tmg.add_place("p3", "b", "c", tokens=1)
+        tmg.add_place("p4", "b", "a", tokens=0)
+        with pytest.raises(NotLiveError) as raised:
+            maximum_cycle_ratio(build_event_graph(tmg))
+        assert set(raised.value.cycle) == {"a", "b"}
+
     def test_acyclic_returns_none(self):
         tmg = TimedMarkedGraph()
         tmg.add_transition("a", delay=1)
