@@ -862,7 +862,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
         highlight_t: tuple[str, ...] = ()
         highlight_p: tuple[str, ...] = ()
         if args.critical:
-            report = analyze(model.tmg)
+            report = analyze(model.graph)
             highlight_t = report.critical_cycle
             highlight_p = report.critical_places
         dot = tmg_to_dot(model.tmg, highlight_transitions=highlight_t,

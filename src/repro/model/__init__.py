@@ -1,8 +1,11 @@
 """Section 3 performance-model construction: system → Timed Marked Graph.
 
-``marked_transitions``/``marked_places`` write down the paper's
-blocking-protocol model once, as transition and place rows; ``build_tmg``
-loads them into a TMG; ``build_nonblocking_tmg`` gives every channel a
+``repro.model.build`` writes down the paper's blocking-protocol model
+once, as integer transition and place rows; ``build_structure`` lowers
+them straight to the integer event graph every analysis runs on, and
+``build_tmg`` instantiates it under the process latencies (its ``tmg``,
+the bipartite TMG decoded from ``marked_transitions``/``marked_places``,
+is built on demand); ``build_nonblocking_tmg`` gives every channel a
 FIFO first (the extension from the companion technical report);
 ``analyze_system`` is the one-call façade used by the methodology.
 """
@@ -10,7 +13,9 @@ FIFO first (the extension from the companion technical report);
 from repro.model.build import (
     CHANNEL_PREFIX,
     PROCESS_PREFIX,
+    StructureEntry,
     SystemTmg,
+    build_structure,
     build_tmg,
     channel_transition,
     effective_latencies,
@@ -42,9 +47,11 @@ __all__ = [
     "ProcessSensitivity",
     "SensitivityReport",
     "SystemPerformance",
+    "StructureEntry",
     "SystemTmg",
     "analyze_system",
     "build_nonblocking_tmg",
+    "build_structure",
     "build_tmg",
     "channel_sensitivity_report",
     "channel_transition",

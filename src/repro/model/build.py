@@ -27,13 +27,16 @@ tokens on the producer's put-place instead would be wrong: it would put two
 tokens in circulation on the producer's serial chain, modelling a process
 that overlaps its own iterations.
 
-:func:`marked_transitions` and :func:`marked_places` are the one place
-this construction is written down: they turn a
-:class:`~repro.ir.LoweredIR` into a stream of plain transition and place
-rows.  :func:`build_tmg` loads those rows into a
-:class:`~repro.tmg.graph.TimedMarkedGraph`; the incremental analysis
-(:mod:`repro.perf.incremental`) and the static analyses
-(:mod:`repro.absint`) read them directly.
+:func:`_marked_rows` is the one place this construction is written down:
+it turns a :class:`~repro.ir.LoweredIR` into integer transition and place
+rows.  :func:`build_structure` contracts those rows into the integer
+event graph that every cycle-time and liveness analysis runs on
+(:class:`StructureEntry`, which :mod:`repro.perf` caches), and
+:func:`build_tmg` instantiates it under the process latencies.
+:func:`marked_transitions` and :func:`marked_places` decode the same rows
+to names, for the static analyses (:mod:`repro.absint`) and the
+:class:`~repro.tmg.graph.TimedMarkedGraph` that DOT export, the token game
+and the test oracles use.
 
 Names are systematic so analyses can be mapped back to the system:
 transition ``ch:a`` is channel ``a`` (``ch:a.put``/``ch:a.get`` for
@@ -45,12 +48,16 @@ and free slots.  This module owns that scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ValidationError
 from repro.ir import OP_COMPUTE, OP_GET, LoweredIR, lower
+from repro.tmg.deadlock import _token_free_cycle
+from repro.tmg.event_graph import EventGraph, contract
 from repro.tmg.graph import TimedMarkedGraph
 
 CHANNEL_PREFIX = "ch:"
@@ -196,30 +203,120 @@ def model_name(ir: LoweredIR) -> str:
     return f"{ir.system_name}.tmg"
 
 
-def _channel_sides(ir: LoweredIR) -> list[tuple[str, str]]:
-    """Per cid, the transitions a put and a get on the channel fire."""
-    sides: list[tuple[str, str]] = []
+class _PlaceNames:
+    """The name of each place row of an IR's marked graph, decoded from
+    the IR by the naming helpers above (see :func:`marked_places` for the
+    row order)."""
+
+    def __init__(self, ir: LoweredIR, buffered: list[int], offsets: list[int]):
+        self.ir = ir
+        #: The cids of the buffered channels, in row order.
+        self.buffered = buffered
+        #: Per pid, the row of its first statement place.
+        self.offsets = offsets
+
+    def __call__(self, row: int) -> str:
+        ir = self.ir
+        if row < 2 * len(self.buffered):
+            channel = ir.channels[self.buffered[row // 2]]
+            return credit_place(channel) if row % 2 else data_place(channel)
+        pid = bisect_right(self.offsets, row) - 1
+        i = row - self.offsets[pid]
+        process = ir.processes[pid]
+        op = ir.op_kinds[pid][i]
+        if op == OP_COMPUTE:
+            return statement_place(process, "compute")
+        kind = "get" if op == OP_GET else "put"
+        return statement_place(process, kind, ir.channels[ir.op_args[pid][i]])
+
+
+class _MarkedRows(NamedTuple):
+    """``ir``'s marked graph as integer rows.
+
+    Node ``u`` is transition ``names[u]``.  The first ``len(fixed)``
+    nodes are the channel transitions, with fixed delays; node
+    ``len(fixed) + pid`` is process ``pid``'s computation, whose delay is
+    that process's latency.  Place row ``r`` runs from node
+    ``source[r]`` to node ``target[r]`` and holds ``tokens[r]``.
+    """
+
+    names: tuple[str, ...]
+    fixed: list[int]
+    source: list[int]
+    target: list[int]
+    tokens: list[int]
+    place_name: _PlaceNames
+
+
+def _marked_rows(ir: LoweredIR) -> _MarkedRows:
+    """The one writing-down of the Section-3 construction (see the module
+    docstring), in TMG insertion order: every channel's transitions (its
+    put and get sides when buffered), then every process's computation;
+    every buffered channel's data and credit places, then every process's
+    cyclic statement chain."""
+    names: list[str] = []
+    fixed: list[int] = []
+    put_node: list[int] = []
+    get_node: list[int] = []
     for cid, channel in enumerate(ir.channels):
+        put_node.append(len(names))
         if ir.buffered[cid]:
-            sides.append(
-                (buffered_put_transition(channel), buffered_get_transition(channel))
-            )
+            names.append(buffered_put_transition(channel))
+            names.append(buffered_get_transition(channel))
+            fixed += (ir.channel_latencies[cid], 0)
         else:
-            name = channel_transition(channel)
-            sides.append((name, name))
-    return sides
+            names.append(channel_transition(channel))
+            fixed.append(ir.channel_latencies[cid])
+        get_node.append(len(names) - 1)
+    compute = len(names)
+    names.extend(process_transition(process) for process in ir.processes)
+
+    source: list[int] = []
+    target: list[int] = []
+    tokens: list[int] = []
+    buffered: list[int] = []
+    for cid, is_buffered in enumerate(ir.buffered):
+        if is_buffered:
+            put, get = put_node[cid], get_node[cid]
+            initial = ir.initial_tokens[cid]
+            source += (put, get)
+            target += (get, put)
+            tokens += (initial, ir.effective_capacities[cid] - initial)
+            buffered.append(cid)
+    offsets: list[int] = []
+    for pid, (kinds, args) in enumerate(zip(ir.op_kinds, ir.op_args)):
+        offsets.append(len(source))
+        # The transition each statement fires; the first statement
+        # follows the last.
+        fires = [
+            compute + pid if op == OP_COMPUTE
+            else get_node[arg] if op == OP_GET
+            else put_node[arg]
+            for op, arg in zip(kinds, args)
+        ]
+        source.append(fires[-1])
+        source += fires[:-1]
+        target += fires
+        marking = [0] * len(fires)
+        marking[ir.first_marked[pid]] = 1
+        tokens += marking
+    return _MarkedRows(
+        tuple(names), fixed, source, target, tokens,
+        _PlaceNames(ir, buffered, offsets),
+    )
 
 
 def marked_transitions(ir: LoweredIR) -> Iterator[MarkedTransition]:
     """The transitions of ``ir``'s marked graph, in TMG insertion order:
     every channel's (its put and get sides when buffered), then every
     process's computation."""
-    for cid, (put, get) in enumerate(_channel_sides(ir)):
-        yield MarkedTransition(put, None, ir.channel_latencies[cid])
-        if ir.buffered[cid]:
-            yield MarkedTransition(get, None, 0)
-    for pid, process in enumerate(ir.processes):
-        yield MarkedTransition(process_transition(process), pid, 0)
+    rows = _marked_rows(ir)
+    channel_nodes = len(rows.fixed)
+    for u, name in enumerate(rows.names):
+        if u < channel_nodes:
+            yield MarkedTransition(name, None, rows.fixed[u])
+        else:
+            yield MarkedTransition(name, u - channel_nodes, 0)
 
 
 def marked_places(ir: LoweredIR) -> Iterator[MarkedPlace]:
@@ -227,47 +324,112 @@ def marked_places(ir: LoweredIR) -> Iterator[MarkedPlace]:
     buffered channel's data and credit places, then every process's
     cyclic statement chain (see the module docstring).
 
-    Streamed, so a consumer that loads them one by one never holds the
-    whole table; deterministic, so two IRs with the same structural hash
-    yield the same places name for name.
+    Deterministic, so two IRs with the same structural hash yield the
+    same places name for name.
     """
-    sides = _channel_sides(ir)
-    for cid, channel in enumerate(ir.channels):
-        if ir.buffered[cid]:
-            put, get = sides[cid]
-            initial = ir.initial_tokens[cid]
-            capacity = ir.effective_capacities[cid]
-            yield MarkedPlace(data_place(channel), put, get, initial)
-            yield MarkedPlace(credit_place(channel), get, put, capacity - initial)
-    for pid, process in enumerate(ir.processes):
-        compute = process_transition(process)
-        # The transition each statement fires, and the statement's place.
-        fires: list[str] = []
-        names: list[str] = []
-        for op, arg in zip(ir.op_kinds[pid], ir.op_args[pid]):
-            if op == OP_COMPUTE:
-                fires.append(compute)
-                names.append(statement_place(process, "compute"))
-            elif op == OP_GET:
-                fires.append(sides[arg][1])
-                names.append(statement_place(process, "get", ir.channels[arg]))
-            else:
-                fires.append(sides[arg][0])
-                names.append(statement_place(process, "put", ir.channels[arg]))
-        marked = ir.first_marked[pid]
-        previous = fires[-1]  # the first statement follows the last
-        for i, (name, fire) in enumerate(zip(names, fires)):
-            yield MarkedPlace(name, previous, fire, 1 if i == marked else 0)
-            previous = fire
+    rows = _marked_rows(ir)
+    names = rows.names
+    for row, (source, target, tokens) in enumerate(
+        zip(rows.source, rows.target, rows.tokens)
+    ):
+        yield MarkedPlace(rows.place_name(row), names[source], names[target], tokens)
+
+
+@dataclass(eq=False)
+class StructureEntry:
+    """The latency-independent event graph of one lowered configuration.
+
+    The contracted CSR lists of :func:`_marked_rows` (see
+    :class:`~repro.tmg.event_graph.EventGraph`).  Every edge's delay is
+    its target transition's: fixed for a channel transition, the
+    process's latency for a computation, so :meth:`instantiate` fills in
+    latencies in one pass over ``target``.
+    """
+
+    #: The lowered IR this structure was compiled from; its
+    #: ``structural_hash`` is the entry's cache key.
+    ir: LoweredIR
+    names: tuple[str, ...]
+    start: list[int]
+    target: list[int]
+    tokens: list[int]
+    place: list[int]
+    #: Per channel transition (the first nodes), its fixed delay.
+    fixed: list[int]
+    place_name: Callable[[int], str]
+
+    @cached_property
+    def deadlock_cycle(self) -> list[str] | None:
+        """Token-free cycle (deadlock witness) or None — structural,
+        computed once."""
+        cycle = _token_free_cycle(self.start, self.target, self.tokens)
+        if cycle is None:
+            return None
+        return [self.names[u] for u in cycle]
+
+    def instantiate(self, latencies: Mapping[str, int]) -> EventGraph:
+        """The event graph under ``latencies`` (the full effective map of
+        :func:`effective_latencies`).  Shares the structure's lists."""
+        node_delay = self.fixed + [latencies[name] for name in self.ir.processes]
+        return EventGraph(
+            name=model_name(self.ir),
+            names=self.names,
+            start=self.start,
+            target=self.target,
+            tokens=self.tokens,
+            delay=[node_delay[t] for t in self.target],
+            place=self.place,
+            place_name=self.place_name,
+        )
+
+
+def build_structure(ir: LoweredIR) -> StructureEntry:
+    """Lower ``ir``'s marked graph straight to the contracted integer
+    event graph, with no per-row objects."""
+    rows = _marked_rows(ir)
+    start, target, tokens, place = contract(
+        len(rows.names), rows.source, rows.target, rows.tokens
+    )
+    return StructureEntry(
+        ir=ir,
+        names=rows.names,
+        start=start,
+        target=target,
+        tokens=tokens,
+        place=place,
+        fixed=rows.fixed,
+        place_name=rows.place_name,
+    )
 
 
 @dataclass(frozen=True)
 class SystemTmg:
-    """A built performance model, with back-references to the system."""
+    """A built performance model, with back-references to the system.
 
-    tmg: TimedMarkedGraph
+    ``graph`` is the model's integer event graph, which every analysis
+    reads.  ``tmg``, the bipartite :class:`TimedMarkedGraph` of Fig. 3,
+    is built on first access (DOT export, the token game, oracles).
+    """
+
+    graph: EventGraph
     system: SystemGraph
     ordering: ChannelOrdering
+    ir: LoweredIR = field(repr=False, compare=False)
+    #: The effective latency of every process.
+    latencies: Mapping[str, int] = field(repr=False, compare=False)
+
+    @cached_property
+    def tmg(self) -> TimedMarkedGraph:
+        """The TMG, loaded from :func:`marked_transitions` and
+        :func:`marked_places`, in their order."""
+        tmg = TimedMarkedGraph(model_name(self.ir))
+        for name, pid, delay in marked_transitions(self.ir):
+            tmg.add_transition(
+                name, delay if pid is None else self.latencies[self.ir.processes[pid]]
+            )
+        for name, source, target, tokens in marked_places(self.ir):
+            tmg.add_place(name, source, target, tokens)
+        return tmg
 
     def critical_processes(self, cycle: tuple[str, ...]) -> tuple[str, ...]:
         """Processes whose computation transition lies on ``cycle``."""
@@ -280,11 +442,9 @@ class SystemTmg:
     def processes_touching(self, places: tuple[str, ...]) -> tuple[str, ...]:
         """Processes owning any of the given statement places (in order of
         first appearance; duplicates removed)."""
-        seen: list[str] = []
+        seen: dict[str, None] = {}
         for place in places:
-            owner = place.split("/", 1)[0]
-            if owner not in seen:
-                seen.append(owner)
+            seen[place.split("/", 1)[0]] = None
         return tuple(seen)
 
 
@@ -295,12 +455,13 @@ def build_tmg(
     *,
     ir: LoweredIR | None = None,
 ) -> SystemTmg:
-    """Build the blocking-protocol TMG of a system under an ordering.
+    """Build the blocking-protocol performance model of a system under an
+    ordering.
 
     The system is first compiled to its :class:`~repro.ir.LoweredIR`
     (memoized; callers that already hold the IR pass it to skip even the
-    memo probe), and the TMG is loaded from :func:`marked_transitions`
-    and :func:`marked_places`, in their order.
+    memo probe), then lowered by :func:`build_structure` and instantiated
+    under the effective latencies.
 
     Args:
         system: The system topology with default latencies.
@@ -312,8 +473,9 @@ def build_tmg(
         ir: The pre-lowered IR of ``(system, ordering)``, if available.
 
     Returns:
-        A :class:`SystemTmg` wrapping the TMG and the provenance needed to
-        interpret analysis results at the system level.
+        A :class:`SystemTmg` wrapping the event graph (and, on demand, the
+        TMG) and the provenance needed to interpret analysis results at
+        the system level.
 
     Raises:
         ValidationError: See :func:`effective_latencies`.
@@ -323,11 +485,10 @@ def build_tmg(
         ordering = ChannelOrdering.declaration_order(system)
     if ir is None:
         ir = lower(system, ordering)
-    tmg = TimedMarkedGraph(model_name(ir))
-    for name, pid, delay in marked_transitions(ir):
-        tmg.add_transition(
-            name, delay if pid is None else latencies[ir.processes[pid]]
-        )
-    for name, source, target, tokens in marked_places(ir):
-        tmg.add_place(name, source, target, tokens)
-    return SystemTmg(tmg=tmg, system=system, ordering=ordering)
+    return SystemTmg(
+        graph=build_structure(ir).instantiate(latencies),
+        system=system,
+        ordering=ordering,
+        ir=ir,
+        latencies=latencies,
+    )

@@ -18,12 +18,15 @@ from repro.core.system import ChannelOrdering, SystemGraph
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a perf<->model cycle
     from repro.perf.engine import PerformanceEngine as PerformanceEngineLike
 from repro.errors import DeadlockError, NotLiveError
+from repro.ir import lower
 from repro.model.build import (
     CHANNEL_PREFIX,
     PROCESS_PREFIX,
+    build_structure,
     build_tmg,
     critical_channels,
     critical_processes,
+    effective_latencies,
 )
 from repro.tmg.analysis import PerformanceReport, analyze
 
@@ -80,7 +83,7 @@ def analyze_system(
         )
     model = build_tmg(system, ordering, process_latencies=process_latencies)
     try:
-        report = analyze(model.tmg, exact=exact)
+        report = analyze(model.graph, exact=exact)
     except NotLiveError as error:
         raise _system_deadlock(system.name, error) from None
     return _system_performance(report)
@@ -96,11 +99,12 @@ def is_deadlock_free(
     Deadlock freedom of a marked graph depends only on the topology,
     statement orders, and initial tokens — not on latencies — so this is a
     purely structural, linear-time check.
-    """
-    from repro.tmg.deadlock import is_live
 
-    model = build_tmg(system, ordering, process_latencies=process_latencies)
-    return is_live(model.tmg)
+    Raises:
+        ValidationError: See :func:`repro.model.build.effective_latencies`.
+    """
+    effective_latencies(system, process_latencies)
+    return deadlock_cycle(system, ordering) is None
 
 
 def deadlock_cycle(
@@ -113,11 +117,7 @@ def deadlock_cycle(
     e.g. ``("P2", "d", "P6", "g", "P5", "f")`` for the motivating example's
     Section 2 deadlock.
     """
-    from repro.tmg.deadlock import find_token_free_cycle
-    from repro.tmg.event_graph import build_event_graph
-
-    model = build_tmg(system, ordering)
-    witness = find_token_free_cycle(build_event_graph(model.tmg))
+    witness = build_structure(lower(system, ordering)).deadlock_cycle
     if witness is None:
         return None
     return _strip_prefixes(witness)

@@ -37,7 +37,7 @@ from typing import Mapping
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import DeadlockError, NotLiveError
 from repro.ir import LoweredIR, lower
-from repro.model.build import effective_latencies, model_name
+from repro.model.build import effective_latencies
 from repro.model.performance import (
     SystemPerformance,
     _system_deadlock,
@@ -164,10 +164,7 @@ class PerformanceEngine:
             raise error
 
         report = analyze_event_graph(
-            entry.instantiate(latencies),
-            exact=exact,
-            name=model_name(ir),
-            check_live=False,
+            entry.instantiate(latencies), exact=exact, check_live=False
         )
         performance = _system_performance(report)
         self.results.put(result_key, performance)

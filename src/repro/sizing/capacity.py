@@ -80,7 +80,7 @@ def cycle_time_with_capacities(
     """Cycle time of the system with the given FIFO capacities."""
     sized = _with_capacities(system, capacities)
     model = build_tmg(sized, ordering)
-    return analyze(model.tmg).cycle_time
+    return analyze(model.graph).cycle_time
 
 
 def size_buffers(
@@ -119,7 +119,7 @@ def size_buffers(
     for _ in range(max_rounds):
         sized = _with_capacities(system, capacities)
         model = build_tmg(sized, ordering)
-        report = analyze(model.tmg)
+        report = analyze(model.graph)
         if report.cycle_time <= target_cycle_time:
             return SizingResult(
                 capacities=dict(capacities),

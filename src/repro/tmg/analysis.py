@@ -59,11 +59,15 @@ def deadlock_witness(tmg: TimedMarkedGraph) -> list[str] | None:
     return find_token_free_cycle(build_event_graph(tmg))
 
 
-def analyze(tmg: TimedMarkedGraph, exact: bool = True) -> PerformanceReport:
+def analyze(
+    graph: EventGraph | TimedMarkedGraph, exact: bool = True
+) -> PerformanceReport:
     """Compute cycle time and critical cycle of a live TMG.
 
     Args:
-        tmg: The timed marked graph (analyzed under its *initial* marking).
+        graph: The event graph of the model (e.g. ``build_tmg(...).graph``),
+            or a timed marked graph, which is contracted first; either is
+            analyzed under its *initial* marking.
         exact: Report the cycle time as a ``Fraction``; otherwise as the
             float of the same exact ratio.
 
@@ -72,13 +76,14 @@ def analyze(tmg: TimedMarkedGraph, exact: bool = True) -> PerformanceReport:
         ReproError: The TMG is acyclic, which cannot arise from the
             Section 3 construction and indicates a malformed model.
     """
-    return analyze_event_graph(build_event_graph(tmg), exact=exact, name=tmg.name)
+    if isinstance(graph, TimedMarkedGraph):
+        graph = build_event_graph(graph)
+    return analyze_event_graph(graph, exact=exact)
 
 
 def analyze_event_graph(
     graph: EventGraph,
     exact: bool = True,
-    name: str = "tmg",
     check_live: bool = True,
 ) -> PerformanceReport:
     """:func:`analyze` on an already-contracted event graph.
@@ -93,14 +98,14 @@ def analyze_event_graph(
         cycle = find_token_free_cycle(graph)
         if cycle is not None:
             raise NotLiveError(
-                f"TMG {name!r} is not live: token-free cycle through "
+                f"TMG {graph.name!r} is not live: token-free cycle through "
                 + " -> ".join(cycle),
                 cycle=cycle,
             )
 
     result = _maximum_cycle_ratio(graph, exact)
     if result is None:
-        raise ReproError(f"TMG {name!r} has no cycles; cycle time undefined")
+        raise ReproError(f"TMG {graph.name!r} has no cycles; cycle time undefined")
     return PerformanceReport(
         cycle_time=result.ratio,
         critical_cycle=result.cycle,

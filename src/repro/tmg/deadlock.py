@@ -16,39 +16,50 @@ from repro.tmg.graph import TimedMarkedGraph
 
 
 def find_token_free_cycle(graph: EventGraph) -> list[str] | None:
-    """Return a token-free cycle as a transition-name list, or ``None``.
+    """Return a token-free cycle as a transition-name list, or ``None``."""
+    cycle = _token_free_cycle(graph.start, graph.target, graph.tokens)
+    if cycle is None:
+        return None
+    return [graph.names[u] for u in cycle]
 
-    Runs a DFS over the subgraph of zero-token edges; the first back edge
-    found closes the witness cycle.
+
+def _token_free_cycle(
+    start: list[int], target: list[int], tokens: list[int]
+) -> list[int] | None:
+    """A token-free cycle of a CSR event graph as a node list, or ``None``.
+
+    Runs a DFS over the subgraph of zero-token edges, roots in node order
+    and edges in CSR order; the first back edge found closes the witness
+    cycle.
     """
-    zero_succ: dict[str, list[str]] = {n: [] for n in graph.nodes}
-    for edge in graph.edges:
-        if edge.tokens == 0:
-            zero_succ[edge.source].append(edge.target)
-
+    n = len(start) - 1
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in graph.nodes}
+    color = [WHITE] * n
 
-    for root in graph.nodes:
+    for root in range(n):
         if color[root] != WHITE:
             continue
-        # Iterative DFS keeping the gray path for cycle extraction.
-        path: list[str] = []
-        work: list[tuple[str, int]] = [(root, 0)]
+        # Iterative DFS over [node, next edge] frames, keeping the gray
+        # path for cycle extraction.
+        path: list[int] = [root]
+        work = [[root, start[root]]]
         color[root] = GRAY
-        path.append(root)
         while work:
-            node, i = work[-1]
-            if i < len(zero_succ[node]):
-                work[-1] = (node, i + 1)
-                child = zero_succ[node][i]
-                if color[child] == GRAY:
-                    start = path.index(child)
-                    return path[start:]
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    path.append(child)
-                    work.append((child, 0))
+            frame = work[-1]
+            node, e = frame
+            end = start[node + 1]
+            while e < end:
+                if tokens[e] == 0:
+                    child = target[e]
+                    if color[child] == GRAY:
+                        return path[path.index(child):]
+                    if color[child] == WHITE:
+                        frame[1] = e + 1
+                        color[child] = GRAY
+                        path.append(child)
+                        work.append([child, start[child]])
+                        break
+                e += 1
             else:
                 work.pop()
                 path.pop()

@@ -50,14 +50,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
-from typing import Any, Union
+from typing import Any, NamedTuple, Sequence, Union
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.errors import NotLiveError
 from repro.tmg.deadlock import find_token_free_cycle
-from repro.tmg.event_graph import Edge, EventGraph, strongly_connected_components
+from repro.tmg.event_graph import EventGraph, _components
 
 Number = Union[Fraction, float]
 
@@ -129,74 +129,111 @@ def _maximum_cycle_ratio(
 ) -> CycleRatioResult | None:
     """:func:`maximum_cycle_ratio` without the liveness check; a token-free
     cycle raises only if policy iteration happens to select it."""
-    best: tuple[int, int, list[str], list[str]] | None = None
-    for component in strongly_connected_components(graph):
-        scc = _scc(component, graph.succ)
-        if not scc.edges:
+    best: tuple[int, int, list[int], list[int]] | None = None
+    local = [-1] * len(graph.names)
+    for component in _components(graph):
+        csr = _csr(graph, component, local)
+        if not csr.target:
             continue  # trivial SCC: no cycle through it
-        num, den, nodes, edges = scc.howard()
+        edges = csr.edges
+        scc = _scc(csr)
+        del csr  # the array form keeps no list copy
+        num, den, nodes, cycle_edges = scc.howard()
         if best is None or num * best[1] > best[0] * den:
             best = (
                 num,
                 den,
                 [component[u] for u in nodes],
-                [scc.edges[e].place for e in edges],
+                [edges[e] for e in cycle_edges],
             )
     if best is None:
         return None
     ratio = Fraction(best[0], best[1])
+    names, place, place_name = graph.names, graph.place, graph.place_name
     return CycleRatioResult(
         ratio=ratio if exact else float(ratio),
-        cycle=tuple(best[2]),
-        places=tuple(best[3]),
+        cycle=tuple(names[u] for u in best[2]),
+        places=tuple(place_name(place[e]) for e in best[3]),
     )
 
 
+class _Csr(NamedTuple):
+    """One component's CSR lists: local node ``u`` is graph node
+    ``nodes[u]``, named ``names[nodes[u]]``; its out-edges inside the
+    component are ``start[u]:start[u + 1]``, in the graph's edge order,
+    and local edge ``e`` is graph edge ``edges[e]``."""
+
+    names: Sequence[str]
+    nodes: list[int]
+    start: list[int]
+    target: list[int]
+    delay: list[int]
+    tokens: list[int]
+    edges: list[int]
+
+    def node_names(self, nodes: list[int]) -> list[str]:
+        return [self.names[self.nodes[u]] for u in nodes]
+
+
 def _csr(
-    component: list[str], succ: dict[str, list[Edge]]
-) -> tuple[list[int], list[int], list[int], list[int], list[Edge]]:
-    """``(start, target, delay, tokens, edges)`` of a component: node ``u``
-    is ``component[u]``, its out-edges inside the component are
-    ``start[u]:start[u + 1]``, in the graph's edge order."""
-    local = {name: u for u, name in enumerate(component)}
+    graph: EventGraph, component: list[int], local: list[int] | None = None
+) -> _Csr:
+    """The CSR lists of one component of ``graph``.
+
+    ``local`` is scratch space: ``-1`` for every graph node on entry and
+    on return (allocated when not given).
+    """
+    if local is None:
+        local = [-1] * len(graph.names)
+    for u, node in enumerate(component):
+        local[node] = u
+    g_start, g_target = graph.start, graph.target
+    g_delay, g_tokens = graph.delay, graph.tokens
     start = [0]
     target: list[int] = []
     delay: list[int] = []
     tokens: list[int] = []
-    edges: list[Edge] = []
-    for name in component:
-        for edge in succ[name]:
-            t = local.get(edge.target)
-            if t is not None:
+    edges: list[int] = []
+    for node in component:
+        for e in range(g_start[node], g_start[node + 1]):
+            t = local[g_target[e]]
+            if t >= 0:
                 target.append(t)
-                delay.append(edge.delay)
-                tokens.append(edge.tokens)
-                edges.append(edge)
+                delay.append(g_delay[e])
+                tokens.append(g_tokens[e])
+                edges.append(e)
         start.append(len(target))
-    return start, target, delay, tokens, edges
+    for node in component:
+        local[node] = -1
+    return _Csr(graph.names, component, start, target, delay, tokens, edges)
 
 
-def _scc(component: list[str], succ: dict[str, list[Edge]]) -> _Scc | _ArrayScc:
+def _scc(csr: _Csr) -> _Scc | _ArrayScc:
     """The kernel form for one component (see the module docstring)."""
-    if len(component) >= _ARRAY_MIN_NODES:
+    if len(csr.nodes) >= _ARRAY_MIN_NODES:
         try:
-            return _ArrayScc(component, succ)
+            return _ArrayScc(csr)
         except _Fallback:
             pass
-    return _Scc(component, succ)
+    return _Scc(csr)
+
+
+def _token_free(names: list[str]) -> NotLiveError:
+    return NotLiveError(
+        "event graph has a token-free cycle through " + " -> ".join(names),
+        cycle=names,
+    )
 
 
 class _Scc:
-    """One strongly connected component as integer CSR lists.
+    """One strongly connected component as integer CSR lists (see
+    :class:`_Csr`)."""
 
-    Node ``u`` is ``component[u]``; its out-edges inside the component are
-    ``start[u]:start[u + 1]``, in the graph's edge order.
-    """
-
-    def __init__(self, component: list[str], succ: dict[str, list[Edge]]):
-        self.names = component
-        self.start, self.target, self.delay, self.tokens, self.edges = _csr(
-            component, succ
+    def __init__(self, csr: _Csr):
+        self.csr = csr
+        self.n = len(csr.nodes)
+        self.start, self.target, self.delay, self.tokens = (
+            csr.start, csr.target, csr.delay, csr.tokens
         )
 
     def howard(self) -> tuple[int, int, list[int], list[int]]:
@@ -210,7 +247,7 @@ class _Scc:
         switches that stop raising the best ratio — and completes with the
         provably terminating cycle-ratio iteration (:meth:`complete`).
         """
-        n = len(self.names)
+        n = self.n
         start, target, delay, tokens = self.start, self.target, self.delay, self.tokens
         policy = start[:-1]
         stagnation_limit = n + 8
@@ -279,7 +316,7 @@ class _Scc:
         scaled potential, and ``cycle`` the nodes of the first-found policy
         cycle of maximal ratio.
         """
-        n = len(self.names)
+        n = self.n
         target, delay, tokens = self.target, self.delay, self.tokens
         cls = [0] * n  # index into `found` of the cycle each node reaches
         pot = [0] * n
@@ -307,12 +344,7 @@ class _Scc:
                     delay_sum += delay[e]
                     token_sum += tokens[e]
                 if token_sum == 0:
-                    names = [self.names[u] for u in cycle]
-                    raise NotLiveError(
-                        "event graph has a token-free cycle through "
-                        + " -> ".join(names),
-                        cycle=names,
-                    )
+                    raise _token_free(self.csr.node_names(cycle))
                 g = gcd(delay_sum, token_sum)
                 num, den = delay_sum // g, token_sum // g
                 c = len(found)
@@ -364,7 +396,7 @@ class _Scc:
         ratios come from the finite set of simple-cycle ratios, so this
         terminates; no positive cycle certifies optimality."""
         source = [
-            u for u in range(len(self.names))
+            u for u in range(self.n)
             for _ in range(self.start[u], self.start[u + 1])
         ]
         while True:
@@ -375,12 +407,7 @@ class _Scc:
             delay_sum = sum(self.delay[e] for e in found)
             token_sum = sum(self.tokens[e] for e in found)
             if token_sum == 0:
-                names = [self.names[u] for u in nodes]
-                raise NotLiveError(
-                    "event graph has a token-free cycle through "
-                    + " -> ".join(names),
-                    cycle=names,
-                )
+                raise _token_free(self.csr.node_names(nodes))
             g = gcd(delay_sum, token_sum)
             num, den, edges = delay_sum // g, token_sum // g, found
 
@@ -393,7 +420,7 @@ class _Scc:
         all-zeros source with early exit; when relaxation survives ``|V|``
         rounds, the predecessor graph contains the witness cycle.
         """
-        n = len(self.names)
+        n = self.n
         start, target = self.start, self.target
         weight = [d * den - num * m for d, m in zip(self.delay, self.tokens)]
         dist = [0] * n
@@ -444,11 +471,10 @@ class _ArrayScc:
     indices are int32 and gathered with ``np.take``; values are int64.
     """
 
-    def __init__(self, component: list[str], succ: dict[str, list[Edge]]):
-        self.names = component
-        self.succ = succ
-        start, target, delay, tokens, self.edges = _csr(component, succ)
-        n = len(component)
+    def __init__(self, csr: _Csr):
+        self.names, self.nodes = csr.names, csr.nodes
+        start, target, delay, tokens = csr.start, csr.target, csr.delay, csr.tokens
+        n = len(self.nodes)
         self.delay_max = max(max(delay), -min(delay))
         self.tokens_max = max(tokens)
         if n * max(self.delay_max, self.tokens_max) >= _INT64_SAFE:
@@ -478,10 +504,23 @@ class _ArrayScc:
         try:
             return self._iterate()
         except _Fallback:
-            return _Scc(self.names, self.succ).howard()
+            return self._lists().howard()
+
+    def _lists(self) -> _Scc:
+        """The list form of this SCC, rebuilt from the arrays (every value
+        fits int64, so the ints are exact)."""
+        return _Scc(_Csr(
+            self.names,
+            self.nodes,
+            self.start.tolist(),
+            self.target.tolist(),
+            self.delay.tolist(),
+            self.tokens.tolist(),
+            [],
+        ))
 
     def _iterate(self) -> tuple[int, int, list[int], list[int]]:
-        n = len(self.names)
+        n = len(self.nodes)
         policy: _Index32 = self.start[:-1].astype(np.int32)
         stagnation_limit = n + 8
 
@@ -514,7 +553,7 @@ class _ArrayScc:
         edges = best_policy.take(nodes).tolist()
         if converged:
             return best_num, best_den, nodes, edges
-        return _Scc(self.names, self.succ).complete(best_num, best_den, nodes, edges)
+        return self._lists().complete(best_num, best_den, nodes, edges)
 
     def _evaluate(
         self, policy: _Index32
@@ -525,7 +564,7 @@ class _ArrayScc:
         ``ratios`` as there, and ``pin`` the pinned node of the first-found
         cycle of maximal ratio.
         """
-        n = len(self.names)
+        n = len(self.nodes)
         f: _Index32 = self.target.take(policy)
         on_cycle, label = _cycles(f, self.levels)
         # The list form walks roots in index order, so it finds each cycle

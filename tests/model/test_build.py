@@ -172,3 +172,7 @@ class TestSystemTmgHelpers:
         model = build_tmg(motivating)
         places = ("P2/put:b", "P3/get:b", "P2/comp")
         assert model.processes_touching(places) == ("P2", "P3")
+        # Repeated owners keep the order of their first appearance.
+        places = ("P3/comp", "P1/put:a", "P3/get:b", "P2/get:a", "P1/comp",
+                  "P2/put:b", "P3/put:c")
+        assert model.processes_touching(places) == ("P3", "P1", "P2")

@@ -3,10 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
+from repro.ir import lower
 from repro.model import analyze_system, build_tmg, deadlock_cycle, is_deadlock_free
-from repro.tmg import build_event_graph
+from repro.model.build import build_structure
+from repro.model.performance import _strip_prefixes
+from repro.ordering import random_ordering
+from repro.tmg import build_event_graph, find_token_free_cycle
+from tests.strategies import layered_systems
 from tests.tmg.enumeration import maximum_cycle_ratio_enumerated
 from tests.tmg.lawler import maximum_cycle_ratio_lawler
 
@@ -84,6 +91,29 @@ class TestDeadlockChecks:
             {p.name: 1 for p in motivating.processes}
         )
         assert not is_deadlock_free(fast, deadlock_ordering)
+
+
+def assert_witness_matches_tmg_route(system, ordering):
+    """The structure's token-free cycle is the one the DFS finds on the
+    event graph of a fresh TMG, and ``deadlock_cycle`` strips it."""
+    oracle = find_token_free_cycle(build_event_graph(build_tmg(system, ordering).tmg))
+    assert build_structure(lower(system, ordering)).deadlock_cycle == oracle
+    expected = None if oracle is None else _strip_prefixes(oracle)
+    assert deadlock_cycle(system, ordering) == expected
+    assert is_deadlock_free(system, ordering) == (oracle is None)
+    return oracle
+
+
+class TestDeadlockWitnessMatchesTmgRoute:
+    def test_motivating_orderings(self, motivating, deadlock_ordering,
+                                  suboptimal_ordering):
+        assert assert_witness_matches_tmg_route(motivating, deadlock_ordering)
+        assert not assert_witness_matches_tmg_route(motivating, suboptimal_ordering)
+
+    @settings(max_examples=40, deadline=None)
+    @given(system=layered_systems(), seed=st.integers(0, 999))
+    def test_random_orderings(self, system, seed):
+        assert_witness_matches_tmg_route(system, random_ordering(system, seed=seed))
 
 
 class TestLatencyOverrides:

@@ -30,7 +30,7 @@ def _has_positive_cycle(graph: EventGraph, lam: float) -> bool:
     positive cycle.  All nodes start at 0 (equivalent to a virtual source),
     so cycles anywhere in the graph are found.
     """
-    nodes = graph.nodes
+    nodes = graph.names
     dist = {u: 0.0 for u in nodes}
     for round_index in range(len(nodes)):
         changed = False
@@ -101,7 +101,7 @@ def _ratio_zero_or_none(graph: EventGraph, exact: bool) -> Fraction | float | No
     # Cycle detection over all edges (tokens already known non-zero-cycle).
     seen: set[str] = set()
     done: set[str] = set()
-    for root in graph.nodes:
+    for root in graph.names:
         if root in done:
             continue
         stack: list[tuple[str, int]] = [(root, 0)]

@@ -20,14 +20,10 @@ from repro.core import synthetic_soc
 from repro.errors import NotLiveError
 from repro.model.build import build_tmg
 from repro.ordering import channel_ordering
-from repro.tmg import (
-    TimedMarkedGraph,
-    build_event_graph,
-    maximum_cycle_ratio,
-    strongly_connected_components,
-)
+from repro.tmg import TimedMarkedGraph, build_event_graph, maximum_cycle_ratio
 from repro.tmg import howard
-from repro.tmg.howard import _ArrayScc, _Fallback, _Scc
+from repro.tmg.event_graph import _components
+from repro.tmg.howard import _ArrayScc, _csr, _Fallback, _Scc
 from repro.workloads import generate
 
 from tests.strategies import live_tmgs
@@ -115,22 +111,27 @@ class TestCompletionMatchesReference:
     @given(tmg=live_tmgs(max_chains=4))
     def test_from_zero(self, tmg):
         graph = build_event_graph(tmg)
-        for component in strongly_connected_components(graph):
-            scc = _Scc(component, graph.succ)
+        decoded = graph.succ
+        for component in _components(graph):
+            csr = _csr(graph, component)
+            scc = _Scc(csr)
             if not scc.target:
                 continue
             num, den, nodes, edges = scc.complete(0, 1, [], [])
-            members = set(component)
+            names = [graph.names[u] for u in component]
+            members = set(names)
             succ = {
-                u: [e for e in graph.succ[u] if e.target in members]
-                for u in component
+                u: [e for e in decoded[u] if e.target in members] for u in names
             }
             reference = _ratio_iteration_completion(
-                component, succ, Fraction(0), ([], [])
+                names, succ, Fraction(0), ([], [])
             )
             assert Fraction(num, den) == reference.ratio
-            assert tuple(component[u] for u in nodes) == reference.cycle
-            assert tuple(scc.edges[e].place for e in edges) == reference.places
+            assert tuple(names[u] for u in nodes) == reference.cycle
+            assert (
+                tuple(graph.place_name(graph.place[csr.edges[e]]) for e in edges)
+                == reference.places
+            )
 
 
 def array_form(graph):
@@ -141,11 +142,11 @@ def array_form(graph):
 
 
 def components(graph):
-    """The SCCs that carry a cycle."""
+    """The CSR lists of the SCCs that carry a cycle."""
     return [
-        component
-        for component in strongly_connected_components(graph)
-        if _Scc(component, graph.succ).edges
+        csr
+        for csr in (_csr(graph, component) for component in _components(graph))
+        if csr.edges
     ]
 
 
@@ -216,8 +217,8 @@ class TestArrayFormMatchesReference:
         assert array_form(graph) == fraction_maximum_cycle_ratio(graph)
         for component in components(graph):
             assert (
-                _ArrayScc(component, graph.succ)._iterate()
-                == _Scc(component, graph.succ).howard()
+                _ArrayScc(component)._iterate()
+                == _Scc(component).howard()
             )
 
     @settings(max_examples=20, deadline=None)
@@ -232,7 +233,7 @@ class TestArrayFormMatchesReference:
         assert array_form(graph) == fraction_maximum_cycle_ratio(graph)
         (component,) = components(graph)
         with pytest.raises(_Fallback):
-            _ArrayScc(component, graph.succ)._iterate()
+            _ArrayScc(component)._iterate()
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -255,10 +256,10 @@ class TestArrayFormMatchesReference:
         graph = build_event_graph(build_tmg(system, channel_ordering(system)).tmg)
         sizes = []
         for component in components(graph):
-            sizes.append(len(component))
+            sizes.append(len(component.nodes))
             assert (
-                _ArrayScc(component, graph.succ)._iterate()
-                == _Scc(component, graph.succ).howard()
+                _ArrayScc(component)._iterate()
+                == _Scc(component).howard()
             )
         # The 1,000-process graph's large SCC is above the cut-over.
         assert (max(sizes) >= howard._ARRAY_MIN_NODES) == (n_processes == 1000)
@@ -273,8 +274,8 @@ class TestArrayFormMatchesReference:
         graph = build_event_graph(build_tmg(system, channel_ordering(system)).tmg)
         for component in components(graph):
             assert (
-                _ArrayScc(component, graph.succ)._iterate()
-                == _Scc(component, graph.succ).howard()
+                _ArrayScc(component)._iterate()
+                == _Scc(component).howard()
             )
 
     def test_int64_bound_falls_back(self):
@@ -289,7 +290,7 @@ class TestArrayFormMatchesReference:
         graph = build_event_graph(tmg)
         (component,) = components(graph)
         with pytest.raises(_Fallback):
-            _ArrayScc(component, graph.succ)._iterate()
+            _ArrayScc(component)._iterate()
         assert array_form(graph) == fraction_maximum_cycle_ratio(graph)
 
     def test_values_beyond_int64_fall_back(self):
@@ -301,7 +302,7 @@ class TestArrayFormMatchesReference:
         graph = build_event_graph(tmg)
         (component,) = components(graph)
         with pytest.raises(_Fallback):
-            _ArrayScc(component, graph.succ)
+            _ArrayScc(component)
         assert array_form(graph).ratio == 2**63 + 1
 
     def test_seeded_random_graphs(self):
@@ -313,7 +314,7 @@ class TestArrayFormMatchesReference:
         for _ in range(300):
             graph = build_event_graph(random_graph(rng))
             for component in components(graph):
-                expected = outcome(_Scc(component, graph.succ))
-                assert outcome(_ArrayScc(component, graph.succ)) == expected
+                expected = outcome(_Scc(component))
+                assert outcome(_ArrayScc(component)) == expected
                 not_live += isinstance(expected[0], str)
         assert not_live > 0

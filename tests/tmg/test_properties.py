@@ -115,7 +115,7 @@ def test_scc_partition(tmg):
     graph = build_event_graph(tmg)
     components = strongly_connected_components(graph)
     flattened = [n for comp in components for n in comp]
-    assert sorted(flattened) == sorted(graph.nodes)
+    assert sorted(flattened) == sorted(graph.names)
 
 
 @settings(max_examples=50, deadline=None)
