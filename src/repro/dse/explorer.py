@@ -384,10 +384,15 @@ class Explorer:
                 # with no-good cuts over everything already optimized (the
                 # paper's "constraints to discard the configurations
                 # already optimized").
-                group_names = [g.name for g in problem.groups]
                 for key in visited:
                     full = dict(key)
-                    problem.forbid({name: full[name] for name in group_names})
+                    cut = {g.name: full[g.name] for g in problem.groups}
+                    # The latency caps can drop a visited implementation
+                    # from its group; that configuration is then not
+                    # selectable and needs no cut.  (The revisited one
+                    # always is, so at least one cut is added.)
+                    if all(cut[g.name] in g.choice_names for g in problem.groups):
+                        problem.forbid(cut)
                 try:
                     with timed("dse.ilp"):
                         solution = branch_bound.solve(problem)

@@ -18,28 +18,60 @@ The GLPK substitute.  Search is depth-first over groups with:
 * group ordering by descending objective spread, so impactful decisions
   happen near the root;
 * **presolve** of separable groups (no constraint contact) when no
-  no-good cuts are present.
+  no-good cuts are present;
+* **level sweeps** of subtrees under the weak bound (cuts present, or
+  rows other than one ``<=``), once a search has visited
+  :data:`_SWEEP_AFTER_NODES` nodes.
+
+The sweep changes how nodes are visited, not which: results and node
+counts are those of the plain depth-first search.  With the incumbent held
+fixed, the search decides each node from that node's own
+``(depth, value, usage)`` alone: the bound test, the per-row interval
+tests, and at a leaf the cut test.  The incumbent changes only at a leaf
+that survives the bound and interval tests (it then beats the incumbent
+by more than the tolerance) and is not cut.  So a subtree in which no
+leaf survives those tests is visited with a fixed incumbent, and its
+visit count does not depend on the visit order.  ``sweep`` counts such a
+subtree level by level on float64 frontier arrays, with the same IEEE
+expressions as the scalar tests.  It hands the subtree back to the
+depth-first search, which then tries each child, when a leaf survives
+(cut or not, the search decides) or the frontier would pass
+:data:`_SWEEP_MAX_FRONTIER`.  A budget crossed inside a counted subtree
+raises :class:`~repro.errors.NodeLimitError` with ``node_limit + 1``
+nodes, as the depth-first search would.
 
 Correctness is property-tested against exhaustive enumeration, the
-knapsack DP and the SciPy MILP oracles in ``tests/ilp``.
+knapsack DP and the SciPy MILP oracles in ``tests/ilp``, and node for node
+against the scalar search in ``tests/ilp/dfs_reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import add
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.errors import InfeasibleError, NodeLimitError
-from repro.ilp.model import Choice, MultiChoiceProblem, Sense, Solution
-
-
-@dataclass
-class _SearchState:
-    best_value: float
-    best_selection: dict[str, str] | None
-    nodes: int
-
+from repro.ilp.model import Choice, Group, MultiChoiceProblem, Sense, Solution
 
 _PRUNE_TOL = 1e-9
+
+#: A weak-bound search counts subtrees by level sweeps only after it has
+#: visited this many nodes one at a time, so small solves pay no numpy
+#: overhead.  The soc-sweep ledger workload's 218 solves (at most 221
+#: nodes each) take 18-21 ms in all on the scalar search, and 52 ms when
+#: sweeping from the first node (2-core Xeon, median of 11 runs); the
+#: 5,000,001-node MPEG-2 re-solve passes this point early.
+_SWEEP_AFTER_NODES = 20_000
+
+#: Largest frontier (entries per row) a level sweep builds before it hands
+#: the subtree back to the depth-first search, which then sweeps the
+#: children.  On the MPEG-2 Fig. 6 left cut re-solve (26 groups, 5,000,001
+#: nodes, same 2-core Xeon) caps of 1,024 / 4,096 / 16,384 / 65,536 /
+#: 262,144 took 0.64-0.74 / 0.28-0.43 / 0.15-0.26 / 0.19-0.29 / 0.30-0.46
+#: s, and the two largest raised peak RSS by 2.2 and 7.5 MB.
+_SWEEP_MAX_FRONTIER = 16_384
 
 
 def _dominance_filter(
@@ -48,10 +80,10 @@ def _dominance_filter(
     """Drop choices dominated within their group (all-``<=`` problems only:
     lower-or-equal objective and higher-or-equal use on every row)."""
     kept: list[Choice] = []
-    for candidate in choices:
+    for position, candidate in enumerate(choices):
         dominated = False
-        for other in choices:
-            if other is candidate:
+        for other_position, other in enumerate(choices):
+            if other_position == position:
                 continue
             if sign * other.objective < sign * candidate.objective:
                 continue
@@ -69,7 +101,7 @@ def _dominance_filter(
                     for name in constraint_names
                 )
             )
-            if strictly or choices.index(other) < choices.index(candidate):
+            if strictly or other_position < position:
                 dominated = True
                 break
         if not dominated:
@@ -218,101 +250,238 @@ def solve(problem: MultiChoiceProblem, node_limit: int = 5_000_000) -> Solution:
         for choices in group_choices
     ]
 
+    # Per depth, in branching order: each choice's index, objective gain
+    # and use of every row.  A node is (depth, value, usage), with value
+    # and usage path sums of these.
+    branches = [
+        [
+            (
+                index,
+                sign * c.objective,
+                tuple([c.use(name) for name in constraint_names]),
+            )
+            for index, c in enumerate(choices)
+        ]
+        for choices in ordered_choices
+    ]
+
     # Per-group maxima/minima used by the bounds, precomputed.
     obj_max = [
         max(sign * c.objective for c in choices) for choices in group_choices
     ]
     suffix_obj = _suffix_sums(obj_max)
-    use_min: dict[str, list[float]] = {}
-    use_max: dict[str, list[float]] = {}
-    for name in constraint_names:
-        mins = [min(c.use(name) for c in choices) for choices in group_choices]
-        maxs = [max(c.use(name) for c in choices) for choices in group_choices]
-        use_min[name] = _suffix_sums(mins)
-        use_max[name] = _suffix_sums(maxs)
+    rows = [
+        _Row(
+            constraint.sense is not Sense.GE,
+            constraint.sense is not Sense.LE,
+            constraint.rhs + _PRUNE_TOL,
+            constraint.rhs - _PRUNE_TOL,
+            _suffix_sums([
+                min(c.use(constraint.name) for c in choices)
+                for choices in group_choices
+            ]),
+            _suffix_sums([
+                max(c.use(constraint.name) for c in choices)
+                for choices in group_choices
+            ]),
+        )
+        for constraint in problem.constraints
+    ]
 
     # The tight fractional-MCKP bound applies to the single-<= shape.
     mckp: _MckpBound | None = None
-    mckp_row = ""
+    mckp_rhs = 0.0
     if (
         len(problem.constraints) == 1
         and problem.constraints[0].sense is Sense.LE
         and not problem.forbidden
     ):
-        mckp_row = problem.constraints[0].name
-        mckp = _MckpBound(group_choices, sign, mckp_row)
+        mckp = _MckpBound(group_choices, sign, constraint_names[0])
+        mckp_rhs = float(problem.constraints[0].rhs)
 
-    state = _SearchState(best_value=float("-inf"), best_selection=None, nodes=0)
-    selection: dict[str, str] = {}
-    usage = {name: 0.0 for name in constraint_names}
+    depth_count = len(groups)
+    cuts = _cut_paths(problem, groups, ordered_choices)
+    # Only weak-bound searches sweep: the MCKP bound is a greedy loop per
+    # node, not one array expression, and its searches stay small (at most
+    # 6,155 nodes in the MPEG-2 explorations).
+    sweeping = mckp is None
+    # Per depth, the gains and per-row uses as arrays (on the first sweep).
+    arrays: list[tuple[np.ndarray, list[np.ndarray]]] = []
 
-    def feasible_reachable(depth: int) -> bool:
-        for constraint in problem.constraints:
-            lo = usage[constraint.name] + use_min[constraint.name][depth]
-            hi = usage[constraint.name] + use_max[constraint.name][depth]
-            if constraint.sense is Sense.LE and lo > constraint.rhs + 1e-9:
+    best_value = float("-inf")
+    best_path: list[int] | None = None
+    nodes = 0
+    path: list[int] = []
+
+    def feasible(depth: int, usage: tuple[float, ...]) -> bool:
+        for (upper, lower, hi, lo, use_min, use_max), used in zip(rows, usage):
+            if upper and used + use_min[depth] > hi:
                 return False
-            if constraint.sense is Sense.GE and hi < constraint.rhs - 1e-9:
-                return False
-            if constraint.sense is Sense.EQ and (
-                lo > constraint.rhs + 1e-9 or hi < constraint.rhs - 1e-9
-            ):
+            if lower and used + use_max[depth] < lo:
                 return False
         return True
 
-    def dfs(depth: int, value: float) -> None:
-        state.nodes += 1
-        if state.nodes > node_limit:
-            raise NodeLimitError(
-                f"branch-and-bound exceeded {node_limit} nodes; "
-                "the instance is larger than this solver is meant for",
-                nodes=state.nodes,
-            )
+    def dfs(depth: int, value: float, usage: tuple[float, ...]) -> None:
+        nonlocal nodes, best_value, best_path
+        nodes += 1
+        if nodes > node_limit:
+            raise _node_limit_error(node_limit, nodes)
         if mckp is not None:
-            bound = mckp.bound(depth, problem.constraints[0].rhs - usage[mckp_row])
+            bound = mckp.bound(depth, mckp_rhs - usage[0])
             if bound == float("-inf"):
                 return
-            if state.best_selection is not None and \
-                    value + bound <= state.best_value + _PRUNE_TOL:
+            if best_path is not None and \
+                    value + bound <= best_value + _PRUNE_TOL:
                 return
-        elif state.best_selection is not None and \
-                value + suffix_obj[depth] <= state.best_value + _PRUNE_TOL:
+        elif best_path is not None and \
+                value + suffix_obj[depth] <= best_value + _PRUNE_TOL:
             return
-        if not feasible_reachable(depth):
+        if rows and not feasible(depth, usage):
             return
-        if depth == len(groups):
-            if problem.forbidden and not _passes_cuts(problem, selection):
+        if depth == depth_count:
+            if cuts and tuple(path) in cuts:
                 return
-            if value > state.best_value:
-                state.best_value = value
-                state.best_selection = dict(selection)
+            if value > best_value:
+                best_value = value
+                best_path = list(path)
             return
-        group = groups[depth]
-        for choice in ordered_choices[depth]:
-            selection[group.name] = choice.name
-            for name in constraint_names:
-                usage[name] += choice.use(name)
-            dfs(depth + 1, value + sign * choice.objective)
-            for name in constraint_names:
-                usage[name] -= choice.use(name)
-            del selection[group.name]
+        try_sweep = sweeping and nodes >= _SWEEP_AFTER_NODES
+        for index, gain, use in branches[depth]:
+            path.append(index)
+            child_value = value + gain
+            child_usage = tuple(map(add, usage, use))
+            if try_sweep:
+                count = sweep(depth + 1, child_value, child_usage)
+                if count is not None:
+                    nodes += count
+                    if nodes > node_limit:
+                        # The whole subtree is visited with a fixed
+                        # incumbent, so the search crosses its budget
+                        # inside it, at node node_limit + 1.
+                        raise _node_limit_error(node_limit, node_limit + 1)
+                    path.pop()
+                    continue
+            dfs(depth + 1, child_value, child_usage)
+            path.pop()
 
-    dfs(0, 0.0)
-    if state.best_selection is None:
+    def sweep(
+        depth: int, value: float, usage: tuple[float, ...]
+    ) -> int | None:
+        """Nodes the depth-first search visits in the subtree of the node
+        (depth, value, usage); ``None`` when a leaf there survives the
+        bound and interval tests (the search may take it as incumbent) or
+        the frontier outgrows :data:`_SWEEP_MAX_FRONTIER`."""
+        if not arrays:
+            for level in branches:
+                _, level_gains, level_uses = zip(*level)
+                arrays.append((
+                    np.array(level_gains, dtype=np.float64),
+                    [
+                        np.array(column, dtype=np.float64)
+                        for column in zip(*level_uses)
+                    ],
+                ))
+        incumbent = best_value + _PRUNE_TOL if best_path is not None else None
+        values = np.array([value])
+        usages = [np.array([used]) for used in usage]
+        count = 0
+        while True:
+            count += values.size
+            # The same pruning tests, in the same IEEE expressions, as
+            # dfs(); a node survives when none of them prunes it.
+            if incumbent is None:
+                keep = np.ones(values.size, dtype=bool)
+            else:
+                keep = ~(values + suffix_obj[depth] <= incumbent)
+            for row, used in zip(rows, usages):
+                if row.upper:
+                    keep &= ~(used + row.use_min[depth] > row.hi)
+                if row.lower:
+                    keep &= ~(used + row.use_max[depth] < row.lo)
+            if depth == depth_count:
+                # A surviving leaf beats the incumbent by more than the
+                # tolerance; unless it is cut, the search takes it.
+                return None if keep.any() else count
+            alive = int(np.count_nonzero(keep))
+            if alive == 0:
+                return count
+            level_gains, level_uses = arrays[depth]
+            if alive * level_gains.size > _SWEEP_MAX_FRONTIER:
+                return None
+            values = (values[keep][:, None] + level_gains).ravel()
+            usages = [
+                (used[keep][:, None] + column).ravel()
+                for used, column in zip(usages, level_uses)
+            ]
+            depth += 1
+
+    dfs(0, 0.0, (0.0,) * len(rows))
+    if best_path is None:
         raise InfeasibleError(
             "multiple-choice program has no feasible assignment"
         )
-    full_selection = dict(state.best_selection)
+    full_selection = {
+        group.name: choices[index].name
+        for group, choices, index in zip(groups, ordered_choices, best_path)
+    }
     full_selection.update(presolved)
     return Solution(
         selection=full_selection,
-        objective=sign * (state.best_value + presolved_value),
-        nodes=state.nodes,
+        objective=sign * (best_value + presolved_value),
+        nodes=nodes,
     )
 
 
-def _passes_cuts(problem: MultiChoiceProblem, selection: dict[str, str]) -> bool:
-    return all(dict(cut) != selection for cut in problem.forbidden)
+class _Row(NamedTuple):
+    """One side constraint as the pruning tests read it."""
+
+    #: Whether the row bounds its sum from above (``<=``, ``==``) and
+    #: from below (``>=``, ``==``).
+    upper: bool
+    lower: bool
+    #: ``rhs + tol`` and ``rhs - tol``.
+    hi: float
+    lo: float
+    #: Suffix sums over the undecided groups of the least and the most
+    #: use of this row.
+    use_min: list[float]
+    use_max: list[float]
+
+
+def _cut_paths(
+    problem: MultiChoiceProblem,
+    groups: list[Group],
+    ordered_choices: list[list[Choice]],
+) -> set[tuple[int, ...]]:
+    """The no-good cuts as choice-index paths in branching order.  A cut
+    that does not name exactly the searched groups, or names a choice a
+    group does not have, matches no selection and is left out."""
+    paths: set[tuple[int, ...]] = set()
+    if not problem.forbidden:
+        return paths
+    position = [
+        {choice.name: index for index, choice in enumerate(choices)}
+        for choices in ordered_choices
+    ]
+    for cut in problem.forbidden:
+        if len(cut) != len(groups):
+            continue
+        try:
+            paths.add(tuple([
+                index_of[cut[group.name]]
+                for group, index_of in zip(groups, position)
+            ]))
+        except KeyError:
+            continue
+    return paths
+
+
+def _node_limit_error(node_limit: int, nodes: int) -> NodeLimitError:
+    return NodeLimitError(
+        f"branch-and-bound exceeded {node_limit} nodes; "
+        "the instance is larger than this solver is meant for",
+        nodes=nodes,
+    )
 
 
 def _suffix_sums(values: list[float]) -> list[float]:

@@ -59,13 +59,16 @@ class Group:
 
     name: str
     choices: tuple[Choice, ...]
+    #: The names of ``choices``.
+    choice_names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.choices:
             raise ValidationError(f"group {self.name!r} has no choices")
-        names = [c.name for c in self.choices]
-        if len(set(names)) != len(names):
+        names = frozenset(c.name for c in self.choices)
+        if len(names) != len(self.choices):
             raise ValidationError(f"group {self.name!r} has duplicate choice names")
+        object.__setattr__(self, "choice_names", names)
 
     def choice(self, name: str) -> Choice:
         for c in self.choices:
@@ -126,13 +129,25 @@ class MultiChoiceProblem:
 
         This implements the paper's "constraints to discard the
         configurations already optimized" — the explorer uses it to avoid
-        revisiting configurations across iterations.
+        revisiting configurations across iterations.  A cut naming a group
+        or a choice the problem does not have would match nothing, so it
+        raises :class:`~repro.errors.ValidationError`.
         """
         missing = [g.name for g in self.groups if g.name not in selection]
         if missing:
             raise ValidationError(
                 f"no-good cut must cover every group; missing {missing}"
             )
+        if len(selection) != len(self.groups):
+            known = {g.name for g in self.groups}
+            unknown = [name for name in selection if name not in known]
+            raise ValidationError(f"no-good cut names unknown groups {unknown}")
+        for group in self.groups:
+            if selection[group.name] not in group.choice_names:
+                raise ValidationError(
+                    f"no-good cut selects {selection[group.name]!r}, which "
+                    f"group {group.name!r} does not have"
+                )
         self.forbidden.append(dict(selection))
 
     def group(self, name: str) -> Group:

@@ -78,6 +78,18 @@ class TestModel:
         with pytest.raises(ValidationError):
             p.forbid({"p1": "fast"})
 
+    def test_forbid_rejects_unknown_group(self):
+        p = knapsack_problem()
+        with pytest.raises(ValidationError, match="unknown groups"):
+            p.forbid({"p1": "fast", "p2": "slow", "p3": "fast"})
+        assert p.forbidden == []
+
+    def test_forbid_rejects_unknown_choice(self):
+        p = knapsack_problem()
+        with pytest.raises(ValidationError, match="'medium'"):
+            p.forbid({"p1": "fast", "p2": "medium"})
+        assert p.forbidden == []
+
     def test_forbidden_selection_infeasible(self):
         p = knapsack_problem(budget=4)
         p.forbid({"p1": "fast", "p2": "slow"})
@@ -137,6 +149,21 @@ class TestBranchBound:
         p.forbid({"g": "b"})
         with pytest.raises(InfeasibleError):
             branch_bound.solve(p)
+
+    def test_sibling_usage_leaves_no_residue(self):
+        """Each node's row usage is its parent's plus its own choice's.
+        Adding and then subtracting p's use of 1.0 turned 1e-9 into
+        1.0000000827e-9, which then failed the ``<= 0`` row's tolerance
+        at sibling q: the feasible optimum was reported infeasible."""
+        p = MultiChoiceProblem(maximize=True)
+        p.add_group("g0", [Choice("a", 5.0, {"r": 1e-9}),
+                           Choice("b", -5.0, {"r": 5.0})])
+        p.add_group("g1", [Choice("p", 1.0, {"r": 1.0}),
+                           Choice("q", 0.0, {"r": 0.0})])
+        p.add_constraint("r", "<=", 0)
+        solution = branch_bound.solve(p)
+        assert solution.selection == {"g0": "a", "g1": "q"}
+        assert (solution.objective, solution.selection) == brute_force(p)
 
     def test_node_limit_is_not_infeasibility(self):
         p = knapsack_problem(budget=7)
