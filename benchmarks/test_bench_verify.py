@@ -17,25 +17,9 @@ records the reduced search's median ``wall_s`` and ``states_per_s``
 import statistics
 import time
 
-from repro.core import SystemBuilder
 from repro.core.generators import fork_join
 from repro.verify import Verdict, check_deadlock
-
-
-def buffered_pipeline(n_stages: int, capacity: int = 1):
-    """src -> s0 -> ... -> s(n-1) -> snk, all channels buffered."""
-    builder = SystemBuilder(f"bufpipe{n_stages}")
-    builder.source("src", latency=1)
-    names = [f"s{i}" for i in range(n_stages)]
-    for name in names:
-        builder.process(name, latency=1)
-    builder.sink("snk", latency=1)
-    chain = ["src"] + names + ["snk"]
-    for i in range(len(chain) - 1):
-        builder.channel(
-            f"c{i}", chain[i], chain[i + 1], latency=1, capacity=capacity
-        )
-    return builder.build()
+from tests.verify.systems import buffered_pipeline
 
 
 def test_bench_verify_por_reduction_6_stage_pipeline(benchmark):

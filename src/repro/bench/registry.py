@@ -145,10 +145,10 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         id="SYM",
         artifact="extension: structural symmetry analysis",
-        claim="quotient search >= 4x fewer states than POR alone on an "
-        "8-stage symmetric ring; orbit dedup >= 2x fewer ordering "
-        "analyses, aggregates bit-identical; labeling < 5% of one "
-        "simulation",
+        claim="quotient search reaches POR's verdict on 8- and 12-stage "
+        "symmetric rings, POR alone within 200 and 400 states; orbit "
+        "dedup >= 2x fewer ordering analyses, aggregates bit-identical; "
+        "labeling < 5% of one simulation",
         bench="test_bench_sym.py",
     ),
     Experiment(

@@ -989,7 +989,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the full witness schedule, one step per line")
     p.add_argument("--sym", action="store_true",
                    help="canonicalize states to orbit representatives "
-                        "(symmetry reduction; composes with POR)")
+                        "(symmetry reduction; same verdict, but under POR "
+                        "it saves no states on the measured designs)")
     p.add_argument("--no-por", action="store_true", dest="no_por",
                    help="disable the stubborn-set reduction (explore the "
                         "full interleaving)")

@@ -17,9 +17,11 @@ returns a three-valued :class:`VerificationResult`:
 
 The search is breadth-first (witnesses come out shortest-first) with
 stubborn-set partial-order reduction on by default
-(:mod:`repro.verify.stubborn`); ``por=False`` selects the naive full
-interleaving — same verdicts, exponentially more states (that gap is the
-benchmark ``benchmarks/test_bench_verify.py`` tracks).
+(:mod:`repro.verify.stubborn`).  The reduction expands one enabled action
+per state, so the reduced search is a single firing walk that ends at a
+deadlock or at its first revisited state.  ``por=False`` selects the
+naive full interleaving — same verdicts, exponentially more states (that
+gap is the benchmark ``benchmarks/test_bench_verify.py`` tracks).
 """
 
 from __future__ import annotations
@@ -165,7 +167,10 @@ def check_deadlock(
             reduction; verdicts are unchanged (``docs/THEORY.md`` §8)
             and ``DEADLOCKED`` witnesses are pulled back to a concrete
             replayable schedule.  A trivial group degrades gracefully
-            to the plain search.
+            to the plain search.  Off by default: the stubborn-set
+            walk already expands one state per step, and on the
+            measured symmetric rings the quotient explores as many or
+            more states, more slowly (``docs/VERIFICATION.md`` §2b).
         metrics: Optional registry; the run reports under the stable
             ``verify.*`` names (``docs/OBSERVABILITY.md``).
 

@@ -27,13 +27,15 @@ A load-bearing property of this transition system (proved as the
 never be disabled by another action.  Rendezvous on distinct channels
 never share a ready process (a process's current statement serves one
 channel), and a buffered endpoint action only ever *helps* the opposite
-endpoint.  Persistence is what makes the stubborn-set reduction of
-:mod:`repro.verify.stubborn` so effective here.
+endpoint.  Together with the diamond property (co-enabled actions
+commute), persistence makes every single enabled action a stubborn set,
+so the reduced search of :mod:`repro.verify.stubborn` fires one action
+per state.
 
 The search runs on integers.  :class:`TransitionSystem` numbers the
 actions once, in ``(channel name, kind)`` order, and compiles the
 lowered program into per-action tables (endpoint slots, buffer slot,
-capacity, counterpart, static dependents) and per-process chains of
+capacity, occupancy change) and per-process chains of
 action ids.  Sorting ids therefore sorts actions the way their names
 would; :meth:`TransitionSystem.action` decodes an id to its
 :class:`Action` at the API boundary (witnesses, symmetry maps).
@@ -195,7 +197,6 @@ class TransitionSystem:
         slots: list[tuple[int, ...]] = []
         buffers: list[int] = []
         deltas: list[int] = []
-        counterparts: list[int] = []
         for _, _, cid, kind in universe:
             producer = slot_of_pid[ir.producers[cid]]
             consumer = slot_of_pid[ir.consumers[cid]]
@@ -203,17 +204,14 @@ class TransitionSystem:
                 slots.append((producer, consumer))
                 buffers.append(-1)
                 deltas.append(0)
-                counterparts.append(-1)
             elif kind is ActionKind.PUT:
                 slots.append((producer,))
                 buffers.append(buffer_of_cid[cid])
                 deltas.append(1)
-                counterparts.append(get_id[cid])
             else:
                 slots.append((consumer,))
                 buffers.append(buffer_of_cid[cid])
                 deltas.append(-1)
-                counterparts.append(put_id[cid])
         #: Per action: the process slots it advances (producer, consumer
         #: for a rendezvous; the one endpoint for a buffered put/get).
         self.action_slots: tuple[tuple[int, ...], ...] = tuple(slots)
@@ -227,23 +225,6 @@ class TransitionSystem:
         )
         #: Per action: its occupancy change (+1 put, -1 get, 0 rendezvous).
         self.action_delta: tuple[int, ...] = tuple(deltas)
-        #: Per action: the opposite endpoint action of the same buffered
-        #: channel (``get`` for a ``put`` and vice versa; -1 for a
-        #: rendezvous).
-        self.action_counterpart: tuple[int, ...] = tuple(counterparts)
-        dependents: list[tuple[int, ...]] = []
-        for action, endpoints in enumerate(slots):
-            related = [a for slot in endpoints for a in chain_actions[slot]]
-            related.append(counterparts[action])
-            dependents.append(tuple(
-                other for other in dict.fromkeys(related)
-                if other != action and other >= 0
-            ))
-        #: Per action: every other action sharing an endpoint process (the
-        #: actions of each endpoint's statements, in chain order) or the
-        #: channel (the buffered counterpart), first occurrence first.
-        #: Syntactic dependence does not depend on the state.
-        self.dependents: tuple[tuple[int, ...], ...] = tuple(dependents)
 
     # ------------------------------------------------------------------
     # Actions

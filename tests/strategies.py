@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from repro.core.builder import SystemBuilder
-from repro.core.system import SystemGraph
+from repro.core.system import ChannelOrdering, SystemGraph
 from repro.dsl import (
     butterfly,
     fanout,
@@ -28,6 +28,7 @@ from repro.dsl import (
     testbenched,
     wire_for_latency,
 )
+from repro.ordering import declaration_ordering
 from repro.sdf import SdfGraph
 from repro.tmg.graph import TimedMarkedGraph
 
@@ -251,6 +252,36 @@ def replicated_family_systems() -> st.SearchStrategy[SystemGraph]:
         replicated_ring_systems(),
         replicated_pipeline_systems(),
     )
+
+
+def small_replicated_families() -> st.SearchStrategy[SystemGraph]:
+    """Replicated families kept small enough for repeated *plain* BFS.
+
+    The quotient side would happily take larger instances; the plain
+    reference search it is compared against would not.
+    """
+    return st.one_of(
+        replicated_lane_systems(max_lanes=3, max_latency=3, max_capacity=1),
+        replicated_ring_systems(max_stages=4, max_latency=3, max_capacity=1),
+        replicated_pipeline_systems(
+            max_lanes=2, max_depth=2, max_latency=3
+        ),
+    )
+
+
+@st.composite
+def random_orderings(draw, system: SystemGraph) -> ChannelOrdering:
+    """A uniformly shuffled per-process statement ordering."""
+    base = declaration_ordering(system)
+    gets = {
+        name: tuple(draw(st.permutations(list(base.gets_of(name)))))
+        for name in system.process_names
+    }
+    puts = {
+        name: tuple(draw(st.permutations(list(base.puts_of(name)))))
+        for name in system.process_names
+    }
+    return ChannelOrdering(gets=gets, puts=puts)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Name-keyed reference for the stubborn-set reduction (test oracle).
+"""Name-keyed reference for the enabled actions (test oracle).
 
-The differential oracle for :mod:`repro.verify.stubborn`: the original
-insertion algorithm over :class:`~repro.verify.semantics.Action` names,
-re-deriving dependents from statement chains on every closure step and
-enabledness from statement kinds and occupancies.  It reads only the
-name-keyed views of a :class:`~repro.verify.semantics.TransitionSystem`
-(``chains``, ``process_names``, ``buffered_names``, ``ir``), never the
-integer tables it checks.
+The differential oracle for :meth:`TransitionSystem.enabled
+<repro.verify.semantics.TransitionSystem.enabled>`: enabledness
+re-derived over :class:`~repro.verify.semantics.Action` names from
+statement kinds and occupancies.  It reads only the name-keyed views of
+a :class:`~repro.verify.semantics.TransitionSystem` (``chains``,
+``process_names``, ``buffered_names``, ``ir``), never the integer tables
+it checks.
 """
 
 from __future__ import annotations
@@ -101,113 +101,3 @@ def enabled_actions(ts: TransitionSystem, state: State) -> tuple[Action, ...]:
     }
     return tuple(sorted(enabled, key=lambda a: (a.channel, a.kind.value)))
 
-
-# ----------------------------------------------------------------------
-# The insertion algorithm
-# ----------------------------------------------------------------------
-
-
-def stubborn_set(
-    ts: TransitionSystem, state: State, enabled: tuple[Action, ...]
-) -> tuple[Action, ...]:
-    """Smallest closure over all seeds (ties to the first), unbounded."""
-    best: tuple[Action, ...] | None = None
-    for seed in enabled:
-        candidate = _closure(ts, state, seed, enabled)
-        if len(candidate) == 1:
-            return candidate
-        if best is None or len(candidate) < len(best):
-            best = candidate
-    assert best is not None
-    return best
-
-
-def _closure(
-    ts: TransitionSystem,
-    state: State,
-    seed: Action,
-    enabled: tuple[Action, ...],
-) -> tuple[Action, ...]:
-    enabled_set = set(enabled)
-    closure: set[Action] = {seed}
-    work: list[Action] = [seed]
-    while work:
-        action = work.pop()
-        if action in enabled_set:
-            additions = _dependent_actions(ts, state, action)
-        else:
-            additions = _necessary_enabling_set(ts, state, action, closure)
-        for other in additions:
-            if other not in closure:
-                closure.add(other)
-                work.append(other)
-    chosen = sorted(
-        closure & enabled_set, key=lambda a: (a.channel, a.kind.value)
-    )
-    return tuple(chosen)
-
-
-def _dependent_actions(
-    ts: TransitionSystem, state: State, action: Action
-) -> list[Action]:
-    """Every action sharing a process or the channel with ``action``."""
-    dependents: list[Action] = []
-    seen: set[Action] = set()
-
-    def add(other: Action) -> None:
-        if other != action and other not in seen:
-            seen.add(other)
-            dependents.append(other)
-
-    for process in endpoints(ts, action):
-        for statement in ts.chains.get(process, ()):
-            add(_channel_action_for(ts, statement.channel, process))
-    if action.kind is ActionKind.PUT:
-        add(Action(ActionKind.GET, action.channel))
-    elif action.kind is ActionKind.GET:
-        add(Action(ActionKind.PUT, action.channel))
-    return dependents
-
-
-def _channel_action_for(
-    ts: TransitionSystem, channel: str, process: str
-) -> Action:
-    """The action ``process`` would perform on ``channel``."""
-    if not is_buffered(ts, channel):
-        return Action(ActionKind.RENDEZVOUS, channel)
-    if _producer(ts, channel) == process:
-        return Action(ActionKind.PUT, channel)
-    return Action(ActionKind.GET, channel)
-
-
-def _necessary_enabling_set(
-    ts: TransitionSystem,
-    state: State,
-    action: Action,
-    closure: set[Action],
-) -> list[Action]:
-    """Actions, one of which must fire before ``action`` can enable:
-    the first candidate already in the closure, else the first."""
-    candidates: list[list[Action]] = []
-    channel = action.channel
-    ends = endpoints(ts, action)
-    for process in ends:
-        statement = statement_at(ts, state, process)
-        wrong_statement = statement.channel != channel or (
-            action.kind is ActionKind.RENDEZVOUS
-            and statement.kind != ("put" if process == ends[0] else "get")
-        )
-        if wrong_statement:
-            candidates.append([current_action(ts, state, process)])
-    if action.kind is ActionKind.PUT and occupancy(
-        ts, state, channel
-    ) >= capacity(ts, channel):
-        candidates.append([Action(ActionKind.GET, channel)])
-    if action.kind is ActionKind.GET and occupancy(ts, state, channel) == 0:
-        candidates.append([Action(ActionKind.PUT, channel)])
-    if not candidates:
-        return []
-    for candidate in candidates:
-        if all(member in closure for member in candidate):
-            return candidate
-    return candidates[0]

@@ -12,47 +12,15 @@ random systems; a single disagreement is a bug in one of the engines
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.system import ChannelOrdering
 from repro.errors import BudgetExceeded
 from repro.model import deadlock_cycle
-from repro.ordering import channel_ordering, declaration_ordering
+from repro.ordering import channel_ordering
 from repro.verify import Verdict, check_deadlock, verify_ordering
 from tests.strategies import (
     layered_systems,
-    replicated_lane_systems,
-    replicated_pipeline_systems,
-    replicated_ring_systems,
+    random_orderings,
+    small_replicated_families,
 )
-
-
-def small_replicated_families():
-    """Replicated families kept small enough for repeated *plain* BFS.
-
-    The quotient side would happily take larger instances; the plain
-    reference search it is compared against would not.
-    """
-    return st.one_of(
-        replicated_lane_systems(max_lanes=3, max_latency=3, max_capacity=1),
-        replicated_ring_systems(max_stages=4, max_latency=3, max_capacity=1),
-        replicated_pipeline_systems(
-            max_lanes=2, max_depth=2, max_latency=3
-        ),
-    )
-
-
-@st.composite
-def random_orderings(draw, system):
-    """A uniformly shuffled per-process statement ordering."""
-    base = declaration_ordering(system)
-    gets = {
-        name: tuple(draw(st.permutations(list(base.gets_of(name)))))
-        for name in system.process_names
-    }
-    puts = {
-        name: tuple(draw(st.permutations(list(base.puts_of(name)))))
-        for name in system.process_names
-    }
-    return ChannelOrdering(gets=gets, puts=puts)
 
 
 @settings(max_examples=80, deadline=None)
