@@ -2,20 +2,23 @@
 
 :func:`lower` is the single entry point.  It validates the ordering
 against the system, flattens every process's statement chain to dense
-integer arrays, snapshots the channel tables, and stamps the result with
-its content hash.  Results are memoized, so the four downstream
-consumers (simulator, TMG builder, verifier, lint/perf caches) can each
-call :func:`lower` independently and still share one compiled object.
+integer arrays and snapshots the channel tables.  Results are memoized,
+so the four downstream consumers (simulator, TMG builder, verifier,
+lint/perf caches) can each call :func:`lower` independently and still
+share one compiled object.
 
-Two renderings of the same structure are used deliberately:
+Two identities of the same structure are used deliberately:
 
-* the **memo key** preserves declaration order, so a cache hit is
-  guaranteed to return tables whose process/channel ids match the
-  caller's system exactly (the TMG builder's transition order depends on
-  declaration order, and analysis results must stay bit-identical);
-* the **structural hash** sorts each section by name, so two systems
-  that express the same design with different dict-insertion order hash
-  identically — the property external caches and fingerprints rely on.
+* the **memo key** is the declared content as nested tuples, in
+  declaration order, so a cache hit is guaranteed to return tables whose
+  process/channel ids match the caller's system exactly (the TMG
+  builder's transition order depends on declaration order, and analysis
+  results must stay bit-identical); building it renders no text;
+* the **structural hash**
+  (:attr:`~repro.ir.program.LoweredIR.structural_hash`, computed on first
+  use) renders each section sorted by name, so two systems that express
+  the same design with different dict-insertion order hash identically —
+  the property external caches and fingerprints rely on.
 
 The memo is a small LRU implemented locally: this package sits *below*
 ``repro.perf`` in the layer diagram (perf fingerprints delegate to the
@@ -24,8 +27,9 @@ IR hash), so importing ``repro.perf.cache`` here would create a cycle.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
+from operator import attrgetter
+from typing import Any
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir.program import (
@@ -34,19 +38,18 @@ from repro.ir.program import (
     OP_PUT,
     LoweredIR,
     kind_code,
+    structural_digest,
 )
-
-#: Unit separator, unlikely in user-facing names (same convention as the
-#: perf fingerprints this hash now underpins).
-_SEPARATOR = "\x1f"
-
-#: Version tag: bump when the rendering schema changes so stale external
-#: caches can never alias a new-format hash.
-_RENDER_VERSION = "ir:v1"
 
 _MEMO_CAPACITY = 256
 
-_memo: OrderedDict[str, LoweredIR] = OrderedDict()
+_KIND = attrgetter("kind")
+#: The declared content of a channel, in the rendering's field order.
+_CHANNEL_ROW = attrgetter(
+    "name", "producer", "consumer", "latency", "capacity", "initial_tokens"
+)
+
+_memo: OrderedDict[Any, LoweredIR] = OrderedDict()
 
 
 def clear_lowering_cache() -> None:
@@ -59,46 +62,21 @@ def lowering_cache_info() -> tuple[int, int]:
     return len(_memo), _MEMO_CAPACITY
 
 
-def _render_parts(
-    system: SystemGraph, ordering: ChannelOrdering
-) -> tuple[list[str], list[str], list[str]]:
-    """The three rendered sections (processes, channels, orderings).
-
-    Each line is self-delimiting; within a section, lines are emitted in
-    declaration order (callers sort for the canonical hash).
-    """
-    process_lines = [
-        f"p{_SEPARATOR}{p.name}{_SEPARATOR}{p.kind.value}" for p in system.processes
-    ]
-    channel_lines = [
-        f"c{_SEPARATOR}{c.name}{_SEPARATOR}{c.producer}{_SEPARATOR}{c.consumer}"
-        f"{_SEPARATOR}{c.latency}{_SEPARATOR}{c.capacity}{_SEPARATOR}{c.initial_tokens}"
-        for c in system.channels
-    ]
-    ordering_lines = [
-        f"o{_SEPARATOR}{name}"
-        f"{_SEPARATOR}g={','.join(ordering.gets_of(name))}"
-        f"{_SEPARATOR}p={','.join(ordering.puts_of(name))}"
-        for name in system.process_names
-    ]
-    return process_lines, channel_lines, ordering_lines
-
-
 def structural_hash_of(system: SystemGraph, ordering: ChannelOrdering) -> str:
     """The canonical content hash of a ``(system, ordering)`` pair.
 
     Insertion-order independent: each section is sorted by name before
     hashing, so the digest identifies the *design*, not the accident of
-    construction order.  ``lower(...).structural_hash`` equals this.
+    construction order.  ``lower(...).structural_hash`` equals this.  The
+    ordering is not validated.
     """
-    processes, channels, orderings = _render_parts(system, ordering)
-    canonical = "\n".join(
-        [_RENDER_VERSION, system.name]
-        + sorted(processes)
-        + sorted(channels)
-        + sorted(orderings)
+    return structural_digest(
+        system.name,
+        ((p.name, p.kind.value) for p in system.processes),
+        map(_CHANNEL_ROW, system.channels),
+        ((name, ordering.gets_of(name), ordering.puts_of(name))
+         for name in system.process_names),
     )
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def lower(
@@ -121,104 +99,108 @@ def lower(
     if ordering is None:
         ordering = ChannelOrdering.declaration_order(system)
 
-    processes, channels, orderings = _render_parts(system, ordering)
-    declared = "\n".join(
-        [_RENDER_VERSION, system.name] + processes + channels + orderings
-    )
-    cached = _memo.get(declared)
-    if cached is not None:
-        # A hit proves validity: the rendering covers the channel tables
-        # and the full get/put lists, so a byte-identical key can only be
-        # produced by an ordering already validated against an identical
-        # system.
-        _memo.move_to_end(declared)
-        return cached
-    if validate:
-        ordering.validate(system)
-
-    canonical = "\n".join(
-        [_RENDER_VERSION, system.name]
-        + sorted(processes)
-        + sorted(channels)
-        + sorted(orderings)
-    )
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-
     process_names = system.process_names
-    channel_names = system.channel_names
-    process_index = {name: i for i, name in enumerate(process_names)}
-    channel_index = {name: i for i, name in enumerate(channel_names)}
+    process_kinds = tuple(map(kind_code, map(_KIND, system.processes)))
+    channels = tuple(map(_CHANNEL_ROW, system.channels))
+    gets_map, puts_map = ordering.gets, ordering.puts
+    orders = tuple(
+        (tuple(gets_map.get(name, ())), tuple(puts_map.get(name, ())))
+        for name in process_names
+    )
+    key = (system.name, process_names, process_kinds, channels, orders)
+    cached = _memo.get(key)
+    if cached is not None:
+        # A hit proves validity: the key covers the channel tables and the
+        # full get/put lists, so an identical key can only come from an
+        # ordering already validated against an identical system.
+        _memo.move_to_end(key)
+        return cached
 
-    producers: list[int] = []
-    consumers: list[int] = []
-    channel_latencies: list[int] = []
-    capacities: list[int] = []
-    initial_tokens: list[int] = []
-    buffered: list[bool] = []
-    effective_capacities: list[int] = []
-    for c in system.channels:
-        producers.append(process_index[c.producer])
-        consumers.append(process_index[c.consumer])
-        channel_latencies.append(c.latency)
-        capacity = c.capacity
-        initial = c.initial_tokens
-        capacities.append(capacity)
-        initial_tokens.append(initial)
-        buffered.append(capacity > 0 or initial > 0)
-        effective_capacities.append(capacity if capacity > initial else initial)
+    process_index = dict(zip(process_names, range(len(process_names))))
+    if channels:
+        (channel_names, sources, targets, channel_latencies, capacities,
+         initial_tokens) = zip(*channels)
+    else:
+        channel_names = sources = targets = ()
+        channel_latencies = capacities = initial_tokens = ()
+    channel_index = dict(zip(channel_names, range(len(channel_names))))
+    producers = tuple(map(process_index.__getitem__, sources))
+    consumers = tuple(map(process_index.__getitem__, targets))
+
+    # Every get (put) id, process by process: the ordering is valid iff
+    # each channel occurs exactly once among them, under its consumer
+    # (producer).  On failure the ordering's own check names the culprit.
+    try:
+        get_ids = [channel_index[c] for gets, _ in orders for c in gets]
+        put_ids = [channel_index[c] for _, puts in orders for c in puts]
+    except KeyError:
+        get_ids = put_ids = []
+    if validate:
+        every = list(range(len(channel_names)))
+        get_owner = [pid for pid, (gets, _) in enumerate(orders) for _ in gets]
+        put_owner = [pid for pid, (_, puts) in enumerate(orders) for _ in puts]
+        if (
+            sorted(get_ids) != every or sorted(put_ids) != every
+            or list(map(consumers.__getitem__, get_ids)) != get_owner
+            or list(map(producers.__getitem__, put_ids)) != put_owner
+        ):
+            ordering.validate(system)
 
     op_kinds: list[tuple[int, ...]] = []
     op_args: list[tuple[int, ...]] = []
     comm_indices: list[tuple[int, ...]] = []
     first_marked: list[int] = []
-    gets_map = ordering.gets
-    puts_map = ordering.puts
-    for pid, name in enumerate(process_names):
-        gets = gets_map.get(name, ())
-        puts = puts_map.get(name, ())
-        kinds = (
-            (OP_GET,) * len(gets) + (OP_COMPUTE,) + (OP_PUT,) * len(puts)
-        )
-        args = tuple(
-            [channel_index[c] for c in gets]
-            + [pid]
-            + [channel_index[c] for c in puts]
-        )
-        op_kinds.append(kinds)
-        op_args.append(args)
-        n_gets = len(gets)
-        comm_indices.append(
-            tuple(range(n_gets)) + tuple(range(n_gets + 1, len(kinds)))
-        )
-        # The paper's marking rule on a canonical get*-compute-put* chain:
-        # first get (index 0); a process with no gets (a testbench source)
-        # starts at its first put (index 1, right after the compute); a
-        # degenerate chain starts at the compute.  Read by
-        # ``repro.model.build.marked_places``.
-        first_marked.append(0 if n_gets else (1 if puts else 0))
+    shapes: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+    g = p = 0
+    for pid, (gets, puts) in enumerate(orders):
+        n_gets, n_puts = len(gets), len(puts)
+        shape = shapes.get((n_gets, n_puts))
+        if shape is None:
+            kinds = (OP_GET,) * n_gets + (OP_COMPUTE,) + (OP_PUT,) * n_puts
+            # The paper's marking rule on a canonical get*-compute-put*
+            # chain: first get (index 0); a process with no gets (a
+            # testbench source) starts at its first put (index 1, right
+            # after the compute); a degenerate chain starts at the
+            # compute.  Read by ``repro.model.build.marked_places``.
+            shape = shapes[n_gets, n_puts] = (
+                kinds,
+                tuple(range(n_gets)) + tuple(range(n_gets + 1, len(kinds))),
+                0 if n_gets else (1 if n_puts else 0),
+            )
+        op_kinds.append(shape[0])
+        comm_indices.append(shape[1])
+        first_marked.append(shape[2])
+        op_args.append(tuple(
+            get_ids[g:g + n_gets] + [pid] + put_ids[p:p + n_puts]
+        ))
+        g += n_gets
+        p += n_puts
 
     ir = LoweredIR(
         system_name=system.name,
         processes=process_names,
-        process_kinds=tuple(kind_code(p.kind) for p in system.processes),
+        process_kinds=process_kinds,
         channels=channel_names,
-        producers=tuple(producers),
-        consumers=tuple(consumers),
-        channel_latencies=tuple(channel_latencies),
-        capacities=tuple(capacities),
-        initial_tokens=tuple(initial_tokens),
-        buffered=tuple(buffered),
-        effective_capacities=tuple(effective_capacities),
+        producers=producers,
+        consumers=consumers,
+        channel_latencies=channel_latencies,
+        capacities=capacities,
+        initial_tokens=initial_tokens,
+        buffered=tuple(
+            cap > 0 or tok > 0 for cap, tok in zip(capacities, initial_tokens)
+        ),
+        effective_capacities=tuple(
+            max(cap, tok) for cap, tok in zip(capacities, initial_tokens)
+        ),
         op_kinds=tuple(op_kinds),
         op_args=tuple(op_args),
         comm_indices=tuple(comm_indices),
         first_marked=tuple(first_marked),
-        structural_hash=digest,
         process_index=process_index,
         channel_index=channel_index,
     )
 
-    _memo[declared] = ir
+    _memo[key] = ir
     if len(_memo) > _MEMO_CAPACITY:
         _memo.popitem(last=False)
     return ir

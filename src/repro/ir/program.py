@@ -38,8 +38,10 @@ See ``docs/ARCHITECTURE.md`` for the layer diagram and the full schema.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 from repro.core.system import ProcessKind
 
@@ -63,12 +65,45 @@ KIND_ORDER: tuple[ProcessKind, ProcessKind, ProcessKind] = (
     ProcessKind.SINK,
 )
 
-_KIND_CODE: dict[ProcessKind, int] = {kind: i for i, kind in enumerate(KIND_ORDER)}
+
+#: Unit separator, unlikely in user-facing names (same convention as the
+#: perf fingerprints this hash now underpins).
+RENDER_SEPARATOR = "\x1f"
+
+#: Version tag: bump when the rendering schema changes so stale external
+#: caches can never alias a new-format hash.
+RENDER_VERSION = "ir:v1"
+
+
+def structural_digest(
+    system_name: str,
+    processes: Iterable[tuple[str, str]],
+    channels: Iterable[tuple[str, str, str, int, int, int]],
+    orderings: Iterable[tuple[str, Iterable[str], Iterable[str]]],
+) -> str:
+    """SHA-256 of the canonical rendering: one line per process (name,
+    kind value), channel and statement order, each section sorted by name,
+    so the digest names the design rather than its declaration order."""
+    sep = RENDER_SEPARATOR
+    lines = [RENDER_VERSION, system_name]
+    lines += sorted(f"p{sep}{name}{sep}{kind}" for name, kind in processes)
+    lines += sorted(
+        f"c{sep}{name}{sep}{src}{sep}{dst}{sep}{latency}{sep}{capacity}{sep}{tokens}"
+        for name, src, dst, latency, capacity, tokens in channels
+    )
+    lines += sorted(
+        f"o{sep}{name}{sep}g={','.join(gets)}{sep}p={','.join(puts)}"
+        for name, gets, puts in orderings
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+_KIND_VALUES = tuple(kind.value for kind in KIND_ORDER)
 
 
 def kind_code(kind: ProcessKind) -> int:
     """The integer code of a :class:`~repro.core.system.ProcessKind`."""
-    return _KIND_CODE[kind]
+    return KIND_ORDER.index(kind)  # identity compares: no Enum hashing
 
 
 @dataclass(frozen=True)
@@ -108,7 +143,7 @@ class LoweredIR:
             initial TMG token (the paper's marking rule: first get;
             sources, first put; degenerate processes, the compute).
         structural_hash: SHA-256 hex digest of the canonical rendering —
-            the content address of this IR.
+            the content address of this IR (computed on first use).
     """
 
     system_name: str
@@ -126,7 +161,6 @@ class LoweredIR:
     op_args: tuple[tuple[int, ...], ...]
     comm_indices: tuple[tuple[int, ...], ...]
     first_marked: tuple[int, ...]
-    structural_hash: str
     #: Derived name → id maps (not part of the content; rebuilt on
     #: unpickle via __post_init__ if empty).
     process_index: Mapping[str, int] = field(default_factory=dict, compare=False)
@@ -145,6 +179,27 @@ class LoweredIR:
                 "channel_index",
                 {name: i for i, name in enumerate(self.channels)},
             )
+
+    def __hash__(self) -> int:
+        return hash(self.structural_hash)
+
+    @cached_property
+    def structural_hash(self) -> str:
+        """The content hash of the canonical rendering (equal to
+        :func:`repro.ir.structural_hash_of` of the source pair)."""
+        names, channels = self.processes, self.channels
+        # Each program is its gets, the compute, then its puts.
+        splits = [ops.index(OP_COMPUTE) for ops in self.op_kinds]
+        return structural_digest(
+            self.system_name,
+            zip(names, map(_KIND_VALUES.__getitem__, self.process_kinds)),
+            zip(channels, map(names.__getitem__, self.producers),
+                map(names.__getitem__, self.consumers), self.channel_latencies,
+                self.capacities, self.initial_tokens),
+            ((name, map(channels.__getitem__, args[:split]),
+              map(channels.__getitem__, args[split + 1:]))
+             for name, args, split in zip(names, self.op_args, splits)),
+        )
 
     # ------------------------------------------------------------------
     # Id lookups

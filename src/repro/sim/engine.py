@@ -1,4 +1,4 @@
-"""The discrete-event simulation engine: one interpreter, one or B lanes.
+"""The discrete-event simulation engine: a control walk, a clock replay.
 
 This is the reproduction's substitute for RTL (or SystemC) simulation of
 the synthesized system: every process runs its Fig. 2(b) FSM — blocking
@@ -10,20 +10,19 @@ must equal the analytic cycle time ``π(G)`` (tested in
 ``tests/integration``); unlike the TMG, the simulator also carries real
 payloads (the MPEG-2 functional case study).
 
-One interpreter, :class:`_Core`, executes the :class:`~repro.ir.LoweredIR`
-array program: per-pid program counters over ``op_kinds``/``op_args`` and
-per-channel-id deque tables, with payload staging and trace emission
-gated behind one boolean each.  Its control path — which process runs,
-where it blocks, which peer a transfer wakes — depends only on opcodes
-and queue occupancies, never on timestamps, so one run can carry B
-configurations that share the structure and the channel capacities.  The
-clocks are Python ints for one lane (:class:`Simulator`: exact at any
-magnitude, the only mode with functional payloads) or ``(B,)`` int64
-vectors for B lanes (:class:`BatchSimulator`, grouped by capacity
-signature, with an exact post-run bound against int64 wrap-around).  The
-modes differ only in the ``maximum`` function, the trace fan-out, and the
-decoding in :meth:`_Core.collect`.  The pre-IR interpreter in
-``tests/sim/reference.py`` is the differential oracle for both.
+One pipeline runs the :class:`~repro.ir.LoweredIR` array program for one
+lane (:class:`Simulator`) or for B lanes that share the structure and
+the channel capacities (:class:`BatchSimulator`).  Which process runs,
+where it blocks and which peer a transfer wakes depend only on opcodes
+and queue occupancies, never on clocks, so :class:`_Walk` runs the
+round-robin scheduler once without clocks and records every clock it
+would compute as a max-plus tape entry.  The control state is finite:
+once it repeats, the schedule repeats, and every count of the remaining
+run follows by arithmetic.  :class:`_Clocks` replays the tape in every
+lane until the live clocks repeat up to a per-lane shift, after which
+each later clock is a shifted copy (docs/THEORY.md §4); results come
+from that replayed prefix by index arithmetic.  The pre-IR interpreter
+in ``tests/sim/reference.py`` is the differential oracle.
 """
 
 from __future__ import annotations
@@ -32,12 +31,13 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, List, Mapping, Sequence, Union
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, cast
 
 import numpy as np
 
 from repro.core.system import ChannelOrdering, SystemGraph
-from repro.errors import SimulationDeadlock, SimulationError
+from repro.errors import ReproError, SimulationDeadlock, SimulationError
 from repro.ir import OP_COMPUTE, OP_PUT, LoweredIR, lower
 from repro.sim.trace import TraceEvent, TraceRecorder, TraceSink
 
@@ -48,9 +48,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: channel``.  Sources receive an empty mapping; sinks may return one.
 Behavior = Callable[[int, Mapping[str, Any]], Mapping[str, Any]]
 
-#: Vector clocks are int64; a lane whose exact clock bound reaches this
-#: value may have wrapped and is rejected.
+#: Replayed clocks are int64 below this exact bound: a batch lane that may
+#: reach it is rejected, a scalar run switches to Python ints.
 _INT64_LIMIT = 2**63
+
+#: Trace event kinds, indexed by the walk's event codes.
+_KINDS = ("compute", "put", "get", "block-put", "block-get")
+_COMPUTE, _PUT, _GET, _BLOCK_PUT, _BLOCK_GET = range(5)
+
+_BUDGET = ("simulation exceeded its step budget ({}); "
+           "raise max_steps for very long transients")
+#: Longest clock cyclicity sought; a longer one replays to the end, exactly.
+_MAX_CYCLICITY = 32
 
 
 def token_behavior(iteration: int, inputs: Mapping[str, Any]) -> dict[str, Any]:
@@ -93,7 +102,7 @@ class SimulationResult:
 
 #: One lane's outcome: a result, or the deadlock that ended it (only
 #: returned when running with ``on_deadlock="capture"``).
-LaneOutcome = Union[SimulationResult, SimulationDeadlock]
+LaneOutcome = SimulationResult | SimulationDeadlock
 
 
 @dataclass(frozen=True)
@@ -136,184 +145,82 @@ def default_watch(system: SystemGraph) -> str:
 
 
 class _Proc:
-    """Mutable per-process state.  Clocks (``time``, queued times) are
-    ints or ``(B,)`` vectors; ``stall`` rows are indexed by channel id."""
+    """Mutable per-process control state; ``time`` is a tape slot."""
 
-    __slots__ = (
-        "pid", "name", "ops", "args", "n", "cids", "lat", "behavior",
-        "time", "index", "iteration", "blocked_on", "computes",
-        "completion_times", "stall", "inputs", "outputs", "sink_list",
-    )
+    __slots__ = ("pid", "name", "ops", "args", "n", "behavior", "time",
+                 "index", "iteration", "blocked_on", "computes",
+                 "completions", "inputs", "outputs", "sink_list")
 
-    def __init__(self, pid: int, name: str, ir: LoweredIR, lat: Any, zero: Any,
-                 stall: Any, behavior: Behavior, sink_list: list[Any] | None):
-        self.pid = pid
-        self.name = name
-        self.ops = ir.op_kinds[pid]
-        self.args = ir.op_args[pid]
+    def __init__(self, pid: int, name: str, ir: LoweredIR, behavior: Behavior,
+                 sink_list: list[Any] | None):
+        self.pid, self.name, self.behavior = pid, name, behavior
+        self.ops, self.args = ir.op_kinds[pid], ir.op_args[pid]
         self.n = len(self.ops)
-        # The only rows of ``stall`` that can become non-zero.
-        self.cids = sorted({
-            arg for op, arg in zip(self.ops, self.args) if op != OP_COMPUTE
-        })
-        self.lat = lat
-        self.behavior = behavior
-        self.time = zero
-        self.index = 0
-        self.iteration = 0
+        self.time = self.index = self.iteration = self.computes = 0
         self.blocked_on = -1  # channel id while waiting, -1 when runnable
-        self.computes = 0  # compute statements executed (shared by lanes)
-        self.completion_times: list[Any] = []
-        self.stall = stall
+        self.completions: list[int] = []  # slot of each completed iteration
         self.inputs: dict[str, Any] = {}
         self.outputs: dict[str, Any] = {}
         self.sink_list = sink_list
 
 
-class _Core:
-    """One execution of ``ir`` (lowered from ``system``) over its lanes.
+class _Walk:
+    """The control walk: the round-robin scheduler with the clocks left out.
 
-    ``latencies`` and ``recorders`` hold one entry per lane (latency
-    overrides, trace recorder or ``None``).  ``vector`` selects ``(B,)``
-    int64 clocks; otherwise there is exactly one lane on Python ints, the
-    only mode that stages ``behaviors`` / ``initial_payloads``.
-    ``lane_ids`` number the lanes in error messages.
+    Each clock the scheduler would compute becomes a tape slot ``s = (a, b,
+    d)`` with ``T[s] = max(T[a], T[b]) + delay[d]``; delay rows are the
+    process latencies (row ``pid``), the channel latencies (row ``n_procs
+    + cid``) and zero (the last row), and slot 0 is the zero clock.
+    Process clocks and queue entries are slots.  Every event is logged as
+    ``(kind, pid, cid, iteration, slot, arrival, const)``: a put or get
+    waited ``T[slot] - const - T[arrival]``, other events log ``arrival =
+    slot``, ``const = 0``.  Payloads follow their channel's FIFO order.
+    Queues are kept per side (0 = put, 1 = get) and channel id: ``avail``
+    holds what an arrival pairs with (a FIFO credit or item, or the peer's
+    pending rendezvous arrival), ``waiting`` the blocked arrivals.
     """
 
-    def __init__(
-        self,
-        system: SystemGraph,
-        ir: LoweredIR,
-        latencies: Sequence[Mapping[str, int] | None],
-        recorders: Sequence[TraceRecorder | None],
-        vector: bool,
-        lane_ids: Sequence[int] = (),
-        behaviors: Mapping[str, Behavior] | None = None,
-        initial_payloads: Mapping[str, tuple[Any, ...]] | None = None,
-    ):
-        behaviors = behaviors or {}
-        payloads = initial_payloads or {}
-        self.system = system
-        self.ir = ir
-        self.n_lanes = n_lanes = len(latencies)
+    def __init__(self, engine: _Engine, sink_payloads: dict[str, list[Any]]):
+        ir = self.ir = engine.ir
+        n_c = self.n_c = ir.n_channels
+        self.functional = engine.functional
+        self.zero_row = len(ir.processes) + n_c
+        self.tape = [(0, 0, self.zero_row)]  # (a, b, d) per slot
+        self.log: list[tuple[int, int, int, int, int, int, int]] = []
+        self.transfers = [0] * n_c
+        self.avail: list[list[deque[int]]] = [[], []]
+        self.waiting: list[list[deque[int]]] = [[], []]
+        for cid in range(n_c):
+            tokens = ir.initial_tokens[cid]
+            credits = deque([0] * (ir.effective_capacities[cid] - tokens))
+            items = deque([0] * tokens)
+            # Both empty for a rendezvous: a put waits where the get looks.
+            queues = ((credits, items, deque[int](), deque[int]())
+                      if ir.buffered[cid] else (items, credits, credits, items))
+            for side in (0, 1):
+                self.avail[side].append(queues[side])
+                self.waiting[side].append(queues[2 + side])
+        self.queues = [q for table in self.avail + self.waiting for q in table]
+        self.payloads = [deque(p) for p in engine.preload]
+        self.procs = [
+            _Proc(pid, name, ir, engine.behaviors.get(name, token_behavior),
+                  sink_payloads.get(name))
+            for pid, name in enumerate(ir.processes)
+        ]
+        self.marks: list[list[int]] = []  # see _mark, per watched iteration
+        self.period: tuple[int, int, Any] | None = None  # (j, k, the state)
         self.steps = 0
-        self._vector = vector
-        # Payload staging only runs when someone supplies payloads.
-        self._functional = bool(behaviors) or bool(payloads)
 
-        self._lane_ids = list(lane_ids) or list(range(n_lanes))
-        self._latency_table = self._latencies(latencies)
-        n_channels = ir.n_channels
-        zero: Any
-        if vector:
-            self._maximum: Callable[[Any, Any], Any] = np.maximum
-            zero = np.zeros(n_lanes, dtype=np.int64)
-        else:
-            self._maximum = max
-            zero = 0
-        self._ch_latency = ir.channel_latencies
-        self._ch_buffered = ir.buffered
-        self._producer_pid = ir.producers
-        self._consumer_pid = ir.consumers
-        self._transfers = [0] * n_channels
-        # Per-channel-id queues: rendezvous arrivals waiting for a peer;
-        # FIFO items, free-slot credits, and arrivals blocked on either.
-        # Put-side entries are (time, payload) pairs, the others times.
-        # Queued clocks are never mutated: one shared zero preloads all.
-        tables: list[list[deque[Any]]] = [
-            [deque() for _ in range(n_channels)] for _ in range(6)
-        ]
-        (self._pending_put, self._pending_get, self._items, self._credits,
-         self._blocked_put, self._blocked_get) = tables
-        for cid, channel_name in enumerate(ir.channels):
-            preload = list(payloads.get(channel_name, ()))
-            if ir.buffered[cid]:
-                tokens = ir.initial_tokens[cid]
-                if len(preload) > tokens:
-                    raise SimulationError(
-                        f"channel {channel_name!r}: more initial payloads "
-                        f"({len(preload)}) than initial tokens ({tokens})"
-                    )
-                preload += [None] * (tokens - len(preload))
-                self._items[cid].extend((zero, payload) for payload in preload)
-                self._credits[cid].extend(
-                    [zero] * (ir.effective_capacities[cid] - tokens)
-                )
-            elif preload:
-                raise SimulationError(
-                    f"channel {channel_name!r}: rendezvous channels cannot "
-                    "carry initial payloads"
-                )
-
-        sink_names = {p.name for p in system.sinks()}
-        self._sink_payloads: dict[str, list[Any]] = {
-            name: [] for name in ir.processes if name in sink_names
-        }
-        self._procs = [
-            _Proc(
-                pid, name, ir,
-                np.array(row, dtype=np.int64) if vector else row[0],
-                zero,
-                np.zeros((n_channels, n_lanes), dtype=np.int64)
-                if vector else [0] * n_channels,
-                behaviors.get(name, token_behavior),
-                self._sink_payloads.get(name),
-            )
-            for pid, (name, row) in enumerate(zip(ir.processes, self._latency_table))
-        ]
-
-        # One lane records straight into its recorder; B lanes fan each
-        # vector event out to the lanes that trace.
-        self._recorders = list(recorders)
-        traced = [
-            (li, rec) for li, rec in enumerate(self._recorders) if rec is not None
-        ]
-        self._trace_on = bool(traced)
-        self._record: Callable[..., None] = (
-            traced[0][1].record if traced and not vector else _fan_out(traced)
-        )
-
-    def _latencies(
-        self, overrides: Sequence[Mapping[str, int] | None]
-    ) -> list[list[int]]:
-        """Per pid, per lane compute latency (Python ints), validated."""
-        declared = self.system.process_latencies()
-        for li, override in enumerate(overrides):
-            where = f"lane {self._lane_ids[li]}: " if self._vector else ""
-            unknown = sorted(set(override or ()) - set(declared))
-            if unknown:
-                raise SimulationError(
-                    f"{where}latency override for unknown process(es) "
-                    f"{', '.join(repr(u) for u in unknown)}"
-                )
-            for name, latency in (override or {}).items():
-                if latency < 0:
-                    raise SimulationError(
-                        f"{where}process {name!r}: latency must be >= 0, "
-                        f"got {latency}"
-                    )
-        return [
-            [(override or {}).get(name, declared[name]) for override in overrides]
-            for name in self.ir.processes
-        ]
-
-    def run(self, iterations: int, watch: str, max_steps: int | None) -> None:
-        """Advance every lane until ``watch`` completes ``iterations``
-        loops (raises :class:`SimulationDeadlock` when the shared control
-        path deadlocks — all lanes together, since the schedule is
-        latency-independent)."""
-        if iterations < 1:
-            raise SimulationError("iterations must be >= 1")
-        watch_pid = self.ir.process_index.get(watch)
-        if watch_pid is None:
-            raise SimulationError(f"unknown watch process {watch!r}")
-        procs = self._procs
-        budget = max_steps or (
-            40 * (iterations + 4) * (len(procs) + self.ir.n_channels) + 1000
-        )
+    def run(self, iterations: int, watch_pid: int, budget: int,
+            full: bool) -> None:
+        """Walk until ``watch_pid`` completes ``iterations`` loops or,
+        unless ``full``, until the control state repeats."""
+        procs = self.procs
         watched = procs[watch_pid]
-        advance = self._advance
+        marks = self.marks
         runnable: deque[int] = deque(range(len(procs)))
+        marks.append(self._mark(0))
+        seen = {self._state(runnable): 0}
         steps = 0
         while watched.iteration < iterations:
             if not runnable:
@@ -321,20 +228,50 @@ class _Core:
                 self._raise_deadlock()
             steps += 1
             if steps > budget:
-                raise SimulationError(
-                    f"simulation exceeded its step budget ({budget}); "
-                    "raise max_steps for very long transients"
-                )
+                raise SimulationError(_BUDGET.format(budget))
             pid = runnable.popleft()
             proc = procs[pid]
-            advance(proc, runnable)
+            self._advance(proc, runnable)
             if proc.blocked_on < 0:
                 # The process stopped at an iteration boundary, not on a
                 # channel: keep it runnable (round-robin fairness).
                 runnable.append(pid)
+            if watched.iteration == len(marks) and self.period is None:
+                marks.append(self._mark(steps))
+                state = self._state(runnable)
+                first = seen.setdefault(state, len(marks) - 1)
+                if first < len(marks) - 1:
+                    self.period = (first, len(marks) - 1, state)
+                    if not full:
+                        break
         self.steps = steps
 
-    # ------------------------------------------------------------------
+    def _mark(self, steps: int) -> list[int]:
+        """``[steps, slots, events]``, per pid the iterations, computes
+        and clock slot, per cid the transfers."""
+        procs = self.procs
+        return ([steps, len(self.tape), len(self.log)]
+                + [p.iteration for p in procs] + [p.computes for p in procs]
+                + [p.time for p in procs] + self.transfers)
+
+    def _state(self, runnable: deque[int]) -> Any:
+        """The exact control state, every clock as its offset from the
+        slot count: equal states schedule identically from here on."""
+        now = len(self.tape)
+        return (
+            tuple(runnable),
+            tuple((p.index, p.blocked_on, now - p.time) for p in self.procs),
+            tuple((k, tuple(now - s for s in queue))
+                  for k, queue in enumerate(self.queues) if queue),
+        )
+
+    def columns(self) -> Any:
+        """The event log as seven int64 columns."""
+        return np.array(self.log, dtype=np.int64).reshape(-1, 7).T
+
+    def _slot(self, a: int, b: int, row: int) -> int:
+        self.tape.append((a, b, row))
+        return len(self.tape) - 1
 
     def _advance(self, proc: _Proc, runnable: deque[int]) -> None:
         """Run one process until it blocks or completes a loop (stopping at
@@ -342,143 +279,72 @@ class _Core:
         free-running testbench source monopolizes the engine)."""
         if proc.blocked_on >= 0:
             return
-        ops = proc.ops
-        args = proc.args
-        n = proc.n
-        channels = self.ir.channels
-        functional = self._functional
-        trace_on = self._trace_on
-        record = self._record
-        maximum = self._maximum
-        ch_latency = self._ch_latency
-        ch_buffered = self._ch_buffered
+        ir = self.ir
         while True:
             i = proc.index
-            op = ops[i]
+            op = proc.ops[i]
             if op == OP_COMPUTE:
-                if functional:
+                if self.functional:
                     produced = proc.behavior(proc.iteration, dict(proc.inputs))
                     proc.outputs = dict(produced) if produced else {}
-                latency = proc.lat
-                proc.time = proc.time + latency
+                t = proc.time = self._slot(proc.time, proc.time, proc.pid)
                 proc.computes += 1
-                if trace_on:
-                    record(proc.time, "compute", proc.name, None,
-                           proc.iteration, duration=latency)
-            elif op == OP_PUT:
-                cid = args[i]
+                self.log.append((_COMPUTE, proc.pid, -1, proc.iteration, t, t, 0))
+                self._step(proc)
+            else:
+                cid = proc.args[i]
+                side = int(op != OP_PUT)
                 t = proc.time
-                payload = proc.outputs.get(channels[cid]) if functional else None
-                if ch_buffered[cid]:
-                    credits = self._credits[cid]
-                    if not credits:
-                        self._blocked_put[cid].append((t, payload))
-                        proc.blocked_on = cid
-                        if trace_on:
-                            record(t, "block-put", proc.name, channels[cid],
-                                   proc.iteration)
-                        return
-                    start = maximum(t, credits.popleft())
-                    done = start + ch_latency[cid]
-                    self._items[cid].append((done, payload))
-                    self._transfers[cid] += 1
-                    waited = start - t  # arrival to transfer start
-                    proc.stall[cid] += waited
-                    proc.time = done
-                    if trace_on:
-                        record(done, "put", proc.name, channels[cid],
-                               proc.iteration, wait=waited)
-                    # The queued item may wake a blocked consumer (tail).
+                if self.functional and not side:
+                    self.payloads[cid].append(proc.outputs.get(ir.channels[cid]))
+                ready = self.avail[side][cid]
+                if not ready:
+                    self.waiting[side][cid].append(t)
+                    proc.blocked_on = cid
+                    self.log.append((_BLOCK_PUT + side, proc.pid, cid,
+                                     proc.iteration, t, t, 0))
+                    return
+                other = ready.popleft()
+                done = self._pair(proc, cid, side, t, other)
+                self._step(proc)
+                if ir.buffered[cid]:
+                    # The new item (credit) may wake a blocked get (put).
+                    self.avail[1 - side][cid].append(done)
+                    self._wake(cid, 1 - side, runnable)
                 else:
-                    pending_get = self._pending_get[cid]
-                    if not pending_get:
-                        self._pending_put[cid].append((t, payload))
-                        proc.blocked_on = cid
-                        if trace_on:
-                            record(t, "block-put", proc.name, channels[cid],
-                                   proc.iteration)
-                        return
-                    # Rendezvous completes against the pending get.
-                    get_time = pending_get.popleft()
-                    start = maximum(t, get_time)
-                    done = start + ch_latency[cid]
-                    self._transfers[cid] += 1
-                    waited = start - t
-                    proc.stall[cid] += waited
-                    proc.time = done
-                    if trace_on:
-                        record(done, "put", proc.name, channels[cid],
-                               proc.iteration, wait=waited)
-                    self._step(proc)
-                    # Resume the consumer that was waiting on its get.
-                    self._resume(self._procs[self._consumer_pid[cid]], cid,
-                                 done, start - get_time, "get", payload,
-                                 runnable)
-                    if i + 1 == n:
-                        # Wrapped: iteration boundary reached.
-                        return
-                    continue
-            else:  # OP_GET
-                cid = args[i]
-                t = proc.time
-                if ch_buffered[cid]:
-                    items = self._items[cid]
-                    if not items:
-                        self._blocked_get[cid].append(t)
-                        proc.blocked_on = cid
-                        if trace_on:
-                            record(t, "block-get", proc.name, channels[cid],
-                                   proc.iteration)
-                        return
-                    item_time, payload = items.popleft()
-                    done = maximum(t, item_time)
-                    self._credits[cid].append(done)  # slot frees at `done`
-                    waited = done - t
-                    proc.stall[cid] += waited
-                    proc.time = done
-                    if functional:
-                        self._deliver(proc, cid, payload)
-                    if trace_on:
-                        record(done, "get", proc.name, channels[cid],
-                               proc.iteration, wait=waited)
-                    # The credit may wake a blocked producer (tail).
-                else:
-                    pending_put = self._pending_put[cid]
-                    if not pending_put:
-                        self._pending_get[cid].append(t)
-                        proc.blocked_on = cid
-                        if trace_on:
-                            record(t, "block-get", proc.name, channels[cid],
-                                   proc.iteration)
-                        return
-                    put_time, payload = pending_put.popleft()
-                    start = maximum(t, put_time)
-                    done = start + ch_latency[cid]
-                    self._transfers[cid] += 1
-                    waited = start - t
-                    proc.stall[cid] += waited
-                    proc.time = done
-                    if functional:
-                        self._deliver(proc, cid, payload)
-                    if trace_on:
-                        record(done, "get", proc.name, channels[cid],
-                               proc.iteration, wait=waited)
-                    self._step(proc)
-                    # Resume the producer that was waiting on its put.
-                    self._resume(self._procs[self._producer_pid[cid]], cid,
-                                 done, start - put_time, "put", None,
-                                 runnable)
-                    if i + 1 == n:
-                        # Wrapped: iteration boundary reached.
-                        return
-                    continue
-            # Tail of compute and buffered put/get; rendezvous paths
-            # advanced before resuming their peer and `continue`d above.
-            self._step(proc)
-            if op != OP_COMPUTE:
-                self._wake(op, cid, runnable)
-            if i + 1 == n:
+                    # Rendezvous: the peer waiting on its side completes too.
+                    peer = self._unblock(cid, 1 - side)
+                    self._finish(peer, cid, done, other,
+                                 ir.channel_latencies[cid], _GET - side)
+                    self._step(peer)
+                    runnable.append(peer.pid)
+            if i + 1 == proc.n:
                 return
+
+    def _pair(self, proc: _Proc, cid: int, side: int, arrival: int,
+              other: int) -> int:
+        """Complete ``proc``'s arrival on ``side`` of ``cid`` against
+        ``other``; return the completion slot.  A put or a rendezvous is a
+        transfer and takes the channel latency; a FIFO get waits only."""
+        paid = not side or not self.ir.buffered[cid]
+        row = self.zero_row - self.n_c + cid if paid else self.zero_row
+        done = self._slot(arrival, other, row)
+        self.transfers[cid] += paid
+        self._finish(proc, cid, done, arrival,
+                     self.ir.channel_latencies[cid] if paid else 0, _PUT + side)
+        return done
+
+    def _finish(self, proc: _Proc, cid: int, done: int, arrival: int,
+                const: int, kind: int) -> None:
+        """``proc``'s transfer on ``cid`` completed at slot ``done``."""
+        proc.time = done
+        if kind == _GET and self.functional:
+            payload = self.payloads[cid].popleft()
+            proc.inputs[self.ir.channels[cid]] = payload
+            if proc.sink_list is not None and payload is not None:
+                proc.sink_list.append(payload)
+        self.log.append((kind, proc.pid, cid, proc.iteration, done, arrival,
+                         const))
 
     def _step(self, proc: _Proc) -> None:
         """Move past the current statement; wrap bumps the iteration."""
@@ -486,195 +352,354 @@ class _Core:
         if i == proc.n:
             proc.index = 0
             proc.iteration += 1
-            proc.completion_times.append(proc.time)
-            if self._functional:
+            proc.completions.append(proc.time)
+            if self.functional:
                 proc.inputs = {}
         else:
             proc.index = i
 
-    def _deliver(self, proc: _Proc, cid: int, payload: Any) -> None:
-        """Stage a received payload (functional mode only)."""
-        proc.inputs[self.ir.channels[cid]] = payload
-        if proc.sink_list is not None and payload is not None:
-            proc.sink_list.append(payload)
-
-    def _wake(self, op: int, cid: int, runnable: deque[int]) -> None:
-        """Post-completion wake-ups on a buffered channel."""
-        if op == OP_PUT:
-            self._wake_blocked_get(cid, runnable)
-        else:
-            self._wake_blocked_put(cid, runnable)
-
-    def _resume(self, peer: _Proc, cid: int, done: Any, wait: Any, kind: str,
-                payload: Any, runnable: deque[int]) -> None:
-        """A blocked peer's ``kind`` transfer on ``cid`` completed: unblock
-        and reschedule it (a consumer also receives ``payload``)."""
-        channels = self.ir.channels
-        if peer.blocked_on != cid:
-            was = channels[peer.blocked_on] if peer.blocked_on >= 0 else None
+    def _unblock(self, cid: int, side: int) -> _Proc:
+        """The process blocked on ``side`` of ``cid``, made runnable."""
+        ir = self.ir
+        proc = self.procs[(ir.producers, ir.consumers)[side][cid]]
+        if proc.blocked_on != cid:
+            was = ir.channels[proc.blocked_on] if proc.blocked_on >= 0 else None
             raise SimulationError(
-                f"protocol violation on {channels[cid]!r}: {peer.name!r} "
-                f"completed a {kind} it was not waiting for (blocked on {was!r})"
+                f"protocol violation on {ir.channels[cid]!r}: {proc.name!r} "
+                f"completed a {_KINDS[_PUT + side]} it was not waiting for "
+                f"(blocked on {was!r})"
             )
-        peer.stall[cid] += wait
-        peer.time = done
-        if kind == "get" and self._functional:
-            self._deliver(peer, cid, payload)
-        peer.blocked_on = -1
-        if self._trace_on:
-            self._record(done, kind, peer.name, channels[cid], peer.iteration,
-                         wait=wait)
-        self._step(peer)
-        runnable.append(peer.pid)
+        proc.blocked_on = -1
+        return proc
 
-    def _wake_blocked_put(self, cid: int, runnable: deque[int]) -> None:
-        """Try to complete the oldest blocked put after a credit release."""
-        blocked = self._blocked_put[cid]
-        credits = self._credits[cid]
-        if not blocked or not credits:
-            return
-        t, payload = blocked.popleft()
-        start = self._maximum(t, credits.popleft())
-        done = start + self._ch_latency[cid]
-        self._items[cid].append((done, payload))
-        self._transfers[cid] += 1
-        self._resume(self._procs[self._producer_pid[cid]], cid, done,
-                     start - t, "put", None, runnable)
-        # The item just queued may satisfy a blocked get in turn.
-        self._wake_blocked_get(cid, runnable)
-
-    def _wake_blocked_get(self, cid: int, runnable: deque[int]) -> None:
-        """Try to complete the oldest blocked get after an item arrival."""
-        blocked = self._blocked_get[cid]
-        items = self._items[cid]
-        if not blocked or not items:
-            return
-        t = blocked.popleft()
-        item_time, payload = items.popleft()
-        done = self._maximum(t, item_time)
-        self._credits[cid].append(done)
-        self._resume(self._procs[self._consumer_pid[cid]], cid, done,
-                     done - t, "get", payload, runnable)
-        # A credit was released by that get: maybe another put can proceed.
-        self._wake_blocked_put(cid, runnable)
-
-    # ------------------------------------------------------------------
+    def _wake(self, cid: int, side: int, runnable: deque[int]) -> None:
+        """Complete the oldest blocked arrival on ``side`` of FIFO ``cid``
+        if it can pair now; what it leaves may wake the other side."""
+        waiting = self.waiting[side][cid]
+        ready = self.avail[side][cid]
+        if waiting and ready:
+            proc = self._unblock(cid, side)
+            done = self._pair(proc, cid, side, waiting.popleft(), ready.popleft())
+            self._step(proc)
+            runnable.append(proc.pid)
+            self.avail[1 - side][cid].append(done)
+            self._wake(cid, 1 - side, runnable)
 
     def _raise_deadlock(self) -> None:
         """Diagnose and raise the runtime deadlock: everyone is blocked
         (in every lane at once: the schedule is shared)."""
         ir = self.ir
-        waiting = {
-            proc.name: ir.channels[proc.blocked_on]
-            for proc in self._procs
-            if proc.blocked_on >= 0
-        }
-        # Wait-for edges: blocked process -> the peer of the channel.
-        wait_for: dict[str, str] = {}
-        for proc in self._procs:
+        waiting: dict[str, str] = {}
+        wait_for: dict[str, str] = {}  # blocked process -> channel peer
+        for proc in self.procs:
             cid = proc.blocked_on
-            if cid < 0:
-                continue
-            peer_pid = (
-                ir.consumers[cid]
-                if ir.producers[cid] == proc.pid else ir.producers[cid]
-            )
-            wait_for[proc.name] = ir.processes[peer_pid]
-        cycle = _find_wait_cycle(wait_for)
+            if cid >= 0:
+                waiting[proc.name] = ir.channels[cid]
+                ends = (ir.producers[cid], ir.consumers[cid])
+                wait_for[proc.name] = ir.processes[ends[ends[0] == proc.pid]]
         detail = ", ".join(f"{p} on {c}" for p, c in sorted(waiting.items()))
         raise SimulationDeadlock(
             f"simulation deadlock: all runnable processes are blocked ({detail})",
-            cycle=cycle,
-            waiting=waiting,
+            cycle=_find_wait_cycle(wait_for), waiting=waiting)
+
+
+class _Clocks:
+    """The tape's clocks in every lane, replayed only as far as needed.
+
+    Slots ``1 .. start-1`` are the prefix; from ``start`` on, the tape
+    repeats block ``start .. stop-1``, copy by copy ``width = stop - start``
+    slots later.  Blocks are swept into a ``(slots, lanes)`` array level by
+    dependency level until the live clocks at a block boundary equal those
+    ``c`` boundaries back plus one ``λ`` per lane; max-plus homogeneity
+    then gives ``T[s + c·width] = T[s] + λ`` for every later slot (used by
+    :meth:`at`).  Without such a period the replay runs to ``end``.
+    ``dtype`` is int64, or object (exact ints) once a bound reaches 2**63.
+    """
+
+    def __init__(self, walk: _Walk, start: int, stop: int, end: int,
+                 live: Sequence[int], delays: list[list[int]], dtype: Any):
+        tape = np.array(walk.tape, dtype=np.int64)
+        width = stop - start
+        table = np.array(delays, dtype=dtype)
+        values = np.zeros((start + width, table.shape[1]), dtype=dtype)
+        _sweep(values, _levels(tape, 1, start), table, 0)
+        plan = _levels(tape, start, stop)
+        offsets = np.array(live, dtype=np.int64)
+        history: deque[Any] = deque(maxlen=_MAX_CYCLICITY + 1)
+        self.period: tuple[int, int, Any] | None = None
+        m = 0
+        while True:
+            top = start + m * width
+            history.append(values[top - offsets])
+            for c in range(1, len(history)):  # the smallest c that fits
+                diff = history[-1] - history[-1 - c]
+                if (diff == diff[0]).all():
+                    self.period = (start + (m - c) * width, c * width, diff[0])
+                    break
+            if self.period is not None or top >= end:
+                break
+            if len(values) < top + width:
+                values = np.concatenate([values, np.zeros_like(values[:4 * width])])
+            _sweep(values, plan, table, m * width)
+            m += 1
+        self.values = values[:top]
+
+    def at(self, slots: Any) -> Any:
+        """Clocks at ``slots``, ``(len(slots), lanes)``."""
+        s = np.asarray(slots, dtype=np.int64)
+        if self.period is None:
+            return self.values[s]
+        base, span, shift = self.period
+        copies = np.maximum(s - base, 0) // span
+        return self.values[s - copies * span] + copies[:, None] * shift
+
+
+def _levels(tape: Any, lo: int, hi: int) -> list[tuple[Any, ...]]:
+    """Slots ``lo .. hi-1`` grouped by dependency level (reads below
+    ``lo`` are ready): per level, ``(slots, reads a, reads b, delay rows)``."""
+    level = [0] * (hi - lo)
+    for i, (x, y) in enumerate((tape[lo:hi, :2] - lo).tolist()):
+        level[i] = 1 + max(level[x] if x >= 0 else 0, level[y] if y >= 0 else 0)
+    depth = np.array(level, dtype=np.int64)
+    order = np.argsort(depth, kind="stable")
+    cuts = np.cumsum(np.bincount(depth)).tolist()
+    columns = (order + lo, *tape[lo:hi][order].T)
+    return [tuple(c[i:j] for c in columns) for i, j in zip(cuts, cuts[1:])]
+
+
+def _sweep(clock: Any, plan: list[tuple[Any, ...]], table: Any, shift: int) -> None:
+    """Replay ``plan`` level by level into ``clock``, shifted by ``shift``."""
+    for slots, a, b, rows in plan:
+        if shift:
+            slots, a, b = slots + shift, a + shift, b + shift
+        clock[slots] = np.maximum(clock[a], clock[b]) + table[rows]
+
+
+def _unroll(items: Any, lo: int, hi: int, part: int, copies: int,
+            step: Any) -> Any:
+    """A logged column over the whole run: ``items[:lo]``, then
+    ``items[lo:hi] + t·step`` for t < copies, ``items[lo:part] + copies·step``."""
+    x = np.asarray(items, dtype=np.int64)
+    step = np.broadcast_to(np.asarray(step, dtype=np.int64), x.shape)
+    t = np.arange(copies, dtype=np.int64)[:, None]
+    return np.concatenate([x[:lo], (x[lo:hi] + t * step[lo:hi]).ravel(),
+                           x[lo:part] + copies * step[lo:part]])
+
+
+def _periodic_sum(term: Callable[[int], Any], count: int, start: int,
+                  period: int) -> Any:
+    """``Σ term(t)`` over ``t < count``, given ``term(t + period) ==
+    term(t)`` from ``t = start`` on."""
+    head = min(count, start)
+    total: Any = sum(term(t) for t in range(head))
+    if count > head:
+        full, rest = divmod(count - head, period)
+        cycle = [term(head + i) for i in range(min(period, count - head))]
+        total = total + full * sum(cycle) + sum(cycle[:rest])
+    return total
+
+
+class _Engine:
+    """One lowered program with one latency row per lane: validated up
+    front; each :meth:`run` walks the control once, replays every lane's
+    clocks and collects per-lane results.  ``lane_ids`` (batch runs) name
+    lanes in messages and reject a lane whose clocks may reach 2**63."""
+
+    def __init__(self, system: SystemGraph, ir: LoweredIR,
+                 latencies: Sequence[Mapping[str, int] | None],
+                 lane_ids: Sequence[int] | None = None,
+                 behaviors: Mapping[str, Behavior] | None = None,
+                 initial_payloads: Mapping[str, tuple[Any, ...]] | None = None):
+        self.system, self.ir, self.lane_ids = system, ir, lane_ids
+        self.behaviors = behaviors or {}
+        payloads = initial_payloads or {}
+        # Payload staging only runs when someone supplies payloads.
+        self.functional = bool(behaviors) or bool(payloads)
+        self.steps = 0
+        declared = system.process_latencies()
+        for li, override in enumerate(latencies):
+            where = f"lane {lane_ids[li]}: " if lane_ids is not None else ""
+            unknown = sorted(set(override or ()) - set(declared))
+            if unknown:
+                raise SimulationError(
+                    f"{where}latency override for unknown process(es) "
+                    f"{', '.join(repr(u) for u in unknown)}")
+            for name, latency in (override or {}).items():
+                if latency < 0:
+                    raise SimulationError(f"{where}process {name!r}: latency "
+                                          f"must be >= 0, got {latency}")
+        #: Per pid, per lane compute latency (Python ints).
+        self.latencies = [
+            [(override or {}).get(name, declared[name]) for override in latencies]
+            for name in ir.processes
+        ]
+        self.preload: list[list[Any]] = []
+        for cid, channel in enumerate(ir.channels):
+            preload = list(payloads.get(channel, ()))
+            tokens = ir.initial_tokens[cid]
+            if not ir.buffered[cid] and preload:
+                raise SimulationError(f"channel {channel!r}: rendezvous "
+                                      "channels cannot carry initial payloads")
+            if len(preload) > tokens:
+                raise SimulationError(
+                    f"channel {channel!r}: more initial payloads "
+                    f"({len(preload)}) than initial tokens ({tokens})")
+            self.preload.append(preload + [None] * (tokens - len(preload)))
+
+    def run(self, iterations: int, watch: str, max_steps: int | None,
+            recorders: Sequence[TraceRecorder | None]) -> list[SimulationResult]:
+        """Advance every lane until ``watch`` completes ``iterations``
+        loops (raises :class:`SimulationDeadlock` when the shared control
+        path deadlocks — all lanes together, since the schedule is
+        latency-independent)."""
+        if iterations < 1:
+            raise SimulationError("iterations must be >= 1")
+        ir = self.ir
+        watch_pid = ir.process_index.get(watch)
+        if watch_pid is None:
+            raise SimulationError(f"unknown watch process {watch!r}")
+        n_p, n_c, n_lanes = len(ir.processes), ir.n_channels, len(recorders)
+        sinks = {p.name for p in self.system.sinks()}
+        payloads: dict[str, list[Any]] = {n: [] for n in ir.processes if n in sinks}
+        traced = [(li, rec) for li, rec in enumerate(recorders) if rec is not None]
+        walk = _Walk(self, payloads)
+        budget = max_steps or 40 * (iterations + 4) * (n_p + n_c) + 1000
+        delays = (self.latencies + [[lat] * n_lanes for lat in ir.channel_latencies]
+                  + [[0] * n_lanes])
+        try:
+            # Behaviors run every iteration, so a functional walk goes on
+            # to the end; its clocks still extrapolate.
+            walk.run(iterations, watch_pid, budget, full=self.functional)
+        except ReproError:
+            self.steps = walk.steps
+            if traced:  # stream what the walk reached before it failed
+                end = len(walk.tape)
+                _emit(ir, _Clocks(walk, end, end, end, (), delays, object),
+                      walk.columns(), self.latencies, traced)
+            raise
+
+        # The rest of the run by arithmetic: watched iteration N is
+        # j + r + q·(k - j), and each control period k - j advances every
+        # counter and slot by the same amount.
+        marks = walk.marks
+        j = k = len(marks) - 1
+        q = r = 0
+        live: list[int] = []
+        if walk.period is not None:
+            j, k, state = walk.period
+            q, r = divmod(iterations - j, k - j)
+            live = [p[2] for p in state[1]] + [o for _, qu in state[2] for o in qu]
+        lo, hi, part = marks[j], marks[k], marks[j + r]
+        final = [x + q * (y - z) for x, y, z in zip(part, hi, lo)]
+        if final[0] > budget:
+            raise SimulationError(_BUDGET.format(budget))
+        self.steps = final[0]
+        width = hi[1] - lo[1]
+        counts, computes = final[3:3 + n_p], final[3 + n_p:3 + 2 * n_p]
+        transfers = final[3 + 3 * n_p:]
+
+        # A clock is a path sum of tape delays, so their total bounds it.
+        work = sum(lat * n for lat, n in zip(ir.channel_latencies, transfers))
+        bounds = [work + sum(row[li] * n for row, n in zip(self.latencies, computes))
+                  for li in range(n_lanes)]
+        for lane_id, bound in zip(self.lane_ids or (), bounds):
+            if bound >= _INT64_LIMIT:
+                raise SimulationError(
+                    f"lane {lane_id}: clocks may exceed the int64 range of "
+                    f"the vectorized engine (bound {bound}); simulate this "
+                    "configuration with Simulator")
+        fits = max(bounds + [v for row in delays for v in row]) < _INT64_LIMIT
+        clocks = _Clocks(walk, lo[1], hi[1], final[1], live, delays,
+                         np.int64 if fits else object)
+
+        # Stalls: the prefix, q copies of the period's waits (periodic in the
+        # copy once past the clock period's base), the partial last period.
+        log = walk.columns()
+        head, block, tail = (
+            rows[:, (rows[0] == _PUT) | (rows[0] == _GET)]
+            for rows in (log[:, :lo[2]], log[:, lo[2]:hi[2]], log[:, lo[2]:part[2]])
         )
 
-    def collect(self) -> list[SimulationResult]:
-        """Per-lane results with Python-int clocks, in lane order."""
-        ir = self.ir
-        channels = ir.channels
-        procs = self._procs
-        n_lanes = self.n_lanes
-        lanes: Callable[[Any], list[Any]]
-        if self._vector:
-            self._check_bound()
-            lanes = np.ndarray.tolist
-            series = [
-                np.stack(p.completion_times, axis=1).tolist()
-                if p.completion_times else [[] for _ in range(n_lanes)]
-                for p in procs
-            ]
-        else:
-            lanes = _one_lane
-            series = [[list(p.completion_times)] for p in procs]
-        times = [lanes(p.time) for p in procs]
-        computes = [lanes(p.lat * p.computes) for p in procs]
-        stalls = [[(cid, lanes(p.stall[cid])) for cid in p.cids] for p in procs]
-        iterations = {p.name: p.iteration for p in procs}
-        transfers = {name: self._transfers[cid] for cid, name in enumerate(channels)}
+        def waits(rows: Any, copy: int) -> Any:
+            done = clocks.at(rows[4] + copy * width)
+            done -= clocks.at(rows[5] + copy * width)
+            return done - rows[6][:, None]
 
+        start, cycle = q, 1
+        if clocks.period is not None and block.size:
+            base, span, _ = clocks.period
+            start = min(q, max(0, -((int(block[5].min()) - base) // width)))
+            cycle = span // width
+        keys = np.flatnonzero(np.bincount((log[1] * n_c + log[2])[log[2] >= 0]))
+        stalls = np.zeros((len(keys), n_lanes), dtype=clocks.values.dtype)
+        for rows, total in (
+            (head, waits(head, 0)),
+            (block, _periodic_sum(lambda t: waits(block, t), q, start, cycle)),
+            (tail, waits(tail, q)),
+        ):
+            np.add.at(stalls, np.searchsorted(keys, rows[1] * n_c + rows[2]), total)
+        proc_stalls = np.zeros((n_p, n_lanes), dtype=stalls.dtype)
+        np.add.at(proc_stalls, keys // n_c, stalls)
+
+        if traced:
+            laps = np.subtract(hi[3:3 + n_p], lo[3:3 + n_p])[log[1]]
+            _emit(ir, clocks, [
+                _unroll(column, lo[2], hi[2], part[2], q, step)
+                for column, step in zip(log, (0, 0, 0, laps, width, width, 0))
+            ], self.latencies, traced)
+
+        # Per-lane results: transpose once, then build each lane's dicts.
+        names, channels = ir.processes, ir.channels
+        pairs = [(names[k // n_c], channels[k % n_c]) for k in keys.tolist()]
+        key_stalls = stalls.T.tolist()
+        # One process at a time: the lists are the output, arrays stay small.
+        completions = list(zip(*(clocks.at(_unroll(
+            p.completions, *(m[3 + p.pid] for m in (lo, hi, part)), q, width
+        )).T.tolist() for p in walk.procs)))
+        times = clocks.at(final[3 + 2 * n_p:3 + 3 * n_p]).T.tolist()
+        proc_totals = proc_stalls.T.tolist()
+        cycles = list(zip(*([lat * n for lat in row]
+                            for row, n in zip(self.latencies, computes))))
         results: list[SimulationResult] = []
         for li in range(n_lanes):
-            breakdown = {
-                p.name: cells
-                for p, row in zip(procs, stalls)
-                if (cells := {
-                    channels[cid]: column[li] for cid, column in row if column[li]
-                })
-            }
-            recorder = self._recorders[li]
+            breakdown: dict[str, dict[str, int]] = {}
+            for (name, channel), value in zip(pairs, key_stalls[li]):
+                if value:
+                    breakdown.setdefault(name, {})[channel] = value
+            recorder = recorders[li]
             results.append(SimulationResult(
-                iterations=dict(iterations),
-                times={p.name: col[li] for p, col in zip(procs, times)},
-                completion_times={p.name: col[li] for p, col in zip(procs, series)},
-                compute_cycles={p.name: col[li] for p, col in zip(procs, computes)},
-                stall_cycles={
-                    p.name: sum(breakdown.get(p.name, {}).values()) for p in procs
-                },
-                channel_transfers=dict(transfers),
-                sink_payloads={k: list(v) for k, v in self._sink_payloads.items()},
+                iterations=dict(zip(names, counts)),
+                times=dict(zip(names, times[li])),
+                completion_times=dict(zip(names, completions[li])),
+                compute_cycles=dict(zip(names, cycles[li])),
+                stall_cycles=dict(zip(names, proc_totals[li])),
+                channel_transfers=dict(zip(channels, transfers)),
+                sink_payloads={k: list(v) for k, v in payloads.items()},
                 trace=recorder.events() if recorder is not None else (),
                 stall_breakdown=breakdown,
             ))
         return results
 
-    def _check_bound(self) -> None:
-        """Reject vector lanes whose int64 clocks may have wrapped: no
-        clock exceeds Σ process latency × computes + Σ channel latency ×
-        transfers, computed exactly per lane."""
-        channel_work = sum(
-            lat * count for lat, count in zip(self._ch_latency, self._transfers)
-        )
-        for li, lane_id in enumerate(self._lane_ids):
-            bound = channel_work + sum(
-                row[li] * proc.computes
-                for row, proc in zip(self._latency_table, self._procs)
-            )
-            if bound >= _INT64_LIMIT:
-                raise SimulationError(
-                    f"lane {lane_id}: clocks may exceed the int64 range of the "
-                    f"vectorized engine (bound {bound}); simulate this "
-                    "configuration with Simulator"
-                )
 
-
-def _one_lane(value: Any) -> list[Any]:
-    return [value]
-
-
-def _fan_out(traced: list[tuple[int, TraceRecorder]]) -> Callable[..., None]:
-    """Trace hook of a vector run: fan each event out to the tracing lanes
-    (a no-op for an untraced run, which never calls it)."""
-
-    def record(time: Any, kind: str, process: str, channel: str | None,
-               iteration: int, duration: Any = None, wait: Any = None) -> None:
-        for li, recorder in traced:
-            recorder.record(
-                int(time[li]), kind, process, channel, iteration,
-                duration=int(duration[li]) if duration is not None else 0,
-                wait=int(wait[li]) if wait is not None else 0,
-            )
-
-    return record
+def _emit(ir: LoweredIR, clocks: _Clocks, columns: Sequence[Any],
+          latencies: list[list[int]],
+          traced: Sequence[tuple[int, TraceRecorder]]) -> None:
+    """Hand the run's events, in walk order, to each traced lane."""
+    kinds, pids, cids, iterations, slots, arrivals, consts = columns
+    times = clocks.at(slots)
+    waits = times - consts[:, None] - clocks.at(arrivals)
+    labels = [
+        np.array(names, dtype=object)[index].tolist() for names, index in (
+            (_KINDS, kinds), (ir.processes, pids), ((*ir.channels, None), cids))
+    ] + [iterations.tolist()]
+    for li, recorder in traced:
+        latency = np.array([row[li] for row in latencies], dtype=object)[pids]
+        # tuple.__new__ builds each named tuple without a Python-level call.
+        recorder.extend(cast("Iterable[TraceEvent]", map(
+            tuple.__new__, repeat(TraceEvent), zip(
+                times[:, li].tolist(), *labels,
+                np.where(kinds == _COMPUTE, latency, 0).tolist(),
+                waits[:, li].tolist()))))
 
 
 def _find_wait_cycle(wait_for: dict[str, str]) -> list[str] | None:
@@ -699,7 +724,7 @@ def _find_wait_cycle(wait_for: dict[str, str]) -> list[str] | None:
 class Simulator:
     """Cycle-level simulator of a system under a channel ordering.
 
-    One lane with exact Python-int clocks over the shared interpreter.
+    One lane of the shared pipeline, with exact Python-int clocks.
 
     Args:
         system: The system to simulate.
@@ -713,8 +738,8 @@ class Simulator:
             (for channels with ``initial_tokens``).
         record_trace: Keep a full event trace (memory-heavy; debugging).
         sinks: Streaming trace sinks (see :mod:`repro.obs.sinks`); each
-            receives every :class:`~repro.sim.trace.TraceEvent` as it is
-            emitted.  Attaching sinks never changes simulation results.
+            receives every :class:`~repro.sim.trace.TraceEvent` in walk
+            order.  Attaching sinks never changes simulation results.
         metrics: Optional :class:`repro.obs.MetricsRegistry`; end-of-run
             aggregates are recorded under the ``sim.*`` metric names
             (see ``docs/OBSERVABILITY.md``).  No hot-path cost.
@@ -739,22 +764,17 @@ class Simulator:
         # that deadlock under *every* ordering before any cycle runs.
         preflight(system, self.ordering)
         self.ir = lower(system, self.ordering)
-        recorder = (
+        self._recorders = [
             TraceRecorder(enabled=record_trace, sinks=sinks)
             if record_trace or sinks else None
-        )
-        self._core = _Core(
-            system, self.ir, [process_latencies], [recorder], vector=False,
-            behaviors=behaviors, initial_payloads=initial_payloads,
-        )
+        ]
+        self._engine = _Engine(system, self.ir, [process_latencies],
+                               behaviors=behaviors,
+                               initial_payloads=initial_payloads)
         self._metrics = metrics
 
-    def run(
-        self,
-        iterations: int = 64,
-        watch: str | None = None,
-        max_steps: int | None = None,
-    ) -> SimulationResult:
+    def run(self, iterations: int = 64, watch: str | None = None,
+            max_steps: int | None = None) -> SimulationResult:
         """Run until the watched process completes ``iterations`` loops.
 
         Args:
@@ -768,13 +788,13 @@ class Simulator:
             SimulationDeadlock: Every process is blocked on a rendezvous;
                 the exception's ``cycle`` carries the circular wait.
         """
-        core = self._core
-        core.run(iterations, watch or default_watch(self.system), max_steps)
-        (result,) = core.collect()
+        engine = self._engine
+        (result,) = engine.run(iterations, watch or default_watch(self.system),
+                               max_steps, self._recorders)
         metrics = self._metrics
         if metrics is not None:
             metrics.counter("sim.runs").add(1)
-            metrics.counter("sim.steps").add(core.steps)
+            metrics.counter("sim.steps").add(engine.steps)
             _add_totals(metrics, "sim", [result])
         return result
 
@@ -799,13 +819,10 @@ class BatchSimulator:
             (see ``docs/OBSERVABILITY.md``).
     """
 
-    def __init__(
-        self,
-        system: SystemGraph,
-        ordering: ChannelOrdering | None = None,
-        lanes: Sequence[BatchLane] = (),
-        metrics: "MetricsRegistry | None" = None,
-    ):
+    def __init__(self, system: SystemGraph,
+                 ordering: ChannelOrdering | None = None,
+                 lanes: Sequence[BatchLane] = (),
+                 metrics: "MetricsRegistry | None" = None):
         from repro.lint import preflight
 
         self.system = system
@@ -844,13 +861,9 @@ class BatchSimulator:
         """Distinct capacity signatures (compiles) in this batch."""
         return len(self._groups)
 
-    def run(
-        self,
-        iterations: int = 64,
-        watch: str | None = None,
-        max_steps: int | None = None,
-        on_deadlock: str = "raise",
-    ) -> List[LaneOutcome]:
+    def run(self, iterations: int = 64, watch: str | None = None,
+            max_steps: int | None = None,
+            on_deadlock: str = "raise") -> list[LaneOutcome]:
         """Run every lane to ``iterations`` completed loops of ``watch``.
 
         Args:
@@ -877,33 +890,22 @@ class BatchSimulator:
         total_steps = 0
         for group_system, lane_indices in self._groups.values():
             group = [self.lanes[li] for li in lane_indices]
+            engine = _Engine(group_system, lower(group_system, self.ordering),
+                             [lane.process_latencies for lane in group],
+                             lane_ids=lane_indices)
             try:
-                core = _Core(
-                    group_system,
-                    lower(group_system, self.ordering),
-                    [lane.process_latencies for lane in group],
-                    [
+                results: Sequence[LaneOutcome] = engine.run(
+                    iterations, watch, max_steps, [
                         TraceRecorder(enabled=lane.record_trace, sinks=lane.sinks)
                         if lane.record_trace or lane.sinks else None
                         for lane in group
                     ],
-                    vector=True,
-                    lane_ids=lane_indices,
                 )
-                core.run(iterations, watch, max_steps)
-                results: Sequence[LaneOutcome] = core.collect()
             except SimulationDeadlock as deadlock:
                 if on_deadlock == "raise":
                     raise
                 results = [deadlock] * len(lane_indices)
-            except OverflowError as error:
-                lanes = ", ".join(str(li) for li in lane_indices)
-                raise SimulationError(
-                    f"lane(s) {lanes}: a latency exceeds the int64 range of "
-                    "the vectorized engine; simulate this configuration "
-                    "with Simulator"
-                ) from error
-            total_steps += core.steps
+            total_steps += engine.steps
             outcomes.update(zip(lane_indices, results))
         final = [outcomes[li] for li in range(len(self.lanes))]
         metrics = self._metrics
@@ -914,15 +916,13 @@ class BatchSimulator:
             metrics.counter("sim.batch.groups").add(self.n_groups)
             metrics.counter("sim.batch.steps").add(total_steps)
             metrics.counter("sim.batch.deadlocked_lanes").add(
-                len(final) - len(finished)
-            )
+                len(final) - len(finished))
             _add_totals(metrics, "sim.batch", finished)
         return final
 
 
-def _add_totals(
-    metrics: "MetricsRegistry", prefix: str, results: Sequence[SimulationResult]
-) -> None:
+def _add_totals(metrics: "MetricsRegistry", prefix: str,
+                results: Sequence[SimulationResult]) -> None:
     """End-of-run aggregates under the stable ``sim.*`` / ``sim.batch.*``
     metric names, summed over ``results``."""
     for name, attribute in (
@@ -934,25 +934,18 @@ def _add_totals(
         )
 
 
-def simulate(
-    system: SystemGraph,
-    ordering: ChannelOrdering | None = None,
-    iterations: int = 64,
-    **kwargs: Any,
-) -> SimulationResult:
+def simulate(system: SystemGraph, ordering: ChannelOrdering | None = None,
+             iterations: int = 64, **kwargs: Any) -> SimulationResult:
     """One-call convenience wrapper around :class:`Simulator`."""
     return Simulator(system, ordering, **kwargs).run(iterations=iterations)
 
 
-def simulate_batch(
-    system: SystemGraph,
-    lanes: Sequence[BatchLane],
-    ordering: ChannelOrdering | None = None,
-    iterations: int = 64,
-    watch: str | None = None,
-    max_steps: int | None = None,
-    metrics: "MetricsRegistry | None" = None,
-) -> list[SimulationResult]:
+def simulate_batch(system: SystemGraph, lanes: Sequence[BatchLane],
+                   ordering: ChannelOrdering | None = None,
+                   iterations: int = 64, watch: str | None = None,
+                   max_steps: int | None = None,
+                   metrics: "MetricsRegistry | None" = None,
+                   ) -> list[SimulationResult]:
     """One-call convenience wrapper around :class:`BatchSimulator`.
 
     Raises :class:`SimulationDeadlock` if any lane deadlocks (use

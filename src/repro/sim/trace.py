@@ -6,9 +6,9 @@ whoever wants the events: it can keep them in memory (the classic
 ``record_trace=True`` behaviour) and/or stream them to any number of
 *sinks* — objects with an ``emit(event)`` method, see
 :mod:`repro.obs.sinks` for the stock implementations (in-memory, JSONL
-streaming, bounded ring buffer).  With neither enabled the recorder is a
-single attribute check per event, so an uninstrumented simulation pays
-essentially nothing (guarded by ``benchmarks/test_bench_obs_overhead.py``).
+streaming, bounded ring buffer).  The engine hands a lane's events over
+only when that lane has a recorder, so an unobserved simulation builds
+none (guarded by ``benchmarks/test_bench_obs_overhead.py``).
 
 Time base
 ---------
@@ -28,13 +28,11 @@ process's own final time, not by a global end-of-run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One simulator event.
+class TraceEvent(NamedTuple):
+    """One simulator event (an immutable named tuple: runs emit many).
 
     Attributes:
         time: Completion time of the event on the shared simulation clock
@@ -80,7 +78,7 @@ class TraceRecorder:
 
     Args:
         enabled: Keep every event in memory (``events()`` returns them).
-        sinks: Streaming sinks receiving each event as it happens, in
+        sinks: Streaming sinks receiving each recorded event, in
             emission order (which is causal but not globally time-sorted;
             ``events()`` sorts, streaming consumers should too if they
             need strict time order).
@@ -112,6 +110,15 @@ class TraceRecorder:
             self._events.append(event)
         for sink in self._sinks:
             sink.emit(event)
+
+    def extend(self, events: Iterable[TraceEvent]) -> None:
+        """Record ``events`` in order (each sink receives all of them)."""
+        batch = list(events) if self._active else []
+        if self.enabled:
+            self._events.extend(batch)
+        for emit in [sink.emit for sink in self._sinks]:
+            for event in batch:
+                emit(event)
 
     def events(self) -> tuple[TraceEvent, ...]:
         return tuple(sorted(self._events, key=lambda e: (e.time, e.process)))
