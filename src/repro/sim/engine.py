@@ -803,8 +803,8 @@ class BatchSimulator:
     """Advance B simulations of one ``(system, ordering)`` pair in lock-step.
 
     Lanes are grouped by their channel-capacity signature; each group is
-    one compile (memoized :func:`repro.ir.lower`) and one vectorized run
-    of the shared interpreter.  Latency-only batches — the DSE neighbor
+    one compile (memoized :func:`repro.ir.lower`), one control walk and
+    one replay with a clock column per lane.  Latency-only batches — the DSE neighbor
     case — form a single group.  The batch engine is synchronization-only:
     functional payloads need :class:`Simulator`.
 
