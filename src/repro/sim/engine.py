@@ -60,6 +60,9 @@ _BUDGET = ("simulation exceeded its step budget ({}); "
            "raise max_steps for very long transients")
 #: Longest clock cyclicity sought; a longer one replays to the end, exactly.
 _MAX_CYCLICITY = 32
+#: Entries of control state kept while looking for a repeat (a filling
+#: FIFO grows each snapshot); past it the walk runs to the end, exactly.
+_SNAPSHOT_ROOM = 1 << 16
 
 
 def token_behavior(iteration: int, inputs: Mapping[str, Any]) -> dict[str, Any]:
@@ -221,7 +224,7 @@ class _Walk:
         runnable: deque[int] = deque(range(len(procs)))
         marks.append(self._mark(0))
         seen = {self._state(runnable): 0}
-        steps = 0
+        steps, room = 0, _SNAPSHOT_ROOM
         while watched.iteration < iterations:
             if not runnable:
                 self.steps = steps
@@ -236,9 +239,11 @@ class _Walk:
                 # The process stopped at an iteration boundary, not on a
                 # channel: keep it runnable (round-robin fairness).
                 runnable.append(pid)
-            if watched.iteration == len(marks) and self.period is None:
+            if (watched.iteration == len(marks) and self.period is None
+                    and room > 0):
                 marks.append(self._mark(steps))
                 state = self._state(runnable)
+                room -= len(procs) + sum(len(queue) for _, queue in state[2])
                 first = seen.setdefault(state, len(marks) - 1)
                 if first < len(marks) - 1:
                     self.period = (first, len(marks) - 1, state)
@@ -247,8 +252,7 @@ class _Walk:
         self.steps = steps
 
     def _mark(self, steps: int) -> list[int]:
-        """``[steps, slots, events]``, per pid the iterations, computes
-        and clock slot, per cid the transfers."""
+        """Steps, slots, events; per pid iterations, computes, clock slot."""
         procs = self.procs
         return ([steps, len(self.tape), len(self.log)]
                 + [p.iteration for p in procs] + [p.computes for p in procs]
@@ -549,9 +553,7 @@ class _Engine:
     def run(self, iterations: int, watch: str, max_steps: int | None,
             recorders: Sequence[TraceRecorder | None]) -> list[SimulationResult]:
         """Advance every lane until ``watch`` completes ``iterations``
-        loops (raises :class:`SimulationDeadlock` when the shared control
-        path deadlocks — all lanes together, since the schedule is
-        latency-independent)."""
+        loops; a deadlock of the shared control path ends all lanes."""
         if iterations < 1:
             raise SimulationError("iterations must be >= 1")
         ir = self.ir
@@ -581,15 +583,13 @@ class _Engine:
         # The rest of the run by arithmetic: watched iteration N is
         # j + r + q·(k - j), and each control period k - j advances every
         # counter and slot by the same amount.
-        marks = walk.marks
-        j = k = len(marks) - 1
-        q = r = 0
-        live: list[int] = []
+        lo = hi = part = walk._mark(walk.steps)  # the walk ran to the end
+        q, live = 0, []
         if walk.period is not None:
             j, k, state = walk.period
             q, r = divmod(iterations - j, k - j)
+            lo, hi, part = walk.marks[j], walk.marks[k], walk.marks[j + r]
             live = [p[2] for p in state[1]] + [o for _, qu in state[2] for o in qu]
-        lo, hi, part = marks[j], marks[k], marks[j + r]
         final = [x + q * (y - z) for x, y, z in zip(part, hi, lo)]
         if final[0] > budget:
             raise SimulationError(_BUDGET.format(budget))

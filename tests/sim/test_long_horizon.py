@@ -235,6 +235,17 @@ class TestTransients:
         # Only runs past the 50-iteration fill find a control period.
         assert replays[0][0] is (iterations > 50)
 
+    def test_snapshot_room_exhausted_walks_to_the_end(
+        self, motivating, replays, monkeypatch
+    ):
+        """Control snapshots are bounded in total size (a filling FIFO grows
+        every one of them); past the bound the walk runs to the end."""
+        monkeypatch.setattr(engine, "_SNAPSHOT_ROOM", 1)
+        ordering = ChannelOrdering.declaration_order(motivating)
+        got = Simulator(motivating, ordering, record_trace=True).run(64)
+        assert got == _reference(motivating, ordering, 64, record_trace=True)
+        assert replays == [(False, None)]
+
     def test_capacity_override_groups(self):
         system = _fill_system(8)
         ordering = ChannelOrdering.declaration_order(system)
