@@ -695,7 +695,7 @@ def _emit(ir: LoweredIR, clocks: _Clocks, columns: Sequence[Any],
     for li, recorder in traced:
         latency = np.array([row[li] for row in latencies], dtype=object)[pids]
         # tuple.__new__ builds each named tuple without a Python-level call.
-        recorder.extend(cast("Iterable[TraceEvent]", map(
+        recorder.extend(cast(Iterable[TraceEvent], map(
             tuple.__new__, repeat(TraceEvent), zip(
                 times[:, li].tolist(), *labels,
                 np.where(kinds == _COMPUTE, latency, 0).tolist(),
