@@ -27,7 +27,7 @@ loops the raw fixpoint drifts to full capacity; the cycle-invariant pass
 (:mod:`repro.absint.invariants`) restores the lost bound by intersecting
 with the minimum token count over directed cycles through each channel.
 Results are cached under the IR's content address with the same
-:class:`~repro.perf.cache.LruCache` semantics every other analysis uses.
+:class:`~repro.cache.LruCache` semantics every other analysis uses.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ from repro.absint.invariants import (
     min_cycle_occupancy_bounds,
     token_invariants,
 )
+from repro.cache import MISS, CacheStats, LruCache
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir import OP_COMPUTE, OP_GET, OP_NAMES, OP_PUT, LoweredIR, lower
 from repro.model.build import marked_places
-from repro.perf.cache import MISS, CacheStats, LruCache
 
 #: Interval bumps tolerated per channel before widening jumps straight to
 #: the capacity bound (keeps fixpoint rounds independent of FIFO depth).

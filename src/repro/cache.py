@@ -1,18 +1,23 @@
 """Bounded LRU cache with hit/miss/eviction accounting.
 
-A deliberately small, dependency-free LRU used by the performance engine
-for both its caches (full results and event-graph structures) and by the
-ordering layer for memoized :func:`~repro.ordering.algorithm.channel_ordering`
-results.  Keys are content-addressed digests (see
-:mod:`repro.perf.fingerprint`), values are immutable analysis artifacts,
-so sharing a cached value across callers is safe.
+The one in-process memo type of the package: the performance engine's
+result and structure caches, memoized
+:func:`~repro.ordering.algorithm.channel_ordering` results, and the
+process-wide memos of lowering (:mod:`repro.ir.lowering`), the
+pre-flight (:mod:`repro.lint`), symmetry analysis
+(:mod:`repro.sym.canonical`) and abstract interpretation
+(:mod:`repro.absint.engine`).  Keys are content identities, values are
+immutable analysis artifacts, so sharing a cached value across callers
+is safe.
+
+This module imports nothing from ``repro``, so every layer can use it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Hashable, Iterator
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
@@ -63,10 +68,10 @@ class LruCache:
 
     def __init__(self, maxsize: int = 1024):
         self.maxsize = maxsize
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.stats = CacheStats()
 
-    def get(self, key: str) -> Any:
+    def get(self, key: Hashable) -> Any:
         """The cached value, or the :data:`MISS` sentinel."""
         try:
             value = self._entries[key]
@@ -77,7 +82,7 @@ class LruCache:
         self.stats.hits += 1
         return value
 
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: Hashable, value: Any) -> None:
         if self.maxsize <= 0:
             return
         if key in self._entries:
@@ -94,8 +99,8 @@ class LruCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> Iterator[Hashable]:
         return iter(self._entries)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, ContextManager, Sequence, Union
 
+from repro.cache import LruCache
 from repro.core.system import ChannelOrdering
 from repro.dse.config import SystemConfiguration
 from repro.dse.problems import (
@@ -36,14 +37,12 @@ from repro.errors import DeadlockError, InfeasibleError, NodeLimitError
 from repro.ilp import branch_bound
 from repro.model.performance import SystemPerformance, analyze_system
 from repro.ordering.algorithm import channel_ordering
-from repro.perf.cache import LruCache
 from repro.perf.engine import PerformanceEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir import LoweredIR
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.profile import DseProfiler
-    from repro.store import ArtifactStore
 
 Number = Union[Fraction, float]
 
@@ -146,8 +145,8 @@ class ExplorationResult:
     stop_reason: str = ""
     cache_stats: dict[str, dict[str, int | float]] | None = None
     #: Simulated steady-state cycle time per history index, from the
-    #: batched cross-validation pass (``batch=True`` /
-    #: ``ERMES_SIM_BATCH``): every visited configuration replayed through
+    #: batched cross-validation pass (``batch=True``): every visited
+    #: configuration replayed through
     #: one vectorized :class:`repro.sim.BatchSimulator` run per distinct
     #: ordering.  ``None`` values mark configurations whose simulation
     #: deadlocked; the attribute itself is ``None`` when batching is off.
@@ -188,19 +187,20 @@ class ExplorationResult:
 class Explorer:
     """ERMES: iterative co-optimization of IP selection and channel order.
 
+    Every distinct ordering Algorithm 1 produces is machine-checked once
+    per run and once per orbit (see :meth:`_verify_ordering`): when its
+    lowered IR is isomorphic to one already checked (same
+    orbit-canonical key, :mod:`repro.sym`), the check is skipped —
+    deadlock freedom is invariant under IR automorphisms — and the skip
+    is metered (``dse.sym.verify_deduped``) and logged, never silent.
+    The exploration *trajectory* is untouched: analyses, ILP cuts and
+    iteration decisions never consult the checks or the orbits.
+
     Args:
         target_cycle_time: The designer's TCT constraint.
         max_iterations: Upper bound on optimization iterations.
         reorder: Rerun Algorithm 1 after each selection change (the paper's
             behaviour).  Disable to ablate the contribution of reordering.
-        verify: Machine-check every ordering Algorithm 1 produces with the
-            explicit-state checker (:func:`repro.verify.verify_ordering`)
-            on small systems (``<= SMALL_SYSTEM_LIMIT`` processes +
-            channels).  A confirmed deadlock raises — Algorithm 1 is
-            proven safe, so a firing is an engine bug, not a design
-            property — while a budget-exhausted check is quietly skipped
-            (the structural guarantee still holds).  On by default; the
-            cost is bounded by a small state/time budget.
         timing_area_budget: Optional area-increase cap per timing step
             (activates the dual formulation with area recovered from
             off-cycle processes).
@@ -220,28 +220,11 @@ class Explorer:
             the vectorized :class:`repro.sim.BatchSimulator` — one
             lock-step run per distinct ordering, one lane per
             configuration — and attach the measured steady-state cycle
-            times to :attr:`ExplorationResult.measured_cycle_times`.
-            ``None`` (the default) defers to the ``ERMES_SIM_BATCH``
-            environment knob.  The exploration trajectory itself is
-            untouched: batching adds measurements, never decisions.
+            times to :attr:`ExplorationResult.measured_cycle_times`.  Off
+            by default.  The exploration trajectory itself is untouched:
+            batching adds measurements, never decisions.
         batch_iterations: Iterations each batched lane runs for (the
             steady-state estimate uses the second half).
-        store: Optional persistent :class:`~repro.store.ArtifactStore`.
-            Layered under the default performance engine's LRU (ignored
-            when ``perf_engine`` is supplied — configure that engine's
-            store directly), so analyses survive the process.
-            Conclusive ordering verdicts are persisted too (kind
-            ``"verify"``, keyed by the ordering's ``ir_hash``), so
-            machine-checks survive process restarts; reuse is counted
-            under ``dse.verify.store_hits``.
-        sym_dedup: Dedup ordering *verifications* by orbit-canonical key
-            (:mod:`repro.sym`): when Algorithm 1 produces an ordering
-            whose lowered IR is isomorphic to one already machine-checked
-            this run, the check is skipped — deadlock-freedom is
-            invariant under IR automorphisms, and the skip count is both
-            metered (``dse.sym.verify_deduped``) and logged, never
-            silent.  The exploration *trajectory* is untouched: analyses,
-            ILP cuts, and iteration decisions never consult the orbit.
         sym_seen: Optional shared set of already-verified canonical
             hashes.  :func:`repro.dse.sweep.sweep_targets` passes one
             set across its per-target explorers so symmetric neighbors
@@ -253,33 +236,23 @@ class Explorer:
         target_cycle_time: Number,
         max_iterations: int = 16,
         reorder: bool = True,
-        verify: bool = True,
         timing_area_budget: float | None = None,
         engine_exact: bool = True,
         perf_engine: PerformanceEngine | None = None,
         profiler: "DseProfiler | None" = None,
-        batch: bool | None = None,
+        batch: bool = False,
         batch_iterations: int = 32,
-        store: "ArtifactStore | None" = None,
-        sym_dedup: bool = True,
         sym_seen: set[str] | None = None,
     ):
         self.target_cycle_time = target_cycle_time
         self.max_iterations = max_iterations
         self.reorder = reorder
-        self.verify = verify
         self.timing_area_budget = timing_area_budget
         self.engine_exact = engine_exact
-        self.store = store
-        self.perf_engine = perf_engine or PerformanceEngine(store=store)
+        self.perf_engine = perf_engine or PerformanceEngine()
         self.profiler = profiler
-        if batch is None:
-            from repro.sim import batch_enabled_by_env
-
-            batch = batch_enabled_by_env()
         self.batch = batch
         self.batch_iterations = batch_iterations
-        self.sym_dedup = sym_dedup
         self._sym_seen = sym_seen if sym_seen is not None else set()
         # Memoized Algorithm 1 results: sweeps revisit configurations, and
         # orderings are immutable values safe to share.
@@ -433,11 +406,7 @@ class Explorer:
                 fingerprint = _ordering_fingerprint(new_ordering)
                 if fingerprint not in verified_orderings:
                     verified_orderings.add(fingerprint)
-                    canonical = (
-                        self._canonical_key(candidate)
-                        if self.sym_dedup
-                        else None
-                    )
+                    canonical = self._canonical_key(candidate)
                     if canonical is not None and canonical in self._sym_seen:
                         sym_deduped += 1
                         if metrics is not None:
@@ -567,8 +536,6 @@ class Explorer:
         structural liveness guarantee of Algorithm 1 stands on its own,
         and a deferred machine-check must not fail the exploration.
         """
-        if not self.verify:
-            return
         from repro.absint import analyze, check_certificate
         from repro.errors import BudgetExceeded
         from repro.verify.checker import is_small_system, verify_ordering
@@ -594,30 +561,6 @@ class Explorer:
             if metrics is not None:
                 metrics.counter("dse.absint.certified").add(1)
             return
-        # Persisted verdict short-circuit: a conclusive DEADLOCK_FREE is
-        # a proof, valid whatever budget this run would have used.  The
-        # canonical hash is the second-chance key — deadlock-freedom is
-        # invariant under IR automorphisms, so a symmetric sibling's
-        # verdict transfers.
-        ir: "LoweredIR | None" = None
-        digest = None
-        canonical = None
-        if self.store is not None:
-            from repro.store import params_digest
-
-            ir = self._lowered(config)
-            digest = params_digest({"op": "verify"})
-            hit = self.store.get(ir.structural_hash, "verify", digest)
-            if hit != "deadlock-free" and self.sym_dedup:
-                canonical = self._canonical_key(config)
-                if canonical is not None and canonical != ir.structural_hash:
-                    hit = self.store.get(canonical, "verify", digest)
-                    if hit == "deadlock-free" and metrics is not None:
-                        metrics.counter("dse.sym.store_hits").add(1)
-            if hit == "deadlock-free":
-                if metrics is not None:
-                    metrics.counter("dse.verify.store_hits").add(1)
-                return
         if metrics is not None:
             metrics.counter("dse.absint.bfs_crosschecks").add(1)
             metrics.counter("dse.verify.runs").add(1)
@@ -632,15 +575,6 @@ class Explorer:
         except BudgetExceeded:
             if metrics is not None:
                 metrics.counter("dse.verify.inconclusive").add(1)
-            return
-        if self.store is not None and ir is not None and digest is not None:
-            # Only the conclusive free verdict persists (a deadlock
-            # raised out above; inconclusive runs returned early).
-            self.store.put(ir.structural_hash, "verify", digest, "deadlock-free")
-            if canonical is None and self.sym_dedup:
-                canonical = self._canonical_key(config)
-            if canonical is not None and canonical != ir.structural_hash:
-                self.store.put(canonical, "verify", digest, "deadlock-free")
 
     def _canonical_key(self, config: SystemConfiguration) -> str | None:
         """Orbit-canonical hash of the candidate's lowered IR.

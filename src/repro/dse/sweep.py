@@ -9,16 +9,14 @@ Liu & Carloni produces, but with reordering in the loop.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import ContextManager, Iterable, Sequence, Union
 
 from repro.dse.config import SystemConfiguration
 from repro.dse.explorer import ExplorationResult, Explorer, _measure_cycle_times
 from repro.perf.engine import PerformanceEngine
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.store import ArtifactStore
 
 Number = Union[Fraction, float]
 
@@ -34,18 +32,16 @@ class SweepPoint:
     iterations: int
     result: ExplorationResult
     #: Simulated steady-state cycle time of the final configuration, from
-    #: the sweep-level batched cross-validation (``batch=True`` /
-    #: ``ERMES_SIM_BATCH``); ``None`` when batching is off or the lane
-    #: deadlocked.
+    #: the sweep-level batched cross-validation (``batch=True``); ``None``
+    #: when batching is off or the lane deadlocked.
     measured_cycle_time: Number | None = None
 
 
 def sweep_targets(
     config: SystemConfiguration,
     targets: Sequence[Number],
-    batch: bool | None = None,
+    batch: bool = False,
     batch_iterations: int = 32,
-    store: "ArtifactStore | None" = None,
     **explorer_kwargs,
 ) -> list[SweepPoint]:
     """Run one exploration per target cycle time (descending order).
@@ -64,33 +60,23 @@ def sweep_targets(
     timers cover the sweep loop itself, and ``snapshot.iteration`` resets
     per target while the snapshot list keeps accumulating.
 
-    With ``batch=True`` (default: the ``ERMES_SIM_BATCH`` environment
-    knob) the sweep cross-validates its frontier by simulation after the
-    loop: the per-target final configurations are grouped by ordering —
-    they share one compiled structure per group — and replayed through
-    one vectorized :class:`repro.sim.BatchSimulator` run per group, one
-    lane per target.  Each point's
+    With ``batch=True`` the sweep cross-validates its frontier by
+    simulation after the loop: the per-target final configurations are
+    grouped by ordering — they share one compiled structure per group —
+    and replayed through one vectorized :class:`repro.sim.BatchSimulator`
+    run per group, one lane per target.  Each point's
     :attr:`SweepPoint.measured_cycle_time` carries the simulated
     steady-state period (``None`` for a deadlocking lane).  Exploration
     outcomes are unchanged; batching only measures.
-
-    A ``store`` makes every analysis artifact persistent: a re-run of
-    the same sweep (in this process or any other) is served from disk.
-    The sweep's Pareto frontier itself is filed in the store too (kind
-    ``"pareto"``, keyed by the starting design's IR hash and the target
-    list).
     """
-    from repro.ir import lower
     from repro.lint import preflight
 
-    # One structural pre-flight and one lowering up front, hoisted out of
-    # the per-target loop: failing here reports the codes before any ILP
-    # work, the pre-flight success memo turns every per-target re-check
-    # inside Explorer.run into a hash lookup, and the warm lowering memo
-    # hands each target's first analysis its compiled program for free.
+    # One structural pre-flight up front, hoisted out of the per-target
+    # loop: failing here reports the codes before any ILP work, and the
+    # pre-flight success memo turns every per-target re-check inside
+    # Explorer.run into a hash lookup.
     preflight(config.system, config.ordering)
-    base_ir_hash = lower(config.system, config.ordering).structural_hash
-    explorer_kwargs.setdefault("perf_engine", PerformanceEngine(store=store))
+    explorer_kwargs.setdefault("perf_engine", PerformanceEngine())
     # One orbit-canonical verified set across all per-target explorers:
     # symmetric orderings are machine-checked once per sweep, not once
     # per target (the per-explorer dedup still reports per-run counts).
@@ -99,19 +85,13 @@ def sweep_targets(
     points: list[SweepPoint] = []
     current = config
     for target in sorted(targets, reverse=True):
+        timer: ContextManager[object] = nullcontext()
         if profiler is not None:
             profiler.metrics.counter("sweep.targets").add(1)
-            with profiler.metrics.timer("sweep.explore"):
-                result = Explorer(
-                    target_cycle_time=target,
-                    store=store,
-                    **explorer_kwargs,
-                ).run(current)
-        else:
+            timer = profiler.metrics.timer("sweep.explore")
+        with timer:
             result = Explorer(
-                target_cycle_time=target,
-                store=store,
-                **explorer_kwargs,
+                target_cycle_time=target, **explorer_kwargs
             ).run(current)
         record = result.final_record
         points.append(
@@ -126,10 +106,6 @@ def sweep_targets(
         )
         if result.final is not None:
             current = result.final
-    if batch is None:
-        from repro.sim import batch_enabled_by_env
-
-        batch = batch_enabled_by_env()
     if batch and points:
         # Explorer.run always sets ``final``.
         measured = _measure_cycle_times(
@@ -141,38 +117,7 @@ def sweep_targets(
             replace(point, measured_cycle_time=cycle_time)
             for point, cycle_time in zip(points, measured)
         ]
-    if store is not None and points:
-        _store_frontier(store, base_ir_hash, targets, points)
     return points
-
-
-def _store_frontier(store, base_ir_hash, targets, points):
-    """File the sweep's Pareto frontier in the artifact store.
-
-    The payload is a compact summary (targets in, frontier out), not the
-    full per-target exploration results — the store holds *answers*, and
-    the answer of a sweep is its frontier.
-    """
-    from repro.store import params_digest
-
-    digest = params_digest(
-        {
-            "op": "pareto",
-            "targets": tuple(str(t) for t in sorted(targets)),
-        }
-    )
-    frontier = pareto_points(points)
-    payload = tuple(
-        {
-            "target_cycle_time": p.target_cycle_time,
-            "cycle_time": p.cycle_time,
-            "area": p.area,
-            "feasible": p.feasible,
-            "measured_cycle_time": p.measured_cycle_time,
-        }
-        for p in frontier
-    )
-    store.put(base_ir_hash, "pareto", digest, payload)
 
 
 def pareto_points(points: Iterable[SweepPoint]) -> list[SweepPoint]:

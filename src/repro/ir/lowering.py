@@ -20,17 +20,17 @@ Two identities of the same structure are used deliberately:
   the same design with different dict-insertion order hash identically —
   the property external caches and fingerprints rely on.
 
-The memo is a small LRU implemented locally: this package sits *below*
-``repro.perf`` in the layer diagram (perf fingerprints delegate to the
-IR hash), so importing ``repro.perf.cache`` here would create a cycle.
+The memo is a :class:`~repro.cache.LruCache` (the leaf module every
+layer shares; this package sits *below* ``repro.perf`` in the layer
+diagram, since perf fingerprints delegate to the IR hash).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from operator import attrgetter
-from typing import Any
+from typing import cast
 
+from repro.cache import MISS, LruCache
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir.program import (
     OP_COMPUTE,
@@ -41,15 +41,13 @@ from repro.ir.program import (
     structural_digest,
 )
 
-_MEMO_CAPACITY = 256
-
 _KIND = attrgetter("kind")
 #: The declared content of a channel, in the rendering's field order.
 _CHANNEL_ROW = attrgetter(
     "name", "producer", "consumer", "latency", "capacity", "initial_tokens"
 )
 
-_memo: OrderedDict[Any, LoweredIR] = OrderedDict()
+_memo = LruCache(maxsize=256)
 
 
 def clear_lowering_cache() -> None:
@@ -59,7 +57,7 @@ def clear_lowering_cache() -> None:
 
 def lowering_cache_info() -> tuple[int, int]:
     """``(entries, capacity)`` of the lowering memo."""
-    return len(_memo), _MEMO_CAPACITY
+    return len(_memo), _memo.maxsize
 
 
 def structural_hash_of(system: SystemGraph, ordering: ChannelOrdering) -> str:
@@ -109,12 +107,11 @@ def lower(
     )
     key = (system.name, process_names, process_kinds, channels, orders)
     cached = _memo.get(key)
-    if cached is not None:
+    if cached is not MISS:
         # A hit proves validity: the key covers the channel tables and the
         # full get/put lists, so an identical key can only come from an
         # ordering already validated against an identical system.
-        _memo.move_to_end(key)
-        return cached
+        return cast(LoweredIR, cached)
 
     process_index = dict(zip(process_names, range(len(process_names))))
     if channels:
@@ -200,7 +197,5 @@ def lower(
         channel_index=channel_index,
     )
 
-    _memo[key] = ir
-    if len(_memo) > _MEMO_CAPACITY:
-        _memo.popitem(last=False)
+    _memo.put(key, ir)
     return ir

@@ -25,10 +25,10 @@ error-only subset the explorer and the simulator run before starting.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from repro.cache import MISS, LruCache
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.diagnostics import (
     Diagnostic,
@@ -154,8 +154,7 @@ def lint_system(
 #: Successful default-registry pre-flights, keyed by the IR structural
 #: hash.  Success-only by design: a failing specification must re-report
 #: its diagnostics every time (and failures are rare and already cheap).
-_PREFLIGHT_MEMO_CAPACITY = 512
-_preflight_passed: OrderedDict[str, None] = OrderedDict()
+_preflight_passed = LruCache(maxsize=512)
 
 
 def clear_preflight_cache() -> None:
@@ -200,8 +199,7 @@ def preflight(
     key = ""
     if memoable:
         key = structural_hash_of(system, checked)
-        if key in _preflight_passed:
-            _preflight_passed.move_to_end(key)
+        if _preflight_passed.get(key) is not MISS:
             return
     result = lint_system(
         system, checked, registry=registry, select=list(PREFLIGHT_RULES)
@@ -210,9 +208,7 @@ def preflight(
     if errors:
         raise LintError(errors)
     if memoable:
-        _preflight_passed[key] = None
-        if len(_preflight_passed) > _PREFLIGHT_MEMO_CAPACITY:
-            _preflight_passed.popitem(last=False)
+        _preflight_passed.put(key, True)
 
 
 __all__ = [

@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.cache import MISS, LruCache
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ordering.labeling import (
     LabelingResult,
     backward_labeling,
     forward_labeling,
 )
-from repro.perf.cache import MISS, LruCache
 from repro.perf.fingerprint import system_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -14,7 +14,7 @@ package makes those repeats cheap without changing any observable result:
 See ``docs/API.md`` ("Analysis caching") for the caching contract.
 """
 
-from repro.perf.cache import MISS, CacheStats, LruCache
+from repro.cache import MISS, CacheStats, LruCache
 from repro.perf.engine import PerformanceEngine
 from repro.perf.fingerprint import (
     analysis_fingerprint,

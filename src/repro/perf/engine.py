@@ -34,19 +34,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.cache import MISS, CacheStats, LruCache
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import DeadlockError, NotLiveError
-from repro.ir import LoweredIR, lower
+from repro.ir import lower
 from repro.model.build import effective_latencies
 from repro.model.performance import (
     SystemPerformance,
     _system_deadlock,
     _system_performance,
 )
-from repro.perf.cache import MISS, CacheStats, LruCache
 from repro.perf.fingerprint import analysis_fingerprint
 from repro.perf.incremental import build_structure
-from repro.store import ArtifactStore
 from repro.tmg.analysis import analyze_event_graph
 
 
@@ -70,39 +69,11 @@ class PerformanceEngine:
         max_structures: LRU bound of the event-graph structure cache
             (entries hold one event-graph skeleton; keep this modest).
             ``0`` disables structure reuse (every miss rebuilds it).
-        store: Optional persistent :class:`~repro.store.ArtifactStore`
-            layered *under* the results LRU: an LRU miss consults the
-            store (kind ``"analysis"``, params digest = the analysis
-            fingerprint) before recomputing, and every computed result —
-            including memoized deadlock diagnoses — is written back.
-            This is how a warm cache survives the process and is shared
-            by every process using the same store; :meth:`clear` stays
-            process-local (use ``store.clear()`` to drop the persisted
-            entries).
-        canonical_reuse: Opt-in second-chance store key by the
-            orbit-canonical hash (:mod:`repro.sym`): when both the exact
-            structural lookup and the plain store lookup miss, a
-            persisted result computed for *any* isomorphic design with
-            matching canonical-position latencies is translated into
-            this design's name frame (:mod:`repro.sym.remap`) and
-            served.  The cycle time is exact-identical; the reported
-            critical cycle may be the symmetric image of the one a
-            fresh analysis would pick.  Off by default so store warmth
-            cannot perturb default DSE trajectories; no effect without a
-            ``store``.  Deadlock diagnoses are never shared this way.
     """
 
-    def __init__(
-        self,
-        max_results: int = 4096,
-        max_structures: int = 128,
-        store: ArtifactStore | None = None,
-        canonical_reuse: bool = False,
-    ):
+    def __init__(self, max_results: int = 4096, max_structures: int = 128):
         self.results = LruCache(max_results)
         self.structures = LruCache(max_structures)
-        self.store = store
-        self.canonical_reuse = canonical_reuse
 
     # ------------------------------------------------------------------
 
@@ -131,21 +102,6 @@ class PerformanceEngine:
                 raise cached.error()
             return cached
 
-        if self.store is not None:
-            stored = self.store.get(structure_key, "analysis", result_key)
-            if stored is not MISS and isinstance(
-                stored, (SystemPerformance, _CachedDeadlock)
-            ):
-                self.results.put(result_key, stored)
-                if isinstance(stored, _CachedDeadlock):
-                    raise stored.error()
-                return stored
-            if self.canonical_reuse:
-                translated = self._canonical_lookup(ir, latencies, exact)
-                if translated is not None:
-                    self.results.put(result_key, translated)
-                    return translated
-
         entry = self.structures.get(structure_key)
         if entry is MISS:
             entry = build_structure(ir)
@@ -159,8 +115,6 @@ class PerformanceEngine:
             )
             diagnosis = _CachedDeadlock(str(error), tuple(error.cycle or ()))
             self.results.put(result_key, diagnosis)
-            if self.store is not None:
-                self.store.put(structure_key, "analysis", result_key, diagnosis)
             raise error
 
         report = analyze_event_graph(
@@ -168,56 +122,7 @@ class PerformanceEngine:
         )
         performance = _system_performance(report)
         self.results.put(result_key, performance)
-        if self.store is not None:
-            self.store.put(structure_key, "analysis", result_key, performance)
-            if self.canonical_reuse:
-                self._canonical_store(ir, latencies, exact, performance)
         return performance
-
-    # ------------------------------------------------------------------
-
-    def _canonical_lookup(
-        self,
-        ir: LoweredIR,
-        latencies: Mapping[str, int],
-        exact: bool,
-    ) -> SystemPerformance | None:
-        """Second-chance store read via the orbit-canonical key."""
-        from repro.sym import analyze_symmetry
-        from repro.sym.remap import canonical_result_key, remap_performance
-
-        assert self.store is not None
-        analysis = analyze_symmetry(ir)
-        if not analysis.complete:
-            return None  # incomplete labeling: hashes are not canonical
-        key = canonical_result_key(analysis, latencies, exact)
-        envelope = self.store.get(analysis.canonical_hash, "analysis", key)
-        if envelope is MISS:
-            return None
-        return remap_performance(envelope, analysis)
-
-    def _canonical_store(
-        self,
-        ir: LoweredIR,
-        latencies: Mapping[str, int],
-        exact: bool,
-        performance: SystemPerformance,
-    ) -> None:
-        """Write the canonical-frame envelope next to the exact entry."""
-        from repro.sym import analyze_symmetry
-        from repro.sym.remap import canonical_result_key, make_envelope
-
-        assert self.store is not None
-        analysis = analyze_symmetry(ir)
-        if not analysis.complete:
-            return
-        key = canonical_result_key(analysis, latencies, exact)
-        self.store.put(
-            analysis.canonical_hash,
-            "analysis",
-            key,
-            make_envelope(performance, analysis),
-        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,7 +14,6 @@ from repro.sim.engine import (
     Behavior,
     SimulationResult,
     Simulator,
-    batch_enabled_by_env,
     default_watch,
     simulate,
     simulate_batch,
@@ -39,7 +38,6 @@ __all__ = [
     "TraceRecorder",
     "TraceSink",
     "agreement_error",
-    "batch_enabled_by_env",
     "default_watch",
     "format_trace",
     "simulate",

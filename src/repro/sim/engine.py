@@ -27,7 +27,6 @@ in ``tests/sim/reference.py`` is the differential oracle.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -128,16 +127,6 @@ class BatchLane:
     channel_capacities: Mapping[str, int] | None = None
     record_trace: bool = False
     sinks: Sequence[TraceSink] = ()
-
-
-def batch_enabled_by_env(default: bool = False) -> bool:
-    """Resolve the ``ERMES_SIM_BATCH`` environment knob: ``1``/``true``/
-    ``yes``/``on`` (any case) enable batching, other values disable it,
-    unset or empty returns ``default``."""
-    raw = os.environ.get("ERMES_SIM_BATCH", "").strip().lower()
-    if not raw:
-        return default
-    return raw in {"1", "true", "yes", "on"}
 
 
 def default_watch(system: SystemGraph) -> str:

@@ -10,14 +10,11 @@ result:
 * **orbits** — which processes/channels are interchangeable (the ERM7xx
   lint rules, the ``ermes ir`` orbit section);
 * **canonical_hash** — a structural hash invariant under automorphisms
-  *and* declaration renaming, the second-chance artifact-cache key that
-  lets symmetric designs share persisted results;
+  *and* declaration renaming, the key the explorer dedups ordering
+  verifications on (symmetric candidates are checked once);
 * **state canonicalization** (:mod:`repro.sym.states`) — the
   quotient-space verifier maps every BFS state to an orbit
-  representative, composing with stubborn-set reduction;
-* **envelopes** (:mod:`repro.sym.remap`) — name-frame translation so a
-  performance artifact computed for one design replays for a symmetric
-  sibling with the sibling's own process/channel names.
+  representative, composing with stubborn-set reduction.
 """
 
 from repro.sym.canonical import (

@@ -46,10 +46,10 @@ ERM703.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, cast
 
+from repro.cache import MISS, LruCache
 from repro.ir import OP_COMPUTE, OP_GET, OP_PUT, LoweredIR
 from repro.sym.perm import (
     PairPerm,
@@ -194,9 +194,8 @@ class SymmetryAnalysis:
             leaf (name-rank order under the fallback).
         channel_labeling: ``cid -> canonical position``.
         canonical_process_names: Input-frame process names in canonical
-            order — the translation table cross-frame cache envelopes
-            carry (:mod:`repro.sym.remap`).
-        canonical_channel_names: Same for channels.
+            order (orbit-representative ordering keys,
+            :mod:`repro.ordering.exhaustive`).
         complete: Whether the search ran to completion.  ``False`` keeps
             the verified generators but disables canonical sharing.
         nodes: Search-tree nodes expanded (budget accounting).
@@ -211,7 +210,6 @@ class SymmetryAnalysis:
     process_labeling: Perm
     channel_labeling: Perm
     canonical_process_names: tuple[str, ...]
-    canonical_channel_names: tuple[str, ...]
     complete: bool
     nodes: int
 
@@ -562,8 +560,7 @@ _MAX_NODE_BUDGET = 4096
 #: costs O(n log n) per node, so nodes * n stays roughly constant.
 _NODE_WORK_TARGET = 120_000
 
-_memo: OrderedDict[tuple[object, ...], SymmetryAnalysis] = OrderedDict()
-_MEMO_SIZE = 256
+_memo = LruCache(maxsize=256)
 
 
 def default_node_budget(ir: LoweredIR) -> int:
@@ -607,13 +604,10 @@ def analyze_symmetry(
         tuple(seeds),
     )
     hit = _memo.get(key)
-    if hit is not None:
-        _memo.move_to_end(key)
-        return hit
+    if hit is not MISS:
+        return cast(SymmetryAnalysis, hit)
     analysis = _analyze_uncached(ir, policy, node_budget, seeds)
-    _memo[key] = analysis
-    if len(_memo) > _MEMO_SIZE:
-        _memo.popitem(last=False)
+    _memo.put(key, analysis)
     return analysis
 
 
@@ -667,7 +661,6 @@ def _analyze_uncached(
         lam_p, lam_c = _fallback_labelings(ir)
         canonical_hash = ir.structural_hash
     inv_p = invert(lam_p) if lam_p else ()
-    inv_c = invert(lam_c) if lam_c else ()
     return SymmetryAnalysis(
         ir_hash=ir.structural_hash,
         policy=policy,
@@ -680,7 +673,6 @@ def _analyze_uncached(
         canonical_process_names=tuple(
             ir.processes[pid] for pid in inv_p
         ),
-        canonical_channel_names=tuple(ir.channels[cid] for cid in inv_c),
         complete=complete,
         nodes=search.nodes,
     )

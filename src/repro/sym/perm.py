@@ -3,8 +3,7 @@
 A permutation over ``n`` elements is a ``tuple[int, ...]`` of length
 ``n`` mapping ``i -> perm[i]``.  Everything in :mod:`repro.sym` moves
 process ids and channel ids around with these; keeping them as plain
-tuples makes group elements hashable (closure sets, memo keys) and
-trivially picklable (store envelopes).
+tuples makes group elements hashable (closure sets, memo keys).
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Every generator here is a pure function of ``(seed, size)``: the same
 pair always elaborates to the same :class:`~repro.core.system.SystemGraph`
 (same names, same declaration order, same structural hash), so a workload
-name like ``ofdm-rx-s4-seed7`` is a stable identity that tests, benchmarks
-and the artifact store can key on.
+name like ``ofdm-rx-s4-seed7`` is a stable identity that tests and
+benchmarks can key on.
 
 The families cover the communication patterns the paper's flow is built
 for:

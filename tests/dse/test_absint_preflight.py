@@ -75,13 +75,3 @@ class TestRouting:
         # Beyond SMALL_SYSTEM_LIMIT no BFS runs at all.
         assert metrics.counter("dse.verify.runs").value == 0
         assert metrics.counter("dse.absint.bfs_crosschecks").value == 0
-
-    def test_verification_off_skips_the_preflight(
-        self, motivating, deadlock_ordering
-    ):
-        explorer = Explorer(target_cycle_time=10, verify=False)
-        metrics = MetricsRegistry()
-        explorer._verify_ordering(
-            _config(motivating, deadlock_ordering), metrics
-        )
-        assert metrics.counter("dse.absint.runs").value == 0

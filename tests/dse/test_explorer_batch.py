@@ -1,9 +1,9 @@
 """Batched simulation cross-validation of the exploration trajectory.
 
-The ``batch`` knob (and ``ERMES_SIM_BATCH``) must only *add* measured
-cycle times — the analytic trajectory, final configuration, and every
-history record stay untouched — and the measurements must equal what the
-scalar engine reports for each visited configuration individually.
+The ``batch`` option must only *add* measured cycle times — the analytic
+trajectory, final configuration, and every history record stay untouched
+— and the measurements must equal what the scalar engine reports for
+each visited configuration individually.
 """
 
 import pytest
@@ -82,16 +82,3 @@ class TestExplorerBatch:
             assert result.measured_cycle_times[index] == (
                 scalar.measured_cycle_time(watch)
             )
-
-    def test_env_knob_enables_batch(self, setup, monkeypatch):
-        monkeypatch.setenv("ERMES_SIM_BATCH", "1")
-        result = Explorer(target_cycle_time=40).run(setup)
-        assert result.measured_cycle_times is not None
-        monkeypatch.setenv("ERMES_SIM_BATCH", "0")
-        result = Explorer(target_cycle_time=40).run(setup)
-        assert result.measured_cycle_times is None
-
-    def test_explicit_batch_beats_env(self, setup, monkeypatch):
-        monkeypatch.setenv("ERMES_SIM_BATCH", "1")
-        result = Explorer(target_cycle_time=40, batch=False).run(setup)
-        assert result.measured_cycle_times is None

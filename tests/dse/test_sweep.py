@@ -15,7 +15,6 @@ from repro.dse import (
 from repro.dse.sweep import SweepPoint
 from repro.hls import Implementation, ImplementationLibrary, ParetoSet
 from repro.sim import Simulator
-from repro.store import ArtifactStore
 
 
 @pytest.fixture()
@@ -207,46 +206,3 @@ class TestSweepBatch:
         assert [p.feasible for p in baseline] == [
             p.feasible for p in batched
         ]
-
-    def test_env_knob(self, setup, monkeypatch):
-        monkeypatch.setenv("ERMES_SIM_BATCH", "true")
-        points = sweep_targets(setup, targets=[40])
-        assert points[0].measured_cycle_time is not None
-
-
-class TestSweepStore:
-    TARGETS = (60, 40, 30)
-
-    def test_sweep_files_its_frontier(self, setup, tmp_path):
-        from repro.ir import lower
-        from repro.store import params_digest
-
-        store = ArtifactStore(tmp_path / "store")
-        points = sweep_targets(setup, self.TARGETS, batch=True, store=store)
-        assert points
-        base_hash = lower(setup.system, setup.ordering).structural_hash
-        digest = params_digest(
-            {
-                "op": "pareto",
-                "targets": tuple(str(t) for t in sorted(self.TARGETS)),
-            }
-        )
-        frontier = store.get(base_hash, "pareto", digest)
-        assert isinstance(frontier, tuple) and frontier
-        assert all(entry["feasible"] for entry in frontier)
-
-    def test_analysis_artifacts_persist_across_engines(self, setup, tmp_path):
-        from repro.perf.engine import PerformanceEngine
-
-        store = ArtifactStore(tmp_path / "store")
-        sweep_targets(setup, (40,), batch=False, store=store)
-        assert store.count("analysis") > 0
-        # A brand-new engine (fresh LRU) over the same disk answers from
-        # the store instead of re-running the analysis.
-        engine = PerformanceEngine(store=store)
-        engine.analyze(
-            setup.system,
-            setup.ordering,
-            process_latencies=setup.process_latencies(),
-        )
-        assert store.stats_dict()["analysis"]["hits"] > 0

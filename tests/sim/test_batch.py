@@ -22,7 +22,6 @@ from repro.sim import (
     BatchLane,
     BatchSimulator,
     Simulator,
-    batch_enabled_by_env,
     simulate_batch,
 )
 from tests.sim.reference import ReferenceSimulator
@@ -227,16 +226,3 @@ class TestMetrics:
         assert counters["sim.batch.deadlocked_lanes"] == 0
         assert counters["sim.batch.steps"] > 0
         assert counters["sim.batch.iterations"] > 0
-
-
-class TestEnvKnob:
-    def test_truthy_and_falsy_values(self, monkeypatch):
-        for raw, expected in [
-            ("1", True), ("true", True), ("YES", True), ("on", True),
-            ("0", False), ("false", False), ("off", False), ("junk", False),
-        ]:
-            monkeypatch.setenv("ERMES_SIM_BATCH", raw)
-            assert batch_enabled_by_env() is expected
-        monkeypatch.delenv("ERMES_SIM_BATCH")
-        assert batch_enabled_by_env() is False
-        assert batch_enabled_by_env(default=True) is True

@@ -52,7 +52,7 @@ class TestExhaustiveDedup:
         assert plain.sym_classes == 0
 
 
-class TestExplorerStoreReuse:
+class TestExplorerSweepDedup:
     @pytest.fixture()
     def config(self, twolanes):
         from repro.dse import SystemConfiguration
@@ -78,33 +78,7 @@ class TestExplorerStoreReuse:
             pick="smallest",
         )
 
-    def test_second_run_reuses_persisted_verdicts(self, config, tmp_path):
-        from repro.dse import Explorer
-        from repro.obs import DseProfiler
-        from repro.store import ArtifactStore
-
-        store = ArtifactStore(tmp_path / "store")
-        first = DseProfiler()
-        Explorer(
-            target_cycle_time=4, store=store, profiler=first
-        ).run(config)
-        assert store.count("verify") > 0
-
-        second = DseProfiler()
-        Explorer(
-            target_cycle_time=4, store=store, profiler=second
-        ).run(config)
-        first_hits = first.metrics.counter("dse.verify.store_hits").value
-        second_hits = second.metrics.counter("dse.verify.store_hits").value
-        assert second_hits > first_hits
-        # The reused verdicts replace actual checker runs.
-        assert (
-            second.metrics.counter("dse.verify.runs").value
-            < max(1, first.metrics.counter("dse.verify.runs").value)
-            or second_hits > 0
-        )
-
-    def test_sweep_shares_one_orbit_seen_set(self, config, tmp_path):
+    def test_sweep_shares_one_orbit_seen_set(self, config):
         from repro.dse.sweep import sweep_targets
         from repro.obs import DseProfiler
 
