@@ -20,7 +20,7 @@ import statistics
 import time
 
 from repro.core import synthetic_soc
-from repro.obs import MemorySink, MetricsRegistry, NullSink
+from repro.obs import MemorySink, NullSink, collect
 from repro.ordering import channel_ordering
 from repro.sim import Simulator
 
@@ -58,9 +58,8 @@ def test_bench_null_path_overhead(benchmark):
     t_rebare, _ = _time_run(system, ordering)
     t_null, nulled = _time_run(system, ordering, sinks=[NullSink()])
     t_traced, _ = _time_run(system, ordering, sinks=[MemorySink()])
-    t_metrics, metered = _time_run(
-        system, ordering, metrics=MetricsRegistry()
-    )
+    with collect():
+        t_metrics, metered = _time_run(system, ordering)
 
     benchmark.pedantic(
         lambda: Simulator(system, ordering).run(iterations=ITERATIONS),

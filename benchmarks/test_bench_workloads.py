@@ -24,7 +24,7 @@ from repro.dse.sweep import sweep_targets
 from repro.hls import Implementation, ImplementationLibrary, ParetoSet
 from repro.lint import Severity, lint_system
 from repro.model import analyze_system
-from repro.obs import DseProfiler
+from repro.obs import collect
 from repro.ordering import channel_ordering
 from repro.verify import check_deadlock
 from repro.workloads import family_names, generate
@@ -160,20 +160,17 @@ def test_bench_workloads_orbit_dedup(benchmark):
     targets = [initial_ct * 0.9, initial_ct * 0.7, initial_ct * 0.5]
 
     def swept() -> tuple[int, int, int]:
-        profiler = DseProfiler()
         seen: set[str] = set()
-        points = sweep_targets(
-            config,
-            targets=targets,
-            batch=False,
-            profiler=profiler,
-            sym_seen=seen,
-        )
+        with collect() as registry:
+            points = sweep_targets(
+                config,
+                targets=targets,
+                batch=False,
+                sym_seen=seen,
+            )
         assert len(points) == len(targets)
-        runs = profiler.metrics.counter("dse.verify.runs").value
-        deduped = profiler.metrics.counter(
-            "dse.sym.verify_deduped"
-        ).value
+        runs = registry.counter("dse.verify.runs").value
+        deduped = registry.counter("dse.sym.verify_deduped").value
         return runs, deduped, len(seen)
 
     runs, deduped, classes = benchmark.pedantic(

@@ -32,7 +32,6 @@ from repro.absint.engine import (
     AbsIntResult,
     OccupancyBound,
     UnreachableOp,
-    analysis_cache_info,
     analyze,
     analyze_ir,
     clear_analysis_cache,
@@ -57,7 +56,6 @@ __all__ = [
     "OccupancyBound",
     "TokenInvariant",
     "UnreachableOp",
-    "analysis_cache_info",
     "analyze",
     "analyze_ir",
     "check_certificate",

@@ -46,7 +46,7 @@ from repro.absint.invariants import (
     min_cycle_occupancy_bounds,
     token_invariants,
 )
-from repro.cache import MISS, CacheStats, LruCache
+from repro.cache import MISS, memo
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir import OP_COMPUTE, OP_GET, OP_NAMES, OP_PUT, LoweredIR, lower
 from repro.model.build import marked_places
@@ -137,7 +137,7 @@ class AbsIntResult:
 
 
 #: Analysis results keyed by IR content address (perf/ LRU semantics).
-_CACHE = LruCache(maxsize=256)
+_CACHE = memo("absint", maxsize=256)
 
 
 def analyze(
@@ -161,11 +161,6 @@ def analyze_ir(ir: LoweredIR) -> AbsIntResult:
 def clear_analysis_cache() -> None:
     """Drop every cached result (tests and benchmarks)."""
     _CACHE.clear()
-
-
-def analysis_cache_info() -> CacheStats:
-    """Lifetime hit/miss/eviction counters of the analysis cache."""
-    return _CACHE.stats
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,8 @@ pre-flight (:mod:`repro.lint`), symmetry analysis
 (:mod:`repro.sym.canonical`) and abstract interpretation
 (:mod:`repro.absint.engine`).  Keys are content identities, values are
 immutable analysis artifacts, so sharing a cached value across callers
-is safe.
+is safe.  Each process-wide memo is made by :func:`memo`, which names
+it for :func:`memos` (``ermes profile`` reports their counters).
 
 This module imports nothing from ``repro``, so every layer can use it.
 """
@@ -21,6 +22,8 @@ from typing import Any, Hashable, Iterator
 
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
+
+_MEMOS: dict[str, "LruCache"] = {}
 
 
 @dataclass
@@ -104,3 +107,15 @@ class LruCache:
 
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._entries)
+
+
+def memo(name: str, maxsize: int) -> LruCache:
+    """A new process-wide memo, registered under ``name``."""
+    cache = _MEMOS[name] = LruCache(maxsize)
+    return cache
+
+
+def memos() -> dict[str, LruCache]:
+    """The process-wide memos by name: ``lower``, ``preflight``, ``sym``
+    and ``absint``, each once its module has been imported."""
+    return dict(_MEMOS)

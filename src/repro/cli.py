@@ -348,12 +348,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import MetricsRegistry
     from repro.verify import Verdict, check_deadlock
 
     system = load_system(args.system)
     ordering = _load_ordering_arg(system, args.ordering)
-    metrics = MetricsRegistry()
     result = check_deadlock(
         system,
         ordering,
@@ -361,7 +359,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sym=args.sym,
         budget_states=args.budget_states,
         budget_seconds=args.budget_seconds,
-        metrics=metrics,
     )
 
     if args.format == "json":
@@ -566,76 +563,85 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
+    from dataclasses import replace
 
+    from repro.cache import CacheStats, memos
     from repro.dse import Explorer, SystemConfiguration
     from repro.hls import ImplementationLibrary, synthesize_pareto_set
     from repro.lint import preflight
     from repro.obs import (
         DseProfiler,
-        MetricsRegistry,
+        collect,
         format_convergence,
         format_metrics,
     )
+    from repro.obs.metrics import timed
     from repro.perf import PerformanceEngine
     from repro.sim import simulate
 
     system = load_system(args.system)
     ordering = _load_ordering_arg(system, args.ordering)
-    registry = MetricsRegistry()
-    profiler = DseProfiler(metrics=registry)
+    profiler = DseProfiler()
     perf_engine = PerformanceEngine()
+    memo_start = {
+        name: replace(cache.stats) for name, cache in memos().items()
+    }
 
-    with registry.timer("profile.preflight"):
-        preflight(system, ordering)
-    with registry.timer("profile.order"):
-        optimized = channel_ordering(
-            system, initial_ordering=ordering, metrics=registry
-        )
-    with registry.timer("profile.analyze"):
-        performance = analyze_system(
-            system, optimized, perf_engine=perf_engine
-        )
-
-    # A synthetic-but-deterministic Pareto library (the pre-characterized
-    # HLS input of Fig. 5) lets `ermes profile` exercise the full DSE loop
-    # on any plain design JSON.
-    library = ImplementationLibrary(
-        synthesize_pareto_set(
-            p.name,
-            base_latency=max(p.latency, 1),
-            base_area=3.0 * max(p.latency, 1),
-            seed=args.seed,
-            max_points=args.max_points,
-        )
-        for p in system.workers()
-    )
-    config = SystemConfiguration.initial(
-        system, library, ordering=optimized, pick="smallest"
-    )
-    initial_ct = analyze_system(
-        system,
-        optimized,
-        process_latencies=config.process_latencies(),
-        perf_engine=perf_engine,
-    ).cycle_time
-    target = args.target if args.target else 0.75 * float(initial_ct)
-
-    with registry.timer("profile.dse"):
-        result = Explorer(
-            target_cycle_time=target,
-            max_iterations=args.max_iterations,
-            perf_engine=perf_engine,
-            profiler=profiler,
-        ).run(config)
-
-    if not args.no_simulate:
-        with registry.timer("profile.simulate"):
-            simulate(
-                system,
-                optimized,
-                iterations=args.iterations,
-                metrics=registry,
+    with collect() as registry:
+        with timed("profile.preflight"):
+            preflight(system, ordering)
+        with timed("profile.order"):
+            optimized = channel_ordering(system, initial_ordering=ordering)
+        with timed("profile.analyze"):
+            performance = analyze_system(
+                system, optimized, perf_engine=perf_engine
             )
+
+        # A synthetic-but-deterministic Pareto library (the pre-characterized
+        # HLS input of Fig. 5) lets `ermes profile` exercise the full DSE
+        # loop on any plain design JSON.
+        library = ImplementationLibrary(
+            synthesize_pareto_set(
+                p.name,
+                base_latency=max(p.latency, 1),
+                base_area=3.0 * max(p.latency, 1),
+                seed=args.seed,
+                max_points=args.max_points,
+            )
+            for p in system.workers()
+        )
+        config = SystemConfiguration.initial(
+            system, library, ordering=optimized, pick="smallest"
+        )
+        initial_ct = analyze_system(
+            system,
+            optimized,
+            process_latencies=config.process_latencies(),
+            perf_engine=perf_engine,
+        ).cycle_time
+        target = args.target if args.target else 0.75 * float(initial_ct)
+
+        with timed("profile.dse"):
+            result = Explorer(
+                target_cycle_time=target,
+                max_iterations=args.max_iterations,
+                perf_engine=perf_engine,
+                profiler=profiler,
+            ).run(config)
+
+        if not args.no_simulate:
+            with timed("profile.simulate"):
+                simulate(system, optimized, iterations=args.iterations)
+
+    # The process-wide memos, counted over this run only.
+    registry.merge_cache_stats({
+        name: {
+            key: getattr(cache.stats, key)
+            - getattr(memo_start.get(name, CacheStats()), key)
+            for key in ("hits", "misses", "evictions")
+        }
+        for name, cache in memos().items()
+    })
 
     final = result.final_record
     if args.json:

@@ -20,12 +20,10 @@ trajectory is recorded so the Fig. 6 exploration plots can be regenerated.
 from __future__ import annotations
 
 import logging
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, ContextManager, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-from repro.cache import LruCache
 from repro.core.system import ChannelOrdering
 from repro.dse.config import SystemConfiguration
 from repro.dse.problems import (
@@ -36,12 +34,12 @@ from repro.dse.problems import (
 from repro.errors import DeadlockError, InfeasibleError, NodeLimitError
 from repro.ilp import branch_bound
 from repro.model.performance import SystemPerformance, analyze_system
+from repro.obs.metrics import count, timed
 from repro.ordering.algorithm import channel_ordering
 from repro.perf.engine import PerformanceEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir import LoweredIR
-    from repro.obs.metrics import MetricsRegistry
     from repro.obs.profile import DseProfiler
 
 Number = Union[Fraction, float]
@@ -49,13 +47,10 @@ Number = Union[Fraction, float]
 _log = logging.getLogger(__name__)
 
 
-def _node_limit_stop(
-    error: NodeLimitError, metrics: MetricsRegistry | None
-) -> str:
+def _node_limit_stop(error: NodeLimitError) -> str:
     """Stop reason for an ILP solve aborted by its node budget; the
     aborted search's nodes still count toward ``dse.ilp.nodes``."""
-    if metrics is not None:
-        metrics.counter("dse.ilp.nodes").add(error.nodes)
+    count("dse.ilp.nodes", error.nodes)
     return f"ILP node limit reached ({error.nodes} nodes)"
 
 
@@ -77,7 +72,6 @@ def _ordering_fingerprint(ordering: ChannelOrdering) -> OrderingFingerprint:
 def _measure_cycle_times(
     configs: Sequence[SystemConfiguration],
     iterations: int,
-    metrics: "MetricsRegistry | None" = None,
 ) -> list[Number | None]:
     """Simulated steady-state cycle time of each configuration.
 
@@ -103,9 +97,9 @@ def _measure_cycle_times(
             BatchLane(process_latencies=configs[i].process_latencies())
             for i in indices
         ]
-        outcomes = BatchSimulator(
-            first.system, first.ordering, lanes=lanes, metrics=metrics
-        ).run(iterations=iterations, watch=watch, on_deadlock="capture")
+        outcomes = BatchSimulator(first.system, first.ordering, lanes=lanes).run(
+            iterations=iterations, watch=watch, on_deadlock="capture"
+        )
         for i, outcome in zip(indices, outcomes):
             if not isinstance(outcome, SimulationDeadlock):
                 measured[i] = outcome.measured_cycle_time(watch)
@@ -211,10 +205,10 @@ class Explorer:
             runs (see :func:`repro.dse.sweep.sweep_targets`).
         profiler: Optional :class:`repro.obs.DseProfiler`; when attached,
             every iteration leaves an
-            :class:`~repro.obs.profile.IterationSnapshot` behind and the
-            loop's phases report wall time / counters into the profiler's
-            metrics registry under the stable ``dse.*`` names
-            (``docs/OBSERVABILITY.md``).  No cost when ``None``.
+            :class:`~repro.obs.profile.IterationSnapshot` behind.  The
+            loop's phases report wall time / counters under the stable
+            ``dse.*`` names (``docs/OBSERVABILITY.md``) into the active
+            registry (:func:`repro.obs.collect`), profiler or not.
         batch: Cross-validate the analytic trajectory by simulation: after
             the loop converges, replay every visited configuration through
             the vectorized :class:`repro.sim.BatchSimulator` — one
@@ -254,9 +248,6 @@ class Explorer:
         self.batch = batch
         self.batch_iterations = batch_iterations
         self._sym_seen = sym_seen if sym_seen is not None else set()
-        # Memoized Algorithm 1 results: sweeps revisit configurations, and
-        # orderings are immutable values safe to share.
-        self._ordering_cache = LruCache(maxsize=256)
 
     # ------------------------------------------------------------------
 
@@ -272,12 +263,8 @@ class Explorer:
 
         preflight(config.system, config.ordering)
         profiler = self.profiler
-        metrics = profiler.metrics if profiler is not None else None
         if profiler is not None:
             profiler.begin_run(self.perf_engine)
-
-        def timed(name: str) -> ContextManager[object]:
-            return metrics.timer(name) if metrics is not None else nullcontext()
 
         result = ExplorationResult(target_cycle_time=self.target_cycle_time)
         visited: set[tuple[tuple[str, str], ...]] = {config.selection_key()}
@@ -337,17 +324,15 @@ class Explorer:
                 with timed("dse.ilp"):
                     solution = branch_bound.solve(problem)
             except InfeasibleError:
-                if metrics is not None:
-                    metrics.counter("dse.ilp.infeasible").add(1)
+                count("dse.ilp.infeasible")
                 result.stop_reason = f"{action} infeasible"
                 break
             except NodeLimitError as error:
-                result.stop_reason = _node_limit_stop(error, metrics)
+                result.stop_reason = _node_limit_stop(error)
                 break
             iteration_nodes += solution.nodes
-            if metrics is not None:
-                metrics.counter("dse.ilp.solves").add(1)
-                metrics.counter("dse.ilp.nodes").add(solution.nodes)
+            count("dse.ilp.solves")
+            count("dse.ilp.nodes", solution.nodes)
 
             changes = self._diff(config, solution.selection)
             candidate = config.with_selection(changes)
@@ -370,17 +355,15 @@ class Explorer:
                     with timed("dse.ilp"):
                         solution = branch_bound.solve(problem)
                 except InfeasibleError:
-                    if metrics is not None:
-                        metrics.counter("dse.ilp.infeasible").add(1)
+                    count("dse.ilp.infeasible")
                     result.stop_reason = "all candidate configurations visited"
                     break
                 except NodeLimitError as error:
-                    result.stop_reason = _node_limit_stop(error, metrics)
+                    result.stop_reason = _node_limit_stop(error)
                     break
                 iteration_nodes += solution.nodes
-                if metrics is not None:
-                    metrics.counter("dse.ilp.solves").add(1)
-                    metrics.counter("dse.ilp.nodes").add(solution.nodes)
+                count("dse.ilp.solves")
+                count("dse.ilp.nodes", solution.nodes)
                 changes = self._diff(config, solution.selection)
                 candidate = config.with_selection(changes)
                 if changes and candidate.selection_key() in visited:
@@ -392,11 +375,8 @@ class Explorer:
                 with timed("dse.reorder"):
                     new_ordering = self._reorder(candidate)
                 reordered = new_ordering.differs_from(candidate.ordering)
-                if metrics is not None:
-                    metrics.counter("dse.reorder.runs").add(1)
-                    metrics.counter("dse.reorder.changed_processes").add(
-                        len(reordered)
-                    )
+                count("dse.reorder.runs")
+                count("dse.reorder.changed_processes", len(reordered))
                 if reordered:
                     candidate = candidate.with_ordering(new_ordering)
                 # Even an unchanged result is an ordering Algorithm 1
@@ -409,11 +389,10 @@ class Explorer:
                     canonical = self._canonical_key(candidate)
                     if canonical is not None and canonical in self._sym_seen:
                         sym_deduped += 1
-                        if metrics is not None:
-                            metrics.counter("dse.sym.verify_deduped").add(1)
+                        count("dse.sym.verify_deduped")
                     else:
                         with timed("dse.verify"):
-                            self._verify_ordering(candidate, metrics)
+                            self._verify_ordering(candidate)
                         if canonical is not None:
                             # Only a check that *returned* marks the
                             # orbit verified (a deadlock raises out).
@@ -475,18 +454,12 @@ class Explorer:
             with timed("dse.batch"):
                 result.measured_cycle_times = dict(
                     enumerate(
-                        _measure_cycle_times(
-                            trail, self.batch_iterations, metrics
-                        )
+                        _measure_cycle_times(trail, self.batch_iterations)
                     )
                 )
-            if metrics is not None:
-                metrics.counter("dse.batch.measured").add(len(trail))
+            count("dse.batch.measured", len(trail))
         if profiler is not None:
             profiler.end_run(result, self.perf_engine)
-            profiler.metrics.merge_cache_stats(
-                {"ordering": self._ordering_cache.stats.as_dict()}
-            )
         return result
 
     # ------------------------------------------------------------------
@@ -513,11 +486,7 @@ class Explorer:
     VERIFY_BUDGET_STATES = 50_000
     VERIFY_BUDGET_SECONDS = 1.0
 
-    def _verify_ordering(
-        self,
-        config: SystemConfiguration,
-        metrics: "MetricsRegistry | None",
-    ) -> None:
+    def _verify_ordering(self, config: SystemConfiguration) -> None:
         """Check Algorithm 1's output: static preflight, then BFS.
 
         The abstract-interpretation preflight (:mod:`repro.absint`) runs
@@ -540,12 +509,10 @@ class Explorer:
         from repro.errors import BudgetExceeded
         from repro.verify.checker import is_small_system, verify_ordering
 
-        if metrics is not None:
-            metrics.counter("dse.absint.runs").add(1)
+        count("dse.absint.runs")
         static = analyze(config.system, config.ordering)
         if static.token_free_cycle is not None:
-            if metrics is not None:
-                metrics.counter("dse.absint.deadlock_pruned").add(1)
+            count("dse.absint.deadlock_pruned")
             cycle_text = " -> ".join(static.token_free_cycle)
             raise DeadlockError(
                 f"static preflight pruned the ordering for "
@@ -558,23 +525,19 @@ class Explorer:
             # Beyond BFS scale the certificate *is* the verification:
             # re-validate it independently before accepting.
             check_certificate(self._lowered(config), certificate)
-            if metrics is not None:
-                metrics.counter("dse.absint.certified").add(1)
+            count("dse.absint.certified")
             return
-        if metrics is not None:
-            metrics.counter("dse.absint.bfs_crosschecks").add(1)
-            metrics.counter("dse.verify.runs").add(1)
+        count("dse.absint.bfs_crosschecks")
+        count("dse.verify.runs")
         try:
             verify_ordering(
                 config.system,
                 config.ordering,
                 budget_states=self.VERIFY_BUDGET_STATES,
                 budget_seconds=self.VERIFY_BUDGET_SECONDS,
-                metrics=metrics,
             )
         except BudgetExceeded:
-            if metrics is not None:
-                metrics.counter("dse.verify.inconclusive").add(1)
+            count("dse.verify.inconclusive")
 
     def _canonical_key(self, config: SystemConfiguration) -> str | None:
         """Orbit-canonical hash of the candidate's lowered IR.
@@ -603,11 +566,7 @@ class Explorer:
     def _reorder(self, config: SystemConfiguration) -> ChannelOrdering:
         system = config.system.with_process_latencies(config.process_latencies())
         try:
-            return channel_ordering(
-                system,
-                initial_ordering=config.ordering,
-                cache=self._ordering_cache,
-            )
+            return channel_ordering(system, initial_ordering=config.ordering)
         except DeadlockError:
             # Structurally dead systems were rejected earlier; a failure
             # here means the topology lacks sources/sinks for the

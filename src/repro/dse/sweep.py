@@ -9,13 +9,13 @@ Liu & Carloni produces, but with reordering in the loop.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ContextManager, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from repro.dse.config import SystemConfiguration
 from repro.dse.explorer import ExplorationResult, Explorer, _measure_cycle_times
+from repro.obs.metrics import count, timed
 from repro.perf.engine import PerformanceEngine
 
 Number = Union[Fraction, float]
@@ -56,9 +56,10 @@ def sweep_targets(
 
     Pass ``profiler=DseProfiler()`` (see :mod:`repro.obs.profile`) to
     collect per-iteration snapshots across the whole sweep: the profiler
-    is shared by every per-target Explorer, its ``sweep.*`` counters and
-    timers cover the sweep loop itself, and ``snapshot.iteration`` resets
-    per target while the snapshot list keeps accumulating.
+    is shared by every per-target Explorer, and ``snapshot.iteration``
+    resets per target while the snapshot list keeps accumulating.  With
+    a registry active (:func:`repro.obs.collect`), the ``sweep.*``
+    counters and timers cover the sweep loop itself.
 
     With ``batch=True`` the sweep cross-validates its frontier by
     simulation after the loop: the per-target final configurations are
@@ -81,15 +82,11 @@ def sweep_targets(
     # symmetric orderings are machine-checked once per sweep, not once
     # per target (the per-explorer dedup still reports per-run counts).
     explorer_kwargs.setdefault("sym_seen", set())
-    profiler = explorer_kwargs.get("profiler")
     points: list[SweepPoint] = []
     current = config
     for target in sorted(targets, reverse=True):
-        timer: ContextManager[object] = nullcontext()
-        if profiler is not None:
-            profiler.metrics.counter("sweep.targets").add(1)
-            timer = profiler.metrics.timer("sweep.explore")
-        with timer:
+        count("sweep.targets")
+        with timed("sweep.explore"):
             result = Explorer(
                 target_cycle_time=target, **explorer_kwargs
             ).run(current)
@@ -109,9 +106,7 @@ def sweep_targets(
     if batch and points:
         # Explorer.run always sets ``final``.
         measured = _measure_cycle_times(
-            [point.result.final for point in points],
-            batch_iterations,
-            profiler.metrics if profiler is not None else None,
+            [point.result.final for point in points], batch_iterations
         )
         points = [
             replace(point, measured_cycle_time=cycle_time)

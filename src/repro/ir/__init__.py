@@ -10,7 +10,6 @@ the stack sits above this package (see ``docs/ARCHITECTURE.md``).
 from repro.ir.lowering import (
     clear_lowering_cache,
     lower,
-    lowering_cache_info,
     structural_hash_of,
 )
 from repro.ir.program import (
@@ -39,6 +38,5 @@ __all__ = [
     "clear_lowering_cache",
     "kind_code",
     "lower",
-    "lowering_cache_info",
     "structural_hash_of",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import cast
 
-from repro.cache import MISS, LruCache
+from repro.cache import MISS, memo
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir.program import (
     OP_COMPUTE,
@@ -47,17 +47,12 @@ _CHANNEL_ROW = attrgetter(
     "name", "producer", "consumer", "latency", "capacity", "initial_tokens"
 )
 
-_memo = LruCache(maxsize=256)
+_memo = memo("lower", maxsize=256)
 
 
 def clear_lowering_cache() -> None:
     """Drop every memoized :class:`LoweredIR` (test isolation hook)."""
     _memo.clear()
-
-
-def lowering_cache_info() -> tuple[int, int]:
-    """``(entries, capacity)`` of the lowering memo."""
-    return len(_memo), _memo.maxsize
 
 
 def structural_hash_of(system: SystemGraph, ordering: ChannelOrdering) -> str:

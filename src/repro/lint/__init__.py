@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.cache import MISS, LruCache
+from repro.cache import MISS, memo
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.diagnostics import (
     Diagnostic,
@@ -154,7 +154,7 @@ def lint_system(
 #: Successful default-registry pre-flights, keyed by the IR structural
 #: hash.  Success-only by design: a failing specification must re-report
 #: its diagnostics every time (and failures are rare and already cheap).
-_preflight_passed = LruCache(maxsize=512)
+_preflight_passed = memo("preflight", maxsize=512)
 
 
 def clear_preflight_cache() -> None:

@@ -1,10 +1,14 @@
-"""A lightweight counter/timer/histogram registry.
+"""A lightweight counter/timer/histogram registry, active by context.
 
-The instrumentation substrate of the observability layer: the simulator,
-the DSE explorer, the analysis cache, the ILP solver, and Algorithm 1 all
-report through one :class:`MetricsRegistry` when a caller attaches one
-(and cost nothing when none is attached — every call site is guarded by a
-``metrics is not None`` check).
+The instrumentation substrate of the observability layer.  The
+simulator, the DSE explorer, the checker and Algorithm 1 record through
+three helpers — :func:`count`, :func:`timed` and :func:`observe` — into
+whichever :class:`MetricsRegistry` is *active*: ``with collect() as
+registry:`` activates one for the block (and restores the outer one on
+exit).  With none active the helpers are one context-variable read and
+record nothing, so the instrumented code needs no ``metrics`` parameter
+and no guards.  :func:`active` serves the few sites whose recorded value
+costs work to compute, which check it before computing.
 
 Metric *names* are a stable contract — dashboards, tests, and the
 ``ermes profile`` output key on them.  The catalog lives in
@@ -16,6 +20,8 @@ code.  Names are dotted lowercase paths (``dse.ilp.nodes``,
 from __future__ import annotations
 
 import time
+from contextlib import AbstractContextManager, contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import Iterator, Mapping
@@ -120,9 +126,10 @@ class MetricsRegistry:
     """Creates-or-returns named counters, timers, and histograms.
 
     One registry spans one observed activity (a profile run, one DSE
-    session); pass the same instance to every layer that should report
-    into it.  ``snapshot()`` produces a JSON-friendly dict, and
-    :func:`format_metrics` a fixed-width table.
+    session): activate it with :func:`collect` and every instrumented
+    layer called inside the block reports into it.  ``snapshot()``
+    produces a JSON-friendly dict, and :func:`format_metrics` a
+    fixed-width table.
     """
 
     def __init__(self) -> None:
@@ -206,6 +213,57 @@ class MetricsRegistry:
                 for h in self.histograms()
             },
         }
+
+
+_ACTIVE: ContextVar[MetricsRegistry | None] = ContextVar(
+    "repro_metrics", default=None
+)
+#: What :func:`timed` returns with no registry active (reusable: it
+#: neither keeps state nor times anything).
+_NOT_TIMED: AbstractContextManager[object] = nullcontext()
+
+
+@contextmanager
+def collect(
+    registry: MetricsRegistry | None = None,
+) -> Iterator[MetricsRegistry]:
+    """Activate ``registry`` (a fresh one when omitted) for the block.
+
+    The outer registry, if any, is restored on exit — also when the
+    block raises — so collections nest.
+    """
+    if registry is None:
+        registry = MetricsRegistry()
+    token = _ACTIVE.set(registry)
+    try:
+        yield registry
+    finally:
+        _ACTIVE.reset(token)
+
+
+def active() -> MetricsRegistry | None:
+    """The registry :func:`collect` activated, or ``None``."""
+    return _ACTIVE.get()
+
+
+def count(name: str, amount: int = 1) -> None:
+    """Add ``amount`` to the active registry's counter ``name``."""
+    registry = _ACTIVE.get()
+    if registry is not None:
+        registry.counter(name).add(amount)
+
+
+def timed(name: str) -> AbstractContextManager[object]:
+    """The active registry's timer ``name``, or a no-op context."""
+    registry = _ACTIVE.get()
+    return _NOT_TIMED if registry is None else registry.timer(name)
+
+
+def observe(name: str, value: float) -> None:
+    """Record ``value`` in the active registry's histogram ``name``."""
+    registry = _ACTIVE.get()
+    if registry is not None:
+        registry.histogram(name).observe(value)
 
 
 def format_metrics(registry: MetricsRegistry) -> str:

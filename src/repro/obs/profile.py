@@ -7,9 +7,11 @@ time, ILP branch-and-bound nodes), and how the analysis cache behaved
 (hit/miss deltas) — so a finished run can be replayed as a convergence
 timeline (``ermes profile --json``).
 
-The profiler owns (or shares) a :class:`~repro.obs.metrics.MetricsRegistry`
-that the instrumented layers report into under the stable ``dse.*`` /
-``cache.*`` metric names (catalog: ``docs/OBSERVABILITY.md``).
+The profiler records into the active
+:class:`~repro.obs.metrics.MetricsRegistry` (see
+:func:`~repro.obs.metrics.collect`) under the stable ``dse.*`` /
+``cache.*`` metric names (catalog: ``docs/OBSERVABILITY.md``), like every
+other instrumented layer.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Protocol
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import active, count, observe
 
 
 class RecordLike(Protocol):
@@ -124,14 +126,9 @@ class DseProfiler:
     Pass one to :class:`repro.dse.Explorer`; it is re-armed at the start
     of every ``run()`` (snapshots accumulate across runs, e.g. over a
     :func:`repro.dse.sweep_targets` sweep — ``runs`` counts them).
-
-    Args:
-        metrics: Registry the explorer's timers/counters report into;
-            a fresh one is created when omitted.
     """
 
-    def __init__(self, metrics: MetricsRegistry | None = None):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
         self.snapshots: list[IterationSnapshot] = []
         self.runs = 0
         self._mark = 0.0
@@ -142,7 +139,7 @@ class DseProfiler:
     def begin_run(self, engine: EngineLike) -> None:
         """Explorer hook: a ``run()`` is starting against ``engine``."""
         self.runs += 1
-        self.metrics.counter("dse.runs").add(1)
+        count("dse.runs")
         self._mark = time.perf_counter()
         self._cache_seen = self._cache_totals(engine)
 
@@ -172,18 +169,16 @@ class DseProfiler:
         self.snapshots.append(snapshot)
         self._mark = now
         self._cache_seen = (hits, misses)
-        self.metrics.counter("dse.iterations").add(1)
-        self.metrics.histogram("dse.iteration.wall_s").observe(
-            snapshot.wall_time_s
-        )
-        self.metrics.histogram("dse.iteration.cycle_time").observe(
-            snapshot.cycle_time
-        )
+        count("dse.iterations")
+        observe("dse.iteration.wall_s", snapshot.wall_time_s)
+        observe("dse.iteration.cycle_time", snapshot.cycle_time)
         return snapshot
 
     def end_run(self, result: object, engine: EngineLike) -> None:
         """Explorer hook: the run finished (any stop reason)."""
-        self.metrics.merge_cache_stats(engine.stats_dict())
+        registry = active()
+        if registry is not None:
+            registry.merge_cache_stats(engine.stats_dict())
 
     # ------------------------------------------------------------------
 

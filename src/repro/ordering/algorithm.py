@@ -18,19 +18,14 @@ produce, in ``O(|E| log |E|)``, a statement order for every process:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.cache import MISS, LruCache
 from repro.core.system import ChannelOrdering, SystemGraph
+from repro.obs.metrics import active, count, timed
 from repro.ordering.labeling import (
     LabelingResult,
     backward_labeling,
     forward_labeling,
 )
-from repro.perf.fingerprint import system_fingerprint
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -44,10 +39,13 @@ class OrderingOutcome:
 def channel_ordering(
     system: SystemGraph,
     initial_ordering: ChannelOrdering | None = None,
-    cache: LruCache | None = None,
-    metrics: "MetricsRegistry | None" = None,
 ) -> ChannelOrdering:
     """Compute the optimized channel ordering of a system (Algorithm 1).
+
+    With a registry active (:func:`repro.obs.collect`), each run records
+    the stable ``ordering.*`` counters and timer (runs, labeling time,
+    processes whose statement order changed — the algorithm's "swaps")
+    documented in ``docs/OBSERVABILITY.md``.
 
     Args:
         system: System with current process latencies (from the selected
@@ -57,42 +55,17 @@ def channel_ordering(
             designer or the suboptimal of Section 2".  Defaults to the
             declaration order.  The *result* does not depend on this order
             except through timestamp tie-breaks.
-        cache: Optional :class:`~repro.perf.LruCache` memoizing the result
-            by content (latencies + channel parameters + initial order).
-            Algorithm 1 is deterministic, so a revisited configuration —
-            common in ERMES sweeps, which warm-start from earlier targets
-            — returns its (immutable) ordering without re-labeling.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; records the
-            stable ``ordering.*`` counters/timers (runs, cache hits and
-            misses, processes whose statement order changed — the
-            algorithm's "swaps") documented in ``docs/OBSERVABILITY.md``.
 
     Raises:
         DeadlockError: The system contains a dependency cycle with no
             pre-loaded data; no ordering can make it live.
     """
-    if metrics is not None:
-        metrics.counter("ordering.runs").add(1)
+    count("ordering.runs")
     initial = initial_ordering or ChannelOrdering.declaration_order(system)
-    if cache is not None:
-        key = "order:" + system_fingerprint(system, initial)
-        cached = cache.get(key)
-        if cached is not MISS:
-            if metrics is not None:
-                metrics.counter("ordering.cache_hits").add(1)
-            return cached
-    if metrics is None:
+    with timed("ordering.label"):
         ordering = channel_ordering_with_labels(system, initial).ordering
-    else:
-        if cache is not None:
-            metrics.counter("ordering.cache_misses").add(1)
-        with metrics.timer("ordering.label"):
-            ordering = channel_ordering_with_labels(system, initial).ordering
-        metrics.counter("ordering.changed_processes").add(
-            len(ordering.differs_from(initial))
-        )
-    if cache is not None:
-        cache.put(key, ordering)
+    if active() is not None:  # the diff walks every process
+        count("ordering.changed_processes", len(ordering.differs_from(initial)))
     return ordering
 
 

@@ -8,7 +8,7 @@ package makes those repeats cheap without changing any observable result:
 * :class:`PerformanceEngine` — content-addressed LRU result cache +
   incremental event-graph reuse + the exact integer Howard kernel.
 * :class:`LruCache` / :class:`CacheStats` — the bounded cache primitive
-  with hit/miss/eviction counters (also used for memoized orderings).
+  with hit/miss/eviction counters.
 * :mod:`repro.perf.fingerprint` — the canonical invalidation keys.
 
 See ``docs/API.md`` ("Analysis caching") for the caching contract.
@@ -16,12 +16,8 @@ See ``docs/API.md`` ("Analysis caching") for the caching contract.
 
 from repro.cache import MISS, CacheStats, LruCache
 from repro.perf.engine import PerformanceEngine
-from repro.perf.fingerprint import (
-    analysis_fingerprint,
-    effective_latencies,
-    structure_fingerprint,
-    system_fingerprint,
-)
+from repro.model.build import effective_latencies
+from repro.perf.fingerprint import analysis_fingerprint, structure_fingerprint
 from repro.perf.incremental import StructureEntry, build_structure
 
 __all__ = [
@@ -34,5 +30,4 @@ __all__ = [
     "build_structure",
     "effective_latencies",
     "structure_fingerprint",
-    "system_fingerprint",
 ]

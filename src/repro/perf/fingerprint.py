@@ -34,7 +34,6 @@ from typing import Mapping
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir import lower
-from repro.model.build import effective_latencies
 
 _SEPARATOR = "\x1f"  # unit separator: cannot appear in validated names
 
@@ -78,23 +77,3 @@ def analysis_fingerprint(
         parts.append(f"l:{name}={latencies[name]}")
     return _digest(parts)
 
-
-def system_fingerprint(
-    system: SystemGraph,
-    ordering: ChannelOrdering | None = None,
-    process_latencies: Mapping[str, int] | None = None,
-) -> str:
-    """Digest of a system *including* its effective latencies.
-
-    This is the key for derived artifacts that depend on latencies but not
-    on the arithmetic mode — e.g. memoized channel orderings
-    (:func:`repro.ordering.algorithm.channel_ordering`), whose labels are
-    functions of the latencies and the initial statement order.
-    """
-    if ordering is None:
-        ordering = ChannelOrdering.declaration_order(system)
-    latencies = effective_latencies(system, process_latencies)
-    parts = ["system:v1", structure_fingerprint(system, ordering)]
-    for name in sorted(latencies):
-        parts.append(f"l:{name}={latencies[name]}")
-    return _digest(parts)

@@ -31,17 +31,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, cast
+from typing import Any, Callable, Iterable, Mapping, Sequence, cast
 
 import numpy as np
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ReproError, SimulationDeadlock, SimulationError
 from repro.ir import OP_COMPUTE, OP_PUT, LoweredIR, lower
+from repro.obs.metrics import active, count
 from repro.sim.trace import TraceEvent, TraceRecorder, TraceSink
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
 
 #: A functional behaviour: ``(iteration, inputs by channel) -> outputs by
 #: channel``.  Sources receive an empty mapping; sinks may return one.
@@ -729,9 +727,10 @@ class Simulator:
         sinks: Streaming trace sinks (see :mod:`repro.obs.sinks`); each
             receives every :class:`~repro.sim.trace.TraceEvent` in walk
             order.  Attaching sinks never changes simulation results.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; end-of-run
-            aggregates are recorded under the ``sim.*`` metric names
-            (see ``docs/OBSERVABILITY.md``).  No hot-path cost.
+
+    With a registry active (:func:`repro.obs.collect`), each run records
+    its end-of-run aggregates under the ``sim.*`` metric names (see
+    ``docs/OBSERVABILITY.md``).  No hot-path cost.
     """
 
     def __init__(
@@ -743,7 +742,6 @@ class Simulator:
         initial_payloads: Mapping[str, tuple[Any, ...]] | None = None,
         record_trace: bool = False,
         sinks: Sequence[TraceSink] = (),
-        metrics: "MetricsRegistry | None" = None,
     ):
         from repro.lint import preflight
 
@@ -760,7 +758,6 @@ class Simulator:
         self._engine = _Engine(system, self.ir, [process_latencies],
                                behaviors=behaviors,
                                initial_payloads=initial_payloads)
-        self._metrics = metrics
 
     def run(self, iterations: int = 64, watch: str | None = None,
             max_steps: int | None = None) -> SimulationResult:
@@ -780,11 +777,9 @@ class Simulator:
         engine = self._engine
         (result,) = engine.run(iterations, watch or default_watch(self.system),
                                max_steps, self._recorders)
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.counter("sim.runs").add(1)
-            metrics.counter("sim.steps").add(engine.steps)
-            _add_totals(metrics, "sim", [result])
+        count("sim.runs")
+        count("sim.steps", engine.steps)
+        _add_totals("sim", [result])
         return result
 
 
@@ -803,21 +798,20 @@ class BatchSimulator:
             every lane.
         lanes: Per-lane overrides; an empty :class:`BatchLane` replays the
             declared system exactly.
-        metrics: Optional :class:`repro.obs.MetricsRegistry`; end-of-run
-            aggregates are recorded under the ``sim.batch.*`` metric names
-            (see ``docs/OBSERVABILITY.md``).
+
+    With a registry active (:func:`repro.obs.collect`), each run records
+    its end-of-run aggregates under the ``sim.batch.*`` metric names (see
+    ``docs/OBSERVABILITY.md``).
     """
 
     def __init__(self, system: SystemGraph,
                  ordering: ChannelOrdering | None = None,
-                 lanes: Sequence[BatchLane] = (),
-                 metrics: "MetricsRegistry | None" = None):
+                 lanes: Sequence[BatchLane] = ()):
         from repro.lint import preflight
 
         self.system = system
         self.ordering = ordering or ChannelOrdering.declaration_order(system)
         self.lanes = tuple(lanes)
-        self._metrics = metrics
 
         declared = {c.name: c.capacity for c in system.channels}
         # Group lane indices by capacity signature (declaration order).
@@ -897,28 +891,32 @@ class BatchSimulator:
             total_steps += engine.steps
             outcomes.update(zip(lane_indices, results))
         final = [outcomes[li] for li in range(len(self.lanes))]
-        metrics = self._metrics
-        if metrics is not None:
-            finished = [o for o in final if isinstance(o, SimulationResult)]
-            metrics.counter("sim.batch.runs").add(1)
-            metrics.counter("sim.batch.lanes").add(len(self.lanes))
-            metrics.counter("sim.batch.groups").add(self.n_groups)
-            metrics.counter("sim.batch.steps").add(total_steps)
-            metrics.counter("sim.batch.deadlocked_lanes").add(
-                len(final) - len(finished))
-            _add_totals(metrics, "sim.batch", finished)
+        count("sim.batch.runs")
+        count("sim.batch.lanes", len(self.lanes))
+        count("sim.batch.groups", self.n_groups)
+        count("sim.batch.steps", total_steps)
+        count("sim.batch.deadlocked_lanes",
+              sum(isinstance(o, SimulationDeadlock) for o in final))
+        _add_totals("sim.batch", final)
         return final
 
 
-def _add_totals(metrics: "MetricsRegistry", prefix: str,
-                results: Sequence[SimulationResult]) -> None:
+def _add_totals(prefix: str, outcomes: Sequence[LaneOutcome]) -> None:
     """End-of-run aggregates under the stable ``sim.*`` / ``sim.batch.*``
-    metric names, summed over ``results``."""
+    metric names, summed over the finished ``outcomes``.
+
+    The sums walk every lane's per-process dicts, so nothing is summed
+    with no registry active.
+    """
+    registry = active()
+    if registry is None:
+        return
+    results = [o for o in outcomes if isinstance(o, SimulationResult)]
     for name, attribute in (
         ("iterations", "iterations"), ("transfers", "channel_transfers"),
         ("compute_cycles", "compute_cycles"), ("stall_cycles", "stall_cycles"),
     ):
-        metrics.counter(f"{prefix}.{name}").add(
+        registry.counter(f"{prefix}.{name}").add(
             sum(sum(getattr(r, attribute).values()) for r in results)
         )
 
@@ -933,7 +931,6 @@ def simulate_batch(system: SystemGraph, lanes: Sequence[BatchLane],
                    ordering: ChannelOrdering | None = None,
                    iterations: int = 64, watch: str | None = None,
                    max_steps: int | None = None,
-                   metrics: "MetricsRegistry | None" = None,
                    ) -> list[SimulationResult]:
     """One-call convenience wrapper around :class:`BatchSimulator`.
 
@@ -941,7 +938,7 @@ def simulate_batch(system: SystemGraph, lanes: Sequence[BatchLane],
     :meth:`BatchSimulator.run` with ``on_deadlock="capture"`` for
     per-lane outcomes).
     """
-    outcomes = BatchSimulator(
-        system, ordering, lanes=lanes, metrics=metrics
-    ).run(iterations=iterations, watch=watch, max_steps=max_steps)
+    outcomes = BatchSimulator(system, ordering, lanes=lanes).run(
+        iterations=iterations, watch=watch, max_steps=max_steps
+    )
     return [outcome for outcome in outcomes if isinstance(outcome, SimulationResult)]

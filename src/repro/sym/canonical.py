@@ -49,7 +49,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, cast
 
-from repro.cache import MISS, LruCache
+from repro.cache import MISS, memo
 from repro.ir import OP_COMPUTE, OP_GET, OP_PUT, LoweredIR
 from repro.sym.perm import (
     PairPerm,
@@ -560,7 +560,7 @@ _MAX_NODE_BUDGET = 4096
 #: costs O(n log n) per node, so nodes * n stays roughly constant.
 _NODE_WORK_TARGET = 120_000
 
-_memo = LruCache(maxsize=256)
+_memo = memo("sym", maxsize=256)
 
 
 def default_node_budget(ir: LoweredIR) -> int:

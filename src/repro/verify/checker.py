@@ -34,12 +34,12 @@ from typing import TYPE_CHECKING
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import BudgetExceeded, DeadlockError, ValidationError
+from repro.obs.metrics import count, timed
 from repro.verify.semantics import Action, State, TransitionSystem
 from repro.verify.stubborn import stubborn_set
 from repro.verify.witness import DeadlockWitness, decode_deadlock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
     from repro.sym.perm import PairPerm
     from repro.sym.states import StateSymmetry
 
@@ -137,9 +137,11 @@ def check_deadlock(
     budget_seconds: float | None = None,
     use_certificate: bool = False,
     sym: bool = False,
-    metrics: "MetricsRegistry | None" = None,
 ) -> VerificationResult:
     """Exhaustively decide deadlock reachability, within budget.
+
+    With a registry active (:func:`repro.obs.collect`), the run reports
+    under the stable ``verify.*`` names (``docs/OBSERVABILITY.md``).
 
     Args:
         system: The topology under verification.
@@ -171,8 +173,6 @@ def check_deadlock(
             walk already expands one state per step, and on the
             measured symmetric rings the quotient explores as many or
             more states, more slowly (``docs/VERIFICATION.md`` §2b).
-        metrics: Optional registry; the run reports under the stable
-            ``verify.*`` names (``docs/OBSERVABILITY.md``).
 
     Raises:
         ValidationError: ``budget_states < 1`` or ``budget_seconds < 0``.
@@ -190,9 +190,8 @@ def check_deadlock(
         certificate = analyze_ir(ts.ir).certificate
         if certificate is not None:
             check_certificate(ts.ir, certificate)
-            if metrics is not None:
-                metrics.counter("verify.runs").add(1)
-                metrics.counter("verify.certificates.accepted").add(1)
+            count("verify.runs")
+            count("verify.certificates.accepted")
             return VerificationResult(
                 verdict=Verdict.DEADLOCK_FREE,
                 witness=None,
@@ -217,29 +216,20 @@ def check_deadlock(
         sym_engine = StateSymmetry(ts)
         if sym_engine.trivial:
             sym_engine = None  # no symmetry: plain search, honestly flagged
-    timer_cm = (
-        metrics.timer("verify.search") if metrics is not None else None
-    )
-    start = time.perf_counter()
-    if timer_cm is not None:
-        timer_cm.__enter__()
-    try:
+    with timed("verify.search"):
         outcome = _search(
-            ts, sym_engine, por, budget_states, budget_seconds, start
+            ts, sym_engine, por, budget_states, budget_seconds,
+            time.perf_counter(),
         )
-    finally:
-        if timer_cm is not None:
-            timer_cm.__exit__(None, None, None)
-    if metrics is not None:
-        metrics.counter("verify.runs").add(1)
-        metrics.counter("verify.states.explored").add(outcome.states_explored)
-        metrics.counter("verify.transitions").add(outcome.transitions_fired)
-        metrics.counter("verify.por.pruned").add(outcome.por_pruned)
-        if outcome.sym:
-            metrics.counter("verify.sym.runs").add(1)
-            metrics.counter("verify.sym.merged").add(outcome.sym_merged)
-        if outcome.deadlocked:
-            metrics.counter("verify.deadlocks").add(1)
+    count("verify.runs")
+    count("verify.states.explored", outcome.states_explored)
+    count("verify.transitions", outcome.transitions_fired)
+    count("verify.por.pruned", outcome.por_pruned)
+    if outcome.sym:
+        count("verify.sym.runs")
+        count("verify.sym.merged", outcome.sym_merged)
+    if outcome.deadlocked:
+        count("verify.deadlocks")
     return outcome
 
 
@@ -416,7 +406,6 @@ def verify_ordering(
     budget_seconds: float | None = None,
     use_certificate: bool = False,
     sym: bool = False,
-    metrics: "MetricsRegistry | None" = None,
 ) -> VerificationResult:
     """Machine-check that ``ordering`` cannot deadlock — strictly.
 
@@ -438,7 +427,6 @@ def verify_ordering(
         budget_seconds=budget_seconds,
         use_certificate=use_certificate,
         sym=sym,
-        metrics=metrics,
     )
     if result.verdict is Verdict.INCONCLUSIVE:
         raise BudgetExceeded(

@@ -4,12 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.absint import (
-    analysis_cache_info,
-    analyze,
-    analyze_ir,
-    clear_analysis_cache,
-)
+from repro.absint import analyze, analyze_ir, clear_analysis_cache
+from repro.cache import memos
 from repro.core import ChannelOrdering, SystemBuilder
 from repro.ir import lower
 
@@ -176,10 +172,10 @@ class TestCaching:
         clear_analysis_cache()
         ir = lower(motivating, ChannelOrdering.declaration_order(motivating))
         first = analyze_ir(ir)
-        before = analysis_cache_info().hits
+        before = memos()["absint"].stats.hits
         second = analyze_ir(ir)
         assert second is first
-        assert analysis_cache_info().hits == before + 1
+        assert memos()["absint"].stats.hits == before + 1
 
     def test_analyze_defaults_to_declaration_order(self, motivating):
         explicit = analyze(
@@ -189,7 +185,7 @@ class TestCaching:
 
     def test_clear_drops_entries_but_keeps_counters(self, motivating):
         analyze(motivating)
-        misses_before = analysis_cache_info().misses
+        misses_before = memos()["absint"].stats.misses
         clear_analysis_cache()
         analyze(motivating)
-        assert analysis_cache_info().misses == misses_before + 1
+        assert memos()["absint"].stats.misses == misses_before + 1

@@ -16,7 +16,7 @@ import pytest
 from repro.dse import Explorer
 from repro.errors import DeadlockError
 from repro.mpeg2 import build_mpeg2_system
-from repro.obs import MetricsRegistry
+from repro.obs import collect
 from repro.ordering import channel_ordering
 
 
@@ -33,11 +33,11 @@ class TestStaticPrune:
     def test_statically_deadlocked_orderings_are_pruned(
         self, explorer, motivating, deadlock_ordering
     ):
-        metrics = MetricsRegistry()
-        with pytest.raises(DeadlockError, match="static preflight"):
-            explorer._verify_ordering(
-                _config(motivating, deadlock_ordering), metrics
-            )
+        with collect() as metrics:
+            with pytest.raises(DeadlockError, match="static preflight"):
+                explorer._verify_ordering(
+                    _config(motivating, deadlock_ordering)
+                )
         assert metrics.counter("dse.absint.runs").value == 1
         assert metrics.counter("dse.absint.deadlock_pruned").value == 1
         # No state-space search is ever spent on a pruned candidate.
@@ -47,9 +47,7 @@ class TestStaticPrune:
         self, explorer, motivating, deadlock_ordering
     ):
         with pytest.raises(DeadlockError) as excinfo:
-            explorer._verify_ordering(
-                _config(motivating, deadlock_ordering), None
-            )
+            explorer._verify_ordering(_config(motivating, deadlock_ordering))
         assert excinfo.value.cycle
 
 
@@ -57,10 +55,8 @@ class TestRouting:
     def test_small_systems_are_cross_checked_by_bfs(
         self, explorer, motivating, optimal_ordering
     ):
-        metrics = MetricsRegistry()
-        explorer._verify_ordering(
-            _config(motivating, optimal_ordering), metrics
-        )
+        with collect() as metrics:
+            explorer._verify_ordering(_config(motivating, optimal_ordering))
         assert metrics.counter("dse.absint.runs").value == 1
         assert metrics.counter("dse.absint.bfs_crosschecks").value == 1
         assert metrics.counter("dse.verify.runs").value == 1
@@ -69,8 +65,8 @@ class TestRouting:
     def test_large_systems_rely_on_the_certificate(self, explorer):
         system = build_mpeg2_system()
         ordering = channel_ordering(system)
-        metrics = MetricsRegistry()
-        explorer._verify_ordering(_config(system, ordering), metrics)
+        with collect() as metrics:
+            explorer._verify_ordering(_config(system, ordering))
         assert metrics.counter("dse.absint.certified").value == 1
         # Beyond SMALL_SYSTEM_LIMIT no BFS runs at all.
         assert metrics.counter("dse.verify.runs").value == 0

@@ -241,7 +241,7 @@ class TestIlpNodeLimit:
         """A no-good-cut re-solve that runs out of branch-and-bound nodes
         stops the run with its own reason, and its nodes are counted."""
         import repro.dse.explorer as explorer_module
-        from repro.obs import DseProfiler
+        from repro.obs import collect
 
         real_solve = explorer_module.branch_bound.solve
         solved_nodes = []
@@ -260,8 +260,8 @@ class TestIlpNodeLimit:
             ordering=ChannelOrdering.declaration_order(motivating),
             pick="fastest",
         )
-        profiler = DseProfiler()
-        result = Explorer(target_cycle_time=20, profiler=profiler).run(config)
+        with collect() as registry:
+            result = Explorer(target_cycle_time=20).run(config)
         assert result.stop_reason == "ILP node limit reached (2 nodes)"
-        counted = profiler.metrics.counter("dse.ilp.nodes").value
+        counted = registry.counter("dse.ilp.nodes").value
         assert counted == sum(solved_nodes) + 2

@@ -14,7 +14,7 @@ import pytest
 from repro.dse import Explorer, SystemConfiguration
 from repro.ilp import branch_bound
 from repro.mpeg2 import build_mpeg2_library, build_mpeg2_system, m2_selection
-from repro.obs import DseProfiler
+from repro.obs import collect
 from repro.ordering import declaration_ordering
 from tests.ilp import dfs_reference
 from tests.ilp.test_sweep import outcome
@@ -26,7 +26,7 @@ ILP_NODES = 28_454 + 5_000_001
 
 @pytest.fixture(scope="module")
 def fig6_left():
-    """The run, its profiler, and the problem of every ILP solve."""
+    """The run, its metrics, and the problem of every ILP solve."""
     system = build_mpeg2_system()
     library = build_mpeg2_library()
     config = SystemConfiguration(
@@ -39,11 +39,10 @@ def fig6_left():
         problems.append(problem)
         return solve(problem, node_limit)
 
-    profiler = DseProfiler()
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, collect() as registry:
         patch.setattr(branch_bound, "solve", recording)
-        result = Explorer(2_000_000, profiler=profiler).run(config)
-    return result, profiler, problems
+        result = Explorer(2_000_000).run(config)
+    return result, registry, problems
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +69,8 @@ class TestEndpoint:
         assert len(problems[-1].forbidden) == 10
 
     def test_aborted_nodes_are_counted(self, fig6_left):
-        profiler = fig6_left[1]
-        assert profiler.metrics.counter("dse.ilp.nodes").value == ILP_NODES
+        registry = fig6_left[1]
+        assert registry.counter("dse.ilp.nodes").value == ILP_NODES
 
 
 class TestCutResolve:

@@ -83,6 +83,48 @@ class TestProfileCommand:
         assert "metrics" in payload
         assert "cache.results.misses" in payload["metrics"]["counters"]
 
+    def test_json_covers_every_instrumented_layer(self, pipeline_file, capsys):
+        """One collect() around the run reaches every layer and memo.
+
+        The pinned counts do not depend on the hash seed; the DSE
+        trajectory does (its ILP nodes and reorder count vary with it),
+        so those are checked by relation only.
+        """
+        from repro.cache import memos
+
+        for memo in memos().values():  # cold, as in a fresh process
+            memo.clear()
+        assert main(["profile", pipeline_file, "--json"]) == 0
+        counters = json.loads(capsys.readouterr().out)["metrics"]["counters"]
+        assert {
+            name: counters[name] for name in (
+                "cache.lower.misses",
+                "cache.preflight.hits",
+                "cache.preflight.misses",
+                "cache.preflight.evictions",
+                "cache.absint.misses",
+                "cache.sym.misses",
+                "dse.absint.runs",
+                "sim.transfers",
+                "verify.runs",
+                "verify.states.explored",
+            )
+        } == {
+            "cache.lower.misses": 1,
+            "cache.preflight.hits": 2,
+            "cache.preflight.misses": 1,
+            "cache.preflight.evictions": 0,
+            "cache.absint.misses": 1,
+            "cache.sym.misses": 1,
+            "dse.absint.runs": 1,
+            "sim.transfers": 400,
+            "verify.runs": 1,
+            "verify.states.explored": 7,
+        }
+        # The CLI's own Algorithm 1 run plus one per DSE reordering.
+        assert counters["ordering.runs"] == 1 + counters["dse.reorder.runs"]
+        assert counters["dse.ilp.nodes"] > 0
+
     def test_explicit_target(self, system_file, capsys):
         assert main(["profile", system_file, "--target", "9",
                      "--max-iterations", "3", "--no-simulate"]) == 0

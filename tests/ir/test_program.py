@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.cache import memos
 from repro.core import ChannelOrdering, SystemBuilder
 from repro.core.system import ProcessKind
 from repro.errors import ValidationError
@@ -17,7 +18,6 @@ from repro.ir import (
     clear_lowering_cache,
     kind_code,
     lower,
-    lowering_cache_info,
     structural_hash_of,
 )
 
@@ -139,7 +139,7 @@ class TestMemo:
             motivating, ChannelOrdering.declaration_order(motivating)
         )
         assert first is second
-        assert lowering_cache_info()[0] == 1
+        assert len(memos()["lower"]) == 1
 
     def test_clear_forces_recompute(self, motivating):
         first = lower(motivating)
@@ -164,7 +164,7 @@ class TestMemo:
         b = lower(motivating, swapped)
         assert a is not b
         assert a.structural_hash != b.structural_hash
-        assert lowering_cache_info()[0] == 2
+        assert len(memos()["lower"]) == 2
 
 
 class TestStructuralHash:

@@ -1,4 +1,5 @@
-"""Counter/Timer/Histogram primitives and the MetricsRegistry."""
+"""Counter/Timer/Histogram primitives, the MetricsRegistry, and the
+ambient registry that ``collect()`` activates."""
 
 import pytest
 
@@ -7,8 +8,10 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     Timer,
+    collect,
     format_metrics,
 )
+from repro.obs.metrics import active, count, observe, timed
 
 
 class TestCounter:
@@ -126,3 +129,53 @@ class TestFormatMetrics:
 
     def test_empty_registry(self):
         assert format_metrics(MetricsRegistry()) == ""
+
+
+class TestCollect:
+    def test_helpers_record_into_the_active_registry(self):
+        with collect() as registry:
+            assert active() is registry
+            count("c")
+            count("c", 4)
+            with timed("t"):
+                pass
+            observe("h", 2.0)
+        assert registry.counter("c").value == 5
+        assert registry.timer("t").count == 1
+        assert registry.histogram("h").values == [2.0]
+
+    def test_no_active_registry_records_nothing(self):
+        assert active() is None
+        count("c")
+        observe("h", 1.0)
+        with timed("t") as timer:
+            pass
+        assert not isinstance(timer, Timer)
+        assert active() is None
+
+    def test_given_registry_keeps_accumulating(self):
+        registry = MetricsRegistry()
+        registry.counter("c").add(2)
+        with collect(registry) as collected:
+            count("c")
+        assert collected is registry
+        assert registry.counter("c").value == 3
+
+    def test_nested_collect_restores_the_outer_registry(self):
+        with collect() as outer:
+            count("c")
+            with collect() as inner:
+                count("c", 10)
+            assert active() is outer
+            count("c")
+        assert active() is None
+        assert outer.counter("c").value == 2
+        assert inner.counter("c").value == 10
+
+    def test_exception_restores_the_outer_registry(self):
+        with collect() as outer:
+            with pytest.raises(RuntimeError):
+                with collect():
+                    raise RuntimeError
+            assert active() is outer
+        assert active() is None

@@ -6,6 +6,7 @@ from repro.hls import ImplementationLibrary, synthesize_pareto_set
 from repro.obs import (
     DseProfiler,
     MemorySink,
+    collect,
     format_convergence,
     stall_attribution,
 )
@@ -38,19 +39,21 @@ def _profiled_run(target=9.0, max_iterations=6):
         perf_engine=PerformanceEngine(),
         profiler=profiler,
     )
-    return explorer.run(config), profiler
+    with collect() as registry:
+        result = explorer.run(config)
+    return result, profiler, registry
 
 
 class TestDseProfiler:
     def test_one_snapshot_per_iteration(self):
-        result, profiler = _profiled_run()
+        result, profiler, _ = _profiled_run()
         assert len(profiler.snapshots) == len(result.history)
         assert [s.iteration for s in profiler.snapshots] == [
             r.iteration for r in result.history
         ]
 
     def test_snapshot_contents_mirror_records(self):
-        result, profiler = _profiled_run()
+        result, profiler, _ = _profiled_run()
         for snapshot, record in zip(profiler.snapshots, result.history):
             assert snapshot.action == record.action
             assert snapshot.cycle_time == float(record.cycle_time)
@@ -59,8 +62,7 @@ class TestDseProfiler:
             assert snapshot.wall_time_s >= 0.0
 
     def test_metrics_recorded(self):
-        _, profiler = _profiled_run()
-        registry = profiler.metrics
+        _, profiler, registry = _profiled_run()
         assert registry.counter("dse.runs").value == 1
         assert registry.counter("dse.iterations").value == len(
             profiler.snapshots
@@ -75,20 +77,21 @@ class TestDseProfiler:
         )
         profiler = DseProfiler()
         engine = PerformanceEngine()
-        for target in (12.0, 9.0):
-            Explorer(
-                target_cycle_time=target,
-                max_iterations=3,
-                perf_engine=engine,
-                profiler=profiler,
-            ).run(config)
+        with collect() as registry:
+            for target in (12.0, 9.0):
+                Explorer(
+                    target_cycle_time=target,
+                    max_iterations=3,
+                    perf_engine=engine,
+                    profiler=profiler,
+                ).run(config)
         assert profiler.runs == 2
-        assert profiler.metrics.counter("dse.runs").value == 2
+        assert registry.counter("dse.runs").value == 2
 
     def test_as_dicts_round_trip(self):
         import json
 
-        _, profiler = _profiled_run()
+        _, profiler, _ = _profiled_run()
         rows = profiler.as_dicts()
         assert len(rows) == len(profiler.snapshots)
         json.dumps(rows)  # JSON-friendly
@@ -98,7 +101,7 @@ class TestDseProfiler:
 
 class TestFormatConvergence:
     def test_one_row_per_snapshot(self):
-        _, profiler = _profiled_run()
+        _, profiler, _ = _profiled_run()
         text = format_convergence(profiler.snapshots)
         lines = text.splitlines()
         assert len(lines) == 1 + len(profiler.snapshots)

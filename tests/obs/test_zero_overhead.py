@@ -11,7 +11,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 
 from repro.core import motivating_example
-from repro.obs import MemorySink, MetricsRegistry, NullSink, RingBufferSink
+from repro.obs import MemorySink, NullSink, RingBufferSink, collect
 from repro.sim import Simulator
 from tests.strategies import layered_systems
 
@@ -33,7 +33,9 @@ class TestBitIdentical:
 
     def test_metrics_registry(self):
         system = motivating_example()
-        assert _run(system) == _run(system, metrics=MetricsRegistry())
+        bare = _run(system)
+        with collect():
+            assert _run(system) == bare
 
     def test_recorded_trace_differs_only_in_trace_field(self):
         system = motivating_example()
@@ -49,12 +51,8 @@ class TestBitIdentical:
 
         ordering = channel_ordering(system)  # guaranteed live
         bare = _run(system, ordering=ordering)
-        observed = _run(
-            system,
-            ordering=ordering,
-            sinks=[NullSink()],
-            metrics=MetricsRegistry(),
-        )
+        with collect():
+            observed = _run(system, ordering=ordering, sinks=[NullSink()])
         assert bare == observed
 
 

@@ -5,7 +5,6 @@ from repro.perf import (
     analysis_fingerprint,
     effective_latencies,
     structure_fingerprint,
-    system_fingerprint,
 )
 
 
@@ -111,14 +110,3 @@ class TestAnalysisFingerprint:
             structure, partial, True
         ) == analysis_fingerprint(structure, spelled, True)
 
-
-class TestSystemFingerprint:
-    def test_includes_latencies(self, tiny_pipeline):
-        assert system_fingerprint(tiny_pipeline) != system_fingerprint(
-            tiny_pipeline, process_latencies={"A": 9}
-        )
-
-    def test_default_ordering_is_declaration(self, tiny_pipeline):
-        assert system_fingerprint(tiny_pipeline) == system_fingerprint(
-            tiny_pipeline, declaration(tiny_pipeline)
-        )

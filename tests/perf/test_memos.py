@@ -1,8 +1,9 @@
 """The process-wide memos all run on the one :class:`repro.cache.LruCache`.
 
-Each memo is driven through its public entry point: a repeat call counts
-one hit, a new key counts one miss, and inserting past the capacity
-evicts the least recently used entry.
+Each memo is looked up through :func:`repro.cache.memos` and driven
+through its public entry point: a repeat call counts one hit, a new key
+counts one miss, and inserting past the capacity evicts the least
+recently used entry.
 """
 
 from __future__ import annotations
@@ -11,31 +12,32 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-import repro.absint.engine as absint_engine
-import repro.ir.lowering as lowering
-import repro.lint as lint
-import repro.sym.canonical as canonical
 from repro.absint import analyze
-from repro.cache import LruCache
+from repro.cache import memos
 from repro.core import SystemBuilder, SystemGraph
 from repro.ir import lower
+from repro.lint import preflight
 from repro.sym import analyze_symmetry
 
 
 class Memo(NamedTuple):
-    cache: LruCache
+    name: str  # the memo's key in memos()
     capacity: int
     call: Callable[[SystemGraph], object]
 
 
 MEMOS = {
-    "lowering": Memo(lowering._memo, 256, lower),
-    "preflight": Memo(lint._preflight_passed, 512, lint.preflight),
+    "lowering": Memo("lower", 256, lower),
+    "preflight": Memo("preflight", 512, preflight),
     "symmetry": Memo(
-        canonical._memo, 256, lambda system: analyze_symmetry(lower(system))
+        "sym", 256, lambda system: analyze_symmetry(lower(system))
     ),
-    "absint": Memo(absint_engine._CACHE, 256, analyze),
+    "absint": Memo("absint", 256, analyze),
 }
+
+
+def test_accessor_names_every_memo():
+    assert sorted(memos()) == sorted(memo.name for memo in MEMOS.values())
 
 
 def _pipeline(name: str) -> SystemGraph:
@@ -54,7 +56,8 @@ def _pipeline(name: str) -> SystemGraph:
 @pytest.mark.parametrize("name", sorted(MEMOS))
 def test_memo_counts_hits_misses_and_evictions(name, monkeypatch):
     memo = MEMOS[name]
-    cache, stats = memo.cache, memo.cache.stats
+    cache = memos()[memo.name]
+    stats = cache.stats
     assert cache.maxsize == memo.capacity
     first, second, third = (_pipeline(f"memo-{name}-{i}") for i in range(3))
     # Lower up front so a lowering miss never lands inside the window of

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import ChannelOrdering, load_system
 from repro.errors import SimulationDeadlock, SimulationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import collect
 from repro.obs.sinks import MemorySink
 from repro.sim import (
     BatchLane,
@@ -216,9 +216,9 @@ class TestValidation:
 
 class TestMetrics:
     def test_batch_counters_recorded(self, motivating):
-        metrics = MetricsRegistry()
         lanes = _latency_lanes(motivating, seed=2, count=4)
-        simulate_batch(motivating, lanes, iterations=10, metrics=metrics)
+        with collect() as metrics:
+            simulate_batch(motivating, lanes, iterations=10)
         counters = metrics.snapshot()["counters"]
         assert counters["sim.batch.runs"] == 1
         assert counters["sim.batch.lanes"] == 4

@@ -25,7 +25,7 @@ from repro.errors import SimulationDeadlock, SimulationError
 from repro.mpeg2.codec import EncoderConfig, VideoFormat, synthetic_sequence
 from repro.mpeg2.functional import encode_through_system
 from repro.mpeg2.topology import build_mpeg2_system
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import collect
 from repro.obs.sinks import MemorySink
 from repro.ordering import channel_ordering
 from repro.sim import BatchLane, BatchSimulator, Simulator
@@ -298,10 +298,9 @@ class TestStepCounts:
     def test_pins(self, design, steps, batch_steps):
         system = load_system(design)
         ordering = channel_ordering(system)
-        metrics = MetricsRegistry()
-        Simulator(system, ordering, metrics=metrics).run(256)
-        BatchSimulator(system, ordering, lanes=[BatchLane()] * 3,
-                       metrics=metrics).run(64)
+        with collect() as metrics:
+            Simulator(system, ordering).run(256)
+            BatchSimulator(system, ordering, lanes=[BatchLane()] * 3).run(64)
         counters = metrics.snapshot()["counters"]
         assert counters["sim.steps"] == steps
         assert counters["sim.batch.steps"] == batch_steps

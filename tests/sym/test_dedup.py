@@ -80,20 +80,19 @@ class TestExplorerSweepDedup:
 
     def test_sweep_shares_one_orbit_seen_set(self, config):
         from repro.dse.sweep import sweep_targets
-        from repro.obs import DseProfiler
+        from repro.obs import collect
 
-        profiler = DseProfiler()
         shared_seen: set[str] = set()
-        points = sweep_targets(
-            config,
-            targets=[8, 6, 4],
-            batch=False,
-            profiler=profiler,
-            sym_seen=shared_seen,
-        )
+        with collect() as registry:
+            points = sweep_targets(
+                config,
+                targets=[8, 6, 4],
+                batch=False,
+                sym_seen=shared_seen,
+            )
         assert len(points) == 3
-        runs = profiler.metrics.counter("dse.verify.runs").value
-        deduped = profiler.metrics.counter("dse.sym.verify_deduped").value
+        runs = registry.counter("dse.verify.runs").value
+        deduped = registry.counter("dse.sym.verify_deduped").value
         # Every verify run lands its canonical class in the one shared
         # set; later targets re-encountering a class are deduped, so
         # distinct classes never exceed actual runs.

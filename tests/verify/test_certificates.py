@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import DeadlockError
 from repro.mpeg2 import build_mpeg2_system
-from repro.obs import MetricsRegistry
+from repro.obs import collect
 from repro.ordering import channel_ordering
 from repro.verify import Verdict, check_deadlock, verify_ordering
 from repro.verify.checker import is_small_system
@@ -46,13 +46,10 @@ class TestCertificateFastPath:
     def test_accepted_certificates_are_counted(
         self, motivating, optimal_ordering
     ):
-        metrics = MetricsRegistry()
-        result = check_deadlock(
-            motivating,
-            optimal_ordering,
-            use_certificate=True,
-            metrics=metrics,
-        )
+        with collect() as metrics:
+            result = check_deadlock(
+                motivating, optimal_ordering, use_certificate=True
+            )
         assert result.states_explored == 0
         assert metrics.counter("verify.certificates.accepted").value == 1
         assert metrics.counter("verify.runs").value == 1

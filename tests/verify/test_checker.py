@@ -5,7 +5,7 @@ import pytest
 from repro.core import SystemBuilder
 from repro.core.generators import fork_join, pipeline
 from repro.errors import BudgetExceeded, DeadlockError, ValidationError
-from repro.obs import MetricsRegistry
+from repro.obs import collect
 from repro.verify import (
     SMALL_SYSTEM_LIMIT,
     Verdict,
@@ -132,9 +132,8 @@ class TestVerifyOrdering:
 class TestMetrics:
     def test_run_reports_verify_counters(self, motivating,
                                          deadlock_ordering):
-        registry = MetricsRegistry()
-        result = check_deadlock(motivating, deadlock_ordering,
-                                metrics=registry)
+        with collect() as registry:
+            result = check_deadlock(motivating, deadlock_ordering)
         counters = registry.snapshot()["counters"]
         assert counters["verify.runs"] == 1
         assert counters["verify.states.explored"] == result.states_explored
