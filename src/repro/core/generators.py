@@ -13,24 +13,37 @@ Two families matter for the reproduction:
   MPEG-2, including the presence of feedback loops and reconvergent
   paths", scaling to 10,000 processes and 15,000 channels.
 
-Every generator builds through the composition layer
-(:class:`repro.dsl.design.Design`), using its node-level ``connect``
-escape hatch so the historical process/channel names and declaration
-orders — and therefore every pinned ``structural_hash`` — are preserved
-bit for bit.  Channel latencies are expressed as derived
-:class:`~repro.dsl.wire.Wire` metadata
+Every generator except :func:`synthetic_soc` builds through the
+composition layer (:class:`repro.dsl.design.Design`), using its
+node-level ``connect`` escape hatch so the historical process/channel
+names and declaration orders — and therefore every pinned
+``structural_hash`` — are preserved bit for bit.  Channel latencies are
+expressed as derived :class:`~repro.dsl.wire.Wire` metadata
 (:func:`~repro.dsl.wire.wire_for_latency`), and generators that
 replicate structure (:func:`fork_join`) declare the replication as a
 :class:`~repro.core.families.DeclaredFamily` for the symmetry layer to
 verify and spend.
+
+:func:`synthetic_soc` declares no ports, wires or families, so it fills a
+:class:`~repro.core.system.SystemGraph` directly and validates once; at
+the scalability study's 10,000 processes, a wire per channel and a second
+copy of every node and edge would dominate the cost of building it.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import TYPE_CHECKING
 
-from repro.core.system import ChannelOrdering, SystemGraph
+from repro.core.system import (
+    Channel,
+    ChannelOrdering,
+    Process,
+    ProcessKind,
+    SystemGraph,
+)
+from repro.core.validation import validate_system
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dsl.design import Design
@@ -361,33 +374,28 @@ def synthetic_soc(
         index += take
         remaining -= take
 
-    design = _design(f"soc{n_processes}x{budget}")
-    design.source("Psrc", latency=1)
+    system = SystemGraph(f"soc{n_processes}x{budget}")
+    system.add_process(Process("Psrc", latency=1, kind=ProcessKind.SOURCE))
     for layer in layers:
         for name in layer:
-            design.worker(
-                name, latency=rng.randint(min_process_latency, max_process_latency)
-            )
-    design.sink("Psnk", latency=1)
-
-    def channel_latency() -> int:
-        return rng.randint(min_channel_latency, max_channel_latency)
+            latency = rng.randint(min_process_latency, max_process_latency)
+            system.add_process(Process(name, latency=latency))
+    system.add_process(Process("Psnk", latency=1, kind=ProcessKind.SINK))
 
     n_feedback = int(budget * feedback_fraction)
     n_skeleton = n_processes - len(layers[0])
     n_extra = max(0, budget - n_skeleton - n_feedback)
 
-    counter = 0
+    channel_names = (f"ch{i}" for i in itertools.count())
+    existing_pairs: set[tuple[str, str]] = set()
 
     def add(producer: str, consumer: str, initial_tokens: int = 0) -> None:
-        nonlocal counter
-        design.connect(
-            f"ch{counter}",
-            producer,
-            consumer,
-            wire=_latency_wire(channel_latency(), initial_tokens=initial_tokens),
+        latency = rng.randint(min_channel_latency, max_channel_latency)
+        name = next(channel_names)
+        system.add_channel(
+            Channel(name, producer, consumer, latency, initial_tokens=initial_tokens)
         )
-        counter += 1
+        existing_pairs.add((producer, consumer))
 
     # 1. Layered skeleton: every worker past layer 0 reads from an earlier
     #    layer.
@@ -400,7 +408,6 @@ def synthetic_soc(
     flat = [(depth, name) for depth, layer in enumerate(layers) for name in layer]
     attempts = 0
     added = 0
-    existing_pairs = set(design.edge_endpoints())
     while added < n_extra and attempts < 20 * n_extra + 100:
         attempts += 1
         (d1, u), (d2, v) = rng.sample(flat, 2)
@@ -410,7 +417,6 @@ def synthetic_soc(
             (d1, u), (d2, v) = (d2, v), (d1, u)
         if (u, v) in existing_pairs:
             continue
-        existing_pairs.add((u, v))
         add(u, v)
         added += 1
 
@@ -425,7 +431,6 @@ def synthetic_soc(
             continue
         if (u, v) in existing_pairs:
             continue
-        existing_pairs.add((u, v))
         add(u, v, initial_tokens=1)
         added += 1
 
@@ -435,44 +440,29 @@ def synthetic_soc(
     for name in layers[0]:
         add("Psrc", name)
     for depth, name in flat:
-        if not design.output_edges(name):
+        if not system.output_channels(name):
             add(name, "Psnk")
-    for name in _design_not_coreachable(design, "Psnk", flat):
+    for name in _not_coreachable(system, "Psnk"):
         add(name, "Psnk")
     # Workers that ended up with no input (possible only in layer 0 if the
     # source loop above missed them — it cannot, but keep the guard cheap):
     for depth, name in flat:
-        if not design.input_edges(name):
+        if not system.input_channels(name):
             add("Psrc", name)
 
-    return design.build()
-
-
-def _design_not_coreachable(
-    design: "Design", sink: str, flat: list[tuple[int, str]]
-) -> list[str]:
-    """Worker names of ``flat`` with no directed path to ``sink`` yet."""
-    predecessors: dict[str, list[str]] = {}
-    for producer, consumer in design.edge_endpoints():
-        predecessors.setdefault(consumer, []).append(producer)
-    reached = {sink}
-    frontier = [sink]
-    while frontier:
-        current = frontier.pop()
-        for producer in predecessors.get(current, ()):
-            if producer not in reached:
-                reached.add(producer)
-                frontier.append(producer)
-    return [name for _, name in flat if name not in reached]
+    validate_system(system)
+    return system
 
 
 def _not_coreachable(system: SystemGraph, sink: str) -> list[str]:
     """Worker names with no directed path to ``sink``."""
+    predecessors: dict[str, list[str]] = {}
+    for channel in system.channels:
+        predecessors.setdefault(channel.consumer, []).append(channel.producer)
     reached = {sink}
     frontier = [sink]
     while frontier:
-        current = frontier.pop()
-        for producer in system.predecessors(current):
+        for producer in predecessors.get(frontier.pop(), ()):
             if producer not in reached:
                 reached.add(producer)
                 frontier.append(producer)

@@ -81,7 +81,9 @@ def _check_fields(
     allowed: frozenset[str],
     what: str,
 ) -> Mapping[str, Any]:
-    """Validate one serialized entry's field set."""
+    """Validate one serialized entry's field set (messages on failure only)."""
+    if isinstance(entry, dict) and required <= entry.keys() <= allowed:
+        return entry
     if not isinstance(entry, Mapping):
         raise ValidationError(f"{what} entry must be an object, got {entry!r}")
     label = f"{what} {entry['name']!r}" if "name" in entry else what

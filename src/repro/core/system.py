@@ -197,15 +197,17 @@ class SystemGraph:
         """
         if channel.name in self._channels:
             raise ValidationError(f"duplicate channel {channel.name!r}")
-        for endpoint in (channel.producer, channel.consumer):
-            if endpoint not in self._processes:
-                raise ValidationError(
-                    f"channel {channel.name!r} references unknown process "
-                    f"{endpoint!r}"
-                )
+        outputs = self._outputs.get(channel.producer)
+        inputs = self._inputs.get(channel.consumer)
+        if outputs is None or inputs is None:
+            unknown = channel.producer if outputs is None else channel.consumer
+            raise ValidationError(
+                f"channel {channel.name!r} references unknown process "
+                f"{unknown!r}"
+            )
         self._channels[channel.name] = channel
-        self._outputs[channel.producer].append(channel.name)
-        self._inputs[channel.consumer].append(channel.name)
+        outputs.append(channel.name)
+        inputs.append(channel.name)
         return channel
 
     def replace_process(self, process: Process) -> None:

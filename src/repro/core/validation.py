@@ -24,8 +24,6 @@ Rule codes:
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.core.system import ChannelOrdering, ProcessKind, SystemGraph
 from repro.diagnostics import Diagnostic, Severity
 from repro.errors import ValidationError
@@ -68,8 +66,9 @@ def structural_diagnostics(
     ordering ↔ topology); the linter re-sorts by severity.
     """
     diagnostics: list[Diagnostic] = []
+    processes = system.processes
 
-    if not system.workers():
+    if not any(p.kind is ProcessKind.WORKER for p in processes):
         diagnostics.append(
             Diagnostic(
                 rule="ERM101",
@@ -79,9 +78,17 @@ def structural_diagnostics(
             )
         )
 
-    for process in system.processes:
-        n_in = len(system.input_channels(process.name))
-        n_out = len(system.output_channels(process.name))
+    # One pass over the channel table gives every port count and both
+    # reachability adjacencies; channel endpoints always name processes.
+    successors: dict[str, list[str]] = {p.name: [] for p in processes}
+    predecessors: dict[str, list[str]] = {p.name: [] for p in processes}
+    for channel in system.channels:
+        successors[channel.producer].append(channel.consumer)
+        predecessors[channel.consumer].append(channel.producer)
+
+    for process in processes:
+        n_in = len(predecessors[process.name])
+        n_out = len(successors[process.name])
         if process.kind is ProcessKind.SOURCE and n_in:
             diagnostics.append(
                 Diagnostic(
@@ -132,10 +139,10 @@ def structural_diagnostics(
                     )
                 )
 
-    if system.sources():
-        unreachable = _unreachable_from(
-            system, {p.name for p in system.sources()}, forward=True
-        )
+    sources = [p.name for p in processes if p.kind is ProcessKind.SOURCE]
+    sinks = [p.name for p in processes if p.kind is ProcessKind.SINK]
+    if sources:
+        unreachable = _unreachable_from(successors, sources)
         if unreachable:
             diagnostics.append(
                 Diagnostic(
@@ -143,15 +150,13 @@ def structural_diagnostics(
                     severity=Severity.ERROR,
                     message=(
                         "processes not reachable from any source: "
-                        f"{sorted(unreachable)}"
+                        f"{unreachable}"
                     ),
-                    location=tuple(sorted(unreachable)),
+                    location=tuple(unreachable),
                 )
             )
-    if system.sinks():
-        cannot_reach = _unreachable_from(
-            system, {p.name for p in system.sinks()}, forward=False
-        )
+    if sinks:
+        cannot_reach = _unreachable_from(predecessors, sinks)
         if cannot_reach:
             diagnostics.append(
                 Diagnostic(
@@ -159,9 +164,9 @@ def structural_diagnostics(
                     severity=Severity.ERROR,
                     message=(
                         "processes that cannot reach any sink: "
-                        f"{sorted(cannot_reach)}"
+                        f"{cannot_reach}"
                     ),
-                    location=tuple(sorted(cannot_reach)),
+                    location=tuple(cannot_reach),
                 )
             )
 
@@ -227,22 +232,18 @@ def ordering_diagnostics(
 
 
 def _unreachable_from(
-    system: SystemGraph, roots: set[str], forward: bool
-) -> set[str]:
-    """Process names not reached by BFS from ``roots``.
+    adjacency: dict[str, list[str]], roots: list[str]
+) -> list[str]:
+    """Sorted names of the ``adjacency`` keys not reached from ``roots``.
 
-    ``forward=True`` follows channels producer→consumer; ``False`` follows
-    them in reverse (co-reachability).
+    Pass the successor lists for reachability, the predecessor lists for
+    co-reachability.
     """
     seen = set(roots)
-    queue = deque(roots)
-    while queue:
-        current = queue.popleft()
-        neighbors = (
-            system.successors(current) if forward else system.predecessors(current)
-        )
-        for neighbor in neighbors:
+    stack = list(roots)
+    while stack:
+        for neighbor in adjacency[stack.pop()]:
             if neighbor not in seen:
                 seen.add(neighbor)
-                queue.append(neighbor)
-    return {p.name for p in system.processes} - seen
+                stack.append(neighbor)
+    return sorted(adjacency.keys() - seen)

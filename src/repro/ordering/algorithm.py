@@ -61,10 +61,10 @@ def channel_ordering(
             pre-loaded data; no ordering can make it live.
     """
     count("ordering.runs")
-    initial = initial_ordering or ChannelOrdering.declaration_order(system)
     with timed("ordering.label"):
-        ordering = channel_ordering_with_labels(system, initial).ordering
+        ordering = channel_ordering_with_labels(system, initial_ordering).ordering
     if active() is not None:  # the diff walks every process
+        initial = initial_ordering or ChannelOrdering.declaration_order(system)
         count("ordering.changed_processes", len(ordering.differs_from(initial)))
     return ordering
 

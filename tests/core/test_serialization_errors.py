@@ -1,6 +1,7 @@
 """Error paths and round-trip guarantees of the JSON serialization."""
 
 import json
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,58 @@ class TestSystemDocuments:
         doc["processes"].append({"name": "w"})
         with pytest.raises(ValidationError, match="duplicate process 'w'"):
             system_from_dict(doc)
+
+    def test_non_dict_mapping_entries_load(self):
+        doc = _doc()
+        doc["processes"] = [types.MappingProxyType(p) for p in doc["processes"]]
+        doc["channels"] = [types.MappingProxyType(c) for c in doc["channels"]]
+        system = system_from_dict(doc)
+        assert system_to_dict(system) == system_to_dict(system_from_dict(_doc()))
+
+    @pytest.mark.parametrize(
+        ("section", "entry", "message"),
+        [
+            ("processes", 3, "process entry must be an object, got 3"),
+            (
+                "channels",
+                ["a", "s", "w"],
+                "channel entry must be an object, got ['a', 's', 'w']",
+            ),
+            (
+                "processes",
+                {"latency": 3},
+                "process is missing required field(s): name",
+            ),
+            (
+                "channels",
+                {"name": "z"},
+                "channel 'z' is missing required field(s): consumer, producer",
+            ),
+            (
+                "processes",
+                {"name": "q", "delay": 7, "area": 1},
+                "process 'q' has unknown field(s): area, delay "
+                "(allowed: kind, latency, name)",
+            ),
+            (
+                "channels",
+                {"name": "z", "producer": "s", "consumer": "w", "tokens": 1},
+                "channel 'z' has unknown field(s): tokens (allowed: capacity, "
+                "consumer, initial_tokens, latency, name, producer)",
+            ),
+            (
+                "channels",
+                types.MappingProxyType({"producer": "s", "rate": 2}),
+                "channel is missing required field(s): consumer, name",
+            ),
+        ],
+    )
+    def test_bad_entry_messages(self, section, entry, message):
+        doc = _doc()
+        doc[section].append(entry)
+        with pytest.raises(ValidationError) as excinfo:
+            system_from_dict(doc)
+        assert str(excinfo.value) == message
 
 
 class TestOrderingDocuments:

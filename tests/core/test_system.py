@@ -128,6 +128,26 @@ class TestSystemGraph:
         with pytest.raises(ValidationError):
             s.add_channel(Channel("bad", "a", "ghost"))
 
+    def test_both_endpoints_unknown_names_the_producer(self):
+        s = self._two_process_system()
+        with pytest.raises(ValidationError) as excinfo:
+            s.add_channel(Channel("bad", "ghost1", "ghost2"))
+        assert str(excinfo.value) == (
+            "channel 'bad' references unknown process 'ghost1'"
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            s.add_channel(Channel("bad", "a", "ghost2"))
+        assert str(excinfo.value) == (
+            "channel 'bad' references unknown process 'ghost2'"
+        )
+        assert not s.has_channel("bad")
+
+    def test_duplicate_channel_checked_before_endpoints(self):
+        s = self._two_process_system()
+        with pytest.raises(ValidationError) as excinfo:
+            s.add_channel(Channel("x", "ghost1", "ghost2"))
+        assert str(excinfo.value) == "duplicate channel 'x'"
+
     def test_declaration_port_order_preserved(self):
         s = SystemGraph()
         s.add_process(Process("src", kind=ProcessKind.SOURCE))

@@ -8,6 +8,10 @@ a published system — never accept a new value without diffing the
 elaborated graphs.
 """
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.core import (
@@ -19,6 +23,7 @@ from repro.core import (
     ring_soc,
     synthetic_soc,
 )
+from repro.core.serialization import system_to_dict
 from repro.ir import structural_hash_of
 
 GOLDEN = {
@@ -63,4 +68,47 @@ def test_generator_digest_is_pinned(case):
     assert digest == expected, (
         f"{case}: structural hash drifted — the DSL elaboration no longer "
         "reproduces the pre-refactor system"
+    )
+
+
+#: sha256 of ``json.dumps(system_to_dict(system))`` for the synthetic SoC
+#: generator.  Unlike the structural hash (which sorts names away), the
+#: document pins process and channel *declaration order* too, so a
+#: generator rewrite must reproduce the exact build sequence, not just
+#: an isomorphic graph.  The 500- and 10,000-process cases are the SCAL
+#: inputs of the scalability study.
+GOLDEN_DOCUMENTS = {
+    "synthetic_soc_500_seed0": (
+        lambda: synthetic_soc(500, seed=0),
+        "cda6851f95ba88340a7278a49919e920edcafe1a4b334f510bc9146dc1c75054",
+    ),
+    "synthetic_soc_10000_seed0": (
+        lambda: synthetic_soc(10_000, seed=0),
+        "2f7392a3c964e06cb352f6db7aa508a023304909d3d350c7cfab30aaf76d89ee",
+    ),
+    "synthetic_soc_120_params": (
+        lambda: synthetic_soc(
+            120,
+            n_channels=260,
+            seed=11,
+            feedback_fraction=0.1,
+            layer_width=7,
+        ),
+        "471442d6c97e3215216cef731df4b56d306fd77ce8713a6e25e8e79546eb6528",
+    ),
+    "synthetic_soc_80_rng": (
+        lambda: synthetic_soc(80, rng=random.Random(2024)),
+        "0fddbf0f1c98308c1194515c3b134c5ba1def4b2b72351605bcc8841b13fd073",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DOCUMENTS))
+def test_generator_document_is_pinned(case):
+    factory, expected = GOLDEN_DOCUMENTS[case]
+    document = json.dumps(system_to_dict(factory()))
+    digest = hashlib.sha256(document.encode()).hexdigest()
+    assert digest == expected, (
+        f"{case}: serialized system drifted — names, latencies or "
+        "declaration order no longer match the pinned generator output"
     )

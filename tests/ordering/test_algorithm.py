@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ChannelOrdering, fork_join
+from repro.errors import ValidationError
 from repro.model import analyze_system, is_deadlock_free
 from repro.ordering import (
     channel_ordering,
@@ -115,3 +116,34 @@ class TestFinalOrderingValidation:
         ordering = channel_ordering(motivating)
         assert ordering.puts_of("Psrc") == ("a",)
         assert ordering.gets_of("Psnk") == ("h",)
+
+
+class TestInitialOrderingValidation:
+    """A caller's initial ordering is checked; the default one is not."""
+
+    def _truncated(self, system):
+        base = ChannelOrdering.declaration_order(system)
+        return ChannelOrdering(
+            gets={**base.gets, "P6": ("g", "d")}, puts=base.puts
+        )
+
+    def test_invalid_initial_ordering_raises(self, motivating):
+        bad = self._truncated(motivating)
+        with pytest.raises(ValidationError, match="not a permutation"):
+            channel_ordering(motivating, bad)
+        with pytest.raises(ValidationError, match="not a permutation"):
+            channel_ordering_with_labels(motivating, bad)
+
+    def test_default_ordering_validates_only_the_output(
+        self, motivating, monkeypatch
+    ):
+        checked = []
+        validate = ChannelOrdering.validate
+
+        def spy(ordering, system):
+            checked.append(ordering)
+            validate(ordering, system)
+
+        monkeypatch.setattr(ChannelOrdering, "validate", spy)
+        result = channel_ordering(motivating)
+        assert checked == [result]
