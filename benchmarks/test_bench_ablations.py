@@ -57,7 +57,7 @@ class TestEngineAblation:
     def test_bench_howard_large_exact(self, benchmark, large_graph):
         result = benchmark.pedantic(
             maximum_cycle_ratio, args=(large_graph,),
-            kwargs={"exact": True}, rounds=2, iterations=1,
+            rounds=2, iterations=1,
         )
         assert result.ratio > 0
 

@@ -1,19 +1,15 @@
-"""ABSINT — abstract interpretation at scale, certificates vs BFS.
+"""ABSINT — abstract interpretation at scale.
 
-Two claims.  First, the fixpoint engine scales far beyond anything the
-explicit-state checker can touch: a 300-process buffered pipeline (301
-channels, a state space around ``2^301``) analyses — bounds,
-invariants, certificate — in under a second.  Second, the certificate
-pays off where BFS *does* run: on the 6-stage buffered pipeline the
-certificate-backed verdict explores at least 10x fewer states than the
-uncertified search (it explores none at all).
+The fixpoint engine scales far beyond anything the explicit-state
+checker can touch: a 300-process buffered pipeline (301 channels, a
+state space around ``2^301``) analyses — bounds, invariants,
+certificate — in under a second.
 """
 
 import time
 
 from repro.absint import analyze, clear_analysis_cache
 from repro.core import SystemBuilder
-from repro.verify import Verdict, check_deadlock
 
 
 def buffered_pipeline(n_stages: int, capacity: int = 1):
@@ -57,32 +53,5 @@ def test_bench_absint_300_process_pipeline(benchmark):
             "rounds": result.rounds,
             "ranked_transitions": len(result.certificate.ranks),
             "one_shot_seconds": elapsed,
-        }
-    )
-
-
-def test_bench_absint_certificate_vs_bfs(benchmark):
-    system = buffered_pipeline(6)
-    searched = check_deadlock(system)
-    certified = benchmark.pedantic(
-        check_deadlock,
-        args=(system,),
-        kwargs={"use_certificate": True},
-        rounds=3,
-        iterations=1,
-        warmup_rounds=0,
-    )
-    assert searched.verdict is certified.verdict is Verdict.DEADLOCK_FREE
-    assert certified.states_explored == 0
-    ratio = searched.states_explored / max(certified.states_explored, 1)
-    assert ratio >= 10.0, (
-        "certificate-backed verification must explore >= 10x fewer states "
-        f"({searched.states_explored} vs {certified.states_explored})"
-    )
-    benchmark.extra_info.update(
-        {
-            "bfs_states": searched.states_explored,
-            "certified_states": certified.states_explored,
-            "reduction": ratio,
         }
     )

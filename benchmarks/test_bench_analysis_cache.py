@@ -23,7 +23,7 @@ from repro.dse import Explorer, SystemConfiguration
 from repro.hls import Implementation, ImplementationLibrary, ParetoSet
 from repro.model import analyze_system
 from repro.ordering import channel_ordering
-from repro.perf import PerformanceEngine
+from repro.perf import LruCache, PerformanceEngine
 
 SPEEDUP_FLOOR = 3.0
 
@@ -99,18 +99,18 @@ def test_bench_incremental_structure_reuse(benchmark):
 
     def uncached():
         return [
-            analyze_system(system, ordering, process_latencies=lat,
-                           exact=False)
+            analyze_system(system, ordering, process_latencies=lat)
             for lat in stream
         ]
 
     def incremental():
-        # Fresh engine each call: result cache cannot hit across the
-        # distinct latency maps; only structure reuse is in play.
-        engine = PerformanceEngine(max_results=0)
+        # Fresh engine each call, result cache off: only structure reuse
+        # is in play.
+        engine = PerformanceEngine()
+        engine.results = LruCache(0)
         return [
             analyze_system(system, ordering, process_latencies=lat,
-                           exact=False, perf_engine=engine)
+                           perf_engine=engine)
             for lat in stream
         ]
 

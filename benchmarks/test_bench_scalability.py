@@ -26,9 +26,7 @@ def _order_and_analyze(system, phases):
     ordering = channel_ordering(system)
     phases["ordering_s"] = round(time.perf_counter() - start, 3)
     start = time.perf_counter()
-    # Float mode matches how a production tool would analyze 25k+ node
-    # graphs; exactness is validated against small graphs in the tests.
-    performance = analyze_system(system, ordering, exact=False)
+    performance = analyze_system(system, ordering)
     phases["analysis_s"] = round(time.perf_counter() - start, 3)
     return performance
 

@@ -1,15 +1,12 @@
-"""SYM — structural symmetry: quotient search, orbit dedup, labeling cost.
+"""SYM — structural symmetry: quotient search and labeling cost.
 
-Three claims.  First, the quotient-space search composes with the
+Two claims.  First, the quotient-space search composes with the
 stubborn-set reduction: on 8- and 12-stage rotationally symmetric rings
 with per-stage testbenches it reaches the same verdict as POR alone,
 and POR alone stays within its pinned state bounds (200 and 400
 states).  Since the reduction fires one action per state, the quotient
 no longer saves states on these rings; both searches' states and wall
-times are recorded side by side.  Second, orbit-canonical deduplication
-of the ordering space cuts exhaustive-search analyses at least 2x while
-the reported aggregates stay bit-identical to the plain sweep.  Third,
-canonical labeling is cheap enough to run by default: analyzing a
+times are recorded side by side.  Second, canonical labeling is cheap enough to run by default: analyzing a
 60-process SoC costs under 5% of one simulation of that SoC.
 
 Wall time rides beside the state counts: per ring, the quotient
@@ -24,10 +21,9 @@ import statistics
 import time
 from pathlib import Path
 
-from repro.core import SystemBuilder, synthetic_soc
+from repro.core import synthetic_soc
 from repro.ir import lower
 from repro.ordering import channel_ordering
-from repro.ordering.exhaustive import exhaustive_search
 from repro.sim import Simulator
 from repro.sym import analyze_symmetry
 from repro.verify import check_deadlock
@@ -36,32 +32,11 @@ from tests.verify.systems import ring_with_taps
 #: Enforced ceiling on POR-only explored states per ring size (measured
 #: 159 and 334).
 POR_STATE_BOUNDS = {8: 200, 12: 400}
-#: Enforced floor on orderings-evaluated vs canonical classes (measured
-#: 16x on the two-lane family; 2x is the acceptance bar).
-MIN_DEDUP_REDUCTION = 2.0
 MAX_LABELING_FRACTION = 0.05
 SIM_ITERATIONS = 60
 REPORT = Path(__file__).resolve().parents[1] / "BENCH_sym.json"
 
 _report: dict = {"experiment": "SYM"}
-
-
-def two_port_lanes(lanes=2):
-    """Lanes whose worker reads/writes an interchangeable A/B pair."""
-    b = SystemBuilder(f"twolanes{lanes}")
-    for i in range(lanes):
-        b.source(f"srcA{i}", latency=1)
-        b.source(f"srcB{i}", latency=1)
-        b.process(f"w{i}", latency=3)
-        b.sink(f"snkA{i}", latency=1)
-        b.sink(f"snkB{i}", latency=1)
-    for i in range(lanes):
-        b.channel(f"a{i}", f"srcA{i}", f"w{i}", capacity=2)
-        b.channel(f"b{i}", f"srcB{i}", f"w{i}", capacity=2)
-    for i in range(lanes):
-        b.channel(f"oa{i}", f"w{i}", f"snkA{i}", capacity=2)
-        b.channel(f"ob{i}", f"w{i}", f"snkB{i}", capacity=2)
-    return b.build()
 
 
 def test_bench_sym_quotient_state_reduction(benchmark):
@@ -115,40 +90,6 @@ def _median_run(system, sym):
         result = check_deadlock(system, por=True, sym=sym)
         walls.append(time.perf_counter() - start)
     return result, statistics.median(walls)
-
-
-def test_bench_sym_ordering_dedup(benchmark):
-    system = two_port_lanes(2)
-    plain = exhaustive_search(system)
-    deduped = benchmark.pedantic(
-        exhaustive_search, args=(system,), kwargs={"sym_dedup": True},
-        rounds=1, iterations=1, warmup_rounds=0,
-    )
-    # Bit-identical aggregates: dedup reuses class results, never skips.
-    assert deduped.total_orderings == plain.total_orderings
-    assert deduped.deadlocking_orderings == plain.deadlocking_orderings
-    assert deduped.best_cycle_time == plain.best_cycle_time
-    assert deduped.worst_cycle_time == plain.worst_cycle_time
-    assert deduped.best_ordering == plain.best_ordering
-    analyses = deduped.sym_classes
-    ratio = deduped.total_orderings / analyses
-    assert ratio >= MIN_DEDUP_REDUCTION, (
-        f"orbit dedup must cut analyses >= {MIN_DEDUP_REDUCTION}x "
-        f"({deduped.total_orderings} orderings vs {analyses} classes)"
-    )
-    section = {
-        "orderings": deduped.total_orderings,
-        "canonical_classes": analyses,
-        "deduped": deduped.sym_deduped,
-        "reduction_x": round(ratio, 2),
-        "bit_identical": True,
-    }
-    _report["ordering_dedup"] = section
-    benchmark.extra_info.update(section)
-    print(
-        f"\n{deduped.total_orderings} orderings | {analyses} canonical "
-        f"classes | x{ratio:.2f} fewer analyses"
-    )
 
 
 def test_bench_sym_labeling_cost(benchmark):

@@ -26,7 +26,7 @@ def sweep(sizes) -> None:
         ordering = channel_ordering(system)
         t_order = time.perf_counter() - start
         start = time.perf_counter()
-        performance = analyze_system(system, ordering, exact=False)
+        performance = analyze_system(system, ordering)
         t_analyze = time.perf_counter() - start
         print(f"{len(system.workers()):>10} {len(system.channels):>10} "
               f"{t_order:>10.3f} {t_analyze:>12.3f} "

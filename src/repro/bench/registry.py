@@ -92,9 +92,9 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         id="ABL",
         artifact="extension: design-choice ablations",
-        claim="Howard vs the Lawler and enumeration oracles; exact vs "
-        "float; branch-and-bound vs the knapsack-DP and SciPy oracles; "
-        "annealing vs Algorithm 1",
+        claim="Howard vs the Lawler and enumeration oracles; the integer "
+        "Howard kernel vs its Fraction reference; branch-and-bound vs the "
+        "knapsack-DP and SciPy oracles; annealing vs Algorithm 1",
         bench="test_bench_ablations.py",
     ),
     Experiment(
@@ -137,17 +137,14 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         id="ABSINT",
         artifact="extension: abstract-interpretation static analysis",
-        claim="300-process pipeline analysed (bounds + certificate) < 1s; "
-        "a validated certificate verifies deadlock-freedom with >= 10x "
-        "fewer explored states than the exhaustive search",
+        claim="300-process pipeline analysed (bounds + certificate) < 1s",
         bench="test_bench_absint.py",
     ),
     Experiment(
         id="SYM",
         artifact="extension: structural symmetry analysis",
         claim="quotient search reaches POR's verdict on 8- and 12-stage "
-        "symmetric rings, POR alone within 200 and 400 states; orbit "
-        "dedup >= 2x fewer ordering analyses, aggregates bit-identical; "
+        "symmetric rings, POR alone within 200 and 400 states; "
         "labeling < 5% of one simulation",
         bench="test_bench_sym.py",
     ),

@@ -39,7 +39,7 @@ from repro.core import (
 from repro.errors import DeadlockError, ReproError, ValidationError
 from repro.model import analyze_system, deadlock_cycle
 from repro.ordering import channel_ordering, declaration_ordering
-from repro.sim import simulate
+from repro.sim import default_watch, simulate
 
 
 def _load_ordering_arg(system, path: str | None) -> ChannelOrdering:
@@ -180,7 +180,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
         return 1
 
-    performance = analyze_system(system, ordering, exact=not args.float)
+    performance = analyze_system(system, ordering)
     if args.format == "json":
         payload = {
             "system": system.name,
@@ -454,7 +454,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     system = load_system(args.system)
     ordering = _load_ordering_arg(system, args.ordering)
-    watch = system.sinks()[0].name if system.sinks() else system.process_names[0]
+    watch = default_watch(system)
     if args.batch is not None:
         return _simulate_batch_cli(system, ordering, watch, args)
     result = simulate(system, ordering, iterations=args.iterations)
@@ -909,14 +909,13 @@ def _cmd_scalability(args: argparse.Namespace) -> int:
         ordering = channel_ordering(system)
         t_order = time.perf_counter() - start
         start = time.perf_counter()
-        analyze_system(system, ordering, exact=False, perf_engine=perf_engine)
+        analyze_system(system, ordering, perf_engine=perf_engine)
         t_analyze = time.perf_counter() - start
         row = (f"{len(system.workers()):>10} {len(system.channels):>10} "
                f"{t_order:>10.3f} {t_analyze:>12.3f}")
         if perf_engine is not None:
             start = time.perf_counter()
-            analyze_system(system, ordering, exact=False,
-                           perf_engine=perf_engine)
+            analyze_system(system, ordering, perf_engine=perf_engine)
             row += f" {time.perf_counter() - start:>12.3f}"
         print(row)
     if perf_engine is not None:
@@ -945,8 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry", action="store_true",
                    help="include the orbit report of the lowered program "
                         "(replicated families + canonical hash)")
-    p.add_argument("--float", action="store_true",
-                   help="float arithmetic (faster on huge systems)")
     p.add_argument("--format", default="text", choices=["text", "json"],
                    help="json emits the performance summary plus the full "
                         "static-analysis document (bounds, invariants, "

@@ -198,7 +198,6 @@ class Explorer:
         timing_area_budget: Optional area-increase cap per timing step
             (activates the dual formulation with area recovered from
             off-cycle processes).
-        engine_exact: Exact rational arithmetic in the analysis engine.
         perf_engine: The :class:`~repro.perf.PerformanceEngine` serving
             the per-iteration analyses.  Defaults to a fresh engine per
             Explorer; pass a shared one to keep its caches warm across
@@ -231,7 +230,6 @@ class Explorer:
         max_iterations: int = 16,
         reorder: bool = True,
         timing_area_budget: float | None = None,
-        engine_exact: bool = True,
         perf_engine: PerformanceEngine | None = None,
         profiler: "DseProfiler | None" = None,
         batch: bool = False,
@@ -242,7 +240,6 @@ class Explorer:
         self.max_iterations = max_iterations
         self.reorder = reorder
         self.timing_area_budget = timing_area_budget
-        self.engine_exact = engine_exact
         self.perf_engine = perf_engine or PerformanceEngine()
         self.profiler = profiler
         self.batch = batch
@@ -477,7 +474,6 @@ class Explorer:
             config.system,
             config.ordering,
             process_latencies=config.process_latencies(),
-            exact=self.engine_exact,
             perf_engine=self.perf_engine,
         )
 

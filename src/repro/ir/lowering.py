@@ -22,7 +22,7 @@ Two identities of the same structure are used deliberately:
 
 The memo is a :class:`~repro.cache.LruCache` (the leaf module every
 layer shares; this package sits *below* ``repro.perf`` in the layer
-diagram, since perf fingerprints delegate to the IR hash).
+diagram, since the perf engine's cache keys are the IR hash).
 """
 
 from __future__ import annotations

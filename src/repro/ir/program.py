@@ -66,8 +66,7 @@ KIND_ORDER: tuple[ProcessKind, ProcessKind, ProcessKind] = (
 )
 
 
-#: Unit separator, unlikely in user-facing names (same convention as the
-#: perf fingerprints this hash now underpins).
+#: Unit separator, unlikely in user-facing names.
 RENDER_SEPARATOR = "\x1f"
 
 #: Version tag: bump when the rendering schema changes so stale external

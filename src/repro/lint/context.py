@@ -18,6 +18,7 @@ from repro.core.validation import ordering_diagnostics, structural_diagnostics
 from repro.diagnostics import Diagnostic
 from repro.errors import DeadlockError, ReproError
 from repro.perf.engine import PerformanceEngine
+from repro.tmg.event_graph import _components
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.absint import AbsIntResult
@@ -125,8 +126,8 @@ class LintContext:
     def ir_hash(self) -> str | None:
         """The canonical content hash of the configuration, or ``None``.
 
-        The same digest :func:`repro.perf.fingerprint.structure_fingerprint`
-        returns — the shared cache key of every IR consumer.
+        The structural hash of the lowered IR — the shared cache key of
+        every IR consumer.
         """
         ir = self.ir()
         return ir.structural_hash if ir is not None else None
@@ -356,10 +357,7 @@ class LintContext:
 
         try:
             return analyze_system(
-                self.system,
-                ordering,
-                exact=True,
-                perf_engine=self.perf_engine,
+                self.system, ordering, perf_engine=self.perf_engine
             )
         except DeadlockError:
             return None
@@ -367,64 +365,24 @@ class LintContext:
 
 def _token_free_loops(system: SystemGraph) -> list[tuple[str, ...]]:
     """One process/channel witness cycle per dead SCC of the zero-token
-    channel subgraph (iterative Tarjan; linear time)."""
-    edges: dict[str, list[tuple[str, str]]] = {
-        p.name: [] for p in system.processes
-    }
+    channel subgraph (Tarjan over its CSR lists; linear time)."""
+    names = system.process_names
+    pid = {name: i for i, name in enumerate(names)}
+    edges: dict[str, list[tuple[str, str]]] = {name: [] for name in names}
     for channel in system.channels:
         if channel.initial_tokens == 0:
             edges[channel.producer].append((channel.consumer, channel.name))
-
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    sccs: list[list[str]] = []
-
-    for root in edges:
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, i = work[-1]
-            if i == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            while i < len(edges[node]):
-                successor = edges[node][i][0]
-                i += 1
-                if successor not in index:
-                    work[-1] = (node, i)
-                    work.append((successor, 0))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlink[node] = min(lowlink[node], index[successor])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    sccs.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
+    start = [0]
+    target: list[int] = []
+    for name in names:
+        target.extend(pid[consumer] for consumer, _ in edges[name])
+        start.append(len(target))
 
     loops: list[tuple[str, ...]] = []
-    for component in sccs:
-        members = set(component)
-        loops.append(_witness_in_scc(edges, sorted(members)[0], members))
+    for component in _components(start, target):
+        if len(component) > 1:
+            members = {names[u] for u in component}
+            loops.append(_witness_in_scc(edges, min(members), members))
     loops.sort()
     return loops
 

@@ -9,7 +9,7 @@ and channels rather than places and transitions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Union
 
@@ -17,7 +17,7 @@ from repro.core.system import ChannelOrdering, SystemGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a perf<->model cycle
     from repro.perf.engine import PerformanceEngine as PerformanceEngineLike
-from repro.errors import DeadlockError, NotLiveError
+from repro.errors import DeadlockError, NotLiveError, ReproError
 from repro.ir import lower
 from repro.model.build import (
     CHANNEL_PREFIX,
@@ -38,7 +38,9 @@ class SystemPerformance:
     """Performance of a system under a specific configuration.
 
     Attributes:
-        cycle_time: Steady-state cycles between consecutive data items.
+        cycle_time: Steady-state cycles between consecutive data items,
+            a ``Fraction`` (a float only from ``analyze_system(...,
+            exact=False)``).
         critical_processes: Processes whose computation lies on the
             critical cycle — the candidates for timing optimization.
         critical_channels: Channels on the critical cycle.
@@ -52,7 +54,10 @@ class SystemPerformance:
 
     @property
     def throughput(self) -> Number:
-        return self.report.throughput
+        """``1 / cycle_time``, in the cycle time's own type."""
+        if self.cycle_time == 0:
+            raise ReproError("cycle time is zero; throughput undefined")
+        return 1 / self.cycle_time
 
 
 def analyze_system(
@@ -65,6 +70,10 @@ def analyze_system(
     """Cycle time and critical cycle of a system under an ordering.
 
     Args:
+        exact: ``False`` converts the exact cycle time to the nearest
+            float, nothing else.  Only the benchmark ledger's
+            ``scal-analyze`` workload passes it; it goes in ROADMAP item
+            8's benchmark PR.
         perf_engine: Optional :class:`repro.perf.PerformanceEngine`; when
             given, the call is served through its memoized/incremental
             path (identical results and errors, cached).  ``None`` runs
@@ -75,18 +84,18 @@ def analyze_system(
             lists the processes and channels in the circular wait.
     """
     if perf_engine is not None:
-        return perf_engine.analyze(
-            system,
-            ordering,
-            process_latencies=process_latencies,
-            exact=exact,
+        performance = perf_engine.analyze(
+            system, ordering, process_latencies=process_latencies
         )
-    model = build_tmg(system, ordering, process_latencies=process_latencies)
-    try:
-        report = analyze(model.graph, exact=exact)
-    except NotLiveError as error:
-        raise _system_deadlock(system.name, error) from None
-    return _system_performance(report)
+    else:
+        model = build_tmg(system, ordering, process_latencies=process_latencies)
+        try:
+            performance = _system_performance(analyze(model.graph))
+        except NotLiveError as error:
+            raise _system_deadlock(system.name, error) from None
+    if exact:
+        return performance
+    return replace(performance, cycle_time=float(performance.cycle_time))
 
 
 def is_deadlock_free(

@@ -9,7 +9,6 @@ package makes those repeats cheap without changing any observable result:
   incremental event-graph reuse + the exact integer Howard kernel.
 * :class:`LruCache` / :class:`CacheStats` — the bounded cache primitive
   with hit/miss/eviction counters.
-* :mod:`repro.perf.fingerprint` — the canonical invalidation keys.
 
 See ``docs/API.md`` ("Analysis caching") for the caching contract.
 """
@@ -17,7 +16,6 @@ See ``docs/API.md`` ("Analysis caching") for the caching contract.
 from repro.cache import MISS, CacheStats, LruCache
 from repro.perf.engine import PerformanceEngine
 from repro.model.build import effective_latencies
-from repro.perf.fingerprint import analysis_fingerprint, structure_fingerprint
 from repro.perf.incremental import StructureEntry, build_structure
 
 __all__ = [
@@ -26,8 +24,6 @@ __all__ = [
     "LruCache",
     "PerformanceEngine",
     "StructureEntry",
-    "analysis_fingerprint",
     "build_structure",
     "effective_latencies",
-    "structure_fingerprint",
 ]

@@ -6,10 +6,10 @@ analysis cheap — the single hottest lever of the DSE loop (ISSUE 1; see
 also the exploration-cost arguments in Alias 2018 and Chavet et al.).
 Three mechanisms stack, each preserving the uncached semantics:
 
-1. **Result memoization** — a content-addressed LRU keyed on the full
-   analysis fingerprint (structure + effective latencies + arithmetic
-   mode).
-   A hit returns the previously computed
+1. **Result memoization** — an LRU keyed on the IR's structural hash
+   plus the effective latencies, sorted by process name (the hash does
+   not depend on declaration order, so the latencies must stay
+   name-keyed).  A hit returns the previously computed
    :class:`~repro.model.performance.SystemPerformance` (or re-raises the
    previously diagnosed :class:`~repro.errors.DeadlockError`) without any
    graph work.  Values are frozen dataclasses, safe to share.
@@ -44,7 +44,6 @@ from repro.model.performance import (
     _system_deadlock,
     _system_performance,
 )
-from repro.perf.fingerprint import analysis_fingerprint
 from repro.perf.incremental import build_structure
 from repro.tmg.analysis import analyze_event_graph
 
@@ -60,20 +59,18 @@ class _CachedDeadlock:
         return DeadlockError(self.message, cycle=list(self.cycle))
 
 
+#: LRU bound of the full-result cache (one small frozen dataclass each).
+MAX_RESULTS = 4096
+#: LRU bound of the structure cache (one event-graph skeleton each).
+MAX_STRUCTURES = 128
+
+
 class PerformanceEngine:
-    """Cached :func:`~repro.model.performance.analyze_system`.
+    """Cached :func:`~repro.model.performance.analyze_system`."""
 
-    Args:
-        max_results: LRU bound of the full-result cache (entries are one
-            small frozen dataclass each).
-        max_structures: LRU bound of the event-graph structure cache
-            (entries hold one event-graph skeleton; keep this modest).
-            ``0`` disables structure reuse (every miss rebuilds it).
-    """
-
-    def __init__(self, max_results: int = 4096, max_structures: int = 128):
-        self.results = LruCache(max_results)
-        self.structures = LruCache(max_structures)
+    def __init__(self) -> None:
+        self.results = LruCache(MAX_RESULTS)
+        self.structures = LruCache(MAX_STRUCTURES)
 
     # ------------------------------------------------------------------
 
@@ -82,11 +79,10 @@ class PerformanceEngine:
         system: SystemGraph,
         ordering: ChannelOrdering | None = None,
         process_latencies: Mapping[str, int] | None = None,
-        exact: bool = True,
     ) -> SystemPerformance:
         """Cycle time and critical cycle, served from cache when possible.
 
-        Same signature, results, and raised errors as
+        Same results and raised errors as
         :func:`repro.model.performance.analyze_system`.
         """
         if ordering is None:
@@ -94,7 +90,7 @@ class PerformanceEngine:
         latencies = effective_latencies(system, process_latencies)
         ir = lower(system, ordering)
         structure_key = ir.structural_hash
-        result_key = analysis_fingerprint(structure_key, latencies, exact)
+        result_key = (structure_key, tuple(sorted(latencies.items())))
 
         cached = self.results.get(result_key)
         if cached is not MISS:
@@ -118,7 +114,7 @@ class PerformanceEngine:
             raise error
 
         report = analyze_event_graph(
-            entry.instantiate(latencies), exact=exact, check_live=False
+            entry.instantiate(latencies), check_live=False
         )
         performance = _system_performance(report)
         self.results.put(result_key, performance)

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from repro.errors import NotLiveError, ReproError
 from repro.tmg.deadlock import find_token_free_cycle
 from repro.tmg.event_graph import EventGraph, build_event_graph
 from repro.tmg.graph import TimedMarkedGraph
 from repro.tmg.howard import _maximum_cycle_ratio
-
-Number = Union[Fraction, float]
 
 
 @dataclass(frozen=True)
@@ -35,18 +32,16 @@ class PerformanceReport:
             step); useful to map the bottleneck back to processes/channels.
     """
 
-    cycle_time: Number
+    cycle_time: Fraction
     critical_cycle: tuple[str, ...]
     critical_places: tuple[str, ...]
 
     @property
-    def throughput(self) -> Number:
+    def throughput(self) -> Fraction:
         """Tokens processed per cycle: ``1 / π(G)``."""
         if self.cycle_time == 0:
             raise ReproError("cycle time is zero; throughput undefined")
-        if isinstance(self.cycle_time, Fraction):
-            return 1 / self.cycle_time
-        return 1.0 / self.cycle_time
+        return 1 / self.cycle_time
 
 
 def is_deadlocked(tmg: TimedMarkedGraph) -> bool:
@@ -59,17 +54,13 @@ def deadlock_witness(tmg: TimedMarkedGraph) -> list[str] | None:
     return find_token_free_cycle(build_event_graph(tmg))
 
 
-def analyze(
-    graph: EventGraph | TimedMarkedGraph, exact: bool = True
-) -> PerformanceReport:
+def analyze(graph: EventGraph | TimedMarkedGraph) -> PerformanceReport:
     """Compute cycle time and critical cycle of a live TMG.
 
     Args:
         graph: The event graph of the model (e.g. ``build_tmg(...).graph``),
             or a timed marked graph, which is contracted first; either is
             analyzed under its *initial* marking.
-        exact: Report the cycle time as a ``Fraction``; otherwise as the
-            float of the same exact ratio.
 
     Raises:
         NotLiveError: The TMG has a token-free cycle (deadlock).
@@ -78,13 +69,11 @@ def analyze(
     """
     if isinstance(graph, TimedMarkedGraph):
         graph = build_event_graph(graph)
-    return analyze_event_graph(graph, exact=exact)
+    return analyze_event_graph(graph)
 
 
 def analyze_event_graph(
-    graph: EventGraph,
-    exact: bool = True,
-    check_live: bool = True,
+    graph: EventGraph, check_live: bool = True
 ) -> PerformanceReport:
     """:func:`analyze` on an already-contracted event graph.
 
@@ -103,7 +92,7 @@ def analyze_event_graph(
                 cycle=cycle,
             )
 
-    result = _maximum_cycle_ratio(graph, exact)
+    result = _maximum_cycle_ratio(graph)
     if result is None:
         raise ReproError(f"TMG {graph.name!r} has no cycles; cycle time undefined")
     return PerformanceReport(
@@ -113,6 +102,6 @@ def analyze_event_graph(
     )
 
 
-def cycle_time(tmg: TimedMarkedGraph, exact: bool = True) -> Number:
+def cycle_time(tmg: TimedMarkedGraph) -> Fraction:
     """Shorthand for ``analyze(...).cycle_time``."""
-    return analyze(tmg, exact=exact).cycle_time
+    return analyze(tmg).cycle_time

@@ -161,14 +161,17 @@ def build_event_graph(tmg: TimedMarkedGraph) -> EventGraph:
     )
 
 
-def _components(graph: EventGraph) -> list[list[int]]:
-    """Tarjan SCCs as node lists (iterative, recursion-free).
+def _components(
+    start: Sequence[int], target: Sequence[int]
+) -> list[list[int]]:
+    """Tarjan SCCs of a CSR graph as node lists (iterative,
+    recursion-free): node ``u``'s out-edges are ``start[u]:start[u + 1]``
+    and edge ``e`` leads to ``target[e]``.
 
     Roots are taken in node order and edges in CSR order, so components
     and their members come out in one fixed order, which Howard's
     tie-breaks depend on.
     """
-    start, target = graph.start, graph.target
     n = len(start) - 1
     index = [-1] * n
     lowlink = [0] * n
@@ -224,4 +227,7 @@ def _components(graph: EventGraph) -> list[list[int]]:
 def strongly_connected_components(graph: EventGraph) -> list[list[str]]:
     """Tarjan SCCs of the event graph, as transition-name lists."""
     names = graph.names
-    return [[names[u] for u in component] for component in _components(graph)]
+    return [
+        [names[u] for u in component]
+        for component in _components(graph.start, graph.target)
+    ]

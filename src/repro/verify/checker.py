@@ -135,7 +135,6 @@ def check_deadlock(
     por: bool = True,
     budget_states: int = DEFAULT_BUDGET_STATES,
     budget_seconds: float | None = None,
-    use_certificate: bool = False,
     sym: bool = False,
 ) -> VerificationResult:
     """Exhaustively decide deadlock reachability, within budget.
@@ -152,16 +151,6 @@ def check_deadlock(
         budget_states: Hard cap on states expanded; exceeding it yields
             an ``INCONCLUSIVE`` verdict, never a silent pass.
         budget_seconds: Optional wall-clock cap with the same contract.
-        use_certificate: Try a static deadlock-freedom certificate
-            (:mod:`repro.absint`) before searching.  When one is issued
-            *and independently re-validated* against the lowered IR, the
-            run returns ``DEADLOCK_FREE`` with zero states explored —
-            the budgets never come into play, so verification stays on
-            at scales the BFS cannot touch.  When no certificate exists
-            the search proceeds exactly as without the flag.  Off by
-            default: callers pinning budget semantics (and the ERM5xx
-            lint rules, whose job is the exhaustive answer) keep the
-            plain search.
         sym: Quotient-space symmetry reduction: canonicalize every BFS
             state to its orbit representative under the design's
             verified automorphism group (:mod:`repro.sym`) before the
@@ -184,31 +173,6 @@ def check_deadlock(
             f"budget_seconds must be >= 0, got {budget_seconds}"
         )
     ts = TransitionSystem(system, ordering)
-    if use_certificate:
-        from repro.absint import analyze_ir, check_certificate
-
-        certificate = analyze_ir(ts.ir).certificate
-        if certificate is not None:
-            check_certificate(ts.ir, certificate)
-            count("verify.runs")
-            count("verify.certificates.accepted")
-            return VerificationResult(
-                verdict=Verdict.DEADLOCK_FREE,
-                witness=None,
-                states_explored=0,
-                transitions_fired=0,
-                por_pruned=0,
-                state_space_bound=ts.state_space_bound(),
-                elapsed_s=0.0,
-                budget_states=budget_states,
-                budget_seconds=budget_seconds,
-                reason=(
-                    "validated siphon-ranking certificate "
-                    f"(ir {certificate.ir_hash[:12]}...) proves "
-                    "deadlock-freedom without search"
-                ),
-                por=por,
-            )
     sym_engine = None
     if sym:
         from repro.sym.states import StateSymmetry
@@ -404,7 +368,6 @@ def verify_ordering(
     por: bool = True,
     budget_states: int = DEFAULT_BUDGET_STATES,
     budget_seconds: float | None = None,
-    use_certificate: bool = False,
     sym: bool = False,
 ) -> VerificationResult:
     """Machine-check that ``ordering`` cannot deadlock — strictly.
@@ -414,10 +377,7 @@ def verify_ordering(
     :class:`~repro.errors.DeadlockError` carrying the witness cycle, and
     an ``INCONCLUSIVE`` verdict raises
     :class:`~repro.errors.BudgetExceeded` — a budget can defer the
-    guarantee, never silently grant it.  With ``use_certificate=True`` a
-    validated static certificate short-circuits the search entirely (see
-    :func:`check_deadlock`), which is what lifts the
-    :data:`SMALL_SYSTEM_LIMIT` gate at MPEG-2 scale.
+    guarantee, never silently grant it.
     """
     result = check_deadlock(
         system,
@@ -425,7 +385,6 @@ def verify_ordering(
         por=por,
         budget_states=budget_states,
         budget_seconds=budget_seconds,
-        use_certificate=use_certificate,
         sym=sym,
     )
     if result.verdict is Verdict.INCONCLUSIVE:

@@ -1,0 +1,77 @@
+"""No option only picks between equivalent paths.
+
+Cycle times are exact ``Fraction``s everywhere, ``check_deadlock`` always
+runs its search, ``exhaustive_search`` analyzes every ordering, and the
+performance engine's cache bounds are module constants.  This walks the
+AST of ``src/repro`` and fails if a parameter that chose between paths
+giving the same answer comes back.  The one sanctioned ``exact`` is
+:func:`repro.model.performance.analyze_system`'s, a final ``float()``
+that the benchmark ledger still passes.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+PACKAGE = SRC / "repro"
+
+#: Parameters that must not appear on any function.
+REMOVED = {
+    "use_certificate",
+    "sym_dedup",
+    "engine_exact",
+    "max_results",
+    "max_structures",
+}
+
+#: The one function allowed an ``exact`` parameter.
+EXACT_ALLOWED = ("repro/model/performance.py", "analyze_system")
+
+
+def _functions():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield module, node
+
+
+def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    arguments = node.args
+    return [
+        arg.arg
+        for arg in (
+            *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+            arguments.vararg, arguments.kwarg,
+        )
+        if arg is not None
+    ]
+
+
+def test_only_analyze_system_takes_exact():
+    offenders = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, node in _functions()
+        if "exact" in _parameters(node)
+        and (module, node.name) != EXACT_ALLOWED
+    ]
+    assert offenders == []
+
+
+def test_the_sanctioned_exact_is_still_there():
+    assert any(
+        (module, node.name) == EXACT_ALLOWED and "exact" in _parameters(node)
+        for module, node in _functions()
+    )
+
+
+def test_no_function_takes_a_removed_option():
+    offenders = [
+        f"{module}:{node.lineno} {node.name}({name})"
+        for module, node in _functions()
+        for name in _parameters(node)
+        if name in REMOVED
+    ]
+    assert offenders == []

@@ -3,7 +3,6 @@
 from repro.core import ChannelOrdering
 from repro.ir import lower
 from repro.lint import LintContext
-from repro.perf.fingerprint import structure_fingerprint
 
 
 class TestContextIr:
@@ -14,9 +13,8 @@ class TestContextIr:
 
     def test_ir_hash_equals_the_perf_fingerprint(self, motivating):
         context = LintContext(motivating)
-        assert context.ir_hash() == structure_fingerprint(
-            motivating, ChannelOrdering.declaration_order(motivating)
-        )
+        context.performance_of(context.ordering)
+        assert list(context.perf_engine.structures) == [context.ir_hash()]
 
     def test_unsound_configuration_has_no_ir(self, motivating):
         broken = ChannelOrdering(gets={"P6": ("d", "e")}, puts={})

@@ -15,7 +15,7 @@ from repro.core import ChannelOrdering
 from repro.errors import DeadlockError, ValidationError
 from repro.model import analyze_system
 from repro.model import build_tmg
-from repro.perf import PerformanceEngine
+from repro.perf import LruCache, PerformanceEngine
 from repro.tmg import build_event_graph
 
 from tests.model.test_performance import ORACLES
@@ -48,7 +48,9 @@ class TestEquivalence:
                                                   suboptimal_ordering):
         engine = PerformanceEngine()
         expected = reference(motivating, suboptimal_ordering)
-        got = engine.analyze(motivating, suboptimal_ordering, exact=False)
+        got = reference(
+            motivating, suboptimal_ordering, exact=False, perf_engine=engine
+        )
         assert got.cycle_time == float(expected.cycle_time)
         assert type(got.cycle_time) is float
         assert got.critical_processes == expected.critical_processes
@@ -77,7 +79,8 @@ class TestEquivalence:
         assert got == expected
 
     def test_incremental_disabled_still_correct(self, tiny_pipeline):
-        engine = PerformanceEngine(max_structures=0)
+        engine = PerformanceEngine()
+        engine.structures = LruCache(0)  # every miss rebuilds the structure
         engine.analyze(tiny_pipeline)
         got = engine.analyze(tiny_pipeline, process_latencies={"A": 9})
         assert got == reference(tiny_pipeline, latencies={"A": 9})
@@ -88,7 +91,10 @@ class TestEquivalence:
         graph = build_event_graph(build_tmg(motivating, suboptimal_ordering).tmg)
         for exact in (True, False):
             expected = reference(motivating, suboptimal_ordering, exact=exact)
-            got = engine.analyze(motivating, suboptimal_ordering, exact=exact)
+            got = reference(
+                motivating, suboptimal_ordering, exact=exact,
+                perf_engine=engine,
+            )
             assert got == expected
             for oracle in ORACLES.values():
                 assert oracle(graph) == got.cycle_time == 20
@@ -125,10 +131,10 @@ class TestEquivalence:
             expected = reference(system)
         except DeadlockError as error:
             with pytest.raises(DeadlockError) as got:
-                engine.analyze(system, exact=False)
+                reference(system, exact=False, perf_engine=engine)
             assert str(got.value) == str(error)
             return
-        got = engine.analyze(system, exact=False)
+        got = reference(system, exact=False, perf_engine=engine)
         assert got.cycle_time == float(expected.cycle_time)
         assert got.report.critical_cycle == expected.report.critical_cycle
 
@@ -194,7 +200,8 @@ class TestLifecycle:
         assert engine.results.stats.misses == 2
 
     def test_result_eviction_bound(self, tiny_pipeline):
-        engine = PerformanceEngine(max_results=2)
+        engine = PerformanceEngine()
+        engine.results = LruCache(2)
         for latency in (1, 2, 3, 4):
             engine.analyze(
                 tiny_pipeline, process_latencies={"A": latency}

@@ -1,15 +1,22 @@
-"""The canonical invalidation keys of the analysis caches."""
+"""The invalidation keys of the analysis caches.
+
+:class:`~repro.perf.PerformanceEngine` keys its structure cache on the
+lowered IR's :attr:`~repro.ir.LoweredIR.structural_hash` and its result
+cache on that hash plus the effective latencies, sorted by process name.
+"""
 
 from repro.core import ChannelOrdering, SystemBuilder
-from repro.perf import (
-    analysis_fingerprint,
-    effective_latencies,
-    structure_fingerprint,
-)
+from repro.ir import lower
+from repro.model import analyze_system
+from repro.perf import PerformanceEngine, effective_latencies
 
 
 def declaration(system):
     return ChannelOrdering.declaration_order(system)
+
+
+def structure_fingerprint(system, ordering):
+    return lower(system, ordering).structural_hash
 
 
 class TestEffectiveLatencies:
@@ -79,34 +86,62 @@ class TestStructureFingerprint:
             structure_fingerprint(b, declaration(b))
 
 
+def pipeline(order, latencies):
+    """src -> A -> B -> snk, with the workers declared in ``order``."""
+    builder = SystemBuilder("s").source("src", latency=1)
+    for name in order:
+        builder.process(name, latency=latencies[name])
+    return (
+        builder.sink("snk", latency=1)
+        .channel("i", "src", "A", latency=1)
+        .channel("x", "A", "B", latency=1)
+        .channel("o", "B", "snk", latency=6)
+        .build()
+    )
+
+
 class TestAnalysisFingerprint:
     def test_latency_change_changes_key(self, tiny_pipeline):
-        structure = structure_fingerprint(
-            tiny_pipeline, declaration(tiny_pipeline)
+        engine = PerformanceEngine()
+        engine.analyze(tiny_pipeline)
+        got = engine.analyze(tiny_pipeline, process_latencies={"A": 1})
+        assert engine.results.stats.misses == 2
+        assert engine.structures.stats.hits == 1
+        assert got == analyze_system(
+            tiny_pipeline, process_latencies={"A": 1}
         )
-        base = effective_latencies(tiny_pipeline)
-        fast = effective_latencies(tiny_pipeline, {"A": 1})
-        assert analysis_fingerprint(structure, base, True) != \
-            analysis_fingerprint(structure, fast, True)
 
-    def test_mode_changes_key(self, tiny_pipeline):
-        structure = structure_fingerprint(
-            tiny_pipeline, declaration(tiny_pipeline)
+    def test_float_conversion_shares_the_exact_entry(self, tiny_pipeline):
+        engine = PerformanceEngine()
+        exact = analyze_system(tiny_pipeline, perf_engine=engine)
+        approx = analyze_system(
+            tiny_pipeline, exact=False, perf_engine=engine
         )
-        latencies = effective_latencies(tiny_pipeline)
-        keys = {
-            analysis_fingerprint(structure, latencies, exact)
-            for exact in (True, False)
-        }
-        assert len(keys) == 2
+        assert engine.results.stats.hits == 1
+        assert approx.cycle_time == float(exact.cycle_time)
 
     def test_override_spelling_is_canonical(self, tiny_pipeline):
-        structure = structure_fingerprint(
-            tiny_pipeline, declaration(tiny_pipeline)
+        engine = PerformanceEngine()
+        partial = engine.analyze(tiny_pipeline, process_latencies={"A": 7})
+        spelled = engine.analyze(
+            tiny_pipeline,
+            process_latencies=effective_latencies(tiny_pipeline, {"A": 7}),
         )
-        partial = effective_latencies(tiny_pipeline, {"A": 7})
-        spelled = effective_latencies(tiny_pipeline, dict(partial))
-        assert analysis_fingerprint(
-            structure, partial, True
-        ) == analysis_fingerprint(structure, spelled, True)
+        assert spelled is partial
+        assert engine.results.stats.hits == 1
 
+    def test_latencies_stay_keyed_by_name(self):
+        # Same structure, declared in the other order, with the latencies
+        # swapped: a positional latency vector would be (1, 3, 9, 1) for
+        # both, so only a name-keyed key tells them apart.
+        first = pipeline(("A", "B"), {"A": 3, "B": 9})
+        second = pipeline(("B", "A"), {"A": 9, "B": 3})
+        assert structure_fingerprint(first, declaration(first)) == \
+            structure_fingerprint(second, declaration(second))
+        engine = PerformanceEngine()
+        engine.analyze(first)
+        got = engine.analyze(second)
+        assert engine.structures.stats.hits == 1
+        assert engine.results.stats.hits == 0
+        assert got == analyze_system(second)
+        assert got != analyze_system(first)

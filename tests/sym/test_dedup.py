@@ -1,55 +1,8 @@
-"""Orbit-deduplicated exploration: bit-identical results, fewer runs."""
-
-from fractions import Fraction
+"""Orbit-deduplicated verification across a target sweep."""
 
 import pytest
 
 from repro.core.system import ChannelOrdering
-from repro.ordering.exhaustive import exhaustive_search
-from tests.sym.conftest import build_twolanes
-
-
-class TestExhaustiveDedup:
-    def test_results_bit_identical(self, twolanes):
-        plain = exhaustive_search(twolanes)
-        deduped = exhaustive_search(twolanes, sym_dedup=True)
-        assert deduped.total_orderings == plain.total_orderings
-        assert deduped.live_orderings == plain.live_orderings
-        assert (
-            deduped.deadlocking_orderings == plain.deadlocking_orderings
-        )
-        assert deduped.best_cycle_time == plain.best_cycle_time
-        assert deduped.worst_cycle_time == plain.worst_cycle_time
-        assert deduped.best_ordering == plain.best_ordering
-        assert deduped.worst_ordering == plain.worst_ordering
-        assert isinstance(deduped.best_cycle_time, Fraction)
-
-    def test_dedup_actually_skips_analyses(self, twolanes):
-        deduped = exhaustive_search(twolanes, sym_dedup=True)
-        assert deduped.sym_deduped > 0
-        assert deduped.sym_classes >= 1
-        assert (
-            deduped.sym_classes + deduped.sym_deduped
-            == deduped.total_orderings
-        )
-
-    def test_callbacks_fire_for_every_ordering(self, twolanes):
-        seen_plain: list = []
-        seen_dedup: list = []
-        exhaustive_search(
-            twolanes, on_ordering=lambda o, ct: seen_plain.append(ct)
-        )
-        exhaustive_search(
-            twolanes,
-            sym_dedup=True,
-            on_ordering=lambda o, ct: seen_dedup.append(ct),
-        )
-        assert seen_dedup == seen_plain
-
-    def test_plain_search_reports_zero_dedup(self, twolanes):
-        plain = exhaustive_search(twolanes)
-        assert plain.sym_deduped == 0
-        assert plain.sym_classes == 0
 
 
 class TestExplorerSweepDedup:

@@ -58,10 +58,6 @@ class TestHoward:
         assert result.ratio == Fraction(6, 1)
         assert set(result.cycle) == {"a", "b"}
 
-    def test_float_mode_close(self):
-        result = maximum_cycle_ratio(build_event_graph(two_rings()), exact=False)
-        assert result.ratio == pytest.approx(6.0)
-
     def test_token_free_cycle_raises(self):
         tmg = simple_ring(tokens=(0, 0, 0))
         with pytest.raises(NotLiveError):
@@ -173,7 +169,6 @@ class TestAnalyzeFacade:
 
     def test_cycle_time_shorthand(self):
         assert cycle_time(simple_ring()) == 6
-        assert cycle_time(simple_ring(), exact=False) == 6.0
 
     def test_deadlock_detected(self):
         tmg = simple_ring(tokens=(0, 0, 0))

@@ -1,11 +1,12 @@
 """Exactness where float64 collapses, on the single Howard path.
 
 These tests once covered a float-first screen with exact verification.
-That screen is gone: :func:`maximum_cycle_ratio` runs one integer kernel in
-both modes, so the same contract is now checked on it — the ratio is
-exact and the reported cycle is a true maximum-ratio cycle, even where
-float64 cannot rank the candidates, and ``exact=False`` returns the float
-of that very ratio and cycle.
+That screen is gone: :func:`maximum_cycle_ratio` runs one integer kernel
+and always returns a ``Fraction``, so the same contract is now checked on
+it — the ratio is exact and the reported cycle is a true maximum-ratio
+cycle, even where float64 cannot rank the candidates.  The one float
+form left, ``analyze_system(..., exact=False)``, returns the float of that
+very ratio with the same critical cycle.
 """
 
 from fractions import Fraction
@@ -13,7 +14,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import NotLiveError
+from repro.core import SystemBuilder
+from repro.errors import DeadlockError, NotLiveError
+from repro.model import analyze_system
 from repro.tmg import (
     TimedMarkedGraph,
     analyze,
@@ -73,8 +76,6 @@ class TestScreenedHoward:
         result = maximum_cycle_ratio(graph)
         assert result.ratio == Fraction(6, 1)
         assert isinstance(result.ratio, Fraction)
-        approx = maximum_cycle_ratio(graph, exact=False)
-        assert approx.ratio == 6.0 and isinstance(approx.ratio, float)
 
     def test_agrees_with_exact_on_competing_rings(self):
         tmg = TimedMarkedGraph()
@@ -85,11 +86,9 @@ class TestScreenedHoward:
         tmg.add_place("p2", "a", "c", tokens=1)
         tmg.add_place("p3", "c", "a", tokens=1)   # ratio 5/2
         graph = build_event_graph(tmg)
-        approx = maximum_cycle_ratio(graph, exact=False)
-        exact = maximum_cycle_ratio(graph, exact=True)
+        exact = maximum_cycle_ratio(graph)
         assert exact.ratio == Fraction(6, 1)
-        assert approx.ratio == float(exact.ratio)
-        assert approx.cycle == exact.cycle
+        assert cycle_ratio(graph, list(exact.cycle)) == exact.ratio
         assert set(exact.cycle) == {"a", "b"}
 
     def test_ratios_beyond_float_precision_certified_exactly(self):
@@ -99,10 +98,6 @@ class TestScreenedHoward:
         result = maximum_cycle_ratio(graph)
         assert result.ratio == Fraction(big + 1, 1)
         assert result.ratio == cycle_ratio(graph, list(result.cycle))
-        # Float mode reports the same (exactly maximal) cycle.
-        approx = maximum_cycle_ratio(graph, exact=False)
-        assert approx.cycle == result.cycle
-        assert approx.ratio == float(result.ratio)
 
     def test_returned_cycle_attains_the_ratio(self):
         graph = build_event_graph(ring((5, 2, 9, 1), (1, 0, 1, 0)))
@@ -111,44 +106,68 @@ class TestScreenedHoward:
 
     def test_not_live_raises(self):
         graph = build_event_graph(ring((1, 1), (0, 0)))
-        for exact in (True, False):
-            with pytest.raises(NotLiveError):
-                maximum_cycle_ratio(graph, exact=exact)
+        with pytest.raises(NotLiveError):
+            maximum_cycle_ratio(graph)
 
     @settings(max_examples=40, deadline=None)
     @given(tmg=live_tmgs())
     def test_property_ratio_matches_exact(self, tmg):
         graph = build_event_graph(tmg)
-        approx = maximum_cycle_ratio(graph, exact=False)
-        exact = maximum_cycle_ratio(graph, exact=True)
+        exact = maximum_cycle_ratio(graph)
         if exact is None:
-            assert approx is None
             return
         assert isinstance(exact.ratio, Fraction)
-        assert approx.ratio == float(exact.ratio)
         # The reported cycle is genuine: its own ratio attains the maximum.
-        assert cycle_ratio(graph, list(approx.cycle)) == exact.ratio
+        assert cycle_ratio(graph, list(exact.cycle)) == exact.ratio
+
+
+def float_collapse_system():
+    """A pipeline whose cycle time, 10^16 + 3, has no exact float64."""
+    big = 10**16
+    return (
+        SystemBuilder("collapse")
+        .source("src", latency=1)
+        .process("A", latency=big + 1)
+        .process("B", latency=big)
+        .sink("snk", latency=1)
+        .channel("i", "src", "A", latency=1)
+        .channel("x", "A", "B", latency=1)
+        .channel("o", "B", "snk", latency=1)
+        .build()
+    )
 
 
 class TestAnalyzeEventGraphDispatch:
-    def test_exact_flag_only_changes_result_type(self):
-        tmg = ring((2, 3, 1), (1, 0, 0))
-        graph = build_event_graph(tmg)
-        reference = analyze(tmg)
-        for exact in (True, False):
-            report = analyze_event_graph(graph, exact=exact)
-            assert report.cycle_time == reference.cycle_time
-            assert isinstance(report.cycle_time, Fraction) == exact
-            assert report.critical_cycle == reference.critical_cycle
+    def test_exact_flag_only_changes_result_type(
+        self, motivating, suboptimal_ordering
+    ):
+        for system, ordering in (
+            (motivating, suboptimal_ordering),
+            (float_collapse_system(), None),
+        ):
+            exact = analyze_system(system, ordering)
+            approx = analyze_system(system, ordering, exact=False)
+            assert isinstance(exact.cycle_time, Fraction)
+            assert isinstance(approx.cycle_time, float)
+            assert approx.cycle_time == float(exact.cycle_time)
+            assert approx.throughput == 1 / float(exact.cycle_time)
+            assert approx.report == exact.report
+            assert approx.critical_processes == exact.critical_processes
+            assert approx.critical_channels == exact.critical_channels
 
     def test_analyze_via_tmg_level_entry_point(self):
         tmg = ring((2, 3, 1), (1, 0, 0))
-        approx = analyze(tmg, exact=False)
+        via_graph = analyze_event_graph(build_event_graph(tmg))
         plain = analyze(tmg)
-        assert approx.cycle_time == plain.cycle_time
-        assert approx.critical_cycle == plain.critical_cycle
+        assert via_graph == plain
+        assert plain.cycle_time == Fraction(6)
 
-    def test_liveness_error_message_preserved(self):
+    def test_liveness_error_message_preserved(
+        self, motivating, deadlock_ordering
+    ):
         tmg = ring((1, 1), (0, 0))
         with pytest.raises(NotLiveError, match="not live"):
-            analyze(tmg, exact=False)
+            analyze(tmg)
+        for exact in (True, False):
+            with pytest.raises(DeadlockError, match="circular wait"):
+                analyze_system(motivating, deadlock_ordering, exact=exact)

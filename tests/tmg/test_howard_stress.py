@@ -72,11 +72,6 @@ class TestEqualRatioLandscapes:
         expected = maximum_cycle_ratio_enumerated(build_event_graph(tmg))
         assert result.ratio == expected[0]
 
-    def test_float_mode_flat_landscape(self):
-        tmg = equal_ratio_graph(10, 20, seed=3)
-        result = maximum_cycle_ratio(build_event_graph(tmg), exact=False)
-        assert abs(result.ratio - 5.0) < 1e-9
-
     def test_observed_oscillation_class(self):
         """A condensed version of the field failure: two equal-ratio
         2-cycles bridged in both directions."""

@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import DeadlockError
+from repro.model import analyze_system
 from repro.tmg import (
     analyze,
     build_event_graph,
@@ -13,7 +16,7 @@ from repro.tmg import (
     measured_cycle_time,
     strongly_connected_components,
 )
-from tests.strategies import live_tmgs
+from tests.strategies import layered_systems, live_tmgs
 from tests.tmg.enumeration import maximum_cycle_ratio_enumerated, tmg_cycles
 from tests.tmg.lawler import maximum_cycle_ratio_lawler
 
@@ -79,15 +82,20 @@ def test_lawler_close_to_howard(tmg):
 
 
 @settings(max_examples=40, deadline=None)
-@given(tmg=live_tmgs())
-def test_howard_exact_equals_float_mode(tmg):
-    graph = build_event_graph(tmg)
-    exact = maximum_cycle_ratio(graph, exact=True)
-    approx = maximum_cycle_ratio(graph, exact=False)
-    if exact is None:
-        assert approx is None
-    else:
-        assert abs(float(exact.ratio) - approx.ratio) < 1e-6
+@given(system=layered_systems())
+def test_howard_exact_equals_float_mode(system):
+    """``analyze_system(exact=False)`` is the float of the exact result:
+    the same critical cycle, or the same deadlock."""
+    try:
+        exact = analyze_system(system)
+    except DeadlockError as error:
+        with pytest.raises(DeadlockError) as raised:
+            analyze_system(system, exact=False)
+        assert raised.value.cycle == error.cycle
+        return
+    approx = analyze_system(system, exact=False)
+    assert approx.cycle_time == float(exact.cycle_time)
+    assert approx.report == exact.report
 
 
 @settings(max_examples=30, deadline=None)
