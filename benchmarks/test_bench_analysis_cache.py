@@ -14,9 +14,8 @@ Quantifies the three layers of ``repro.perf`` on realistic workloads:
 Results are asserted bit-identical to the uncached path on every request.
 """
 
+import statistics
 import time
-
-import pytest
 
 from repro.core import ChannelOrdering, synthetic_soc
 from repro.dse import Explorer, SystemConfiguration
@@ -26,6 +25,9 @@ from repro.ordering import channel_ordering
 from repro.perf import LruCache, PerformanceEngine
 
 SPEEDUP_FLOOR = 3.0
+#: Uncached/incremental round pairs the structure-reuse gate takes the
+#: median ratio of; one pair alone is noise-bound on a small machine.
+INTERLEAVED_ROUNDS = 5
 
 
 def _latency_stream(system, repeats=40):
@@ -114,18 +116,30 @@ def test_bench_incremental_structure_reuse(benchmark):
             for lat in stream
         ]
 
-    reference, t_uncached = _timed(uncached)
-    got, t_incremental = benchmark.pedantic(
-        lambda: _timed(incremental), rounds=1, iterations=1, warmup_rounds=0,
+    reference = uncached()
+
+    def interleaved():
+        times = []
+        for _ in range(INTERLEAVED_ROUNDS):
+            expected, t_uncached = _timed(uncached)
+            got, t_incremental = _timed(incremental)
+            assert expected == reference and got == reference
+            times.append((t_uncached, t_incremental))
+        return times
+
+    times = benchmark.pedantic(
+        interleaved, rounds=1, iterations=1, warmup_rounds=0,
     )
-    assert got == reference
-    speedup = t_uncached / t_incremental
+    speedup = statistics.median(u / i for u, i in times)
+    t_uncached = statistics.median(u for u, _ in times)
+    t_incremental = statistics.median(i for _, i in times)
     benchmark.extra_info.update({
         "uncached_s": round(t_uncached, 4),
         "incremental_s": round(t_incremental, 4),
         "speedup": round(speedup, 2),
     })
-    print(f"\nincremental structures (300 processes, 10 latency sets): "
+    print(f"\nincremental structures (300 processes, 10 latency sets, "
+          f"median of {INTERLEAVED_ROUNDS} interleaved rounds): "
           f"{t_uncached*1e3:.0f}ms -> {t_incremental*1e3:.0f}ms "
           f"({speedup:.1f}x)")
     assert speedup > 1.0, "structure reuse must not be slower than rebuilds"

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from repro.errors import VerificationError
 from repro.ir import LoweredIR
-from repro.model.build import MarkedPlace, marked_places
+from repro.model.build import MarkedPlace, build_structure, marked_places
 
 #: Format tag carried by every certificate (bump on layout changes).
 CERTIFICATE_VERSION = "cert:v1"
@@ -147,25 +147,12 @@ def find_token_free_cycle(ir: LoweredIR) -> tuple[str, ...] | None:
     """A witness token-free cycle (transition names), or ``None`` if live.
 
     The negative counterpart of :func:`issue_certificate`: exactly one of
-    the two returns a value for any IR.
+    the two returns a value for any IR.  The witness is the
+    :attr:`~repro.model.build.StructureEntry.deadlock_cycle` of the IR's
+    event graph.
     """
-    edges, indegree = _token_free_graph(marked_places(ir))
-    if _kahn_order(edges, indegree) is not None:
-        return None
-    # Strip nodes not on any cycle (repeat Kahn, keep the leftovers),
-    # then walk successors inside the leftover set until a node repeats.
-    remaining = _kahn_leftover(edges, indegree)
-    start = min(remaining)
-    path: list[str] = [start]
-    seen = {start}
-    while True:
-        node = path[-1]
-        successor = min(s for s in edges[node] if s in remaining)
-        if successor in seen:
-            cycle_start = path.index(successor)
-            return tuple(path[cycle_start:])
-        seen.add(successor)
-        path.append(successor)
+    cycle = build_structure(ir).deadlock_cycle
+    return None if cycle is None else tuple(cycle)
 
 
 def _kahn_order(
@@ -190,34 +177,6 @@ def _kahn_order(
     if len(order) != len(counts):
         return None
     return order
-
-
-def _kahn_leftover(
-    edges: dict[str, list[str]], indegree: dict[str, int]
-) -> set[str]:
-    """The nodes Kahn's algorithm cannot order (they lie on/after cycles),
-    restricted to those still having a successor inside the leftover set
-    (i.e. the cyclic core)."""
-    counts = dict(indegree)
-    queue = deque(node for node, degree in counts.items() if degree == 0)
-    removed: set[str] = set()
-    while queue:
-        node = queue.popleft()
-        removed.add(node)
-        for successor in edges[node]:
-            counts[successor] -= 1
-            if counts[successor] == 0:
-                queue.append(successor)
-    leftover = {node for node in counts if node not in removed}
-    # Trim dead-end tails feeding into the cyclic core from outside.
-    trimmed = True
-    while trimmed:
-        trimmed = False
-        for node in list(leftover):
-            if not any(s in leftover for s in edges[node]):
-                leftover.discard(node)
-                trimmed = True
-    return leftover
 
 
 def check_certificate(

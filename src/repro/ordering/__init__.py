@@ -2,10 +2,10 @@
 
 from repro.ordering.annealing import AnnealingResult, anneal_ordering
 from repro.ordering.algorithm import (
+    LabelingResult,
     OrderingOutcome,
     channel_ordering,
     channel_ordering_with_labels,
-    final_ordering,
 )
 from repro.ordering.baselines import (
     conservative_ordering,
@@ -15,29 +15,19 @@ from repro.ordering.baselines import (
 )
 from repro.ordering.exhaustive import SearchResult, exhaustive_search
 from repro.ordering.feedback import feedback_first, has_preloaded_channels
-from repro.ordering.labeling import (
-    ArcLabels,
-    LabelingResult,
-    backward_labeling,
-    forward_labeling,
-)
 
 __all__ = [
     "AnnealingResult",
     "anneal_ordering",
-    "ArcLabels",
     "LabelingResult",
     "OrderingOutcome",
     "SearchResult",
-    "backward_labeling",
     "channel_ordering",
     "channel_ordering_with_labels",
     "conservative_ordering",
     "declaration_ordering",
     "exhaustive_search",
     "feedback_first",
-    "final_ordering",
-    "forward_labeling",
     "has_preloaded_channels",
     "random_ordering",
     "reversed_ordering",

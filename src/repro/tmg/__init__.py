@@ -11,10 +11,8 @@ from repro.tmg.analysis import (
     analyze,
     analyze_event_graph,
     cycle_time,
-    deadlock_witness,
-    is_deadlocked,
 )
-from repro.tmg.deadlock import assert_live, find_token_free_cycle, is_live
+from repro.tmg.deadlock import find_token_free_cycle, is_live
 from repro.tmg.dot import tmg_to_dot
 from repro.tmg.event_graph import (
     Edge,
@@ -41,13 +39,10 @@ __all__ = [
     "Transition",
     "analyze",
     "analyze_event_graph",
-    "assert_live",
     "build_event_graph",
     "cycle_time",
-    "deadlock_witness",
     "earliest_firing_times",
     "find_token_free_cycle",
-    "is_deadlocked",
     "is_live",
     "maximum_cycle_ratio",
     "measured_cycle_time",

@@ -44,16 +44,6 @@ class PerformanceReport:
         return 1 / self.cycle_time
 
 
-def is_deadlocked(tmg: TimedMarkedGraph) -> bool:
-    """True iff the TMG has a token-free cycle (infinite cycle time)."""
-    return find_token_free_cycle(build_event_graph(tmg)) is not None
-
-
-def deadlock_witness(tmg: TimedMarkedGraph) -> list[str] | None:
-    """A token-free cycle as transition names, or ``None`` if live."""
-    return find_token_free_cycle(build_event_graph(tmg))
-
-
 def analyze(graph: EventGraph | TimedMarkedGraph) -> PerformanceReport:
     """Compute cycle time and critical cycle of a live TMG.
 

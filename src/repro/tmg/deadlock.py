@@ -10,7 +10,6 @@ simulation required — which is what makes the paper's analysis practical.
 
 from __future__ import annotations
 
-from repro.errors import NotLiveError
 from repro.tmg.event_graph import EventGraph, build_event_graph
 from repro.tmg.graph import TimedMarkedGraph
 
@@ -71,14 +70,3 @@ def is_live(tmg: TimedMarkedGraph) -> bool:
     """True iff no token-free cycle exists under the initial marking."""
     return find_token_free_cycle(build_event_graph(tmg)) is None
 
-
-def assert_live(tmg: TimedMarkedGraph) -> None:
-    """Raise :class:`~repro.errors.NotLiveError` with a witness cycle if the
-    TMG can deadlock."""
-    cycle = find_token_free_cycle(build_event_graph(tmg))
-    if cycle is not None:
-        raise NotLiveError(
-            "timed marked graph is not live: token-free cycle through "
-            + " -> ".join(cycle),
-            cycle=cycle,
-        )

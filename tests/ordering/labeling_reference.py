@@ -1,38 +1,11 @@
-"""Forward and backward labeling passes of Algorithm 1 (Section 4).
+"""Reference Algorithm 1: the two-pass, name-keyed labeling.
 
-**Forward Labeling** traverses the system from the testbench sources with a
-FIFO queue.  When a vertex ``x`` is processed, each of its outgoing arcs is
-considered following ``x``'s current put order, and the arc *head* is
-labeled with ``(weight, timestamp)``:
-
-    weight = MaxInArcWeight(x) + SumOutArcLatency(x) + VertexLatency(x)
-
-where ``MaxInArcWeight`` is the maximum head weight among the labeled
-incoming arcs of ``x``, ``SumOutArcLatency`` the total latency of the arcs
-leaving ``x``, and the timestamp a global progressive counter.  A successor
-is enqueued when its last *gating* incoming arc has been visited.
-
-**Backward Labeling** mirrors the procedure from the sinks: when a vertex
-``x`` is processed, its incoming arcs are considered in ascending order of
-the *forward* timestamps on their heads, and each arc *tail* is labeled
-with
-
-    weight = MaxOutArcWeight(x) + SumInArcLatency(x) + VertexLatency(x)
-
-with a fresh progressive timestamp.  A predecessor is enqueued when its
-last gating outgoing arc has been visited.
-
-**Feedback loops.** The paper's pseudo-code assumes the quorum condition
-("last visiting arc") is eventually met for every vertex, which holds for
-DAGs.  Real systems (the paper's MPEG-2 included) contain feedback loops;
-those are live only when some channel on the loop carries pre-loaded data
-(``initial_tokens > 0``).  We therefore treat channels with initial tokens
-as *non-gating*: they do not hold back the traversal (their data is
-available from the start) and contribute to ``MaxInArcWeight`` only once
-labeled.  If the traversal still cannot reach every vertex, the remaining
-vertices lie on token-free cycles — no statement order can keep such a
-system live, so a :class:`~repro.errors.DeadlockError` is raised with the
-witness.
+The forward and backward traversals written out separately over
+``SystemGraph`` lookups, as the library computed them before the single
+integer-table pass of :mod:`repro.ordering.algorithm`.  Kept as the
+differential oracle of ``tests/ordering/test_labeling_oracle.py``: both
+must produce the same orderings, the same arc labels and the same
+errors.
 """
 
 from __future__ import annotations
@@ -55,36 +28,39 @@ class ArcLabels:
 
 
 @dataclass
-class LabelingResult:
+class ReferenceLabels:
     """Arc labels of a full forward+backward run, keyed by channel name."""
 
     labels: dict[str, ArcLabels] = field(default_factory=dict)
 
-    def of(self, channel: str) -> ArcLabels:
-        return self.labels[channel]
-
-    def head(self, channel: str) -> tuple[int, int]:
-        """(weight, timestamp) placed on the arc head by Forward Labeling."""
+    def head(self, channel: str) -> tuple[int | None, int | None]:
         arc = self.labels[channel]
-        if arc.head_weight is None or arc.head_timestamp is None:
-            raise ValidationError(f"channel {channel!r} was not forward-labeled")
         return (arc.head_weight, arc.head_timestamp)
 
-    def tail(self, channel: str) -> tuple[int, int]:
-        """(weight, timestamp) placed on the arc tail by Backward Labeling."""
+    def tail(self, channel: str) -> tuple[int | None, int | None]:
         arc = self.labels[channel]
-        if arc.tail_weight is None or arc.tail_timestamp is None:
-            raise ValidationError(f"channel {channel!r} was not backward-labeled")
         return (arc.tail_weight, arc.tail_timestamp)
 
 
-def forward_labeling(
+def reference_ordering_with_labels(
     system: SystemGraph,
-    initial_ordering: ChannelOrdering,
-    result: LabelingResult | None = None,
-) -> LabelingResult:
-    """Run the Forward Labeling pass (Algorithm 1, lines 6–21)."""
-    result = result if result is not None else _fresh_result(system)
+    initial_ordering: ChannelOrdering | None = None,
+) -> tuple[ChannelOrdering, ReferenceLabels]:
+    """Validate, Forward Labeling, Backward Labeling, Final Ordering."""
+    if initial_ordering is None:
+        initial_ordering = ChannelOrdering.declaration_order(system)
+    else:
+        initial_ordering.validate(system)
+    labels = forward_labeling(system, initial_ordering)
+    labels = backward_labeling(system, labels)
+    return final_ordering(system, labels), labels
+
+
+def forward_labeling(
+    system: SystemGraph, initial_ordering: ChannelOrdering
+) -> ReferenceLabels:
+    """Forward Labeling (Algorithm 1, lines 6–21)."""
+    result = ReferenceLabels({c.name: ArcLabels() for c in system.channels})
     timestamp = 1
 
     sum_out_latency = {
@@ -107,10 +83,6 @@ def forward_labeling(
         if process.kind is ProcessKind.SOURCE:
             queue.append(process.name)
             enqueued.add(process.name)
-    # Vertices whose quorum is already met (every input is a pre-loaded
-    # feedback channel) have no upstream trigger: seed them explicitly.
-    # Closed systems (no testbench, e.g. expanded SDF rings) start from
-    # these seeds alone.
     for process in system.processes:
         if process.name not in enqueued and gating_in[process.name] == 0:
             queue.append(process.name)
@@ -123,7 +95,7 @@ def forward_labeling(
 
     while queue:
         x = queue.popleft()
-        max_in = _max_head_weight(system, result, x)
+        max_in = _max_weight(result, system.input_channels(x), head=True)
         weight = max_in + sum_out_latency[x] + system.process(x).latency
         for channel_name in initial_ordering.puts_of(x):
             channel = system.channel(channel_name)
@@ -150,15 +122,9 @@ def forward_labeling(
 
 
 def backward_labeling(
-    system: SystemGraph,
-    result: LabelingResult,
-) -> LabelingResult:
-    """Run the Backward Labeling pass (mirror of Forward Labeling).
-
-    Must run after :func:`forward_labeling` on the same result: the order
-    in which a vertex's incoming arcs are considered is the ascending order
-    of their forward head timestamps.
-    """
+    system: SystemGraph, result: ReferenceLabels
+) -> ReferenceLabels:
+    """Backward Labeling: in-arcs in ascending forward-timestamp order."""
     timestamp = 1
 
     sum_in_latency = {
@@ -181,9 +147,6 @@ def backward_labeling(
         if process.kind is ProcessKind.SINK:
             queue.append(process.name)
             enqueued.add(process.name)
-    # Mirror of the forward seeding: vertices whose every output is a
-    # pre-loaded feedback channel have no downstream trigger; closed
-    # systems start from them alone.
     for process in system.processes:
         if process.name not in enqueued and gating_out[process.name] == 0:
             queue.append(process.name)
@@ -196,11 +159,11 @@ def backward_labeling(
 
     while queue:
         x = queue.popleft()
-        max_out = _max_tail_weight(system, result, x)
+        max_out = _max_weight(result, system.output_channels(x), head=False)
         weight = max_out + sum_in_latency[x] + system.process(x).latency
         in_arcs = sorted(
             system.input_channels(x),
-            key=lambda name: _forward_timestamp(result, name),
+            key=lambda name: result.labels[name].head_timestamp,
         )
         for channel_name in in_arcs:
             channel = system.channel(channel_name)
@@ -226,43 +189,38 @@ def backward_labeling(
     return result
 
 
-def _fresh_result(system: SystemGraph) -> LabelingResult:
-    return LabelingResult(labels={c.name: ArcLabels() for c in system.channels})
-
-
-def _max_head_weight(
-    system: SystemGraph, result: LabelingResult, process: str
-) -> int:
-    """Maximum forward weight over the labeled incoming arcs of a vertex.
-
-    Arcs not yet labeled (feedback arcs whose tail is processed later)
-    contribute zero — their data is available at start-up, imposing no
-    arrival-time pressure.
-    """
-    best = 0
-    for channel_name in system.input_channels(process):
-        weight = result.labels[channel_name].head_weight
-        if weight is not None:
-            best = max(best, weight)
-    return best
-
-
-def _max_tail_weight(
-    system: SystemGraph, result: LabelingResult, process: str
-) -> int:
-    best = 0
-    for channel_name in system.output_channels(process):
-        weight = result.labels[channel_name].tail_weight
-        if weight is not None:
-            best = max(best, weight)
-    return best
-
-
-def _forward_timestamp(result: LabelingResult, channel: str) -> int:
-    ts = result.labels[channel].head_timestamp
-    if ts is None:
-        raise ValidationError(
-            f"channel {channel!r} has no forward timestamp; run "
-            "forward_labeling before backward_labeling"
+def final_ordering(
+    system: SystemGraph, labels: ReferenceLabels
+) -> ChannelOrdering:
+    """Final Ordering (Algorithm 1, lines 24–34)."""
+    gets: dict[str, tuple[str, ...]] = {}
+    puts: dict[str, tuple[str, ...]] = {}
+    for process in system.processes:
+        gets[process.name] = tuple(
+            sorted(system.input_channels(process.name), key=labels.head)
         )
-    return ts
+        puts[process.name] = tuple(
+            sorted(
+                system.output_channels(process.name),
+                key=lambda name: (
+                    -labels.labels[name].tail_weight,
+                    labels.labels[name].tail_timestamp,
+                ),
+            )
+        )
+    ordering = ChannelOrdering(gets=gets, puts=puts)
+    ordering.validate(system)
+    return ordering
+
+
+def _max_weight(
+    result: ReferenceLabels, channels: tuple[str, ...], head: bool
+) -> int:
+    """Maximum weight over the labeled arcs; unlabeled arcs count zero."""
+    best = 0
+    for channel_name in channels:
+        arc = result.labels[channel_name]
+        weight = arc.head_weight if head else arc.tail_weight
+        if weight is not None:
+            best = max(best, weight)
+    return best

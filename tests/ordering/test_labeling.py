@@ -4,15 +4,13 @@ import pytest
 
 from repro.core import ChannelOrdering
 from repro.errors import DeadlockError, ValidationError
-from repro.ordering import backward_labeling, forward_labeling
-from repro.ordering.labeling import LabelingResult
+from repro.ordering import LabelingResult, channel_ordering_with_labels
 
 
 @pytest.fixture()
 def labels(motivating, suboptimal_ordering) -> LabelingResult:
     """Labels computed with the paper's initial order (P2 puts f, b, d)."""
-    result = forward_labeling(motivating, suboptimal_ordering)
-    return backward_labeling(motivating, result)
+    return channel_ordering_with_labels(motivating, suboptimal_ordering).labels
 
 
 #: Fig. 4(b) red labels: (weight, timestamp) on each arc head.
@@ -79,17 +77,20 @@ class TestLabelingMechanics:
         self, motivating
     ):
         declaration = ChannelOrdering.declaration_order(motivating)
-        labels = forward_labeling(motivating, declaration)
+        labels = channel_ordering_with_labels(motivating, declaration).labels
         # With puts (b, d, f) the timestamps permute but weights stay 13.
         assert labels.head("b") == (13, 2)
         assert labels.head("d") == (13, 3)
         assert labels.head("f") == (13, 4)
 
-    def test_backward_requires_forward(self, motivating):
-        from repro.ordering.labeling import _fresh_result
-
-        with pytest.raises(ValidationError):
-            backward_labeling(motivating, _fresh_result(motivating))
+    def test_backward_requires_forward(self, labels, motivating):
+        """Backward Labeling visits each vertex's in-arcs in ascending
+        order of their forward timestamps."""
+        for process in motivating.process_names:
+            arcs = motivating.input_channels(process)
+            by_forward = sorted(arcs, key=lambda c: labels.head(c)[1])
+            by_backward = sorted(arcs, key=lambda c: labels.tail(c)[1])
+            assert by_backward == by_forward
 
     def test_unreachable_zero_token_cycle_raises(self):
         from repro.core import SystemBuilder
@@ -106,22 +107,19 @@ class TestLabelingMechanics:
             .channel("o", "B", "snk")
             .build()
         )
-        with pytest.raises(DeadlockError):
-            forward_labeling(system, ChannelOrdering.declaration_order(system))
+        with pytest.raises(DeadlockError, match="^forward labeling") as info:
+            channel_ordering_with_labels(system)
+        assert info.value.cycle == ["A", "B", "snk"]
 
     def test_preloaded_feedback_is_traversable(self, feedback_system):
         ordering = ChannelOrdering.declaration_order(feedback_system)
-        result = forward_labeling(feedback_system, ordering)
-        result = backward_labeling(feedback_system, result)
+        result = channel_ordering_with_labels(feedback_system, ordering).labels
         for channel in feedback_system.channel_names:
             result.head(channel)
             result.tail(channel)
 
-    def test_missing_label_access_raises(self, motivating):
-        from repro.ordering.labeling import _fresh_result
-
-        result = _fresh_result(motivating)
-        with pytest.raises(ValidationError):
-            result.head("a")
-        with pytest.raises(ValidationError):
-            result.tail("a")
+    def test_missing_label_access_raises(self, labels):
+        with pytest.raises(ValidationError, match="not forward-labeled"):
+            labels.head("ghost")
+        with pytest.raises(ValidationError, match="not backward-labeled"):
+            labels.tail("ghost")
