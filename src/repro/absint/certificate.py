@@ -1,9 +1,9 @@
 """Machine-checkable deadlock-freedom certificates.
 
 A blocking-protocol configuration deadlocks if and only if its marked
-graph (:func:`repro.model.build.marked_places`) has a token-free directed
-cycle — Commoner's liveness condition for marked graphs, the same
-argument :mod:`repro.tmg.deadlock` applies and
+graph (the place rows of :func:`repro.model.build._marked_rows`) has a
+token-free directed cycle — Commoner's liveness condition for marked
+graphs, the same argument :mod:`repro.tmg.deadlock` applies and
 ``tests/verify/test_agreement.py`` cross-checks against exhaustive
 search.  A :class:`DeadlockFreedomCertificate` is the *positive witness*
 of that condition: a ranking of transitions that strictly increases
@@ -13,10 +13,11 @@ live; conversely, whenever no token-free cycle exists a topological
 order of the token-free subgraph yields a ranking.
 
 The point of issuing an explicit certificate instead of a boolean is
-*checkability*: :func:`check_certificate` re-derives the place structure
-from the IR and validates the ranking in one linear pass — no fixpoint,
-no search — so a consumer (the explicit-state verifier, a CI job, a
-reviewer) can accept the guarantee without trusting the issuer.  The
+*checkability*: :func:`check_certificate` re-derives the place rows from
+the IR and validates the ranking in one linear pass — no search — so a
+consumer (the Explorer, a CI job, a reviewer) can accept the guarantee
+without trusting the issuer.  Both directions run on the integer rows;
+transition names appear only in the ranking and in error messages.  The
 certificate is bound to the configuration by the IR's content address
 (:attr:`~repro.ir.LoweredIR.structural_hash`); a certificate can never
 be replayed against a different design.
@@ -26,11 +27,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.errors import VerificationError
 from repro.ir import LoweredIR
-from repro.model.build import MarkedPlace, build_structure, marked_places
+from repro.model.build import _MarkedRows, _marked_rows, _structure
 
 #: Format tag carried by every certificate (bump on layout changes).
 CERTIFICATE_VERSION = "cert:v1"
@@ -106,77 +106,77 @@ class DeadlockFreedomCertificate:
             ) from error
 
 
-def _token_free_graph(
-    places: Iterable[MarkedPlace],
-) -> tuple[dict[str, list[str]], dict[str, int]]:
-    """Adjacency and in-degrees of the token-free place subgraph."""
-    edges: dict[str, list[str]] = {}
-    indegree: dict[str, int] = {}
-    for place in places:
-        if place.tokens > 0:
-            continue
-        edges.setdefault(place.source, []).append(place.target)
-        edges.setdefault(place.target, [])
-        indegree[place.target] = indegree.get(place.target, 0) + 1
-        indegree.setdefault(place.source, 0)
-    return edges, indegree
-
-
 def issue_certificate(ir: LoweredIR) -> DeadlockFreedomCertificate | None:
-    """Certify ``ir`` deadlock-free, or return ``None`` if it is not.
-
-    Kahn's topological sort over the token-free subgraph of the
-    structural marked graph: a complete order yields the ranking, a
-    leftover means a token-free cycle exists (obtain its witness with
-    :func:`find_token_free_cycle`).  Linear in places + transitions.
-    """
-    edges, indegree = _token_free_graph(marked_places(ir))
-    order = _kahn_order(edges, indegree)
-    if order is None:
-        return None
-    return DeadlockFreedomCertificate(
-        ir_hash=ir.structural_hash,
-        system_name=ir.system_name,
-        method=METHOD_SIPHON_RANKING,
-        version=CERTIFICATE_VERSION,
-        ranks=tuple(sorted(order.items())),
-    )
+    """Certify ``ir`` deadlock-free, or return ``None`` if it is not
+    (obtain the witness with :func:`find_token_free_cycle`)."""
+    return _certify(ir, _marked_rows(ir))
 
 
 def find_token_free_cycle(ir: LoweredIR) -> tuple[str, ...] | None:
     """A witness token-free cycle (transition names), or ``None`` if live.
 
     The negative counterpart of :func:`issue_certificate`: exactly one of
-    the two returns a value for any IR.  The witness is the
-    :attr:`~repro.model.build.StructureEntry.deadlock_cycle` of the IR's
-    event graph.
+    the two returns a value for any IR.
     """
-    cycle = build_structure(ir).deadlock_cycle
-    return None if cycle is None else tuple(cycle)
+    return _token_free_witness(ir, _marked_rows(ir))
 
 
-def _kahn_order(
-    edges: dict[str, list[str]], indegree: dict[str, int]
-) -> dict[str, int] | None:
-    """Topological ranks of the graph, or ``None`` when it has a cycle.
+def _certify(
+    ir: LoweredIR, rows: _MarkedRows
+) -> DeadlockFreedomCertificate | None:
+    """Kahn's topological sort over the token-free place rows: a complete
+    order yields the ranking, a leftover means a token-free cycle.
 
-    Deterministic: ready nodes are processed in sorted order, so the
-    ranking (and hence the certificate bytes) is stable run to run.
+    Deterministic: the queue is seeded in name order and each node's
+    successors are visited in name order, so the ranking (and hence the
+    certificate bytes) is stable run to run.  Linear in places plus
+    transitions, after one sort of each.
     """
-    counts = dict(indegree)
-    ready = sorted(node for node, degree in counts.items() if degree == 0)
-    queue = deque(ready)
-    order: dict[str, int] = {}
+    names = rows.names
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    position = [0] * len(names)
+    for i, u in enumerate(by_name):
+        position[u] = i
+    free = [row for row, tokens in enumerate(rows.tokens) if tokens == 0]
+    free.sort(key=lambda row: position[rows.target[row]])
+    successors: list[list[int]] = [[] for _ in names]
+    indegree = [0] * len(names)
+    member = [False] * len(names)  # on some token-free place
+    for row in free:
+        u, v = rows.source[row], rows.target[row]
+        successors[u].append(v)
+        indegree[v] += 1
+        member[u] = member[v] = True
+
+    queue = deque(u for u in by_name if member[u] and indegree[u] == 0)
+    rank = [0] * len(names)
+    ranked = 0
     while queue:
-        node = queue.popleft()
-        order[node] = len(order)
-        for successor in sorted(edges[node]):
-            counts[successor] -= 1
-            if counts[successor] == 0:
-                queue.append(successor)
-    if len(order) != len(counts):
+        u = queue.popleft()
+        rank[u] = ranked
+        ranked += 1
+        for v in successors[u]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                queue.append(v)
+    if any(indegree):
         return None
-    return order
+    return DeadlockFreedomCertificate(
+        ir_hash=ir.structural_hash,
+        system_name=ir.system_name,
+        method=METHOD_SIPHON_RANKING,
+        version=CERTIFICATE_VERSION,
+        ranks=tuple((names[u], rank[u]) for u in by_name if member[u]),
+    )
+
+
+def _token_free_witness(
+    ir: LoweredIR, rows: _MarkedRows
+) -> tuple[str, ...] | None:
+    """The :attr:`~repro.model.build.StructureEntry.deadlock_cycle` of
+    ``ir``'s event graph, built from ``rows``."""
+    cycle = _structure(ir, rows).deadlock_cycle
+    return None if cycle is None else tuple(cycle)
 
 
 def check_certificate(
@@ -184,11 +184,11 @@ def check_certificate(
 ) -> None:
     """Validate ``certificate`` against ``ir`` — the trust boundary.
 
-    Re-derives the place structure from the IR and checks, in one linear
-    pass, that the ranking strictly increases along every token-free
-    place.  Raises :class:`CertificateError` on any mismatch; returns
-    silently when the certificate holds (and hence the configuration
-    provably cannot deadlock).
+    Re-derives the place rows from the IR and checks, in one linear pass,
+    that the ranking strictly increases along every token-free place.
+    Raises :class:`CertificateError` on any mismatch; returns silently
+    when the certificate holds (and hence the configuration provably
+    cannot deadlock).
     """
     if certificate.version != CERTIFICATE_VERSION:
         raise CertificateError(
@@ -206,22 +206,25 @@ def check_certificate(
             f"(system {ir.system_name!r})"
         )
     ranks = certificate.rank_map()
-    for place in marked_places(ir):
-        if place.tokens > 0:
+    rows = _marked_rows(ir)
+    names = rows.names
+    node_rank = [ranks.get(name) for name in names]
+    for row, tokens in enumerate(rows.tokens):
+        if tokens > 0:
             continue
-        source_rank = ranks.get(place.source)
-        target_rank = ranks.get(place.target)
+        source, target = rows.source[row], rows.target[row]
+        source_rank, target_rank = node_rank[source], node_rank[target]
         if source_rank is None or target_rank is None:
-            missing = place.source if source_rank is None else place.target
+            missing = names[source] if source_rank is None else names[target]
             raise CertificateError(
                 f"certificate for {ir.system_name!r} assigns no rank to "
                 f"transition {missing!r} (required by token-free place "
-                f"{place.name!r})"
+                f"{rows.place_name(row)!r})"
             )
         if not source_rank < target_rank:
             raise CertificateError(
                 f"certificate for {ir.system_name!r} is not a valid "
-                f"ranking: token-free place {place.name!r} runs "
-                f"{place.source!r} (rank {source_rank}) -> "
-                f"{place.target!r} (rank {target_rank})"
+                f"ranking: token-free place {rows.place_name(row)!r} runs "
+                f"{names[source]!r} (rank {source_rank}) -> "
+                f"{names[target]!r} (rank {target_rank})"
             )

@@ -1,29 +1,30 @@
-"""The occupancy-interval fixpoint over the lowered IR.
+"""The occupancy bounds and dead structure of a lowered IR.
 
 Program points are the per-process *communication slots* of the
 :class:`~repro.ir.LoweredIR` (indices into
 :attr:`~repro.ir.LoweredIR.comm_indices` — the same untimed projection
-the exhaustive verifier of :mod:`repro.verify.semantics` explores).  The
-abstract state is Cartesian:
+the exhaustive verifier of :mod:`repro.verify.semantics` explores).
+:func:`_closure` computes, in one worklist pass, which slots any
+interleaving can ever fire: a rendezvous fires when both its slots are
+reachable, a buffered put when its slot is reachable and the channel
+starts below capacity or its get fires, a buffered get when its slot is
+reachable and the channel starts non-empty or its put fires, and a
+firing makes the next slot of its process reachable.
 
-* per process, the **set of reachable communication slots**;
-* per buffered channel, one occupancy :class:`~repro.absint.domain.Interval`
-  joined over every interleaving.
+An occupancy-interval fixpoint over the same rules proves no more.  Its
+enabledness conditions are monotone, so an action it enables once stays
+enabled, and every enabled put (get) keeps raising ``hi`` (lowering
+``lo``) until the interval saturates: its least fixpoint on a buffered
+channel is always ``[0 if a get fires else m0, capacity if a put fires
+else m0]`` (docs/THEORY.md §7), which is how :func:`_analyze_uncached`
+reads the bounds off the closure.  The result **over-approximates every
+reachable concrete state** (the soundness contract;
+``tests/absint/test_soundness.py`` hammers it with random systems, and
+``tests/absint/test_differential.py`` holds the closure to the interval
+fixpoint of ``tests/absint/absint_reference.py``).
 
-Abstract enabledness mirrors the concrete rules — a put needs its slot
-reachable and ``lo < capacity`` (some covered state has a free slot), a
-get needs ``hi > 0``, a rendezvous needs both endpoint slots — and
-effects are lattice joins, so chaotic iteration reaches a fixpoint that
-**over-approximates every reachable concrete state** (the soundness
-contract; ``tests/absint/test_soundness.py`` hammers it with random
-systems).  All three enabledness conditions are monotone in the abstract
-order (slot sets only grow, ``lo`` only falls, ``hi`` only rises), so
-the set of actions enabled *at* the fixpoint equals the set enabled at
-any point during iteration — dead-channel and unreachable-op facts read
-off the final state are exact with respect to the abstraction.
-
-The Cartesian product forgets cross-channel correlations, so on feedback
-loops the raw fixpoint drifts to full capacity; the cycle-invariant pass
+The per-channel view forgets cross-channel correlations, so on feedback
+loops the interval reaches full capacity; the cycle-invariant pass
 (:mod:`repro.absint.invariants`) restores the lost bound by intersecting
 with the minimum token count over directed cycles through each channel.
 Results are cached under the IR's content address with the same
@@ -37,10 +38,9 @@ from typing import cast
 
 from repro.absint.certificate import (
     DeadlockFreedomCertificate,
-    find_token_free_cycle,
-    issue_certificate,
+    _certify,
+    _token_free_witness,
 )
-from repro.absint.domain import Interval
 from repro.absint.invariants import (
     TokenInvariant,
     min_cycle_occupancy_bounds,
@@ -48,12 +48,8 @@ from repro.absint.invariants import (
 )
 from repro.cache import MISS, memo
 from repro.core.system import ChannelOrdering, SystemGraph
-from repro.ir import OP_COMPUTE, OP_GET, OP_NAMES, OP_PUT, LoweredIR, lower
-from repro.model.build import marked_places
-
-#: Interval bumps tolerated per channel before widening jumps straight to
-#: the capacity bound (keeps fixpoint rounds independent of FIFO depth).
-WIDENING_BUMPS = 8
+from repro.ir import OP_COMPUTE, OP_NAMES, OP_PUT, LoweredIR, lower
+from repro.model.build import _marked_rows
 
 
 @dataclass(frozen=True)
@@ -102,11 +98,10 @@ class AbsIntResult:
     Attributes:
         ir_hash: Content address of the analyzed IR.
         system_name: The analyzed system's name.
-        rounds: Chaotic-iteration passes until the fixpoint.
         bounds: Per buffered channel (name-sorted), the occupancy range.
         invariants: The token-conservation catalog.
-        dead_channels: Channels (name-sorted) on which no action is ever
-            abstractly enabled — they provably never transfer.
+        dead_channels: Channels (name-sorted) on which no put or get
+            ever fires — they provably never transfer.
         unreachable_ops: Statements no interleaving ever executes.
         certificate: The deadlock-freedom certificate, when one exists.
         token_free_cycle: The witness cycle when one does not (exactly
@@ -115,7 +110,6 @@ class AbsIntResult:
 
     ir_hash: str
     system_name: str
-    rounds: int
     bounds: tuple[OccupancyBound, ...]
     invariants: tuple[TokenInvariant, ...]
     dead_channels: tuple[str, ...]
@@ -164,253 +158,141 @@ def clear_analysis_cache() -> None:
 
 
 # ----------------------------------------------------------------------
-# The fixpoint
+# The reachability closure
 # ----------------------------------------------------------------------
 
 
-class _Fixpoint:
-    """Mutable working state of one chaotic-iteration run."""
+def _closure(ir: LoweredIR) -> tuple[list[bool], list[bool]]:
+    """Per cid, whether its put ever fires and whether its get does.
 
-    def __init__(self, ir: LoweredIR):
-        self.ir = ir
-        #: Reachable communication slots per pid (empty chain => empty).
-        self.pos: list[set[int]] = [
-            {0} if ir.comm_indices[pid] else set()
-            for pid in range(ir.n_processes)
-        ]
-        #: Occupancy interval per cid (``None`` for rendezvous channels).
-        self.occ: list[Interval | None] = [
-            Interval(ir.initial_tokens[cid], ir.initial_tokens[cid])
-            if ir.buffered[cid]
-            else None
-            for cid in range(ir.n_channels)
-        ]
-        self.hi_bumps = [0] * ir.n_channels
-        self.lo_drops = [0] * ir.n_channels
-        #: Producer put slots / consumer get slots per cid.
-        self.put_slots: list[list[int]] = [[] for _ in range(ir.n_channels)]
-        self.get_slots: list[list[int]] = [[] for _ in range(ir.n_channels)]
-        for pid in range(ir.n_processes):
-            kinds = ir.op_kinds[pid]
-            args = ir.op_args[pid]
-            for slot, op_index in enumerate(ir.comm_indices[pid]):
-                cid = args[op_index]
-                if kinds[op_index] == OP_PUT:
-                    self.put_slots[cid].append(slot)
-                else:
-                    self.get_slots[cid].append(slot)
+    Each channel has one put slot, in its producer's chain, and one get
+    slot, in its consumer's.  Slot 0 of every chain is reachable, and a
+    firing makes its process's next slot reachable, so the slots that
+    fire are a prefix of each chain: ``fired[pid]`` counts them, and the
+    next one is where ``pid`` waits.  A slot fires once it is reachable
+    and a rendezvous partner waits at its own slot, or a buffered put
+    has ``m0 < capacity`` or a get on the channel that fires, or a
+    buffered get has ``m0 > 0`` or a put that fires.  A process is
+    re-examined whenever its partner fires on a shared channel, so the
+    worklist drains after at most one firing per slot.
+    """
+    producers, consumers = ir.producers, ir.consumers
+    put_slot = [0] * ir.n_channels
+    get_slot = [0] * ir.n_channels
+    chains: list[list[int]] = []
+    for pid in range(ir.n_processes):
+        args = ir.op_args[pid]
+        chain = [args[i] for i in ir.comm_indices[pid]]
+        for slot, cid in enumerate(chain):
+            (put_slot if producers[cid] == pid else get_slot)[cid] = slot
+        chains.append(chain)
 
-    # -- enabledness (monotone in the abstract order) -------------------
+    fired = [0] * ir.n_processes
+    work = [pid for pid in range(ir.n_processes) if chains[pid]]
+    while work:
+        pid = work.pop()
+        chain = chains[pid]
+        while fired[pid] < len(chain):
+            cid = chain[fired[pid]]
+            put = producers[cid] == pid
+            if put:
+                partner, partner_slot = consumers[cid], get_slot[cid]
+            else:
+                partner, partner_slot = producers[cid], put_slot[cid]
+            if not ir.buffered[cid]:
+                if fired[partner] != partner_slot:
+                    break  # the partner does not wait at its slot
+                fired[partner] += 1
+            elif fired[partner] <= partner_slot and not (
+                ir.initial_tokens[cid] < ir.effective_capacities[cid]
+                if put
+                else ir.initial_tokens[cid] > 0
+            ):
+                break  # starts full (put) or empty (get); no other side fired
+            fired[pid] += 1
+            work.append(partner)
 
-    def _ready(self, pid: int, slots: list[int]) -> list[int]:
-        return [s for s in slots if s in self.pos[pid]]
-
-    def enabled_put_slots(self, cid: int) -> list[int]:
-        """Producer slots from which a put/rendezvous on cid can fire."""
-        ready = self._ready(self.ir.producers[cid], self.put_slots[cid])
-        if not ready:
-            return []
-        interval = self.occ[cid]
-        if interval is None:  # rendezvous: need a matching consumer
-            if not self._ready(self.ir.consumers[cid], self.get_slots[cid]):
-                return []
-            return ready
-        if interval.lo >= self.ir.effective_capacities[cid]:
-            return []
-        return ready
-
-    def enabled_get_slots(self, cid: int) -> list[int]:
-        """Consumer slots from which a get/rendezvous on cid can fire."""
-        ready = self._ready(self.ir.consumers[cid], self.get_slots[cid])
-        if not ready:
-            return []
-        interval = self.occ[cid]
-        if interval is None:
-            if not self._ready(self.ir.producers[cid], self.put_slots[cid]):
-                return []
-            return ready
-        if interval.hi <= 0:
-            return []
-        return ready
-
-    # -- effects (lattice joins) ----------------------------------------
-
-    def _advance(self, pid: int, slots: list[int]) -> bool:
-        n = len(self.ir.comm_indices[pid])
-        changed = False
-        for slot in slots:
-            successor = (slot + 1) % n
-            if successor not in self.pos[pid]:
-                self.pos[pid].add(successor)
-                changed = True
-        return changed
-
-    def _bump_hi(self, cid: int) -> bool:
-        interval = self.occ[cid]
-        assert interval is not None
-        capacity = self.ir.effective_capacities[cid]
-        if interval.hi >= capacity:
-            return False
-        self.hi_bumps[cid] += 1
-        hi = (
-            capacity
-            if self.hi_bumps[cid] >= WIDENING_BUMPS
-            else interval.hi + 1
-        )
-        self.occ[cid] = Interval(interval.lo, hi)
-        return True
-
-    def _drop_lo(self, cid: int) -> bool:
-        interval = self.occ[cid]
-        assert interval is not None
-        if interval.lo <= 0:
-            return False
-        self.lo_drops[cid] += 1
-        lo = (
-            0
-            if self.lo_drops[cid] >= WIDENING_BUMPS
-            else interval.lo - 1
-        )
-        self.occ[cid] = Interval(lo, interval.hi)
-        return True
-
-    def step(self, cid: int) -> bool:
-        """Apply every enabled action on ``cid`` once; True on change."""
-        changed = False
-        puts = self.enabled_put_slots(cid)
-        if puts:
-            if self._advance(self.ir.producers[cid], puts):
-                changed = True
-            if self.occ[cid] is not None and self._bump_hi(cid):
-                changed = True
-        gets = self.enabled_get_slots(cid)
-        if gets:
-            if self._advance(self.ir.consumers[cid], gets):
-                changed = True
-            if self.occ[cid] is not None and self._drop_lo(cid):
-                changed = True
-        return changed
-
-    def run(self) -> int:
-        """Iterate to the fixpoint; returns the number of full passes."""
-        rounds = 0
-        changed = True
-        while changed:
-            changed = False
-            rounds += 1
-            for cid in range(self.ir.n_channels):
-                if self.step(cid):
-                    changed = True
-        return rounds
+    put_fires = [fired[p] > slot for p, slot in zip(producers, put_slot)]
+    get_fires = [fired[c] > slot for c, slot in zip(consumers, get_slot)]
+    return put_fires, get_fires
 
 
 def _analyze_uncached(ir: LoweredIR) -> AbsIntResult:
-    fixpoint = _Fixpoint(ir)
-    rounds = fixpoint.run()
-
-    cycle_bounds = min_cycle_occupancy_bounds(ir, marked_places(ir))
-    invariants = token_invariants(ir, cycle_bounds)
+    put_fires, get_fires = _closure(ir)
+    rows = _marked_rows(ir)
+    cycle_bounds = min_cycle_occupancy_bounds(ir, rows)
 
     bounds: list[OccupancyBound] = []
-    for cid in sorted(range(ir.n_channels), key=lambda c: ir.channels[c]):
-        interval = fixpoint.occ[cid]
-        if interval is None:
+    for cid in sorted(range(ir.n_channels), key=ir.channels.__getitem__):
+        if not ir.buffered[cid]:
             continue
-        hi = interval.hi
-        cycle_bound = cycle_bounds.get(cid)
-        if cycle_bound is not None and cycle_bound < hi:
-            hi = cycle_bound
-        lo = min(interval.lo, hi)
+        initial = ir.initial_tokens[cid]
+        hi = ir.effective_capacities[cid] if put_fires[cid] else initial
+        hi = min(hi, cycle_bounds.get(cid, hi))
+        lo = min(0 if get_fires[cid] else initial, hi)
         bounds.append(
             OccupancyBound(
                 channel=ir.channels[cid],
                 declared_capacity=ir.capacities[cid],
                 effective_capacity=ir.effective_capacities[cid],
-                initial_tokens=ir.initial_tokens[cid],
+                initial_tokens=initial,
                 lo=lo,
                 hi=hi,
             )
         )
 
-    dead_channels = _dead_channels(ir, fixpoint)
-    unreachable = _unreachable_ops(ir, fixpoint)
-    certificate = issue_certificate(ir)
-    cycle = None if certificate is not None else find_token_free_cycle(ir)
+    certificate = _certify(ir, rows)
     return AbsIntResult(
         ir_hash=ir.structural_hash,
         system_name=ir.system_name,
-        rounds=rounds,
         bounds=tuple(bounds),
-        invariants=invariants,
-        dead_channels=dead_channels,
-        unreachable_ops=unreachable,
+        invariants=token_invariants(ir, cycle_bounds),
+        dead_channels=tuple(sorted(
+            ir.channels[cid]
+            for cid in range(ir.n_channels)
+            if not (put_fires[cid] or get_fires[cid])
+        )),
+        unreachable_ops=_unreachable_ops(ir, put_fires, get_fires),
         certificate=certificate,
-        token_free_cycle=cycle,
+        token_free_cycle=None if certificate else _token_free_witness(ir, rows),
     )
 
 
-def _dead_channels(ir: LoweredIR, fixpoint: _Fixpoint) -> tuple[str, ...]:
-    """Channels with no abstractly-enabled action at the fixpoint.
-
-    Monotonicity makes this exact for the abstraction: an action never
-    enabled at the fixpoint was never enabled at any earlier point, so a
-    dead channel provably never transfers in any interleaving.
-    """
-    dead: list[str] = []
-    for cid in range(ir.n_channels):
-        if fixpoint.enabled_put_slots(cid) or fixpoint.enabled_get_slots(cid):
-            continue
-        dead.append(ir.channels[cid])
-    return tuple(sorted(dead))
-
-
 def _unreachable_ops(
-    ir: LoweredIR, fixpoint: _Fixpoint
+    ir: LoweredIR, put_fires: list[bool], get_fires: list[bool]
 ) -> tuple[UnreachableOp, ...]:
     """Statements no interleaving ever executes.
 
-    A communication statement executes iff its action is abstractly
-    enabled with its slot reachable; a compute executes when the process
-    advances past the cyclically-preceding communication statement (the
-    untimed projection folds computes into that advance — see
-    :mod:`repro.verify.semantics`).  Compute statements of channel-less
-    processes always run (the process free-runs).
+    A communication statement executes iff its slot fires; a compute
+    executes when the process advances past the cyclically-preceding
+    communication statement (the untimed projection folds computes into
+    that advance — see :mod:`repro.verify.semantics`).  Compute
+    statements of channel-less processes always run (the process
+    free-runs).
     """
-    fired_slots: list[set[int]] = [set() for _ in range(ir.n_processes)]
-    for cid in range(ir.n_channels):
-        fired_slots[ir.producers[cid]].update(fixpoint.enabled_put_slots(cid))
-        fired_slots[ir.consumers[cid]].update(fixpoint.enabled_get_slots(cid))
-
     unreachable: list[UnreachableOp] = []
-    order = sorted(range(ir.n_processes), key=lambda p: ir.processes[p])
-    for pid in order:
+    for pid in sorted(range(ir.n_processes), key=ir.processes.__getitem__):
+        process = ir.processes[pid]
         kinds = ir.op_kinds[pid]
         args = ir.op_args[pid]
         comm = ir.comm_indices[pid]
-        slot_of = {op_index: slot for slot, op_index in enumerate(comm)}
-        preceding = 0  # comm statements seen before the current index
+        fires = [
+            (put_fires if kinds[i] == OP_PUT else get_fires)[args[i]]
+            for i in comm
+        ]
+        preceding = -1  # the slot of the last comm statement seen
         for index, kind in enumerate(kinds):
             if kind == OP_COMPUTE:
-                if comm:
-                    slot = (preceding - 1) % len(comm)
-                    if slot not in fired_slots[pid]:
-                        unreachable.append(
-                            UnreachableOp(
-                                process=ir.processes[pid],
-                                index=index,
-                                kind=OP_NAMES[OP_COMPUTE],
-                                channel=None,
-                            )
-                        )
+                if comm and not fires[preceding]:
+                    unreachable.append(
+                        UnreachableOp(process, index, OP_NAMES[kind], None)
+                    )
                 continue
-            if slot_of[index] not in fired_slots[pid]:
+            preceding += 1
+            if not fires[preceding]:
                 unreachable.append(
                     UnreachableOp(
-                        process=ir.processes[pid],
-                        index=index,
-                        kind=OP_NAMES[OP_GET] if kind == OP_GET else OP_NAMES[OP_PUT],
-                        channel=ir.channels[args[index]],
+                        process, index, OP_NAMES[kind], ir.channels[args[index]]
                     )
                 )
-            preceding += 1
     return tuple(unreachable)

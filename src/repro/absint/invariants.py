@@ -5,7 +5,7 @@ place and produces one into each output place, so for any directed cycle
 exactly one consumed and one produced place lie on the cycle: **the
 token count of every directed cycle is a firing invariant**.  Three
 families of invariants follow for the structural marked graph of a
-configuration (:func:`repro.model.build.marked_places`):
+configuration (the integer rows of :func:`repro.model.build._marked_rows`):
 
 * **process-cycle** — each process's cyclic statement chain carries
   exactly one token forever (the serial-execution discipline);
@@ -19,22 +19,17 @@ configuration (:func:`repro.model.build.marked_places`):
   occupancy upper bound.  On feedback loops this is dramatically tighter
   than the capacity (a loop circulating one token bounds every member
   FIFO at one item regardless of declared depth) — exactly the
-  correlation the interval fixpoint of :mod:`repro.absint.engine` loses,
-  recovered here by a token-weighted shortest-path search.
+  correlation the per-channel bounds of :mod:`repro.absint.engine` lose,
+  recovered here by a token-weighted shortest-path search over node ids.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.ir import LoweredIR
-from repro.model.build import (
-    MarkedPlace,
-    buffered_get_transition,
-    buffered_put_transition,
-)
+from repro.model.build import _MarkedRows
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ def token_invariants(
 
 
 def min_cycle_occupancy_bounds(
-    ir: LoweredIR, places: Iterable[MarkedPlace]
+    ir: LoweredIR, rows: _MarkedRows
 ) -> dict[int, int]:
     """Per buffered cid, the minimum cycle token count through its data
     place — *when it beats the trivial capacity bound*.
@@ -131,76 +126,56 @@ def min_cycle_occupancy_bounds(
     token-weighted shortest path back.  The credit place alone closes a
     two-place cycle of exactly the effective capacity, so the search is
     bounded: paths of weight ``>= capacity - m0`` cannot improve on it
-    and are pruned (which keeps the pass near-linear on feedback-free
-    designs, where no better path exists at all).
+    and are pruned.  Token-free places are never pruned, though, so one
+    search can still reach every node downstream of ``get(c)``.  ``rows``
+    are ``ir``'s marked rows, whose first places are each buffered
+    channel's data and credit places, in cid order.
 
     Channels without an entry provably have no cycle tighter than their
     capacity.
     """
-    adjacency: dict[str, list[tuple[str, int]]] = {}
-    for place in places:
-        adjacency.setdefault(place.source, []).append(
-            (place.target, place.tokens)
-        )
-        adjacency.setdefault(place.target, [])
+    successors: list[list[tuple[int, int]]] = [[] for _ in rows.names]
+    for source, target, tokens in zip(rows.source, rows.target, rows.tokens):
+        successors[source].append((target, tokens))
     bounds: dict[int, int] = {}
-    for cid in range(ir.n_channels):
-        if not ir.buffered[cid]:
-            continue
-        channel = ir.channels[cid]
+    buffered = [cid for cid in range(ir.n_channels) if ir.buffered[cid]]
+    for data_row, cid in zip(range(0, 2 * len(buffered), 2), buffered):
         initial = ir.initial_tokens[cid]
         threshold = ir.effective_capacities[cid] - initial
         if threshold <= 0:
             continue  # the credit cycle is already optimal
         distance = _bounded_shortest_path(
-            adjacency,
-            start=buffered_get_transition(channel),
-            goal=buffered_put_transition(channel),
+            successors,
+            start=rows.target[data_row],
+            goal=rows.source[data_row],
             threshold=threshold,
-            skip_first=credit_edge_of(channel),
         )
         if distance is not None:
             bounds[cid] = initial + distance
     return bounds
 
 
-def credit_edge_of(channel: str) -> tuple[str, str]:
-    """The ``get -> put`` edge contributed by a channel's credit place
-    (excluded from its own search so the trivial bound never shadows a
-    genuinely tighter cycle of equal first-hop weight)."""
-    return (
-        buffered_get_transition(channel),
-        buffered_put_transition(channel),
-    )
-
-
 def _bounded_shortest_path(
-    adjacency: dict[str, list[tuple[str, int]]],
-    start: str,
-    goal: str,
+    successors: list[list[tuple[int, int]]],
+    start: int,
+    goal: int,
     threshold: int,
-    skip_first: tuple[str, str],
 ) -> int | None:
     """Dijkstra from ``start`` to ``goal`` over token weights, pruning
     every path of weight ``>= threshold``; ``None`` when no cheaper path
-    exists.  ``skip_first`` suppresses one direct edge (the channel's own
-    credit place) — longer routes through it remain admissible because
-    its weight already exceeds any returned distance."""
-    best: dict[str, int] = {start: 0}
-    heap: list[tuple[int, str]] = [(0, start)]
+    exists.  The channel's own credit place, the direct ``start -> goal``
+    edge, weighs exactly ``threshold``, so it is pruned like any other
+    path that cannot beat the capacity."""
+    best: dict[int, int] = {start: 0}
+    heap: list[tuple[int, int]] = [(0, start)]
     while heap:
         distance, node = heapq.heappop(heap)
         if distance > best.get(node, threshold):
             continue
         if node == goal:
             return distance
-        for successor, weight in adjacency.get(node, ()):
-            if node == skip_first[0] and successor == skip_first[1]:
-                if node == start:
-                    continue
+        for successor, weight in successors[node]:
             candidate = distance + weight
-            if candidate >= threshold:
-                continue
             if candidate < best.get(successor, threshold):
                 best[successor] = candidate
                 heapq.heappush(heap, (candidate, successor))

@@ -15,7 +15,7 @@ def format_result(result: AbsIntResult) -> str:
     """The multi-line ``ermes analyze`` static-analysis report."""
     lines = [
         f"static analysis of {result.system_name!r} "
-        f"(ir {result.ir_hash[:12]}..., {result.rounds} rounds)",
+        f"(ir {result.ir_hash[:12]}...)",
     ]
     if result.bounds:
         lines.append("  occupancy bounds:")
@@ -80,7 +80,6 @@ def result_to_dict(result: AbsIntResult) -> dict[str, object]:
     return {
         "system": result.system_name,
         "ir_hash": result.ir_hash,
-        "rounds": result.rounds,
         "deadlock_free": result.deadlock_free,
         "bounds": [
             {

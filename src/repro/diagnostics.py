@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.errors import ValidationError
 
@@ -170,9 +170,3 @@ def sorted_diagnostics(
     then by rule, location, and message."""
     return tuple(sorted(diagnostics, key=Diagnostic.sort_key))
 
-
-def iter_at_least(
-    diagnostics: Iterable[Diagnostic], severity: Severity
-) -> Iterator[Diagnostic]:
-    """The findings at or above ``severity``."""
-    return (d for d in diagnostics if d.severity >= severity)

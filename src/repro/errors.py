@@ -65,11 +65,6 @@ class NodeLimitError(ReproError):
         self.nodes = nodes
 
 
-class UnboundedError(ReproError):
-    """An optimization problem is unbounded (should not occur in the
-    formulations of Section 5; raised defensively by the generic solver)."""
-
-
 class SimulationError(ReproError):
     """The discrete-event simulator reached an inconsistent state."""
 

@@ -1,9 +1,9 @@
 """ERM6xx — abstract-interpretation dataflow facts.
 
-These rules surface what the fixpoint engine of :mod:`repro.absint`
-proves without any state-space search: sound per-channel occupancy
-bounds, statically-dead structure, and certificate-backed
-deadlock-freedom.
+These rules surface what the reachability closure and the integer-row
+certificate of :mod:`repro.absint` prove without any state-space search:
+sound per-channel occupancy bounds, statically-dead structure, and
+certificate-backed deadlock-freedom.
 
 * ``ERM601`` flags a buffered channel whose proved maximum occupancy is
   below its declared capacity — the FIFO is over-provisioned and the
@@ -18,11 +18,13 @@ deadlock-freedom.
   lint-scale budget.  On small systems the exhaustive verdict already
   settles the question and the rule stays silent.
 
-Soundness keeps the first three honest: the abstract state
-over-approximates every reachable concrete state, so "dead" and
-"unreachable" findings can never be false positives (an action the
-abstraction never enables is never enabled concretely), and an ERM601
-bound is a guarantee, not a heuristic.
+Soundness keeps the first three honest: the closure over-approximates
+every reachable concrete state, so "dead" and "unreachable" findings can
+never be false positives (a put or get the closure never fires never
+fires concretely), and an ERM601 bound is a guarantee, not a heuristic.
+The closure is the least fixpoint of the occupancy-interval analysis
+(docs/THEORY.md §7), which is what the rule texts below call "the
+fixpoint".
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@
 once, as integer transition and place rows; ``build_structure`` lowers
 them straight to the integer event graph every analysis runs on, and
 ``build_tmg`` instantiates it under the process latencies (its ``tmg``,
-the bipartite TMG decoded from ``marked_transitions``/``marked_places``,
-is built on demand); ``build_nonblocking_tmg`` gives every channel a
+the bipartite TMG decoded from the same rows, is built on demand); ``build_nonblocking_tmg`` gives every channel a
 FIFO first (the extension from the companion technical report);
 ``analyze_system`` is the one-call façade used by the methodology.
 """
@@ -19,8 +18,6 @@ from repro.model.build import (
     build_tmg,
     channel_transition,
     effective_latencies,
-    marked_places,
-    marked_transitions,
     process_transition,
     statement_place,
 )
@@ -59,8 +56,6 @@ __all__ = [
     "effective_latencies",
     "format_sensitivity",
     "is_deadlock_free",
-    "marked_places",
-    "marked_transitions",
     "sensitivity_report",
     "process_transition",
     "statement_place",

@@ -32,11 +32,11 @@ it turns a :class:`~repro.ir.LoweredIR` into integer transition and place
 rows.  :func:`build_structure` contracts those rows into the integer
 event graph that every cycle-time and liveness analysis runs on
 (:class:`StructureEntry`, which :mod:`repro.perf` caches), and
-:func:`build_tmg` instantiates it under the process latencies.
-:func:`marked_transitions` and :func:`marked_places` decode the same rows
-to names, for the static analyses (:mod:`repro.absint`) and the
-:class:`~repro.tmg.graph.TimedMarkedGraph` that DOT export, the token game
-and the test oracles use.
+:func:`build_tmg` instantiates it under the process latencies.  The
+static analyses of :mod:`repro.absint` read the same rows, and
+:attr:`SystemTmg.tmg` decodes them to names once, into the
+:class:`~repro.tmg.graph.TimedMarkedGraph` that DOT export, the token
+game and the test oracles use.
 
 Names are systematic so analyses can be mapped back to the system:
 transition ``ch:a`` is channel ``a`` (``ch:a.put``/``ch:a.get`` for
@@ -51,7 +51,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ValidationError
@@ -166,38 +166,6 @@ def effective_latencies(
     return latencies
 
 
-class MarkedTransition(NamedTuple):
-    """One transition of the marked graph, with its delay binding.
-
-    Attributes:
-        name: The systematic transition name (``ch:a``, ``proc:P2``, ...).
-        process: The pid whose latency is the delay (a computation
-            transition), or ``None`` when the delay is fixed.
-        delay: The fixed delay: the channel latency, 0 on the get side
-            of a buffered channel (and 0, unused, for computations).
-    """
-
-    name: str
-    process: int | None
-    delay: int
-
-
-class MarkedPlace(NamedTuple):
-    """One place of the marked graph.
-
-    Attributes:
-        name: The systematic place name (``P2/put:b``, ``c/data``, ...).
-        source: The transition producing into this place.
-        target: The transition consuming from this place.
-        tokens: The initial marking.
-    """
-
-    name: str
-    source: str
-    target: str
-    tokens: int
-
-
 def model_name(ir: LoweredIR) -> str:
     """The name of the performance model of ``ir`` (error messages)."""
     return f"{ir.system_name}.tmg"
@@ -205,7 +173,7 @@ def model_name(ir: LoweredIR) -> str:
 
 class _PlaceNames:
     """The name of each place row of an IR's marked graph, decoded from
-    the IR by the naming helpers above (see :func:`marked_places` for the
+    the IR by the naming helpers above (see :func:`_marked_rows` for the
     row order)."""
 
     def __init__(self, ir: LoweredIR, buffered: list[int], offsets: list[int]):
@@ -306,35 +274,6 @@ def _marked_rows(ir: LoweredIR) -> _MarkedRows:
     )
 
 
-def marked_transitions(ir: LoweredIR) -> Iterator[MarkedTransition]:
-    """The transitions of ``ir``'s marked graph, in TMG insertion order:
-    every channel's (its put and get sides when buffered), then every
-    process's computation."""
-    rows = _marked_rows(ir)
-    channel_nodes = len(rows.fixed)
-    for u, name in enumerate(rows.names):
-        if u < channel_nodes:
-            yield MarkedTransition(name, None, rows.fixed[u])
-        else:
-            yield MarkedTransition(name, u - channel_nodes, 0)
-
-
-def marked_places(ir: LoweredIR) -> Iterator[MarkedPlace]:
-    """The places of ``ir``'s marked graph, in TMG insertion order: every
-    buffered channel's data and credit places, then every process's
-    cyclic statement chain (see the module docstring).
-
-    Deterministic, so two IRs with the same structural hash yield the
-    same places name for name.
-    """
-    rows = _marked_rows(ir)
-    names = rows.names
-    for row, (source, target, tokens) in enumerate(
-        zip(rows.source, rows.target, rows.tokens)
-    ):
-        yield MarkedPlace(rows.place_name(row), names[source], names[target], tokens)
-
-
 @dataclass(eq=False)
 class StructureEntry:
     """The latency-independent event graph of one lowered configuration.
@@ -386,7 +325,11 @@ class StructureEntry:
 def build_structure(ir: LoweredIR) -> StructureEntry:
     """Lower ``ir``'s marked graph straight to the contracted integer
     event graph, with no per-row objects."""
-    rows = _marked_rows(ir)
+    return _structure(ir, _marked_rows(ir))
+
+
+def _structure(ir: LoweredIR, rows: _MarkedRows) -> StructureEntry:
+    """:func:`build_structure` from rows already decoded from ``ir``."""
     start, target, tokens, place = contract(
         len(rows.names), rows.source, rows.target, rows.tokens
     )
@@ -420,15 +363,19 @@ class SystemTmg:
 
     @cached_property
     def tmg(self) -> TimedMarkedGraph:
-        """The TMG, loaded from :func:`marked_transitions` and
-        :func:`marked_places`, in their order."""
+        """The TMG, loaded from :func:`_marked_rows` in row order."""
+        rows = _marked_rows(self.ir)
+        delays = rows.fixed + [self.latencies[p] for p in self.ir.processes]
         tmg = TimedMarkedGraph(model_name(self.ir))
-        for name, pid, delay in marked_transitions(self.ir):
-            tmg.add_transition(
-                name, delay if pid is None else self.latencies[self.ir.processes[pid]]
+        for name, delay in zip(rows.names, delays):
+            tmg.add_transition(name, delay)
+        for row, (source, target, tokens) in enumerate(
+            zip(rows.source, rows.target, rows.tokens)
+        ):
+            tmg.add_place(
+                rows.place_name(row), rows.names[source], rows.names[target],
+                tokens,
             )
-        for name, source, target, tokens in marked_places(self.ir):
-            tmg.add_place(name, source, target, tokens)
         return tmg
 
     def critical_processes(self, cycle: tuple[str, ...]) -> tuple[str, ...]:

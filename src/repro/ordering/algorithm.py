@@ -47,9 +47,10 @@ those are live only when some channel on the loop carries pre-loaded data
 from the start) and contribute to ``MaxInArcWeight`` only once labeled.
 Vertices whose every gating count is zero are seeded too, so closed systems
 (no testbench) start from them alone.  If the traversal still cannot reach
-every vertex, the remaining vertices lie on token-free cycles — no
-statement order can keep such a system live, so a
-:class:`~repro.errors.DeadlockError` is raised with the witness.
+every vertex, some of the remaining vertices lie on a token-free cycle —
+no statement order can keep such a system live, so a
+:class:`~repro.errors.DeadlockError` is raised with one such cycle as the
+witness.
 """
 
 from __future__ import annotations
@@ -225,9 +226,11 @@ def _label(
     Unlabeled arcs read as weight zero.
     """
     if direction == "forward":
-        seed, reads, far = ProcessKind.SOURCE, tables.ins, tables.consumer
+        seed, reads = ProcessKind.SOURCE, tables.ins
+        near, far = tables.producer, tables.consumer
     else:
-        seed, reads, far = ProcessKind.SINK, tables.outs, tables.producer
+        seed, reads = ProcessKind.SINK, tables.outs
+        near, far = tables.consumer, tables.producer
     tokens, latency, kinds = tables.tokens, tables.latency, tables.kinds
     n = len(kinds)
     weight = [0] * len(tokens)
@@ -266,10 +269,23 @@ def _label(
 
     unreached = sorted(tables.processes[x] for x in range(n) if not enqueued[x])
     if unreached:
+        # An unreached vertex has an unlabeled zero-token arc; its near
+        # end is unreached too, so walking such arcs back must repeat.
+        names = tables.processes
+        x = names.index(unreached[0])
+        step: dict[int, int] = {}  # vertex -> its position in the walk
+        while x not in step:
+            step[x] = len(step)
+            x = next(near[c] for c in reads[x] if tokens[c] == 0 and not stamp[c])
+        loop = [names[y] for y, i in step.items() if i >= step[x]]
+        if direction == "forward":
+            loop.reverse()  # the walk ran against the data flow
+        first = loop.index(min(loop))
+        loop = loop[first:] + loop[:first]
         raise DeadlockError(
-            f"{direction} labeling cannot reach processes {unreached}: they "
-            "lie on a dependency cycle with no pre-loaded data, which "
-            "deadlocks under every statement order",
-            cycle=unreached,
+            f"{direction} labeling cannot reach processes {unreached}: "
+            f"{' -> '.join(loop + loop[:1])} is a dependency loop with no "
+            "pre-loaded data, which deadlocks under every statement order",
+            cycle=loop,
         )
     return weight, stamp

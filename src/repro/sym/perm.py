@@ -8,7 +8,7 @@ tuples makes group elements hashable (closure sets, memo keys).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: A permutation of ``range(len(perm))``: ``i -> perm[i]``.
 Perm = tuple[int, ...]
@@ -55,14 +55,6 @@ def identity_pair(n_processes: int, n_channels: int) -> PairPerm:
 
 def is_identity_pair(g: PairPerm) -> bool:
     return is_identity(g[0]) and is_identity(g[1])
-
-
-def permute_positions(perm: Perm, values: Sequence[str]) -> tuple[str, ...]:
-    """Relabel positions: element at ``i`` moves to position ``perm[i]``."""
-    out: list[str] = [""] * len(values)
-    for i, value in enumerate(values):
-        out[perm[i]] = value
-    return tuple(out)
 
 
 def closure(

@@ -1,22 +1,23 @@
-"""``marked_places`` must be exactly the TMG builder's place set.
+"""The marked rows the static analyses read must be the TMG's places.
 
 The certificate checker never materialises a ``TimedMarkedGraph`` — it
-walks :func:`repro.model.build.marked_places`, the same place rows
-:func:`repro.model.build_tmg` loads.  The soundness of everything
-downstream (token invariants, the Commoner ranking, min-token cycle
-bounds) rests on those rows matching the TMG's places field-for-field,
-so this suite pins the two against each other on the shipped examples
-and on random layered systems.
+walks the integer place rows of :func:`repro.model.build._marked_rows`,
+the same rows ``build_tmg(...).tmg`` is loaded from.  The soundness of
+everything downstream (token invariants, the Commoner ranking, min-token
+cycle bounds) rests on those rows matching the TMG's places
+field-for-field, so this suite pins the two against each other on the
+shipped examples and on random layered systems, and checks the token
+accounting on ``build_tmg(...).tmg.places``.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.absint import marked_places
 from repro.core import ChannelOrdering
 from repro.ir import lower
 from repro.model import build_tmg
+from repro.model.build import _marked_rows
 from tests.strategies import layered_systems
 
 
@@ -26,8 +27,13 @@ def _tmg_places(system, ordering):
 
 
 def _absint_places(system, ordering):
-    ir = lower(system, ordering)
-    return {(p.name, p.source, p.target, p.tokens) for p in marked_places(ir)}
+    rows = _marked_rows(lower(system, ordering))
+    return {
+        (rows.place_name(row), rows.names[source], rows.names[target], tokens)
+        for row, (source, target, tokens) in enumerate(
+            zip(rows.source, rows.target, rows.tokens)
+        )
+    }
 
 
 class TestMirrorsBuildTmg:
@@ -65,7 +71,8 @@ class TestTokenAccounting:
     def test_data_plus_credit_is_effective_capacity(self, feedback_system):
         ordering = ChannelOrdering.declaration_order(feedback_system)
         ir = lower(feedback_system, ordering)
-        by_name = {p.name: p for p in marked_places(ir)}
+        places = build_tmg(feedback_system, ordering).tmg.places
+        by_name = {p.name: p for p in places}
         for cid, channel in enumerate(ir.channels):
             if not ir.buffered[cid]:
                 continue
@@ -78,9 +85,8 @@ class TestTokenAccounting:
 
     def test_each_process_chain_carries_one_token(self, motivating):
         ordering = ChannelOrdering.declaration_order(motivating)
-        ir = lower(motivating, ordering)
         tokens_by_process: dict[str, int] = {}
-        for place in marked_places(ir):
+        for place in build_tmg(motivating, ordering).tmg.places:
             owner, _, rest = place.name.partition("/")
             if not rest or rest in ("data", "credit"):
                 continue
