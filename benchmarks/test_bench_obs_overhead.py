@@ -1,9 +1,8 @@
 """OBS — the observability layer must be (near) free when unused.
 
-The tracing rework put a sink dispatch on the simulator's hottest path
-(every compute/put/get records through ``TraceRecorder.record``).  This
+Tracing hands every compute/put/get event to each attached sink.  This
 benchmark guards the design promise: with no sink and no metrics attached
-the recorder's single ``_active`` check keeps the simulator within a
+the engine builds no events at all, so the simulator stays within a
 small factor of its pre-instrumentation cost, and attaching observers
 never changes results.
 
@@ -11,7 +10,7 @@ Reported numbers:
 
 * bare simulator time on a synthetic SoC (the baseline);
 * the same run with a :class:`~repro.obs.NullSink` attached (pays event
-  construction + dispatch) and with full in-memory tracing;
+  construction + dispatch) and with a :class:`~repro.obs.MemorySink`;
 * overhead ratios, asserted under generous ceilings so the benchmark
   fails if someone accidentally makes the off-path expensive.
 """
@@ -24,7 +23,7 @@ from repro.obs import MemorySink, NullSink, collect
 from repro.ordering import channel_ordering
 from repro.sim import Simulator
 
-#: Bare run (no sinks, no metrics, no record_trace) may cost at most this
+#: Bare run (no sinks, no metrics) may cost at most this
 #: multiple of itself re-measured — i.e. the guard is on run-to-run noise —
 #: and the observed-vs-bare ratio ceilings below catch real regressions.
 BARE_OVERHEAD_CEILING = 1.15
@@ -49,7 +48,7 @@ def _time_run(system, ordering, repeats=REPEATS, **kwargs):
 
 
 def test_bench_null_path_overhead(benchmark):
-    """With nothing attached, the recorder must stay out of the way."""
+    """With nothing attached, tracing must stay out of the way."""
     system, ordering = _system()
     # Warm up imports/caches before timing.
     Simulator(system, ordering).run(iterations=2)

@@ -111,7 +111,6 @@ from repro.tmg import (
     analyze,
     cycle_time,
     is_live,
-    measured_cycle_time,
 )
 
 __version__ = "0.1.0"
@@ -173,7 +172,6 @@ __all__ = [
     "lint_system",
     "load_ordering",
     "load_system",
-    "measured_cycle_time",
     "minimize_buffers",
     "motivating_deadlock_ordering",
     "motivating_example",

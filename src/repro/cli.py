@@ -566,22 +566,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.cache import CacheStats, memos
-    from repro.dse import Explorer, SystemConfiguration
+    from repro.dse import (
+        Explorer,
+        SystemConfiguration,
+        convergence_rows,
+        format_convergence,
+    )
     from repro.hls import ImplementationLibrary, synthesize_pareto_set
     from repro.lint import preflight
-    from repro.obs import (
-        DseProfiler,
-        collect,
-        format_convergence,
-        format_metrics,
-    )
+    from repro.obs import collect, format_metrics
     from repro.obs.metrics import timed
     from repro.perf import PerformanceEngine
     from repro.sim import simulate
 
     system = load_system(args.system)
     ordering = _load_ordering_arg(system, args.ordering)
-    profiler = DseProfiler()
     perf_engine = PerformanceEngine()
     memo_start = {
         name: replace(cache.stats) for name, cache in memos().items()
@@ -626,7 +625,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 target_cycle_time=target,
                 max_iterations=args.max_iterations,
                 perf_engine=perf_engine,
-                profiler=profiler,
             ).run(config)
 
         if not args.no_simulate:
@@ -652,7 +650,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "achieved_cycle_time": float(final.cycle_time),
             "area": final.area,
             "feasible": final.meets_target,
-            "iterations": profiler.as_dicts(),
+            "iterations": convergence_rows(result.history),
             "metrics": registry.snapshot(),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -667,7 +665,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
           f"{'feasible' if final.meets_target else 'infeasible'}")
     print()
     print("convergence (one row per DSE iteration):")
-    print(format_convergence(profiler.snapshots))
+    print(format_convergence(result.history))
     print(format_metrics(registry), end="")
     return 0
 

@@ -20,7 +20,14 @@ from repro.dse.memory import (
     memory_area,
     volume_proportional_slot_area,
 )
-from repro.dse.report import iteration_table, series, summarize, to_csv
+from repro.dse.report import (
+    convergence_rows,
+    format_convergence,
+    iteration_table,
+    series,
+    summarize,
+    to_csv,
+)
 from repro.dse.sweep import SweepPoint, pareto_points, sweep_table, sweep_targets
 
 __all__ = [
@@ -34,7 +41,9 @@ __all__ = [
     "SystemConfiguration",
     "area_recovery_problem",
     "co_optimize",
+    "convergence_rows",
     "explore",
+    "format_convergence",
     "iteration_table",
     "memory_area",
     "pareto_points",

@@ -20,9 +20,10 @@ trajectory is recorded so the Fig. 6 exploration plots can be regenerated.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 from repro.core.system import ChannelOrdering
 from repro.dse.config import SystemConfiguration
@@ -34,13 +35,12 @@ from repro.dse.problems import (
 from repro.errors import DeadlockError, InfeasibleError, NodeLimitError
 from repro.ilp import branch_bound
 from repro.model.performance import SystemPerformance, analyze_system
-from repro.obs.metrics import count, timed
+from repro.obs.metrics import active, count, observe, timed
 from repro.ordering.algorithm import channel_ordering
 from repro.perf.engine import PerformanceEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir import LoweredIR
-    from repro.obs.profile import DseProfiler
 
 Number = Union[Fraction, float]
 
@@ -69,46 +69,17 @@ def _ordering_fingerprint(ordering: ChannelOrdering) -> OrderingFingerprint:
     )
 
 
-def _measure_cycle_times(
-    configs: Sequence[SystemConfiguration],
-    iterations: int,
-) -> list[Number | None]:
-    """Simulated steady-state cycle time of each configuration.
-
-    Configurations sharing an ordering share a compiled structure, so
-    each ordering group is one :class:`~repro.sim.BatchSimulator` run
-    with one lane per configuration — their selections differ only in
-    process latencies, exactly what a :class:`~repro.sim.BatchLane`
-    overrides.  A lane whose simulation deadlocks yields ``None`` (the
-    analytic loop may walk through orderings simulation rejects; that
-    disagreement is the point of cross-validation).
-    """
-    from repro.errors import SimulationDeadlock
-    from repro.sim import BatchLane, BatchSimulator, default_watch
-
-    groups: dict[OrderingFingerprint, list[int]] = {}
-    for i, cfg in enumerate(configs):
-        groups.setdefault(_ordering_fingerprint(cfg.ordering), []).append(i)
-    measured: list[Number | None] = [None] * len(configs)
-    for indices in groups.values():
-        first = configs[indices[0]]
-        watch = default_watch(first.system)
-        lanes = [
-            BatchLane(process_latencies=configs[i].process_latencies())
-            for i in indices
-        ]
-        outcomes = BatchSimulator(first.system, first.ordering, lanes=lanes).run(
-            iterations=iterations, watch=watch, on_deadlock="capture"
-        )
-        for i, outcome in zip(indices, outcomes):
-            if not isinstance(outcome, SimulationDeadlock):
-                measured[i] = outcome.measured_cycle_time(watch)
-    return measured
-
-
 @dataclass(frozen=True)
 class IterationRecord:
-    """One row of an exploration trajectory (one Fig. 6 point)."""
+    """One row of an exploration trajectory (one Fig. 6 point).
+
+    ``ilp_nodes`` counts the branch-and-bound nodes of the iteration's
+    ILP solve(s).  The last three fields are what the iteration cost on
+    this machine and cache, so they take no part in ``==``:
+    ``wall_time_s`` is the wall-clock span since the previous record (the
+    first one's since the run began), ``cache_hits``/``cache_misses`` the
+    analysis results-cache lookups over that span.
+    """
 
     iteration: int
     action: str  # "start" | "timing_optimization" | "area_recovery" | "none"
@@ -119,6 +90,10 @@ class IterationRecord:
     critical_processes: tuple[str, ...]
     selection_changes: tuple[tuple[str, str], ...]  # (process, new impl)
     reordered_processes: tuple[str, ...]
+    ilp_nodes: int = 0
+    wall_time_s: float = field(default=0.0, compare=False)
+    cache_hits: int = field(default=0, compare=False)
+    cache_misses: int = field(default=0, compare=False)
 
 
 @dataclass
@@ -138,13 +113,6 @@ class ExplorationResult:
     final_index: int = -1
     stop_reason: str = ""
     cache_stats: dict[str, dict[str, int | float]] | None = None
-    #: Simulated steady-state cycle time per history index, from the
-    #: batched cross-validation pass (``batch=True``): every visited
-    #: configuration replayed through
-    #: one vectorized :class:`repro.sim.BatchSimulator` run per distinct
-    #: ordering.  ``None`` values mark configurations whose simulation
-    #: deadlocked; the attribute itself is ``None`` when batching is off.
-    measured_cycle_times: dict[int, Number | None] | None = None
 
     @property
     def initial_record(self) -> IterationRecord:
@@ -190,6 +158,11 @@ class Explorer:
     The exploration *trajectory* is untouched: analyses, ILP cuts and
     iteration decisions never consult the checks or the orbits.
 
+    With a registry active (:func:`repro.obs.collect`), every run records
+    its phases under the stable ``dse.*`` names (``docs/OBSERVABILITY.md``)
+    and, when it ends, the engine's ``cache.results.*`` /
+    ``cache.structures.*`` counters.
+
     Args:
         target_cycle_time: The designer's TCT constraint.
         max_iterations: Upper bound on optimization iterations.
@@ -202,22 +175,6 @@ class Explorer:
             the per-iteration analyses.  Defaults to a fresh engine per
             Explorer; pass a shared one to keep its caches warm across
             runs (see :func:`repro.dse.sweep.sweep_targets`).
-        profiler: Optional :class:`repro.obs.DseProfiler`; when attached,
-            every iteration leaves an
-            :class:`~repro.obs.profile.IterationSnapshot` behind.  The
-            loop's phases report wall time / counters under the stable
-            ``dse.*`` names (``docs/OBSERVABILITY.md``) into the active
-            registry (:func:`repro.obs.collect`), profiler or not.
-        batch: Cross-validate the analytic trajectory by simulation: after
-            the loop converges, replay every visited configuration through
-            the vectorized :class:`repro.sim.BatchSimulator` — one
-            lock-step run per distinct ordering, one lane per
-            configuration — and attach the measured steady-state cycle
-            times to :attr:`ExplorationResult.measured_cycle_times`.  Off
-            by default.  The exploration trajectory itself is untouched:
-            batching adds measurements, never decisions.
-        batch_iterations: Iterations each batched lane runs for (the
-            steady-state estimate uses the second half).
         sym_seen: Optional shared set of already-verified canonical
             hashes.  :func:`repro.dse.sweep.sweep_targets` passes one
             set across its per-target explorers so symmetric neighbors
@@ -231,9 +188,6 @@ class Explorer:
         reorder: bool = True,
         timing_area_budget: float | None = None,
         perf_engine: PerformanceEngine | None = None,
-        profiler: "DseProfiler | None" = None,
-        batch: bool = False,
-        batch_iterations: int = 32,
         sym_seen: set[str] | None = None,
     ):
         self.target_cycle_time = target_cycle_time
@@ -241,9 +195,6 @@ class Explorer:
         self.reorder = reorder
         self.timing_area_budget = timing_area_budget
         self.perf_engine = perf_engine or PerformanceEngine()
-        self.profiler = profiler
-        self.batch = batch
-        self.batch_iterations = batch_iterations
         self._sym_seen = sym_seen if sym_seen is not None else set()
 
     # ------------------------------------------------------------------
@@ -259,9 +210,7 @@ class Explorer:
         from repro.lint import preflight
 
         preflight(config.system, config.ordering)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.begin_run(self.perf_engine)
+        count("dse.runs")
 
         result = ExplorationResult(target_cycle_time=self.target_cycle_time)
         visited: set[tuple[tuple[str, str], ...]] = {config.selection_key()}
@@ -275,6 +224,44 @@ class Explorer:
         caps = process_latency_caps(config, float(self.target_cycle_time))
         incumbent: tuple[float, float, int, SystemConfiguration] | None = None
         fastest: tuple[float, float, int, SystemConfiguration] | None = None
+        # Each record's cost: wall time and results-cache lookups since
+        # the previous one.
+        cache = self.perf_engine.results.stats
+        mark, seen = time.perf_counter(), (cache.hits, cache.misses)
+
+        def append(
+            iteration: int,
+            action: str,
+            cfg: SystemConfiguration,
+            performance: SystemPerformance,
+            changes: tuple[tuple[str, str], ...] = (),
+            reordered: tuple[str, ...] = (),
+            ilp_nodes: int = 0,
+        ) -> IterationRecord:
+            nonlocal mark, seen
+            now = time.perf_counter()
+            ct = performance.cycle_time
+            record = IterationRecord(
+                iteration=iteration,
+                action=action,
+                cycle_time=ct,
+                area=cfg.total_area(),
+                slack=self.target_cycle_time - ct,
+                meets_target=ct <= self.target_cycle_time,
+                critical_processes=performance.critical_processes,
+                selection_changes=changes,
+                reordered_processes=reordered,
+                ilp_nodes=ilp_nodes,
+                wall_time_s=now - mark,
+                cache_hits=cache.hits - seen[0],
+                cache_misses=cache.misses - seen[1],
+            )
+            mark, seen = now, (cache.hits, cache.misses)
+            result.history.append(record)
+            count("dse.iterations")
+            observe("dse.iteration.wall_s", record.wall_time_s)
+            observe("dse.iteration.cycle_time", float(ct))
+            return record
 
         def consider(record: IterationRecord, cfg: SystemConfiguration) -> None:
             nonlocal incumbent, fastest
@@ -289,14 +276,7 @@ class Explorer:
 
         with timed("dse.analyze"):
             performance = self._analyze(config)
-        start_record = self._record(0, "start", config, performance, (), ())
-        result.history.append(start_record)
-        # The configuration behind each history entry, for the optional
-        # batched simulation cross-validation after the loop.
-        trail: list[SystemConfiguration] = [config]
-        consider(start_record, config)
-        if profiler is not None:
-            profiler.iteration(start_record, self.perf_engine)
+        consider(append(0, "start", config, performance), config)
 
         for iteration in range(1, self.max_iterations + 1):
             iteration_nodes = 0
@@ -396,15 +376,8 @@ class Explorer:
                             self._sym_seen.add(canonical)
 
             if not changes and not reordered:
-                none_record = self._record(
-                    iteration, "none", config, performance, (), ()
-                )
-                result.history.append(none_record)
-                trail.append(config)
-                if profiler is not None:
-                    profiler.iteration(
-                        none_record, self.perf_engine, iteration_nodes
-                    )
+                append(iteration, "none", config, performance,
+                       ilp_nodes=iteration_nodes)
                 result.stop_reason = "converged (no applicable changes)"
                 break
 
@@ -412,19 +385,16 @@ class Explorer:
             config = candidate
             with timed("dse.analyze"):
                 performance = self._analyze(config)
-            record = self._record(
+            record = append(
                 iteration,
                 action,
                 config,
                 performance,
                 tuple(sorted(changes.items())),
                 reordered,
+                iteration_nodes,
             )
-            result.history.append(record)
-            trail.append(config)
             consider(record, config)
-            if profiler is not None:
-                profiler.iteration(record, self.perf_engine, iteration_nodes)
         else:
             result.stop_reason = "iteration limit reached"
 
@@ -447,16 +417,9 @@ class Explorer:
                 config.system.name,
             )
         result.cache_stats = self.perf_engine.stats_dict()
-        if self.batch:
-            with timed("dse.batch"):
-                result.measured_cycle_times = dict(
-                    enumerate(
-                        _measure_cycle_times(trail, self.batch_iterations)
-                    )
-                )
-            count("dse.batch.measured", len(trail))
-        if profiler is not None:
-            profiler.end_run(result, self.perf_engine)
+        registry = active()
+        if registry is not None:
+            registry.merge_cache_stats(result.cache_stats)
         return result
 
     # ------------------------------------------------------------------
@@ -568,28 +531,6 @@ class Explorer:
             # here means the topology lacks sources/sinks for the
             # traversal, so keep the current (valid) ordering.
             return config.ordering
-
-    def _record(
-        self,
-        iteration: int,
-        action: str,
-        config: SystemConfiguration,
-        performance: SystemPerformance,
-        changes: tuple[tuple[str, str], ...],
-        reordered: tuple[str, ...],
-    ) -> IterationRecord:
-        ct = performance.cycle_time
-        return IterationRecord(
-            iteration=iteration,
-            action=action,
-            cycle_time=ct,
-            area=config.total_area(),
-            slack=self.target_cycle_time - ct,
-            meets_target=ct <= self.target_cycle_time,
-            critical_processes=performance.critical_processes,
-            selection_changes=changes,
-            reordered_processes=reordered,
-        )
 
 
 def explore(

@@ -68,6 +68,52 @@ def to_csv(records: Iterable[IterationRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def convergence_rows(records: Iterable[IterationRecord]) -> list[dict]:
+    """A trajectory with its per-iteration cost, JSON-friendly (the
+    ``ermes profile --json`` ``iterations`` array)."""
+    return [
+        {
+            "iteration": row.iteration,
+            "action": row.action,
+            "cycle_time": float(row.cycle_time),
+            "area": row.area,
+            "slack": float(row.slack),
+            "meets_target": row.meets_target,
+            "selection_changes": [list(c) for c in row.selection_changes],
+            "reordered_processes": list(row.reordered_processes),
+            "wall_time_s": round(row.wall_time_s, 6),
+            "cache_hits": row.cache_hits,
+            "cache_misses": row.cache_misses,
+            "ilp_nodes": row.ilp_nodes,
+        }
+        for row in records
+    ]
+
+
+def format_convergence(
+    records: Iterable[IterationRecord],
+    cycle_time_unit: float = 1.0,
+    area_unit: float = 1.0,
+) -> str:
+    """Fixed-width convergence timeline: the trajectory with the wall
+    time, cache hits/misses and ILP nodes each iteration cost."""
+    lines = [
+        f"{'iter':>4} {'action':<20} {'cycle time':>12} {'area':>10} "
+        f"{'ok':>3} {'wall (ms)':>10} {'hits':>6} {'miss':>6} "
+        f"{'ilp nodes':>10}"
+    ]
+    for row in records:
+        lines.append(
+            f"{row.iteration:>4} {row.action:<20} "
+            f"{float(row.cycle_time) / cycle_time_unit:>12.1f} "
+            f"{row.area / area_unit:>10.3f} "
+            f"{'y' if row.meets_target else 'n':>3} "
+            f"{row.wall_time_s * 1000:>10.2f} {row.cache_hits:>6} "
+            f"{row.cache_misses:>6} {row.ilp_nodes:>10}"
+        )
+    return "\n".join(lines)
+
+
 def summarize(result: ExplorationResult) -> str:
     """One-paragraph summary in the style of the paper's Section 6 prose."""
     first = result.initial_record

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from repro.dse.config import SystemConfiguration
-from repro.dse.explorer import ExplorationResult, Explorer, _measure_cycle_times
+from repro.dse.explorer import ExplorationResult, Explorer
 from repro.obs.metrics import count, timed
 from repro.perf.engine import PerformanceEngine
 
@@ -37,6 +37,47 @@ class SweepPoint:
     measured_cycle_time: Number | None = None
 
 
+def _measure_cycle_times(
+    configs: Sequence[SystemConfiguration],
+    iterations: int,
+) -> list[Number | None]:
+    """Simulated steady-state cycle time of each configuration.
+
+    Configurations sharing an ordering share a compiled structure, so
+    each ordering group is one :class:`~repro.sim.BatchSimulator` run
+    with one lane per configuration — their selections differ only in
+    process latencies, exactly what a :class:`~repro.sim.BatchLane`
+    overrides.  A lane whose simulation deadlocks yields ``None`` (the
+    analysis may accept an ordering simulation rejects; that disagreement
+    is the point of cross-validation).
+    """
+    from repro.errors import SimulationDeadlock
+    from repro.sim import BatchLane, BatchSimulator, default_watch
+
+    groups: list[tuple[SystemConfiguration, list[int]]] = []
+    for i, cfg in enumerate(configs):
+        for first, indices in groups:
+            if not cfg.ordering.differs_from(first.ordering):
+                indices.append(i)
+                break
+        else:
+            groups.append((cfg, [i]))
+    measured: list[Number | None] = [None] * len(configs)
+    for first, indices in groups:
+        watch = default_watch(first.system)
+        lanes = [
+            BatchLane(process_latencies=configs[i].process_latencies())
+            for i in indices
+        ]
+        outcomes = BatchSimulator(first.system, first.ordering, lanes=lanes).run(
+            iterations=iterations, watch=watch, on_deadlock="capture"
+        )
+        for i, outcome in zip(indices, outcomes):
+            if not isinstance(outcome, SimulationDeadlock):
+                measured[i] = outcome.measured_cycle_time(watch)
+    return measured
+
+
 def sweep_targets(
     config: SystemConfiguration,
     targets: Sequence[Number],
@@ -54,12 +95,10 @@ def sweep_targets(
     ``explorer_kwargs`` provides one): neighbouring targets revisit many of
     the same configurations, so the warm cache serves them directly.
 
-    Pass ``profiler=DseProfiler()`` (see :mod:`repro.obs.profile`) to
-    collect per-iteration snapshots across the whole sweep: the profiler
-    is shared by every per-target Explorer, and ``snapshot.iteration``
-    resets per target while the snapshot list keeps accumulating.  With
-    a registry active (:func:`repro.obs.collect`), the ``sweep.*``
-    counters and timers cover the sweep loop itself.
+    Each point's ``result.history`` is that target's trajectory, with
+    the per-iteration cost (wall time, cache hits and misses, ILP nodes)
+    on every record.  With a registry active (:func:`repro.obs.collect`),
+    the ``sweep.*`` counters and timers cover the sweep loop itself.
 
     With ``batch=True`` the sweep cross-validates its frontier by
     simulation after the loop: the per-target final configurations are

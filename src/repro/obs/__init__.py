@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics, and DSE profiling.
+"""Observability: structured tracing, metrics, and stall attribution.
 
 The paper's whole argument is that *communication behaviour* — blocking
 ``put``/``get`` stalls, backpressure, critical cycles — determines system
@@ -14,9 +14,8 @@ summarized:
   registry the simulator, the DSE explorer, the checker and Algorithm 1
   record into while ``with collect() as registry:`` holds one active;
   metric names are a documented contract (``docs/OBSERVABILITY.md``).
-* **Profiling** — :mod:`repro.obs.profile` snapshots every DSE iteration
-  (action, cost, cache behaviour, ILP effort) so a run replays as a
-  convergence timeline; backs ``ermes profile``.
+* **Stall attribution** — :mod:`repro.obs.profile` ranks where each
+  process spent its stall cycles, by channel and waited-on peer.
 
 Everything here is pay-for-what-you-use: with no sink attached and no
 registry active, the instrumented code paths cost one predicate check
@@ -36,9 +35,6 @@ _EXPORTS = {
     "format_metrics": "metrics",
     "render_chrome_trace": "perfetto",
     "to_chrome_trace": "perfetto",
-    "DseProfiler": "profile",
-    "IterationSnapshot": "profile",
-    "format_convergence": "profile",
     "stall_attribution": "profile",
     "JsonlSink": "sinks",
     "MemorySink": "sinks",

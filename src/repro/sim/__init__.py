@@ -25,7 +25,7 @@ from repro.sim.metrics import (
     throughput,
     utilizations,
 )
-from repro.sim.trace import TraceEvent, TraceRecorder, TraceSink, format_trace
+from repro.sim.trace import TraceEvent, TraceSink, format_trace
 
 __all__ = [
     "BatchLane",
@@ -35,7 +35,6 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "TraceEvent",
-    "TraceRecorder",
     "TraceSink",
     "agreement_error",
     "default_watch",

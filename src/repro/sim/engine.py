@@ -39,7 +39,7 @@ from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ReproError, SimulationDeadlock, SimulationError
 from repro.ir import OP_COMPUTE, OP_PUT, LoweredIR, lower
 from repro.obs.metrics import active, count
-from repro.sim.trace import TraceEvent, TraceRecorder, TraceSink
+from repro.sim.trace import TraceEvent, TraceSink
 
 #: A functional behaviour: ``(iteration, inputs by channel) -> outputs by
 #: channel``.  Sources receive an empty mapping; sinks may return one.
@@ -78,7 +78,6 @@ class SimulationResult:
     stall_cycles: dict[str, int]
     channel_transfers: dict[str, int]
     sink_payloads: dict[str, list[Any]] = field(default_factory=dict)
-    trace: tuple[TraceEvent, ...] = ()
     #: Per-process, per-channel stall cycles: which channel each process
     #: spent its waiting time on (``stall_cycles`` is the row sum).
     stall_breakdown: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -116,14 +115,12 @@ class BatchLane:
         channel_capacities: FIFO-capacity overrides by channel name.
             Capacities gate blocking, so each distinct signature is one
             more lock-step run.
-        record_trace: Keep this lane's trace on its result.
-        sinks: Streaming trace sinks receiving this lane's events exactly
-            as :class:`Simulator` would emit them.
+        sinks: Trace sinks receiving this lane's events exactly as
+            :class:`Simulator` would emit them.
     """
 
     process_latencies: Mapping[str, int] | None = None
     channel_capacities: Mapping[str, int] | None = None
-    record_trace: bool = False
     sinks: Sequence[TraceSink] = ()
 
 
@@ -538,19 +535,21 @@ class _Engine:
             self.preload.append(preload + [None] * (tokens - len(preload)))
 
     def run(self, iterations: int, watch: str, max_steps: int | None,
-            recorders: Sequence[TraceRecorder | None]) -> list[SimulationResult]:
+            sinks: Sequence[tuple[TraceSink, ...]]) -> list[SimulationResult]:
         """Advance every lane until ``watch`` completes ``iterations``
-        loops; a deadlock of the shared control path ends all lanes."""
+        loops; a deadlock of the shared control path ends all lanes.
+        ``sinks`` holds each lane's trace sinks (empty: untraced)."""
         if iterations < 1:
             raise SimulationError("iterations must be >= 1")
         ir = self.ir
         watch_pid = ir.process_index.get(watch)
         if watch_pid is None:
             raise SimulationError(f"unknown watch process {watch!r}")
-        n_p, n_c, n_lanes = len(ir.processes), ir.n_channels, len(recorders)
-        sinks = {p.name for p in self.system.sinks()}
-        payloads: dict[str, list[Any]] = {n: [] for n in ir.processes if n in sinks}
-        traced = [(li, rec) for li, rec in enumerate(recorders) if rec is not None]
+        n_p, n_c, n_lanes = len(ir.processes), ir.n_channels, len(sinks)
+        sink_names = {p.name for p in self.system.sinks()}
+        payloads: dict[str, list[Any]] = {
+            n: [] for n in ir.processes if n in sink_names}
+        traced = [(li, lane) for li, lane in enumerate(sinks) if lane]
         walk = _Walk(self, payloads)
         budget = max_steps or 40 * (iterations + 4) * (n_p + n_c) + 1000
         delays = (self.latencies + [[lat] * n_lanes for lat in ir.channel_latencies]
@@ -653,7 +652,6 @@ class _Engine:
             for (name, channel), value in zip(pairs, key_stalls[li]):
                 if value:
                     breakdown.setdefault(name, {})[channel] = value
-            recorder = recorders[li]
             results.append(SimulationResult(
                 iterations=dict(zip(names, counts)),
                 times=dict(zip(names, times[li])),
@@ -662,7 +660,6 @@ class _Engine:
                 stall_cycles=dict(zip(names, proc_totals[li])),
                 channel_transfers=dict(zip(channels, transfers)),
                 sink_payloads={k: list(v) for k, v in payloads.items()},
-                trace=recorder.events() if recorder is not None else (),
                 stall_breakdown=breakdown,
             ))
         return results
@@ -670,8 +667,9 @@ class _Engine:
 
 def _emit(ir: LoweredIR, clocks: _Clocks, columns: Sequence[Any],
           latencies: list[list[int]],
-          traced: Sequence[tuple[int, TraceRecorder]]) -> None:
-    """Hand the run's events, in walk order, to each traced lane."""
+          traced: Sequence[tuple[int, tuple[TraceSink, ...]]]) -> None:
+    """Hand the run's events, in walk order, to each traced lane's sinks
+    (every event to the first sink, then every event to the next)."""
     kinds, pids, cids, iterations, slots, arrivals, consts = columns
     times = clocks.at(slots)
     waits = times - consts[:, None] - clocks.at(arrivals)
@@ -679,14 +677,18 @@ def _emit(ir: LoweredIR, clocks: _Clocks, columns: Sequence[Any],
         np.array(names, dtype=object)[index].tolist() for names, index in (
             (_KINDS, kinds), (ir.processes, pids), ((*ir.channels, None), cids))
     ] + [iterations.tolist()]
-    for li, recorder in traced:
+    for li, sinks in traced:
         latency = np.array([row[li] for row in latencies], dtype=object)[pids]
         # tuple.__new__ builds each named tuple without a Python-level call.
-        recorder.extend(cast(Iterable[TraceEvent], map(
+        events = list(cast(Iterable[TraceEvent], map(
             tuple.__new__, repeat(TraceEvent), zip(
                 times[:, li].tolist(), *labels,
                 np.where(kinds == _COMPUTE, latency, 0).tolist(),
                 waits[:, li].tolist()))))
+        for sink in sinks:
+            emit = sink.emit
+            for event in events:
+                emit(event)
 
 
 def _find_wait_cycle(wait_for: dict[str, str]) -> list[str] | None:
@@ -723,10 +725,9 @@ class Simulator:
             :class:`~repro.errors.SimulationError`.
         initial_payloads: Optional pre-loaded payloads per channel name
             (for channels with ``initial_tokens``).
-        record_trace: Keep a full event trace (memory-heavy; debugging).
-        sinks: Streaming trace sinks (see :mod:`repro.obs.sinks`); each
-            receives every :class:`~repro.sim.trace.TraceEvent` in walk
-            order.  Attaching sinks never changes simulation results.
+        sinks: Trace sinks (see :mod:`repro.obs.sinks`); each receives
+            every :class:`~repro.sim.trace.TraceEvent` in walk order.
+            Attaching sinks never changes simulation results.
 
     With a registry active (:func:`repro.obs.collect`), each run records
     its end-of-run aggregates under the ``sim.*`` metric names (see
@@ -740,7 +741,6 @@ class Simulator:
         behaviors: Mapping[str, Behavior] | None = None,
         process_latencies: Mapping[str, int] | None = None,
         initial_payloads: Mapping[str, tuple[Any, ...]] | None = None,
-        record_trace: bool = False,
         sinks: Sequence[TraceSink] = (),
     ):
         from repro.lint import preflight
@@ -751,10 +751,7 @@ class Simulator:
         # that deadlock under *every* ordering before any cycle runs.
         preflight(system, self.ordering)
         self.ir = lower(system, self.ordering)
-        self._recorders = [
-            TraceRecorder(enabled=record_trace, sinks=sinks)
-            if record_trace or sinks else None
-        ]
+        self._sinks = [tuple(sinks)]
         self._engine = _Engine(system, self.ir, [process_latencies],
                                behaviors=behaviors,
                                initial_payloads=initial_payloads)
@@ -776,7 +773,7 @@ class Simulator:
         """
         engine = self._engine
         (result,) = engine.run(iterations, watch or default_watch(self.system),
-                               max_steps, self._recorders)
+                               max_steps, self._sinks)
         count("sim.runs")
         count("sim.steps", engine.steps)
         _add_totals("sim", [result])
@@ -878,11 +875,8 @@ class BatchSimulator:
                              lane_ids=lane_indices)
             try:
                 results: Sequence[LaneOutcome] = engine.run(
-                    iterations, watch, max_steps, [
-                        TraceRecorder(enabled=lane.record_trace, sinks=lane.sinks)
-                        if lane.record_trace or lane.sinks else None
-                        for lane in group
-                    ],
+                    iterations, watch, max_steps,
+                    [tuple(lane.sinks) for lane in group],
                 )
             except SimulationDeadlock as deadlock:
                 if on_deadlock == "raise":

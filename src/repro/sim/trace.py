@@ -1,14 +1,12 @@
 """Event traces for simulation debugging, reporting, and export.
 
 The simulator emits one :class:`TraceEvent` per completed (or blocking)
-statement.  :class:`TraceRecorder` is the funnel between the engine and
-whoever wants the events: it can keep them in memory (the classic
-``record_trace=True`` behaviour) and/or stream them to any number of
-*sinks* — objects with an ``emit(event)`` method, see
-:mod:`repro.obs.sinks` for the stock implementations (in-memory, JSONL
-streaming, bounded ring buffer).  The engine hands a lane's events over
-only when that lane has a recorder, so an unobserved simulation builds
-none (guarded by ``benchmarks/test_bench_obs_overhead.py``).
+statement to each of a run's *sinks* — objects with ``emit(event)`` and
+``close()``, see :mod:`repro.obs.sinks` for the stock implementations
+(in-memory, JSONL streaming, bounded ring buffer).  The engine builds a
+lane's events only when that lane has a sink, so an unobserved
+simulation builds none (guarded by
+``benchmarks/test_bench_obs_overhead.py``).
 
 Time base
 ---------
@@ -28,7 +26,7 @@ process's own final time, not by a global end-of-run time.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol
 
 
 class TraceEvent(NamedTuple):
@@ -71,62 +69,6 @@ class TraceSink(Protocol):
     def emit(self, event: TraceEvent) -> None: ...  # pragma: no cover
 
     def close(self) -> None: ...  # pragma: no cover
-
-
-class TraceRecorder:
-    """Funnels :class:`TraceEvent` records to memory and/or sinks.
-
-    Args:
-        enabled: Keep every event in memory (``events()`` returns them).
-        sinks: Streaming sinks receiving each recorded event, in
-            emission order (which is causal but not globally time-sorted;
-            ``events()`` sorts, streaming consumers should too if they
-            need strict time order).
-    """
-
-    def __init__(self, enabled: bool = False,
-                 sinks: Sequence[TraceSink] = ()):
-        self.enabled = enabled
-        self._sinks = tuple(sinks)
-        self._events: list[TraceEvent] = []
-        #: Hot-path guard: one truthiness check when tracing is off.
-        self._active = enabled or bool(self._sinks)
-
-    def record(
-        self,
-        time: int,
-        kind: str,
-        process: str,
-        channel: str | None,
-        iteration: int,
-        duration: int = 0,
-        wait: int = 0,
-    ) -> None:
-        if not self._active:
-            return
-        event = TraceEvent(time, kind, process, channel, iteration,
-                           duration, wait)
-        if self.enabled:
-            self._events.append(event)
-        for sink in self._sinks:
-            sink.emit(event)
-
-    def extend(self, events: Iterable[TraceEvent]) -> None:
-        """Record ``events`` in order (each sink receives all of them)."""
-        batch = list(events) if self._active else []
-        if self.enabled:
-            self._events.extend(batch)
-        for emit in [sink.emit for sink in self._sinks]:
-            for event in batch:
-                emit(event)
-
-    def events(self) -> tuple[TraceEvent, ...]:
-        return tuple(sorted(self._events, key=lambda e: (e.time, e.process)))
-
-    def close(self) -> None:
-        """Close every attached sink (flushes streaming sinks)."""
-        for sink in self._sinks:
-            sink.close()
 
 
 def format_trace(events: Iterable[TraceEvent], limit: int = 100) -> str:

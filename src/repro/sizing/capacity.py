@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from repro.core.system import Channel, ChannelOrdering, SystemGraph
+from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ReproError, ValidationError
 from repro.model.build import CREDIT_SUFFIX, build_tmg
 from repro.tmg.analysis import analyze
@@ -54,32 +54,13 @@ class SizingResult:
         return sum(self.capacities.values())
 
 
-def _with_capacities(
-    system: SystemGraph, capacities: Mapping[str, int]
-) -> SystemGraph:
-    """Clone the system with the given channel capacities applied."""
-    clone = system.copy()
-    for name, capacity in capacities.items():
-        channel = clone.channel(name)
-        clone._channels[name] = Channel(
-            channel.name,
-            channel.producer,
-            channel.consumer,
-            latency=channel.latency,
-            capacity=max(capacity, channel.initial_tokens),
-            initial_tokens=channel.initial_tokens,
-        )
-    return clone
-
-
 def cycle_time_with_capacities(
     system: SystemGraph,
     capacities: Mapping[str, int],
     ordering: ChannelOrdering | None = None,
 ) -> Number:
     """Cycle time of the system with the given FIFO capacities."""
-    sized = _with_capacities(system, capacities)
-    model = build_tmg(sized, ordering)
+    model = build_tmg(system.with_channel_capacities(capacities), ordering)
     return analyze(model.graph).cycle_time
 
 
@@ -117,8 +98,7 @@ def size_buffers(
     }
 
     for _ in range(max_rounds):
-        sized = _with_capacities(system, capacities)
-        model = build_tmg(sized, ordering)
+        model = build_tmg(system.with_channel_capacities(capacities), ordering)
         report = analyze(model.graph)
         if report.cycle_time <= target_cycle_time:
             return SizingResult(

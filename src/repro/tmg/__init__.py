@@ -2,8 +2,9 @@
 
 Provides the TMG data structure (Definition 1), the token game, liveness
 checking, and the cycle-time engine: Howard's policy iteration, the
-paper's choice, over exact integer arrays.  Lawler's parametric search and
-brute-force cycle enumeration are test oracles (``tests/tmg``).
+paper's choice, over exact integer arrays.  Lawler's parametric search,
+brute-force cycle enumeration and the timed earliest-firing execution are
+test oracles (``tests/tmg``).
 """
 
 from repro.tmg.analysis import (
@@ -20,11 +21,6 @@ from repro.tmg.event_graph import (
     build_event_graph,
     strongly_connected_components,
 )
-from repro.tmg.firing import (
-    FiringRecord,
-    earliest_firing_times,
-    measured_cycle_time,
-)
 from repro.tmg.graph import Place, TimedMarkedGraph, Transition
 from repro.tmg.howard import CycleRatioResult, maximum_cycle_ratio
 
@@ -32,7 +28,6 @@ __all__ = [
     "CycleRatioResult",
     "Edge",
     "EventGraph",
-    "FiringRecord",
     "PerformanceReport",
     "Place",
     "TimedMarkedGraph",
@@ -41,11 +36,9 @@ __all__ = [
     "analyze_event_graph",
     "build_event_graph",
     "cycle_time",
-    "earliest_firing_times",
     "find_token_free_cycle",
     "is_live",
     "maximum_cycle_ratio",
-    "measured_cycle_time",
     "strongly_connected_components",
     "tmg_to_dot",
 ]

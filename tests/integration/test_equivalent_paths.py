@@ -2,9 +2,11 @@
 
 Cycle times are exact ``Fraction``s everywhere, ``check_deadlock`` always
 runs its search, ``exhaustive_search`` analyzes every ordering, and the
-performance engine's cache bounds are module constants.  This walks the
-AST of ``src/repro`` and fails if a parameter that chose between paths
-giving the same answer comes back.  The one sanctioned ``exact`` is
+performance engine's cache bounds are module constants.  Observers read
+results: the trajectory's cost lives on ``IterationRecord``, and a
+simulator's events reach its sinks only.  This walks the AST of
+``src/repro`` and fails if a parameter that chose between paths giving
+the same answer, or a second channel for a result, comes back.  The one sanctioned ``exact`` is
 :func:`repro.model.performance.analyze_system`'s, a final ``float()``
 that the benchmark ledger still passes.
 """
@@ -12,6 +14,7 @@ that the benchmark ledger still passes.
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -24,6 +27,8 @@ REMOVED = {
     "engine_exact",
     "max_results",
     "max_structures",
+    "profiler",
+    "record_trace",
 }
 
 #: The one function allowed an ``exact`` parameter.
@@ -75,3 +80,24 @@ def test_no_function_takes_a_removed_option():
         if name in REMOVED
     ]
     assert offenders == []
+
+
+def test_no_dataclass_field_is_named_record_trace():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno} {node.name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for statement in node.body
+        if isinstance(statement, ast.AnnAssign)
+        and isinstance(statement.target, ast.Name)
+        and statement.target.id == "record_trace"
+    ]
+    assert offenders == []
+
+
+def test_explorer_takes_no_batch_option():
+    from repro.dse import Explorer
+
+    parameters = inspect.signature(Explorer.__init__).parameters
+    assert not {"batch", "batch_iterations", "profiler"} & set(parameters)

@@ -22,7 +22,7 @@ METRICS_MODULE = "repro/obs/metrics.py"
 ACTIVE_GATES = {
     "repro/sim/engine.py": "end-of-run totals sum every lane's dicts",
     "repro/ordering/algorithm.py": "the changed-process diff walks the system",
-    "repro/obs/profile.py": "merging the engine's cache counters",
+    "repro/dse/explorer.py": "merging the engine's cache counters",
 }
 
 

@@ -19,6 +19,7 @@ from repro.errors import DeadlockError, SimulationDeadlock
 from repro.ir import lower
 from repro.model.build import build_tmg
 from repro.model.performance import analyze_system, is_deadlock_free
+from repro.obs.sinks import MemorySink
 from repro.ordering import channel_ordering, random_ordering
 from repro.perf import PerformanceEngine, build_structure, effective_latencies
 from repro.sim import Simulator
@@ -61,11 +62,12 @@ def test_simulator_matches_reference_on_seed_examples(path):
 def test_traces_match_reference_on_seed_examples(path):
     system = load_system(path)
     ordering = ChannelOrdering.declaration_order(system)
-    expected = ReferenceSimulator(system, ordering, record_trace=True).run(
+    expected_sink, actual_sink = MemorySink(), MemorySink()
+    expected = ReferenceSimulator(system, ordering, sinks=(expected_sink,)).run(
         iterations=15
     )
-    actual = Simulator(system, ordering, record_trace=True).run(iterations=15)
-    assert actual.trace == expected.trace
+    actual = Simulator(system, ordering, sinks=(actual_sink,)).run(iterations=15)
+    assert actual_sink.events() == expected_sink.events()
     assert actual == expected
 
 

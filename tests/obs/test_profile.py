@@ -1,17 +1,27 @@
-"""DseProfiler: one snapshot per exploration iteration, plus helpers."""
+"""The DSE profile: each IterationRecord carries its own cost, and
+``Explorer.run`` records the ``dse.*`` metrics with no hook attached."""
+
+import json
+from dataclasses import replace
 
 from repro.core import motivating_example
-from repro.dse import Explorer, SystemConfiguration
-from repro.hls import ImplementationLibrary, synthesize_pareto_set
-from repro.obs import (
-    DseProfiler,
-    MemorySink,
-    collect,
+from repro.dse import (
+    Explorer,
+    SystemConfiguration,
+    convergence_rows,
     format_convergence,
-    stall_attribution,
 )
+from repro.hls import ImplementationLibrary, synthesize_pareto_set
+from repro.obs import MemorySink, collect, stall_attribution
 from repro.perf import PerformanceEngine
 from repro.sim import Simulator
+
+#: The ``ermes profile --json`` ``iterations`` row keys.
+ROW_KEYS = {
+    "iteration", "action", "cycle_time", "area", "slack", "meets_target",
+    "selection_changes", "reordered_processes", "wall_time_s",
+    "cache_hits", "cache_misses", "ilp_nodes",
+}
 
 
 def _library(system, seed=0):
@@ -32,79 +42,110 @@ def _profiled_run(target=9.0, max_iterations=6):
     config = SystemConfiguration.initial(
         system, _library(system), pick="smallest"
     )
-    profiler = DseProfiler()
     explorer = Explorer(
         target_cycle_time=target,
         max_iterations=max_iterations,
         perf_engine=PerformanceEngine(),
-        profiler=profiler,
     )
     with collect() as registry:
         result = explorer.run(config)
-    return result, profiler, registry
+    return result, registry
 
 
 class TestDseProfiler:
     def test_one_snapshot_per_iteration(self):
-        result, profiler, _ = _profiled_run()
-        assert len(profiler.snapshots) == len(result.history)
-        assert [s.iteration for s in profiler.snapshots] == [
+        result, _ = _profiled_run()
+        rows = convergence_rows(result.history)
+        assert len(rows) == len(result.history) > 1
+        assert [row["iteration"] for row in rows] == [
             r.iteration for r in result.history
         ]
 
     def test_snapshot_contents_mirror_records(self):
-        result, profiler, _ = _profiled_run()
-        for snapshot, record in zip(profiler.snapshots, result.history):
-            assert snapshot.action == record.action
-            assert snapshot.cycle_time == float(record.cycle_time)
-            assert snapshot.area == record.area
-            assert snapshot.meets_target == record.meets_target
-            assert snapshot.wall_time_s >= 0.0
+        result, _ = _profiled_run()
+        for row, record in zip(convergence_rows(result.history),
+                               result.history):
+            assert row["action"] == record.action
+            assert row["cycle_time"] == float(record.cycle_time)
+            assert row["area"] == record.area
+            assert row["meets_target"] == record.meets_target
+            assert row["ilp_nodes"] == record.ilp_nodes
+            assert record.wall_time_s >= 0.0
+            assert record.cache_hits >= 0 and record.cache_misses >= 0
+
+    def test_cost_fields_take_no_part_in_equality(self):
+        result, _ = _profiled_run()
+        record = result.history[-1]
+        assert replace(record, wall_time_s=9.0, cache_hits=7,
+                       cache_misses=5) == record
+        assert replace(record, ilp_nodes=record.ilp_nodes + 1) != record
 
     def test_metrics_recorded(self):
-        _, profiler, registry = _profiled_run()
+        # No hook attached: Explorer.run itself records the dse.* metrics.
+        result, registry = _profiled_run(target=10.0)
+        assert result.stop_reason == "iteration limit reached"
         assert registry.counter("dse.runs").value == 1
         assert registry.counter("dse.iterations").value == len(
-            profiler.snapshots
+            result.history
         )
         names = {c.name for c in registry.counters()}
-        assert "cache.results.hits" in names  # merged at end_run
+        assert "cache.results.hits" in names  # merged at the end of run
+        # Every solve of a run that ends on a record lands in a record (a
+        # run stopped by an infeasible re-solve leaves that iteration's
+        # first solve counted but unrecorded).
+        assert sum(r.ilp_nodes for r in result.history) == (
+            registry.counter("dse.ilp.nodes").value
+        )
+        walls = registry.histogram("dse.iteration.wall_s")
+        assert walls.count == len(result.history)
+
+    def test_cache_deltas_sum_to_engine_totals(self):
+        engine = PerformanceEngine()
+        system = motivating_example()
+        config = SystemConfiguration.initial(
+            system, _library(system), pick="smallest"
+        )
+        result = Explorer(target_cycle_time=9.0, max_iterations=6,
+                          perf_engine=engine).run(config)
+        stats = engine.stats()["results"]
+        assert sum(r.cache_hits for r in result.history) == stats.hits
+        assert sum(r.cache_misses for r in result.history) == stats.misses
 
     def test_snapshots_accumulate_across_runs(self):
         system = motivating_example()
         config = SystemConfiguration.initial(
             system, _library(system), pick="smallest"
         )
-        profiler = DseProfiler()
         engine = PerformanceEngine()
+        histories = []
         with collect() as registry:
             for target in (12.0, 9.0):
-                Explorer(
+                histories.append(Explorer(
                     target_cycle_time=target,
                     max_iterations=3,
                     perf_engine=engine,
-                    profiler=profiler,
-                ).run(config)
-        assert profiler.runs == 2
+                ).run(config).history)
         assert registry.counter("dse.runs").value == 2
+        assert registry.counter("dse.iterations").value == sum(
+            len(h) for h in histories
+        )
 
     def test_as_dicts_round_trip(self):
-        import json
-
-        _, profiler, _ = _profiled_run()
-        rows = profiler.as_dicts()
-        assert len(rows) == len(profiler.snapshots)
+        result, _ = _profiled_run()
+        rows = convergence_rows(result.history)
+        assert len(rows) == len(result.history)
         json.dumps(rows)  # JSON-friendly
+        assert all(set(row) == ROW_KEYS for row in rows)
         assert rows[0]["iteration"] == 0
         assert rows[0]["action"] == "start"
 
 
 class TestFormatConvergence:
     def test_one_row_per_snapshot(self):
-        _, profiler, _ = _profiled_run()
-        text = format_convergence(profiler.snapshots)
+        result, _ = _profiled_run()
+        text = format_convergence(result.history)
         lines = text.splitlines()
-        assert len(lines) == 1 + len(profiler.snapshots)
+        assert len(lines) == 1 + len(result.history)
         assert "cycle time" in lines[0]
         assert "ilp nodes" in lines[0]
 

@@ -1,18 +1,18 @@
 """Attaching observability must never change simulation results.
 
 The acceptance bar for the tracing layer: results with a sink attached
-(or a metrics registry, or full trace recording) are bit-identical to a
-bare run.  ``SimulationResult`` is a plain dataclass, so ``==`` compares
+(or a metrics registry) are bit-identical to a bare run.  ``SimulationResult`` is a plain dataclass, so ``==`` compares
 every field — including completion-time series and stall breakdowns.
 """
 
-from dataclasses import replace
+from dataclasses import fields
 
 from hypothesis import given, settings
 
+import repro.sim.engine as engine
 from repro.core import motivating_example
 from repro.obs import MemorySink, NullSink, RingBufferSink, collect
-from repro.sim import Simulator
+from repro.sim import SimulationResult, Simulator
 from tests.strategies import layered_systems
 
 
@@ -37,12 +37,11 @@ class TestBitIdentical:
         with collect():
             assert _run(system) == bare
 
-    def test_recorded_trace_differs_only_in_trace_field(self):
+    def test_traced_run_equals_bare(self):
         system = motivating_example()
-        bare = _run(system)
-        traced = _run(system, record_trace=True)
-        assert traced.trace  # recording actually happened
-        assert replace(traced, trace=()) == bare
+        sink = MemorySink()
+        assert _run(system, sinks=[sink]) == _run(system)
+        assert len(sink)  # recording actually happened
 
     @given(system=layered_systems())
     @settings(max_examples=20, deadline=None)
@@ -57,12 +56,14 @@ class TestBitIdentical:
 
 
 class TestRecorderInertWhenOff:
-    def test_no_trace_kept_without_sinks(self):
-        result = _run(motivating_example())
-        assert result.trace == ()
+    def test_no_trace_kept_without_sinks(self, monkeypatch):
+        emitted = []
+        monkeypatch.setattr(engine, "_emit", lambda *args: emitted.append(args))
+        _run(motivating_example())
+        assert emitted == []
 
     def test_sinks_do_not_populate_result_trace(self):
         sink = MemorySink()
-        result = _run(motivating_example(), sinks=[sink])
-        assert result.trace == ()  # streaming only; no in-memory copy
-        assert sink.events()
+        _run(motivating_example(), sinks=[sink])
+        assert sink.events()  # the sink is the only trace channel
+        assert "trace" not in {f.name for f in fields(SimulationResult)}

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from repro.errors import ValidationError
 from repro.model import analyze_system
 from repro.sdf import SdfGraph, sdf_to_system
-from repro.tmg import measured_cycle_time
 from repro.model import build_tmg
+from tests.tmg.firing_reference import measured_cycle_time
 
 
 def rate_pair_graph():

@@ -48,7 +48,7 @@ from repro.sim.engine import (
     _find_wait_cycle,
     token_behavior,
 )
-from repro.sim.trace import TraceRecorder, TraceSink
+from repro.sim.trace import TraceEvent, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -291,7 +291,6 @@ class ReferenceSimulator:
         behaviors: Mapping[str, Behavior] | None = None,
         process_latencies: Mapping[str, int] | None = None,
         initial_payloads: Mapping[str, tuple[Any, ...]] | None = None,
-        record_trace: bool = False,
         sinks: Sequence[TraceSink] = (),
         metrics: "MetricsRegistry | None" = None,
     ):
@@ -319,7 +318,7 @@ class ReferenceSimulator:
             if behavior is not None:
                 state.behavior = behavior
             self._processes[p.name] = state
-        self._trace = TraceRecorder(enabled=record_trace, sinks=sinks)
+        self._sinks = tuple(sinks)
         self._metrics = metrics
         self._sink_payloads: dict[str, list[Any]] = {
             p.name: [] for p in system.sinks()
@@ -385,8 +384,8 @@ class ReferenceSimulator:
                 state.run_behavior()
                 state.time += state.latency
                 state.compute_cycles += state.latency
-                self._trace.record(state.time, "compute", name, None,
-                                   state.iteration, duration=state.latency)
+                self._emit(state.time, "compute", name, None,
+                           state.iteration, duration=state.latency)
                 state.advance_statement()
                 continue
             channel = self._channels[target]
@@ -395,16 +394,16 @@ class ReferenceSimulator:
                 outcome = channel.offer_put(state.time, payload)
                 if not outcome.complete:
                     state.blocked_on = target
-                    self._trace.record(state.time, "block-put", name, target,
-                                       state.iteration)
+                    self._emit(state.time, "block-put", name, target,
+                               state.iteration)
                     break
                 self._complete_put(state, target, outcome, runnable)
             else:  # get
                 outcome = channel.offer_get(state.time)
                 if not outcome.complete:
                     state.blocked_on = target
-                    self._trace.record(state.time, "block-get", name, target,
-                                       state.iteration)
+                    self._emit(state.time, "block-get", name, target,
+                               state.iteration)
                     break
                 self._complete_get(state, target, outcome, runnable)
 
@@ -417,8 +416,8 @@ class ReferenceSimulator:
         waited = max(0, outcome.time - state.time - channel.channel.latency)
         state.stall(channel_name, waited)
         state.time = outcome.time
-        self._trace.record(state.time, "put", state.name, channel_name,
-                           state.iteration, wait=waited)
+        self._emit(state.time, "put", state.name, channel_name,
+                   state.iteration, wait=waited)
         state.advance_statement()
         if channel.buffered:
             # The item is now queued; a consumer blocked on this channel
@@ -437,8 +436,8 @@ class ReferenceSimulator:
         state.time = outcome.time
         state.inputs[channel_name] = outcome.payload
         self._record_sink_payload(state, channel_name, outcome.payload)
-        self._trace.record(state.time, "get", state.name, channel_name,
-                           state.iteration, wait=waited)
+        self._emit(state.time, "get", state.name, channel_name,
+                   state.iteration, wait=waited)
         state.advance_statement()
         if channel.buffered:
             # A credit was released; a producer blocked on it may proceed.
@@ -459,8 +458,8 @@ class ReferenceSimulator:
         peer.inputs[channel_name] = outcome.payload
         self._record_sink_payload(peer, channel_name, outcome.payload)
         peer.blocked_on = None
-        self._trace.record(peer.time, "get", consumer, channel_name,
-                           peer.iteration, wait=outcome.peer_wait)
+        self._emit(peer.time, "get", consumer, channel_name,
+                   peer.iteration, wait=outcome.peer_wait)
         peer.advance_statement()
         runnable.append(consumer)
 
@@ -474,8 +473,8 @@ class ReferenceSimulator:
         peer.stall(channel_name, outcome.peer_wait)
         peer.time = outcome.time
         peer.blocked_on = None
-        self._trace.record(peer.time, "put", producer, channel_name,
-                           peer.iteration, wait=outcome.peer_wait)
+        self._emit(peer.time, "put", producer, channel_name,
+                   peer.iteration, wait=outcome.peer_wait)
         peer.advance_statement()
         runnable.append(producer)
 
@@ -494,8 +493,8 @@ class ReferenceSimulator:
         peer.stall(channel_name, outcome.peer_wait)
         peer.time = outcome.time
         peer.blocked_on = None
-        self._trace.record(peer.time, "put", producer, channel_name,
-                           peer.iteration, wait=outcome.peer_wait)
+        self._emit(peer.time, "put", producer, channel_name,
+                   peer.iteration, wait=outcome.peer_wait)
         peer.advance_statement()
         runnable.append(producer)
         # The item just queued may satisfy a blocked get in turn.
@@ -518,12 +517,21 @@ class ReferenceSimulator:
         peer.inputs[channel_name] = outcome.payload
         self._record_sink_payload(peer, channel_name, outcome.payload)
         peer.blocked_on = None
-        self._trace.record(peer.time, "get", consumer, channel_name,
-                           peer.iteration, wait=outcome.peer_wait)
+        self._emit(peer.time, "get", consumer, channel_name,
+                   peer.iteration, wait=outcome.peer_wait)
         peer.advance_statement()
         runnable.append(consumer)
         # A credit was released by that get: maybe another put can proceed.
         self._wake_blocked_put(channel_name, runnable)
+
+    def _emit(self, time: int, kind: str, process: str, channel: str | None,
+              iteration: int, duration: int = 0, wait: int = 0) -> None:
+        """Hand one event to every sink, in emission order."""
+        if self._sinks:
+            event = TraceEvent(time, kind, process, channel, iteration,
+                               duration, wait)
+            for sink in self._sinks:
+                sink.emit(event)
 
     def _record_sink_payload(self, state: ProcessState, channel: str, payload) -> None:
         if state.name in self._sink_payloads and payload is not None:
@@ -567,7 +575,6 @@ class ReferenceSimulator:
                 n: c.transfers for n, c in self._channels.items()
             },
             sink_payloads={k: list(v) for k, v in self._sink_payloads.items()},
-            trace=self._trace.events(),
             stall_breakdown={
                 n: row
                 for n, s in self._processes.items()

@@ -2,9 +2,11 @@
 
 import pytest
 
+import repro.sim.engine as engine
 from repro.core import SystemBuilder, pipeline
 from repro.errors import SimulationDeadlock, SimulationError
 from repro.model import analyze_system
+from repro.obs import MemorySink
 from repro.sim import Simulator, simulate, utilizations
 
 
@@ -90,13 +92,17 @@ class TestEngineMechanics:
             Simulator(tiny_pipeline).run(iterations=1, watch="ghost")
 
     def test_trace_recording(self, tiny_pipeline):
-        result = Simulator(tiny_pipeline, record_trace=True).run(iterations=2)
-        kinds = {event.kind for event in result.trace}
+        sink = MemorySink()
+        Simulator(tiny_pipeline, sinks=[sink]).run(iterations=2)
+        kinds = {event.kind for event in sink.events()}
         assert "compute" in kinds
         assert "put" in kinds or "get" in kinds
 
-    def test_trace_disabled_by_default(self, tiny_pipeline):
-        assert simulate(tiny_pipeline, iterations=2).trace == ()
+    def test_trace_disabled_by_default(self, tiny_pipeline, monkeypatch):
+        emitted = []
+        monkeypatch.setattr(engine, "_emit", lambda *args: emitted.append(args))
+        simulate(tiny_pipeline, iterations=2)
+        assert emitted == []
 
     def test_channel_transfer_counts(self, tiny_pipeline):
         result = simulate(tiny_pipeline, iterations=5)

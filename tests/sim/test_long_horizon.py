@@ -4,8 +4,8 @@
 the control until its state repeats, replay the clocks until they repeat
 up to a per-lane shift, and extrapolate the rest (docs/THEORY.md §4).
 These tests compare whole :class:`~repro.sim.SimulationResult` objects —
-traces, completion series, stall breakdowns — against the frozen
-:class:`tests.sim.reference.ReferenceSimulator`, which interprets every
+completion series, stall breakdowns — and trace streams against the
+frozen :class:`tests.sim.reference.ReferenceSimulator`, which interprets every
 statement of every iteration, at horizons long enough for extrapolation
 to carry most of the run.  A few white-box checks confirm that each case
 takes the path it is meant to exercise: a control period, a clock period
@@ -103,11 +103,11 @@ class TestShippedDesigns:
         ordering = _orderings(system)[label]
         got_sink, want_sink = MemorySink(), MemorySink()
         got = _outcome(lambda: Simulator(
-            system, ordering, record_trace=True, sinks=(got_sink,)
+            system, ordering, sinks=(got_sink,)
         ).run(iterations=iterations))
-        want = _reference(system, ordering, iterations,
-                          record_trace=True, sinks=(want_sink,))
+        want = _reference(system, ordering, iterations, sinks=(want_sink,))
         assert got == want
+        assert got_sink.events() == want_sink.events()
         # Streams match in emission order, deadlocked runs included.
         assert got_sink._events == want_sink._events
 
@@ -229,9 +229,11 @@ class TestTransients:
     def test_fifo_fill_longer_than_the_run(self, iterations, replays):
         system = _fill_system(50)
         ordering = ChannelOrdering.declaration_order(system)
-        got = Simulator(system, ordering, record_trace=True).run(iterations)
+        got_sink, want_sink = MemorySink(), MemorySink()
+        got = Simulator(system, ordering, sinks=(got_sink,)).run(iterations)
         assert got == _reference(system, ordering, iterations,
-                                 record_trace=True)
+                                 sinks=(want_sink,))
+        assert got_sink.events() == want_sink.events()
         # Only runs past the 50-iteration fill find a control period.
         assert replays[0][0] is (iterations > 50)
 
@@ -242,19 +244,22 @@ class TestTransients:
         every one of them); past the bound the walk runs to the end."""
         monkeypatch.setattr(engine, "_SNAPSHOT_ROOM", 1)
         ordering = ChannelOrdering.declaration_order(motivating)
-        got = Simulator(motivating, ordering, record_trace=True).run(64)
-        assert got == _reference(motivating, ordering, 64, record_trace=True)
+        got_sink, want_sink = MemorySink(), MemorySink()
+        got = Simulator(motivating, ordering, sinks=(got_sink,)).run(64)
+        assert got == _reference(motivating, ordering, 64, sinks=(want_sink,))
+        assert got_sink.events() == want_sink.events()
         assert replays == [(False, None)]
 
     def test_capacity_override_groups(self):
         system = _fill_system(8)
         ordering = ChannelOrdering.declaration_order(system)
+        got_sink, want_sink = MemorySink(), MemorySink()
         lanes = [
             BatchLane(),
             BatchLane(channel_capacities={"i": 3, "w": 40}),
             BatchLane(channel_capacities={"i": 3, "w": 40},
                       process_latencies={"A": 7, "src": 0}),
-            BatchLane(channel_capacities={"i": 1}, record_trace=True),
+            BatchLane(channel_capacities={"i": 1}, sinks=(got_sink,)),
         ]
         simulator = BatchSimulator(system, ordering, lanes=lanes)
         assert simulator.n_groups == 3
@@ -262,9 +267,11 @@ class TestTransients:
             got = simulator.run(iterations=iterations)
             assert got == [
                 _reference(system, ordering, iterations, lane,
-                           record_trace=lane.record_trace)
+                           sinks=(want_sink,) if lane.sinks else ())
                 for lane in lanes
             ]
+            # Both sinks accumulate over the two runs.
+            assert got_sink.events() == want_sink.events()
 
 
 class TestDeadlocks:

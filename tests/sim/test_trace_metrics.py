@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from repro.core import pipeline
+from repro.obs import MemorySink
 from repro.sim import (
     SimulationResult,
     Simulator,
@@ -14,31 +15,29 @@ from repro.sim import (
 
 
 def _traced_run(iterations=3):
-    return Simulator(pipeline(2), record_trace=True).run(iterations=iterations)
+    sink = MemorySink()
+    Simulator(pipeline(2), sinks=[sink]).run(iterations=iterations)
+    return sink.events()
 
 
 class TestTraceFormatting:
     def test_format_contains_events(self):
-        result = _traced_run()
-        text = format_trace(result.trace)
+        text = format_trace(_traced_run())
         assert "compute" in text
         assert "iter" in text
 
     def test_format_limit(self):
-        result = _traced_run()
-        text = format_trace(result.trace, limit=3)
+        text = format_trace(_traced_run(), limit=3)
         lines = text.splitlines()
         assert len(lines) == 4  # 3 events + truncation marker
         assert lines[-1].startswith("...")
 
     def test_trace_sorted_by_time(self):
-        result = _traced_run()
-        times = [event.time for event in result.trace]
+        times = [event.time for event in _traced_run()]
         assert times == sorted(times)
 
     def test_block_events_recorded(self):
-        result = _traced_run()
-        kinds = {event.kind for event in result.trace}
+        kinds = {event.kind for event in _traced_run()}
         assert kinds & {"block-put", "block-get"}
 
 

@@ -13,11 +13,11 @@ from repro.tmg import (
     analyze,
     build_event_graph,
     maximum_cycle_ratio,
-    measured_cycle_time,
     strongly_connected_components,
 )
 from tests.strategies import layered_systems, live_tmgs
 from tests.tmg.enumeration import maximum_cycle_ratio_enumerated, tmg_cycles
+from tests.tmg.firing_reference import measured_cycle_time
 from tests.tmg.lawler import maximum_cycle_ratio_lawler
 
 
