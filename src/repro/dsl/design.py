@@ -37,7 +37,7 @@ at fault.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.core.families import DeclaredFamily
 from repro.core.system import Channel, Process, ProcessKind, SystemGraph
@@ -150,8 +150,6 @@ class Design:
         self.name = name
         self._nodes: dict[str, Process] = {}
         self._edges: dict[str, _Edge] = {}
-        self._node_inputs: dict[str, list[str]] = {}
-        self._node_outputs: dict[str, list[str]] = {}
         self._inputs: list[Port] = []
         self._outputs: list[Port] = []
         self._families: list[_FamilySketch] = []
@@ -166,8 +164,6 @@ class Design:
                 f"design {self.name!r}: duplicate node {name!r}"
             )
         self._nodes[name] = Process(name, latency=latency, kind=kind)
-        self._node_inputs[name] = []
-        self._node_outputs[name] = []
         return name
 
     def worker(self, name: str, latency: int = 1) -> str:
@@ -199,27 +195,6 @@ class Design:
                 f"design {self.name!r}: unknown node {name!r}"
             )
         return self._nodes[name].latency
-
-    def input_edges(self, node: str) -> tuple[str, ...]:
-        """Edge names consumed by ``node``, in connection order."""
-        if node not in self._nodes:
-            raise CompositionError(
-                f"design {self.name!r}: unknown node {node!r}"
-            )
-        return tuple(self._node_inputs[node])
-
-    def output_edges(self, node: str) -> tuple[str, ...]:
-        """Edge names produced by ``node``, in connection order."""
-        if node not in self._nodes:
-            raise CompositionError(
-                f"design {self.name!r}: unknown node {node!r}"
-            )
-        return tuple(self._node_outputs[node])
-
-    def edge_endpoints(self) -> Iterator[tuple[str, str]]:
-        """All ``(producer, consumer)`` pairs currently wired."""
-        for edge in self._edges.values():
-            yield (edge.producer, edge.consumer)
 
     # ------------------------------------------------------------------
     # Dangling ports
@@ -298,8 +273,6 @@ class Design:
                 f"design {self.name!r}: duplicate channel {name!r}"
             )
         self._edges[name] = _Edge(name, producer, consumer, wire)
-        self._node_outputs[producer].append(name)
-        self._node_inputs[consumer].append(name)
         self._note_edge(name, producer, consumer)
         return name
 
@@ -372,8 +345,6 @@ class Design:
             )
         self._nodes.update(other._nodes)
         self._edges.update(other._edges)
-        self._node_inputs.update(other._node_inputs)
-        self._node_outputs.update(other._node_outputs)
         self._inputs.extend(other._inputs)
         self._outputs.extend(other._outputs)
         self._families.extend(other._families)

@@ -12,11 +12,11 @@ structure of :mod:`repro.sizing`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from repro.core.system import Channel, ChannelOrdering, SystemGraph
+from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ValidationError
 from repro.hls.characterize import ChannelPhysics, transfer_latency
 from repro.model.performance import analyze_system
@@ -54,11 +54,7 @@ def _apply_widths(
         latency = transfer_latency(
             volumes[name], ChannelPhysics(elements_per_cycle=width)
         )
-        clone._channels[name] = Channel(
-            channel.name, channel.producer, channel.consumer,
-            latency=latency, capacity=channel.capacity,
-            initial_tokens=channel.initial_tokens,
-        )
+        clone.replace_channel(replace(channel, latency=latency))
     return clone
 
 

@@ -38,13 +38,8 @@ from repro.diagnostics import (
     sorted_diagnostics,
 )
 from repro.lint.context import LintContext
-from repro.lint.fixes import FixOutcome, apply_fixes, fix_result
-from repro.lint.registry import (
-    Rule,
-    RuleRegistry,
-    category,
-    default_registry,
-)
+from repro.lint.fixes import FixOutcome, apply_fixes
+from repro.lint.registry import Rule, catalog, category
 from repro.lint.render import render_json, render_sarif, render_text, sarif_dict
 from repro.lint.witness import (
     BlockedStatement,
@@ -54,7 +49,6 @@ from repro.lint.witness import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hls.pareto import ImplementationLibrary
-    from repro.perf.engine import PerformanceEngine
 
 #: Rules cheap enough (structural; no TMG build, no analysis) to run
 #: before every exploration or simulation.
@@ -116,10 +110,8 @@ def lint_system(
     ordering: ChannelOrdering | None = None,
     library: "ImplementationLibrary | None" = None,
     *,
-    registry: RuleRegistry | None = None,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    perf_engine: "PerformanceEngine | None" = None,
 ) -> LintResult:
     """Run the rule catalog over one design and collect every finding.
 
@@ -127,21 +119,15 @@ def lint_system(
         system: The topology under analysis.
         ordering: Statement orders; defaults to declaration order.
         library: Optional HLS implementation library (enables ``ERM303``).
-        registry: Rule catalog; defaults to the built-in one.
         select/ignore: Rule codes or prefixes (``"ERM3"``) to run/skip;
             ``ignore`` wins.  Unknown selectors raise.
-        perf_engine: Performance engine serving the ``ERM301`` analyses;
-            pass the engine your explorer uses to share its cache.
 
     Returns:
         A :class:`LintResult` with findings sorted most severe first.
     """
-    registry = registry or default_registry()
-    context = LintContext(
-        system, ordering, library=library, perf_engine=perf_engine
-    )
+    context = LintContext(system, ordering, library=library)
     findings: list[Diagnostic] = []
-    for rule in registry.selected(select, ignore):
+    for rule in catalog(select, ignore):
         findings.extend(rule.run(context))
     return LintResult(
         subject=system.name,
@@ -151,7 +137,7 @@ def lint_system(
     )
 
 
-#: Successful default-registry pre-flights, keyed by the IR structural
+#: Successful pre-flights, keyed by the IR structural
 #: hash.  Success-only by design: a failing specification must re-report
 #: its diagnostics every time (and failures are rare and already cheap).
 _preflight_passed = memo("preflight", maxsize=512)
@@ -163,10 +149,7 @@ def clear_preflight_cache() -> None:
 
 
 def preflight(
-    system: SystemGraph,
-    ordering: ChannelOrdering | None = None,
-    *,
-    registry: RuleRegistry | None = None,
+    system: SystemGraph, ordering: ChannelOrdering | None = None
 ) -> None:
     """Cheap pre-flight check: raise on structural error diagnostics.
 
@@ -178,32 +161,27 @@ def preflight(
     and target sweeps call this so a broken specification fails with rule
     codes instead of an ad-hoc exception deep in an analysis.
 
-    Successful default-registry runs are memoized on the IR structural
-    hash (:func:`repro.ir.structural_hash_of`): every quantity the
+    Successful runs are memoized on the IR structural hash
+    (:func:`repro.ir.structural_hash_of`): every quantity the
     pre-flight rules read — process kinds, the channel tables including
     ``initial_tokens``, and the per-process get/put orders — is part of
     that hash, so a repeated pre-flight of an already-passed design (the
     explorer re-checks on every ``run``, sweeps once per target) is one
     hash and one set lookup.  Orderings that name processes the system
     does not have are never memoized (the hash renders only declared
-    processes, so such entries would alias), and neither are runs with a
-    custom ``registry``.
+    processes, so such entries would alias).
     """
     from repro.ir import structural_hash_of
 
     checked = ordering or ChannelOrdering.declaration_order(system)
     known = set(system.process_names)
-    memoable = registry is None and (
-        set(checked.gets) | set(checked.puts) <= known
-    )
+    memoable = set(checked.gets) | set(checked.puts) <= known
     key = ""
     if memoable:
         key = structural_hash_of(system, checked)
         if _preflight_passed.get(key) is not MISS:
             return
-    result = lint_system(
-        system, checked, registry=registry, select=list(PREFLIGHT_RULES)
-    )
+    result = lint_system(system, checked, select=list(PREFLIGHT_RULES))
     errors = result.errors
     if errors:
         raise LintError(errors)
@@ -221,13 +199,11 @@ __all__ = [
     "OrderingFix",
     "PREFLIGHT_RULES",
     "Rule",
-    "RuleRegistry",
     "Severity",
     "apply_fixes",
+    "catalog",
     "category",
     "clear_preflight_cache",
-    "default_registry",
-    "fix_result",
     "format_witness",
     "lint_system",
     "preflight",

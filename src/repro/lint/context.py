@@ -3,21 +3,19 @@
 Several rules need the same expensive facts — is the ordering a valid
 permutation, does the configuration deadlock, what does Algorithm 1
 produce, what cycle time does an ordering achieve.  :class:`LintContext`
-computes each fact once and caches it, and routes every performance
-analysis through a :class:`~repro.perf.PerformanceEngine` so repeated
-linting (pre-flight before every exploration/simulation) stays cheap and
-cycle-time deltas are Fraction-exact and cache-served.
+computes each fact once, on first access, and keeps it for the rest of
+the lint run.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.core.validation import ordering_diagnostics, structural_diagnostics
 from repro.diagnostics import Diagnostic
 from repro.errors import DeadlockError, ReproError
-from repro.perf.engine import PerformanceEngine
 from repro.tmg.event_graph import _components
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,10 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hls.pareto import ImplementationLibrary
     from repro.ir import LoweredIR
     from repro.model.performance import SystemPerformance
-    from repro.sym import SymmetryAnalysis, VerifiedFamily
+    from repro.sym import SigPolicy, SymmetryAnalysis, VerifiedFamily
     from repro.verify.checker import VerificationResult
-
-_UNSET = object()
 
 #: Lint-scale exhaustive-verification budget.  Lint runs as a pre-flight
 #: before every exploration and simulation, so the ERM5xx rules get a
@@ -42,10 +38,11 @@ VERIFY_BUDGET_SECONDS = 1.0
 class LintContext:
     """Everything a rule may ask about one ``(system, ordering, library)``.
 
-    Rules must treat the context as read-only.  All derived facts are
-    memoized, so rule order never affects cost, and rules that depend on a
-    *sound* configuration (deadlock and performance rules) can gate on
-    :meth:`structure_ok`/:meth:`ordering_ok` cheaply.
+    Rules must treat the context as read-only.  Every derived fact is a
+    cached property, computed on first access, so rule order never affects
+    cost, and rules that depend on a *sound* configuration (deadlock and
+    performance rules) can gate on :attr:`structure_ok`/:attr:`ordering_ok`
+    cheaply.
     """
 
     def __init__(
@@ -53,59 +50,45 @@ class LintContext:
         system: SystemGraph,
         ordering: ChannelOrdering | None = None,
         library: "ImplementationLibrary | None" = None,
-        perf_engine: PerformanceEngine | None = None,
     ):
         self.system = system
         self.ordering = ordering or ChannelOrdering.declaration_order(system)
         self.library = library
-        self.perf_engine = perf_engine or PerformanceEngine()
-        self._structural: list[Diagnostic] | None = None
-        self._ordering_issues: list[Diagnostic] | None = None
-        self._witness: object = _UNSET
-        self._optimized: object = _UNSET
-        self._dead_loops: list[tuple[str, ...]] | None = None
-        self._verification: object = _UNSET
-        self._ir: object = _UNSET
-        self._absint: object = _UNSET
-        self._symmetry: object = _UNSET
-        self._symmetry_order_relaxed: object = _UNSET
-        self._symmetry_topology_relaxed: object = _UNSET
-        self._declared_families: object = _UNSET
 
     # ------------------------------------------------------------------
     # Structural soundness
     # ------------------------------------------------------------------
 
+    @cached_property
     def structural(self) -> list[Diagnostic]:
         """The ``ERM101``–``ERM107`` findings of the system alone."""
-        if self._structural is None:
-            self._structural = structural_diagnostics(self.system)
-        return self._structural
+        return structural_diagnostics(self.system)
 
+    @cached_property
     def ordering_issues(self) -> list[Diagnostic]:
         """The ``ERM108`` ordering ↔ topology findings."""
-        if self._ordering_issues is None:
-            self._ordering_issues = ordering_diagnostics(
-                self.system, self.ordering
-            )
-        return self._ordering_issues
+        return ordering_diagnostics(self.system, self.ordering)
 
+    @property
     def structure_ok(self) -> bool:
         """True when the topology has no structural errors."""
-        return not self.structural()
+        return not self.structural
 
+    @property
     def ordering_ok(self) -> bool:
         """True when the ordering is a valid permutation of every port."""
-        return not self.ordering_issues()
+        return not self.ordering_issues
 
+    @property
     def sound(self) -> bool:
         """True when deeper (deadlock/performance) analysis is meaningful."""
-        return self.structure_ok() and self.ordering_ok()
+        return self.structure_ok and self.ordering_ok
 
     # ------------------------------------------------------------------
     # Lowered program
     # ------------------------------------------------------------------
 
+    @cached_property
     def ir(self) -> "LoweredIR | None":
         """The lowered program of ``(system, ordering)``, or ``None``.
 
@@ -114,24 +97,23 @@ class LintContext:
         lowering memo, so the simulator, verifier, and performance engine
         the lint run precedes all reuse this exact object.
         """
-        if self._ir is _UNSET:
-            if not self.sound():
-                self._ir = None
-            else:
-                from repro.ir import lower
+        if not self.sound:
+            return None
+        from repro.ir import lower
 
-                self._ir = lower(self.system, self.ordering)
-        return self._ir  # type: ignore[return-value]
+        return lower(self.system, self.ordering)
 
+    @property
     def ir_hash(self) -> str | None:
         """The canonical content hash of the configuration, or ``None``.
 
         The structural hash of the lowered IR — the shared cache key of
         every IR consumer.
         """
-        ir = self.ir()
+        ir = self.ir
         return ir.structural_hash if ir is not None else None
 
+    @cached_property
     def absint(self) -> "AbsIntResult | None":
         """The abstract-interpretation facts of the configuration.
 
@@ -142,16 +124,14 @@ class LintContext:
         verifier and the explorer running after a lint pre-flight reuse
         this exact result.
         """
-        if self._absint is _UNSET:
-            ir = self.ir()
-            if ir is None:
-                self._absint = None
-            else:
-                from repro.absint import analyze_ir
+        ir = self.ir
+        if ir is None:
+            return None
+        from repro.absint import analyze_ir
 
-                self._absint = analyze_ir(ir)
-        return self._absint  # type: ignore[return-value]
+        return analyze_ir(ir)
 
+    @cached_property
     def symmetry(self) -> "SymmetryAnalysis | None":
         """The strict (``EXACT``-policy) symmetry analysis, or ``None``.
 
@@ -164,10 +144,11 @@ class LintContext:
         system scale — the labeling budget is adaptive and refinement
         alone settles asymmetric designs quickly.
         """
-        if self._symmetry is _UNSET:
-            self._symmetry = self._analyze_symmetry(None)
-        return self._symmetry  # type: ignore[return-value]
+        from repro.sym import EXACT
 
+        return self._analyze_symmetry(EXACT)
+
+    @cached_property
     def symmetry_order_relaxed(self) -> "SymmetryAnalysis | None":
         """Program-order-insensitive symmetry, or ``None``.
 
@@ -177,14 +158,11 @@ class LintContext:
         only — the relaxed rules that consume this enumerate group
         elements, which is a small-system pastime.
         """
-        if self._symmetry_order_relaxed is _UNSET:
-            from repro.sym import ORDER_RELAXED
+        from repro.sym import ORDER_RELAXED
 
-            self._symmetry_order_relaxed = self._analyze_symmetry(
-                ORDER_RELAXED, small_only=True
-            )
-        return self._symmetry_order_relaxed  # type: ignore[return-value]
+        return self._analyze_symmetry(ORDER_RELAXED, small_only=True)
 
+    @cached_property
     def symmetry_topology_relaxed(self) -> "SymmetryAnalysis | None":
         """Pure endpoint-topology symmetry, or ``None``.
 
@@ -193,14 +171,11 @@ class LintContext:
         lens under which an asymmetric capacity inside an otherwise
         replicated family becomes visible (ERM703).  Small systems only.
         """
-        if self._symmetry_topology_relaxed is _UNSET:
-            from repro.sym import TOPOLOGY_RELAXED
+        from repro.sym import TOPOLOGY_RELAXED
 
-            self._symmetry_topology_relaxed = self._analyze_symmetry(
-                TOPOLOGY_RELAXED, small_only=True
-            )
-        return self._symmetry_topology_relaxed  # type: ignore[return-value]
+        return self._analyze_symmetry(TOPOLOGY_RELAXED, small_only=True)
 
+    @cached_property
     def declared_families(self) -> "tuple[VerifiedFamily, ...] | None":
         """The system's declared replication families, verified — or ``None``.
 
@@ -214,22 +189,17 @@ class LintContext:
         rules may ignore.  This is the fast path ERM701 reports from
         without running the canonical-labeling search.
         """
-        if self._declared_families is _UNSET:
-            ir = self.ir()
-            if ir is None or not self.system.declared_families:
-                self._declared_families = None
-            else:
-                from repro.sym import verify_families
+        ir = self.ir
+        if ir is None or not self.system.declared_families:
+            return None
+        from repro.sym import verify_families
 
-                self._declared_families = verify_families(
-                    ir, self.system.declared_families
-                )
-        return self._declared_families  # type: ignore[return-value]
+        return verify_families(ir, self.system.declared_families)
 
     def _analyze_symmetry(
-        self, policy: object, small_only: bool = False
+        self, policy: "SigPolicy", small_only: bool = False
     ) -> "SymmetryAnalysis | None":
-        ir = self.ir()
+        ir = self.ir
         if ir is None:
             return None
         if small_only:
@@ -237,23 +207,20 @@ class LintContext:
 
             if not is_small_system(self.system):
                 return None
-        from repro.sym import EXACT, analyze_symmetry, declared_seeds
+        from repro.sym import analyze_symmetry, declared_seeds
 
         seeds = (
             declared_seeds(ir, self.system.declared_families)
             if self.system.declared_families
             else ()
         )
-        return analyze_symmetry(
-            ir,
-            policy=policy if policy is not None else EXACT,  # type: ignore[arg-type]
-            seeds=seeds,
-        )
+        return analyze_symmetry(ir, policy=policy, seeds=seeds)
 
     # ------------------------------------------------------------------
     # Deadlock facts
     # ------------------------------------------------------------------
 
+    @cached_property
     def deadlock_witness(self) -> tuple[str, ...] | None:
         """The circular wait of the current ordering, or ``None`` if live.
 
@@ -261,15 +228,13 @@ class LintContext:
         :func:`repro.model.performance.deadlock_cycle`.  ``None`` as well
         when the configuration is not sound enough to build the TMG.
         """
-        if self._witness is _UNSET:
-            if not self.sound():
-                self._witness = None
-            else:
-                from repro.model.performance import deadlock_cycle
+        if not self.sound:
+            return None
+        from repro.model.performance import deadlock_cycle
 
-                self._witness = deadlock_cycle(self.system, self.ordering)
-        return self._witness  # type: ignore[return-value]
+        return deadlock_cycle(self.system, self.ordering)
 
+    @cached_property
     def token_free_topology_loops(self) -> list[tuple[str, ...]]:
         """Topology cycles on which *no* channel carries an initial token.
 
@@ -280,85 +245,69 @@ class LintContext:
         regardless of how gets and puts are ordered.  Reordering cannot
         help — only pre-loading a channel (``initial_tokens >= 1``) can.
 
-        Returns one witness cycle (alternating process and channel names,
+        One witness cycle (alternating process and channel names,
         starting at a process) per strongly-connected component of the
         zero-token channel subgraph.
         """
-        if self._dead_loops is None:
-            self._dead_loops = _token_free_loops(self.system)
-        return self._dead_loops
+        return _token_free_loops(self.system)
 
+    @property
     def reordering_can_fix_deadlock(self) -> bool:
         """True when the deadlock is ordering-induced (Algorithm 1 helps)."""
-        return not self.token_free_topology_loops()
+        return not self.token_free_topology_loops
 
+    @cached_property
     def verification(self) -> "VerificationResult | None":
         """Exhaustive deadlock verdict from the model checker, or ``None``.
 
         Runs :func:`repro.verify.check_deadlock` once, under the small
-        lint-scale budget, and caches the result.  ``None`` when the
-        configuration is not sound or the system is above
-        :data:`repro.verify.SMALL_SYSTEM_LIMIT` — the ERM5xx rules only
-        fire on conclusive verdicts, so a skipped or budget-exhausted run
-        never silently passes *or* fails anything.
+        lint-scale budget.  ``None`` when the configuration is not sound
+        or the system is above :data:`repro.verify.SMALL_SYSTEM_LIMIT` —
+        the ERM5xx rules only fire on conclusive verdicts, so a skipped or
+        budget-exhausted run never silently passes *or* fails anything.
         """
-        if self._verification is _UNSET:
-            if not self.sound():
-                self._verification = None
-            else:
-                from repro.verify.checker import (
-                    check_deadlock,
-                    is_small_system,
-                )
+        if not self.sound:
+            return None
+        from repro.verify.checker import check_deadlock, is_small_system
 
-                if not is_small_system(self.system):
-                    self._verification = None
-                else:
-                    self._verification = check_deadlock(
-                        self.system,
-                        self.ordering,
-                        budget_states=VERIFY_BUDGET_STATES,
-                        budget_seconds=VERIFY_BUDGET_SECONDS,
-                    )
-        return self._verification  # type: ignore[return-value]
+        if not is_small_system(self.system):
+            return None
+        return check_deadlock(
+            self.system,
+            self.ordering,
+            budget_states=VERIFY_BUDGET_STATES,
+            budget_seconds=VERIFY_BUDGET_SECONDS,
+        )
 
     # ------------------------------------------------------------------
     # Performance facts
     # ------------------------------------------------------------------
 
+    @cached_property
     def optimized_ordering(self) -> ChannelOrdering | None:
         """The Algorithm-1 ordering, or ``None`` when it cannot be built.
 
-        Memoized; seeded with the current ordering so timestamp tie-breaks
-        match what a designer running ``ermes order`` would get.
+        Seeded with the current ordering so timestamp tie-breaks match
+        what a designer running ``ermes order`` would get.
         """
-        if self._optimized is _UNSET:
-            if not self.sound():
-                self._optimized = None
-            else:
-                from repro.ordering.algorithm import channel_ordering
+        if not self.sound:
+            return None
+        from repro.ordering.algorithm import channel_ordering
 
-                try:
-                    self._optimized = channel_ordering(
-                        self.system, initial_ordering=self.ordering
-                    )
-                except ReproError:
-                    self._optimized = None
-        return self._optimized  # type: ignore[return-value]
+        try:
+            return channel_ordering(self.system, initial_ordering=self.ordering)
+        except ReproError:
+            return None
 
     def performance_of(
         self, ordering: ChannelOrdering
     ) -> "SystemPerformance | None":
         """Exact cycle-time analysis of ``ordering``, or ``None`` on
-        deadlock.  Served through the shared performance engine, so a
-        repeated query (and the explorer that runs right after a clean
-        pre-flight) hits the cache."""
+        deadlock."""
         from repro.model.performance import analyze_system
 
         try:
-            return analyze_system(
-                self.system, ordering, perf_engine=self.perf_engine
-            )
+            return analyze_system(self.system, ordering)
         except DeadlockError:
             return None
 

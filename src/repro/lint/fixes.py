@@ -12,14 +12,11 @@ post-fix state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.diagnostics import Diagnostic
 from repro.errors import ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint import LintResult
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,3 @@ def apply_fixes(
         ordering=current, applied=tuple(applied), skipped=tuple(skipped)
     )
 
-
-def fix_result(result: "LintResult") -> FixOutcome:
-    """:func:`apply_fixes` over a :class:`~repro.lint.LintResult`."""
-    if result.system is None:
-        raise ValidationError("lint result carries no system; cannot fix")
-    return apply_fixes(result.system, result.ordering, result.diagnostics)

@@ -1,17 +1,19 @@
-"""The rule engine: rule descriptors, registration, and selection.
+"""The rule catalog: rule descriptors, declaration, and selection.
 
 Each lint rule is a small function ``(LintContext) -> Iterable[Diagnostic]``
-registered under a stable code (``ERM101``, ``ERM201``, ...).  The
-:class:`RuleRegistry` holds the catalog, supports ``--select``/``--ignore``
-filtering by exact code or prefix (``ERM3`` selects every performance
-rule), and is what the renderers consult for SARIF rule metadata.
+declared under a stable code (``ERM101``, ``ERM201``, ...) with the
+:func:`rule` decorator by its module under :mod:`repro.lint.rules`.
+:func:`catalog` loads those modules on first use and returns the rules,
+filtered by ``--select``/``--ignore`` exact codes or prefixes (``ERM3``
+selects every performance rule); the renderers read it for SARIF rule
+metadata.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from repro.diagnostics import Diagnostic, Severity
 from repro.errors import ValidationError
@@ -60,112 +62,58 @@ class Rule:
         return findings
 
 
-class RuleRegistry:
-    """An ordered catalog of lint rules, filterable by code or prefix."""
+#: Every declared rule by code, filled as the rule modules import.
+_RULES: dict[str, Rule] = {}
 
-    def __init__(self, rules: Iterable[Rule] = ()):
-        self._rules: dict[str, Rule] = {}
-        for rule in rules:
-            self.add(rule)
 
-    def add(self, rule: Rule) -> Rule:
-        if rule.code in self._rules:
-            raise ValidationError(f"duplicate lint rule {rule.code!r}")
-        self._rules[rule.code] = rule
-        return rule
+def rule(
+    code: str, name: str, severity: Severity, summary: str
+) -> Callable[[RuleCheck], RuleCheck]:
+    """Declare the decorated check as catalog rule ``code``."""
 
-    def register(
-        self, code: str, name: str, severity: Severity, summary: str
-    ) -> Callable[[RuleCheck], RuleCheck]:
-        """Decorator form of :meth:`add` for rule modules."""
+    def declare(check: RuleCheck) -> RuleCheck:
+        entry = Rule(
+            code=code, name=name, severity=severity, summary=summary,
+            check=check,
+        )
+        if code in _RULES:
+            raise ValidationError(f"duplicate lint rule {code!r}")
+        _RULES[code] = entry
+        return check
 
-        def decorate(check: RuleCheck) -> RuleCheck:
-            self.add(
-                Rule(
-                    code=code,
-                    name=name,
-                    severity=severity,
-                    summary=summary,
-                    check=check,
-                )
+    return declare
+
+
+def catalog(
+    select: Sequence[str] | None = None,
+    ignore: Sequence[str] | None = None,
+) -> tuple[Rule, ...]:
+    """The rules surviving ``--select``/``--ignore`` filtering, in code order.
+
+    Each entry of either list is an exact code (``ERM301``) or a prefix
+    (``ERM3``, ``ERM``).  ``select=None`` means everything; ``ignore``
+    always wins over ``select``.  Unknown entries raise, so a typo in a
+    CI invocation fails loudly instead of silently linting nothing.
+    """
+    import repro.lint.rules  # noqa: F401  (declaring the rules fills _RULES)
+
+    codes = sorted(_RULES)
+    for pattern in list(select or ()) + list(ignore or ()):
+        if not any(code.startswith(pattern) for code in codes):
+            raise ValidationError(
+                f"rule selector {pattern!r} matches no registered rule "
+                f"(known: {', '.join(codes)})"
             )
-            return check
 
-        return decorate
+    def matches(code: str, patterns: Sequence[str]) -> bool:
+        return any(code.startswith(p) for p in patterns)
 
-    # ------------------------------------------------------------------
-
-    def rules(self) -> tuple[Rule, ...]:
-        """All rules in code order."""
-        return tuple(self._rules[code] for code in sorted(self._rules))
-
-    def rule(self, code: str) -> Rule:
-        try:
-            return self._rules[code]
-        except KeyError:
-            raise ValidationError(f"unknown lint rule {code!r}") from None
-
-    def codes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._rules))
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules())
-
-    def __contains__(self, code: str) -> bool:
-        return code in self._rules
-
-    # ------------------------------------------------------------------
-
-    def selected(
-        self,
-        select: Sequence[str] | None = None,
-        ignore: Sequence[str] | None = None,
-    ) -> tuple[Rule, ...]:
-        """The rules surviving ``--select``/``--ignore`` filtering.
-
-        Each entry of either list is an exact code (``ERM301``) or a
-        prefix (``ERM3``, ``ERM``).  ``select=None`` means everything;
-        ``ignore`` always wins over ``select``.  Unknown entries raise,
-        so a typo in a CI invocation fails loudly instead of silently
-        linting nothing.
-        """
-        for pattern in list(select or ()) + list(ignore or ()):
-            if not any(code.startswith(pattern) for code in self._rules):
-                raise ValidationError(
-                    f"rule selector {pattern!r} matches no registered rule "
-                    f"(known: {', '.join(self.codes())})"
-                )
-
-        def matches(code: str, patterns: Sequence[str]) -> bool:
-            return any(code.startswith(p) for p in patterns)
-
-        chosen = []
-        for rule in self.rules():
-            if select is not None and not matches(rule.code, select):
-                continue
-            if ignore and matches(rule.code, ignore):
-                continue
-            chosen.append(rule)
-        return tuple(chosen)
-
-
-#: Registry used by :func:`repro.lint.lint_system` unless one is passed in.
-_default: RuleRegistry | None = None
-
-
-def default_registry() -> RuleRegistry:
-    """The process-wide registry with the full built-in catalog loaded."""
-    global _default
-    if _default is None:
-        registry = RuleRegistry()
-        from repro.lint.rules import register_builtin_rules
-
-        register_builtin_rules(registry)
-        _default = registry
-    return _default
+    return tuple(
+        _RULES[code]
+        for code in codes
+        if (select is None or matches(code, select))
+        and not (ignore and matches(code, ignore))
+    )
 
 
 def category(code: str) -> str:

@@ -14,7 +14,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from repro.diagnostics import Severity
-from repro.lint.registry import RuleRegistry, category, default_registry
+from repro.lint.registry import catalog, category
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint import LintResult
@@ -90,14 +90,11 @@ def render_json(result: "LintResult") -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def sarif_dict(
-    result: "LintResult", registry: RuleRegistry | None = None
-) -> dict[str, Any]:
+def sarif_dict(result: "LintResult") -> dict[str, Any]:
     """The SARIF 2.1.0 log of a lint result, as a plain dictionary."""
     from repro import __version__
 
-    registry = registry or default_registry()
-    rules = registry.rules()
+    rules = catalog()
     rule_index = {rule.code: i for i, rule in enumerate(rules)}
     return {
         "$schema": SARIF_SCHEMA,
@@ -167,8 +164,6 @@ def sarif_dict(
     }
 
 
-def render_sarif(
-    result: "LintResult", registry: RuleRegistry | None = None
-) -> str:
+def render_sarif(result: "LintResult") -> str:
     """:func:`sarif_dict` serialized with a trailing newline."""
-    return json.dumps(sarif_dict(result, registry), indent=2) + "\n"
+    return json.dumps(sarif_dict(result), indent=2) + "\n"

@@ -1,36 +1,15 @@
-"""The built-in rule catalog, one module per ``ERMx``-hundred category."""
+"""The built-in rule catalog, one module per ``ERMx``-hundred category.
 
-from __future__ import annotations
+Importing this package declares every rule in
+:func:`repro.lint.registry.catalog`.
+"""
 
-from repro.lint.registry import RuleRegistry
-from repro.lint.rules.absint import register_absint
-from repro.lint.rules.deadlock import register_deadlock
-from repro.lint.rules.hygiene import register_hygiene
-from repro.lint.rules.performance import register_performance
-from repro.lint.rules.structural import register_structural
-from repro.lint.rules.symmetry import register_symmetry
-from repro.lint.rules.verification import register_verification
-
-
-def register_builtin_rules(registry: RuleRegistry) -> RuleRegistry:
-    """Register the full built-in catalog on ``registry`` and return it."""
-    register_structural(registry)
-    register_deadlock(registry)
-    register_performance(registry)
-    register_hygiene(registry)
-    register_verification(registry)
-    register_absint(registry)
-    register_symmetry(registry)
-    return registry
-
-
-__all__ = [
-    "register_absint",
-    "register_builtin_rules",
-    "register_deadlock",
-    "register_hygiene",
-    "register_performance",
-    "register_structural",
-    "register_symmetry",
-    "register_verification",
-]
+from repro.lint.rules import (  # noqa: F401
+    absint,
+    deadlock,
+    hygiene,
+    performance,
+    structural,
+    symmetry,
+    verification,
+)

@@ -33,121 +33,121 @@ from typing import Iterable
 
 from repro.diagnostics import Diagnostic, Severity
 from repro.lint.context import LintContext
-from repro.lint.registry import RuleRegistry
+from repro.lint.registry import rule
 
 
-def register_absint(registry: RuleRegistry) -> None:
-    """Register ERM601–ERM604 on ``registry``."""
-
-    @registry.register(
-        "ERM601",
-        "over-provisioned-capacity",
-        Severity.WARNING,
-        "The abstract interpreter proved a buffered channel's occupancy "
-        "can never reach its declared capacity under any interleaving; "
-        "the excess FIFO depth is unusable and can be reclaimed.",
-    )
-    def _erm601(context: LintContext) -> Iterable[Diagnostic]:
-        result = context.absint()
-        if result is None or not result.deadlock_free:
-            return
-        for bound in result.bounds:
-            if bound.declared_capacity <= 0:
-                continue
-            if bound.hi >= bound.declared_capacity:
-                continue
-            yield Diagnostic(
-                rule="ERM601",
-                severity=Severity.WARNING,
-                message=(
-                    f"channel '{bound.channel}' declares capacity "
-                    f"{bound.declared_capacity} but its occupancy is "
-                    f"statically bounded by {bound.hi} under every "
-                    f"interleaving; {bound.declared_capacity - bound.hi} "
-                    "slot(s) of FIFO depth can never be used."
-                ),
-                location=(bound.channel,),
-            )
-
-    @registry.register(
-        "ERM602",
-        "dead-channel",
-        Severity.WARNING,
-        "No interleaving ever completes a transfer on this channel: the "
-        "abstract fixpoint never enables any of its actions.  Dead "
-        "channels mark the blast radius of a structural deadlock (or "
-        "dead code in the topology).",
-    )
-    def _erm602(context: LintContext) -> Iterable[Diagnostic]:
-        result = context.absint()
-        if result is None:
-            return
-        for channel in result.dead_channels:
-            yield Diagnostic(
-                rule="ERM602",
-                severity=Severity.WARNING,
-                message=(
-                    f"channel '{channel}' is dead: the occupancy fixpoint "
-                    "proves no interleaving ever enables a transfer on it."
-                ),
-                location=(channel,),
-            )
-
-    @registry.register(
-        "ERM603",
-        "unreachable-statement",
-        Severity.WARNING,
-        "A statement of a process program that no interleaving ever "
-        "executes, as proved by the abstract reachability fixpoint.",
-    )
-    def _erm603(context: LintContext) -> Iterable[Diagnostic]:
-        result = context.absint()
-        if result is None:
-            return
-        for op in result.unreachable_ops:
-            subject = f"{op.kind}({op.channel})" if op.channel else op.kind
-            yield Diagnostic(
-                rule="ERM603",
-                severity=Severity.WARNING,
-                message=(
-                    f"statement {op.index} of process '{op.process}' "
-                    f"({subject}) is statically unreachable: no "
-                    "interleaving ever executes it."
-                ),
-                location=(op.process,) + ((op.channel,) if op.channel else ()),
-            )
-
-    @registry.register(
-        "ERM604",
-        "certified-deadlock-free",
-        Severity.INFO,
-        "A machine-checked siphon-ranking certificate proves the "
-        "configuration deadlock-free where exhaustive verification is "
-        "unavailable (system too large) or inconclusive (budget "
-        "exhausted).",
-    )
-    def _erm604(context: LintContext) -> Iterable[Diagnostic]:
-        from repro.verify.checker import Verdict
-
-        result = context.absint()
-        if result is None or result.certificate is None:
-            return
-        verification = context.verification()
-        if (
-            verification is not None
-            and verification.verdict is not Verdict.INCONCLUSIVE
-        ):
-            return  # the exhaustive verdict already settles it
-        certificate = result.certificate
+@rule(
+    "ERM601",
+    "over-provisioned-capacity",
+    Severity.WARNING,
+    "The abstract interpreter proved a buffered channel's occupancy "
+    "can never reach its declared capacity under any interleaving; "
+    "the excess FIFO depth is unusable and can be reclaimed.",
+)
+def _erm601(context: LintContext) -> Iterable[Diagnostic]:
+    result = context.absint
+    if result is None or not result.deadlock_free:
+        return
+    for bound in result.bounds:
+        if bound.declared_capacity <= 0:
+            continue
+        if bound.hi >= bound.declared_capacity:
+            continue
         yield Diagnostic(
-            rule="ERM604",
-            severity=Severity.INFO,
+            rule="ERM601",
+            severity=Severity.WARNING,
             message=(
-                "deadlock-freedom certified without state-space search: a "
-                f"validated {certificate.method} certificate ranks "
-                f"{len(certificate.ranks)} transitions so that no "
-                "token-free cycle exists (ir "
-                f"{certificate.ir_hash[:12]}...)."
+                f"channel '{bound.channel}' declares capacity "
+                f"{bound.declared_capacity} but its occupancy is "
+                f"statically bounded by {bound.hi} under every "
+                f"interleaving; {bound.declared_capacity - bound.hi} "
+                "slot(s) of FIFO depth can never be used."
             ),
-            location=(),
+            location=(bound.channel,),
         )
+
+
+@rule(
+    "ERM602",
+    "dead-channel",
+    Severity.WARNING,
+    "No interleaving ever completes a transfer on this channel: the "
+    "abstract fixpoint never enables any of its actions.  Dead "
+    "channels mark the blast radius of a structural deadlock (or "
+    "dead code in the topology).",
+)
+def _erm602(context: LintContext) -> Iterable[Diagnostic]:
+    result = context.absint
+    if result is None:
+        return
+    for channel in result.dead_channels:
+        yield Diagnostic(
+            rule="ERM602",
+            severity=Severity.WARNING,
+            message=(
+                f"channel '{channel}' is dead: the occupancy fixpoint "
+                "proves no interleaving ever enables a transfer on it."
+            ),
+            location=(channel,),
+        )
+
+
+@rule(
+    "ERM603",
+    "unreachable-statement",
+    Severity.WARNING,
+    "A statement of a process program that no interleaving ever "
+    "executes, as proved by the abstract reachability fixpoint.",
+)
+def _erm603(context: LintContext) -> Iterable[Diagnostic]:
+    result = context.absint
+    if result is None:
+        return
+    for op in result.unreachable_ops:
+        subject = f"{op.kind}({op.channel})" if op.channel else op.kind
+        yield Diagnostic(
+            rule="ERM603",
+            severity=Severity.WARNING,
+            message=(
+                f"statement {op.index} of process '{op.process}' "
+                f"({subject}) is statically unreachable: no "
+                "interleaving ever executes it."
+            ),
+            location=(op.process,) + ((op.channel,) if op.channel else ()),
+        )
+
+
+@rule(
+    "ERM604",
+    "certified-deadlock-free",
+    Severity.INFO,
+    "A machine-checked siphon-ranking certificate proves the "
+    "configuration deadlock-free where exhaustive verification is "
+    "unavailable (system too large) or inconclusive (budget "
+    "exhausted).",
+)
+def _erm604(context: LintContext) -> Iterable[Diagnostic]:
+    from repro.verify.checker import Verdict
+
+    result = context.absint
+    if result is None or result.certificate is None:
+        return
+    verification = context.verification
+    if (
+        verification is not None
+        and verification.verdict is not Verdict.INCONCLUSIVE
+    ):
+        return  # the exhaustive verdict already settles it
+    certificate = result.certificate
+    yield Diagnostic(
+        rule="ERM604",
+        severity=Severity.INFO,
+        message=(
+            "deadlock-freedom certified without state-space search: a "
+            f"validated {certificate.method} certificate ranks "
+            f"{len(certificate.ranks)} transitions so that no "
+            "token-free cycle exists (ir "
+            f"{certificate.ir_hash[:12]}...)."
+        ),
+        location=(),
+    )

@@ -15,75 +15,72 @@ from typing import Iterable
 
 from repro.diagnostics import Diagnostic, OrderingFix, Severity
 from repro.lint.context import LintContext
-from repro.lint.registry import RuleRegistry
+from repro.lint.registry import rule
 from repro.lint.witness import format_witness
 
 
-def register_deadlock(registry: RuleRegistry) -> None:
-    """Register ERM201 on ``registry``."""
+@rule(
+    "ERM201",
+    "ordering-deadlock",
+    Severity.ERROR,
+    "The current get/put statement orders form a circular wait; the "
+    "system deadlocks before producing a single output.  A safe "
+    "reordering (Algorithm 1) exists and is attached as a fix-it.",
+)
+def _erm201(context: LintContext) -> Iterable[Diagnostic]:
+    if not context.sound:
+        return
+    witness = context.deadlock_witness
+    if witness is None:
+        return
+    if not context.reordering_can_fix_deadlock:
+        # Structurally dead: every ordering deadlocks; ERM302 owns it.
+        return
 
-    @registry.register(
-        "ERM201",
-        "ordering-deadlock",
-        Severity.ERROR,
-        "The current get/put statement orders form a circular wait; the "
-        "system deadlocks before producing a single output.  A safe "
-        "reordering (Algorithm 1) exists and is attached as a fix-it.",
-    )
-    def _erm201(context: LintContext) -> Iterable[Diagnostic]:
-        if not context.sound():
-            return
-        witness = context.deadlock_witness()
-        if witness is None:
-            return
-        if not context.reordering_can_fix_deadlock():
-            # Structurally dead: every ordering deadlocks; ERM302 owns it.
-            return
-
-        chain = format_witness(context.system, context.ordering, witness)
-        fix: OrderingFix | None = None
-        remedy = ""
-        optimized = context.optimized_ordering()
-        if optimized is not None:
-            changed = optimized.differs_from(context.ordering)
-            gets = {
-                p: optimized.gets_of(p)
-                for p in changed
-                if optimized.gets_of(p) != context.ordering.gets_of(p)
-            }
-            puts = {
-                p: optimized.puts_of(p)
-                for p in changed
-                if optimized.puts_of(p) != context.ordering.puts_of(p)
-            }
-            swaps = "; ".join(
-                _describe_change(p, gets.get(p), puts.get(p))
-                for p in changed
-            )
-            fix = OrderingFix(
-                description=(
-                    "apply the Algorithm-1 safe reordering: " + swaps
-                ),
-                gets=gets,
-                puts=puts,
-            )
-            remedy = " Fix: " + swaps + "."
-        location = tuple(
-            name for name in witness if context.system.has_process(name)
-        ) + tuple(name for name in witness if context.system.has_channel(name))
-        yield Diagnostic(
-            rule="ERM201",
-            severity=Severity.ERROR,
-            message=(
-                "deadlock: circular wait "
-                + chain
-                + " — each process insists on finishing the listed "
-                "statement before serving the next process's."
-                + remedy
-            ),
-            location=location,
-            fix=fix,
+    chain = format_witness(context.system, context.ordering, witness)
+    fix: OrderingFix | None = None
+    remedy = ""
+    optimized = context.optimized_ordering
+    if optimized is not None:
+        changed = optimized.differs_from(context.ordering)
+        gets = {
+            p: optimized.gets_of(p)
+            for p in changed
+            if optimized.gets_of(p) != context.ordering.gets_of(p)
+        }
+        puts = {
+            p: optimized.puts_of(p)
+            for p in changed
+            if optimized.puts_of(p) != context.ordering.puts_of(p)
+        }
+        swaps = "; ".join(
+            _describe_change(p, gets.get(p), puts.get(p))
+            for p in changed
         )
+        fix = OrderingFix(
+            description=(
+                "apply the Algorithm-1 safe reordering: " + swaps
+            ),
+            gets=gets,
+            puts=puts,
+        )
+        remedy = " Fix: " + swaps + "."
+    location = tuple(
+        name for name in witness if context.system.has_process(name)
+    ) + tuple(name for name in witness if context.system.has_channel(name))
+    yield Diagnostic(
+        rule="ERM201",
+        severity=Severity.ERROR,
+        message=(
+            "deadlock: circular wait "
+            + chain
+            + " — each process insists on finishing the listed "
+            "statement before serving the next process's."
+            + remedy
+        ),
+        location=location,
+        fix=fix,
+    )
 
 
 def _describe_change(

@@ -2,7 +2,7 @@
 
 These absorb :mod:`repro.core.validation`: the collect-all core there
 already emits coded diagnostics, so each rule here just filters the
-memoized result for its own code.  Keeping one registry entry per code
+memoized result for its own code.  Keeping one catalog entry per code
 (rather than one "validation" super-rule) is what makes ``--select`` /
 ``--ignore`` and the SARIF rule catalog precise.
 """
@@ -13,7 +13,7 @@ from typing import Iterable
 
 from repro.diagnostics import Diagnostic, Severity
 from repro.lint.context import LintContext
-from repro.lint.registry import RuleRegistry
+from repro.lint.registry import RuleCheck, rule
 
 _STRUCTURAL_RULES: tuple[tuple[str, str, str], ...] = (
     ("ERM101", "no-worker-processes",
@@ -33,25 +33,23 @@ _STRUCTURAL_RULES: tuple[tuple[str, str, str], ...] = (
 )
 
 
-def register_structural(registry: RuleRegistry) -> None:
-    """Register ERM101–ERM108 on ``registry``."""
-    for code, name, summary in _STRUCTURAL_RULES:
-        _register_filtering(registry, code, name, summary)
+def _filtering(code: str) -> RuleCheck:
+    def check(context: LintContext) -> Iterable[Diagnostic]:
+        return [d for d in context.structural if d.rule == code]
 
-    @registry.register(
-        "ERM108",
-        "ordering-topology-mismatch",
-        Severity.ERROR,
-        "A channel ordering is not a permutation of a process's declared "
-        "ports, or names a process the system does not have.",
-    )
-    def _erm108(context: LintContext) -> Iterable[Diagnostic]:
-        return context.ordering_issues()
+    return check
 
 
-def _register_filtering(
-    registry: RuleRegistry, code: str, name: str, summary: str
-) -> None:
-    @registry.register(code, name, Severity.ERROR, summary)
-    def _check(context: LintContext) -> Iterable[Diagnostic]:
-        return [d for d in context.structural() if d.rule == code]
+for _code, _name, _summary in _STRUCTURAL_RULES:
+    rule(_code, _name, Severity.ERROR, _summary)(_filtering(_code))
+
+
+@rule(
+    "ERM108",
+    "ordering-topology-mismatch",
+    Severity.ERROR,
+    "A channel ordering is not a permutation of a process's declared "
+    "ports, or names a process the system does not have.",
+)
+def _erm108(context: LintContext) -> Iterable[Diagnostic]:
+    return context.ordering_issues

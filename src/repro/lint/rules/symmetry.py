@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.diagnostics import Diagnostic, OrderingFix, Severity
 from repro.lint.context import LintContext
-from repro.lint.registry import RuleRegistry
+from repro.lint.registry import rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir import LoweredIR
@@ -85,206 +85,205 @@ def _transport(
     return tuple(moved)
 
 
-def register_symmetry(registry: RuleRegistry) -> None:
-    """Register ERM701–ERM703 on ``registry``."""
-
-    @registry.register(
-        "ERM701",
-        "replicated-stage-family",
-        Severity.INFO,
-        "Processes interchangeable under a verified automorphism of the "
-        "lowered program form a replicated family; symmetry-aware "
-        "verification and exploration collapse each family to one "
-        "representative.",
-    )
-    def _erm701(context: LintContext) -> Iterable[Diagnostic]:
-        declared = context.declared_families()
-        if declared:
-            # Fast path: the construction layer declared its replication
-            # and the claims verified against the lowered program — report
-            # the declared families directly, no canonical-labeling search.
-            for verified in declared:
-                qualifier = (
-                    "verified automorphisms of the lowered program"
-                    if verified.exact
-                    else "verified up to statement reordering — a shared "
-                    "endpoint serializes the lanes"
+@rule(
+    "ERM701",
+    "replicated-stage-family",
+    Severity.INFO,
+    "Processes interchangeable under a verified automorphism of the "
+    "lowered program form a replicated family; symmetry-aware "
+    "verification and exploration collapse each family to one "
+    "representative.",
+)
+def _erm701(context: LintContext) -> Iterable[Diagnostic]:
+    declared = context.declared_families
+    if declared:
+        # Fast path: the construction layer declared its replication
+        # and the claims verified against the lowered program — report
+        # the declared families directly, no canonical-labeling search.
+        for verified in declared:
+            qualifier = (
+                "verified automorphisms of the lowered program"
+                if verified.exact
+                else "verified up to statement reordering — a shared "
+                "endpoint serializes the lanes"
+            )
+            for orbit_names in verified.family.process_orbits:
+                if len(set(orbit_names)) < 2:
+                    continue
+                members = tuple(sorted(orbit_names))
+                yield Diagnostic(
+                    rule="ERM701",
+                    severity=Severity.INFO,
+                    message=(
+                        f"processes {', '.join(repr(m) for m in members)} "
+                        f"form a replicated family of {len(members)} "
+                        "interchangeable stages, declared by the "
+                        f"composition layer as {verified.family.name!r} "
+                        f"({verified.family.kind}; {qualifier}); "
+                        "quotient verification and orbit-deduped "
+                        "exploration treat them as one."
+                    ),
+                    location=members,
                 )
-                for orbit_names in verified.family.process_orbits:
-                    if len(set(orbit_names)) < 2:
-                        continue
-                    members = tuple(sorted(orbit_names))
-                    yield Diagnostic(
-                        rule="ERM701",
-                        severity=Severity.INFO,
-                        message=(
-                            f"processes {', '.join(repr(m) for m in members)} "
-                            f"form a replicated family of {len(members)} "
-                            "interchangeable stages, declared by the "
-                            f"composition layer as {verified.family.name!r} "
-                            f"({verified.family.kind}; {qualifier}); "
-                            "quotient verification and orbit-deduped "
-                            "exploration treat them as one."
-                        ),
-                        location=members,
-                    )
-            return
-        analysis = context.symmetry()
-        if analysis is None or analysis.trivial or not analysis.complete:
-            return
-        ir = context.ir()
-        assert ir is not None  # symmetry() implies ir()
-        for orbit in analysis.replicated_process_orbits:
-            members = tuple(sorted(ir.processes[pid] for pid in orbit))
-            yield Diagnostic(
-                rule="ERM701",
-                severity=Severity.INFO,
-                message=(
-                    f"processes {', '.join(repr(m) for m in members)} form "
-                    f"a replicated family of {len(members)} interchangeable "
-                    "stages (verified automorphisms of the lowered "
-                    "program); quotient verification and orbit-deduped "
-                    "exploration treat them as one."
-                ),
-                location=members,
-            )
-
-    @registry.register(
-        "ERM702",
-        "symmetric-ordering-redundancy",
-        Severity.INFO,
-        "The statement ordering is a non-canonical member of a family of "
-        "symmetry-equivalent orderings with identical cycle time and "
-        "deadlock behavior; rewriting it to the canonical representative "
-        "lets equivalent variants share every cached analysis.",
-    )
-    def _erm702(context: LintContext) -> Iterable[Diagnostic]:
-        from repro.sym import closure
-
-        analysis = context.symmetry_order_relaxed()
-        if analysis is None or analysis.trivial or not analysis.complete:
-            return
-        ir = context.ir()
-        assert ir is not None  # symmetry_order_relaxed() implies ir()
-        elements = closure(
-            analysis.generators,
-            ir.n_processes,
-            ir.n_channels,
-            limit=CLOSURE_LIMIT,
-        )
-        if elements is None:
-            return  # group too large to enumerate: stay silent
-        system = context.system
-        latency = [
-            system.process(name).latency for name in ir.processes
-        ]
-        table = _ordering_table(ir, context)
-        best = table
-        best_element: "PairPerm | None" = None
-        for element in elements:
-            gp = element[0]
-            if any(latency[p] != latency[gp[p]] for p in range(len(gp))):
-                continue  # transport would change a stage's latency
-            image = _transport(table, element)
-            if image < best:
-                best = image
-                best_element = element
-        if best_element is None:
-            return  # already the canonical representative
-        orbit_count = sum(
-            1
-            for element in elements
-            if not any(
-                latency[p] != latency[element[0][p]]
-                for p in range(len(element[0]))
-            )
-        )
-        fix_gets: dict[str, tuple[str, ...]] = {}
-        fix_puts: dict[str, tuple[str, ...]] = {}
-        for p, (gets, puts) in enumerate(best):
-            name = ir.processes[p]
-            new_gets = tuple(ir.channels[c] for c in gets)
-            new_puts = tuple(ir.channels[c] for c in puts)
-            if new_gets != context.ordering.gets[name]:
-                fix_gets[name] = new_gets
-            if new_puts != context.ordering.puts[name]:
-                fix_puts[name] = new_puts
-        touched = tuple(sorted(set(fix_gets) | set(fix_puts)))
+        return
+    analysis = context.symmetry
+    if analysis is None or analysis.trivial or not analysis.complete:
+        return
+    ir = context.ir
+    assert ir is not None  # symmetry implies ir
+    for orbit in analysis.replicated_process_orbits:
+        members = tuple(sorted(ir.processes[pid] for pid in orbit))
         yield Diagnostic(
-            rule="ERM702",
+            rule="ERM701",
             severity=Severity.INFO,
             message=(
-                "this statement ordering is one of a family of up to "
-                f"{orbit_count} symmetry-equivalent orderings (identical "
-                "cycle time and deadlock behavior) and is not the "
-                "canonical representative; reordering "
-                f"{', '.join(repr(t) for t in touched)} makes equivalent "
-                "variants share one cache identity."
+                f"processes {', '.join(repr(m) for m in members)} form "
+                f"a replicated family of {len(members)} interchangeable "
+                "stages (verified automorphisms of the lowered "
+                "program); quotient verification and orbit-deduped "
+                "exploration treat them as one."
             ),
-            location=touched,
-            fix=OrderingFix(
-                description=(
-                    "rewrite to the lexicographically minimal "
-                    "symmetry-equivalent ordering"
-                ),
-                gets=fix_gets,
-                puts=fix_puts,
-            ),
+            location=members,
         )
 
-    @registry.register(
-        "ERM703",
-        "asymmetric-capacity-in-symmetric-family",
-        Severity.WARNING,
-        "Channels that pure endpoint topology makes interchangeable "
-        "disagree on capacity, initial tokens, or latency — usually one "
-        "lane of a replicated fabric was edited while its siblings were "
-        "not.",
+
+@rule(
+    "ERM702",
+    "symmetric-ordering-redundancy",
+    Severity.INFO,
+    "The statement ordering is a non-canonical member of a family of "
+    "symmetry-equivalent orderings with identical cycle time and "
+    "deadlock behavior; rewriting it to the canonical representative "
+    "lets equivalent variants share every cached analysis.",
+)
+def _erm702(context: LintContext) -> Iterable[Diagnostic]:
+    from repro.sym import closure
+
+    analysis = context.symmetry_order_relaxed
+    if analysis is None or analysis.trivial or not analysis.complete:
+        return
+    ir = context.ir
+    assert ir is not None  # symmetry_order_relaxed implies ir
+    elements = closure(
+        analysis.generators,
+        ir.n_processes,
+        ir.n_channels,
+        limit=CLOSURE_LIMIT,
     )
-    def _erm703(context: LintContext) -> Iterable[Diagnostic]:
-        analysis = context.symmetry_topology_relaxed()
-        if analysis is None or not analysis.complete:
-            return
-        ir = context.ir()
-        assert ir is not None
-        for orbit in analysis.replicated_channel_orbits:
-            groups: dict[tuple[int, int, int], list[str]] = {}
-            for c in orbit:
-                name = ir.channels[c]
-                attrs = (
-                    ir.capacities[c],
-                    ir.initial_tokens[c],
-                    ir.channel_latencies[c],
-                )
-                groups.setdefault(attrs, []).append(name)
-            if len(groups) < 2:
-                continue
-            # The family's dominant attribute tuple is the majority; the
-            # minority members are the likely copy-paste slips.
-            ranked = sorted(
-                groups.items(), key=lambda kv: (-len(kv[1]), kv[0])
+    if elements is None:
+        return  # group too large to enumerate: stay silent
+    system = context.system
+    latency = [
+        system.process(name).latency for name in ir.processes
+    ]
+    table = _ordering_table(ir, context)
+    best = table
+    best_element: "PairPerm | None" = None
+    for element in elements:
+        gp = element[0]
+        if any(latency[p] != latency[gp[p]] for p in range(len(gp))):
+            continue  # transport would change a stage's latency
+        image = _transport(table, element)
+        if image < best:
+            best = image
+            best_element = element
+    if best_element is None:
+        return  # already the canonical representative
+    orbit_count = sum(
+        1
+        for element in elements
+        if not any(
+            latency[p] != latency[element[0][p]]
+            for p in range(len(element[0]))
+        )
+    )
+    fix_gets: dict[str, tuple[str, ...]] = {}
+    fix_puts: dict[str, tuple[str, ...]] = {}
+    for p, (gets, puts) in enumerate(best):
+        name = ir.processes[p]
+        new_gets = tuple(ir.channels[c] for c in gets)
+        new_puts = tuple(ir.channels[c] for c in puts)
+        if new_gets != context.ordering.gets[name]:
+            fix_gets[name] = new_gets
+        if new_puts != context.ordering.puts[name]:
+            fix_puts[name] = new_puts
+    touched = tuple(sorted(set(fix_gets) | set(fix_puts)))
+    yield Diagnostic(
+        rule="ERM702",
+        severity=Severity.INFO,
+        message=(
+            "this statement ordering is one of a family of up to "
+            f"{orbit_count} symmetry-equivalent orderings (identical "
+            "cycle time and deadlock behavior) and is not the "
+            "canonical representative; reordering "
+            f"{', '.join(repr(t) for t in touched)} makes equivalent "
+            "variants share one cache identity."
+        ),
+        location=touched,
+        fix=OrderingFix(
+            description=(
+                "rewrite to the lexicographically minimal "
+                "symmetry-equivalent ordering"
+            ),
+            gets=fix_gets,
+            puts=fix_puts,
+        ),
+    )
+
+
+@rule(
+    "ERM703",
+    "asymmetric-capacity-in-symmetric-family",
+    Severity.WARNING,
+    "Channels that pure endpoint topology makes interchangeable "
+    "disagree on capacity, initial tokens, or latency — usually one "
+    "lane of a replicated fabric was edited while its siblings were "
+    "not.",
+)
+def _erm703(context: LintContext) -> Iterable[Diagnostic]:
+    analysis = context.symmetry_topology_relaxed
+    if analysis is None or not analysis.complete:
+        return
+    ir = context.ir
+    assert ir is not None
+    for orbit in analysis.replicated_channel_orbits:
+        groups: dict[tuple[int, int, int], list[str]] = {}
+        for c in orbit:
+            name = ir.channels[c]
+            attrs = (
+                ir.capacities[c],
+                ir.initial_tokens[c],
+                ir.channel_latencies[c],
             )
-            majority_attrs, majority = ranked[0]
-            outliers = tuple(
-                sorted(
-                    name
-                    for attrs, names in ranked[1:]
-                    for name in names
-                )
+            groups.setdefault(attrs, []).append(name)
+        if len(groups) < 2:
+            continue
+        # The family's dominant attribute tuple is the majority; the
+        # minority members are the likely copy-paste slips.
+        ranked = sorted(
+            groups.items(), key=lambda kv: (-len(kv[1]), kv[0])
+        )
+        majority_attrs, majority = ranked[0]
+        outliers = tuple(
+            sorted(
+                name
+                for attrs, names in ranked[1:]
+                for name in names
             )
-            yield Diagnostic(
-                rule="ERM703",
-                severity=Severity.WARNING,
-                message=(
-                    f"channel{'s' if len(outliers) > 1 else ''} "
-                    f"{', '.join(repr(o) for o in outliers)} "
-                    f"{'are' if len(outliers) > 1 else 'is'} "
-                    "topologically interchangeable with "
-                    f"{', '.join(repr(m) for m in sorted(majority))} "
-                    "(capacity/initial_tokens/latency "
-                    f"{majority_attrs}) but declare different channel "
-                    "attributes; if the asymmetry is unintentional, one "
-                    "lane of the replicated family has drifted."
-                ),
-                location=outliers + tuple(sorted(majority)),
-            )
+        )
+        yield Diagnostic(
+            rule="ERM703",
+            severity=Severity.WARNING,
+            message=(
+                f"channel{'s' if len(outliers) > 1 else ''} "
+                f"{', '.join(repr(o) for o in outliers)} "
+                f"{'are' if len(outliers) > 1 else 'is'} "
+                "topologically interchangeable with "
+                f"{', '.join(repr(m) for m in sorted(majority))} "
+                "(capacity/initial_tokens/latency "
+                f"{majority_attrs}) but declare different channel "
+                "attributes; if the asymmetry is unintentional, one "
+                "lane of the replicated family has drifted."
+            ),
+            location=outliers + tuple(sorted(majority)),
+        )

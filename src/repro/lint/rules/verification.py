@@ -25,87 +25,85 @@ from typing import Iterable
 
 from repro.diagnostics import Diagnostic, Severity
 from repro.lint.context import LintContext
-from repro.lint.registry import RuleRegistry
+from repro.lint.registry import rule
 
 
-def register_verification(registry: RuleRegistry) -> None:
-    """Register ERM501 and ERM502 on ``registry``."""
+@rule(
+    "ERM501",
+    "verified-deadlock",
+    Severity.ERROR,
+    "The explicit-state model checker exhaustively confirmed that the "
+    "current get/put orders reach a dead state; the diagnostic carries "
+    "the shortest witness schedule found and the circular wait it "
+    "produces.",
+)
+def _erm501(context: LintContext) -> Iterable[Diagnostic]:
+    from repro.verify.checker import Verdict
 
-    @registry.register(
-        "ERM501",
-        "verified-deadlock",
-        Severity.ERROR,
-        "The explicit-state model checker exhaustively confirmed that the "
-        "current get/put orders reach a dead state; the diagnostic carries "
-        "the shortest witness schedule found and the circular wait it "
-        "produces.",
+    result = context.verification
+    if result is None or result.verdict is not Verdict.DEADLOCKED:
+        return
+    witness = result.witness
+    assert witness is not None  # DEADLOCKED always carries one
+    schedule = witness.format_schedule() or "<initial state>"
+    wait = " -> ".join(witness.cycle + witness.cycle[:1])
+    yield Diagnostic(
+        rule="ERM501",
+        severity=Severity.ERROR,
+        message=(
+            "verified deadlock: exhaustive search over "
+            f"{result.states_explored} states reaches a dead state "
+            f"via {schedule}; circular wait {wait}."
+        ),
+        location=tuple(
+            name
+            for name in witness.cycle
+            if context.system.has_process(name)
+        )
+        + tuple(
+            name
+            for name in witness.cycle
+            if context.system.has_channel(name)
+        ),
     )
-    def _erm501(context: LintContext) -> Iterable[Diagnostic]:
-        from repro.verify.checker import Verdict
 
-        result = context.verification()
-        if result is None or result.verdict is not Verdict.DEADLOCKED:
-            return
-        witness = result.witness
-        assert witness is not None  # DEADLOCKED always carries one
-        schedule = witness.format_schedule() or "<initial state>"
-        wait = " -> ".join(witness.cycle + witness.cycle[:1])
-        yield Diagnostic(
-            rule="ERM501",
-            severity=Severity.ERROR,
-            message=(
-                "verified deadlock: exhaustive search over "
-                f"{result.states_explored} states reaches a dead state "
-                f"via {schedule}; circular wait {wait}."
-            ),
-            location=tuple(
-                name
-                for name in witness.cycle
-                if context.system.has_process(name)
-            )
-            + tuple(
-                name
-                for name in witness.cycle
-                if context.system.has_channel(name)
-            ),
-        )
 
-    @registry.register(
-        "ERM502",
-        "structural-exhaustive-disagreement",
-        Severity.ERROR,
-        "The structural (TMG) deadlock verdict and the exhaustive "
-        "model-checking verdict disagree.  This is an internal "
-        "consistency check: a firing always indicates a bug in one of "
-        "the two analyses, never a property of the design.",
+@rule(
+    "ERM502",
+    "structural-exhaustive-disagreement",
+    Severity.ERROR,
+    "The structural (TMG) deadlock verdict and the exhaustive "
+    "model-checking verdict disagree.  This is an internal "
+    "consistency check: a firing always indicates a bug in one of "
+    "the two analyses, never a property of the design.",
+)
+def _erm502(context: LintContext) -> Iterable[Diagnostic]:
+    from repro.verify.checker import Verdict
+
+    result = context.verification
+    if result is None or result.verdict is Verdict.INCONCLUSIVE:
+        return
+    structural_dead = context.deadlock_witness is not None
+    exhaustive_dead = result.verdict is Verdict.DEADLOCKED
+    if structural_dead == exhaustive_dead:
+        return
+    structural_claim = (
+        "a circular wait" if structural_dead else "deadlock freedom"
     )
-    def _erm502(context: LintContext) -> Iterable[Diagnostic]:
-        from repro.verify.checker import Verdict
-
-        result = context.verification()
-        if result is None or result.verdict is Verdict.INCONCLUSIVE:
-            return
-        structural_dead = context.deadlock_witness() is not None
-        exhaustive_dead = result.verdict is Verdict.DEADLOCKED
-        if structural_dead == exhaustive_dead:
-            return
-        structural_claim = (
-            "a circular wait" if structural_dead else "deadlock freedom"
-        )
-        exhaustive_claim = (
-            "a reachable dead state"
-            if exhaustive_dead
-            else "deadlock freedom"
-        )
-        yield Diagnostic(
-            rule="ERM502",
-            severity=Severity.ERROR,
-            message=(
-                f"analysis disagreement: the structural TMG test reports "
-                f"{structural_claim} but the exhaustive search "
-                f"({result.states_explored} states) proves "
-                f"{exhaustive_claim}.  One of the two engines is wrong — "
-                "please report this as a bug with the design attached."
-            ),
-            location=(),
-        )
+    exhaustive_claim = (
+        "a reachable dead state"
+        if exhaustive_dead
+        else "deadlock freedom"
+    )
+    yield Diagnostic(
+        rule="ERM502",
+        severity=Severity.ERROR,
+        message=(
+            f"analysis disagreement: the structural TMG test reports "
+            f"{structural_claim} but the exhaustive search "
+            f"({result.states_explored} states) proves "
+            f"{exhaustive_claim}.  One of the two engines is wrong — "
+            "please report this as a bug with the design attached."
+        ),
+        location=(),
+    )

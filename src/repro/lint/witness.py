@@ -71,16 +71,11 @@ def witness_statements(
     cyclic: the first statement follows the last).  Edges that no chain
     explains (possible only for hand-made cycles) are skipped.
     """
-    # Pre-compute each process's cyclic chain as stripped element names:
-    # get/put statements map to their channel, compute to the process.
-    chains: dict[str, tuple[tuple[str, str], ...]] = {
-        p.name: ordering.statements_of(p.name) for p in system.processes
-    }
     statements: list[BlockedStatement] = []
     n = len(cycle)
     for i in range(n):
         u, v = cycle[i], cycle[(i + 1) % n]
-        hop = _explain_edge(system, ordering, chains, u, v)
+        hop = _explain_edge(system, ordering, u, v)
         if hop is not None:
             statements.append(hop)
     return statements
@@ -89,7 +84,6 @@ def witness_statements(
 def _explain_edge(
     system: SystemGraph,
     ordering: ChannelOrdering,
-    chains: dict[str, tuple[tuple[str, str], ...]],
     u: str,
     v: str,
 ) -> BlockedStatement | None:
@@ -105,35 +99,43 @@ def _explain_edge(
         v_ends = {system.channel(v).producer, system.channel(v).consumer}
         candidates = sorted(u_ends & v_ends)
     for process in candidates:
-        chain = chains.get(process)
-        if not chain:
-            continue
+        # The cyclic chain as element names: get/put statements map to
+        # their channel, compute to the process.
+        chain = ordering.statements_of(process)
         elements = [
             process if kind == "compute" else target for kind, target in chain
         ]
         length = len(chain)
         for j in range(length):
             if elements[j] == v and elements[(j - 1) % length] == u:
-                kind, target = chain[j]
-                gets = ordering.gets_of(process)
-                puts = ordering.puts_of(process)
-                if kind == "get":
-                    position, count = gets.index(target) + 1, len(gets)
-                elif kind == "put":
-                    position, count = puts.index(target) + 1, len(puts)
-                else:
-                    position, count = 1, 1
-                return BlockedStatement(
-                    process=process,
-                    kind=kind,
-                    channel=None if kind == "compute" else target,
-                    index=j + 1,
-                    total=length,
-                    position=position,
-                    count=count,
-                    waits_for=None if u == process else u,
+                return statement_at(
+                    ordering, process, j, None if u == process else u
                 )
     return None
+
+
+def statement_at(
+    ordering: ChannelOrdering,
+    process: str,
+    index: int,
+    waits_for: str | None,
+) -> BlockedStatement:
+    """Statement ``index`` (0-based) of ``process``'s serial chain
+    (:meth:`~repro.core.system.ChannelOrdering.statements_of`: gets,
+    compute, puts), blocked until ``waits_for`` completes."""
+    chain = ordering.statements_of(process)
+    kind, target = chain[index]
+    same_kind = [t for k, t in chain if k == kind]
+    return BlockedStatement(
+        process=process,
+        kind=kind,
+        channel=None if kind == "compute" else target,
+        index=index + 1,
+        total=len(chain),
+        position=same_kind.index(target) + 1,
+        count=len(same_kind),
+        waits_for=waits_for,
+    )
 
 
 def format_witness(

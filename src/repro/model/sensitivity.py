@@ -10,7 +10,7 @@ simulation, and exactly the guidance the area-recovery/timing ILPs act on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -92,10 +92,10 @@ def sensitivity_report(
     """
     baseline_latencies = dict(system.process_latencies())
     baseline_latencies.update(process_latencies or {})
-    base_ct = _cycle_time_with(system, ordering, baseline_latencies)
     performance = analyze_system(
         system, ordering, process_latencies=baseline_latencies
     )
+    base_ct = performance.cycle_time
     critical = set(performance.critical_processes)
 
     entries = []
@@ -166,16 +166,11 @@ class ChannelSensitivity:
     potential: Number
 
 
-def _with_channel_latency(system: SystemGraph, name: str, latency: int):
-    from repro.core.system import Channel
-
+def _with_channel_latency(
+    system: SystemGraph, name: str, latency: int
+) -> SystemGraph:
     clone = system.copy()
-    channel = clone.channel(name)
-    clone._channels[name] = Channel(
-        channel.name, channel.producer, channel.consumer,
-        latency=latency, capacity=channel.capacity,
-        initial_tokens=channel.initial_tokens,
-    )
+    clone.replace_channel(replace(clone.channel(name), latency=latency))
     return clone
 
 
@@ -191,14 +186,11 @@ def channel_sensitivity_report(
     channels deserve a wider bus (positive potential), and which can be
     narrowed for free (large slack).  Returns ``(cycle time, entries)``.
     """
-    base_ct = analyze_system(
+    performance = analyze_system(
         system, ordering, process_latencies=process_latencies
-    ).cycle_time
-    critical = set(
-        analyze_system(
-            system, ordering, process_latencies=process_latencies
-        ).critical_channels
     )
+    base_ct = performance.cycle_time
+    critical = set(performance.critical_channels)
 
     entries = []
     for channel in system.channels:

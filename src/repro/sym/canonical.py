@@ -218,18 +218,6 @@ class SymmetryAnalysis:
         """True when no nontrivial automorphism was found."""
         return not self.generators
 
-    def orbit_of_process(self, pid: int) -> tuple[int, ...]:
-        for orbit in self.process_orbits:
-            if pid in orbit:
-                return orbit
-        return (pid,)
-
-    def orbit_of_channel(self, cid: int) -> tuple[int, ...]:
-        for orbit in self.channel_orbits:
-            if cid in orbit:
-                return orbit
-        return (cid,)
-
     @property
     def replicated_process_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Only the orbits with at least two members."""

@@ -77,17 +77,10 @@ class Action(NamedTuple):
 
 @dataclass(frozen=True)
 class CommStatement:
-    """One communication statement of a process's projected chain.
-
-    ``chain_index`` is the 0-based position in the *full* statement chain
-    (gets, compute, puts — the :class:`~repro.ir.program.LoweredIR` op
-    order), kept so witnesses report the same statement numbering the
-    lint witnesses use.
-    """
+    """One communication statement of a process's projected chain."""
 
     kind: str  # "get" | "put"
     channel: str
-    chain_index: int
 
 
 
@@ -145,8 +138,6 @@ class TransitionSystem:
 
         #: Projected communication chains, only for processes that have one.
         self.chains: dict[str, tuple[CommStatement, ...]] = {}
-        #: Full-chain lengths (for witness ``index/total`` reporting).
-        self.chain_totals: dict[str, int] = {}
         chain_actions: list[tuple[int, ...]] = []
         slot_of_pid: dict[int, int] = {}
         for pid, process in enumerate(ir.processes):
@@ -160,11 +151,9 @@ class TransitionSystem:
                 CommStatement(
                     kind="get" if kinds[i] == OP_GET else "put",
                     channel=ir.channels[args[i]],
-                    chain_index=i,
                 )
                 for i in comm
             )
-            self.chain_totals[process] = len(kinds)
             chain_actions.append(tuple(
                 (get_id if kinds[i] == OP_GET else put_id)[args[i]]
                 for i in comm

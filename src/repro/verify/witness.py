@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import VerificationError
-from repro.lint.witness import BlockedStatement
+from repro.lint.witness import BlockedStatement, statement_at
 from repro.verify.semantics import Action, State, TransitionSystem
 
 
@@ -83,7 +83,9 @@ def decode_deadlock(
         cycle.append(waited_channel)
         server = process_cycle[(i + 1) % len(process_cycle)]
         statements.append(
-            _refusal_statement(ts, server, waited_channel, blocked[server])
+            _refusal_statement(
+                ts.ordering, server, waited_channel, blocked[server]
+            )
         )
     return DeadlockWitness(
         schedule=schedule,
@@ -95,35 +97,19 @@ def decode_deadlock(
 
 
 def _refusal_statement(
-    ts: TransitionSystem,
+    ordering: ChannelOrdering,
     server: str,
     waited_channel: str,
     busy_channel: str,
 ) -> BlockedStatement:
     """Why ``server`` does not serve ``waited_channel``: it insists on
     completing ``busy_channel`` (its current statement) first."""
-    chain = ts.chains[server]
-    gets = [s.channel for s in chain if s.kind == "get"]
-    if waited_channel in gets:
-        kind = "get"
-        position, count = gets.index(waited_channel) + 1, len(gets)
-    else:
-        kind = "put"
-        puts = [s.channel for s in chain if s.kind == "put"]
-        position, count = puts.index(waited_channel) + 1, len(puts)
-    statement = next(
-        s for s in chain if s.kind == kind and s.channel == waited_channel
+    index = next(
+        j
+        for j, (kind, target) in enumerate(ordering.statements_of(server))
+        if kind != "compute" and target == waited_channel
     )
-    return BlockedStatement(
-        process=server,
-        kind=kind,
-        channel=waited_channel,
-        index=statement.chain_index + 1,
-        total=ts.chain_totals[server],
-        position=position,
-        count=count,
-        waits_for=busy_channel,
-    )
+    return statement_at(ordering, server, index, busy_channel)
 
 
 def _functional_cycle(wait_for: dict[str, str]) -> tuple[str, ...]:

@@ -4,7 +4,8 @@ Cycle times are exact ``Fraction``s everywhere, ``check_deadlock`` always
 runs its search, ``exhaustive_search`` analyzes every ordering, and the
 performance engine's cache bounds are module constants.  Observers read
 results: the trajectory's cost lives on ``IterationRecord``, and a
-simulator's events reach its sinks only.  This walks the AST of
+simulator's events reach its sinks only.  The linter runs one fixed rule
+catalog with no engine handed in.  This walks the AST of
 ``src/repro`` and fails if a parameter that chose between paths giving
 the same answer, or a second channel for a result, comes back.  The one sanctioned ``exact`` is
 :func:`repro.model.performance.analyze_system`'s, a final ``float()``
@@ -101,3 +102,23 @@ def test_explorer_takes_no_batch_option():
 
     parameters = inspect.signature(Explorer.__init__).parameters
     assert not {"batch", "batch_iterations", "profiler"} & set(parameters)
+
+
+def test_lint_takes_no_registry_or_engine():
+    # Scoped to lint: repro.obs.metrics.format_metrics(registry) takes a
+    # metrics registry, which is a different thing.
+    offenders = [
+        f"{module}:{node.lineno} {node.name}({name})"
+        for module, node in _functions()
+        if module.startswith("repro/lint/")
+        for name in _parameters(node)
+        if name in ("registry", "perf_engine")
+    ]
+    assert offenders == []
+
+
+def test_lint_exports_no_registry_class_or_fix_wrapper():
+    import repro.lint
+
+    removed = {"RuleRegistry", "default_registry", "fix_result"}
+    assert not removed & (set(repro.lint.__all__) | set(vars(repro.lint)))

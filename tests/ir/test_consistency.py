@@ -215,17 +215,12 @@ def test_verifier_chains_match_the_ordering_projection(system, seed):
     for process in system.process_names:
         full = ordering.statements_of(process)
         comm = [
-            (kind, channel, i)
-            for i, (kind, channel) in enumerate(full)
-            if kind in ("get", "put")
+            (kind, channel) for kind, channel in full if kind in ("get", "put")
         ]
         if not comm:
             assert process not in ts.chains
             continue
-        assert [
-            (s.kind, s.channel, s.chain_index) for s in ts.chains[process]
-        ] == comm
-        assert ts.chain_totals[process] == len(full)
+        assert [(s.kind, s.channel) for s in ts.chains[process]] == comm
 
 
 def test_simulator_exposes_its_ir(motivating):

@@ -3,21 +3,23 @@
 from repro.core import ChannelOrdering
 from repro.ir import lower
 from repro.lint import LintContext
+from repro.perf import PerformanceEngine
 
 
 class TestContextIr:
     def test_ir_is_the_shared_lowering(self, motivating):
         context = LintContext(motivating)
-        assert context.ir() is lower(motivating)
-        assert context.ir() is context.ir()
+        assert context.ir is lower(motivating)
+        assert context.ir is context.ir
 
     def test_ir_hash_equals_the_perf_fingerprint(self, motivating):
         context = LintContext(motivating)
-        context.performance_of(context.ordering)
-        assert list(context.perf_engine.structures) == [context.ir_hash()]
+        engine = PerformanceEngine()
+        engine.analyze(motivating, context.ordering)
+        assert list(engine.structures) == [context.ir_hash]
 
     def test_unsound_configuration_has_no_ir(self, motivating):
         broken = ChannelOrdering(gets={"P6": ("d", "e")}, puts={})
         context = LintContext(motivating, broken)
-        assert context.ir() is None
-        assert context.ir_hash() is None
+        assert context.ir is None
+        assert context.ir_hash is None

@@ -1,4 +1,4 @@
-"""The diagnostics vocabulary and the rule registry."""
+"""The diagnostics vocabulary and the rule catalog."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.diagnostics import (
     worst_severity,
 )
 from repro.errors import ValidationError
-from repro.lint import LintContext, Rule, RuleRegistry, category, default_registry
+from repro.lint import LintContext, Rule, catalog, category
 
 
 def _diag(rule="ERM999", severity=Severity.WARNING, location=()):
@@ -72,7 +72,7 @@ class TestLintError:
 
 class TestRegistry:
     def test_default_catalog_codes(self):
-        codes = default_registry().codes()
+        codes = {r.code for r in catalog()}
         # Every documented rule is present; the catalog only grows.
         for code in ("ERM101", "ERM108", "ERM201", "ERM301", "ERM302",
                      "ERM303", "ERM401", "ERM402"):
@@ -84,12 +84,12 @@ class TestRegistry:
                  check=lambda ctx: ())
 
     def test_duplicate_code_rejected(self):
-        registry = RuleRegistry()
-        rule = Rule(code="ERM900", name="n", severity=Severity.INFO,
-                    summary="s", check=lambda ctx: ())
-        registry.add(rule)
+        from repro.lint.registry import rule
+
+        before = catalog()
         with pytest.raises(ValidationError, match="duplicate"):
-            registry.add(rule)
+            rule("ERM301", "n", Severity.INFO, "s")(lambda ctx: ())
+        assert catalog() == before
 
     def test_rule_must_emit_its_own_code(self, motivating):
         rule = Rule(code="ERM900", name="n", severity=Severity.INFO,
@@ -99,18 +99,16 @@ class TestRegistry:
             rule.run(LintContext(motivating))
 
     def test_select_by_prefix(self):
-        registry = default_registry()
-        chosen = registry.selected(select=["ERM3"])
+        chosen = catalog(select=["ERM3"])
         assert {r.code for r in chosen} == {"ERM301", "ERM302", "ERM303"}
 
     def test_ignore_wins_over_select(self):
-        registry = default_registry()
-        chosen = registry.selected(select=["ERM3"], ignore=["ERM302"])
+        chosen = catalog(select=["ERM3"], ignore=["ERM302"])
         assert {r.code for r in chosen} == {"ERM301", "ERM303"}
 
     def test_unknown_selector_raises(self):
         with pytest.raises(ValidationError, match="ERM9"):
-            default_registry().selected(select=["ERM9"])
+            catalog(select=["ERM9"])
 
     def test_category(self):
         assert category("ERM101") == "structural"

@@ -55,7 +55,7 @@ class TestExplorer:
 
 
 class TestPreflightMemo:
-    """Successful default-registry pre-flights are served from the memo."""
+    """Successful pre-flights are served from the memo."""
 
     @pytest.fixture(autouse=True)
     def _fresh(self):
@@ -103,15 +103,6 @@ class TestPreflightMemo:
         with pytest.raises(LintError) as excinfo:
             preflight(feedback_system, haunted)
         assert "ERM108" in excinfo.value.rule_codes
-
-    def test_custom_registry_is_not_memoized(self, feedback_system):
-        from repro.lint import preflight
-        from repro.lint.registry import default_registry
-
-        preflight(feedback_system)
-        # A custom registry with no rules accepts everything; it must not
-        # pollute (or read) the default-registry memo.
-        preflight(feedback_system, registry=default_registry())
 
     def test_latency_change_shares_the_memo_entry(
         self, feedback_system, monkeypatch

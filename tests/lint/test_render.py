@@ -3,7 +3,7 @@
 import json
 
 from repro.lint import (
-    default_registry,
+    catalog,
     lint_system,
     render_json,
     render_sarif,
@@ -61,8 +61,8 @@ class TestSarif:
         driver = doc["runs"][0]["tool"]["driver"]
         assert driver["name"] == "ermes-lint"
         assert driver["version"]
-        catalog = {r["id"] for r in driver["rules"]}
-        assert catalog == set(default_registry().codes())
+        codes = {r["id"] for r in driver["rules"]}
+        assert codes == {rule.code for rule in catalog()}
         for rule in driver["rules"]:
             assert rule["shortDescription"]["text"]
             assert rule["defaultConfiguration"]["level"] in (
