@@ -87,7 +87,6 @@ from repro.model import (
     build_nonblocking_tmg,
     build_tmg,
     deadlock_cycle,
-    is_deadlock_free,
 )
 from repro.ordering import (
     channel_ordering,
@@ -166,7 +165,6 @@ __all__ = [
     "explore",
     "feedback_first",
     "fork_join",
-    "is_deadlock_free",
     "is_live",
     "iteration_table",
     "lint_system",

@@ -23,7 +23,6 @@ from repro.absint.certificate import (
     CertificateError,
     DeadlockFreedomCertificate,
     check_certificate,
-    find_token_free_cycle,
     issue_certificate,
 )
 from repro.absint.engine import (
@@ -50,7 +49,6 @@ __all__ = [
     "analyze_ir",
     "check_certificate",
     "clear_analysis_cache",
-    "find_token_free_cycle",
     "format_result",
     "issue_certificate",
     "result_to_dict",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.errors import VerificationError
 from repro.ir import LoweredIR
-from repro.model.build import _MarkedRows, _marked_rows, _structure
+from repro.model.build import _MarkedRows, _marked_rows
 
 #: Format tag carried by every certificate (bump on layout changes).
 CERTIFICATE_VERSION = "cert:v1"
@@ -108,17 +108,9 @@ class DeadlockFreedomCertificate:
 
 def issue_certificate(ir: LoweredIR) -> DeadlockFreedomCertificate | None:
     """Certify ``ir`` deadlock-free, or return ``None`` if it is not
-    (obtain the witness with :func:`find_token_free_cycle`)."""
+    (its witness is then
+    :attr:`~repro.absint.engine.AbsIntResult.token_free_cycle`)."""
     return _certify(ir, _marked_rows(ir))
-
-
-def find_token_free_cycle(ir: LoweredIR) -> tuple[str, ...] | None:
-    """A witness token-free cycle (transition names), or ``None`` if live.
-
-    The negative counterpart of :func:`issue_certificate`: exactly one of
-    the two returns a value for any IR.
-    """
-    return _token_free_witness(ir, _marked_rows(ir))
 
 
 def _certify(
@@ -168,15 +160,6 @@ def _certify(
         version=CERTIFICATE_VERSION,
         ranks=tuple((names[u], rank[u]) for u in by_name if member[u]),
     )
-
-
-def _token_free_witness(
-    ir: LoweredIR, rows: _MarkedRows
-) -> tuple[str, ...] | None:
-    """The :attr:`~repro.model.build.StructureEntry.deadlock_cycle` of
-    ``ir``'s event graph, built from ``rows``."""
-    cycle = _structure(ir, rows).deadlock_cycle
-    return None if cycle is None else tuple(cycle)
 
 
 def check_certificate(

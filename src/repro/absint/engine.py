@@ -36,11 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import cast
 
-from repro.absint.certificate import (
-    DeadlockFreedomCertificate,
-    _certify,
-    _token_free_witness,
-)
+from repro.absint.certificate import DeadlockFreedomCertificate, _certify
 from repro.absint.invariants import (
     TokenInvariant,
     min_cycle_occupancy_bounds,
@@ -49,7 +45,7 @@ from repro.absint.invariants import (
 from repro.cache import MISS, memo
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir import OP_COMPUTE, OP_NAMES, OP_PUT, LoweredIR, lower
-from repro.model.build import _marked_rows
+from repro.model.build import _marked_rows, _structure
 
 
 @dataclass(frozen=True)
@@ -104,8 +100,10 @@ class AbsIntResult:
             ever fires — they provably never transfer.
         unreachable_ops: Statements no interleaving ever executes.
         certificate: The deadlock-freedom certificate, when one exists.
-        token_free_cycle: The witness cycle when one does not (exactly
-            one of the two is set for any IR).
+        token_free_cycle: The circular wait when no certificate exists,
+            as process and channel names
+            (:attr:`~repro.model.build.CircularWait.cycle`); exactly one
+            of the two is set for any IR.
     """
 
     ir_hash: str
@@ -242,6 +240,7 @@ def _analyze_uncached(ir: LoweredIR) -> AbsIntResult:
         )
 
     certificate = _certify(ir, rows)
+    wait = None if certificate else _structure(ir, rows).circular_wait
     return AbsIntResult(
         ir_hash=ir.structural_hash,
         system_name=ir.system_name,
@@ -254,7 +253,7 @@ def _analyze_uncached(ir: LoweredIR) -> AbsIntResult:
         )),
         unreachable_ops=_unreachable_ops(ir, put_fires, get_fires),
         certificate=certificate,
-        token_free_cycle=None if certificate else _token_free_witness(ir, rows),
+        token_free_cycle=None if wait is None else wait.cycle,
     )
 
 

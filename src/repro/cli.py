@@ -330,16 +330,18 @@ def _cmd_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.ir import lower
     from repro.lint import format_witness
+    from repro.model import build_structure
 
     system = load_system(args.system)
     ordering = _load_ordering_arg(system, args.ordering)
-    cycle = deadlock_cycle(system, ordering)
-    if cycle is None:
+    wait = build_structure(lower(system, ordering)).circular_wait
+    if wait is None:
         print("deadlock-free")
         return 0
-    print("DEADLOCK: circular wait through " + " -> ".join(cycle))
-    print("  " + format_witness(system, ordering, cycle))
+    print("DEADLOCK: circular wait through " + " -> ".join(wait.cycle))
+    print("  " + format_witness(ordering, wait.statements))
     print("run `ermes lint` for the full diagnosis, or `ermes order` "
           "for a live ordering")
     return 1

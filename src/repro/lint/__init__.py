@@ -41,11 +41,7 @@ from repro.lint.context import LintContext
 from repro.lint.fixes import FixOutcome, apply_fixes
 from repro.lint.registry import Rule, catalog, category
 from repro.lint.render import render_json, render_sarif, render_text, sarif_dict
-from repro.lint.witness import (
-    BlockedStatement,
-    format_witness,
-    witness_statements,
-)
+from repro.lint.witness import BlockedStatement, format_witness
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hls.pareto import ImplementationLibrary
@@ -211,5 +207,4 @@ __all__ = [
     "render_sarif",
     "render_text",
     "sarif_dict",
-    "witness_statements",
 ]

@@ -22,6 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.absint import AbsIntResult
     from repro.hls.pareto import ImplementationLibrary
     from repro.ir import LoweredIR
+    from repro.model.build import CircularWait
     from repro.model.performance import SystemPerformance
     from repro.sym import SigPolicy, SymmetryAnalysis, VerifiedFamily
     from repro.verify.checker import VerificationResult
@@ -221,18 +222,20 @@ class LintContext:
     # ------------------------------------------------------------------
 
     @cached_property
-    def deadlock_witness(self) -> tuple[str, ...] | None:
+    def deadlock_witness(self) -> "CircularWait | None":
         """The circular wait of the current ordering, or ``None`` if live.
 
-        System-level names alternating process/channel, as produced by
-        :func:`repro.model.performance.deadlock_cycle`.  ``None`` as well
-        when the configuration is not sound enough to build the TMG.
+        :attr:`repro.model.build.StructureEntry.circular_wait` of the
+        lowered program: process and channel names plus the blocked
+        statements.  ``None`` as well when the configuration is not sound
+        enough to lower.
         """
-        if not self.sound:
+        ir = self.ir
+        if ir is None:
             return None
-        from repro.model.performance import deadlock_cycle
+        from repro.model.build import build_structure
 
-        return deadlock_cycle(self.system, self.ordering)
+        return build_structure(ir).circular_wait
 
     @cached_property
     def token_free_topology_loops(self) -> list[tuple[str, ...]]:

@@ -37,7 +37,7 @@ def _erm201(context: LintContext) -> Iterable[Diagnostic]:
         # Structurally dead: every ordering deadlocks; ERM302 owns it.
         return
 
-    chain = format_witness(context.system, context.ordering, witness)
+    chain = format_witness(context.ordering, witness.statements)
     fix: OrderingFix | None = None
     remedy = ""
     optimized = context.optimized_ordering
@@ -66,8 +66,10 @@ def _erm201(context: LintContext) -> Iterable[Diagnostic]:
         )
         remedy = " Fix: " + swaps + "."
     location = tuple(
-        name for name in witness if context.system.has_process(name)
-    ) + tuple(name for name in witness if context.system.has_channel(name))
+        name for name in witness.cycle if context.system.has_process(name)
+    ) + tuple(
+        name for name in witness.cycle if context.system.has_channel(name)
+    )
     yield Diagnostic(
         rule="ERM201",
         severity=Severity.ERROR,

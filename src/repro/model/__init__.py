@@ -10,23 +10,17 @@ FIFO first (the extension from the companion technical report);
 """
 
 from repro.model.build import (
-    CHANNEL_PREFIX,
-    PROCESS_PREFIX,
     StructureEntry,
     SystemTmg,
     build_structure,
     build_tmg,
-    channel_transition,
     effective_latencies,
-    process_transition,
-    statement_place,
 )
 from repro.model.nonblocking import build_nonblocking_tmg
 from repro.model.performance import (
     SystemPerformance,
     analyze_system,
     deadlock_cycle,
-    is_deadlock_free,
 )
 from repro.model.sensitivity import (
     ChannelSensitivity,
@@ -38,9 +32,7 @@ from repro.model.sensitivity import (
 )
 
 __all__ = [
-    "CHANNEL_PREFIX",
     "ChannelSensitivity",
-    "PROCESS_PREFIX",
     "ProcessSensitivity",
     "SensitivityReport",
     "SystemPerformance",
@@ -51,12 +43,8 @@ __all__ = [
     "build_structure",
     "build_tmg",
     "channel_sensitivity_report",
-    "channel_transition",
     "deadlock_cycle",
     "effective_latencies",
     "format_sensitivity",
-    "is_deadlock_free",
     "sensitivity_report",
-    "process_transition",
-    "statement_place",
 ]

@@ -36,7 +36,9 @@ event graph that every cycle-time and liveness analysis runs on
 static analyses of :mod:`repro.absint` read the same rows, and
 :attr:`SystemTmg.tmg` decodes them to names once, into the
 :class:`~repro.tmg.graph.TimedMarkedGraph` that DOT export, the token
-game and the test oracles use.
+game and the test oracles use.  :attr:`StructureEntry.circular_wait`
+decodes a deadlock back to the design, by row and node index: the one
+witness that every deadlock report prints.
 
 Names are systematic so analyses can be mapped back to the system:
 transition ``ch:a`` is channel ``a`` (``ch:a.put``/``ch:a.get`` for
@@ -51,7 +53,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ValidationError
@@ -183,13 +185,21 @@ class _PlaceNames:
         #: Per pid, the row of its first statement place.
         self.offsets = offsets
 
+    def statement(self, row: int) -> tuple[int, int] | None:
+        """``(pid, index)`` of the statement whose place is ``row``, or
+        ``None`` for a buffered channel's data or credit place."""
+        if row < 2 * len(self.buffered):
+            return None
+        pid = bisect_right(self.offsets, row) - 1
+        return pid, row - self.offsets[pid]
+
     def __call__(self, row: int) -> str:
         ir = self.ir
-        if row < 2 * len(self.buffered):
+        located = self.statement(row)
+        if located is None:
             channel = ir.channels[self.buffered[row // 2]]
             return credit_place(channel) if row % 2 else data_place(channel)
-        pid = bisect_right(self.offsets, row) - 1
-        i = row - self.offsets[pid]
+        pid, i = located
         process = ir.processes[pid]
         op = ir.op_kinds[pid][i]
         if op == OP_COMPUTE:
@@ -274,6 +284,24 @@ def _marked_rows(ir: LoweredIR) -> _MarkedRows:
     )
 
 
+class CircularWait(NamedTuple):
+    """A token-free cycle in the design's vocabulary.
+
+    ``cycle`` is the circular wait as process and channel names, e.g.
+    ``("d", "f", "P5", "g")`` for the motivating example's Listing-1
+    deadlock; the put and get sides of a buffered channel merge into the
+    channel's name.  ``statements`` holds one ``(process, index,
+    waits_for)`` triple per statement place on the cycle: statement
+    ``index`` (0-based, as in
+    :meth:`~repro.core.system.ChannelOrdering.statements_of`) of
+    ``process`` runs only after channel ``waits_for`` completes
+    (``None``: after the process computes).
+    """
+
+    cycle: tuple[str, ...]
+    statements: tuple[tuple[str, int, str | None], ...]
+
+
 @dataclass(eq=False)
 class StructureEntry:
     """The latency-independent event graph of one lowered configuration.
@@ -295,16 +323,61 @@ class StructureEntry:
     place: list[int]
     #: Per channel transition (the first nodes), its fixed delay.
     fixed: list[int]
-    place_name: Callable[[int], str]
+    place_name: _PlaceNames
+
+    @cached_property
+    def _token_free_nodes(self) -> list[int] | None:
+        return _token_free_cycle(self.start, self.target, self.tokens)
 
     @cached_property
     def deadlock_cycle(self) -> list[str] | None:
-        """Token-free cycle (deadlock witness) or None — structural,
+        """Token-free cycle as transition names, or None — structural,
         computed once."""
-        cycle = _token_free_cycle(self.start, self.target, self.tokens)
-        if cycle is None:
+        nodes = self._token_free_nodes
+        return None if nodes is None else [self.names[u] for u in nodes]
+
+    @cached_property
+    def circular_wait(self) -> CircularWait | None:
+        """The token-free cycle decoded to the design, or None if live.
+
+        Each cycle edge's place row names the element its target node
+        fires: a statement place, that statement's channel (or process,
+        for the compute); a buffered channel's data or credit place, that
+        channel.  Every token-free cycle crosses a statement place, since
+        a buffered channel's two places hold ``effective_capacity >= 1``
+        tokens between them.
+        """
+        nodes = self._token_free_nodes
+        if nodes is None:
             return None
-        return [self.names[u] for u in cycle]
+        ir, rows, start = self.ir, self.place_name, self.start
+        fired: list[str] = []  # fired[j]: the element of nodes[j + 1]
+        statements: list[tuple[str, int, str | None]] = []
+        for u, v in zip(nodes, nodes[1:] + nodes[:1]):
+            # Contracted: one edge per node pair.
+            edge = self.target.index(v, start[u], start[u + 1])
+            row = self.place[edge]
+            located = rows.statement(row)
+            if located is None:
+                fired.append(ir.channels[rows.buffered[row // 2]])
+                continue
+            pid, i = located
+            kinds, args = ir.op_kinds[pid], ir.op_args[pid]
+            process = ir.processes[pid]
+            fired.append(
+                process if kinds[i] == OP_COMPUTE else ir.channels[args[i]]
+            )
+            # The chain is cyclic: statement 0 follows the last one.
+            waits_for = (
+                None if kinds[i - 1] == OP_COMPUTE
+                else ir.channels[args[i - 1]]
+            )
+            statements.append((process, i, waits_for))
+        elements = fired[-1:] + fired[:-1]
+        return CircularWait(
+            tuple(n for j, n in enumerate(elements) if n != elements[j - 1]),
+            tuple(statements),
+        )
 
     def instantiate(self, latencies: Mapping[str, int]) -> EventGraph:
         """The event graph under ``latencies`` (the full effective map of
@@ -357,9 +430,15 @@ class SystemTmg:
     graph: EventGraph
     system: SystemGraph
     ordering: ChannelOrdering
-    ir: LoweredIR = field(repr=False, compare=False)
+    #: The latency-free structure ``graph`` instantiates.
+    structure: StructureEntry = field(repr=False, compare=False)
     #: The effective latency of every process.
     latencies: Mapping[str, int] = field(repr=False, compare=False)
+
+    @property
+    def ir(self) -> LoweredIR:
+        """The lowered program the model was built from."""
+        return self.structure.ir
 
     @cached_property
     def tmg(self) -> TimedMarkedGraph:
@@ -377,22 +456,6 @@ class SystemTmg:
                 tokens,
             )
         return tmg
-
-    def critical_processes(self, cycle: tuple[str, ...]) -> tuple[str, ...]:
-        """Processes whose computation transition lies on ``cycle``."""
-        return critical_processes(cycle)
-
-    def critical_channels(self, cycle: tuple[str, ...]) -> tuple[str, ...]:
-        """Channels whose transition lies on ``cycle``."""
-        return critical_channels(cycle)
-
-    def processes_touching(self, places: tuple[str, ...]) -> tuple[str, ...]:
-        """Processes owning any of the given statement places (in order of
-        first appearance; duplicates removed)."""
-        seen: dict[str, None] = {}
-        for place in places:
-            seen[place.split("/", 1)[0]] = None
-        return tuple(seen)
 
 
 def build_tmg(
@@ -432,10 +495,11 @@ def build_tmg(
         ordering = ChannelOrdering.declaration_order(system)
     if ir is None:
         ir = lower(system, ordering)
+    structure = build_structure(ir)
     return SystemTmg(
-        graph=build_structure(ir).instantiate(latencies),
+        graph=structure.instantiate(latencies),
         system=system,
         ordering=ordering,
-        ir=ir,
+        structure=structure,
         latencies=latencies,
     )

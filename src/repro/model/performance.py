@@ -20,13 +20,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a perf<->model cycle
 from repro.errors import DeadlockError, NotLiveError, ReproError
 from repro.ir import lower
 from repro.model.build import (
-    CHANNEL_PREFIX,
-    PROCESS_PREFIX,
+    CircularWait,
     build_structure,
     build_tmg,
     critical_channels,
     critical_processes,
-    effective_latencies,
 )
 from repro.tmg.analysis import PerformanceReport, analyze
 
@@ -91,29 +89,13 @@ def analyze_system(
         model = build_tmg(system, ordering, process_latencies=process_latencies)
         try:
             performance = _system_performance(analyze(model.graph))
-        except NotLiveError as error:
-            raise _system_deadlock(system.name, error) from None
+        except NotLiveError:
+            wait = model.structure.circular_wait
+            assert wait is not None  # the same graph, the same cycle
+            raise _system_deadlock(system.name, wait) from None
     if exact:
         return performance
     return replace(performance, cycle_time=float(performance.cycle_time))
-
-
-def is_deadlock_free(
-    system: SystemGraph,
-    ordering: ChannelOrdering | None = None,
-    process_latencies: Mapping[str, int] | None = None,
-) -> bool:
-    """True iff the configuration cannot deadlock.
-
-    Deadlock freedom of a marked graph depends only on the topology,
-    statement orders, and initial tokens — not on latencies — so this is a
-    purely structural, linear-time check.
-
-    Raises:
-        ValidationError: See :func:`repro.model.build.effective_latencies`.
-    """
-    effective_latencies(system, process_latencies)
-    return deadlock_cycle(system, ordering) is None
 
 
 def deadlock_cycle(
@@ -122,14 +104,13 @@ def deadlock_cycle(
 ) -> tuple[str, ...] | None:
     """The circular wait of a deadlocking configuration, or ``None``.
 
-    Returned as alternating system-level names (processes and channels),
-    e.g. ``("P2", "d", "P6", "g", "P5", "f")`` for the motivating example's
-    Section 2 deadlock.
+    The :attr:`~repro.model.build.CircularWait.cycle` of the
+    configuration's structure: process and channel names only, e.g.
+    ``("d", "f", "P5", "g")`` for the motivating example's Listing-1
+    deadlock.  Deadlock is structural, so no latency enters.
     """
-    witness = build_structure(lower(system, ordering)).deadlock_cycle
-    if witness is None:
-        return None
-    return _strip_prefixes(witness)
+    wait = build_structure(lower(system, ordering)).circular_wait
+    return None if wait is None else wait.cycle
 
 
 def _system_performance(report: PerformanceReport) -> SystemPerformance:
@@ -141,22 +122,9 @@ def _system_performance(report: PerformanceReport) -> SystemPerformance:
     )
 
 
-def _system_deadlock(system_name: str, error: NotLiveError) -> DeadlockError:
-    cycle = _strip_prefixes(error.cycle or [])
+def _system_deadlock(system_name: str, wait: CircularWait) -> DeadlockError:
     return DeadlockError(
         f"system {system_name!r} deadlocks under this channel ordering; "
-        "circular wait: " + " -> ".join(cycle),
-        cycle=list(cycle),
+        "circular wait: " + " -> ".join(wait.cycle),
+        cycle=list(wait.cycle),
     )
-
-
-def _strip_prefixes(names: list[str]) -> tuple[str, ...]:
-    stripped = []
-    for name in names:
-        if name.startswith(CHANNEL_PREFIX):
-            stripped.append(name[len(CHANNEL_PREFIX):])
-        elif name.startswith(PROCESS_PREFIX):
-            stripped.append(name[len(PROCESS_PREFIX):])
-        else:
-            stripped.append(name)
-    return tuple(stripped)

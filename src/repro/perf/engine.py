@@ -36,7 +36,7 @@ from typing import Mapping
 
 from repro.cache import MISS, CacheStats, LruCache
 from repro.core.system import ChannelOrdering, SystemGraph
-from repro.errors import DeadlockError, NotLiveError
+from repro.errors import DeadlockError
 from repro.ir import lower
 from repro.model.build import effective_latencies
 from repro.model.performance import (
@@ -102,13 +102,8 @@ class PerformanceEngine:
         if entry is MISS:
             entry = build_structure(ir)
             self.structures.put(structure_key, entry)
-        if entry.deadlock_cycle is not None:
-            error = _system_deadlock(
-                ir.system_name,
-                NotLiveError(
-                    "token-free cycle", cycle=list(entry.deadlock_cycle)
-                ),
-            )
+        if entry.circular_wait is not None:
+            error = _system_deadlock(ir.system_name, entry.circular_wait)
             diagnosis = _CachedDeadlock(str(error), tuple(error.cycle or ()))
             self.results.put(result_key, diagnosis)
             raise error

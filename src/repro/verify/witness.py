@@ -36,9 +36,9 @@ class DeadlockWitness:
         schedule: Actions from the initial state to the deadlocked state.
         blocked: ``(process, channel)`` pairs, sorted by process: the
             statement each communicating process is blocked on.
-        cycle: The circular wait as alternating process/channel names
-            (same shape as :func:`repro.model.performance.deadlock_cycle`
-            returns for the structural witness).
+        cycle: The circular wait as alternating process/channel names,
+            in the vocabulary of the structural witness
+            (:attr:`repro.model.build.CircularWait.cycle`).
         statements: The cycle decoded hop by hop into blocked statements.
         state: The raw deadlocked state (for replay assertions).
     """

@@ -32,6 +32,7 @@ from repro.absint.invariants import token_invariants
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir import OP_COMPUTE, OP_GET, OP_NAMES, OP_PUT, LoweredIR, lower
 from repro.model import build_structure, build_tmg
+from tests.model.witness_reference import design_cycle
 
 #: Interval bumps tolerated per channel before widening jumps straight to
 #: the capacity bound.
@@ -306,7 +307,9 @@ def reference_analyze(
             version=CERTIFICATE_VERSION,
             ranks=tuple(sorted(ranks.items())),
         )
-    cycle = None if certificate else build_structure(ir).deadlock_cycle
+    cycle = (
+        None if certificate else design_cycle(build_structure(ir).deadlock_cycle)
+    )
     return AbsIntResult(
         ir_hash=ir.structural_hash,
         system_name=ir.system_name,
@@ -315,5 +318,5 @@ def reference_analyze(
         dead_channels=tuple(sorted(dead)),
         unreachable_ops=tuple(unreachable),
         certificate=certificate,
-        token_free_cycle=None if cycle is None else tuple(cycle),
+        token_free_cycle=cycle,
     )

@@ -12,8 +12,8 @@ from repro.absint import (
     METHOD_SIPHON_RANKING,
     CertificateError,
     DeadlockFreedomCertificate,
+    analyze_ir,
     check_certificate,
-    find_token_free_cycle,
     issue_certificate,
 )
 from repro.ir import lower
@@ -47,9 +47,11 @@ class TestIssue:
         assert issue_certificate(dead_ir) is None
 
     def test_exactly_one_of_certificate_and_cycle(self, live_ir, dead_ir):
-        assert find_token_free_cycle(live_ir) is None
-        cycle = find_token_free_cycle(dead_ir)
-        assert cycle is not None and len(cycle) >= 2
+        live, dead = analyze_ir(live_ir), analyze_ir(dead_ir)
+        assert live.certificate is not None and live.token_free_cycle is None
+        assert dead.certificate is None
+        assert dead.token_free_cycle is not None
+        assert len(dead.token_free_cycle) >= 2
 
     def test_ranks_are_deterministic(self, live_ir):
         first = issue_certificate(live_ir)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import mesh_soc, ring_soc, validate_system
-from repro.model import analyze_system, is_deadlock_free
+from repro.model import analyze_system, deadlock_cycle
 from repro.ordering import channel_ordering
 from repro.sim import simulate
 
@@ -19,7 +19,7 @@ class TestRing:
 
     def test_live_and_analyzable(self):
         system = ring_soc(3, process_latency=5, channel_latency=2)
-        assert is_deadlock_free(system)
+        assert deadlock_cycle(system) is None
         perf = analyze_system(system)
         # one token around the whole ring: cycle time = ring delay sum
         assert perf.cycle_time >= 3 * 5
@@ -61,7 +61,7 @@ class TestMesh:
     def test_reconvergence_orderable(self):
         system = mesh_soc(3, 3, process_latency=6, channel_latency=2)
         ordering = channel_ordering(system)
-        assert is_deadlock_free(system, ordering)
+        assert deadlock_cycle(system, ordering) is None
         perf = analyze_system(system, ordering)
         assert perf.cycle_time > 0
 

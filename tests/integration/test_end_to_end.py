@@ -7,7 +7,7 @@ import pytest
 from repro.core import synthetic_soc
 from repro.dse import SystemConfiguration, explore
 from repro.hls import ImplementationLibrary, synthesize_pareto_set
-from repro.model import analyze_system, is_deadlock_free
+from repro.model import analyze_system, deadlock_cycle
 from repro.ordering import channel_ordering, conservative_ordering
 from repro.sim import simulate
 
@@ -83,7 +83,7 @@ class TestFullFlow:
             pick="smallest",
         )
         result = explore(config, target_cycle_time=1)
-        assert is_deadlock_free(soc, result.final.ordering)
+        assert deadlock_cycle(soc, result.final.ordering) is None
 
     def test_throughput_is_reciprocal_cycle_time(self, soc):
         ordering = channel_ordering(soc)

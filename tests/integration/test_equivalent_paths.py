@@ -5,7 +5,9 @@ runs its search, ``exhaustive_search`` analyzes every ordering, and the
 performance engine's cache bounds are module constants.  Observers read
 results: the trajectory's cost lives on ``IterationRecord``, and a
 simulator's events reach its sinks only.  The linter runs one fixed rule
-catalog with no engine handed in.  This walks the AST of
+catalog with no engine handed in.  A deadlock is decoded to the design
+once, next to the marked-graph rows, which alone spell the transition
+names.  This walks the AST of
 ``src/repro`` and fails if a parameter that chose between paths giving
 the same answer, or a second channel for a result, comes back.  The one sanctioned ``exact`` is
 :func:`repro.model.performance.analyze_system`'s, a final ``float()``
@@ -122,3 +124,58 @@ def test_lint_exports_no_registry_class_or_fix_wrapper():
 
     removed = {"RuleRegistry", "default_registry", "fix_result"}
     assert not removed & (set(repro.lint.__all__) | set(vars(repro.lint)))
+
+
+#: The marked graph's name scheme, spelled only where the rows are built.
+NAME_SCHEME = {"CHANNEL_PREFIX", "PROCESS_PREFIX", "PUT_SUFFIX", "GET_SUFFIX"}
+
+#: Second decodings of a deadlock, and the wrapper over the first.
+REMOVED_DECODERS = {
+    "_strip_prefixes",
+    "_explain_edge",
+    "witness_statements",
+    "is_deadlock_free",
+}
+
+
+def _modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def test_only_the_builder_names_the_transition_scheme():
+    offenders = [
+        f"{module}:{node.lineno}"
+        for module, tree in _modules()
+        if module != "repro/model/build.py"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in NAME_SCHEME)
+        or (isinstance(node, ast.Attribute) and node.attr in NAME_SCHEME)
+        or (
+            isinstance(node, ast.ImportFrom)
+            and NAME_SCHEME & {alias.name for alias in node.names}
+        )
+    ]
+    assert offenders == []
+
+
+def test_no_second_deadlock_decoding_comes_back():
+    import repro.absint
+
+    offenders = [
+        f"{module}:{node.lineno} {name}"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        for name in (
+            [node.name]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            else [alias.asname or alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if name in REMOVED_DECODERS
+        or (module.startswith("repro/absint/")
+            and name == "find_token_free_cycle")
+    ]
+    assert offenders == []
+    assert not hasattr(repro.absint, "find_token_free_cycle")

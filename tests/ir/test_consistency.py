@@ -18,7 +18,7 @@ from repro.core import ChannelOrdering, load_system, synthetic_soc
 from repro.errors import DeadlockError, SimulationDeadlock
 from repro.ir import lower
 from repro.model.build import build_tmg
-from repro.model.performance import analyze_system, is_deadlock_free
+from repro.model.performance import analyze_system, deadlock_cycle
 from repro.obs.sinks import MemorySink
 from repro.ordering import channel_ordering, random_ordering
 from repro.perf import PerformanceEngine, build_structure, effective_latencies
@@ -188,7 +188,7 @@ def _deadlock(analyze_call):
 @given(system=layered_systems(), seed=st.integers(0, 999))
 def test_deadlock_errors_match_on_both_paths(system, seed):
     ordering = random_ordering(system, seed=seed)
-    if is_deadlock_free(system, ordering):
+    if deadlock_cycle(system, ordering) is None:
         return
     uncached = _deadlock(lambda: analyze_system(system, ordering))
     cached = _deadlock(lambda: PerformanceEngine().analyze(system, ordering))

@@ -3,14 +3,10 @@
 import pytest
 
 from repro.diagnostics import LintError, Severity
-from repro.lint import (
-    apply_fixes,
-    format_witness,
-    lint_system,
-    preflight,
-    witness_statements,
-)
-from repro.model import deadlock_cycle, is_deadlock_free
+from repro.ir import lower
+from repro.lint import apply_fixes, format_witness, lint_system, preflight
+from repro.lint.witness import statement_at
+from repro.model import build_structure, deadlock_cycle
 
 
 class TestERM201:
@@ -44,7 +40,6 @@ class TestERM201:
         outcome = apply_fixes(motivating, deadlock_ordering,
                               result.diagnostics)
         assert outcome.changed
-        assert is_deadlock_free(motivating, outcome.ordering)
         assert deadlock_cycle(motivating, outcome.ordering) is None
 
     def test_silent_on_live_orderings(self, motivating, optimal_ordering,
@@ -54,14 +49,18 @@ class TestERM201:
 
     def test_witness_statements_cover_the_cycle(self, motivating,
                                                 deadlock_ordering):
-        cycle = deadlock_cycle(motivating, deadlock_ordering)
-        assert cycle is not None
-        statements = witness_statements(motivating, deadlock_ordering, cycle)
-        assert len(statements) == len(cycle)
+        wait = build_structure(lower(motivating, deadlock_ordering)).circular_wait
+        assert wait is not None
+        # A rendezvous-only cycle: every edge is a statement place.
+        assert len(wait.statements) == len(wait.cycle)
+        statements = [
+            statement_at(deadlock_ordering, process, index, waits_for)
+            for process, index, waits_for in wait.statements
+        ]
         for s in statements:
             assert 1 <= s.index <= s.total
             assert s.kind in {"get", "put", "compute"}
-        text = format_witness(motivating, deadlock_ordering, cycle)
+        text = format_witness(deadlock_ordering, wait.statements)
         assert " -> ".join(s.format() for s in statements) == text
 
 

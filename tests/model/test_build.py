@@ -4,16 +4,17 @@ import pytest
 
 from repro.core import ChannelOrdering, SystemBuilder
 from repro.errors import ValidationError
-from repro.model import (
-    build_tmg,
-    channel_transition,
-    process_transition,
-    statement_place,
-)
+from repro.ir import lower
+from repro.model import build_tmg
 from repro.model.build import (
     buffered_get_transition,
     buffered_put_transition,
+    build_structure,
+    channel_transition,
     critical_channels,
+    critical_processes,
+    process_transition,
+    statement_place,
 )
 
 
@@ -149,17 +150,58 @@ class TestBufferedChannels:
         assert tmg.tokens("x/credit") == 0
 
 
-class TestSystemTmgHelpers:
-    def test_critical_processes_extraction(self, motivating):
-        model = build_tmg(motivating)
-        cycle = ("ch:a", "proc:P2", "ch:b", "proc:P3")
-        assert model.critical_processes(cycle) == ("P2", "P3")
-        assert model.critical_channels(cycle) == ("a", "b")
+class TestCircularWait:
+    """The one decoding of a token-free cycle, by row and node index."""
 
-    def test_critical_channels_strip_buffer_suffix(self, feedback_system):
-        model = build_tmg(feedback_system)
+    def test_listing1_deadlock(self, motivating, deadlock_ordering):
+        entry = build_structure(lower(motivating, deadlock_ordering))
+        assert entry.deadlock_cycle == ["ch:d", "ch:f", "proc:P5", "ch:g"]
+        wait = entry.circular_wait
+        assert wait.cycle == ("d", "f", "P5", "g")
+        # P2 puts f only after d; P5 computes only after getting f and
+        # puts g only after computing; P6 gets d only after g.
+        assert wait.statements == (
+            ("P2", 4, "d"), ("P5", 1, "f"), ("P5", 2, None), ("P6", 1, "g"),
+        )
+
+    def test_buffered_sides_merge_into_the_channel(self):
+        system = (
+            SystemBuilder("loop")
+            .source("src")
+            .process("A")
+            .process("B")
+            .sink("snk")
+            .channel("i", "src", "A")
+            .channel("x", "A", "B", capacity=1)
+            .channel("y", "B", "A")
+            .channel("o", "B", "snk")
+            .build()
+        )
+        entry = build_structure(lower(system))
+        assert entry.deadlock_cycle == [
+            "ch:y", "proc:A", "ch:x.put", "ch:x.get", "proc:B",
+        ]
+        wait = entry.circular_wait
+        assert wait.cycle == ("y", "A", "x", "B")
+        # The data place x.put -> x.get is no statement.
+        assert wait.statements == (
+            ("A", 2, "y"), ("A", 3, None), ("B", 1, "x"), ("B", 2, None),
+        )
+
+    def test_live_configuration_has_none(self, motivating, optimal_ordering):
+        entry = build_structure(lower(motivating, optimal_ordering))
+        assert entry.circular_wait is None
+
+
+class TestSystemTmgHelpers:
+    def test_critical_processes_extraction(self):
+        cycle = ("ch:a", "proc:P2", "ch:b", "proc:P3")
+        assert critical_processes(cycle) == ("P2", "P3")
+        assert critical_channels(cycle) == ("a", "b")
+
+    def test_critical_channels_strip_buffer_suffix(self):
         cycle = ("ch:y.put", "ch:y.get", "proc:A")
-        assert model.critical_channels(cycle) == ("y",)
+        assert critical_channels(cycle) == ("y",)
 
     def test_critical_channels_dedupe_in_first_appearance_order(self):
         cycle = (
@@ -167,12 +209,3 @@ class TestSystemTmgHelpers:
             "proc:P2", "ch:b",
         )
         assert critical_channels(cycle) == ("c", "a", "b")
-
-    def test_processes_touching(self, motivating):
-        model = build_tmg(motivating)
-        places = ("P2/put:b", "P3/get:b", "P2/comp")
-        assert model.processes_touching(places) == ("P2", "P3")
-        # Repeated owners keep the order of their first appearance.
-        places = ("P3/comp", "P1/put:a", "P3/get:b", "P2/get:a", "P1/comp",
-                  "P2/put:b", "P3/put:c")
-        assert model.processes_touching(places) == ("P3", "P1", "P2")

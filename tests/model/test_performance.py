@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
 from repro.ir import lower
-from repro.model import analyze_system, build_tmg, deadlock_cycle, is_deadlock_free
+from repro.model import analyze_system, build_tmg, deadlock_cycle
 from repro.model.build import build_structure
-from repro.model.performance import _strip_prefixes
 from repro.ordering import random_ordering
 from repro.tmg import build_event_graph, find_token_free_cycle
+from tests.model.witness_reference import design_cycle
 from tests.strategies import layered_systems
 from tests.tmg.enumeration import maximum_cycle_ratio_enumerated
 from tests.tmg.lawler import maximum_cycle_ratio_lawler
@@ -70,8 +70,8 @@ class TestMotivatingNumbers:
 class TestDeadlockChecks:
     def test_is_deadlock_free(self, motivating, suboptimal_ordering,
                               deadlock_ordering):
-        assert is_deadlock_free(motivating, suboptimal_ordering)
-        assert not is_deadlock_free(motivating, deadlock_ordering)
+        assert deadlock_cycle(motivating, suboptimal_ordering) is None
+        assert deadlock_cycle(motivating, deadlock_ordering) is not None
 
     def test_deadlock_cycle_names_system_elements(self, motivating,
                                                   deadlock_ordering):
@@ -90,17 +90,17 @@ class TestDeadlockChecks:
         fast = motivating.with_process_latencies(
             {p.name: 1 for p in motivating.processes}
         )
-        assert not is_deadlock_free(fast, deadlock_ordering)
+        assert deadlock_cycle(fast, deadlock_ordering) is not None
 
 
 def assert_witness_matches_tmg_route(system, ordering):
     """The structure's token-free cycle is the one the DFS finds on the
-    event graph of a fresh TMG, and ``deadlock_cycle`` strips it."""
+    event graph of a fresh TMG, and ``deadlock_cycle``, decoded by node
+    index, equals that cycle decoded by name."""
     oracle = find_token_free_cycle(build_event_graph(build_tmg(system, ordering).tmg))
     assert build_structure(lower(system, ordering)).deadlock_cycle == oracle
-    expected = None if oracle is None else _strip_prefixes(oracle)
+    expected = None if oracle is None else design_cycle(oracle)
     assert deadlock_cycle(system, ordering) == expected
-    assert is_deadlock_free(system, ordering) == (oracle is None)
     return oracle
 
 

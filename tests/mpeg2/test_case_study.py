@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.dse import SystemConfiguration
-from repro.model import analyze_system, is_deadlock_free
+from repro.model import analyze_system, deadlock_cycle
 from repro.mpeg2 import (
     CHANNEL_SPECS,
     FRONTIER_SPECS,
@@ -137,7 +137,7 @@ class TestAnchors:
             system, library, m1_selection(library),
             declaration_ordering(system),
         )
-        assert is_deadlock_free(system, config.ordering)
+        assert deadlock_cycle(system, config.ordering) is None
 
 
 class TestFrontiers:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ChannelOrdering, fork_join
 from repro.errors import ValidationError
-from repro.model import analyze_system, is_deadlock_free
+from repro.model import analyze_system, deadlock_cycle
 from repro.ordering import (
     channel_ordering,
     channel_ordering_with_labels,
@@ -36,11 +36,11 @@ class TestMotivatingOptimum:
 
         for initial in all_orderings(motivating):
             ordering = channel_ordering(motivating, initial)
-            assert is_deadlock_free(motivating, ordering)
+            assert deadlock_cycle(motivating, ordering) is None
 
     def test_default_initial_is_declaration(self, motivating):
         ordering = channel_ordering(motivating)
-        assert is_deadlock_free(motivating, ordering)
+        assert deadlock_cycle(motivating, ordering) is None
         assert analyze_system(motivating, ordering).cycle_time == 12
 
     def test_labels_exposed(self, motivating, suboptimal_ordering):
@@ -74,7 +74,7 @@ class TestSortingRules:
         tie-break must still produce consistent (deadlock-free) orders."""
         system = fork_join(3, branch_latencies=(4, 4, 4))
         ordering = channel_ordering(system)
-        assert is_deadlock_free(system, ordering)
+        assert deadlock_cycle(system, ordering) is None
         # fork writes and join reads must visit branches in the SAME
         # branch order, otherwise a circular wait arises.
         fork_targets = [

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ChannelOrdering
-from repro.model import analyze_system, is_deadlock_free
+from repro.model import analyze_system, deadlock_cycle
 from repro.ordering import (
     conservative_ordering,
     declaration_ordering,
@@ -35,14 +35,14 @@ class TestBaselines:
         assert a.gets == b.gets and a.puts == b.puts
 
     def test_conservative_is_deadlock_free(self, motivating):
-        assert is_deadlock_free(motivating, conservative_ordering(motivating))
+        assert deadlock_cycle(motivating, conservative_ordering(motivating)) is None
 
     def test_conservative_deadlock_free_on_random_systems(self):
         from repro.core import synthetic_soc
 
         for seed in range(8):
             system = synthetic_soc(40, seed=seed)
-            assert is_deadlock_free(system, conservative_ordering(system))
+            assert deadlock_cycle(system, conservative_ordering(system)) is None
 
     def test_conservative_sweeps_by_rank(self, motivating):
         ordering = conservative_ordering(motivating)
@@ -93,9 +93,9 @@ class TestFeedbackFirst:
 
     def test_never_introduces_deadlock(self, feedback_system):
         base = declaration_ordering(feedback_system)
-        assert is_deadlock_free(feedback_system, base)
-        assert is_deadlock_free(feedback_system,
-                                feedback_first(feedback_system, base))
+        assert deadlock_cycle(feedback_system, base) is None
+        assert deadlock_cycle(feedback_system,
+                              feedback_first(feedback_system, base)) is None
 
     def test_has_preloaded_channels(self, feedback_system, motivating):
         assert has_preloaded_channels(feedback_system)

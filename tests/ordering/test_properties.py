@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model import analyze_system, is_deadlock_free
+from repro.model import analyze_system, deadlock_cycle
 from repro.ordering import (
     channel_ordering,
     channel_ordering_with_labels,
@@ -18,7 +18,7 @@ def test_algorithm_output_is_always_deadlock_free(system):
     """The paper's central guarantee: Algorithm 1's ordering never
     deadlocks, on any live system."""
     ordering = channel_ordering(system)
-    assert is_deadlock_free(system, ordering)
+    assert deadlock_cycle(system, ordering) is None
 
 
 @settings(max_examples=60, deadline=None)

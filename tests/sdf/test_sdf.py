@@ -227,7 +227,7 @@ class TestExpansionProperties:
         instance level — while the compilation's Algorithm-1 ordering
         stays live."""
         from repro.errors import DeadlockError
-        from repro.model import is_deadlock_free
+        from repro.model import deadlock_cycle
 
         graph = SdfGraph("reconv")
         graph.add_actor("a0", execution_time=8)
@@ -240,8 +240,8 @@ class TestExpansionProperties:
         graph.add_edge("skip", "a0", "a2", production=3, consumption=4,
                        delay=0, latency=1)
         compiled = sdf_to_system(graph)
-        assert not is_deadlock_free(compiled.system)  # declaration order
-        assert is_deadlock_free(compiled.system, compiled.ordering)
+        assert deadlock_cycle(compiled.system) is not None  # declaration order
+        assert deadlock_cycle(compiled.system, compiled.ordering) is None
         perf = analyze_system(compiled.system, compiled.ordering)
         assert perf.cycle_time > 0
 
