@@ -10,6 +10,7 @@ simulations and repeated HLS tool runs" a designer would otherwise need.
 from repro.core import motivating_deadlock_ordering
 from repro.model import deadlock_cycle
 from repro.ordering import exhaustive_search
+from repro.verify import check_deadlock
 
 from conftest import print_table
 
@@ -22,8 +23,11 @@ def test_bench_fig2_order_space_classification(benchmark, motivating):
     assert result.best_cycle_time == 12
     assert result.worst_cycle_time == 20
 
-    wait = deadlock_cycle(motivating, motivating_deadlock_ordering(motivating))
-    assert wait is not None and set(wait) >= {"d", "g", "f"}
+    listing1 = motivating_deadlock_ordering(motivating)
+    static = deadlock_cycle(motivating, listing1)
+    assert static is not None and set(static) >= {"d", "g", "f"}
+    wait = check_deadlock(motivating, listing1).witness.cycle
+    assert wait == ("P2", "d", "P6", "g", "P5", "f")
 
     benchmark.extra_info.update(
         {
@@ -33,6 +37,7 @@ def test_bench_fig2_order_space_classification(benchmark, motivating):
             "best_cycle_time": int(result.best_cycle_time),
             "worst_cycle_time": int(result.worst_cycle_time),
             "listing1_circular_wait": " -> ".join(wait),
+            "listing1_static_witness": " -> ".join(static),
         }
     )
     print_table(
@@ -42,5 +47,7 @@ def test_bench_fig2_order_space_classification(benchmark, motivating):
             ("deadlocking", "-", "reproduced", result.deadlocking_orderings),
             ("circular wait", "P2-d-P6-g-P5-f", "reproduced",
              " -> ".join(wait)),
+            ("static witness", "-", "token-free TMG cycle",
+             " -> ".join(static)),
         ],
     )

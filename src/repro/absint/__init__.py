@@ -17,39 +17,22 @@ Explorer's static preflight (:mod:`repro.dse.explorer`), and the
 ``ermes analyze`` subcommand.
 """
 
-from repro.absint.certificate import (
-    CERTIFICATE_VERSION,
-    METHOD_SIPHON_RANKING,
-    CertificateError,
-    DeadlockFreedomCertificate,
-    check_certificate,
-    issue_certificate,
-)
+from repro.absint.certificate import CertificateError, check_certificate
 from repro.absint.engine import (
     AbsIntResult,
-    OccupancyBound,
-    UnreachableOp,
     analyze,
     analyze_ir,
     clear_analysis_cache,
 )
-from repro.absint.invariants import TokenInvariant
 from repro.absint.report import format_result, result_to_dict
 
 __all__ = [
-    "CERTIFICATE_VERSION",
-    "METHOD_SIPHON_RANKING",
     "AbsIntResult",
     "CertificateError",
-    "DeadlockFreedomCertificate",
-    "OccupancyBound",
-    "TokenInvariant",
-    "UnreachableOp",
     "analyze",
     "analyze_ir",
     "check_certificate",
     "clear_analysis_cache",
     "format_result",
-    "issue_certificate",
     "result_to_dict",
 ]

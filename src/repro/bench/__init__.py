@@ -1,17 +1,7 @@
-"""Benchmark-harness support: the experiment registry and table helpers."""
+"""Benchmark-harness support: the experiment registry."""
 
-from repro.bench.registry import (
-    EXPERIMENTS,
-    Experiment,
-    experiment,
-    format_registry,
-)
-from repro.bench.tables import format_rows
+from repro.bench.registry import format_registry
 
 __all__ = [
-    "EXPERIMENTS",
-    "Experiment",
-    "experiment",
     "format_registry",
-    "format_rows",
 ]

@@ -8,7 +8,7 @@ orders (:class:`~repro.core.system.ChannelOrdering`) that the methodology
 optimizes.
 """
 
-from repro.core.builder import SystemBuilder, system_from_tables
+from repro.core.builder import SystemBuilder
 from repro.core.dot import system_to_dot
 from repro.core.generators import (
     fork_join,
@@ -24,31 +24,19 @@ from repro.core.generators import (
 from repro.core.serialization import (
     load_ordering,
     load_system,
-    ordering_from_dict,
     ordering_to_dict,
     save_ordering,
     save_system,
     system_from_dict,
     system_to_dict,
 )
-from repro.core.system import (
-    Channel,
-    ChannelOrdering,
-    Process,
-    ProcessKind,
-    SystemGraph,
-    all_orderings,
-)
+from repro.core.system import ChannelOrdering, SystemGraph
 from repro.core.validation import validate_system
 
 __all__ = [
-    "Channel",
     "ChannelOrdering",
-    "Process",
-    "ProcessKind",
     "SystemBuilder",
     "SystemGraph",
-    "all_orderings",
     "fork_join",
     "load_ordering",
     "load_system",
@@ -57,7 +45,6 @@ __all__ = [
     "motivating_example",
     "motivating_optimal_ordering",
     "motivating_suboptimal_ordering",
-    "ordering_from_dict",
     "ordering_to_dict",
     "pipeline",
     "ring_soc",
@@ -65,7 +52,6 @@ __all__ = [
     "save_system",
     "synthetic_soc",
     "system_from_dict",
-    "system_from_tables",
     "system_to_dict",
     "system_to_dot",
     "validate_system",

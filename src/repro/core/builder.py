@@ -18,8 +18,6 @@ netlist.  It is the construction API used throughout the examples::
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.core.system import Channel, Process, ProcessKind, SystemGraph
 from repro.core.validation import validate_system
 from repro.errors import ValidationError
@@ -100,34 +98,3 @@ class SystemBuilder:
             validate_system(self._system)
         return self._system
 
-
-def system_from_tables(
-    name: str,
-    processes: Mapping[str, int],
-    channels: Mapping[str, tuple[str, str, int]],
-    sources: tuple[str, ...] = (),
-    sinks: tuple[str, ...] = (),
-    validate: bool = True,
-) -> SystemGraph:
-    """Build a system from plain dictionaries.
-
-    Args:
-        name: System name.
-        processes: ``process name -> computation latency``.
-        channels: ``channel name -> (producer, consumer, latency)``.
-            Insertion order defines the declaration order of ports.
-        sources: Names (among ``processes``) acting as testbench sources.
-        sinks: Names acting as testbench sinks.
-        validate: Run structural validation on the result.
-    """
-    builder = SystemBuilder(name)
-    for pname, latency in processes.items():
-        if pname in sources:
-            builder.source(pname, latency=latency)
-        elif pname in sinks:
-            builder.sink(pname, latency=latency)
-        else:
-            builder.process(pname, latency=latency)
-    for cname, (producer, consumer, latency) in channels.items():
-        builder.channel(cname, producer, consumer, latency=latency)
-    return builder.build(validate=validate)

@@ -233,7 +233,7 @@ def ring_soc(
 
     No family is declared: the single inject/drain testbench pins the
     ring (rotations are not automorphisms of this closed system) — for a
-    rotation-symmetric ring use :func:`repro.dsl.ring` with per-part
+    rotation-symmetric ring use :func:`repro.dsl.combinators.ring` with per-part
     testbenches.
     """
     if n_stages < 2:

@@ -154,15 +154,6 @@ class LintError(ValidationError):
         return tuple(sorted({d.rule for d in self.diagnostics}))
 
 
-def worst_severity(diagnostics: Iterable[Diagnostic]) -> Severity | None:
-    """The highest severity present, or ``None`` for no findings."""
-    worst: Severity | None = None
-    for diagnostic in diagnostics:
-        if worst is None or diagnostic.severity > worst:
-            worst = diagnostic.severity
-    return worst
-
-
 def sorted_diagnostics(
     diagnostics: Iterable[Diagnostic],
 ) -> tuple[Diagnostic, ...]:

@@ -57,17 +57,6 @@ def series(
     ]
 
 
-def to_csv(records: Iterable[IterationRecord]) -> str:
-    """CSV export of a trajectory."""
-    lines = ["iteration,action,cycle_time,area,slack,meets_target"]
-    for row in records:
-        lines.append(
-            f"{row.iteration},{row.action},{float(row.cycle_time)},"
-            f"{row.area},{float(row.slack)},{row.meets_target}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def convergence_rows(records: Iterable[IterationRecord]) -> list[dict]:
     """A trajectory with its per-iteration cost, JSON-friendly (the
     ``ermes profile --json`` ``iterations`` array)."""

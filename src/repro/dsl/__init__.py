@@ -26,37 +26,28 @@ dedup seeds its canonical search from them.  See ``docs/DSL.md``.
 
 from repro.dsl.combinators import (
     butterfly,
-    fanout,
-    join,
     mesh,
     parallel,
     pipe,
-    reduce_tree,
     replicate,
-    ring,
     sink_stage,
     source_stage,
     stage,
     testbenched,
 )
-from repro.dsl.design import Design, Port
+from repro.dsl.design import Design
 from repro.dsl.sdf import rate_chain, streaming_design
 from repro.dsl.wire import Wire, wire_for_latency
 
 __all__ = [
     "Design",
-    "Port",
     "Wire",
     "butterfly",
-    "fanout",
-    "join",
     "mesh",
     "parallel",
     "pipe",
     "rate_chain",
-    "reduce_tree",
     "replicate",
-    "ring",
     "sink_stage",
     "source_stage",
     "stage",

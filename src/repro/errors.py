@@ -99,7 +99,7 @@ class VerificationError(ReproError):
 class BudgetExceeded(VerificationError):
     """A verification run exhausted its state or time budget before
     reaching a verdict.  Raised by the *strict* entry points
-    (:func:`repro.verify.verify_ordering`); the query form
+    (:func:`repro.verify.checker.verify_ordering`); the query form
     (:func:`repro.verify.check_deadlock`) reports the same outcome as an
     explicit ``INCONCLUSIVE`` verdict instead.  Budgets defer a verdict —
     they never silently grant one."""

@@ -1,43 +1,17 @@
 """HLS micro-architecture substrate: implementations, Pareto sets, knobs,
 and channel-latency characterization."""
 
-from repro.hls.characterize import (
-    BLOCK_ELEMENTS,
-    CHROMA_FRAME_ELEMENTS,
-    FRAME_HEIGHT,
-    FRAME_WIDTH,
-    LUMA_FRAME_ELEMENTS,
-    MACROBLOCK_ELEMENTS,
-    MOTION_VECTOR_ELEMENTS,
-    ChannelPhysics,
-    frame_latency,
-    transfer_latency,
-)
 from repro.hls.bus import WidthResult, optimize_widths
-from repro.hls.implementation import Implementation, area_gain, latency_gain
-from repro.hls.knobs import KnobSpace, synthesize_pareto_set, synthesize_points
-from repro.hls.pareto import ImplementationLibrary, ParetoSet, pareto_filter
+from repro.hls.implementation import Implementation
+from repro.hls.knobs import KnobSpace, synthesize_pareto_set
+from repro.hls.pareto import ImplementationLibrary, ParetoSet
 
 __all__ = [
-    "BLOCK_ELEMENTS",
-    "CHROMA_FRAME_ELEMENTS",
-    "ChannelPhysics",
-    "FRAME_HEIGHT",
-    "FRAME_WIDTH",
     "Implementation",
     "ImplementationLibrary",
     "KnobSpace",
-    "LUMA_FRAME_ELEMENTS",
-    "MACROBLOCK_ELEMENTS",
-    "MOTION_VECTOR_ELEMENTS",
     "ParetoSet",
     "WidthResult",
-    "area_gain",
-    "frame_latency",
-    "latency_gain",
     "optimize_widths",
-    "pareto_filter",
     "synthesize_pareto_set",
-    "synthesize_points",
-    "transfer_latency",
 ]

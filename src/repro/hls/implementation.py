@@ -45,13 +45,3 @@ class Implementation:
         if self.latency > other.latency or self.area > other.area:
             return False
         return self.latency < other.latency or self.area < other.area
-
-
-def latency_gain(current: Implementation, candidate: Implementation) -> int:
-    """``l_{i,p}``: positive when the candidate is faster than the current."""
-    return current.latency - candidate.latency
-
-
-def area_gain(current: Implementation, candidate: Implementation) -> float:
-    """``a_{i,p}``: positive when the candidate is smaller than the current."""
-    return current.area - candidate.area

@@ -2,21 +2,11 @@
 exact branch-and-bound solver (:func:`repro.ilp.branch_bound.solve`)."""
 
 from repro.ilp import branch_bound
-from repro.ilp.model import (
-    Choice,
-    Group,
-    MultiChoiceProblem,
-    Sense,
-    SideConstraint,
-    Solution,
-)
+from repro.ilp.model import Choice, MultiChoiceProblem, Solution
 
 __all__ = [
     "Choice",
-    "Group",
     "MultiChoiceProblem",
-    "Sense",
-    "SideConstraint",
     "Solution",
     "branch_bound",
 ]

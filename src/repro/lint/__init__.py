@@ -33,15 +33,13 @@ from repro.core.system import ChannelOrdering, SystemGraph
 from repro.diagnostics import (
     Diagnostic,
     LintError,
-    OrderingFix,
     Severity,
     sorted_diagnostics,
 )
-from repro.lint.context import LintContext
+from repro.lint import context, registry
 from repro.lint.fixes import FixOutcome, apply_fixes
-from repro.lint.registry import Rule, catalog, category
-from repro.lint.render import render_json, render_sarif, render_text, sarif_dict
-from repro.lint.witness import BlockedStatement, format_witness
+from repro.lint.render import render_json, render_sarif, render_text
+from repro.lint.witness import format_witness
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hls.pareto import ImplementationLibrary
@@ -121,15 +119,15 @@ def lint_system(
     Returns:
         A :class:`LintResult` with findings sorted most severe first.
     """
-    context = LintContext(system, ordering, library=library)
+    facts = context.LintContext(system, ordering, library=library)
     findings: list[Diagnostic] = []
-    for rule in catalog(select, ignore):
-        findings.extend(rule.run(context))
+    for rule in registry.catalog(select, ignore):
+        findings.extend(rule.run(facts))
     return LintResult(
         subject=system.name,
         diagnostics=sorted_diagnostics(findings),
         system=system,
-        ordering=context.ordering,
+        ordering=facts.ordering,
     )
 
 
@@ -137,11 +135,6 @@ def lint_system(
 #: hash.  Success-only by design: a failing specification must re-report
 #: its diagnostics every time (and failures are rare and already cheap).
 _preflight_passed = memo("preflight", maxsize=512)
-
-
-def clear_preflight_cache() -> None:
-    """Drop the memoized pre-flight successes (test isolation hook)."""
-    _preflight_passed.clear()
 
 
 def preflight(
@@ -186,25 +179,16 @@ def preflight(
 
 
 __all__ = [
-    "BlockedStatement",
-    "Diagnostic",
     "FixOutcome",
-    "LintContext",
     "LintError",
     "LintResult",
-    "OrderingFix",
     "PREFLIGHT_RULES",
-    "Rule",
     "Severity",
     "apply_fixes",
-    "catalog",
-    "category",
-    "clear_preflight_cache",
     "format_witness",
     "lint_system",
     "preflight",
     "render_json",
     "render_sarif",
     "render_text",
-    "sarif_dict",
 ]

@@ -265,7 +265,7 @@ class LintContext:
 
         Runs :func:`repro.verify.check_deadlock` once, under the small
         lint-scale budget.  ``None`` when the configuration is not sound
-        or the system is above :data:`repro.verify.SMALL_SYSTEM_LIMIT` —
+        or the system is above :data:`repro.verify.checker.SMALL_SYSTEM_LIMIT` —
         the ERM5xx rules only fire on conclusive verdicts, so a skipped or
         budget-exhausted run never silently passes *or* fails anything.
         """

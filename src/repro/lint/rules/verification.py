@@ -14,7 +14,7 @@ explores the exact untimed semantics under a small lint-scale budget:
   never a property of the design.
 
 Both rules stay silent on unsound configurations, on systems above
-:data:`repro.verify.SMALL_SYSTEM_LIMIT`, and on ``INCONCLUSIVE``
+:data:`repro.verify.checker.SMALL_SYSTEM_LIMIT`, and on ``INCONCLUSIVE``
 (budget-exhausted) runs — an exhausted budget defers the verdict, it
 never grants one.
 """

@@ -10,7 +10,7 @@ simulation, and exactly the guidance the area-recovery/timing ILPs act on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -143,103 +143,6 @@ def sensitivity_report(
         )
 
     return SensitivityReport(cycle_time=base_ct, entries=tuple(entries))
-
-
-@dataclass(frozen=True)
-class ChannelSensitivity:
-    """Sensitivity of the system cycle time to one channel's latency.
-
-    Attributes:
-        channel: The channel name.
-        latency: Its current transfer latency.
-        on_critical_cycle: Whether it lies on (one of) the critical cycles.
-        slack: Largest latency increase that leaves the cycle time
-            unchanged.
-        potential: Cycle-time reduction if the transfer took a single
-            cycle (the best a wider bus could buy).
-    """
-
-    channel: str
-    latency: int
-    on_critical_cycle: bool
-    slack: int
-    potential: Number
-
-
-def _with_channel_latency(
-    system: SystemGraph, name: str, latency: int
-) -> SystemGraph:
-    clone = system.copy()
-    clone.replace_channel(replace(clone.channel(name), latency=latency))
-    return clone
-
-
-def channel_sensitivity_report(
-    system: SystemGraph,
-    ordering: ChannelOrdering | None = None,
-    process_latencies: Mapping[str, int] | None = None,
-    max_slack: int = 1 << 20,
-) -> tuple[Number, tuple[ChannelSensitivity, ...]]:
-    """Per-channel latency slack and speed-up potential.
-
-    The interconnect-side counterpart of :func:`sensitivity_report`: which
-    channels deserve a wider bus (positive potential), and which can be
-    narrowed for free (large slack).  Returns ``(cycle time, entries)``.
-    """
-    performance = analyze_system(
-        system, ordering, process_latencies=process_latencies
-    )
-    base_ct = performance.cycle_time
-    critical = set(performance.critical_channels)
-
-    entries = []
-    for channel in system.channels:
-        current = channel.latency
-
-        fast = _with_channel_latency(system, channel.name, 1)
-        potential = base_ct - analyze_system(
-            fast, ordering, process_latencies=process_latencies
-        ).cycle_time
-
-        if channel.name in critical:
-            slack = 0
-        else:
-            low, high = 0, 1
-            while high <= max_slack:
-                probe = _with_channel_latency(
-                    system, channel.name, current + high
-                )
-                if analyze_system(
-                    probe, ordering, process_latencies=process_latencies
-                ).cycle_time > base_ct:
-                    break
-                low = high
-                high *= 2
-            else:
-                high = max_slack
-            while high - low > 1:
-                mid = (low + high) // 2
-                probe = _with_channel_latency(
-                    system, channel.name, current + mid
-                )
-                if analyze_system(
-                    probe, ordering, process_latencies=process_latencies
-                ).cycle_time > base_ct:
-                    high = mid
-                else:
-                    low = mid
-            slack = low
-
-        entries.append(
-            ChannelSensitivity(
-                channel=channel.name,
-                latency=current,
-                on_critical_cycle=channel.name in critical,
-                slack=slack,
-                potential=potential,
-            )
-        )
-    return base_ct, tuple(entries)
 
 
 def format_sensitivity(report: SensitivityReport, limit: int = 0) -> str:

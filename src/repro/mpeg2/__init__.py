@@ -2,40 +2,20 @@
 channel latencies, functional codec, and the simulator binding."""
 
 from repro.mpeg2.functional import FunctionalRun, encode_through_system
-from repro.mpeg2.paretos import (
-    FRONTIER_SPECS,
-    M2_POSITIONS,
-    build_mpeg2_library,
-    frontier,
-    m1_selection,
-    m2_selection,
-    smallest_selection,
-)
+from repro.mpeg2.paretos import build_mpeg2_library, m1_selection, m2_selection
 from repro.mpeg2.topology import (
     CHANNEL_SPECS,
-    CONTROL_FIFO_DEPTH,
-    MACROBLOCKS,
-    PROCESS_NAMES,
-    TESTBENCH_SPECS,
     build_mpeg2_system,
     channel_latencies,
 )
 
 __all__ = [
     "CHANNEL_SPECS",
-    "CONTROL_FIFO_DEPTH",
-    "FRONTIER_SPECS",
     "FunctionalRun",
-    "M2_POSITIONS",
-    "MACROBLOCKS",
-    "PROCESS_NAMES",
-    "TESTBENCH_SPECS",
     "build_mpeg2_library",
     "build_mpeg2_system",
     "channel_latencies",
     "encode_through_system",
-    "frontier",
     "m1_selection",
     "m2_selection",
-    "smallest_selection",
 ]

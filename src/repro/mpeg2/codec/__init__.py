@@ -1,115 +1,20 @@
 """Functional MPEG-2-style codec: the behavioural model of the case study."""
 
-from repro.mpeg2.codec.bitstream import BitReader, BitWriter
-from repro.mpeg2.codec.dct import (
-    blocks_of_macroblock,
-    dct2,
-    idct2,
-    macroblock_of_blocks,
-)
 from repro.mpeg2.codec.decoder import Decoder
-from repro.mpeg2.codec.encoder import (
-    EncodedVideo,
-    Encoder,
-    EncoderConfig,
-    FrameStats,
-)
+from repro.mpeg2.codec.encoder import Encoder, EncoderConfig
 from repro.mpeg2.codec.frames import (
     Frame,
     VideoFormat,
-    macroblock,
     psnr,
     synthetic_sequence,
 )
-from repro.mpeg2.codec.motion import (
-    MotionVector,
-    coarse_search,
-    full_search,
-    full_search_fast,
-    halfpel_refine,
-    interpolate_block,
-    predict_chroma,
-    predict_chroma_halfpel,
-    predict_macroblock,
-    predict_macroblock_halfpel,
-    refine_search,
-    sad,
-    two_stage_search,
-)
-from repro.mpeg2.codec.quant import (
-    INTER_MATRIX,
-    INTRA_MATRIX,
-    MAX_QSCALE,
-    MIN_QSCALE,
-    dequantize,
-    quantize,
-)
-from repro.mpeg2.codec.vlc import (
-    decode_block,
-    decode_motion_vector,
-    encode_block,
-    encode_motion_vector,
-    read_se,
-    read_ue,
-    write_se,
-    write_ue,
-)
-from repro.mpeg2.codec.y4m import read_y4m, write_y4m
-from repro.mpeg2.codec.zigzag import (
-    run_level_decode,
-    run_level_encode,
-    scan,
-    unscan,
-)
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "Decoder",
-    "EncodedVideo",
     "Encoder",
     "EncoderConfig",
     "Frame",
-    "FrameStats",
-    "INTER_MATRIX",
-    "INTRA_MATRIX",
-    "MAX_QSCALE",
-    "MIN_QSCALE",
-    "MotionVector",
     "VideoFormat",
-    "blocks_of_macroblock",
-    "coarse_search",
-    "dct2",
-    "decode_block",
-    "decode_motion_vector",
-    "dequantize",
-    "encode_block",
-    "encode_motion_vector",
-    "full_search",
-    "full_search_fast",
-    "halfpel_refine",
-    "idct2",
-    "interpolate_block",
-    "macroblock",
-    "macroblock_of_blocks",
-    "predict_chroma",
-    "predict_chroma_halfpel",
-    "predict_macroblock",
-    "predict_macroblock_halfpel",
     "psnr",
-    "quantize",
-    "read_se",
-    "read_ue",
-    "read_y4m",
-    "refine_search",
-    "run_level_decode",
-    "run_level_encode",
-    "sad",
-    "scan",
     "synthetic_sequence",
-    "two_stage_search",
-    "unscan",
-    "write_se",
-    "write_ue",
-    "write_y4m",
 ]

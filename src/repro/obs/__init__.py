@@ -27,15 +27,10 @@ module on first use, so that import stays off the exporters and sinks.
 from importlib import import_module
 
 _EXPORTS = {
-    "Counter": "metrics",
-    "Histogram": "metrics",
     "MetricsRegistry": "metrics",
-    "Timer": "metrics",
     "collect": "metrics",
     "format_metrics": "metrics",
     "render_chrome_trace": "perfetto",
-    "to_chrome_trace": "perfetto",
-    "stall_attribution": "profile",
     "JsonlSink": "sinks",
     "MemorySink": "sinks",
     "NullSink": "sinks",

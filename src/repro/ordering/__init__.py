@@ -2,7 +2,6 @@
 
 from repro.ordering.annealing import AnnealingResult, anneal_ordering
 from repro.ordering.algorithm import (
-    LabelingResult,
     OrderingOutcome,
     channel_ordering,
     channel_ordering_with_labels,
@@ -10,16 +9,12 @@ from repro.ordering.algorithm import (
 from repro.ordering.baselines import (
     conservative_ordering,
     declaration_ordering,
-    random_ordering,
-    reversed_ordering,
 )
 from repro.ordering.exhaustive import SearchResult, exhaustive_search
-from repro.ordering.feedback import feedback_first, has_preloaded_channels
 
 __all__ = [
     "AnnealingResult",
     "anneal_ordering",
-    "LabelingResult",
     "OrderingOutcome",
     "SearchResult",
     "channel_ordering",
@@ -27,8 +22,4 @@ __all__ = [
     "conservative_ordering",
     "declaration_ordering",
     "exhaustive_search",
-    "feedback_first",
-    "has_preloaded_channels",
-    "random_ordering",
-    "reversed_ordering",
 ]

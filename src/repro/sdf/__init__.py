@@ -1,14 +1,11 @@
 """Synchronous dataflow front end: multirate graphs compiled into the
 blocking-channel system model via homogeneous expansion."""
 
-from repro.sdf.convert import SdfCompilation, instance_name, sdf_to_system
-from repro.sdf.graph import SdfActor, SdfEdge, SdfGraph
+from repro.sdf.convert import SdfCompilation, sdf_to_system
+from repro.sdf.graph import SdfGraph
 
 __all__ = [
-    "SdfActor",
     "SdfCompilation",
-    "SdfEdge",
     "SdfGraph",
-    "instance_name",
     "sdf_to_system",
 ]

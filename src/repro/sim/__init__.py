@@ -11,37 +11,19 @@ ends: :class:`Simulator` (one lane, exact int clocks, payloads) and
 from repro.sim.engine import (
     BatchLane,
     BatchSimulator,
-    Behavior,
     SimulationResult,
     Simulator,
     default_watch,
     simulate,
     simulate_batch,
-    token_behavior,
 )
-from repro.sim.metrics import (
-    ProcessUtilization,
-    agreement_error,
-    throughput,
-    utilizations,
-)
-from repro.sim.trace import TraceEvent, TraceSink, format_trace
 
 __all__ = [
     "BatchLane",
     "BatchSimulator",
-    "Behavior",
-    "ProcessUtilization",
     "SimulationResult",
     "Simulator",
-    "TraceEvent",
-    "TraceSink",
-    "agreement_error",
     "default_watch",
-    "format_trace",
     "simulate",
     "simulate_batch",
-    "throughput",
-    "token_behavior",
-    "utilizations",
 ]

@@ -1,48 +1,14 @@
 """Metrics derived from simulation results.
 
-Bridges the simulator to the analytic model: steady-state throughput,
-per-process utilization, and agreement checks against the TMG cycle time.
+Bridges the simulator to the analytic model: steady-state throughput and
+agreement checks against the TMG cycle time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.sim.engine import SimulationResult
-
-
-@dataclass(frozen=True)
-class ProcessUtilization:
-    """Cycle budget breakdown of one process over the measured run.
-
-    Time base: all simulator timestamps live on one shared virtual clock
-    starting at cycle 0 (see :mod:`repro.sim.trace`), so ``final_time`` —
-    the time of this process's *own* last completed statement — is the
-    length of the process's active window on that clock.  Processes stop
-    at different points (a source runs ahead of the watched sink), so
-    ``final_time`` legitimately differs per process; dividing each
-    process's cycle counts by its own ``final_time`` keeps the fractions
-    comparable without assuming a common end-of-run instant.
-    """
-
-    process: str
-    compute_cycles: int
-    stall_cycles: int
-    final_time: int
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of the process's active window spent computing."""
-        if self.final_time == 0:
-            return 0.0
-        return self.compute_cycles / self.final_time
-
-    @property
-    def stall_fraction(self) -> float:
-        if self.final_time == 0:
-            return 0.0
-        return self.stall_cycles / self.final_time
 
 
 def throughput(result: SimulationResult, process: str) -> Fraction | None:
@@ -52,19 +18,6 @@ def throughput(result: SimulationResult, process: str) -> Fraction | None:
     if period is None or period == 0:
         return None
     return 1 / period
-
-
-def utilizations(result: SimulationResult) -> dict[str, ProcessUtilization]:
-    """Per-process utilization summary."""
-    return {
-        name: ProcessUtilization(
-            process=name,
-            compute_cycles=result.compute_cycles[name],
-            stall_cycles=result.stall_cycles[name],
-            final_time=result.times[name],
-        )
-        for name in result.iterations
-    }
 
 
 def agreement_error(

@@ -1,15 +1,9 @@
 """FIFO buffer sizing: the complementary problem to channel ordering."""
 
-from repro.sizing.capacity import (
-    SizingResult,
-    cycle_time_with_capacities,
-    minimize_buffers,
-    size_buffers,
-)
+from repro.sizing.capacity import SizingResult, minimize_buffers, size_buffers
 
 __all__ = [
     "SizingResult",
-    "cycle_time_with_capacities",
     "minimize_buffers",
     "size_buffers",
 ]

@@ -18,73 +18,26 @@ result:
 """
 
 from repro.sym.canonical import (
-    ATTR_RELAXED,
     EXACT,
     ORDER_RELAXED,
     TOPOLOGY_RELAXED,
     SigPolicy,
     SymmetryAnalysis,
     analyze_symmetry,
-    canonical_hash_of,
-    clear_memo,
-    default_node_budget,
-    is_automorphism,
-    respects_policy,
 )
-from repro.sym.declared import (
-    VerifiedFamily,
-    declared_seeds,
-    family_perms,
-    verify_families,
-)
-from repro.sym.perm import (
-    PairPerm,
-    Perm,
-    closure,
-    compose,
-    compose_pair,
-    identity,
-    identity_pair,
-    invert,
-    invert_pair,
-    is_identity,
-    is_identity_pair,
-)
-from repro.sym.states import (
-    ENUMERATION_LIMIT,
-    StateSymmetry,
-    state_symmetry,
-)
+from repro.sym.declared import VerifiedFamily, declared_seeds, verify_families
+from repro.sym.perm import PairPerm, closure
 
 __all__ = [
-    "ATTR_RELAXED",
     "EXACT",
     "ORDER_RELAXED",
-    "ENUMERATION_LIMIT",
     "PairPerm",
-    "Perm",
     "SigPolicy",
-    "StateSymmetry",
     "SymmetryAnalysis",
     "TOPOLOGY_RELAXED",
     "VerifiedFamily",
     "analyze_symmetry",
-    "canonical_hash_of",
-    "clear_memo",
     "closure",
-    "compose",
-    "compose_pair",
     "declared_seeds",
-    "default_node_budget",
-    "family_perms",
-    "identity",
-    "identity_pair",
-    "invert",
-    "invert_pair",
-    "is_automorphism",
-    "is_identity",
-    "is_identity_pair",
-    "respects_policy",
-    "state_symmetry",
     "verify_families",
 ]

@@ -599,16 +599,6 @@ def analyze_symmetry(
     return analysis
 
 
-def clear_memo() -> None:
-    """Drop the process-wide memo (tests, cold-cost benchmarks)."""
-    _memo.clear()
-
-
-def canonical_hash_of(ir: LoweredIR) -> str:
-    """The orbit-invariant content address of ``ir`` (exact policy)."""
-    return analyze_symmetry(ir).canonical_hash
-
-
 def _fallback_labelings(ir: LoweredIR) -> tuple[Perm, Perm]:
     """Name-rank labelings for budget-exhausted runs.
 

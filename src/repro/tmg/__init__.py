@@ -7,38 +7,17 @@ brute-force cycle enumeration and the timed earliest-firing execution are
 test oracles (``tests/tmg``).
 """
 
-from repro.tmg.analysis import (
-    PerformanceReport,
-    analyze,
-    analyze_event_graph,
-    cycle_time,
-)
-from repro.tmg.deadlock import find_token_free_cycle, is_live
+from repro.tmg.analysis import PerformanceReport, analyze
 from repro.tmg.dot import tmg_to_dot
-from repro.tmg.event_graph import (
-    Edge,
-    EventGraph,
-    build_event_graph,
-    strongly_connected_components,
-)
-from repro.tmg.graph import Place, TimedMarkedGraph, Transition
+from repro.tmg.event_graph import EventGraph, build_event_graph
 from repro.tmg.howard import CycleRatioResult, maximum_cycle_ratio
 
 __all__ = [
     "CycleRatioResult",
-    "Edge",
     "EventGraph",
     "PerformanceReport",
-    "Place",
-    "TimedMarkedGraph",
-    "Transition",
     "analyze",
-    "analyze_event_graph",
     "build_event_graph",
-    "cycle_time",
-    "find_token_free_cycle",
-    "is_live",
     "maximum_cycle_ratio",
-    "strongly_connected_components",
     "tmg_to_dot",
 ]

@@ -10,8 +10,7 @@ simulation required — which is what makes the paper's analysis practical.
 
 from __future__ import annotations
 
-from repro.tmg.event_graph import EventGraph, build_event_graph
-from repro.tmg.graph import TimedMarkedGraph
+from repro.tmg.event_graph import EventGraph
 
 
 def find_token_free_cycle(graph: EventGraph) -> list[str] | None:
@@ -64,9 +63,3 @@ def _token_free_cycle(
                 path.pop()
                 color[node] = BLACK
     return None
-
-
-def is_live(tmg: TimedMarkedGraph) -> bool:
-    """True iff no token-free cycle exists under the initial marking."""
-    return find_token_free_cycle(build_event_graph(tmg)) is None
-

@@ -34,46 +34,14 @@ soundness argument, and the witness format are documented in
 ``docs/VERIFICATION.md``.
 """
 
-from repro.verify.checker import (
-    DEFAULT_BUDGET_STATES,
-    SMALL_SYSTEM_LIMIT,
-    VerificationResult,
-    Verdict,
-    check_deadlock,
-    is_small_system,
-    verify_ordering,
-)
-from repro.verify.semantics import (
-    Action,
-    ActionKind,
-    CommStatement,
-    State,
-    TransitionSystem,
-)
-from repro.verify.stubborn import stubborn_set
-from repro.verify.witness import (
-    DeadlockWitness,
-    decode_deadlock,
-    replay_schedule,
-    replay_witness,
-)
+from repro.verify.checker import VerificationResult, Verdict, check_deadlock
+from repro.verify.semantics import State
+from repro.verify.witness import replay_witness
 
 __all__ = [
-    "Action",
-    "ActionKind",
-    "CommStatement",
-    "DEFAULT_BUDGET_STATES",
-    "DeadlockWitness",
-    "SMALL_SYSTEM_LIMIT",
     "State",
-    "TransitionSystem",
     "VerificationResult",
     "Verdict",
     "check_deadlock",
-    "decode_deadlock",
-    "is_small_system",
-    "replay_schedule",
     "replay_witness",
-    "stubborn_set",
-    "verify_ordering",
 ]

@@ -1,15 +1,12 @@
-"""Terminal plotting for exploration trajectories (the Fig. 6 panels).
+"""Terminal plotting of numeric series (e.g. cycle time per iteration).
 
-Pure-text rendering — no plotting dependency — of the two series the paper
-plots per exploration: cycle time and area against the iteration index,
-with the target-cycle-time constraint line.
+Pure-text rendering — no plotting dependency — with an optional
+horizontal constraint line.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-from repro.dse.explorer import ExplorationResult
 
 
 def _scale(value: float, lo: float, hi: float, width: int) -> int:
@@ -55,20 +52,3 @@ def ascii_series(
     lines.append(" " * 14 + f"0 .. {n - 1} (iterations)")
     return "\n".join(lines) + "\n"
 
-
-def plot_exploration(
-    result: ExplorationResult,
-    cycle_time_unit: float = 1.0,
-    area_unit: float = 1.0,
-    width: int = 48,
-) -> str:
-    """Render one exploration as the paper's two stacked panels."""
-    cycle_times = [float(r.cycle_time) / cycle_time_unit for r in result.history]
-    areas = [r.area / area_unit for r in result.history]
-    target = float(result.target_cycle_time) / cycle_time_unit
-
-    out = ["cycle time (constraint marked '-'):"]
-    out.append(ascii_series(cycle_times, width=width, hline=target))
-    out.append("area:")
-    out.append(ascii_series(areas, width=width, marker="x"))
-    return "\n".join(out)

@@ -6,17 +6,10 @@ see :mod:`repro.workloads.suite` for the catalog and ``ermes gen`` for
 the CLI front end.
 """
 
-from repro.workloads.suite import (
-    FAMILIES,
-    FamilySpec,
-    Workload,
-    family_names,
-    generate,
-)
+from repro.workloads.suite import FAMILIES, Workload, family_names, generate
 
 __all__ = [
     "FAMILIES",
-    "FamilySpec",
     "Workload",
     "family_names",
     "generate",

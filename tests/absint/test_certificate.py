@@ -7,13 +7,11 @@ import json
 
 import pytest
 
-from repro.absint import (
+from repro.absint import CertificateError, analyze_ir, check_certificate
+from repro.absint.certificate import (
     CERTIFICATE_VERSION,
     METHOD_SIPHON_RANKING,
-    CertificateError,
     DeadlockFreedomCertificate,
-    analyze_ir,
-    check_certificate,
     issue_certificate,
 )
 from repro.ir import lower

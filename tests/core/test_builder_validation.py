@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import SystemBuilder, validate_system
-from repro.core.builder import system_from_tables
 from repro.errors import ValidationError
 
 
@@ -20,6 +19,33 @@ class TestBuilder:
         )
         assert system.process("a").latency == 5
         assert system.channel("i").latency == 2
+
+    def test_round_shape(self):
+        system = (
+            SystemBuilder("t")
+            .source("src")
+            .process("a", latency=4)
+            .sink("snk")
+            .channel("i", "src", "a", latency=2)
+            .channel("o", "a", "snk")
+            .build()
+        )
+        assert system.process("a").latency == 4
+        assert [p.name for p in system.sources()] == ["src"]
+        assert [p.name for p in system.sinks()] == ["snk"]
+
+    def test_channel_declaration_order_is_call_order(self):
+        system = (
+            SystemBuilder("t")
+            .source("src")
+            .process("a")
+            .sink("snk")
+            .channel("i2", "src", "a")
+            .channel("i1", "src", "a")
+            .channel("o", "a", "snk")
+            .build()
+        )
+        assert system.input_channels("a") == ("i2", "i1")
 
     def test_channels_varargs(self):
         system = (
@@ -60,33 +86,6 @@ class TestBuilder:
             .build()
         )
         assert system.channel("y").initial_tokens == 2
-
-
-class TestSystemFromTables:
-    def test_round_shape(self):
-        system = system_from_tables(
-            "t",
-            processes={"src": 1, "a": 4, "snk": 1},
-            channels={"i": ("src", "a", 2), "o": ("a", "snk", 1)},
-            sources=("src",),
-            sinks=("snk",),
-        )
-        assert system.process("a").latency == 4
-        assert [p.name for p in system.sources()] == ["src"]
-
-    def test_channel_declaration_order_is_dict_order(self):
-        system = system_from_tables(
-            "t",
-            processes={"src": 1, "a": 1, "snk": 1},
-            channels={
-                "i2": ("src", "a", 1),
-                "i1": ("src", "a", 1),
-                "o": ("a", "snk", 1),
-            },
-            sources=("src",),
-            sinks=("snk",),
-        )
-        assert system.input_channels("a") == ("i2", "i1")
 
 
 class TestValidation:

@@ -4,14 +4,8 @@ import math
 
 import pytest
 
-from repro.core import (
-    Channel,
-    ChannelOrdering,
-    Process,
-    ProcessKind,
-    SystemGraph,
-    all_orderings,
-)
+from repro.core import ChannelOrdering, SystemGraph
+from repro.core.system import Channel, Process, ProcessKind, all_orderings
 from repro.errors import ValidationError
 
 

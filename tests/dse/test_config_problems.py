@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core import ChannelOrdering
-from repro.dse import (
+from repro.dse import SystemConfiguration
+from repro.dse.problems import (
     LATENCY_BUDGET,
-    SystemConfiguration,
     area_recovery_problem,
     timing_optimization_problem,
+    AREA_BUDGET,
+    process_latency_caps,
 )
-from repro.dse.problems import AREA_BUDGET, process_latency_caps
 from repro.errors import ConfigurationError
 from repro.hls import Implementation, ImplementationLibrary, ParetoSet
 from repro.ilp import branch_bound

@@ -10,7 +10,7 @@ from repro.dse import (
     iteration_table,
     summarize,
 )
-from repro.dse.report import series, to_csv
+from repro.dse.report import series
 from repro.hls import Implementation, ImplementationLibrary, ParetoSet
 
 
@@ -222,12 +222,6 @@ class TestReporting:
         data = series(result, cycle_time_unit=1.0)
         assert data[0]["iteration"] == 0
         assert {"cycle_time", "area", "action", "meets_target"} <= set(data[0])
-
-    def test_csv_export(self, slow_config):
-        result = explore(slow_config, target_cycle_time=20)
-        csv = to_csv(result.history)
-        assert csv.splitlines()[0].startswith("iteration,action")
-        assert len(csv.splitlines()) == len(result.history) + 1
 
     def test_summarize_mentions_speedup(self, slow_config):
         result = explore(slow_config, target_cycle_time=20)

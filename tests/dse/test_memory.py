@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core import Channel, ChannelOrdering
+from repro.core import ChannelOrdering
+from repro.core.system import Channel
 from repro.dse import (
     SystemConfiguration,
     co_optimize,
-    memory_area,
     volume_proportional_slot_area,
 )
+from repro.dse.memory import memory_area
 from repro.hls import Implementation, ImplementationLibrary, ParetoSet
 
 

@@ -6,18 +6,15 @@ from repro.core import validate_system
 from repro.dsl import (
     Wire,
     butterfly,
-    fanout,
-    join,
     mesh,
     parallel,
     pipe,
-    reduce_tree,
     replicate,
-    ring,
     sink_stage,
     source_stage,
     stage,
 )
+from repro.dsl.combinators import fanout, join, reduce_tree, ring
 from repro.dsl import testbenched as close_ports  # avoid pytest collection
 from repro.errors import CompositionError
 

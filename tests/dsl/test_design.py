@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import ProcessKind, validate_system
+from repro.core import validate_system
+from repro.core.system import ProcessKind
 from repro.dsl import Design, Wire, wire_for_latency
 from repro.errors import CompositionError
 

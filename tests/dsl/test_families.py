@@ -3,8 +3,15 @@
 import pytest
 
 from repro.core import ChannelOrdering, system_from_dict, system_to_dict
-from repro.dsl import Wire, pipe, replicate, ring, sink_stage, stage
-from repro.dsl import testbenched as close_ports
+from repro.dsl import (
+    Wire,
+    pipe,
+    replicate,
+    sink_stage,
+    stage,
+    testbenched as close_ports,
+)
+from repro.dsl.combinators import ring
 from repro.ir import lower
 from repro.lint import lint_system
 from repro.lint.context import LintContext

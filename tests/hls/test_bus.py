@@ -1,11 +1,11 @@
-"""Bus-width optimization and channel sensitivity."""
+"""Bus-width optimization."""
 
 import pytest
 
 from repro.core import SystemBuilder
 from repro.errors import ValidationError
 from repro.hls import optimize_widths
-from repro.model import analyze_system, channel_sensitivity_report
+from repro.model import analyze_system
 
 
 @pytest.fixture()
@@ -77,36 +77,3 @@ class TestOptimizeWidths:
     def test_empty_volumes_rejected(self, streaming_system):
         with pytest.raises(ValidationError):
             optimize_widths(streaming_system, {}, 100)
-
-
-class TestChannelSensitivity:
-    def test_motivating_example(self, motivating, optimal_ordering):
-        base_ct, entries = channel_sensitivity_report(
-            motivating, optimal_ordering
-        )
-        assert base_ct == 12
-        by_name = {e.channel: e for e in entries}
-        # d is on P2's critical serial cycle: zero slack, real potential.
-        assert by_name["d"].on_critical_cycle
-        assert by_name["d"].slack == 0
-        assert by_name["d"].potential > 0
-        # c is not: positive slack, no potential.
-        assert not by_name["c"].on_critical_cycle
-        assert by_name["c"].slack > 0
-        assert by_name["c"].potential == 0
-
-    def test_slack_is_tight(self, motivating, optimal_ordering):
-        from repro.model.sensitivity import _with_channel_latency
-
-        __, entries = channel_sensitivity_report(
-            motivating, optimal_ordering
-        )
-        entry = next(e for e in entries if e.channel == "c")
-        grown = _with_channel_latency(
-            motivating, "c", entry.latency + entry.slack
-        )
-        overgrown = _with_channel_latency(
-            motivating, "c", entry.latency + entry.slack + 1
-        )
-        assert analyze_system(grown, optimal_ordering).cycle_time == 12
-        assert analyze_system(overgrown, optimal_ordering).cycle_time > 12

@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ValidationError
 from repro.hls import (
-    ChannelPhysics,
     Implementation,
     ImplementationLibrary,
     KnobSpace,
     ParetoSet,
-    frame_latency,
-    pareto_filter,
     synthesize_pareto_set,
-    synthesize_points,
+)
+from repro.hls.characterize import (
+    ChannelPhysics,
+    frame_latency,
     transfer_latency,
 )
-from repro.hls.implementation import area_gain, latency_gain
+from repro.hls.pareto import pareto_filter
+from repro.hls.knobs import synthesize_points
 
 
 class TestImplementation:
@@ -39,12 +40,6 @@ class TestImplementation:
         slow_small = Implementation("b", latency=9, area=5.0)
         assert not fast_big.dominates(slow_small)
         assert not slow_small.dominates(fast_big)
-
-    def test_gains_signs(self):
-        current = Implementation("cur", latency=10, area=6.0)
-        faster = Implementation("f", latency=4, area=9.0)
-        assert latency_gain(current, faster) == 6
-        assert area_gain(current, faster) == -3.0
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValidationError):

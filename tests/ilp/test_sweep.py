@@ -14,7 +14,8 @@ import random
 import pytest
 
 from repro.errors import InfeasibleError, NodeLimitError
-from repro.ilp import Choice, MultiChoiceProblem, Sense, branch_bound
+from repro.ilp import Choice, MultiChoiceProblem, branch_bound
+from repro.ilp.model import Sense
 from tests.ilp import dfs_reference
 
 DEFAULT_LIMIT = 5_000_000

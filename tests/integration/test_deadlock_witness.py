@@ -1,7 +1,7 @@
 """Every deadlock report names only the design, and every front end agrees.
 
 The five ``ermes gen`` families under seeded per-process shuffles
-(:func:`~repro.ordering.random_ordering`), with every channel's capacity
+(:func:`~repro.ordering.baselines.random_ordering`), with every channel's capacity
 raised to at least 0, 1 and 2.  Several of these orderings deadlock
 through a buffered channel, whose put and get sides are two nodes of the
 marked graph: the decoding must still report the channel, and no front
@@ -19,7 +19,7 @@ from repro.errors import DeadlockError
 from repro.ir import lower
 from repro.lint import format_witness, lint_system
 from repro.model import analyze_system, build_structure, deadlock_cycle
-from repro.ordering import random_ordering
+from repro.ordering.baselines import random_ordering
 from repro.verify import check_deadlock
 from repro.workloads import FAMILIES, generate
 from tests.model.witness_reference import design_cycle

@@ -7,9 +7,10 @@ results: the trajectory's cost lives on ``IterationRecord``, and a
 simulator's events reach its sinks only.  The linter runs one fixed rule
 catalog with no engine handed in.  A deadlock is decoded to the design
 once, next to the marked-graph rows, which alone spell the transition
-names.  This walks the AST of
-``src/repro`` and fails if a parameter that chose between paths giving
-the same answer, or a second channel for a result, comes back.  The one sanctioned ``exact`` is
+names.  Code that nothing outside the tests called is gone.  This walks
+the AST of ``src/repro`` and fails if a parameter that chose between
+paths giving the same answer, a second channel for a result, or one of
+the deleted modules and functions comes back.  The one sanctioned ``exact`` is
 :func:`repro.model.performance.analyze_system`'s, a final ``float()``
 that the benchmark ledger still passes.
 """
@@ -159,23 +160,79 @@ def test_only_the_builder_names_the_transition_scheme():
     assert offenders == []
 
 
+def _bound_names():
+    """``(module, line, name)`` for every function or class defined and
+    every name imported by ``from ... import`` in ``src/repro``."""
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield module, node.lineno, node.name
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    yield module, node.lineno, alias.asname or alias.name
+
+
 def test_no_second_deadlock_decoding_comes_back():
     import repro.absint
 
     offenders = [
-        f"{module}:{node.lineno} {name}"
-        for module, tree in _modules()
-        for node in ast.walk(tree)
-        for name in (
-            [node.name]
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            else [alias.asname or alias.name for alias in node.names]
-            if isinstance(node, ast.ImportFrom)
-            else []
-        )
+        f"{module}:{line} {name}"
+        for module, line, name in _bound_names()
         if name in REMOVED_DECODERS
         or (module.startswith("repro/absint/")
             and name == "find_token_free_cycle")
     ]
     assert offenders == []
     assert not hasattr(repro.absint, "find_token_free_cycle")
+
+
+#: Modules whose only readers were their own tests: a file format nothing
+#: reads, a second path to the buffered model, an ablation transform and a
+#: table formatter.
+REMOVED_MODULES = {
+    "repro/mpeg2/codec/y4m.py",
+    "repro/model/nonblocking.py",
+    "repro/ordering/feedback.py",
+    "repro/bench/tables.py",
+}
+
+#: Functions and classes whose only callers were tests.  The all-FIFO
+#: model is ``build_tmg(system.with_channel_capacities(...))``, liveness
+#: is ``find_token_free_cycle(...) is None``, and a test's memo reset is
+#: ``repro.cache.memos()[name].clear()``.
+REMOVED_DEFINITIONS = {
+    "read_y4m",
+    "write_y4m",
+    "build_nonblocking_tmg",
+    "feedback_first",
+    "has_preloaded_channels",
+    "format_rows",
+    "ChannelSensitivity",
+    "_with_channel_latency",
+    "channel_sensitivity_report",
+    "ProcessUtilization",
+    "utilizations",
+    "system_from_tables",
+    "plot_exploration",
+    "to_csv",
+    "worst_severity",
+    "canonical_hash_of",
+    "clear_memo",
+    "area_gain",
+    "latency_gain",
+    "is_live",
+    "clear_preflight_cache",
+}
+
+
+def test_no_deleted_module_comes_back():
+    assert {m for m in REMOVED_MODULES if (SRC / m).exists()} == set()
+
+
+def test_no_deleted_function_comes_back():
+    offenders = [
+        f"{module}:{line} {name}"
+        for module, line, name in _bound_names()
+        if name in REMOVED_DEFINITIONS
+    ]
+    assert offenders == []

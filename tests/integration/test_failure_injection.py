@@ -132,7 +132,7 @@ class TestModelMisuse:
     def test_functional_payload_shape_errors(self):
         # Wrong-shaped payloads crash inside numpy with a clear error
         # rather than producing silent garbage.
-        from repro.mpeg2.codec import dct2
+        from repro.mpeg2.codec.dct import dct2
 
         with pytest.raises(ValidationError):
             dct2(np.zeros((7, 7)))

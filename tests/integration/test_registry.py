@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import EXPERIMENTS, experiment, format_registry, format_rows
+from repro.bench import format_registry
+from repro.bench.registry import EXPERIMENTS, experiment
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -36,19 +37,3 @@ class TestRegistry:
         text = format_registry()
         assert "FIG6L" in text
         assert "test_bench_scalability.py" in text
-
-
-class TestTables:
-    def test_format_rows_aligns(self):
-        text = format_rows([("a", 100), ("bbbb", 2)], header=("k", "v"))
-        lines = text.splitlines()
-        assert lines[0].strip().startswith("k")
-        assert "----" in lines[1]
-        assert len(lines) == 4
-
-    def test_empty(self):
-        assert format_rows([]) == ""
-
-    def test_ragged_rows(self):
-        text = format_rows([("a",), ("b", "c")])
-        assert "c" in text

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from repro.core import ChannelOrdering, load_system, synthetic_soc
 from repro.errors import DeadlockError, SimulationDeadlock
 from repro.ir import lower
-from repro.model.build import build_tmg
+from repro.model.build import build_tmg, build_structure, effective_latencies
 from repro.model.performance import analyze_system, deadlock_cycle
 from repro.obs.sinks import MemorySink
-from repro.ordering import channel_ordering, random_ordering
-from repro.perf import PerformanceEngine, build_structure, effective_latencies
+from repro.ordering import channel_ordering
+from repro.ordering.baselines import random_ordering
+from repro.perf import PerformanceEngine
 from repro.sim import Simulator
 from repro.tmg import analyze
 from repro.tmg.event_graph import build_event_graph

@@ -9,17 +9,14 @@ from repro.core import ChannelOrdering, SystemBuilder
 from repro.core.system import ProcessKind
 from repro.errors import ValidationError
 from repro.ir import (
-    KIND_SINK,
-    KIND_SOURCE,
-    KIND_WORKER,
     OP_COMPUTE,
     OP_GET,
     OP_PUT,
     clear_lowering_cache,
-    kind_code,
     lower,
     structural_hash_of,
 )
+from repro.ir.program import KIND_SINK, KIND_SOURCE, KIND_WORKER, kind_code
 
 
 @pytest.fixture(autouse=True)

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core import SystemBuilder
 from repro.diagnostics import Severity
-from repro.lint import catalog, lint_system
-from repro.lint.registry import category
+from repro.lint import lint_system
+from repro.lint.registry import catalog, category
 from repro.mpeg2 import build_mpeg2_system
 from repro.ordering import channel_ordering
 

@@ -2,7 +2,7 @@
 
 from repro.core import ChannelOrdering
 from repro.ir import lower
-from repro.lint import LintContext
+from repro.lint.context import LintContext
 from repro.perf import PerformanceEngine
 
 

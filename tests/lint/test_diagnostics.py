@@ -8,10 +8,10 @@ from repro.diagnostics import (
     OrderingFix,
     Severity,
     sorted_diagnostics,
-    worst_severity,
 )
 from repro.errors import ValidationError
-from repro.lint import LintContext, Rule, catalog, category
+from repro.lint.context import LintContext
+from repro.lint.registry import Rule, catalog, category
 
 
 def _diag(rule="ERM999", severity=Severity.WARNING, location=()):
@@ -26,11 +26,6 @@ class TestSeverity:
         assert sorted([Severity.ERROR, Severity.INFO, Severity.WARNING],
                       reverse=True) == [Severity.ERROR, Severity.WARNING,
                                         Severity.INFO]
-
-    def test_worst_severity(self):
-        assert worst_severity([]) is None
-        assert worst_severity([_diag(severity=Severity.INFO),
-                               _diag(severity=Severity.ERROR)]) is Severity.ERROR
 
 
 class TestDiagnostic:

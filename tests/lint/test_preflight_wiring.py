@@ -59,11 +59,11 @@ class TestPreflightMemo:
 
     @pytest.fixture(autouse=True)
     def _fresh(self):
-        from repro.lint import clear_preflight_cache
+        from repro.cache import memos
 
-        clear_preflight_cache()
+        memos()["preflight"].clear()
         yield
-        clear_preflight_cache()
+        memos()["preflight"].clear()
 
     def test_second_run_skips_the_rules(self, feedback_system, monkeypatch):
         import repro.lint as lint

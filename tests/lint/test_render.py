@@ -2,14 +2,9 @@
 
 import json
 
-from repro.lint import (
-    catalog,
-    lint_system,
-    render_json,
-    render_sarif,
-    render_text,
-    sarif_dict,
-)
+from repro.lint import lint_system, render_json, render_sarif, render_text
+from repro.lint.registry import catalog
+from repro.lint.render import sarif_dict
 
 
 class TestText:

@@ -3,14 +3,14 @@
 ``effective_latencies`` rejects an override naming no process, or below
 zero, with one message whichever analysis path it reaches: the uncached
 ``analyze_system``, the cached ``PerformanceEngine`` (cold and warm), and
-``build_nonblocking_tmg``.  A misspelled name used to be dropped silently,
+``build_tmg`` of the all-FIFO (non-blocking) model.  A misspelled name used to be dropped silently,
 returning the default cycle time.
 """
 
 import pytest
 
 from repro.errors import ValidationError
-from repro.model import analyze_system, build_nonblocking_tmg, build_tmg
+from repro.model import analyze_system, build_tmg
 from repro.ordering import channel_ordering
 from repro.perf import PerformanceEngine
 
@@ -46,10 +46,8 @@ def test_cached_path_rejects(motivating, optimal, overrides, message):
 
 @pytest.mark.parametrize("overrides, message", BAD_OVERRIDES)
 def test_nonblocking_builder_rejects(motivating, optimal, overrides, message):
+    fifo = motivating.with_channel_capacities(
+        {channel.name: max(1, channel.capacity) for channel in motivating.channels}
+    )
     with pytest.raises(ValidationError, match=message):
-        build_nonblocking_tmg(
-            motivating,
-            optimal,
-            process_latencies=overrides,
-            default_capacity=1,
-        )
+        build_tmg(fifo, optimal, process_latencies=overrides)

@@ -1,49 +1,28 @@
-"""Cross-model consistency: the two builders agree where they overlap."""
+"""Cross-view consistency of the buffered (non-blocking) model.
+
+``build_tmg`` yields one model in two views: the integer event graph every
+analysis runs on (``SystemTmg.graph``) and the bipartite TMG decoded from
+the same rows (``SystemTmg.tmg``).  On all-FIFO systems, where every
+channel is split into put/get transitions with data and credit places,
+both views must give the same cycle time as ``analyze_system``.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Channel, SystemGraph
-from repro.model import build_nonblocking_tmg, build_tmg
+from repro.model import analyze_system, build_tmg
 from repro.tmg import analyze
 from tests.strategies import layered_systems
-
-
-def _all_buffered(system: SystemGraph, capacity: int) -> SystemGraph:
-    clone = system.copy()
-    for channel in system.channels:
-        clone._channels[channel.name] = Channel(
-            channel.name, channel.producer, channel.consumer,
-            latency=channel.latency,
-            capacity=max(capacity, channel.initial_tokens),
-            initial_tokens=channel.initial_tokens,
-        )
-    return clone
 
 
 @settings(max_examples=25, deadline=None)
 @given(system=layered_systems(max_layers=3, max_width=2),
        capacity=st.integers(1, 4))
-def test_blocking_builder_with_capacity_equals_nonblocking_builder(
-    system, capacity
-):
-    """For an all-buffered system, ``build_tmg`` (which splits buffered
-    channels) and ``build_nonblocking_tmg`` must produce TMGs with the
-    same cycle time — two code paths, one model."""
-    buffered = _all_buffered(system, capacity)
-    blocking_view = build_tmg(buffered)
-    nonblocking_view = build_nonblocking_tmg(buffered)
-    ct_a = analyze(blocking_view.tmg).cycle_time
-    ct_b = analyze(nonblocking_view.tmg).cycle_time
-    assert ct_a == ct_b
-
-
-@settings(max_examples=25, deadline=None)
-@given(system=layered_systems(max_layers=3, max_width=2))
-def test_default_capacity_parameter_equivalent(system):
-    buffered = _all_buffered(system, 2)
-    via_field = build_nonblocking_tmg(buffered)
-    via_default = build_nonblocking_tmg(system, default_capacity=2)
-    # Channels with pre-loaded tokens keep max(capacity, tokens) in both.
-    assert analyze(via_field.tmg).cycle_time == \
-        analyze(via_default.tmg).cycle_time
+def test_buffered_event_graph_equals_decoded_tmg(system, capacity):
+    buffered = system.with_channel_capacities(
+        {c.name: max(capacity, c.initial_tokens) for c in system.channels}
+    )
+    model = build_tmg(buffered)
+    ct_graph = analyze(model.graph).cycle_time
+    assert analyze(model.tmg).cycle_time == ct_graph
+    assert analyze_system(buffered).cycle_time == ct_graph

@@ -1,10 +1,13 @@
-"""Tests for the non-blocking (FIFO) channel model extension."""
+"""Tests for the non-blocking (FIFO) channel model extension.
 
-import pytest
+A channel with a ``capacity`` is modelled by ``build_tmg`` itself, as
+split put/get transitions joined by data and credit places; the all-FIFO
+model of a rendezvous system is ``build_tmg`` of
+``system.with_channel_capacities(...)``.
+"""
 
 from repro.core import SystemBuilder
-from repro.errors import ValidationError
-from repro.model import build_nonblocking_tmg, build_tmg
+from repro.model import build_tmg
 from repro.tmg import analyze
 
 
@@ -24,39 +27,14 @@ def buffered_pipeline(capacity=2):
 
 class TestConstruction:
     def test_split_transitions(self):
-        model = build_nonblocking_tmg(buffered_pipeline())
+        model = build_tmg(buffered_pipeline())
         assert "ch:x.put" in model.tmg.transition_names
         assert "ch:x.get" in model.tmg.transition_names
 
     def test_data_credit_marking(self):
-        model = build_nonblocking_tmg(buffered_pipeline(capacity=3))
+        model = build_tmg(buffered_pipeline(capacity=3))
         assert model.tmg.tokens("x/data") == 0
         assert model.tmg.tokens("x/credit") == 3
-
-    def test_zero_capacity_rejected(self):
-        system = buffered_pipeline(capacity=0)
-        with pytest.raises(ValidationError, match="capacity"):
-            build_nonblocking_tmg(system)
-
-    def test_default_capacity_parameter(self):
-        system = buffered_pipeline(capacity=0)
-        model = build_nonblocking_tmg(system, default_capacity=2)
-        assert model.tmg.tokens("x/credit") == 2
-
-    def test_tokens_above_capacity_rejected(self):
-        system = (
-            SystemBuilder("bad")
-            .source("src")
-            .process("A")
-            .process("B")
-            .sink("snk")
-            .channel("i", "src", "A", capacity=1)
-            .channel("x", "A", "B", capacity=1, initial_tokens=3)
-            .channel("o", "B", "snk", capacity=1)
-            .build()
-        )
-        with pytest.raises(ValidationError, match="initial_tokens"):
-            build_nonblocking_tmg(system)
 
 
 class TestPerformance:
@@ -75,16 +53,13 @@ class TestPerformance:
             .build()
         )
         blocking_ct = analyze(build_tmg(rendezvous).tmg).cycle_time
-        fifo_ct = analyze(
-            build_nonblocking_tmg(rendezvous, default_capacity=4).tmg
-        ).cycle_time
+        fifo = rendezvous.with_channel_capacities(
+            {channel.name: 4 for channel in rendezvous.channels}
+        )
+        fifo_ct = analyze(build_tmg(fifo).tmg).cycle_time
         assert fifo_ct <= blocking_ct
 
     def test_deeper_fifo_monotone(self):
-        shallow = analyze(
-            build_nonblocking_tmg(buffered_pipeline(capacity=1)).tmg
-        ).cycle_time
-        deep = analyze(
-            build_nonblocking_tmg(buffered_pipeline(capacity=4)).tmg
-        ).cycle_time
+        shallow = analyze(build_tmg(buffered_pipeline(capacity=1)).tmg).cycle_time
+        deep = analyze(build_tmg(buffered_pipeline(capacity=4)).tmg).cycle_time
         assert deep <= shallow

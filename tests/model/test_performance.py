@@ -10,8 +10,9 @@ from repro.errors import DeadlockError
 from repro.ir import lower
 from repro.model import analyze_system, build_tmg, deadlock_cycle
 from repro.model.build import build_structure
-from repro.ordering import random_ordering
-from repro.tmg import build_event_graph, find_token_free_cycle
+from repro.ordering.baselines import random_ordering
+from repro.tmg import build_event_graph
+from repro.tmg.deadlock import find_token_free_cycle
 from tests.model.witness_reference import design_cycle
 from tests.strategies import layered_systems
 from tests.tmg.enumeration import maximum_cycle_ratio_enumerated
@@ -141,7 +142,7 @@ class TestFeedback:
         assert set(perf.critical_processes) == {"A", "B"}
 
     def test_feedback_tokens_increase_throughput(self, feedback_system):
-        from repro.core import Channel
+        from repro.core.system import Channel
 
         richer = feedback_system.copy()
         richer._channels["y"] = Channel(

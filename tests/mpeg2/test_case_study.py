@@ -13,15 +13,14 @@ from repro.dse import SystemConfiguration
 from repro.model import analyze_system, deadlock_cycle
 from repro.mpeg2 import (
     CHANNEL_SPECS,
-    FRONTIER_SPECS,
     build_mpeg2_library,
     build_mpeg2_system,
     channel_latencies,
     encode_through_system,
     m1_selection,
     m2_selection,
-    smallest_selection,
 )
+from repro.mpeg2.paretos import FRONTIER_SPECS, smallest_selection
 from repro.mpeg2.codec import Decoder, Encoder, EncoderConfig, VideoFormat, synthetic_sequence
 from repro.ordering import channel_ordering, declaration_ordering
 

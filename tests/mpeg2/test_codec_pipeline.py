@@ -11,11 +11,10 @@ from repro.mpeg2.codec import (
     EncoderConfig,
     Frame,
     VideoFormat,
-    macroblock,
     psnr,
     synthetic_sequence,
 )
-from repro.mpeg2.codec.frames import gray_frame
+from repro.mpeg2.codec.frames import macroblock, gray_frame
 
 
 FMT = VideoFormat(width=96, height=64)

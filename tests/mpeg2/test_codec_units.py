@@ -7,32 +7,35 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import ValidationError
-from repro.mpeg2.codec import (
-    BitReader,
-    BitWriter,
-    INTRA_MATRIX,
+from repro.mpeg2.codec.bitstream import BitReader, BitWriter
+from repro.mpeg2.codec.quant import INTRA_MATRIX, dequantize, quantize
+from repro.mpeg2.codec.motion import (
     MotionVector,
+    full_search,
+    predict_macroblock,
+    sad,
+)
+from repro.mpeg2.codec.dct import (
     blocks_of_macroblock,
     dct2,
-    decode_block,
-    decode_motion_vector,
-    dequantize,
-    encode_block,
-    encode_motion_vector,
-    full_search,
     idct2,
     macroblock_of_blocks,
-    predict_macroblock,
-    quantize,
+)
+from repro.mpeg2.codec.vlc import (
+    decode_block,
+    decode_motion_vector,
+    encode_block,
+    encode_motion_vector,
     read_se,
     read_ue,
-    run_level_decode,
-    run_level_encode,
-    sad,
-    scan,
-    unscan,
     write_se,
     write_ue,
+)
+from repro.mpeg2.codec.zigzag import (
+    run_level_decode,
+    run_level_encode,
+    scan,
+    unscan,
 )
 
 int8x8 = hnp.arrays(np.int32, (8, 8), elements=st.integers(-255, 255))

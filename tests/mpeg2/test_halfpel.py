@@ -7,13 +7,15 @@ from repro.mpeg2.codec import (
     Decoder,
     Encoder,
     EncoderConfig,
-    MotionVector,
     VideoFormat,
+    psnr,
+    synthetic_sequence,
+)
+from repro.mpeg2.codec.motion import (
+    MotionVector,
     halfpel_refine,
     interpolate_block,
     predict_macroblock_halfpel,
-    psnr,
-    synthetic_sequence,
 )
 from repro.mpeg2.functional import encode_through_system
 
@@ -62,7 +64,7 @@ class TestHalfpelRefine:
         rng = np.random.default_rng(5)
         reference = rng.integers(0, 255, (64, 96)).astype(np.uint8)
         current = rng.integers(0, 255, (16, 16)).astype(np.uint8)
-        from repro.mpeg2.codec import full_search, sad
+        from repro.mpeg2.codec.motion import full_search, sad
 
         integer_mv, integer_cost = full_search(current, reference, 1, 2, 4)
         half_mv, half_cost = halfpel_refine(current, reference, 1, 2,

@@ -9,14 +9,16 @@ from repro.errors import ValidationError
 from repro.mpeg2.codec import (
     Encoder,
     EncoderConfig,
-    MotionVector,
     VideoFormat,
+    psnr,
+    synthetic_sequence,
+)
+from repro.mpeg2.codec.motion import (
+    MotionVector,
     coarse_search,
     full_search,
     full_search_fast,
-    psnr,
     refine_search,
-    synthetic_sequence,
     two_stage_search,
 )
 from repro.mpeg2.functional import encode_through_system

@@ -3,15 +3,16 @@ ambient registry that ``collect()`` activates."""
 
 import pytest
 
-from repro.obs import (
+from repro.obs import MetricsRegistry, collect, format_metrics
+from repro.obs.metrics import (
     Counter,
     Histogram,
-    MetricsRegistry,
     Timer,
-    collect,
-    format_metrics,
+    active,
+    count,
+    observe,
+    timed,
 )
-from repro.obs.metrics import active, count, observe, timed
 
 
 class TestCounter:

@@ -3,8 +3,8 @@
 import json
 
 from repro.core import motivating_example, pipeline
-from repro.obs import MemorySink, render_chrome_trace, to_chrome_trace
-from repro.obs.perfetto import CHANNEL_PID, PROCESS_PID
+from repro.obs import MemorySink, render_chrome_trace
+from repro.obs.perfetto import to_chrome_trace, CHANNEL_PID, PROCESS_PID
 from repro.sim import Simulator
 
 

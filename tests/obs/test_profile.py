@@ -12,7 +12,8 @@ from repro.dse import (
     format_convergence,
 )
 from repro.hls import ImplementationLibrary, synthesize_pareto_set
-from repro.obs import MemorySink, collect, stall_attribution
+from repro.obs import MemorySink, collect
+from repro.obs.profile import stall_attribution
 from repro.perf import PerformanceEngine
 from repro.sim import Simulator
 

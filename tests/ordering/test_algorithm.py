@@ -32,7 +32,7 @@ class TestMotivatingOptimum:
         assert achieved == best == 12
 
     def test_deadlock_free_from_any_initial_order(self, motivating):
-        from repro.core import all_orderings
+        from repro.core.system import all_orderings
 
         for initial in all_orderings(motivating):
             ordering = channel_ordering(motivating, initial)
@@ -98,7 +98,7 @@ class TestAsymmetricForkJoin:
         assert first_read == "branch0"
 
     def test_beats_reversed_baseline(self):
-        from repro.ordering import reversed_ordering
+        from repro.ordering.baselines import reversed_ordering
 
         system = fork_join(3, branch_latencies=(2, 10, 5))
         algo = analyze_system(system, channel_ordering(system)).cycle_time

@@ -1,4 +1,4 @@
-"""Baseline orderings, exhaustive search, and the feedback refinement."""
+"""Baseline orderings and exhaustive search."""
 
 import pytest
 
@@ -8,11 +8,8 @@ from repro.ordering import (
     conservative_ordering,
     declaration_ordering,
     exhaustive_search,
-    feedback_first,
-    has_preloaded_channels,
-    random_ordering,
-    reversed_ordering,
 )
+from repro.ordering.baselines import random_ordering, reversed_ordering
 
 
 class TestBaselines:
@@ -77,26 +74,3 @@ class TestExhaustiveSearch:
         )
         assert len(seen) == 36
         assert seen.count(None) == 14
-
-
-class TestFeedbackFirst:
-    def test_hoists_preloaded_channels(self, feedback_system):
-        base = declaration_ordering(feedback_system)
-        refined = feedback_first(feedback_system, base)
-        assert refined.gets_of("A")[0] == "y"
-        refined.validate(feedback_system)
-
-    def test_stable_otherwise(self, motivating):
-        base = declaration_ordering(motivating)
-        refined = feedback_first(motivating, base)
-        assert refined.gets == {k: tuple(v) for k, v in base.gets.items()}
-
-    def test_never_introduces_deadlock(self, feedback_system):
-        base = declaration_ordering(feedback_system)
-        assert deadlock_cycle(feedback_system, base) is None
-        assert deadlock_cycle(feedback_system,
-                              feedback_first(feedback_system, base)) is None
-
-    def test_has_preloaded_channels(self, feedback_system, motivating):
-        assert has_preloaded_channels(feedback_system)
-        assert not has_preloaded_channels(motivating)

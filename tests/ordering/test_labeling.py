@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import ChannelOrdering
 from repro.errors import DeadlockError, ValidationError
-from repro.ordering import LabelingResult, channel_ordering_with_labels
+from repro.ordering import channel_ordering_with_labels
+from repro.ordering.algorithm import LabelingResult
 
 
 @pytest.fixture()

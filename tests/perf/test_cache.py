@@ -1,6 +1,7 @@
 """Unit tests for the bounded LRU cache primitive."""
 
-from repro.perf import MISS, LruCache
+from repro.perf import LruCache
+from repro.cache import MISS
 
 
 class TestBasics:

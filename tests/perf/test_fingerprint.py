@@ -8,7 +8,8 @@ cache on that hash plus the effective latencies, sorted by process name.
 from repro.core import ChannelOrdering, SystemBuilder
 from repro.ir import lower
 from repro.model import analyze_system
-from repro.perf import PerformanceEngine, effective_latencies
+from repro.perf import PerformanceEngine
+from repro.model.build import effective_latencies
 
 
 def declaration(system):

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationDeadlock
 from repro.model import analyze_system
-from repro.ordering import channel_ordering, random_ordering
-from repro.sim import agreement_error, simulate
+from repro.ordering import channel_ordering
+from repro.ordering.baselines import random_ordering
+from repro.sim import simulate
+from repro.sim.metrics import agreement_error
 from tests.strategies import layered_systems
 
 

@@ -9,7 +9,8 @@ slow the system down.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Channel, SystemGraph, pipeline
+from repro.core import SystemGraph, pipeline
+from repro.core.system import Channel
 from repro.model import analyze_system
 from repro.sim import simulate
 from tests.strategies import layered_systems

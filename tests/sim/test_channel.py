@@ -3,7 +3,7 @@ buffered)."""
 
 import pytest
 
-from repro.core import Channel
+from repro.core.system import Channel
 from repro.errors import SimulationError
 from tests.sim.reference import ChannelState
 

@@ -4,14 +4,9 @@ from fractions import Fraction
 
 from repro.core import pipeline
 from repro.obs import MemorySink
-from repro.sim import (
-    SimulationResult,
-    Simulator,
-    agreement_error,
-    format_trace,
-    throughput,
-    utilizations,
-)
+from repro.sim import SimulationResult, Simulator
+from repro.sim.metrics import agreement_error, throughput
+from repro.sim.trace import format_trace
 
 
 def _traced_run(iterations=3):
@@ -58,20 +53,13 @@ class TestMetrics:
         assert agreement_error(full, "snk", 0) is None
 
     def test_utilization_bounds(self):
+        """Each process's compute and stall cycles are fractions of its
+        own active window (its last event time)."""
         result = Simulator(pipeline(3)).run(iterations=30)
-        for stats in utilizations(result).values():
-            assert 0.0 <= stats.utilization <= 1.0
-            assert 0.0 <= stats.stall_fraction <= 1.0
-
-    def test_utilization_zero_time(self):
-        stats = SimulationResult(
-            iterations={"p": 0}, times={"p": 0},
-            completion_times={"p": []}, compute_cycles={"p": 0},
-            stall_cycles={"p": 0}, channel_transfers={},
-        )
-        util = utilizations(stats)["p"]
-        assert util.utilization == 0.0
-        assert util.stall_fraction == 0.0
+        for name, time in result.times.items():
+            assert time > 0
+            assert 0.0 <= result.compute_cycles[name] / time <= 1.0
+            assert 0.0 <= result.stall_cycles[name] / time <= 1.0
 
     def test_measured_cycle_time_requires_history(self):
         stats = SimulationResult(

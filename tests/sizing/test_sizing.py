@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from repro.core import motivating_example, motivating_optimal_ordering, pipeline
 from repro.errors import ValidationError
 from repro.model import analyze_system
-from repro.sizing import (
-    cycle_time_with_capacities,
-    minimize_buffers,
-    size_buffers,
-)
+from repro.sizing import minimize_buffers, size_buffers
+from repro.sizing.capacity import cycle_time_with_capacities
 from tests.strategies import layered_systems
 
 

@@ -14,20 +14,17 @@ from repro.core.builder import SystemBuilder
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.dsl import (
     butterfly,
-    fanout,
-    join,
     mesh,
     pipe,
     rate_chain,
-    reduce_tree,
     replicate,
-    ring,
     sink_stage,
     source_stage,
     stage,
     testbenched,
     wire_for_latency,
 )
+from repro.dsl.combinators import fanout, join, reduce_tree, ring
 from repro.ordering import declaration_ordering
 from repro.sdf import SdfGraph
 from repro.tmg.graph import TimedMarkedGraph
@@ -172,7 +169,7 @@ def replicated_ring_systems(
 ) -> SystemGraph:
     """A k-stage rotationally symmetric ring with per-stage testbench.
 
-    Built through :func:`repro.dsl.ring`: every stage declares its ports
+    Built through :func:`repro.dsl.combinators.ring`: every stage declares its ports
     in the same order (ring hop first, then the testbench tap), the hop
     channels carry one pre-loaded token each, and the per-port testbench
     closure keeps every stage's statement order aligned with the

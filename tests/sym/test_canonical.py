@@ -4,15 +4,8 @@ from hypothesis import given, settings
 
 from repro.core.system import ChannelOrdering
 from repro.ir import lower
-from repro.sym import (
-    ATTR_RELAXED,
-    EXACT,
-    ORDER_RELAXED,
-    TOPOLOGY_RELAXED,
-    analyze_symmetry,
-    is_automorphism,
-    respects_policy,
-)
+from repro.sym import EXACT, ORDER_RELAXED, TOPOLOGY_RELAXED, analyze_symmetry
+from repro.sym.canonical import ATTR_RELAXED, is_automorphism, respects_policy
 from tests.strategies import replicated_family_systems
 from tests.sym.conftest import build_lanes, build_ring
 

@@ -7,8 +7,8 @@ import pytest
 from repro.core import SystemBuilder
 from repro.core.system import ChannelOrdering
 from repro.diagnostics import Severity
-from repro.lint import catalog, lint_system
-from repro.lint.registry import category
+from repro.lint import lint_system
+from repro.lint.registry import catalog, category
 from tests.sym.conftest import build_lanes
 
 

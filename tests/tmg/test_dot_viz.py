@@ -62,29 +62,3 @@ class TestAsciiPlots:
 
         text = ascii_series([2.0, 2.0, 2.0], width=12, height=4, marker="@")
         assert text.count("@") >= 1
-
-    def test_plot_exploration(self, motivating):
-        from repro.core import ChannelOrdering
-        from repro.dse import SystemConfiguration, explore
-        from repro.hls import Implementation, ImplementationLibrary, ParetoSet
-        from repro.viz import plot_exploration
-
-        sets = [
-            ParetoSet.from_points(
-                p.name,
-                [
-                    Implementation(f"{p.name}.s", p.latency * 3, 5.0),
-                    Implementation(f"{p.name}.f", p.latency, 9.0),
-                ],
-            )
-            for p in motivating.workers()
-        ]
-        config = SystemConfiguration.initial(
-            motivating, ImplementationLibrary(sets),
-            ordering=ChannelOrdering.declaration_order(motivating),
-            pick="smallest",
-        )
-        result = explore(config, target_cycle_time=20)
-        text = plot_exploration(result)
-        assert "cycle time" in text
-        assert "area" in text

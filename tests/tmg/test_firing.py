@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import ReproError
-from repro.tmg import TimedMarkedGraph, analyze
+from repro.tmg import analyze
+from repro.tmg.graph import TimedMarkedGraph
 from tests.tmg.firing_reference import (
     earliest_firing_times,
     measured_cycle_time,

@@ -17,13 +17,9 @@ from hypothesis import given, settings
 from repro.core import SystemBuilder
 from repro.errors import DeadlockError, NotLiveError
 from repro.model import analyze_system
-from repro.tmg import (
-    TimedMarkedGraph,
-    analyze,
-    analyze_event_graph,
-    build_event_graph,
-    maximum_cycle_ratio,
-)
+from repro.tmg import analyze, build_event_graph, maximum_cycle_ratio
+from repro.tmg.graph import TimedMarkedGraph
+from repro.tmg.analysis import analyze_event_graph
 
 from tests.strategies import live_tmgs
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.tmg import TimedMarkedGraph
+from repro.tmg.graph import TimedMarkedGraph
 from tests.tmg.enumeration import tmg_cycles
 
 

@@ -20,8 +20,8 @@ from repro.core import synthetic_soc
 from repro.errors import NotLiveError
 from repro.model.build import build_tmg
 from repro.ordering import channel_ordering
-from repro.tmg import TimedMarkedGraph, build_event_graph, maximum_cycle_ratio
-from repro.tmg import howard
+from repro.tmg import build_event_graph, maximum_cycle_ratio, howard
+from repro.tmg.graph import TimedMarkedGraph
 from repro.tmg.event_graph import _components
 from repro.tmg.howard import _ArrayScc, _csr, _Fallback, _Scc
 from repro.workloads import generate

@@ -12,7 +12,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tmg import TimedMarkedGraph, build_event_graph, maximum_cycle_ratio
+from repro.tmg import build_event_graph, maximum_cycle_ratio
+from repro.tmg.graph import TimedMarkedGraph
 from tests.tmg.enumeration import maximum_cycle_ratio_enumerated
 
 

@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
 from repro.model import analyze_system
-from repro.tmg import (
-    analyze,
-    build_event_graph,
-    maximum_cycle_ratio,
-    strongly_connected_components,
-)
+from repro.tmg import analyze, build_event_graph, maximum_cycle_ratio
+from repro.tmg.event_graph import strongly_connected_components
 from tests.strategies import layered_systems, live_tmgs
 from tests.tmg.enumeration import maximum_cycle_ratio_enumerated, tmg_cycles
 from tests.tmg.firing_reference import measured_cycle_time

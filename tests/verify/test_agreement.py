@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from repro.errors import BudgetExceeded
 from repro.model import deadlock_cycle
 from repro.ordering import channel_ordering
-from repro.verify import Verdict, check_deadlock, verify_ordering
+from repro.verify import Verdict, check_deadlock
+from repro.verify.checker import verify_ordering
 from tests.strategies import (
     layered_systems,
     random_orderings,

@@ -14,8 +14,8 @@ from repro.errors import DeadlockError
 from repro.ir import lower
 from repro.mpeg2 import build_mpeg2_system
 from repro.ordering import channel_ordering
-from repro.verify import Verdict, check_deadlock, verify_ordering
-from repro.verify.checker import is_small_system
+from repro.verify import Verdict, check_deadlock
+from repro.verify.checker import verify_ordering, is_small_system
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,9 @@ from repro.core import SystemBuilder
 from repro.core.generators import fork_join, pipeline
 from repro.errors import BudgetExceeded, DeadlockError, ValidationError
 from repro.obs import collect
-from repro.verify import (
+from repro.verify import Verdict, check_deadlock
+from repro.verify.checker import (
     SMALL_SYSTEM_LIMIT,
-    Verdict,
-    check_deadlock,
     is_small_system,
     verify_ordering,
 )

@@ -10,13 +10,9 @@ from hypothesis import strategies as st
 
 from repro.core.generators import fork_join
 from repro.ordering import channel_ordering
-from repro.verify import (
-    TransitionSystem,
-    Verdict,
-    check_deadlock,
-    replay_witness,
-    stubborn_set,
-)
+from repro.verify import Verdict, check_deadlock, replay_witness
+from repro.verify.semantics import TransitionSystem
+from repro.verify.stubborn import stubborn_set
 from repro.workloads import generate
 from tests.strategies import (
     layered_systems,

@@ -4,12 +4,8 @@ import pytest
 
 from repro.errors import SimulationDeadlock, VerificationError
 from repro.sim import simulate
-from repro.verify import (
-    Verdict,
-    check_deadlock,
-    replay_schedule,
-    replay_witness,
-)
+from repro.verify import Verdict, check_deadlock, replay_witness
+from repro.verify.witness import replay_schedule
 
 
 @pytest.fixture()
@@ -53,6 +49,22 @@ class TestReplay:
 
 
 class TestDecoding:
+    def test_listing1_circular_wait_is_the_papers_ring(
+        self, motivating, deadlock_ordering, deadlock_result
+    ):
+        """Section 2: P2 blocks on d, P6 on g, P5 on f.  The verifier's
+        ring is exactly the paper's P2-d-P6-g-P5-f (EXPERIMENTS.md FIG2);
+        the static witness of the same ordering is the token-free TMG
+        cycle through d, f, P5 and g."""
+        from repro.model import deadlock_cycle
+
+        assert deadlock_result.witness.cycle == (
+            "P2", "d", "P6", "g", "P5", "f"
+        )
+        assert deadlock_cycle(motivating, deadlock_ordering) == (
+            "d", "f", "P5", "g"
+        )
+
     def test_cycle_alternates_processes_and_channels(self, motivating,
                                                      deadlock_result):
         cycle = deadlock_result.witness.cycle
