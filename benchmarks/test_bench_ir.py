@@ -18,6 +18,7 @@ or slows the hot loop fails the benchmark suite, not a profile later.
 
 import time
 
+from conftest import time_interleaved
 from repro.core import synthetic_soc
 from repro.ir import clear_lowering_cache, lower
 from repro.ordering import channel_ordering
@@ -38,25 +39,24 @@ def _system():
     return system, channel_ordering(system)
 
 
-def _time_run(simulator_cls, system, ordering, repeats=REPEATS):
-    times = []
-    results = []
-    for _ in range(repeats):
+def _simulation(simulator_cls, system, ordering):
+    """Set-up for one timed run of ``simulator_cls`` (built untimed)."""
+    def prepare():
         simulator = simulator_cls(system, ordering)
-        start = time.perf_counter()
-        results.append(simulator.run(iterations=ITERATIONS))
-        times.append(time.perf_counter() - start)
-    return min(times), results[-1]
+        return lambda: simulator.run(iterations=ITERATIONS)
+    return prepare
 
 
-def _time_cold_lowering(system, ordering, repeats=REPEATS):
-    times = []
-    for _ in range(repeats):
+def _cold_lowering(system, ordering):
+    """Set-up for one timed cold :func:`lower`: an untimed lowering warms
+    the interpreter's caches, as each earlier repeat did when the repeats
+    ran back to back, then the memo is cleared."""
+    def prepare():
         clear_lowering_cache()
-        start = time.perf_counter()
         lower(system, ordering)
-        times.append(time.perf_counter() - start)
-    return min(times)
+        clear_lowering_cache()
+        return lambda: lower(system, ordering)
+    return prepare
 
 
 def test_bench_ir_simulator_speedup(benchmark):
@@ -66,8 +66,12 @@ def test_bench_ir_simulator_speedup(benchmark):
     Simulator(system, ordering).run(iterations=2)
     ReferenceSimulator(system, ordering).run(iterations=2)
 
-    t_ir, ir_result = _time_run(Simulator, system, ordering)
-    t_ref, ref_result = _time_run(ReferenceSimulator, system, ordering)
+    times, results = time_interleaved({
+        "ir": _simulation(Simulator, system, ordering),
+        "reference": _simulation(ReferenceSimulator, system, ordering),
+    }, REPEATS)
+    t_ir, t_ref = times["ir"], times["reference"]
+    ir_result, ref_result = results["ir"], results["reference"]
 
     benchmark.pedantic(
         lambda: Simulator(system, ordering).run(iterations=ITERATIONS),
@@ -94,8 +98,11 @@ def test_bench_ir_lowering_cost(benchmark):
     system, ordering = _system()
     Simulator(system, ordering).run(iterations=2)
 
-    t_sim, _ = _time_run(Simulator, system, ordering)
-    t_cold = _time_cold_lowering(system, ordering)
+    times, _ = time_interleaved({
+        "simulation": _simulation(Simulator, system, ordering),
+        "cold": _cold_lowering(system, ordering),
+    }, REPEATS)
+    t_sim, t_cold = times["simulation"], times["cold"]
 
     lower(system, ordering)  # ensure warm
     start = time.perf_counter()

@@ -16,8 +16,8 @@ Reported numbers:
 """
 
 import statistics
-import time
 
+from conftest import time_interleaved
 from repro.core import synthetic_soc
 from repro.obs import MemorySink, NullSink, collect
 from repro.ordering import channel_ordering
@@ -36,15 +36,12 @@ def _system():
     return system, channel_ordering(system)
 
 
-def _time_run(system, ordering, repeats=REPEATS, **kwargs):
-    times = []
-    results = []
-    for _ in range(repeats):
+def _simulation(system, ordering, **kwargs):
+    """Set-up for one timed run (the simulator is built untimed)."""
+    def prepare():
         simulator = Simulator(system, ordering, **kwargs)
-        start = time.perf_counter()
-        results.append(simulator.run(iterations=ITERATIONS))
-        times.append(time.perf_counter() - start)
-    return min(times), results[-1]
+        return lambda: simulator.run(iterations=ITERATIONS)
+    return prepare
 
 
 def test_bench_null_path_overhead(benchmark):
@@ -53,12 +50,17 @@ def test_bench_null_path_overhead(benchmark):
     # Warm up imports/caches before timing.
     Simulator(system, ordering).run(iterations=2)
 
-    t_bare, bare = _time_run(system, ordering)
-    t_rebare, _ = _time_run(system, ordering)
-    t_null, nulled = _time_run(system, ordering, sinks=[NullSink()])
-    t_traced, _ = _time_run(system, ordering, sinks=[MemorySink()])
-    with collect():
-        t_metrics, metered = _time_run(system, ordering)
+    times, results = time_interleaved({
+        "bare": _simulation(system, ordering),
+        "rebare": _simulation(system, ordering),
+        "null": _simulation(system, ordering, sinks=[NullSink()]),
+        "traced": _simulation(system, ordering, sinks=[MemorySink()]),
+        "metrics": _simulation(system, ordering),
+    }, REPEATS, contexts={"metrics": collect})
+    t_bare, t_rebare, t_null, t_traced, t_metrics = (
+        times[name] for name in ("bare", "rebare", "null", "traced", "metrics")
+    )
+    bare, nulled, metered = (results[name] for name in ("bare", "null", "metrics"))
 
     benchmark.pedantic(
         lambda: Simulator(system, ordering).run(iterations=ITERATIONS),

@@ -20,9 +20,10 @@ would compute as a max-plus tape entry.  The control state is finite:
 once it repeats, the schedule repeats, and every count of the remaining
 run follows by arithmetic.  :class:`_Clocks` replays the tape in every
 lane until the live clocks repeat up to a per-lane shift, after which
-each later clock is a shifted copy (docs/THEORY.md §4); results come
-from that replayed prefix by index arithmetic.  The pre-IR interpreter
-in ``tests/sim/reference.py`` is the differential oracle.
+each later clock is a shifted copy (docs/THEORY.md §4).  A result's
+tables are views of the run's shared arrays, computed on first read from
+that replayed prefix by index arithmetic.  The pre-IR interpreter in
+``tests/sim/reference.py`` is the differential oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from typing import Any, Callable, Iterable, Mapping, Sequence, cast
+from functools import cached_property
+from itertools import chain, repeat
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, cast
 
 import numpy as np
 
@@ -69,18 +72,21 @@ def token_behavior(iteration: int, inputs: Mapping[str, Any]) -> dict[str, Any]:
 
 @dataclass
 class SimulationResult:
-    """Outcome of one simulation run."""
+    """Outcome of one simulation run.  The tables are read-only mappings
+    computed on first read from the arrays the run shares between its
+    lanes (each ``completion_times`` read is a fresh list); ``==``
+    compares contents, also against plain dicts."""
 
-    iterations: dict[str, int]
-    times: dict[str, int]
-    completion_times: dict[str, list[int]]
-    compute_cycles: dict[str, int]
-    stall_cycles: dict[str, int]
-    channel_transfers: dict[str, int]
+    iterations: Mapping[str, int]
+    times: Mapping[str, int]
+    completion_times: Mapping[str, list[int]]
+    compute_cycles: Mapping[str, int]
+    stall_cycles: Mapping[str, int]
+    channel_transfers: Mapping[str, int]
     sink_payloads: dict[str, list[Any]] = field(default_factory=dict)
     #: Per-process, per-channel stall cycles: which channel each process
     #: spent its waiting time on (``stall_cycles`` is the row sum).
-    stall_breakdown: dict[str, dict[str, int]] = field(default_factory=dict)
+    stall_breakdown: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
 
     def measured_cycle_time(self, process: str) -> Fraction | None:
         """Average steady-state iteration period of ``process``.
@@ -102,6 +108,57 @@ class SimulationResult:
 #: One lane's outcome: a result, or the deadlock that ended it (only
 #: returned when running with ``on_deadlock="capture"``).
 LaneOutcome = SimulationResult | SimulationDeadlock
+
+
+class _Table(Mapping[str, Any]):
+    """One lane's read-only view of a result table: ``row(id)`` computes
+    the value of the name with that id each time it is read."""
+
+    __slots__ = ("_ids", "_row")
+
+    def __init__(self, ids: Mapping[str, int], row: Callable[[int], Any]):
+        self._ids, self._row = ids, row
+
+    def __getitem__(self, key: str) -> Any:
+        return self._row(self._ids[key])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def __reduce__(self) -> tuple[Any, ...]:  # pickles and copies as a dict
+        return dict, (dict(self.items()),)
+
+
+class _Breakdown(Mapping[str, Mapping[str, int]]):
+    """One lane's read-only stall breakdown, made by ``build()`` on first read."""
+
+    def __init__(self, build: Callable[[], dict[str, Mapping[str, int]]]):
+        self._build = build
+
+    @cached_property
+    def _rows(self) -> dict[str, Mapping[str, int]]:
+        return self._build()
+
+    def __getitem__(self, key: str) -> Mapping[str, int]:
+        return self._rows[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:
+        return repr({name: dict(row) for name, row in self.items()})
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return dict, ({name: dict(row) for name, row in self.items()},)
 
 
 @dataclass(frozen=True)
@@ -252,10 +309,6 @@ class _Walk:
             tuple((k, tuple(now - s for s in queue))
                   for k, queue in enumerate(self.queues) if queue),
         )
-
-    def columns(self) -> Any:
-        """The event log as seven int64 columns."""
-        return np.array(self.log, dtype=np.int64).reshape(-1, 7).T
 
     def _slot(self, a: int, b: int, row: int) -> int:
         self.tape.append((a, b, row))
@@ -430,7 +483,7 @@ class _Clocks:
                 values = np.concatenate([values, np.zeros_like(values[:4 * width])])
             _sweep(values, plan, table, m * width)
             m += 1
-        self.values = values[:top]
+        self.values = values[:top].copy()  # not the spare rows
 
     def at(self, slots: Any) -> Any:
         """Clocks at ``slots``, ``(len(slots), lanes)``."""
@@ -474,6 +527,12 @@ def _unroll(items: Any, lo: int, hi: int, part: int, copies: int,
                            x[lo:part] + copies * step[lo:part]])
 
 
+def _columns(log: list[tuple[int, ...]]) -> Any:
+    """A walk's event log as seven int64 columns."""
+    flat = np.fromiter(chain.from_iterable(log), np.int64, 7 * len(log))
+    return flat.reshape(-1, 7).T
+
+
 def _periodic_sum(term: Callable[[int], Any], count: int, start: int,
                   period: int) -> Any:
     """``Σ term(t)`` over ``t < count``, given ``term(t + period) ==
@@ -487,10 +546,149 @@ def _periodic_sum(term: Callable[[int], Any], count: int, start: int,
     return total
 
 
+class _Run:
+    """One finished run: its final counts, replayed clocks and event log,
+    shared by every lane's :class:`SimulationResult`.  Each table is
+    computed for all lanes the first time any lane reads it; nothing here
+    refers back to the walk or the engine.  ``marks`` are the walk marks
+    ``(lo, hi, part)`` of the control period, ``q`` its copies."""
+
+    def __init__(self, ir: LoweredIR, latencies: list[list[int]],
+                 clocks: _Clocks, walk: _Walk, marks: tuple[list[int], ...],
+                 final: list[int], q: int, n_lanes: int,
+                 payloads: dict[str, list[Any]]):
+        n_p = len(ir.processes)
+        self.ir, self.latencies, self.clocks = ir, latencies, clocks
+        self.marks, self.q, self.n_lanes = marks, q, n_lanes
+        self.width = marks[1][1] - marks[0][1]
+        self.counts = final[3:3 + n_p]
+        self.computes = final[3 + n_p:3 + 2 * n_p]
+        self.clock_slots = final[3 + 2 * n_p:3 + 3 * n_p]
+        self.transfers = final[3 + 3 * n_p:]
+        self.completions = [p.completions for p in walk.procs]
+        self.payloads = payloads
+        self._log: list[Any] | None = walk.log  # until stall_table reads it
+        self._completion_clocks: dict[int, Any] = {}
+
+    def results(self) -> list[SimulationResult]:
+        """Every lane's result, a view of this run's tables."""
+        return [self._lane(li) for li in range(self.n_lanes)]
+
+    def _lane(self, li: int) -> SimulationResult:
+        procs = self.ir.process_index
+        return SimulationResult(
+            iterations=_Table(procs, self.counts.__getitem__),
+            times=_Table(procs, lambda pid: self.times[pid][li]),
+            completion_times=_Table(
+                procs, lambda pid: self.completion_clocks(pid)[li].tolist()),
+            compute_cycles=_Table(procs, lambda pid: self.compute_cycles[pid][li]),
+            stall_cycles=_Table(procs, lambda pid: self.stall_cycles[pid][li]),
+            channel_transfers=_Table(self.ir.channel_index,
+                                     self.transfers.__getitem__),
+            sink_payloads={k: list(v) for k, v in self.payloads.items()},
+            stall_breakdown=_Breakdown(lambda: self.breakdown(li)),
+        )
+
+    @cached_property
+    def times(self) -> list[list[int]]:
+        """Per pid, per lane: the final clock."""
+        return cast(list[list[int]], self.clocks.at(self.clock_slots).tolist())
+
+    @cached_property
+    def compute_cycles(self) -> list[list[int]]:
+        """Per pid, per lane: the cycles spent computing."""
+        return [[lat * n for lat in row]
+                for row, n in zip(self.latencies, self.computes)]
+
+    @cached_property
+    def paid(self) -> list[int]:
+        """Per pid: the channel latencies of its puts and rendezvous gets."""
+        ir = self.ir
+        paid = [0] * len(ir.processes)
+        for cid, n in enumerate(self.transfers):
+            cost = ir.channel_latencies[cid] * n
+            paid[ir.producers[cid]] += cost
+            if not ir.buffered[cid]:
+                paid[ir.consumers[cid]] += cost
+        return paid
+
+    @cached_property
+    def stall_cycles(self) -> list[list[int]]:
+        """Per pid, per lane: a process's clock is its compute cycles, the
+        channel latencies it paid and its waits, so the waits are the rest
+        (docs/THEORY.md §4b)."""
+        return [[time - cycles - paid for time, cycles in zip(times, computes)]
+                for times, computes, paid in zip(self.times, self.compute_cycles,
+                                                 self.paid)]
+
+    def completion_clocks(self, pid: int) -> Any:
+        """``(lanes, completed iterations)``: each completion's clock."""
+        clocks = self._completion_clocks.get(pid)
+        if clocks is None:
+            lo, hi, part = (mark[3 + pid] for mark in self.marks)
+            slots = _unroll(self.completions[pid], lo, hi, part, self.q, self.width)
+            clocks = self._completion_clocks[pid] = self.clocks.at(slots).T
+        return clocks
+
+    def totals(self) -> tuple[int, int, int, int]:
+        """Iterations, transfers, compute and stall cycles, summed over
+        every process (channel) and lane without building a lane's table."""
+        lanes = self.n_lanes
+        compute = sum(n * sum(row) for row, n in zip(self.latencies, self.computes))
+        stalls = sum(map(sum, self.times)) - compute - lanes * sum(self.paid)
+        return lanes * sum(self.counts), lanes * sum(self.transfers), compute, stalls
+
+    @cached_property
+    def stall_table(self) -> tuple[list[tuple[str, str]], list[list[int]]]:
+        """The ``(process, channel)`` pairs that waited and, per lane, their
+        summed waits: the prefix, ``q`` copies of the period's waits (periodic
+        in the copy past the clock period's base), the partial last period."""
+        ir, clocks, q, width = self.ir, self.clocks, self.q, self.width
+        lo, hi, part = self.marks
+        n_c = ir.n_channels
+        log = _columns(self._log or [])
+        self._log = None
+        head, block, tail = (
+            rows[:, (rows[0] == _PUT) | (rows[0] == _GET)]
+            for rows in (log[:, :lo[2]], log[:, lo[2]:hi[2]], log[:, lo[2]:part[2]])
+        )
+
+        def waits(rows: Any, copy: int) -> Any:
+            done = clocks.at(rows[4] + copy * width)
+            done -= clocks.at(rows[5] + copy * width)
+            return done - rows[6][:, None]
+
+        start, cycle = q, 1
+        if clocks.period is not None and block.size:
+            base, span, _ = clocks.period
+            start = min(q, max(0, -((int(block[5].min()) - base) // width)))
+            cycle = span // width
+        keys = np.flatnonzero(np.bincount((log[1] * n_c + log[2])[log[2] >= 0]))
+        stalls = np.zeros((len(keys), self.n_lanes), dtype=clocks.values.dtype)
+        for rows, total in (
+            (head, waits(head, 0)),
+            (block, _periodic_sum(lambda t: waits(block, t), q, start, cycle)),
+            (tail, waits(tail, q)),
+        ):
+            np.add.at(stalls, np.searchsorted(keys, rows[1] * n_c + rows[2]), total)
+        pairs = [(ir.processes[k // n_c], ir.channels[k % n_c])
+                 for k in keys.tolist()]
+        return pairs, stalls.T.tolist()
+
+    def breakdown(self, li: int) -> dict[str, Mapping[str, int]]:
+        """Lane ``li``'s nonzero waits by process, then channel."""
+        pairs, lanes = self.stall_table
+        rows: dict[str, dict[str, int]] = {}
+        for (name, channel), value in zip(pairs, lanes[li]):
+            if value:
+                rows.setdefault(name, {})[channel] = value
+        return {name: MappingProxyType(row) for name, row in rows.items()}
+
+
 class _Engine:
     """One lowered program with one latency row per lane: validated up
-    front; each :meth:`run` walks the control once, replays every lane's
-    clocks and collects per-lane results.  ``lane_ids`` (batch runs) name
+    front; each :meth:`run` walks the control once and replays every
+    lane's clocks into a :class:`_Run`.  ``lane_ids`` (batch runs) name
     lanes in messages and reject a lane whose clocks may reach 2**63."""
 
     def __init__(self, system: SystemGraph, ir: LoweredIR,
@@ -535,7 +733,7 @@ class _Engine:
             self.preload.append(preload + [None] * (tokens - len(preload)))
 
     def run(self, iterations: int, watch: str, max_steps: int | None,
-            sinks: Sequence[tuple[TraceSink, ...]]) -> list[SimulationResult]:
+            sinks: Sequence[tuple[TraceSink, ...]]) -> _Run:
         """Advance every lane until ``watch`` completes ``iterations``
         loops; a deadlock of the shared control path ends all lanes.
         ``sinks`` holds each lane's trace sinks (empty: untraced)."""
@@ -561,9 +759,10 @@ class _Engine:
         except ReproError:
             self.steps = walk.steps
             if traced:  # stream what the walk reached before it failed
-                end = len(walk.tape)
+                end, events = len(walk.tape), len(walk.log)
                 _emit(ir, _Clocks(walk, end, end, end, (), delays, object),
-                      walk.columns(), self.latencies, traced)
+                      _columns(walk.log), (events, events, events, 0, 0, 0),
+                      self.latencies, traced)
             raise
 
         # The rest of the run by arithmetic: watched iteration N is
@@ -581,8 +780,7 @@ class _Engine:
             raise SimulationError(_BUDGET.format(budget))
         self.steps = final[0]
         width = hi[1] - lo[1]
-        counts, computes = final[3:3 + n_p], final[3 + n_p:3 + 2 * n_p]
-        transfers = final[3 + 3 * n_p:]
+        computes, transfers = final[3 + n_p:3 + 2 * n_p], final[3 + 3 * n_p:]
 
         # A clock is a path sum of tape delays, so their total bounds it.
         work = sum(lat * n for lat, n in zip(ir.channel_latencies, transfers))
@@ -598,96 +796,54 @@ class _Engine:
         clocks = _Clocks(walk, lo[1], hi[1], final[1], live, delays,
                          np.int64 if fits else object)
 
-        # Stalls: the prefix, q copies of the period's waits (periodic in the
-        # copy once past the clock period's base), the partial last period.
-        log = walk.columns()
-        head, block, tail = (
-            rows[:, (rows[0] == _PUT) | (rows[0] == _GET)]
-            for rows in (log[:, :lo[2]], log[:, lo[2]:hi[2]], log[:, lo[2]:part[2]])
-        )
-
-        def waits(rows: Any, copy: int) -> Any:
-            done = clocks.at(rows[4] + copy * width)
-            done -= clocks.at(rows[5] + copy * width)
-            return done - rows[6][:, None]
-
-        start, cycle = q, 1
-        if clocks.period is not None and block.size:
-            base, span, _ = clocks.period
-            start = min(q, max(0, -((int(block[5].min()) - base) // width)))
-            cycle = span // width
-        keys = np.flatnonzero(np.bincount((log[1] * n_c + log[2])[log[2] >= 0]))
-        stalls = np.zeros((len(keys), n_lanes), dtype=clocks.values.dtype)
-        for rows, total in (
-            (head, waits(head, 0)),
-            (block, _periodic_sum(lambda t: waits(block, t), q, start, cycle)),
-            (tail, waits(tail, q)),
-        ):
-            np.add.at(stalls, np.searchsorted(keys, rows[1] * n_c + rows[2]), total)
-        proc_stalls = np.zeros((n_p, n_lanes), dtype=stalls.dtype)
-        np.add.at(proc_stalls, keys // n_c, stalls)
-
+        run = _Run(ir, self.latencies, clocks, walk, (lo, hi, part), final, q,
+                   n_lanes, payloads)
+        if walk.period is None or self.functional:
+            run.stall_table  # the log grows with the run: fold it in now
         if traced:
+            log = _columns(walk.log)
             laps = np.subtract(hi[3:3 + n_p], lo[3:3 + n_p])[log[1]]
-            _emit(ir, clocks, [
-                _unroll(column, lo[2], hi[2], part[2], q, step)
-                for column, step in zip(log, (0, 0, 0, laps, width, width, 0))
-            ], self.latencies, traced)
-
-        # Per-lane results: transpose once, then build each lane's dicts.
-        names, channels = ir.processes, ir.channels
-        pairs = [(names[k // n_c], channels[k % n_c]) for k in keys.tolist()]
-        key_stalls = stalls.T.tolist()
-        # One process at a time: the lists are the output, arrays stay small.
-        completions = list(zip(*(clocks.at(_unroll(
-            p.completions, *(m[3 + p.pid] for m in (lo, hi, part)), q, width
-        )).T.tolist() for p in walk.procs)))
-        times = clocks.at(final[3 + 2 * n_p:3 + 3 * n_p]).T.tolist()
-        proc_totals = proc_stalls.T.tolist()
-        cycles = list(zip(*([lat * n for lat in row]
-                            for row, n in zip(self.latencies, computes))))
-        results: list[SimulationResult] = []
-        for li in range(n_lanes):
-            breakdown: dict[str, dict[str, int]] = {}
-            for (name, channel), value in zip(pairs, key_stalls[li]):
-                if value:
-                    breakdown.setdefault(name, {})[channel] = value
-            results.append(SimulationResult(
-                iterations=dict(zip(names, counts)),
-                times=dict(zip(names, times[li])),
-                completion_times=dict(zip(names, completions[li])),
-                compute_cycles=dict(zip(names, cycles[li])),
-                stall_cycles=dict(zip(names, proc_totals[li])),
-                channel_transfers=dict(zip(channels, transfers)),
-                sink_payloads={k: list(v) for k, v in payloads.items()},
-                stall_breakdown=breakdown,
-            ))
-        return results
+            _emit(ir, clocks, log, (lo[2], hi[2], part[2], q, width, laps),
+                  self.latencies, traced)
+        return run
 
 
-def _emit(ir: LoweredIR, clocks: _Clocks, columns: Sequence[Any],
-          latencies: list[list[int]],
+def _emit(ir: LoweredIR, clocks: _Clocks, log: Sequence[Any],
+          cut: tuple[Any, ...], latencies: list[list[int]],
           traced: Sequence[tuple[int, tuple[TraceSink, ...]]]) -> None:
     """Hand the run's events, in walk order, to each traced lane's sinks
-    (every event to the first sink, then every event to the next)."""
-    kinds, pids, cids, iterations, slots, arrivals, consts = columns
-    times = clocks.at(slots)
-    waits = times - consts[:, None] - clocks.at(arrivals)
+    (every event to the first sink, then every event to the next).
+    ``cut = (lo, hi, part, copies, width, laps)`` unrolls the log as
+    :func:`_unroll` does: slots advance by ``width`` and iterations by
+    ``laps`` per copy, and the labels (kind, process, channel, duration)
+    repeat, so they are built per logged event and copied as slices."""
+    kinds, pids, cids, iterations, slots, arrivals, consts = log
+    lo, hi, part, copies, width, laps = cut
+
+    def unroll(column: Any, step: Any) -> Any:
+        return _unroll(column, lo, hi, part, copies, step)
+
+    def repeated(labels: list[Any]) -> list[Any]:
+        return labels[:lo] + labels[lo:hi] * copies + labels[lo:part]
+
+    times = clocks.at(unroll(slots, width))
+    waits = times - unroll(consts, 0)[:, None] - clocks.at(unroll(arrivals, width))
     labels = [
-        np.array(names, dtype=object)[index].tolist() for names, index in (
+        repeated(np.array(names, dtype=object)[index].tolist())
+        for names, index in (
             (_KINDS, kinds), (ir.processes, pids), ((*ir.channels, None), cids))
-    ] + [iterations.tolist()]
+    ] + [unroll(iterations, laps).tolist()]
     for li, sinks in traced:
-        latency = np.array([row[li] for row in latencies], dtype=object)[pids]
-        # tuple.__new__ builds each named tuple without a Python-level call.
-        events = list(cast(Iterable[TraceEvent], map(
-            tuple.__new__, repeat(TraceEvent), zip(
-                times[:, li].tolist(), *labels,
-                np.where(kinds == _COMPUTE, latency, 0).tolist(),
-                waits[:, li].tolist()))))
+        latency = np.asarray([row[li] for row in latencies])[pids]
+        lane = (times[:, li].tolist(), *labels,
+                repeated(np.where(kinds == _COMPUTE, latency, 0).tolist()),
+                waits[:, li].tolist())
         for sink in sinks:
             emit = sink.emit
-            for event in events:
+            # One pass per sink: tuple.__new__ builds each named tuple with
+            # no Python-level call, and an event the sink drops is freed now.
+            for event in cast(Iterable[TraceEvent], map(
+                    tuple.__new__, repeat(TraceEvent), zip(*lane))):
                 emit(event)
 
 
@@ -772,12 +928,12 @@ class Simulator:
                 the exception's ``cycle`` carries the circular wait.
         """
         engine = self._engine
-        (result,) = engine.run(iterations, watch or default_watch(self.system),
-                               max_steps, self._sinks)
+        run = engine.run(iterations, watch or default_watch(self.system),
+                         max_steps, self._sinks)
         count("sim.runs")
         count("sim.steps", engine.steps)
-        _add_totals("sim", [result])
-        return result
+        _add_totals("sim", [run])
+        return run.results()[0]
 
 
 class BatchSimulator:
@@ -811,11 +967,12 @@ class BatchSimulator:
         self.lanes = tuple(lanes)
 
         declared = {c.name: c.capacity for c in system.channels}
+        known, base = set(declared), tuple(declared.values())
         # Group lane indices by capacity signature (declaration order).
         self._groups: dict[tuple[int, ...], tuple[SystemGraph, list[int]]] = {}
         for li, lane in enumerate(self.lanes):
-            overrides = dict(lane.channel_capacities or {})
-            unknown = sorted(set(overrides) - set(declared))
+            overrides = lane.channel_capacities or {}
+            unknown = sorted(set(overrides) - known)
             if unknown:
                 raise SimulationError(
                     f"lane {li}: capacity override for unknown channel(s) "
@@ -823,12 +980,12 @@ class BatchSimulator:
                 )
             signature = tuple(
                 overrides.get(name, cap) for name, cap in declared.items()
-            )
+            ) if overrides else base
             entry = self._groups.get(signature)
             if entry is None:
                 group_system = (
                     system.with_channel_capacities(overrides)
-                    if signature != tuple(declared.values()) else system
+                    if signature != base else system
                 )
                 # Each capacity signature is its own specification.
                 preflight(group_system, self.ordering)
@@ -867,6 +1024,7 @@ class BatchSimulator:
             )
         watch = watch or default_watch(self.system)
         outcomes: dict[int, LaneOutcome] = {}
+        runs: list[_Run] = []
         total_steps = 0
         for group_system, lane_indices in self._groups.values():
             group = [self.lanes[li] for li in lane_indices]
@@ -874,16 +1032,16 @@ class BatchSimulator:
                              [lane.process_latencies for lane in group],
                              lane_ids=lane_indices)
             try:
-                results: Sequence[LaneOutcome] = engine.run(
-                    iterations, watch, max_steps,
-                    [tuple(lane.sinks) for lane in group],
-                )
+                run = engine.run(iterations, watch, max_steps,
+                                 [tuple(lane.sinks) for lane in group])
             except SimulationDeadlock as deadlock:
                 if on_deadlock == "raise":
                     raise
-                results = [deadlock] * len(lane_indices)
+                outcomes.update(dict.fromkeys(lane_indices, deadlock))
+            else:
+                runs.append(run)
+                outcomes.update(zip(lane_indices, run.results()))
             total_steps += engine.steps
-            outcomes.update(zip(lane_indices, results))
         final = [outcomes[li] for li in range(len(self.lanes))]
         count("sim.batch.runs")
         count("sim.batch.lanes", len(self.lanes))
@@ -891,28 +1049,20 @@ class BatchSimulator:
         count("sim.batch.steps", total_steps)
         count("sim.batch.deadlocked_lanes",
               sum(isinstance(o, SimulationDeadlock) for o in final))
-        _add_totals("sim.batch", final)
+        _add_totals("sim.batch", runs)
         return final
 
 
-def _add_totals(prefix: str, outcomes: Sequence[LaneOutcome]) -> None:
+def _add_totals(prefix: str, runs: Sequence[_Run]) -> None:
     """End-of-run aggregates under the stable ``sim.*`` / ``sim.batch.*``
-    metric names, summed over the finished ``outcomes``.
-
-    The sums walk every lane's per-process dicts, so nothing is summed
-    with no registry active.
-    """
+    metric names, summed over the finished ``runs`` and their lanes from
+    each run's counts and final clocks (no lane's table is built)."""
     registry = active()
     if registry is None:
         return
-    results = [o for o in outcomes if isinstance(o, SimulationResult)]
-    for name, attribute in (
-        ("iterations", "iterations"), ("transfers", "channel_transfers"),
-        ("compute_cycles", "compute_cycles"), ("stall_cycles", "stall_cycles"),
-    ):
-        registry.counter(f"{prefix}.{name}").add(
-            sum(sum(getattr(r, attribute).values()) for r in results)
-        )
+    names = ("iterations", "transfers", "compute_cycles", "stall_cycles")
+    for name, *values in zip(names, *(run.totals() for run in runs)):
+        registry.counter(f"{prefix}.{name}").add(sum(values))
 
 
 def simulate(system: SystemGraph, ordering: ChannelOrdering | None = None,
