@@ -18,6 +18,7 @@ Reported numbers:
 import statistics
 
 from conftest import time_interleaved
+from repro.cache import memos
 from repro.core import synthetic_soc
 from repro.obs import MemorySink, NullSink, collect
 from repro.ordering import channel_ordering
@@ -37,9 +38,11 @@ def _system():
 
 
 def _simulation(system, ordering, **kwargs):
-    """Set-up for one timed run (the simulator is built untimed)."""
+    """Set-up for one timed run (the simulator is built untimed, and the
+    walk memo cleared so that the run walks in full)."""
     def prepare():
         simulator = Simulator(system, ordering, **kwargs)
+        memos()["walk"].clear()
         return lambda: simulator.run(iterations=ITERATIONS)
     return prepare
 
@@ -64,6 +67,7 @@ def test_bench_null_path_overhead(benchmark):
 
     benchmark.pedantic(
         lambda: Simulator(system, ordering).run(iterations=ITERATIONS),
+        setup=memos()["walk"].clear,
         rounds=3,
         iterations=1,
     )

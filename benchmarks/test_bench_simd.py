@@ -8,7 +8,8 @@ both halves are asserted here:
 
 * **aggregate throughput** — a 64-candidate batch of the motivating
   example finishes >= 5x faster than 64 sequential
-  :class:`~repro.sim.Simulator` runs;
+  :class:`~repro.sim.Simulator` runs, each timed in full (runs of one IR
+  otherwise share its control walk through the ``walk`` memo);
 * **bit-identity** — every one of the 64 lanes equals the frozen
   :class:`~tests.sim.reference.ReferenceSimulator`'s result for that candidate
   alone (and the lane-0 trace matches when a sink is attached).
@@ -17,6 +18,7 @@ both halves are asserted here:
 import random
 import time
 
+from repro.cache import memos
 from repro.core import ChannelOrdering, motivating_example
 from repro.obs.sinks import MemorySink
 from repro.sim import BatchLane, BatchSimulator, Simulator
@@ -42,13 +44,21 @@ def _setup():
     return system, ordering, lanes
 
 
+def _timed_run(simulator):
+    """One full run's wall time and result: the walk memo is cleared first,
+    so no run reuses an earlier run's control walk."""
+    memos()["walk"].clear()
+    start = time.perf_counter()
+    result = simulator.run(iterations=ITERATIONS)
+    return time.perf_counter() - start, result
+
+
 def _time_batch(system, ordering, lanes):
     times, results = [], None
     for _ in range(REPEATS):
-        simulator = BatchSimulator(system, ordering, lanes=lanes)
-        start = time.perf_counter()
-        results = simulator.run(iterations=ITERATIONS)
-        times.append(time.perf_counter() - start)
+        elapsed, results = _timed_run(
+            BatchSimulator(system, ordering, lanes=lanes))
+        times.append(elapsed)
     return min(times), results
 
 
@@ -62,10 +72,7 @@ def _time_sequential(system, ordering, lanes):
             )
             for lane in lanes
         ]
-        start = time.perf_counter()
-        for simulator in simulators:
-            simulator.run(iterations=ITERATIONS)
-        times.append(time.perf_counter() - start)
+        times.append(sum(_timed_run(simulator)[0] for simulator in simulators))
     return min(times)
 
 

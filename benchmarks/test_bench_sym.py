@@ -21,6 +21,7 @@ import statistics
 import time
 from pathlib import Path
 
+from repro.cache import memos
 from repro.core import synthetic_soc
 from repro.ir import lower
 from repro.ordering import channel_ordering
@@ -133,6 +134,9 @@ def test_bench_sym_labeling_cost(benchmark):
 
 
 def _timed(fn):
+    """Wall time of ``fn()``, from an empty walk memo so that a simulation
+    walks in full."""
+    memos()["walk"].clear()
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start

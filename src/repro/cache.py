@@ -5,11 +5,13 @@ result and structure caches, memoized
 :func:`~repro.ordering.algorithm.channel_ordering` results, and the
 process-wide memos of lowering (:mod:`repro.ir.lowering`), the
 pre-flight (:mod:`repro.lint`), symmetry analysis
-(:mod:`repro.sym.canonical`) and abstract interpretation
-(:mod:`repro.absint.engine`).  Keys are content identities, values are
-immutable analysis artifacts, so sharing a cached value across callers
-is safe.  Each process-wide memo is made by :func:`memo`, which names
-it for :func:`memos` (``ermes profile`` reports their counters).
+(:mod:`repro.sym.canonical`), abstract interpretation
+(:mod:`repro.absint.engine`) and the simulator's control walks
+(:mod:`repro.sim.engine`).  Keys are content identities (a walk's is its
+lowered IR object), values are immutable once stored, so sharing a
+cached value across callers is safe.  Each process-wide memo is made by
+:func:`memo`, which names it for :func:`memos` (``ermes profile``
+reports their counters).
 
 This module imports nothing from ``repro``, so every layer can use it.
 """
@@ -116,6 +118,6 @@ def memo(name: str, maxsize: int) -> LruCache:
 
 
 def memos() -> dict[str, LruCache]:
-    """The process-wide memos by name: ``lower``, ``preflight``, ``sym``
-    and ``absint``, each once its module has been imported."""
+    """The process-wide memos by name: ``lower``, ``preflight``, ``sym``,
+    ``absint`` and ``walk``, each once its module has been imported."""
     return dict(_MEMOS)

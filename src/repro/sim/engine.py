@@ -16,14 +16,15 @@ the channel capacities (:class:`BatchSimulator`).  Which process runs,
 where it blocks and which peer a transfer wakes depend only on opcodes
 and queue occupancies, never on clocks, so :class:`_Walk` runs the
 round-robin scheduler once without clocks and records every clock it
-would compute as a max-plus tape entry.  The control state is finite:
-once it repeats, the schedule repeats, and every count of the remaining
-run follows by arithmetic.  :class:`_Clocks` replays the tape in every
-lane until the live clocks repeat up to a per-lane shift, after which
-each later clock is a shifted copy (docs/THEORY.md §4).  A result's
-tables are views of the run's shared arrays, computed on first read from
-that replayed prefix by index arithmetic.  The pre-IR interpreter in
-``tests/sim/reference.py`` is the differential oracle.
+would compute as a max-plus tape entry; later runs of the same IR object
+reuse a walk that found its period (the ``walk`` memo).  The control
+state is finite: once it repeats, the schedule repeats, and every count
+of the remaining run follows by arithmetic.  :class:`_Clocks` replays
+the tape in every lane until the live clocks repeat up to a per-lane
+shift, after which each later clock is a shifted copy (docs/THEORY.md
+§4).  A result's tables are views of the run's shared arrays, computed
+on first read.  The pre-IR interpreter in ``tests/sim/reference.py`` is
+the differential oracle.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, cast
 
 import numpy as np
 
+from repro.cache import MISS, memo
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ReproError, SimulationDeadlock, SimulationError
 from repro.ir import OP_COMPUTE, OP_PUT, LoweredIR, lower
@@ -63,6 +65,9 @@ _MAX_CYCLICITY = 32
 #: Entries of control state kept while looking for a repeat (a filling
 #: FIFO grows each snapshot); past it the walk runs to the end, exactly.
 _SNAPSHOT_ROOM = 1 << 16
+#: Walks that found their control period, by ``(id(ir), watched pid)``;
+#: each keeps its IR alive, so the id is not reused while it is cached.
+_WALKS = memo("walk", maxsize=4)
 
 
 def token_behavior(iteration: int, inputs: Mapping[str, Any]) -> dict[str, Any]:
@@ -259,9 +264,8 @@ class _Walk:
             full: bool) -> None:
         """Walk until ``watch_pid`` completes ``iterations`` loops or,
         unless ``full``, until the control state repeats."""
-        procs = self.procs
+        procs, marks = self.procs, self.marks
         watched = procs[watch_pid]
-        marks = self.marks
         runnable: deque[int] = deque(range(len(procs)))
         marks.append(self._mark(0))
         seen = {self._state(runnable): 0}
@@ -310,17 +314,13 @@ class _Walk:
                   for k, queue in enumerate(self.queues) if queue),
         )
 
-    def _slot(self, a: int, b: int, row: int) -> int:
-        self.tape.append((a, b, row))
-        return len(self.tape) - 1
-
     def _advance(self, proc: _Proc, runnable: deque[int]) -> None:
         """Run one process until it blocks or completes a loop (stopping at
         iteration boundaries keeps the runnable queue round-robin, so no
         free-running testbench source monopolizes the engine)."""
         if proc.blocked_on >= 0:
             return
-        ir = self.ir
+        ir, tape = self.ir, self.tape
         while True:
             i = proc.index
             op = proc.ops[i]
@@ -328,7 +328,8 @@ class _Walk:
                 if self.functional:
                     produced = proc.behavior(proc.iteration, dict(proc.inputs))
                     proc.outputs = dict(produced) if produced else {}
-                t = proc.time = self._slot(proc.time, proc.time, proc.pid)
+                tape.append((proc.time, proc.time, proc.pid))
+                t = proc.time = len(tape) - 1
                 proc.computes += 1
                 self.log.append((_COMPUTE, proc.pid, -1, proc.iteration, t, t, 0))
                 self._step(proc)
@@ -369,7 +370,8 @@ class _Walk:
         transfer and takes the channel latency; a FIFO get waits only."""
         paid = not side or not self.ir.buffered[cid]
         row = self.zero_row - self.n_c + cid if paid else self.zero_row
-        done = self._slot(arrival, other, row)
+        self.tape.append((arrival, other, row))
+        done = len(self.tape) - 1
         self.transfers[cid] += paid
         self._finish(proc, cid, done, arrival,
                      self.ir.channel_latencies[cid] if paid else 0, _PUT + side)
@@ -428,20 +430,22 @@ class _Walk:
 
     def _raise_deadlock(self) -> None:
         """Diagnose and raise the runtime deadlock: everyone is blocked
-        (in every lane at once: the schedule is shared)."""
-        ir = self.ir
-        waiting: dict[str, str] = {}
-        wait_for: dict[str, str] = {}  # blocked process -> channel peer
-        for proc in self.procs:
-            cid = proc.blocked_on
-            if cid >= 0:
-                waiting[proc.name] = ir.channels[cid]
-                ends = (ir.producers[cid], ir.consumers[cid])
-                wait_for[proc.name] = ir.processes[ends[ends[0] == proc.pid]]
+        (in every lane at once: the schedule is shared), so following each
+        process to the peer it waits for closes a circular wait."""
+        ir, procs = self.ir, self.procs
+        waiting = {p.name: ir.channels[p.blocked_on] for p in procs}
+        path: dict[int, int] = {}  # pid -> position, from pid 0
+        pid = 0
+        while pid not in path:
+            path[pid] = len(path)
+            cid = procs[pid].blocked_on
+            ends = (ir.producers[cid], ir.consumers[cid])
+            pid = ends[ends[0] == pid]
         detail = ", ".join(f"{p} on {c}" for p, c in sorted(waiting.items()))
         raise SimulationDeadlock(
             f"simulation deadlock: all runnable processes are blocked ({detail})",
-            cycle=_find_wait_cycle(wait_for), waiting=waiting)
+            cycle=[ir.processes[p] for p in list(path)[path[pid]:]],
+            waiting=waiting)
 
 
 class _Clocks:
@@ -449,29 +453,36 @@ class _Clocks:
 
     Slots ``1 .. start-1`` are the prefix; from ``start`` on, the tape
     repeats block ``start .. stop-1``, copy by copy ``width = stop - start``
-    slots later.  Blocks are swept into a ``(slots, lanes)`` array level by
-    dependency level until the live clocks at a block boundary equal those
-    ``c`` boundaries back plus one ``λ`` per lane; max-plus homogeneity
-    then gives ``T[s + c·width] = T[s] + λ`` for every later slot (used by
-    :meth:`at`).  Without such a period the replay runs to ``end``.
-    ``dtype`` is int64, or object (exact ints) once a bound reaches 2**63.
+    slots later.  One lane follows the tape slot by slot (:func:`_follow`),
+    B lanes sweep it level by level into a ``(slots, lanes)`` array, until
+    the live clocks at a block boundary equal those ``c`` boundaries back
+    plus one ``λ`` per lane; max-plus homogeneity then gives ``T[s +
+    c·width] = T[s] + λ`` for every later slot (used by :meth:`at`).
+    Without such a period the replay runs to ``end``.  ``dtype`` is int64,
+    or object (exact ints) once a bound reaches 2**63.
     """
 
     def __init__(self, walk: _Walk, start: int, stop: int, end: int,
                  live: Sequence[int], delays: list[list[int]], dtype: Any):
-        tape = np.array(walk.tape, dtype=np.int64)
-        width = stop - start
-        table = np.array(delays, dtype=dtype)
-        values = np.zeros((start + width, table.shape[1]), dtype=dtype)
-        _sweep(values, _levels(tape, 1, start), table, 0)
-        plan = _levels(tape, start, stop)
+        width, lanes = stop - start, len(delays[0])
+        delay = [row[0] for row in delays]
+        if lanes == 1:
+            values: Any = [0]
+            _follow(values, walk.tape, 1, start, 0, delay)
+        else:
+            tape = np.array(walk.tape, dtype=np.int64)
+            table = np.array(delays, dtype=dtype)
+            values = np.zeros((start + width, lanes), dtype=dtype)
+            _sweep(values, _levels(tape, 1, start), table, 0)
+            plan = _levels(tape, start, stop)
         offsets = np.array(live, dtype=np.int64)
         history: deque[Any] = deque(maxlen=_MAX_CYCLICITY + 1)
         self.period: tuple[int, int, Any] | None = None
         m = 0
         while True:
             top = start + m * width
-            history.append(values[top - offsets])
+            history.append(values[top - offsets] if lanes > 1 else np.array(
+                [[values[top - o]] for o in live], dtype=dtype))
             for c in range(1, len(history)):  # the smallest c that fits
                 diff = history[-1] - history[-1 - c]
                 if (diff == diff[0]).all():
@@ -479,11 +490,16 @@ class _Clocks:
                     break
             if self.period is not None or top >= end:
                 break
-            if len(values) < top + width:
-                values = np.concatenate([values, np.zeros_like(values[:4 * width])])
-            _sweep(values, plan, table, m * width)
+            if lanes == 1:
+                _follow(values, walk.tape, start, stop, m * width, delay)
+            else:
+                if len(values) < top + width:
+                    values = np.concatenate(
+                        [values, np.zeros_like(values[:4 * width])])
+                _sweep(values, plan, table, m * width)
             m += 1
-        self.values = values[:top].copy()  # not the spare rows
+        self.values = (values[:top].copy() if lanes > 1  # not the spare rows
+                       else np.array(values, dtype=dtype).reshape(-1, 1))
 
     def at(self, slots: Any) -> Any:
         """Clocks at ``slots``, ``(len(slots), lanes)``."""
@@ -493,6 +509,15 @@ class _Clocks:
         base, span, shift = self.period
         copies = np.maximum(s - base, 0) // span
         return self.values[s - copies * span] + copies[:, None] * shift
+
+
+def _follow(clock: list[int], tape: list[tuple[int, int, int]], lo: int,
+            hi: int, shift: int, delay: list[int]) -> None:
+    """One lane: append slots ``lo .. hi-1``, shifted by ``shift``, to ``clock``."""
+    append = clock.append
+    for a, b, d in tape[lo:hi]:
+        x, y = clock[a + shift], clock[b + shift]
+        append((x if x > y else y) + delay[d])
 
 
 def _levels(tape: Any, lo: int, hi: int) -> list[tuple[Any, ...]]:
@@ -561,20 +586,16 @@ class _Run:
         self.ir, self.latencies, self.clocks = ir, latencies, clocks
         self.marks, self.q, self.n_lanes = marks, q, n_lanes
         self.width = marks[1][1] - marks[0][1]
-        self.counts = final[3:3 + n_p]
-        self.computes = final[3 + n_p:3 + 2 * n_p]
-        self.clock_slots = final[3 + 2 * n_p:3 + 3 * n_p]
+        self.counts, self.computes, self.clock_slots = (
+            final[3 + i * n_p:3 + (i + 1) * n_p] for i in range(3))
         self.transfers = final[3 + 3 * n_p:]
         self.completions = [p.completions for p in walk.procs]
         self.payloads = payloads
         self._log: list[Any] | None = walk.log  # until stall_table reads it
         self._completion_clocks: dict[int, Any] = {}
 
-    def results(self) -> list[SimulationResult]:
-        """Every lane's result, a view of this run's tables."""
-        return [self._lane(li) for li in range(self.n_lanes)]
-
-    def _lane(self, li: int) -> SimulationResult:
+    def lane(self, li: int) -> SimulationResult:
+        """Lane ``li``'s result, a view of this run's tables."""
         procs = self.ir.process_index
         return SimulationResult(
             iterations=_Table(procs, self.counts.__getitem__),
@@ -701,11 +722,10 @@ class _Engine:
         payloads = initial_payloads or {}
         # Payload staging only runs when someone supplies payloads.
         self.functional = bool(behaviors) or bool(payloads)
-        self.steps = 0
         declared = system.process_latencies()
         for li, override in enumerate(latencies):
             where = f"lane {lane_ids[li]}: " if lane_ids is not None else ""
-            unknown = sorted(set(override or ()) - set(declared))
+            unknown = sorted(n for n in override or () if n not in declared)
             if unknown:
                 raise SimulationError(
                     f"{where}latency override for unknown process(es) "
@@ -744,26 +764,32 @@ class _Engine:
         if watch_pid is None:
             raise SimulationError(f"unknown watch process {watch!r}")
         n_p, n_c, n_lanes = len(ir.processes), ir.n_channels, len(sinks)
-        sink_names = {p.name for p in self.system.sinks()}
-        payloads: dict[str, list[Any]] = {
-            n: [] for n in ir.processes if n in sink_names}
+        payloads: dict[str, list[Any]] = {p.name: [] for p in self.system.sinks()}
         traced = [(li, lane) for li, lane in enumerate(sinks) if lane]
-        walk = _Walk(self, payloads)
         budget = max_steps or 40 * (iterations + 4) * (n_p + n_c) + 1000
         delays = (self.latencies + [[lat] * n_lanes for lat in ir.channel_latencies]
                   + [[0] * n_lanes])
-        try:
-            # Behaviors run every iteration, so a functional walk goes on
-            # to the end; its clocks still extrapolate.
-            walk.run(iterations, watch_pid, budget, full=self.functional)
-        except ReproError:
-            self.steps = walk.steps
-            if traced:  # stream what the walk reached before it failed
-                end, events = len(walk.tape), len(walk.log)
-                _emit(ir, _Clocks(walk, end, end, end, (), delays, object),
-                      _columns(walk.log), (events, events, events, 0, 0, 0),
-                      self.latencies, traced)
-            raise
+        # Latencies never change the schedule: a walk of this IR object whose
+        # period mark and steps fit this run is the walk this run would take.
+        key = (id(ir), watch_pid)
+        walk: Any = MISS if self.functional else _WALKS.get(key)
+        if (walk is MISS or walk.ir is not ir or walk.steps > budget
+                or walk.period[1] > iterations):
+            walk = _Walk(self, payloads)
+            try:
+                # Behaviors run every iteration, so a functional walk goes
+                # on to the end; its clocks still extrapolate.
+                walk.run(iterations, watch_pid, budget, full=self.functional)
+            except ReproError:
+                self.steps = walk.steps
+                if traced:  # stream what the walk reached before it failed
+                    end, events = len(walk.tape), len(walk.log)
+                    _emit(ir, _Clocks(walk, end, end, end, (), delays, object),
+                          _columns(walk.log), (events, events, events, 0, 0, 0),
+                          self.latencies, traced)
+                raise
+            if walk.period is not None and not self.functional:
+                _WALKS.put(key, walk)
 
         # The rest of the run by arithmetic: watched iteration N is
         # j + r + q·(k - j), and each control period k - j advances every
@@ -847,25 +873,6 @@ def _emit(ir: LoweredIR, clocks: _Clocks, log: Sequence[Any],
                 emit(event)
 
 
-def _find_wait_cycle(wait_for: dict[str, str]) -> list[str] | None:
-    """Find a cycle in the (functional) wait-for graph."""
-    state: dict[str, int] = {}
-    for root in wait_for:
-        if state.get(root):
-            continue
-        path: list[str] = []
-        node = root
-        while node in wait_for and state.get(node) is None:
-            state[node] = 1
-            path.append(node)
-            node = wait_for[node]
-        if state.get(node) == 1 and node in wait_for:
-            return path[path.index(node):]
-        for visited in path:
-            state[visited] = 2
-    return None
-
-
 class Simulator:
     """Cycle-level simulator of a system under a channel ordering.
 
@@ -933,7 +940,7 @@ class Simulator:
         count("sim.runs")
         count("sim.steps", engine.steps)
         _add_totals("sim", [run])
-        return run.results()[0]
+        return run.lane(0)
 
 
 class BatchSimulator:
@@ -967,31 +974,26 @@ class BatchSimulator:
         self.lanes = tuple(lanes)
 
         declared = {c.name: c.capacity for c in system.channels}
-        known, base = set(declared), tuple(declared.values())
+        base = tuple(declared.values())
         # Group lane indices by capacity signature (declaration order).
         self._groups: dict[tuple[int, ...], tuple[SystemGraph, list[int]]] = {}
         for li, lane in enumerate(self.lanes):
             overrides = lane.channel_capacities or {}
-            unknown = sorted(set(overrides) - known)
+            unknown = sorted(n for n in overrides if n not in declared)
             if unknown:
                 raise SimulationError(
                     f"lane {li}: capacity override for unknown channel(s) "
-                    f"{', '.join(repr(u) for u in unknown)}"
-                )
+                    f"{', '.join(repr(u) for u in unknown)}")
             signature = tuple(
                 overrides.get(name, cap) for name, cap in declared.items()
             ) if overrides else base
-            entry = self._groups.get(signature)
-            if entry is None:
-                group_system = (
-                    system.with_channel_capacities(overrides)
-                    if signature != base else system
-                )
+            if signature not in self._groups:
+                group = (system.with_channel_capacities(overrides)
+                         if signature != base else system)
                 # Each capacity signature is its own specification.
-                preflight(group_system, self.ordering)
-                self._groups[signature] = (group_system, [li])
-            else:
-                entry[1].append(li)
+                preflight(group, self.ordering)
+                self._groups[signature] = (group, [])
+            self._groups[signature][1].append(li)
 
     @property
     def n_groups(self) -> int:
@@ -1040,7 +1042,7 @@ class BatchSimulator:
                 outcomes.update(dict.fromkeys(lane_indices, deadlock))
             else:
                 runs.append(run)
-                outcomes.update(zip(lane_indices, run.results()))
+                outcomes.update((li, run.lane(i)) for i, li in enumerate(lane_indices))
             total_steps += engine.steps
         final = [outcomes[li] for li in range(len(self.lanes))]
         count("sim.batch.runs")

@@ -20,8 +20,6 @@ processes (and exported traces align without per-process offsets).  What
 *is* process-local is the final value of the cursor: a process's last
 event time is the moment *it* finished its last statement, which can
 differ between processes (a testbench source may run ahead of the sink).
-Utilization metrics in :mod:`repro.sim.metrics` therefore divide by the
-process's own final time, not by a global end-of-run time.
 """
 
 from __future__ import annotations

@@ -232,7 +232,12 @@ def _search(
     # search, rep -> (parent rep, action id in the parent's frame, pi)
     # with rep == pi(successor(parent, action)).
     parents: dict[State, tuple | None] = {initial: None}
-    frontier: deque[State] = deque([initial])
+    # Each state with its enabled ids when the plain POR walk derived them
+    # from its parent's (TransitionSystem.enabled_after), else None.
+    frontier: deque[tuple[State, tuple[int, ...] | None]] = deque(
+        [(initial, None)]
+    )
+    incremental = por and sym is None
     explored = 0
     fired = 0
     pruned = 0
@@ -272,9 +277,10 @@ def _search(
                 Verdict.INCONCLUSIVE,
                 f"time budget exceeded ({budget_seconds}s)",
             )
-        state = frontier.popleft()
+        state, enabled = frontier.popleft()
         explored += 1
-        enabled = ts.enabled(state)
+        if enabled is None:
+            enabled = ts.enabled(state)
         if not enabled:
             if ts.is_deadlock(state):
                 witness = _witness(ts, sym, parents, state, initial_pi)
@@ -296,14 +302,16 @@ def _search(
             if sym is None:
                 if successor not in parents:
                     parents[successor] = (state, action)
-                    frontier.append(successor)
+                    frontier.append((successor, ts.enabled_after(
+                        enabled, action, successor
+                    ) if incremental else None))
                 continue
             rep, pi = sym.canonicalize(successor)
             if not is_identity_pair(pi):
                 merged += 1
             if rep not in parents:
                 parents[rep] = (state, action, pi)
-                frontier.append(rep)
+                frontier.append((rep, None))
     enumerated = (
         "reachable states" if sym is None else "reachable orbit representatives"
     )

@@ -214,6 +214,14 @@ class TransitionSystem:
         )
         #: Per action: its occupancy change (+1 put, -1 get, 0 rendezvous).
         self.action_delta: tuple[int, ...] = tuple(deltas)
+        #: Per action: the actions besides the moved slots' new ones whose
+        #: enabledness firing it can change: itself, or both sides of its
+        #: buffer.
+        self._touches: tuple[tuple[int, ...], ...] = tuple(
+            (action,) if kind is ActionKind.RENDEZVOUS
+            else (put_id[cid], get_id[cid])
+            for action, (_, _, cid, kind) in enumerate(universe)
+        )
 
     # ------------------------------------------------------------------
     # Actions
@@ -271,6 +279,42 @@ class TransitionSystem:
                 enabled.append(action)
         enabled.sort()
         return tuple(enabled)
+
+    def enabled_after(
+        self, enabled: tuple[int, ...], action: int, state: State
+    ) -> tuple[int, ...]:
+        """The ids enabled in ``state``, reached by firing ``action`` from
+        a state whose enabled ids were ``enabled``; equal to
+        :meth:`enabled` of ``state``.
+
+        Enabledness reads an action's endpoint slots and its buffer, and
+        firing moves only the action's slots and buffer, so only the fired
+        action, the moved slots' new current actions and both sides of the
+        buffer are rechecked.
+        """
+        indices, occupancies = state
+        chains, slots = self.chain_actions, self.action_slots
+        touched = set(self._touches[action])
+        for slot in slots[action]:
+            touched.add(chains[slot][indices[slot]])
+        result = [a for a in enabled if a not in touched]
+        for candidate in touched:
+            delta = self.action_delta[candidate]
+            if not delta:
+                producer, consumer = slots[candidate]
+                if (chains[producer][indices[producer]] == candidate
+                        == chains[consumer][indices[consumer]]):
+                    result.append(candidate)
+                continue
+            (slot,) = slots[candidate]
+            occupancy = occupancies[self.action_buffer[candidate]]
+            if chains[slot][indices[slot]] == candidate and (
+                occupancy if delta < 0
+                else occupancy < self.action_capacity[candidate]
+            ):
+                result.append(candidate)
+        result.sort()
+        return tuple(result)
 
     def successor(self, state: State, action: int) -> State:
         """The state after firing action id ``action`` (must be enabled)."""

@@ -104,6 +104,8 @@ class TestProfileCommand:
                 "cache.preflight.evictions",
                 "cache.absint.misses",
                 "cache.sym.misses",
+                "cache.walk.hits",
+                "cache.walk.misses",
                 "dse.absint.runs",
                 "sim.transfers",
                 "verify.runs",
@@ -116,6 +118,8 @@ class TestProfileCommand:
             "cache.preflight.evictions": 0,
             "cache.absint.misses": 1,
             "cache.sym.misses": 1,
+            "cache.walk.hits": 0,
+            "cache.walk.misses": 1,
             "dse.absint.runs": 1,
             "sim.transfers": 400,
             "verify.runs": 1,

@@ -10,8 +10,10 @@ token game and the test oracles.
 import pytest
 
 from repro.core import load_system, motivating_deadlock_ordering, motivating_example
+from repro.errors import DeadlockError
 from repro.model.performance import analyze_system, deadlock_cycle
 from repro.ordering import channel_ordering
+from repro.ordering.exhaustive import all_orderings
 from repro.perf import PerformanceEngine
 from repro.sizing import size_buffers
 from repro.tmg.event_graph import Edge
@@ -48,3 +50,39 @@ def test_analyses_build_no_name_keyed_graph(monkeypatch, system, ordering, dead)
     assert deadlock_cycle(system, ordering) is None
     if dead is not None:
         assert deadlock_cycle(system, dead)
+
+
+def test_uncached_analysis_searches_for_a_token_free_cycle_once(monkeypatch):
+    """One DFS per uncached analysis, live or deadlocked, and the same
+    ``DeadlockError`` as the engine path on all 14 deadlocked orderings
+    of the motivating example."""
+    import repro.model.build as build
+    import repro.tmg.deadlock as deadlock
+
+    motivating = motivating_example()
+    orderings = list(all_orderings(motivating))
+    calls = []
+    search = deadlock._token_free_cycle
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(build, "_token_free_cycle", counted)
+    monkeypatch.setattr(deadlock, "_token_free_cycle", counted)
+    dead = 0
+    for ordering in orderings:
+        calls.clear()
+        try:
+            analyze_system(motivating, ordering)
+        except DeadlockError as error:
+            assert len(calls) == 1
+            dead += 1
+            with pytest.raises(DeadlockError) as cached:
+                PerformanceEngine().analyze(motivating, ordering)
+            assert (str(error), error.cycle) == (
+                str(cached.value), cached.value.cycle
+            )
+        else:
+            assert len(calls) == 1
+    assert dead == 14

@@ -17,6 +17,7 @@ from repro.cache import memos
 from repro.core import SystemBuilder, SystemGraph
 from repro.ir import lower
 from repro.lint import preflight
+from repro.sim import Simulator
 from repro.sym import analyze_symmetry
 
 
@@ -33,6 +34,7 @@ MEMOS = {
         "sym", 256, lambda system: analyze_symmetry(lower(system))
     ),
     "absint": Memo("absint", 256, analyze),
+    "walk": Memo("walk", 4, lambda system: Simulator(system).run(16)),
 }
 
 

@@ -45,7 +45,6 @@ from repro.errors import SimulationDeadlock, SimulationError
 from repro.sim.engine import (
     Behavior,
     SimulationResult,
-    _find_wait_cycle,
     token_behavior,
 )
 from repro.sim.trace import TraceEvent, TraceSink
@@ -602,3 +601,22 @@ class ReferenceSimulator:
         metrics.counter("sim.stall_cycles").add(
             sum(result.stall_cycles.values())
         )
+
+
+def _find_wait_cycle(wait_for: dict[str, str]) -> list[str] | None:
+    """Find a cycle in the (functional) wait-for graph."""
+    state: dict[str, int] = {}
+    for root in wait_for:
+        if state.get(root):
+            continue
+        path: list[str] = []
+        node = root
+        while node in wait_for and state.get(node) is None:
+            state[node] = 1
+            path.append(node)
+            node = wait_for[node]
+        if state.get(node) == 1 and node in wait_for:
+            return path[path.index(node):]
+        for visited in path:
+            state[visited] = 2
+    return None

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sim.engine as engine
+from repro.cache import memos
 from repro.core import ChannelOrdering, SystemBuilder, load_system
 from repro.errors import SimulationDeadlock, SimulationError
 from repro.mpeg2.codec import EncoderConfig, VideoFormat, synthetic_sequence
@@ -241,8 +242,10 @@ class TestTransients:
         self, motivating, replays, monkeypatch
     ):
         """Control snapshots are bounded in total size (a filling FIFO grows
-        every one of them); past the bound the walk runs to the end."""
+        every one of them); past the bound the walk runs to the end.  The
+        walk memo is cleared: a cached walk found its period with room."""
         monkeypatch.setattr(engine, "_SNAPSHOT_ROOM", 1)
+        memos()["walk"].clear()
         ordering = ChannelOrdering.declaration_order(motivating)
         got_sink, want_sink = MemorySink(), MemorySink()
         got = Simulator(motivating, ordering, sinks=(got_sink,)).run(64)
