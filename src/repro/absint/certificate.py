@@ -202,12 +202,12 @@ def check_certificate(
             raise CertificateError(
                 f"certificate for {ir.system_name!r} assigns no rank to "
                 f"transition {missing!r} (required by token-free place "
-                f"{rows.place_name(row)!r})"
+                f"{rows.decoder(row)!r})"
             )
         if not source_rank < target_rank:
             raise CertificateError(
                 f"certificate for {ir.system_name!r} is not a valid "
-                f"ranking: token-free place {rows.place_name(row)!r} runs "
+                f"ranking: token-free place {rows.decoder(row)!r} runs "
                 f"{names[source]!r} (rank {source_rank}) -> "
                 f"{names[target]!r} (rank {target_rank})"
             )

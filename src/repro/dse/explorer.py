@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
@@ -49,7 +49,8 @@ _log = logging.getLogger(__name__)
 
 def _node_limit_stop(error: NodeLimitError) -> str:
     """Stop reason for an ILP solve aborted by its node budget; the
-    aborted search's nodes still count toward ``dse.ilp.nodes``."""
+    aborted search's nodes still count toward ``dse.ilp.nodes`` (and the
+    run's last record)."""
     count("dse.ilp.nodes", error.nodes)
     return f"ILP node limit reached ({error.nodes} nodes)"
 
@@ -74,7 +75,9 @@ class IterationRecord:
     """One row of an exploration trajectory (one Fig. 6 point).
 
     ``ilp_nodes`` counts the branch-and-bound nodes of the iteration's
-    ILP solve(s).  The last three fields are what the iteration cost on
+    ILP solve(s); the last record also counts those of an iteration that
+    ended the run without a record of its own, so the records sum to
+    ``dse.ilp.nodes``.  The last three fields are what the iteration cost on
     this machine and cache, so they take no part in ``==``:
     ``wall_time_s`` is the wall-clock span since the previous record (the
     first one's since the run began), ``cache_hits``/``cache_misses`` the
@@ -228,6 +231,7 @@ class Explorer:
         # the previous one.
         cache = self.perf_engine.results.stats
         mark, seen = time.perf_counter(), (cache.hits, cache.misses)
+        pending_nodes = 0  # ILP nodes solved since the last record
 
         def append(
             iteration: int,
@@ -236,9 +240,8 @@ class Explorer:
             performance: SystemPerformance,
             changes: tuple[tuple[str, str], ...] = (),
             reordered: tuple[str, ...] = (),
-            ilp_nodes: int = 0,
         ) -> IterationRecord:
-            nonlocal mark, seen
+            nonlocal mark, seen, pending_nodes
             now = time.perf_counter()
             ct = performance.cycle_time
             record = IterationRecord(
@@ -251,12 +254,13 @@ class Explorer:
                 critical_processes=performance.critical_processes,
                 selection_changes=changes,
                 reordered_processes=reordered,
-                ilp_nodes=ilp_nodes,
+                ilp_nodes=pending_nodes,
                 wall_time_s=now - mark,
                 cache_hits=cache.hits - seen[0],
                 cache_misses=cache.misses - seen[1],
             )
             mark, seen = now, (cache.hits, cache.misses)
+            pending_nodes = 0
             result.history.append(record)
             count("dse.iterations")
             observe("dse.iteration.wall_s", record.wall_time_s)
@@ -279,7 +283,6 @@ class Explorer:
         consider(append(0, "start", config, performance), config)
 
         for iteration in range(1, self.max_iterations + 1):
-            iteration_nodes = 0
             slack = self.target_cycle_time - performance.cycle_time
             critical = performance.critical_processes
 
@@ -305,9 +308,10 @@ class Explorer:
                 result.stop_reason = f"{action} infeasible"
                 break
             except NodeLimitError as error:
+                pending_nodes += error.nodes
                 result.stop_reason = _node_limit_stop(error)
                 break
-            iteration_nodes += solution.nodes
+            pending_nodes += solution.nodes
             count("dse.ilp.solves")
             count("dse.ilp.nodes", solution.nodes)
 
@@ -336,9 +340,10 @@ class Explorer:
                     result.stop_reason = "all candidate configurations visited"
                     break
                 except NodeLimitError as error:
+                    pending_nodes += error.nodes
                     result.stop_reason = _node_limit_stop(error)
                     break
-                iteration_nodes += solution.nodes
+                pending_nodes += solution.nodes
                 count("dse.ilp.solves")
                 count("dse.ilp.nodes", solution.nodes)
                 changes = self._diff(config, solution.selection)
@@ -376,8 +381,7 @@ class Explorer:
                             self._sym_seen.add(canonical)
 
             if not changes and not reordered:
-                append(iteration, "none", config, performance,
-                       ilp_nodes=iteration_nodes)
+                append(iteration, "none", config, performance)
                 result.stop_reason = "converged (no applicable changes)"
                 break
 
@@ -392,11 +396,16 @@ class Explorer:
                 performance,
                 tuple(sorted(changes.items())),
                 reordered,
-                iteration_nodes,
             )
             consider(record, config)
         else:
             result.stop_reason = "iteration limit reached"
+        if pending_nodes:
+            # The iteration that ended the run made no record of its own.
+            last = result.history[-1]
+            result.history[-1] = replace(
+                last, ilp_nodes=last.ilp_nodes + pending_nodes
+            )
 
         if incumbent is not None:
             result.final = incumbent[3]

@@ -40,12 +40,15 @@ game and the test oracles use.  :attr:`StructureEntry.circular_wait`
 decodes a deadlock back to the design, by row and node index: the one
 witness that every deadlock report prints.
 
-Names are systematic so analyses can be mapped back to the system:
-transition ``ch:a`` is channel ``a`` (``ch:a.put``/``ch:a.get`` for
-buffered channels), transition ``proc:P2`` is the computation of ``P2``,
-place ``P2/put:b`` is P2's put statement on ``b``, ``P2/comp`` its
+Analyses map back to the system by index: :class:`_Decoder` turns a
+node id into its process or channel and a place row into its statement
+or buffered channel, and no name is ever parsed.  The names themselves
+are systematic and written only here, for reports and DOT: transition
+``ch:a`` is channel ``a`` (``ch:a.put``/``ch:a.get`` for buffered
+channels), transition ``proc:P2`` is the computation of ``P2``, place
+``P2/put:b`` is P2's put statement on ``b``, ``P2/comp`` its
 computation, and ``a/data``/``a/credit`` are a buffered channel's queue
-and free slots.  This module owns that scheme.
+and free slots.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ValidationError
@@ -62,6 +65,8 @@ from repro.tmg.deadlock import _token_free_cycle
 from repro.tmg.event_graph import EventGraph, contract
 from repro.tmg.graph import TimedMarkedGraph
 
+#: The name scheme, spelled by :func:`_marked_rows` (transitions) and
+#: :class:`_Decoder` (places) only.
 CHANNEL_PREFIX = "ch:"
 PROCESS_PREFIX = "proc:"
 PUT_SUFFIX = ".put"
@@ -69,74 +74,6 @@ GET_SUFFIX = ".get"
 DATA_SUFFIX = "/data"
 CREDIT_SUFFIX = "/credit"
 COMPUTE_SUFFIX = "/comp"
-
-
-def channel_transition(channel: str) -> str:
-    """Transition name of a (rendezvous) channel."""
-    return CHANNEL_PREFIX + channel
-
-
-def buffered_put_transition(channel: str) -> str:
-    """Producer-side transition name of a buffered (pre-loaded) channel."""
-    return CHANNEL_PREFIX + channel + PUT_SUFFIX
-
-
-def buffered_get_transition(channel: str) -> str:
-    """Consumer-side transition name of a buffered (pre-loaded) channel."""
-    return CHANNEL_PREFIX + channel + GET_SUFFIX
-
-
-def process_transition(process: str) -> str:
-    """Transition name of a process's computation phase."""
-    return PROCESS_PREFIX + process
-
-
-def statement_place(process: str, kind: str, channel: str | None = None) -> str:
-    """Place name of one statement in a process chain.
-
-    ``kind`` is ``"get"``, ``"put"`` or ``"compute"``; get/put take the
-    channel name.
-    """
-    if kind == "compute":
-        return process + COMPUTE_SUFFIX
-    if channel is None:
-        raise ValidationError("get/put statement places need a channel name")
-    return f"{process}/{kind}:{channel}"
-
-
-def data_place(channel: str) -> str:
-    """The place holding a buffered channel's queued items."""
-    return channel + DATA_SUFFIX
-
-
-def credit_place(channel: str) -> str:
-    """The place holding a buffered channel's free slots."""
-    return channel + CREDIT_SUFFIX
-
-
-def critical_processes(cycle: tuple[str, ...]) -> tuple[str, ...]:
-    """Processes whose computation transition lies on ``cycle``."""
-    return tuple(
-        name[len(PROCESS_PREFIX):]
-        for name in cycle
-        if name.startswith(PROCESS_PREFIX)
-    )
-
-
-def critical_channels(cycle: tuple[str, ...]) -> tuple[str, ...]:
-    """Channels whose transition lies on ``cycle`` (put/get sides of a
-    buffered channel map back to the channel; duplicates removed, in order
-    of first appearance)."""
-    seen: dict[str, None] = {}
-    for name in cycle:
-        if not name.startswith(CHANNEL_PREFIX):
-            continue
-        channel = name[len(CHANNEL_PREFIX):]
-        for suffix in (PUT_SUFFIX, GET_SUFFIX):
-            if channel.endswith(suffix):
-                channel = channel[: -len(suffix)]
-        seen[channel] = None
-    return tuple(seen)
 
 
 def effective_latencies(
@@ -173,15 +110,27 @@ def model_name(ir: LoweredIR) -> str:
     return f"{ir.system_name}.tmg"
 
 
-class _PlaceNames:
-    """The name of each place row of an IR's marked graph, decoded from
-    the IR by the naming helpers above (see :func:`_marked_rows` for the
-    row order)."""
+class _Decoder:
+    """Decodes the integer ids of an IR's marked graph back to the
+    design, by index (see :func:`_marked_rows` for the id order): a place
+    row to its name or statement, channel and process nodes to their
+    names.  Nothing is decoded from a name."""
 
-    def __init__(self, ir: LoweredIR, buffered: list[int], offsets: list[int]):
+    def __init__(
+        self,
+        ir: LoweredIR,
+        buffered: list[int],
+        buffered_get: list[int],
+        offsets: list[int],
+    ):
         self.ir = ir
         #: The cids of the buffered channels, in row order.
         self.buffered = buffered
+        #: Their get nodes, ascending.  Channel nodes come in cid order,
+        #: one per channel plus one per buffered channel, so node ``u`` of
+        #: the first ``n_channels + len(buffered)`` is channel
+        #: ``u - bisect_right(buffered_get, u)``.
+        self.buffered_get = buffered_get
         #: Per pid, the row of its first statement place.
         self.offsets = offsets
 
@@ -194,18 +143,49 @@ class _PlaceNames:
         return pid, row - self.offsets[pid]
 
     def __call__(self, row: int) -> str:
+        """The name of place ``row``."""
         ir = self.ir
         located = self.statement(row)
         if located is None:
             channel = ir.channels[self.buffered[row // 2]]
-            return credit_place(channel) if row % 2 else data_place(channel)
+            return channel + (CREDIT_SUFFIX if row % 2 else DATA_SUFFIX)
         pid, i = located
         process = ir.processes[pid]
         op = ir.op_kinds[pid][i]
         if op == OP_COMPUTE:
-            return statement_place(process, "compute")
+            return process + COMPUTE_SUFFIX
         kind = "get" if op == OP_GET else "put"
-        return statement_place(process, kind, ir.channels[ir.op_args[pid][i]])
+        return f"{process}/{kind}:{ir.channels[ir.op_args[pid][i]]}"
+
+    def elements(
+        self, nodes: Sequence[int]
+    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The processes whose computation is among ``nodes``, in order,
+        and the channels whose transitions are, in order of first
+        appearance (a buffered channel's put and get nodes are one
+        channel)."""
+        ir, gets = self.ir, self.buffered_get
+        n_fixed = ir.n_channels + len(gets)
+        return (
+            tuple(ir.processes[u - n_fixed] for u in nodes if u >= n_fixed),
+            tuple(
+                ir.channels[cid]
+                for cid in dict.fromkeys(
+                    u - bisect_right(gets, u) for u in nodes if u < n_fixed
+                )
+            ),
+        )
+
+    def credit_channels(self, rows: Iterable[int]) -> list[str]:
+        """The channels whose credit place is among place ``rows``, in
+        order."""
+        ir, buffered = self.ir, self.buffered
+        limit = 2 * len(buffered)
+        return [
+            ir.channels[buffered[row // 2]]
+            for row in rows
+            if row < limit and row % 2
+        ]
 
 
 class _MarkedRows(NamedTuple):
@@ -223,7 +203,7 @@ class _MarkedRows(NamedTuple):
     source: list[int]
     target: list[int]
     tokens: list[int]
-    place_name: _PlaceNames
+    decoder: _Decoder
 
 
 def _marked_rows(ir: LoweredIR) -> _MarkedRows:
@@ -236,18 +216,18 @@ def _marked_rows(ir: LoweredIR) -> _MarkedRows:
     fixed: list[int] = []
     put_node: list[int] = []
     get_node: list[int] = []
-    for cid, channel in enumerate(ir.channels):
+    for cid, name in enumerate(ir.channels):
         put_node.append(len(names))
         if ir.buffered[cid]:
-            names.append(buffered_put_transition(channel))
-            names.append(buffered_get_transition(channel))
+            names.append(CHANNEL_PREFIX + name + PUT_SUFFIX)
+            names.append(CHANNEL_PREFIX + name + GET_SUFFIX)
             fixed += (ir.channel_latencies[cid], 0)
         else:
-            names.append(channel_transition(channel))
+            names.append(CHANNEL_PREFIX + name)
             fixed.append(ir.channel_latencies[cid])
         get_node.append(len(names) - 1)
     compute = len(names)
-    names.extend(process_transition(process) for process in ir.processes)
+    names.extend(PROCESS_PREFIX + process for process in ir.processes)
 
     source: list[int] = []
     target: list[int] = []
@@ -280,7 +260,7 @@ def _marked_rows(ir: LoweredIR) -> _MarkedRows:
         tokens += marking
     return _MarkedRows(
         tuple(names), fixed, source, target, tokens,
-        _PlaceNames(ir, buffered, offsets),
+        _Decoder(ir, buffered, [get_node[cid] for cid in buffered], offsets),
     )
 
 
@@ -323,18 +303,8 @@ class StructureEntry:
     place: list[int]
     #: Per channel transition (the first nodes), its fixed delay.
     fixed: list[int]
-    place_name: _PlaceNames
-
-    @cached_property
-    def _token_free_nodes(self) -> list[int] | None:
-        return _token_free_cycle(self.start, self.target, self.tokens)
-
-    @cached_property
-    def deadlock_cycle(self) -> list[str] | None:
-        """Token-free cycle as transition names, or None — structural,
-        computed once."""
-        nodes = self._token_free_nodes
-        return None if nodes is None else [self.names[u] for u in nodes]
+    #: Node ids and place rows back to the design.
+    decoder: _Decoder
 
     @cached_property
     def circular_wait(self) -> CircularWait | None:
@@ -347,10 +317,10 @@ class StructureEntry:
         a buffered channel's two places hold ``effective_capacity >= 1``
         tokens between them.
         """
-        nodes = self._token_free_nodes
+        nodes = _token_free_cycle(self.start, self.target, self.tokens)
         if nodes is None:
             return None
-        ir, rows, start = self.ir, self.place_name, self.start
+        ir, rows, start = self.ir, self.decoder, self.start
         fired: list[str] = []  # fired[j]: the element of nodes[j + 1]
         statements: list[tuple[str, int, str | None]] = []
         for u, v in zip(nodes, nodes[1:] + nodes[:1]):
@@ -391,7 +361,7 @@ class StructureEntry:
             tokens=self.tokens,
             delay=[node_delay[t] for t in self.target],
             place=self.place,
-            place_name=self.place_name,
+            place_name=self.decoder,
         )
 
 
@@ -414,7 +384,7 @@ def _structure(ir: LoweredIR, rows: _MarkedRows) -> StructureEntry:
         tokens=tokens,
         place=place,
         fixed=rows.fixed,
-        place_name=rows.place_name,
+        decoder=rows.decoder,
     )
 
 
@@ -452,7 +422,7 @@ class SystemTmg:
             zip(rows.source, rows.target, rows.tokens)
         ):
             tmg.add_place(
-                rows.place_name(row), rows.names[source], rows.names[target],
+                rows.decoder(row), rows.names[source], rows.names[target],
                 tokens,
             )
         return tmg

@@ -21,10 +21,9 @@ from repro.errors import DeadlockError, ReproError
 from repro.ir import lower
 from repro.model.build import (
     CircularWait,
+    StructureEntry,
     build_structure,
     build_tmg,
-    critical_channels,
-    critical_processes,
 )
 from repro.tmg.analysis import PerformanceReport
 # Bound as ``analyze``: the benchmark ledger's ``tmg.analyze`` span wraps
@@ -94,7 +93,9 @@ def analyze_system(
         wait = model.structure.circular_wait
         if wait is not None:
             raise _system_deadlock(system.name, wait)
-        performance = _system_performance(analyze(model.graph, check_live=False))
+        performance = _system_performance(
+            model.structure, analyze(model.graph)
+        )
     if exact:
         return performance
     return replace(performance, cycle_time=float(performance.cycle_time))
@@ -115,11 +116,16 @@ def deadlock_cycle(
     return None if wait is None else wait.cycle
 
 
-def _system_performance(report: PerformanceReport) -> SystemPerformance:
+def _system_performance(
+    structure: StructureEntry, report: PerformanceReport
+) -> SystemPerformance:
+    """``report`` in the design's vocabulary: its critical nodes decoded
+    through ``structure``, the one the analyzed graph instantiates."""
+    processes, channels = structure.decoder.elements(report.critical_nodes)
     return SystemPerformance(
         cycle_time=report.cycle_time,
-        critical_processes=critical_processes(report.critical_cycle),
-        critical_channels=critical_channels(report.critical_cycle),
+        critical_processes=processes,
+        critical_channels=channels,
         report=report,
     )
 

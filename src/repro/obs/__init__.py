@@ -24,7 +24,7 @@ layers import :mod:`repro.obs.metrics` alone; the names below load their
 module on first use, so that import stays off the exporters and sinks.
 """
 
-from importlib import import_module
+import importlib
 
 _EXPORTS = {
     "MetricsRegistry": "metrics",
@@ -49,4 +49,4 @@ def __getattr__(name: str) -> object:
         raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}"
         ) from None
-    return getattr(import_module(f"{__name__}.{module}"), name)
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -22,10 +22,13 @@ Three mechanisms stack, each preserving the uncached semantics:
    Node and edge order are preserved exactly, so results are
    bit-identical to a from-scratch build.
 3. **Exact integer Howard** — every miss runs the one Howard kernel
-   (:func:`repro.tmg.howard.maximum_cycle_ratio`), which iterates over
-   integer CSR arrays with ratios as reduced ``(num, den)`` pairs and
-   builds a :class:`~fractions.Fraction` only for the result.  Cycle time
-   *and* critical cycle are therefore bit-identical to an uncached
+   (:func:`repro.tmg.analysis.analyze_event_graph`, unchecked, since the
+   structure's ``circular_wait`` has already decided liveness), which
+   iterates over integer CSR arrays with ratios as reduced ``(num, den)``
+   pairs and builds a :class:`~fractions.Fraction` only for the result.
+   The critical cycle comes back as node and edge ids, and the structure
+   decodes its processes and channels by index.  Cycle time *and*
+   critical cycle are therefore bit-identical to an uncached
    :func:`~repro.model.performance.analyze_system` call.
 """
 
@@ -108,10 +111,8 @@ class PerformanceEngine:
             self.results.put(result_key, diagnosis)
             raise error
 
-        report = analyze_event_graph(
-            entry.instantiate(latencies), check_live=False
-        )
-        performance = _system_performance(report)
+        report = analyze_event_graph(entry.instantiate(latencies))
+        performance = _system_performance(entry, report)
         self.results.put(result_key, performance)
         return performance
 

@@ -26,7 +26,7 @@ from typing import Mapping, Union
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ReproError, ValidationError
-from repro.model.build import CREDIT_SUFFIX, build_tmg
+from repro.model.build import build_tmg
 from repro.tmg.analysis import analyze
 
 Number = Union[Fraction, float]
@@ -108,13 +108,13 @@ def size_buffers(
             )
         # Channels whose credit place lies on the critical cycle are the
         # capacity-limited ones.
+        rows = model.graph.place
         bumpable = [
-            place[: -len(CREDIT_SUFFIX)]
-            for place in report.critical_places
-            if place.endswith(CREDIT_SUFFIX)
-        ]
-        bumpable = [
-            name for name in bumpable if capacities[name] < max_capacity
+            name
+            for name in model.structure.decoder.credit_channels(
+                rows[e] for e in report.critical_edges
+            )
+            if capacities[name] < max_capacity
         ]
         if not bumpable:
             return SizingResult(

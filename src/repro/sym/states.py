@@ -166,15 +166,11 @@ class StateSymmetry:
         self._identity = identity_pair(self.n_p, self.n_c)
         #: State-slot <-> id translation (states index only communicating
         #: processes and buffered channels).
-        self.pid_of_pslot: tuple[int, ...] = tuple(
-            ir.pid(name) for name in ts.process_names
-        )
+        self.pid_of_pslot: tuple[int, ...] = ts.pids
         self.pslot_of_pid: dict[int, int] = {
             pid: slot for slot, pid in enumerate(self.pid_of_pslot)
         }
-        self.cid_of_bslot: tuple[int, ...] = tuple(
-            ir.cid(name) for name in ts.buffered_names
-        )
+        self.cid_of_bslot: tuple[int, ...] = ts.buffered_cids
         self.bslot_of_cid: dict[int, int] = {
             cid: slot for slot, cid in enumerate(self.cid_of_bslot)
         }

@@ -10,14 +10,11 @@ test oracles (``tests/tmg``).
 from repro.tmg.analysis import PerformanceReport, analyze
 from repro.tmg.dot import tmg_to_dot
 from repro.tmg.event_graph import EventGraph, build_event_graph
-from repro.tmg.howard import CycleRatioResult, maximum_cycle_ratio
 
 __all__ = [
-    "CycleRatioResult",
     "EventGraph",
     "PerformanceReport",
     "analyze",
     "build_event_graph",
-    "maximum_cycle_ratio",
     "tmg_to_dot",
 ]

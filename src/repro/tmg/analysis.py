@@ -8,7 +8,7 @@ maximum-cycle-ratio computation with Howard's algorithm, and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from repro.errors import NotLiveError, ReproError
@@ -30,11 +30,21 @@ class PerformanceReport:
             whose mean equals the minimum — the throughput bottleneck).
         critical_places: The places along the critical cycle (one per
             step); useful to map the bottleneck back to processes/channels.
+        critical_nodes: The event-graph node ids of ``critical_cycle``.
+        critical_edges: The event-graph edge ids between them (edge
+            ``critical_edges[j]`` leaves ``critical_nodes[j]``; its place
+            row names ``critical_places[j]``).
+
+    The ids are positions in the analyzed graph, whose node order follows
+    the design's declaration order; they take no part in ``==``, so two
+    reports on one design compare by what they say about it.
     """
 
     cycle_time: Fraction
     critical_cycle: tuple[str, ...]
     critical_places: tuple[str, ...]
+    critical_nodes: tuple[int, ...] = field(compare=False)
+    critical_edges: tuple[int, ...] = field(compare=False)
 
     @property
     def throughput(self) -> Fraction:
@@ -59,39 +69,35 @@ def analyze(graph: EventGraph | TimedMarkedGraph) -> PerformanceReport:
     """
     if isinstance(graph, TimedMarkedGraph):
         graph = build_event_graph(graph)
+    cycle = find_token_free_cycle(graph)
+    if cycle is not None:
+        raise NotLiveError(
+            f"TMG {graph.name!r} is not live: token-free cycle through "
+            + " -> ".join(cycle),
+            cycle=cycle,
+        )
     return analyze_event_graph(graph)
 
 
-def analyze_event_graph(
-    graph: EventGraph, check_live: bool = True
-) -> PerformanceReport:
-    """:func:`analyze` on an already-contracted event graph.
+def analyze_event_graph(graph: EventGraph) -> PerformanceReport:
+    """:func:`analyze` on an already-contracted event graph whose
+    liveness the caller has established.
 
     This is the entry point of the incremental analysis path
     (:mod:`repro.perf`): liveness depends only on the graph structure and
-    marking, never on delays, so a caller that patches edge delays between
-    calls can skip the token-free-cycle scan with ``check_live=False``
-    after establishing it once.
+    marking, never on delays, so a caller that patches edge delays
+    between calls checks it once per structure
+    (:attr:`repro.model.build.StructureEntry.circular_wait`).
     """
-    if check_live:
-        cycle = find_token_free_cycle(graph)
-        if cycle is not None:
-            raise NotLiveError(
-                f"TMG {graph.name!r} is not live: token-free cycle through "
-                + " -> ".join(cycle),
-                cycle=cycle,
-            )
-
     result = _maximum_cycle_ratio(graph)
     if result is None:
         raise ReproError(f"TMG {graph.name!r} has no cycles; cycle time undefined")
+    ratio, nodes, edges = result
+    names, place, place_name = graph.names, graph.place, graph.place_name
     return PerformanceReport(
-        cycle_time=result.ratio,
-        critical_cycle=result.cycle,
-        critical_places=result.places,
+        cycle_time=ratio,
+        critical_cycle=tuple(names[u] for u in nodes),
+        critical_places=tuple(place_name(place[e]) for e in edges),
+        critical_nodes=tuple(nodes),
+        critical_edges=tuple(edges),
     )
-
-
-def cycle_time(tmg: TimedMarkedGraph) -> Fraction:
-    """Shorthand for ``analyze(...).cycle_time``."""
-    return analyze(tmg).cycle_time

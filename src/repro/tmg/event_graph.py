@@ -30,22 +30,9 @@ and errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 from repro.tmg.graph import TimedMarkedGraph
-
-
-@dataclass(frozen=True)
-class Edge:
-    """One decoded event-graph edge (a contracted place), for tests and
-    oracles; the analyses read :class:`EventGraph`'s lists."""
-
-    source: str
-    target: str
-    tokens: int
-    delay: int
-    place: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,30 +58,6 @@ class EventGraph:
     delay: list[int]
     place: list[int]
     place_name: Callable[[int], str]
-
-    @cached_property
-    def succ(self) -> dict[str, list[Edge]]:
-        """Decoded adjacency: ``succ[name]`` lists the edges leaving it
-        (decoded once, on first access)."""
-        names, start = self.names, self.start
-        return {
-            names[u]: [self._edge(u, e) for e in range(start[u], start[u + 1])]
-            for u in range(len(names))
-        }
-
-    @property
-    def edges(self) -> list[Edge]:
-        """Every decoded edge, in node order."""
-        return [edge for edges in self.succ.values() for edge in edges]
-
-    def _edge(self, u: int, e: int) -> Edge:
-        return Edge(
-            self.names[u],
-            self.names[self.target[e]],
-            self.tokens[e],
-            self.delay[e],
-            self.place_name(self.place[e]),
-        )
 
 
 def contract(
@@ -222,12 +185,3 @@ def _components(
                             break
                     components.append(component)
     return components
-
-
-def strongly_connected_components(graph: EventGraph) -> list[list[str]]:
-    """Tarjan SCCs of the event graph, as transition-name lists."""
-    names = graph.names
-    return [
-        [names[u] for u in component]
-        for component in _components(graph.start, graph.target)
-    ]

@@ -36,17 +36,17 @@ with numpy: pointer doubling evaluates a policy, and a vector Jacobi pass
 plus an ascending visit of the nodes whose values moved reproduces the
 in-order improvement sweep.  Where it cannot replay exactly (an int64
 bound, a positive self-loop, a token-free policy cycle) it reruns the SCC
-on the list form, so both forms return the same ``(ratio, cycle,
-places)`` and raise the same errors on every input.
+on the list form, so both forms return the same ratio and critical
+cycle and raise the same errors on every input.
 
-:func:`maximum_cycle_ratio` checks liveness first;
-:func:`repro.tmg.analysis.analyze_event_graph`, which checks it itself,
-calls the unchecked :func:`_maximum_cycle_ratio`.
+:func:`_maximum_cycle_ratio` does not check liveness:
+:func:`repro.tmg.analysis.analyze` checks it before it calls
+:func:`repro.tmg.analysis.analyze_event_graph`, and the callers of the
+latter have established it once per structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -56,7 +56,6 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.errors import NotLiveError
-from repro.tmg.deadlock import find_token_free_cycle
 from repro.tmg.event_graph import EventGraph, _components
 
 #: SCCs with at least this many nodes run the array form.  Howard on one
@@ -76,50 +75,18 @@ _Index32 = npt.NDArray[np.int32]
 _Mask = npt.NDArray[np.bool_]
 
 
-@dataclass(frozen=True)
-class CycleRatioResult:
-    """Outcome of a maximum-cycle-ratio computation.
-
-    Attributes:
-        ratio: ``max_c Σdelay(c)/Σtokens(c)``; the system cycle time when
-            the graph models a live TMG.
-        cycle: Transition names around one critical cycle, in order.
-        places: Names of the contracted places along that cycle (one per
-            edge), in the same order.
-    """
-
-    ratio: Fraction
-    cycle: tuple[str, ...]
-    places: tuple[str, ...]
-
-
-def maximum_cycle_ratio(graph: EventGraph) -> CycleRatioResult | None:
+def _maximum_cycle_ratio(
+    graph: EventGraph,
+) -> tuple[Fraction, list[int], list[int]] | None:
     """Maximum cycle ratio of an event graph via Howard policy iteration.
 
-    Args:
-        graph: The event graph (delays on edges toward their target
-            transition, tokens from the contracted place).
-
-    Returns:
-        The best :class:`CycleRatioResult` over all strongly connected
-        components, or ``None`` if the graph is acyclic (no steady-state
-        constraint).
-
-    Raises:
-        NotLiveError: If a cycle carries zero tokens.
+    Returns ``(ratio, nodes, edges)``: the best ratio over all strongly
+    connected components, and one cycle attaining it as its node ids in
+    order and the ids of the edges between them (edge ``edges[j]`` leaves
+    ``nodes[j]``).  ``None`` when the graph is acyclic.  Liveness is not
+    checked: a token-free cycle raises :class:`NotLiveError` only if
+    policy iteration happens to select it.
     """
-    cycle = find_token_free_cycle(graph)
-    if cycle is not None:
-        raise NotLiveError(
-            "event graph has a token-free cycle through " + " -> ".join(cycle),
-            cycle=cycle,
-        )
-    return _maximum_cycle_ratio(graph)
-
-
-def _maximum_cycle_ratio(graph: EventGraph) -> CycleRatioResult | None:
-    """:func:`maximum_cycle_ratio` without the liveness check; a token-free
-    cycle raises only if policy iteration happens to select it."""
     best: tuple[int, int, list[int], list[int]] | None = None
     local = [-1] * len(graph.names)
     for component in _components(graph.start, graph.target):
@@ -139,12 +106,7 @@ def _maximum_cycle_ratio(graph: EventGraph) -> CycleRatioResult | None:
             )
     if best is None:
         return None
-    names, place, place_name = graph.names, graph.place, graph.place_name
-    return CycleRatioResult(
-        ratio=Fraction(best[0], best[1]),
-        cycle=tuple(names[u] for u in best[2]),
-        places=tuple(place_name(place[e]) for e in best[3]),
-    )
+    return Fraction(best[0], best[1]), best[2], best[3]
 
 
 class _Csr(NamedTuple):

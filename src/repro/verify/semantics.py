@@ -34,26 +34,31 @@ per state.
 
 The search runs on integers.  :class:`TransitionSystem` numbers the
 actions once, in ``(channel name, kind)`` order, and compiles the
-lowered program into per-action tables (endpoint slots, buffer slot,
-capacity, occupancy change) and per-process chains of
-action ids.  Sorting ids therefore sorts actions the way their names
-would; :meth:`TransitionSystem.action` decodes an id to its
-:class:`Action` at the API boundary (witnesses, symmetry maps).
+lowered program into integer tables only: per action its endpoint
+slots, buffer slot, capacity and occupancy change, per process slot its
+pid and its chain of action ids, per buffer slot its cid.  Sorting ids
+therefore sorts actions the way their names would.  Names are decoded
+from the IR by index at the API boundary only:
+:meth:`TransitionSystem.action` decodes an id to its :class:`Action`
+(witnesses, symmetry maps), and
+:meth:`~TransitionSystem.blocked_map` and
+:meth:`~TransitionSystem.wait_for_edges` read a state's current
+statements off the IR's op arrays.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir import OP_GET, LoweredIR, lower
 
 #: A verification state: per-process communication-statement indices (in
-#: the order of :attr:`TransitionSystem.process_names`) followed by
+#: the slot order of :attr:`TransitionSystem.pids`) followed by
 #: per-buffered-channel occupancies (order of
-#: :attr:`TransitionSystem.buffered_names`).
+#: :attr:`TransitionSystem.buffered_cids`).
 State = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -75,14 +80,9 @@ class Action(NamedTuple):
         return f"{self.kind.value}({self.channel})"
 
 
-@dataclass(frozen=True)
-class CommStatement:
-    """One communication statement of a process's projected chain."""
-
-    kind: str  # "get" | "put"
-    channel: str
-
-
+_KIND_OF_DELTA = {
+    0: ActionKind.RENDEZVOUS, 1: ActionKind.PUT, -1: ActionKind.GET,
+}
 
 
 class TransitionSystem:
@@ -94,7 +94,7 @@ class TransitionSystem:
 
     Actions are dense ids ``0 .. n_actions - 1``; every integer table
     below is indexed by action id or by process *slot* (position in
-    :attr:`process_names`).  Channels connect two distinct processes
+    :attr:`pids`).  Channels connect two distinct processes
     (:meth:`repro.core.system.Channel.validate`), so each channel is the
     subject of exactly one statement of each endpoint, and a process is
     at its side of an action exactly when its current action is that id.
@@ -104,11 +104,29 @@ class TransitionSystem:
         self.system = system
         self.ordering = ordering or ChannelOrdering.declaration_order(system)
         #: The lowered program this transition system interprets.  The
-        #: chains below are a direct decoding of its op arrays — the
-        #: verifier no longer re-derives statement orders from the raw
-        #: ordering, so sim, TMG, and verify all read one compilation.
+        #: tables below are read off its op arrays, so sim, TMG, and
+        #: verify all read one compilation.
         self.ir: LoweredIR = lower(system, self.ordering)
         ir = self.ir
+
+        #: Per process slot: its pid.  Only processes with a
+        #: communication statement have a slot.
+        self.pids: tuple[int, ...] = tuple(
+            pid for pid in range(ir.n_processes) if ir.comm_indices[pid]
+        )
+        slot_of_pid = {pid: slot for slot, pid in enumerate(self.pids)}
+        #: Per buffer slot (a state's occupancy vector): its cid.
+        #: Rendezvous channels are pure synchronizations with no state.
+        self.buffered_cids: tuple[int, ...] = tuple(
+            cid for cid in range(ir.n_channels) if ir.buffered[cid]
+        )
+        buffer_of_cid = {cid: b for b, cid in enumerate(self.buffered_cids)}
+        self._initial_tokens: tuple[int, ...] = tuple(
+            ir.initial_tokens[cid] for cid in self.buffered_cids
+        )
+        self._capacities: tuple[int, ...] = tuple(
+            ir.effective_capacities[cid] for cid in self.buffered_cids
+        )
 
         # Action ids in (channel name, kind) order, plus per channel the
         # id of its put-side and get-side action (the rendezvous id for
@@ -122,110 +140,81 @@ class TransitionSystem:
                 else (ActionKind.RENDEZVOUS,)
             )
         )
-        self._actions: tuple[Action, ...] = tuple(
-            Action(kind, name) for name, _, _, kind in universe
-        )
-        self._action_ids: dict[Action, int] = {
-            action: i for i, action in enumerate(self._actions)
-        }
         put_id = [0] * ir.n_channels
         get_id = [0] * ir.n_channels
-        for action, (_, _, cid, kind) in enumerate(universe):
-            if kind is not ActionKind.GET:
-                put_id[cid] = action
-            if kind is not ActionKind.PUT:
-                get_id[cid] = action
-
-        #: Projected communication chains, only for processes that have one.
-        self.chains: dict[str, tuple[CommStatement, ...]] = {}
-        chain_actions: list[tuple[int, ...]] = []
-        slot_of_pid: dict[int, int] = {}
-        for pid, process in enumerate(ir.processes):
-            kinds = ir.op_kinds[pid]
-            args = ir.op_args[pid]
-            comm = ir.comm_indices[pid]
-            if not comm:
-                continue
-            slot_of_pid[pid] = len(chain_actions)
-            self.chains[process] = tuple(
-                CommStatement(
-                    kind="get" if kinds[i] == OP_GET else "put",
-                    channel=ir.channels[args[i]],
-                )
-                for i in comm
-            )
-            chain_actions.append(tuple(
-                (get_id if kinds[i] == OP_GET else put_id)[args[i]]
-                for i in comm
-            ))
-        self.process_names: tuple[str, ...] = tuple(self.chains)
-        #: Per process slot: the action id of each communication statement,
-        #: the only action that can advance the process from there.
-        self.chain_actions: tuple[tuple[int, ...], ...] = tuple(chain_actions)
-        #: Per process slot: statement index -> next statement index.
-        self._next_index: tuple[tuple[int, ...], ...] = tuple(
-            tuple(range(1, len(chain))) + (0,) for chain in chain_actions
-        )
-
-        #: Buffered channels carry an occupancy dimension; rendezvous
-        #: channels are pure synchronizations with no state of their own.
-        buffered_cids = tuple(
-            cid for cid in range(ir.n_channels) if ir.buffered[cid]
-        )
-        self.buffered_names: tuple[str, ...] = tuple(
-            ir.channels[cid] for cid in buffered_cids
-        )
-        buffer_of_cid = {cid: slot for slot, cid in enumerate(buffered_cids)}
-        self._initial_tokens: tuple[int, ...] = tuple(
-            ir.initial_tokens[cid] for cid in buffered_cids
-        )
-        self._capacities: tuple[int, ...] = tuple(
-            ir.effective_capacities[cid] for cid in buffered_cids
-        )
-
+        cids: list[int] = []
         slots: list[tuple[int, ...]] = []
-        buffers: list[int] = []
         deltas: list[int] = []
-        for _, _, cid, kind in universe:
+        for action, (_, _, cid, kind) in enumerate(universe):
             producer = slot_of_pid[ir.producers[cid]]
             consumer = slot_of_pid[ir.consumers[cid]]
+            cids.append(cid)
             if kind is ActionKind.RENDEZVOUS:
+                put_id[cid] = get_id[cid] = action
                 slots.append((producer, consumer))
-                buffers.append(-1)
                 deltas.append(0)
             elif kind is ActionKind.PUT:
+                put_id[cid] = action
                 slots.append((producer,))
-                buffers.append(buffer_of_cid[cid])
                 deltas.append(1)
             else:
+                get_id[cid] = action
                 slots.append((consumer,))
-                buffers.append(buffer_of_cid[cid])
                 deltas.append(-1)
+        #: Per action: its channel id.
+        self._action_cid: tuple[int, ...] = tuple(cids)
         #: Per action: the process slots it advances (producer, consumer
         #: for a rendezvous; the one endpoint for a buffered put/get).
         self.action_slots: tuple[tuple[int, ...], ...] = tuple(slots)
+        #: Per action: its occupancy change (+1 put, -1 get, 0 rendezvous).
+        self.action_delta: tuple[int, ...] = tuple(deltas)
         #: Per action: its slot in a state's occupancy vector (-1 for a
         #: rendezvous).
-        self.action_buffer: tuple[int, ...] = tuple(buffers)
+        self.action_buffer: tuple[int, ...] = tuple(
+            buffer_of_cid[cid] if delta else -1
+            for cid, delta in zip(cids, deltas)
+        )
         #: Per action: the buffered channel's effective capacity (0 for a
         #: rendezvous).
         self.action_capacity: tuple[int, ...] = tuple(
-            self._capacities[b] if b >= 0 else 0 for b in buffers
+            self._capacities[b] if b >= 0 else 0 for b in self.action_buffer
         )
-        #: Per action: its occupancy change (+1 put, -1 get, 0 rendezvous).
-        self.action_delta: tuple[int, ...] = tuple(deltas)
         #: Per action: the actions besides the moved slots' new ones whose
         #: enabledness firing it can change: itself, or both sides of its
         #: buffer.
         self._touches: tuple[tuple[int, ...], ...] = tuple(
-            (action,) if kind is ActionKind.RENDEZVOUS
-            else (put_id[cid], get_id[cid])
-            for action, (_, _, cid, kind) in enumerate(universe)
+            (put_id[cid], get_id[cid]) if delta else (action,)
+            for action, (cid, delta) in enumerate(zip(cids, deltas))
+        )
+        #: Per process slot: the action id of each communication statement,
+        #: the only action that can advance the process from there.
+        self.chain_actions: tuple[tuple[int, ...], ...] = tuple(
+            tuple(
+                (get_id if ir.op_kinds[pid][i] == OP_GET else put_id)[
+                    ir.op_args[pid][i]
+                ]
+                for i in ir.comm_indices[pid]
+            )
+            for pid in self.pids
+        )
+        #: Per process slot: statement index -> next statement index.
+        self._next_index: tuple[tuple[int, ...], ...] = tuple(
+            tuple(range(1, len(chain))) + (0,) for chain in self.chain_actions
         )
 
     # ------------------------------------------------------------------
     # Actions
     # ------------------------------------------------------------------
+
+    @cached_property
+    def _actions(self) -> tuple[Action, ...]:
+        """Every action decoded, by id (the kind from the occupancy
+        change, the channel from the IR)."""
+        channels = self.ir.channels
+        return tuple(
+            Action(_KIND_OF_DELTA[delta], channels[cid])
+            for delta, cid in zip(self.action_delta, self._action_cid)
+        )
 
     def action(self, action_id: int) -> Action:
         """Decode an action id."""
@@ -236,9 +225,13 @@ class TransitionSystem:
         action (an unknown channel, or the wrong kind for it)."""
         return self._action_ids.get(action)
 
+    @cached_property
+    def _action_ids(self) -> dict[Action, int]:
+        return {action: i for i, action in enumerate(self._actions)}
+
     @property
     def n_actions(self) -> int:
-        return len(self._actions)
+        return len(self.action_delta)
 
     # ------------------------------------------------------------------
     # States and transitions
@@ -248,7 +241,7 @@ class TransitionSystem:
         """Every process at its first communication statement; buffered
         channels pre-loaded with their initial tokens."""
         return (
-            tuple(0 for _ in self.process_names),
+            tuple(0 for _ in self.pids),
             self._initial_tokens,
         )
 
@@ -340,22 +333,25 @@ class TransitionSystem:
         every process free-runs — so the empty transition system is
         vacuously deadlock-free rather than trivially dead.
         """
-        if not self.process_names:
+        if not self.pids:
             return False
         return not self.enabled(state)
 
-    def _statements(self, state: State) -> list[tuple[str, CommStatement]]:
+    def _current(self, state: State) -> list[tuple[int, int]]:
+        """``(pid, op index)`` of every communicating process's current
+        statement, in slot order."""
+        comm = self.ir.comm_indices
         return [
-            (process, self.chains[process][index])
-            for process, index in zip(self.process_names, state[0])
+            (pid, comm[pid][index]) for pid, index in zip(self.pids, state[0])
         ]
 
     def blocked_map(self, state: State) -> dict[str, str]:
         """``process -> channel`` it is blocked on (every communicating
         process, in a deadlocked state)."""
+        ir = self.ir
         return {
-            process: statement.channel
-            for process, statement in self._statements(state)
+            ir.processes[pid]: ir.channels[ir.op_args[pid][i]]
+            for pid, i in self._current(state)
         }
 
     def wait_for_edges(self, state: State) -> dict[str, str]:
@@ -369,12 +365,13 @@ class TransitionSystem:
         """
         ir = self.ir
         edges: dict[str, str] = {}
-        for process, statement in self._statements(state):
-            cid = ir.cid(statement.channel)
+        for pid, i in self._current(state):
+            cid = ir.op_args[pid][i]
             server = (
-                ir.consumers[cid] if statement.kind == "put" else ir.producers[cid]
+                ir.producers[cid] if ir.op_kinds[pid][i] == OP_GET
+                else ir.consumers[cid]
             )
-            edges[process] = ir.processes[server]
+            edges[ir.processes[pid]] = ir.processes[server]
         return edges
 
     # ------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.absint.invariants import token_invariants
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.ir import OP_COMPUTE, OP_GET, OP_NAMES, OP_PUT, LoweredIR, lower
 from repro.model import build_structure, build_tmg
-from tests.model.witness_reference import design_cycle
+from tests.model.witness_reference import design_cycle, transition_cycle
 
 #: Interval bumps tolerated per channel before widening jumps straight to
 #: the capacity bound.
@@ -308,7 +308,7 @@ def reference_analyze(
             ranks=tuple(sorted(ranks.items())),
         )
     cycle = (
-        None if certificate else design_cycle(build_structure(ir).deadlock_cycle)
+        None if certificate else design_cycle(transition_cycle(build_structure(ir)))
     )
     return AbsIntResult(
         ir_hash=ir.structural_hash,

@@ -29,7 +29,7 @@ def _tmg_places(system, ordering):
 def _absint_places(system, ordering):
     rows = _marked_rows(lower(system, ordering))
     return {
-        (rows.place_name(row), rows.names[source], rows.names[target], tokens)
+        (rows.decoder(row), rows.names[source], rows.names[target], tokens)
         for row, (source, target, tokens) in enumerate(
             zip(rows.source, rows.target, rows.tokens)
         )

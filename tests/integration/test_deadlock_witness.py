@@ -22,7 +22,7 @@ from repro.model import analyze_system, build_structure, deadlock_cycle
 from repro.ordering.baselines import random_ordering
 from repro.verify import check_deadlock
 from repro.workloads import FAMILIES, generate
-from tests.model.witness_reference import design_cycle
+from tests.model.witness_reference import design_cycle, transition_cycle
 
 #: Shuffles per (family, capacity): 60 cases, 11 of them deadlocked, in
 #: about 1 s.
@@ -81,7 +81,7 @@ def test_witnesses_name_the_design_and_verdicts_agree(tmp_path, capsys):
         deadlocked += 1
         assert analyzed == static.token_free_cycle == cycle
         entry = build_structure(lower(system, ordering))
-        assert cycle == design_cycle(entry.deadlock_cycle)
+        assert cycle == design_cycle(transition_cycle(entry))
         _assert_real_wait(system, cycle)
 
         # The command line prints the same witness (lint_system ran above).
@@ -100,7 +100,7 @@ def _dead_through_buffer(system):
     channel's put or get side."""
     for seed in range(50):
         ordering = random_ordering(system, seed=seed)
-        witness = build_structure(lower(system, ordering)).deadlock_cycle
+        witness = transition_cycle(build_structure(lower(system, ordering)))
         if witness and any(
             name.endswith((".put", ".get")) for name in witness
         ):

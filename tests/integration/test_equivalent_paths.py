@@ -5,9 +5,10 @@ runs its search, ``exhaustive_search`` analyzes every ordering, and the
 performance engine's cache bounds are module constants.  Observers read
 results: the trajectory's cost lives on ``IterationRecord``, and a
 simulator's events reach its sinks only.  The linter runs one fixed rule
-catalog with no engine handed in.  A deadlock is decoded to the design
-once, next to the marked-graph rows, which alone spell the transition
-names.  Code that nothing outside the tests called is gone.  This walks
+catalog with no engine handed in.  A deadlock and a critical cycle are
+decoded to the design by index, next to the marked-graph rows, which
+alone spell the transition and place names, and no name is ever parsed
+back.  Code that nothing outside the tests called is gone.  This walks
 the AST of ``src/repro`` and fails if a parameter that chose between
 paths giving the same answer, a second channel for a result, or one of
 the deleted modules and functions comes back.  The one sanctioned ``exact`` is
@@ -33,6 +34,7 @@ REMOVED = {
     "max_structures",
     "profiler",
     "record_trace",
+    "check_live",
 }
 
 #: The one function allowed an ``exact`` parameter.
@@ -128,7 +130,15 @@ def test_lint_exports_no_registry_class_or_fix_wrapper():
 
 
 #: The marked graph's name scheme, spelled only where the rows are built.
-NAME_SCHEME = {"CHANNEL_PREFIX", "PROCESS_PREFIX", "PUT_SUFFIX", "GET_SUFFIX"}
+NAME_SCHEME = {
+    "CHANNEL_PREFIX",
+    "PROCESS_PREFIX",
+    "PUT_SUFFIX",
+    "GET_SUFFIX",
+    "DATA_SUFFIX",
+    "CREDIT_SUFFIX",
+    "COMPUTE_SUFFIX",
+}
 
 #: Second decodings of a deadlock, and the wrapper over the first.
 REMOVED_DECODERS = {
@@ -157,6 +167,46 @@ def test_only_the_builder_names_the_transition_scheme():
             and NAME_SCHEME & {alias.name for alias in node.names}
         )
     ]
+    assert offenders == []
+
+
+def _names_the_scheme(node: ast.AST | None) -> bool:
+    return node is not None and any(
+        isinstance(inner, ast.Name) and inner.id in NAME_SCHEME
+        for inner in ast.walk(node)
+    )
+
+
+def _is_len_of_the_scheme(node: ast.AST | None) -> bool:
+    return node is not None and any(
+        isinstance(inner, ast.Call)
+        and isinstance(inner.func, ast.Name)
+        and inner.func.id == "len"
+        and any(_names_the_scheme(arg) for arg in inner.args)
+        for inner in ast.walk(node)
+    )
+
+
+def test_no_name_is_parsed_by_the_scheme():
+    """A name is decoded by index, never matched or cut against the
+    scheme, not even in the builder."""
+    offenders = []
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in (
+                    "startswith", "endswith", "removeprefix", "removesuffix",
+                )
+                and any(_names_the_scheme(arg) for arg in node.args)
+            ):
+                offenders.append(f"{module}:{node.lineno} {node.func.attr}")
+            elif isinstance(node, ast.Slice) and any(
+                _is_len_of_the_scheme(bound)
+                for bound in (node.lower, node.upper, node.step)
+            ):
+                offenders.append(f"{module}:{node.lineno} slice")
     assert offenders == []
 
 
@@ -222,6 +272,27 @@ REMOVED_DEFINITIONS = {
     "latency_gain",
     "is_live",
     "clear_preflight_cache",
+    # One cycle-ratio result, one checked entry point, no decoded views.
+    "CycleRatioResult",
+    "maximum_cycle_ratio",
+    "cycle_time",
+    "Edge",
+    "succ",
+    "strongly_connected_components",
+    # The name parsers of a critical cycle, the helpers that spelled the
+    # scheme outside the two places that write it, and the verifier's
+    # decoded statements.
+    "critical_processes",
+    "critical_channels",
+    "channel_transition",
+    "buffered_put_transition",
+    "buffered_get_transition",
+    "process_transition",
+    "statement_place",
+    "data_place",
+    "credit_place",
+    "CommStatement",
+    "_statements",
 }
 
 
@@ -236,3 +307,16 @@ def test_no_deleted_function_comes_back():
         if name in REMOVED_DEFINITIONS
     ]
     assert offenders == []
+
+
+def test_no_decoded_view_comes_back():
+    """Deleted attributes whose names other classes still use."""
+    from repro.core import motivating_example
+    from repro.model.build import StructureEntry
+    from repro.tmg.event_graph import EventGraph
+    from repro.verify.semantics import TransitionSystem
+
+    assert not hasattr(EventGraph, "edges")
+    assert not hasattr(StructureEntry, "deadlock_cycle")
+    ts = TransitionSystem(motivating_example())
+    assert not {"chains", "process_names", "buffered_names"} & set(vars(ts))

@@ -6,14 +6,19 @@ package, plus the public types those names return or raise.  The pin is
 docs/API.md: for every section headed ``— `repro.X```, the identifiers
 in the first column of its first table are exactly ``repro.X.__all__``,
 so adding an export is a visible diff there.  A name left off
-``__all__`` must not stay reachable through the package either, so no
-package ``__init__`` may import it from one of its own submodules.
+``__all__`` must not stay reachable through the package either: no
+package ``__init__`` may import it from one of its own submodules, and
+no package may hold any public attribute outside its ``__all__`` but
+its submodules (so a package keeps its implementation in a submodule,
+not in ``__init__``).
 """
 
 from __future__ import annotations
 
+import __future__
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -110,6 +115,19 @@ def test_no_package_reexports_an_unlisted_name():
             for lineno, name in _own_imports(path, package)
             if name not in exports
         ]
+    assert offenders == []
+
+
+def test_no_package_exposes_a_public_name_outside_all():
+    offenders = [
+        f"{package}.{name}"
+        for package, exports in _packages().items()
+        for name, value in vars(importlib.import_module(package)).items()
+        if not name.startswith("_")
+        and name not in exports
+        and not inspect.ismodule(value)
+        and not isinstance(value, __future__._Feature)  # ``annotations``
+    ]
     assert offenders == []
 
 

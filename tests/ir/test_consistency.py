@@ -213,15 +213,22 @@ def test_verifier_chains_match_the_ordering_projection(system, seed):
     """The verifier's IR-decoded chains equal the statements_of view."""
     ordering = random_ordering(system, seed=seed)
     ts = TransitionSystem(system, ordering)
+    slots = [ts.ir.processes[pid] for pid in ts.pids]
     for process in system.process_names:
         full = ordering.statements_of(process)
         comm = [
             (kind, channel) for kind, channel in full if kind in ("get", "put")
         ]
         if not comm:
-            assert process not in ts.chains
+            assert process not in slots
             continue
-        assert [(s.kind, s.channel) for s in ts.chains[process]] == comm
+        actions = [
+            ts.action(a) for a in ts.chain_actions[slots.index(process)]
+        ]
+        assert [a.channel for a in actions] == [c for _, c in comm]
+        assert all(
+            a.kind.value in ("rdv", kind) for a, (kind, _) in zip(actions, comm)
+        )
 
 
 def test_simulator_exposes_its_ir(motivating):

@@ -66,13 +66,13 @@ class TestPreflightMemo:
         memos()["preflight"].clear()
 
     def test_second_run_skips_the_rules(self, feedback_system, monkeypatch):
-        import repro.lint as lint
+        import repro.lint.engine as engine
+        from repro.lint import preflight
 
-        preflight = lint.preflight
         preflight(feedback_system)
         calls = []
         monkeypatch.setattr(
-            lint,
+            engine,
             "lint_system",
             lambda *a, **k: calls.append(1) or (_ for _ in ()).throw(
                 AssertionError("memoized pre-flight re-ran the rules")

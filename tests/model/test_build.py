@@ -6,28 +6,32 @@ from repro.core import ChannelOrdering, SystemBuilder
 from repro.errors import ValidationError
 from repro.ir import lower
 from repro.model import build_tmg
-from repro.model.build import (
-    buffered_get_transition,
-    buffered_put_transition,
-    build_structure,
-    channel_transition,
+from repro.model.build import build_structure
+from tests.model.witness_reference import (
     critical_channels,
     critical_processes,
-    process_transition,
-    statement_place,
+    transition_cycle,
 )
 
 
 class TestNames:
-    def test_prefixes(self):
-        assert channel_transition("a") == "ch:a"
-        assert process_transition("P2") == "proc:P2"
-        assert statement_place("P2", "put", "b") == "P2/put:b"
-        assert statement_place("P2", "compute") == "P2/comp"
+    def test_prefixes(self, motivating):
+        tmg = build_tmg(motivating).tmg
+        assert {"ch:a", "proc:P2"} <= set(tmg.transition_names)
+        assert {"P2/put:b", "P2/comp"} <= set(tmg.place_names)
 
-    def test_statement_place_needs_channel(self):
-        with pytest.raises(ValidationError):
-            statement_place("P2", "get")
+    def test_statement_place_needs_channel(self, motivating):
+        """Every get/put statement place names its channel."""
+        tmg = build_tmg(motivating).tmg
+        channels = {c.name for c in motivating.channels}
+        statements = [
+            name.split("/", 1)[1] for name in tmg.place_names
+            if not name.endswith("/comp")
+        ]
+        assert statements
+        for statement in statements:
+            kind, channel = statement.split(":")
+            assert kind in ("get", "put") and channel in channels
 
 
 class TestBlockingModel:
@@ -155,7 +159,7 @@ class TestCircularWait:
 
     def test_listing1_deadlock(self, motivating, deadlock_ordering):
         entry = build_structure(lower(motivating, deadlock_ordering))
-        assert entry.deadlock_cycle == ["ch:d", "ch:f", "proc:P5", "ch:g"]
+        assert transition_cycle(entry) == ["ch:d", "ch:f", "proc:P5", "ch:g"]
         wait = entry.circular_wait
         assert wait.cycle == ("d", "f", "P5", "g")
         # P2 puts f only after d; P5 computes only after getting f and
@@ -178,7 +182,7 @@ class TestCircularWait:
             .build()
         )
         entry = build_structure(lower(system))
-        assert entry.deadlock_cycle == [
+        assert transition_cycle(entry) == [
             "ch:y", "proc:A", "ch:x.put", "ch:x.get", "proc:B",
         ]
         wait = entry.circular_wait
@@ -193,19 +197,57 @@ class TestCircularWait:
         assert entry.circular_wait is None
 
 
+def _loop_structure():
+    """``src -> A <-> B -> snk`` with ``x`` (A -> B) and ``c`` (B -> A)
+    buffered, ``y`` (B -> A) a rendezvous."""
+    system = (
+        SystemBuilder("loop")
+        .source("src")
+        .process("A")
+        .process("B")
+        .sink("snk")
+        .channel("i", "src", "A")
+        .channel("x", "A", "B", capacity=1)
+        .channel("c", "B", "A", capacity=2, initial_tokens=1)
+        .channel("y", "B", "A")
+        .channel("o", "B", "snk")
+        .build()
+    )
+    return build_structure(lower(system))
+
+
+def _elements(entry, cycle):
+    """The index decoding of transition names ``cycle``, checked against
+    the name parsers it replaced."""
+    found = entry.decoder.elements([entry.names.index(t) for t in cycle])
+    assert found == (critical_processes(cycle), critical_channels(cycle))
+    return found
+
+
 class TestSystemTmgHelpers:
+    """Critical-cycle nodes decode to the design by index."""
+
     def test_critical_processes_extraction(self):
-        cycle = ("ch:a", "proc:P2", "ch:b", "proc:P3")
-        assert critical_processes(cycle) == ("P2", "P3")
-        assert critical_channels(cycle) == ("a", "b")
+        entry = _loop_structure()
+        cycle = ("ch:i", "proc:A", "ch:y", "proc:B")
+        assert _elements(entry, cycle) == (("A", "B"), ("i", "y"))
 
     def test_critical_channels_strip_buffer_suffix(self):
-        cycle = ("ch:y.put", "ch:y.get", "proc:A")
-        assert critical_channels(cycle) == ("y",)
+        entry = _loop_structure()
+        cycle = ("ch:x.put", "ch:x.get", "proc:A")
+        assert _elements(entry, cycle) == (("A",), ("x",))
 
     def test_critical_channels_dedupe_in_first_appearance_order(self):
+        entry = _loop_structure()
         cycle = (
-            "ch:c", "proc:P1", "ch:a.put", "ch:b", "ch:a.get", "ch:c",
-            "proc:P2", "ch:b",
+            "ch:y", "proc:A", "ch:c.put", "ch:x.put", "ch:c.get", "ch:y",
+            "proc:B", "ch:x.get",
         )
-        assert critical_channels(cycle) == ("c", "a", "b")
+        assert _elements(entry, cycle) == (("A", "B"), ("y", "c", "x"))
+
+    def test_credit_places_decode_to_their_channels(self):
+        entry = _loop_structure()
+        rows = range(len(entry.decoder.buffered) * 2 + 2)
+        names = [entry.decoder(row) for row in rows]
+        assert names[:4] == ["x/data", "x/credit", "c/data", "c/credit"]
+        assert entry.decoder.credit_channels(rows) == ["x", "c"]

@@ -2,9 +2,10 @@
 
 The cycle-time, deadlock and sizing entry points lower the system
 straight to integer CSR lists; none of them builds the bipartite
-:class:`~repro.tmg.graph.TimedMarkedGraph` or a decoded
-:class:`~repro.tmg.event_graph.Edge`.  Those stay for DOT export, the
-token game and the test oracles.
+:class:`~repro.tmg.graph.TimedMarkedGraph`, which stays for DOT export,
+the token game and the test oracles.  (That none parses a transition or
+place name is checked on the source, in
+``tests/integration/test_equivalent_paths.py``.)
 """
 
 import pytest
@@ -16,7 +17,6 @@ from repro.ordering import channel_ordering
 from repro.ordering.exhaustive import all_orderings
 from repro.perf import PerformanceEngine
 from repro.sizing import size_buffers
-from repro.tmg.event_graph import Edge
 from repro.tmg.graph import TimedMarkedGraph
 
 
@@ -39,7 +39,6 @@ def _designs():
 )
 def test_analyses_build_no_name_keyed_graph(monkeypatch, system, ordering, dead):
     monkeypatch.setattr(TimedMarkedGraph, "__init__", _refuse)
-    monkeypatch.setattr(Edge, "__init__", _refuse)
 
     exact = analyze_system(system, ordering)
     approx = analyze_system(system, ordering, exact=False)

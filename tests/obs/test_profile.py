@@ -12,6 +12,8 @@ from repro.dse import (
     format_convergence,
 )
 from repro.hls import ImplementationLibrary, synthesize_pareto_set
+from repro.hls.implementation import Implementation
+from repro.hls.pareto import ParetoSet
 from repro.obs import MemorySink, collect
 from repro.obs.profile import stall_attribution
 from repro.perf import PerformanceEngine
@@ -38,10 +40,30 @@ def _library(system, seed=0):
     )
 
 
-def _profiled_run(target=9.0, max_iterations=6):
+def _pinned():
+    """A fixed library for the motivating example: ``_library`` varies
+    with the hash seed (``synthesize_pareto_set`` seeds its jitter with
+    ``hash(process)``)."""
+    points = {
+        "P2": [(1, 30.77), (2, 18.33), (3, 14.9), (7, 9.52)],
+        "P3": [(1, 5.68), (2, 4.58), (3, 3.77)],
+        "P4": [(1, 1.92)],
+        "P5": [(1, 5.72), (2, 4.44), (3, 3.79)],
+        "P6": [(1, 5.67), (2, 4.49), (3, 3.62)],
+    }
+    return ImplementationLibrary(
+        ParetoSet.from_points(process, [
+            Implementation(f"{process}.l{latency}", latency, area)
+            for latency, area in pairs
+        ])
+        for process, pairs in points.items()
+    )
+
+
+def _profiled_run(target=9.0, max_iterations=6, library=None):
     system = motivating_example()
     config = SystemConfiguration.initial(
-        system, _library(system), pick="smallest"
+        system, library or _library(system), pick="smallest"
     )
     explorer = Explorer(
         target_cycle_time=target,
@@ -91,14 +113,44 @@ class TestDseProfiler:
         )
         names = {c.name for c in registry.counters()}
         assert "cache.results.hits" in names  # merged at the end of run
-        # Every solve of a run that ends on a record lands in a record (a
-        # run stopped by an infeasible re-solve leaves that iteration's
-        # first solve counted but unrecorded).
+        # Every solve lands in a record.
         assert sum(r.ilp_nodes for r in result.history) == (
             registry.counter("dse.ilp.nodes").value
         )
         walls = registry.histogram("dse.iteration.wall_s")
         assert walls.count == len(result.history)
+
+    def test_a_run_ended_by_a_resolve_records_its_nodes(self):
+        # At target 9 the last iteration's re-solve is infeasible after a
+        # successful first solve; the first solve's nodes go into the last
+        # record, which keeps its place in the history.
+        result, registry = _profiled_run(target=9.0, library=_pinned())
+        assert result.stop_reason == "all candidate configurations visited"
+        assert len(result.history) == 5
+        assert sum(r.ilp_nodes for r in result.history) == (
+            registry.counter("dse.ilp.nodes").value
+        ) == 7
+
+    def test_a_node_limit_stop_records_the_aborted_nodes(self, monkeypatch):
+        from repro.errors import NodeLimitError
+        from repro.ilp import branch_bound
+
+        solve, calls = branch_bound.solve, []
+
+        def abort_second(problem):
+            calls.append(problem)
+            if len(calls) == 2:
+                raise NodeLimitError("node limit", nodes=5)
+            return solve(problem)
+
+        monkeypatch.setattr(branch_bound, "solve", abort_second)
+        result, registry = _profiled_run(library=_pinned())
+        assert result.stop_reason == "ILP node limit reached (5 nodes)"
+        assert len(result.history) == 2
+        assert result.history[-1].ilp_nodes >= 5
+        assert sum(r.ilp_nodes for r in result.history) == (
+            registry.counter("dse.ilp.nodes").value
+        )
 
     def test_cache_deltas_sum_to_engine_totals(self):
         engine = PerformanceEngine()

@@ -21,6 +21,8 @@ from repro.errors import NotLiveError
 from repro.tmg.event_graph import EventGraph
 from repro.tmg.graph import TimedMarkedGraph
 
+from tests.tmg.decoded import edges
+
 
 @dataclass(frozen=True)
 class EnumeratedCycle:
@@ -46,7 +48,7 @@ def enumerate_cycles(graph: EventGraph) -> Iterator[EnumeratedCycle]:
     dozen nodes (test oracles, teaching examples).
     """
     nxg = nx.DiGraph()
-    for edge in graph.edges:
+    for edge in edges(graph):
         nxg.add_edge(
             edge.source,
             edge.target,

@@ -1,7 +1,7 @@
 """Reference Howard policy iteration in ``fractions.Fraction`` arithmetic.
 
 This is the pre-integer implementation of
-:func:`repro.tmg.howard.maximum_cycle_ratio` (exact mode), kept verbatim
+the integer Howard kernel (:mod:`repro.tmg.howard`), kept verbatim
 in algorithm — same SCC order, same node and edge scan order, same in-scan
 policy/λ/potential updates, same stagnation completion — as the
 differential oracle for the integer kernel.  Where the kernel holds
@@ -15,17 +15,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.errors import NotLiveError
-from repro.tmg.event_graph import Edge, EventGraph, strongly_connected_components
-from repro.tmg.howard import CycleRatioResult
+from repro.tmg.event_graph import EventGraph
+
+from tests.tmg.decoded import (
+    CycleRatioResult,
+    Edge,
+    strongly_connected_components,
+)
+from tests.tmg.decoded import succ as decoded_succ
 
 
 def fraction_maximum_cycle_ratio(graph: EventGraph) -> CycleRatioResult | None:
     """Exact maximum cycle ratio by Fraction-arithmetic policy iteration."""
     best: CycleRatioResult | None = None
+    adjacency = decoded_succ(graph)
     for component in strongly_connected_components(graph):
         members = set(component)
         succ = {
-            u: [e for e in graph.succ[u] if e.target in members] for u in component
+            u: [e for e in adjacency[u] if e.target in members] for u in component
         }
         if len(component) == 1 and not succ[component[0]]:
             continue

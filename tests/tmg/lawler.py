@@ -21,8 +21,10 @@ from repro.errors import NotLiveError
 from repro.tmg.deadlock import find_token_free_cycle
 from repro.tmg.event_graph import EventGraph
 
+from tests.tmg.decoded import Edge, succ
 
-def _has_positive_cycle(graph: EventGraph, lam: float) -> bool:
+
+def _has_positive_cycle(adjacency: dict[str, list[Edge]], lam: float) -> bool:
     """Bellman–Ford: does any cycle have ``Σ(delay − λ·tokens) > 0``?
 
     Works on the longest-path variant: relax ``dist[v] = max(dist[v],
@@ -30,13 +32,13 @@ def _has_positive_cycle(graph: EventGraph, lam: float) -> bool:
     positive cycle.  All nodes start at 0 (equivalent to a virtual source),
     so cycles anywhere in the graph are found.
     """
-    nodes = graph.names
+    nodes = list(adjacency)
     dist = {u: 0.0 for u in nodes}
     for round_index in range(len(nodes)):
         changed = False
         for u in nodes:
             base = dist[u]
-            for edge in graph.succ[u]:
+            for edge in adjacency[u]:
                 candidate = base + edge.delay - lam * edge.tokens
                 if candidate > dist[edge.target] + 1e-12:
                     dist[edge.target] = candidate
@@ -70,21 +72,22 @@ def maximum_cycle_ratio_lawler(
             "event graph has a token-free cycle through " + " -> ".join(cycle),
             cycle=cycle,
         )
-    edges = graph.edges
+    adjacency = succ(graph)
+    edges = [edge for out in adjacency.values() for edge in out]
     if not edges:
         return None
 
     # Any cycle ratio is at most Σdelay / 1 and at least 0.
     upper = float(sum(max(e.delay, 0) for e in edges)) + 1.0
     lower = 0.0
-    if not _has_positive_cycle(graph, lower):
+    if not _has_positive_cycle(adjacency, lower):
         # No cycle with positive delay at λ=0 means either no cycle at all
         # or only zero-delay cycles; both yield ratio 0 if a cycle exists.
-        return _ratio_zero_or_none(graph, exact)
+        return _ratio_zero_or_none(adjacency, exact)
 
     while upper - lower > tolerance:
         mid = (lower + upper) / 2.0
-        if _has_positive_cycle(graph, mid):
+        if _has_positive_cycle(adjacency, mid):
             lower = mid
         else:
             upper = mid
@@ -96,12 +99,14 @@ def maximum_cycle_ratio_lawler(
     return Fraction(estimate).limit_denominator(max_denominator)
 
 
-def _ratio_zero_or_none(graph: EventGraph, exact: bool) -> Fraction | float | None:
+def _ratio_zero_or_none(
+    adjacency: dict[str, list[Edge]], exact: bool
+) -> Fraction | float | None:
     """Distinguish 'graph is acyclic' (None) from 'best cycle ratio is 0'."""
     # Cycle detection over all edges (tokens already known non-zero-cycle).
     seen: set[str] = set()
     done: set[str] = set()
-    for root in graph.names:
+    for root in adjacency:
         if root in done:
             continue
         stack: list[tuple[str, int]] = [(root, 0)]
@@ -109,10 +114,10 @@ def _ratio_zero_or_none(graph: EventGraph, exact: bool) -> Fraction | float | No
         path = {root}
         while stack:
             node, i = stack[-1]
-            succ = graph.succ[node]
-            if i < len(succ):
+            out = adjacency[node]
+            if i < len(out):
                 stack[-1] = (node, i + 1)
-                child = succ[i].target
+                child = out[i].target
                 if child in path:
                     return Fraction(0) if exact else 0.0
                 if child not in done:

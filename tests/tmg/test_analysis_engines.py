@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import NotLiveError, ReproError
-from repro.tmg import analyze, build_event_graph, maximum_cycle_ratio
+from repro.tmg import analyze, build_event_graph
 from repro.tmg.graph import TimedMarkedGraph
-from repro.tmg.analysis import cycle_time
 from repro.tmg.deadlock import find_token_free_cycle
+from tests.tmg.decoded import analyzed
 from tests.tmg.enumeration import enumerate_cycles, maximum_cycle_ratio_enumerated
 from tests.tmg.lawler import maximum_cycle_ratio_lawler
 
@@ -38,24 +38,24 @@ def two_rings() -> TimedMarkedGraph:
 
 class TestHoward:
     def test_single_ring_ratio(self):
-        result = maximum_cycle_ratio(build_event_graph(simple_ring()))
+        result = analyzed(build_event_graph(simple_ring()))
         assert result.ratio == Fraction(6, 1)
         assert set(result.cycle) == {"t0", "t1", "t2"}
 
     def test_multi_token_ring(self):
         tmg = simple_ring(tokens=(1, 1, 0))
-        result = maximum_cycle_ratio(build_event_graph(tmg))
+        result = analyzed(build_event_graph(tmg))
         assert result.ratio == Fraction(6, 2)
 
     def test_two_rings_picks_max(self):
-        result = maximum_cycle_ratio(build_event_graph(two_rings()))
+        result = analyzed(build_event_graph(two_rings()))
         assert result.ratio == Fraction(6, 1)
         assert set(result.cycle) == {"a", "b"}
 
     def test_token_free_cycle_raises(self):
         tmg = simple_ring(tokens=(0, 0, 0))
         with pytest.raises(NotLiveError):
-            maximum_cycle_ratio(build_event_graph(tmg))
+            analyzed(build_event_graph(tmg))
 
     def test_token_free_cycle_off_every_policy_raises(self):
         # Policy iteration alone never selects a -> b -> a here (it would
@@ -69,7 +69,7 @@ class TestHoward:
         tmg.add_place("p3", "b", "c", tokens=1)
         tmg.add_place("p4", "b", "a", tokens=0)
         with pytest.raises(NotLiveError) as raised:
-            maximum_cycle_ratio(build_event_graph(tmg))
+            analyzed(build_event_graph(tmg))
         assert set(raised.value.cycle) == {"a", "b"}
 
     def test_acyclic_returns_none(self):
@@ -77,16 +77,16 @@ class TestHoward:
         tmg.add_transition("a", delay=1)
         tmg.add_transition("b", delay=1)
         tmg.add_place("p", "a", "b", tokens=0)
-        assert maximum_cycle_ratio(build_event_graph(tmg)) is None
+        assert analyzed(build_event_graph(tmg)) is None
 
     def test_critical_places_reported(self):
-        result = maximum_cycle_ratio(build_event_graph(simple_ring()))
+        result = analyzed(build_event_graph(simple_ring()))
         assert len(result.places) == len(result.cycle)
         assert set(result.places) <= {"p0", "p1", "p2"}
 
     def test_zero_delay_cycle_ratio_zero(self):
         tmg = simple_ring(delays=(0, 0, 0))
-        result = maximum_cycle_ratio(build_event_graph(tmg))
+        result = analyzed(build_event_graph(tmg))
         assert result.ratio == 0
 
 
@@ -162,7 +162,7 @@ class TestAnalyzeFacade:
         assert report.throughput == Fraction(1, 6)
 
     def test_cycle_time_shorthand(self):
-        assert cycle_time(simple_ring()) == 6
+        assert analyze(simple_ring()).cycle_time == 6
 
     def test_deadlock_detected(self):
         assert find_token_free_cycle(build_event_graph(simple_ring())) is None

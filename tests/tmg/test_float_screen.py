@@ -1,7 +1,7 @@
 """Exactness where float64 collapses, on the single Howard path.
 
 These tests once covered a float-first screen with exact verification.
-That screen is gone: :func:`maximum_cycle_ratio` runs one integer kernel
+That screen is gone: :func:`repro.tmg.analyze` runs one integer kernel
 and always returns a ``Fraction``, so the same contract is now checked on
 it — the ratio is exact and the reported cycle is a true maximum-ratio
 cycle, even where float64 cannot rank the candidates.  The one float
@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from repro.core import SystemBuilder
 from repro.errors import DeadlockError, NotLiveError
 from repro.model import analyze_system
-from repro.tmg import analyze, build_event_graph, maximum_cycle_ratio
+from repro.tmg import analyze, build_event_graph
 from repro.tmg.graph import TimedMarkedGraph
 from repro.tmg.analysis import analyze_event_graph
 
 from tests.strategies import live_tmgs
+from tests.tmg.decoded import analyzed, edges
 
 
 def ring(delays, tokens) -> TimedMarkedGraph:
@@ -37,7 +38,7 @@ def ring(delays, tokens) -> TimedMarkedGraph:
 def cycle_ratio(graph, cycle) -> Fraction:
     """The exact ratio of a cycle, recomputed from the graph's edges."""
     by_source = {}
-    for edge in graph.edges:
+    for edge in edges(graph):
         by_source.setdefault(edge.source, []).append(edge)
     delay = 0
     tokens = 0
@@ -69,7 +70,7 @@ def float_collapse_graph() -> TimedMarkedGraph:
 class TestScreenedHoward:
     def test_simple_ring(self):
         graph = build_event_graph(ring((2, 3, 1), (1, 0, 0)))
-        result = maximum_cycle_ratio(graph)
+        result = analyzed(graph)
         assert result.ratio == Fraction(6, 1)
         assert isinstance(result.ratio, Fraction)
 
@@ -82,7 +83,7 @@ class TestScreenedHoward:
         tmg.add_place("p2", "a", "c", tokens=1)
         tmg.add_place("p3", "c", "a", tokens=1)   # ratio 5/2
         graph = build_event_graph(tmg)
-        exact = maximum_cycle_ratio(graph)
+        exact = analyzed(graph)
         assert exact.ratio == Fraction(6, 1)
         assert cycle_ratio(graph, list(exact.cycle)) == exact.ratio
         assert set(exact.cycle) == {"a", "b"}
@@ -91,25 +92,25 @@ class TestScreenedHoward:
         big = 10**16
         graph = build_event_graph(float_collapse_graph())
         assert float(big + 1) == float(big)  # the premise: float ties
-        result = maximum_cycle_ratio(graph)
+        result = analyzed(graph)
         assert result.ratio == Fraction(big + 1, 1)
         assert result.ratio == cycle_ratio(graph, list(result.cycle))
 
     def test_returned_cycle_attains_the_ratio(self):
         graph = build_event_graph(ring((5, 2, 9, 1), (1, 0, 1, 0)))
-        result = maximum_cycle_ratio(graph)
+        result = analyzed(graph)
         assert cycle_ratio(graph, list(result.cycle)) == result.ratio
 
     def test_not_live_raises(self):
         graph = build_event_graph(ring((1, 1), (0, 0)))
         with pytest.raises(NotLiveError):
-            maximum_cycle_ratio(graph)
+            analyzed(graph)
 
     @settings(max_examples=40, deadline=None)
     @given(tmg=live_tmgs())
     def test_property_ratio_matches_exact(self, tmg):
         graph = build_event_graph(tmg)
-        exact = maximum_cycle_ratio(graph)
+        exact = analyzed(graph)
         if exact is None:
             return
         assert isinstance(exact.ratio, Fraction)

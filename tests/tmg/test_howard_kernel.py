@@ -1,6 +1,6 @@
 """Differential oracle for the integer Howard kernel.
 
-:func:`repro.tmg.howard.maximum_cycle_ratio` runs policy iteration over
+:func:`repro.tmg.analyze` runs Howard policy iteration over
 integers, in a list form for small SCCs and an array form for large ones.
 Both must reproduce the ``Fraction``-arithmetic reference
 (:mod:`tests.tmg.fraction_howard`) decision for decision: same ratio, same
@@ -20,7 +20,7 @@ from repro.core import synthetic_soc
 from repro.errors import NotLiveError
 from repro.model.build import build_tmg
 from repro.ordering import channel_ordering
-from repro.tmg import build_event_graph, maximum_cycle_ratio, howard
+from repro.tmg import build_event_graph, howard
 from repro.tmg.graph import TimedMarkedGraph
 from repro.tmg.event_graph import _components
 from repro.tmg.howard import _ArrayScc, _csr, _Fallback, _Scc
@@ -28,6 +28,7 @@ from repro.workloads import generate
 
 from tests.strategies import live_tmgs
 from tests.tmg.enumeration import maximum_cycle_ratio_enumerated
+from tests.tmg.decoded import analyzed, succ as decoded_succ
 from tests.tmg.fraction_howard import (
     _ratio_iteration_completion,
     fraction_maximum_cycle_ratio,
@@ -41,7 +42,7 @@ def assert_matches_oracles(
     tmg: TimedMarkedGraph, enumerate_cycles: bool = True, lawler: bool = True
 ):
     graph = build_event_graph(tmg)
-    result = maximum_cycle_ratio(graph)
+    result = analyzed(graph)
     reference = fraction_maximum_cycle_ratio(graph)
     assert result == reference  # ratio, cycle and places
     if result is None:
@@ -107,7 +108,7 @@ class TestCompletionMatchesReference:
     @given(tmg=live_tmgs(max_chains=4))
     def test_from_zero(self, tmg):
         graph = build_event_graph(tmg)
-        decoded = graph.succ
+        decoded = decoded_succ(graph)
         for component in _components(graph.start, graph.target):
             csr = _csr(graph, component)
             scc = _Scc(csr)
@@ -131,10 +132,10 @@ class TestCompletionMatchesReference:
 
 
 def array_form(graph):
-    """:func:`maximum_cycle_ratio` with every SCC on the array form."""
+    """:func:`repro.tmg.analyze` with every SCC on the array form."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(howard, "_ARRAY_MIN_NODES", 1)
-        return maximum_cycle_ratio(graph)
+        return analyzed(graph)
 
 
 def components(graph):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
 from repro.model import analyze_system
-from repro.tmg import analyze, build_event_graph, maximum_cycle_ratio
-from repro.tmg.event_graph import strongly_connected_components
+from repro.tmg import analyze, build_event_graph
 from tests.strategies import layered_systems, live_tmgs
+from tests.tmg.decoded import analyzed, strongly_connected_components
 from tests.tmg.enumeration import maximum_cycle_ratio_enumerated, tmg_cycles
 from tests.tmg.firing_reference import measured_cycle_time
 from tests.tmg.lawler import maximum_cycle_ratio_lawler
@@ -56,7 +56,7 @@ def test_total_token_change_equals_structural_balance(tmg):
 def test_howard_equals_enumeration(tmg):
     graph = build_event_graph(tmg)
     enumerated = maximum_cycle_ratio_enumerated(graph)
-    howard = maximum_cycle_ratio(graph)
+    howard = analyzed(graph)
     if enumerated is None:
         assert howard is None
     else:
@@ -68,7 +68,7 @@ def test_howard_equals_enumeration(tmg):
 @given(tmg=live_tmgs())
 def test_lawler_close_to_howard(tmg):
     graph = build_event_graph(tmg)
-    howard = maximum_cycle_ratio(graph)
+    howard = analyzed(graph)
     lawler = maximum_cycle_ratio_lawler(graph, tolerance=1e-9)
     if howard is None:
         assert lawler is None
@@ -99,7 +99,7 @@ def test_howard_exact_equals_float_mode(system):
 def test_execution_rate_matches_analysis(tmg):
     """The earliest-firing execution settles at the analytic cycle time."""
     graph = build_event_graph(tmg)
-    result = maximum_cycle_ratio(graph)
+    result = analyzed(graph)
     if result is None or result.ratio == 0:
         return
     # Measure a transition on the critical cycle: its asymptotic rate is
@@ -128,7 +128,7 @@ def test_critical_cycle_ratio_consistent(tmg):
     """The reported critical cycle's own delay/token ratio equals the
     reported maximum ratio."""
     graph = build_event_graph(tmg)
-    result = maximum_cycle_ratio(graph)
+    result = analyzed(graph)
     if result is None:
         return
     delay = sum(tmg.delay(t) for t in result.cycle)
@@ -141,7 +141,7 @@ def test_critical_cycle_ratio_consistent(tmg):
 @given(tmg=live_tmgs())
 def test_analyze_reports_live_graphs(tmg):
     graph = build_event_graph(tmg)
-    if maximum_cycle_ratio(graph) is None:
+    if analyzed(graph) is None:
         return
     report = analyze(tmg)
     assert report.cycle_time >= 0

@@ -4,9 +4,9 @@ The differential oracle for :meth:`TransitionSystem.enabled
 <repro.verify.semantics.TransitionSystem.enabled>`: enabledness
 re-derived over :class:`~repro.verify.semantics.Action` names from
 statement kinds and occupancies.  It reads only the name-keyed views of
-a :class:`~repro.verify.semantics.TransitionSystem` (``chains``,
-``process_names``, ``buffered_names``, ``ir``), never the integer tables
-it checks.
+a :class:`~repro.verify.semantics.TransitionSystem` that
+:mod:`tests.verify.statement_reference` decodes from its ``ir``, never
+the integer tables it checks.
 """
 
 from __future__ import annotations
@@ -14,9 +14,15 @@ from __future__ import annotations
 from repro.verify.semantics import (
     Action,
     ActionKind,
-    CommStatement,
     State,
     TransitionSystem,
+)
+
+from tests.verify.statement_reference import (
+    CommStatement,
+    buffered_names,
+    chains,
+    process_names,
 )
 
 
@@ -36,7 +42,7 @@ def _consumer(ts: TransitionSystem, channel: str) -> str:
 
 
 def is_buffered(ts: TransitionSystem, channel: str) -> bool:
-    return channel in ts.buffered_names
+    return channel in buffered_names(ts)
 
 
 def capacity(ts: TransitionSystem, channel: str) -> int:
@@ -45,13 +51,13 @@ def capacity(ts: TransitionSystem, channel: str) -> int:
 
 
 def occupancy(ts: TransitionSystem, state: State, channel: str) -> int:
-    return state[1][ts.buffered_names.index(channel)]
+    return state[1][buffered_names(ts).index(channel)]
 
 
 def statement_at(
     ts: TransitionSystem, state: State, process: str
 ) -> CommStatement:
-    return ts.chains[process][state[0][ts.process_names.index(process)]]
+    return chains(ts)[process][state[0][process_names(ts).index(process)]]
 
 
 def endpoints(ts: TransitionSystem, action: Action) -> tuple[str, ...]:
@@ -96,7 +102,7 @@ def enabled_actions(ts: TransitionSystem, state: State) -> tuple[Action, ...]:
     """Every enabled action, sorted by ``(channel, kind.value)``."""
     enabled = {
         action
-        for process in ts.process_names
+        for process in process_names(ts)
         if is_enabled(ts, state, action := current_action(ts, state, process))
     }
     return tuple(sorted(enabled, key=lambda a: (a.channel, a.kind.value)))
