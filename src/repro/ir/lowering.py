@@ -43,9 +43,11 @@ from repro.ir.program import (
 
 _KIND = attrgetter("kind")
 #: The declared content of a channel, in the rendering's field order.
-_CHANNEL_ROW = attrgetter(
+_CHANNEL_FIELDS = (
     "name", "producer", "consumer", "latency", "capacity", "initial_tokens"
 )
+_CHANNEL_ROW = attrgetter(*_CHANNEL_FIELDS)
+_CHANNEL_COLUMNS = tuple(map(attrgetter, _CHANNEL_FIELDS))
 
 _memo = memo("lower", maxsize=256)
 
@@ -94,13 +96,15 @@ def lower(
 
     process_names = system.process_names
     process_kinds = tuple(map(kind_code, map(_KIND, system.processes)))
-    channels = tuple(map(_CHANNEL_ROW, system.channels))
+    channels = system.channels
+    # The channel table by column: six tuples, not one tuple per channel
+    # for the cyclic GC to scan.
+    columns = tuple(tuple(map(column, channels)) for column in _CHANNEL_COLUMNS)
     gets_map, puts_map = ordering.gets, ordering.puts
-    orders = tuple(
-        (tuple(gets_map.get(name, ())), tuple(puts_map.get(name, ())))
-        for name in process_names
-    )
-    key = (system.name, process_names, process_kinds, channels, orders)
+    get_orders = tuple(tuple(gets_map.get(name, ())) for name in process_names)
+    put_orders = tuple(tuple(puts_map.get(name, ())) for name in process_names)
+    key = (system.name, process_names, process_kinds, columns, get_orders,
+           put_orders)
     cached = _memo.get(key)
     if cached is not MISS:
         # A hit proves validity: the key covers the channel tables and the
@@ -109,12 +113,8 @@ def lower(
         return cast(LoweredIR, cached)
 
     process_index = dict(zip(process_names, range(len(process_names))))
-    if channels:
-        (channel_names, sources, targets, channel_latencies, capacities,
-         initial_tokens) = zip(*channels)
-    else:
-        channel_names = sources = targets = ()
-        channel_latencies = capacities = initial_tokens = ()
+    (channel_names, sources, targets, channel_latencies, capacities,
+     initial_tokens) = columns
     channel_index = dict(zip(channel_names, range(len(channel_names))))
     producers = tuple(map(process_index.__getitem__, sources))
     consumers = tuple(map(process_index.__getitem__, targets))
@@ -123,14 +123,14 @@ def lower(
     # each channel occurs exactly once among them, under its consumer
     # (producer).  On failure the ordering's own check names the culprit.
     try:
-        get_ids = [channel_index[c] for gets, _ in orders for c in gets]
-        put_ids = [channel_index[c] for _, puts in orders for c in puts]
+        get_ids = [channel_index[c] for gets in get_orders for c in gets]
+        put_ids = [channel_index[c] for puts in put_orders for c in puts]
     except KeyError:
         get_ids = put_ids = []
     if validate:
         every = list(range(len(channel_names)))
-        get_owner = [pid for pid, (gets, _) in enumerate(orders) for _ in gets]
-        put_owner = [pid for pid, (_, puts) in enumerate(orders) for _ in puts]
+        get_owner = [pid for pid, gets in enumerate(get_orders) for _ in gets]
+        put_owner = [pid for pid, puts in enumerate(put_orders) for _ in puts]
         if (
             sorted(get_ids) != every or sorted(put_ids) != every
             or list(map(consumers.__getitem__, get_ids)) != get_owner
@@ -144,7 +144,7 @@ def lower(
     first_marked: list[int] = []
     shapes: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], int]] = {}
     g = p = 0
-    for pid, (gets, puts) in enumerate(orders):
+    for pid, (gets, puts) in enumerate(zip(get_orders, put_orders)):
         n_gets, n_puts = len(gets), len(puts)
         shape = shapes.get((n_gets, n_puts))
         if shape is None:
@@ -168,6 +168,11 @@ def lower(
         g += n_gets
         p += n_puts
 
+    # Capacities and initial tokens are >= 0, so a channel is buffered
+    # exactly when the larger of the two is positive.
+    effective_capacities = tuple(
+        max(cap, tok) for cap, tok in zip(capacities, initial_tokens)
+    )
     ir = LoweredIR(
         system_name=system.name,
         processes=process_names,
@@ -178,12 +183,8 @@ def lower(
         channel_latencies=channel_latencies,
         capacities=capacities,
         initial_tokens=initial_tokens,
-        buffered=tuple(
-            cap > 0 or tok > 0 for cap, tok in zip(capacities, initial_tokens)
-        ),
-        effective_capacities=tuple(
-            max(cap, tok) for cap, tok in zip(capacities, initial_tokens)
-        ),
+        buffered=tuple(map(bool, effective_capacities)),
+        effective_capacities=effective_capacities,
         op_kinds=tuple(op_kinds),
         op_args=tuple(op_args),
         comm_indices=tuple(comm_indices),

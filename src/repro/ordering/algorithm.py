@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, NamedTuple
 
 from repro.core.system import ChannelOrdering, ProcessKind, SystemGraph
@@ -124,7 +125,7 @@ def channel_ordering(
     """
     count("ordering.runs")
     with timed("ordering.label"):
-        ordering = channel_ordering_with_labels(system, initial_ordering).ordering
+        ordering = _final_ordering(*_labels(system, initial_ordering))
     if active() is not None:  # the diff walks every process
         initial = initial_ordering or ChannelOrdering.declaration_order(system)
         count("ordering.changed_processes", len(ordering.differs_from(initial)))
@@ -137,43 +138,83 @@ def channel_ordering_with_labels(
 ) -> OrderingOutcome:
     """:func:`channel_ordering`, additionally exposing the arc labels
     (useful for reports, tests, and the worked example of Fig. 4)."""
+    tables, head, tail = _labels(system, initial_ordering)
+    names = tables.channels
+    return OrderingOutcome(
+        ordering=_final_ordering(tables, head, tail),
+        labels=LabelingResult(
+            heads=dict(zip(names, zip(head[0], head[1]))),
+            tails=dict(zip(names, zip(tail[0], tail[1]))),
+        ),
+    )
+
+
+_Labels = tuple[list[int], list[int]]  # (weight, timestamp) per cid
+
+
+def _labels(
+    system: SystemGraph, initial_ordering: ChannelOrdering | None
+) -> tuple[_Tables, _Labels, _Labels]:
+    """The system's tables, then Forward and Backward Labeling: the head
+    and the tail labels."""
     tables = _tables(system)
     put_order = tables.outs
     if initial_ordering is not None:
         initial_ordering.validate(system)
         cid = {name: c for c, name in enumerate(tables.channels)}
         put_order = [
-            [cid[name] for name in initial_ordering.puts_of(process)]
+            cid[name]
             for process in tables.processes
+            for name in initial_ordering.puts_of(process)
         ]
-    head_w, head_t = _label(tables, "forward", put_order)
-    by_stamp = [sorted(arcs, key=head_t.__getitem__) for arcs in tables.ins]
-    tail_w, tail_t = _label(tables, "backward", by_stamp)
+    head = _label(tables, "forward", put_order)
+    # Each vertex's in-arcs by ascending forward timestamp: the keys
+    # order by consumer first, and timestamps stay below k.
+    k = len(tables.channels) + 1
+    by_stamp = [y * k + t for y, t in zip(tables.consumer, head[1])]
+    in_order = sorted(tables.ins, key=by_stamp.__getitem__)
+    return tables, head, _label(tables, "backward", in_order)
 
-    names = tables.channels
-    gets: dict[str, tuple[str, ...]] = {}
-    puts: dict[str, tuple[str, ...]] = {}
-    for p, process in enumerate(tables.processes):
-        gets[process] = tuple(
-            names[c]
-            for c in sorted(tables.ins[p], key=lambda c: (head_w[c], head_t[c]))
-        )
-        puts[process] = tuple(
-            names[c]
-            for c in sorted(tables.outs[p], key=lambda c: (-tail_w[c], tail_t[c]))
-        )
-    ordering = ChannelOrdering(gets=gets, puts=puts)
-    ordering.validate(system)
-    labels = LabelingResult(
-        heads=dict(zip(names, zip(head_w, head_t))),
-        tails=dict(zip(names, zip(tail_w, tail_t))),
+
+def _final_ordering(
+    tables: _Tables, head: _Labels, tail: _Labels
+) -> ChannelOrdering:
+    """Sort each process's arcs by one integer key per arc.
+
+    The timestamps of one pass are distinct and below ``k``, so
+    ``w·k + t`` orders as the pair ``(w, t)`` for any integer weight:
+    gets by ascending ``(head weight, head timestamp)``, puts by
+    descending tail weight, then ascending tail timestamp.  The result is
+    a permutation of every process's ports by construction
+    (``tests/ordering/test_final_ordering.py`` checks it).
+    """
+    (head_w, head_t), (tail_w, tail_t) = head, tail
+    k = len(tables.channels) + 1
+    top = max(tail_w, default=0)
+    get_key = [w * k + t for w, t in zip(head_w, head_t)]
+    put_key = [(top - w) * k + t for w, t in zip(tail_w, tail_t)]
+    name = tables.channels.__getitem__
+    by_get, by_put = get_key.__getitem__, put_key.__getitem__
+    ins, in_start = tables.ins, tables.in_start
+    outs, out_start = tables.outs, tables.out_start
+    return ChannelOrdering(
+        gets={
+            p: tuple(map(name, sorted(ins[in_start[x]:in_start[x + 1]], key=by_get)))
+            for x, p in enumerate(tables.processes)
+        },
+        puts={
+            p: tuple(map(name, sorted(outs[out_start[x]:out_start[x + 1]], key=by_put)))
+            for x, p in enumerate(tables.processes)
+        },
     )
-    return OrderingOutcome(ordering=ordering, labels=labels)
 
 
 class _Tables(NamedTuple):
     """One system's attributes and endpoints by process id (pid) and
-    channel id (cid), both in declaration order."""
+    channel id (cid), both in declaration order.  The arcs of each
+    process are flat CSR lists: pid ``x``'s in-arcs are
+    ``ins[in_start[x]:in_start[x + 1]]`` and its out-arcs
+    ``outs[out_start[x]:out_start[x + 1]]``, in declaration order."""
 
     system: str
     processes: list[str]
@@ -184,8 +225,10 @@ class _Tables(NamedTuple):
     consumer: list[int]
     latency: list[int]
     tokens: list[int]
-    ins: list[list[int]]
-    outs: list[list[int]]
+    in_start: list[int]
+    ins: list[int]
+    out_start: list[int]
+    outs: list[int]
 
 
 def _tables(system: SystemGraph) -> _Tables:
@@ -194,11 +237,7 @@ def _tables(system: SystemGraph) -> _Tables:
     pid = {p.name: i for i, p in enumerate(processes)}
     producer = [pid[c.producer] for c in channels]
     consumer = [pid[c.consumer] for c in channels]
-    ins: list[list[int]] = [[] for _ in processes]
-    outs: list[list[int]] = [[] for _ in processes]
-    for c, (w, y) in enumerate(zip(producer, consumer)):
-        outs[w].append(c)
-        ins[y].append(c)
+    arcs = range(len(channels))
     return _Tables(
         system=system.name,
         processes=[p.name for p in processes],
@@ -209,33 +248,49 @@ def _tables(system: SystemGraph) -> _Tables:
         consumer=consumer,
         latency=[c.latency for c in channels],
         tokens=[c.initial_tokens for c in channels],
-        ins=ins,
-        outs=outs,
+        in_start=_starts(consumer, len(processes)),
+        ins=sorted(arcs, key=consumer.__getitem__),
+        out_start=_starts(producer, len(processes)),
+        outs=sorted(arcs, key=producer.__getitem__),
     )
 
 
+def _starts(ends: list[int], n: int) -> list[int]:
+    """CSR offsets of arcs grouped by end: ``n + 1`` running counts."""
+    counts = [0] * n
+    for x in ends:
+        counts[x] += 1
+    return list(accumulate(counts, initial=0))
+
+
 def _label(
-    tables: _Tables, direction: str, arcs: list[list[int]]
+    tables: _Tables, direction: str, arcs: list[int]
 ) -> tuple[list[int], list[int]]:
     """One labeling traversal; returns ``(weight, timestamp)`` per cid.
 
-    ``arcs[x]`` lists the arcs vertex ``x`` labels, in labeling order.
+    ``arcs`` holds the arcs each vertex labels, in labeling order, laid
+    out as CSR over the same offsets as those arcs in the tables.
     Forward, these are its out-arcs, labeled at their heads from the
     weights of its in-arcs, and the traversal starts at the sources;
     backward swaps in and out, heads and tails, sources and sinks.
     Unlabeled arcs read as weight zero.
     """
     if direction == "forward":
-        seed, reads = ProcessKind.SOURCE, tables.ins
-        near, far = tables.producer, tables.consumer
+        seed, reads, read_start = ProcessKind.SOURCE, tables.ins, tables.in_start
+        near, far, arc_start = tables.producer, tables.consumer, tables.out_start
     else:
-        seed, reads = ProcessKind.SINK, tables.outs
-        near, far = tables.consumer, tables.producer
+        seed, reads, read_start = ProcessKind.SINK, tables.outs, tables.out_start
+        near, far, arc_start = tables.consumer, tables.producer, tables.in_start
     tokens, latency, kinds = tables.tokens, tables.latency, tables.kinds
     n = len(kinds)
     weight = [0] * len(tokens)
     stamp = [0] * len(tokens)
-    gating = [sum(1 for c in r if tokens[c] == 0) for r in reads]
+    gating = [0] * n  # zero-token arcs read by each vertex
+    span = tables.delay[:]  # VertexLatency plus the latency of its arcs
+    for c, (x, y) in enumerate(zip(near, far)):
+        span[x] += latency[c]
+        if not tokens[c]:
+            gating[y] += 1
     visited = [0] * n
     queue = deque(x for x in range(n) if kinds[x] is seed)
     queue.extend(x for x in range(n) if kinds[x] is not seed and gating[x] == 0)
@@ -252,11 +307,11 @@ def _label(
     while queue:
         x = queue.popleft()
         best = 0
-        for c in reads[x]:
+        for c in reads[read_start[x]:read_start[x + 1]]:
             if weight[c] > best:
                 best = weight[c]
-        w = best + sum(latency[c] for c in arcs[x]) + tables.delay[x]
-        for c in arcs[x]:
+        w = best + span[x]
+        for c in arcs[arc_start[x]:arc_start[x + 1]]:
             y = far[c]
             if tokens[c] == 0:
                 visited[y] += 1
@@ -276,7 +331,11 @@ def _label(
         step: dict[int, int] = {}  # vertex -> its position in the walk
         while x not in step:
             step[x] = len(step)
-            x = next(near[c] for c in reads[x] if tokens[c] == 0 and not stamp[c])
+            x = next(
+                near[c]
+                for c in reads[read_start[x]:read_start[x + 1]]
+                if tokens[c] == 0 and not stamp[c]
+            )
         loop = [names[y] for y, i in step.items() if i >= step[x]]
         if direction == "forward":
             loop.reverse()  # the walk ran against the data flow

@@ -33,18 +33,18 @@ def _token_free_cycle(
     n = len(start) - 1
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * n
+    cursor = list(start[:-1])  # per node, its next unexplored edge
 
     for root in range(n):
         if color[root] != WHITE:
             continue
-        # Iterative DFS over [node, next edge] frames, keeping the gray
-        # path for cycle extraction.
+        # Iterative DFS: the gray path is the work stack, and a back edge
+        # closes the witness cycle on it.
         path: list[int] = [root]
-        work = [[root, start[root]]]
         color[root] = GRAY
-        while work:
-            frame = work[-1]
-            node, e = frame
+        while path:
+            node = path[-1]
+            e = cursor[node]
             end = start[node + 1]
             while e < end:
                 if tokens[e] == 0:
@@ -52,14 +52,12 @@ def _token_free_cycle(
                     if color[child] == GRAY:
                         return path[path.index(child):]
                     if color[child] == WHITE:
-                        frame[1] = e + 1
+                        cursor[node] = e + 1
                         color[child] = GRAY
                         path.append(child)
-                        work.append([child, start[child]])
                         break
                 e += 1
             else:
-                work.pop()
                 path.pop()
                 color[node] = BLACK
     return None

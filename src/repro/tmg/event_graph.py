@@ -30,7 +30,8 @@ and errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
 from repro.tmg.graph import TimedMarkedGraph
 
@@ -76,25 +77,22 @@ def contract(
     Returns ``(start, target, tokens, rows)``: node ``u``'s edges are
     ``start[u]:start[u + 1]``, and ``rows[e]`` is edge ``e``'s place row.
     """
-    best: dict[int, int] = {}
-    for row, (s, t, m) in enumerate(zip(source, target, tokens)):
-        key = s * n + t
-        kept = best.get(key)
-        if kept is None or m < tokens[kept]:
-            best[key] = row
-    start = [0] * (n + 1)
-    for row in best.values():
-        start[source[row] + 1] += 1
-    for u in range(n):
-        start[u + 1] += start[u]
-    fill = start[:-1]
-    rows = [0] * len(best)
-    for row in best.values():
-        u = source[row]
-        rows[fill[u]] = row
-        fill[u] += 1
+    keys = [s * n + t for s, t in zip(source, target)]
+    kept: Iterable[int] = range(len(keys))
+    if len(set(keys)) < len(keys):  # parallel places
+        best: dict[int, int] = {}
+        for row, key in enumerate(keys):
+            held = best.get(key)
+            if held is None or tokens[row] < tokens[held]:
+                best[key] = row
+        kept = best.values()
+    # Stable: each node's edges stay in the order of their first row.
+    rows = sorted(kept, key=source.__getitem__)
+    counts = [0] * n
+    for u in map(source.__getitem__, rows):
+        counts[u] += 1
     return (
-        start,
+        list(accumulate(counts, initial=0)),
         [target[row] for row in rows],
         [tokens[row] for row in rows],
         rows,
@@ -139,6 +137,7 @@ def _components(
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
+    cursor = list(start[:-1])  # per node, its next unexplored edge
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
@@ -146,33 +145,33 @@ def _components(
     for root in range(n):
         if index[root] >= 0:
             continue
-        # An explicit work stack of [node, next edge].
-        work = [[root, start[root]]]
+        # An explicit work stack: the depth-first path from the root.
+        work = [root]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
         on_stack[root] = True
         while work:
-            frame = work[-1]
-            node, e = frame
+            node = work[-1]
+            e = cursor[node]
             end = start[node + 1]
             while e < end:
                 child = target[e]
                 e += 1
                 if index[child] < 0:
-                    frame[1] = e
+                    cursor[node] = e
                     index[child] = lowlink[child] = counter
                     counter += 1
                     stack.append(child)
                     on_stack[child] = True
-                    work.append([child, start[child]])
+                    work.append(child)
                     break
                 if on_stack[child] and index[child] < lowlink[node]:
                     lowlink[node] = index[child]
             else:
                 work.pop()
                 if work:
-                    parent = work[-1][0]
+                    parent = work[-1]
                     if lowlink[node] < lowlink[parent]:
                         lowlink[parent] = lowlink[node]
                 if lowlink[node] == index[node]:

@@ -31,7 +31,8 @@ at the result boundary.
 The kernel has two forms of one iteration.  Below ``_ARRAY_MIN_NODES``
 nodes an SCC runs the list form (:class:`_Scc`), whose pure-Python loops
 win on small graphs.  From there on it runs the array form
-(:class:`_ArrayScc`), which replays the list form decision for decision
+(:class:`_ArrayScc`), gathered straight from the event graph's edges,
+which replays the list form decision for decision
 with numpy: pointer doubling evaluates a policy, and a vector Jacobi pass
 plus an ascending visit of the nodes whose values moved reproduces the
 in-order improvement sweep.  Where it cannot replay exactly (an int64
@@ -89,21 +90,24 @@ def _maximum_cycle_ratio(
     """
     best: tuple[int, int, list[int], list[int]] | None = None
     local = [-1] * len(graph.names)
+    arrays: _EdgeArrays | None = None  # made for the first array-form SCC
     for component in _components(graph.start, graph.target):
-        csr = _csr(graph, component, local)
-        if not csr.target:
-            continue  # trivial SCC: no cycle through it
-        edges = csr.edges
-        scc = _scc(csr)
-        del csr  # the array form keeps no list copy
-        num, den, nodes, cycle_edges = scc.howard()
+        scc: _Scc | _ArrayScc | None = None
+        if len(component) >= _ARRAY_MIN_NODES:
+            try:
+                arrays = arrays or _edge_arrays(graph)
+                scc = _ArrayScc(graph, component, arrays)
+            except _Fallback:
+                pass
+        if scc is None:
+            csr = _csr(graph, component, local)
+            if not csr.target:
+                continue  # trivial SCC: no cycle through it
+            scc = _Scc(csr)
+        num, den, nodes, edges = scc.howard()
         if best is None or num * best[1] > best[0] * den:
-            best = (
-                num,
-                den,
-                [component[u] for u in nodes],
-                [edges[e] for e in cycle_edges],
-            )
+            nodes = [component[u] for u in nodes]
+            best = num, den, nodes, [int(scc.edges[e]) for e in edges]
     if best is None:
         return None
     return Fraction(best[0], best[1]), best[2], best[3]
@@ -140,34 +144,37 @@ def _csr(
     for u, node in enumerate(component):
         local[node] = u
     g_start, g_target = graph.start, graph.target
-    g_delay, g_tokens = graph.delay, graph.tokens
     start = [0]
-    target: list[int] = []
-    delay: list[int] = []
-    tokens: list[int] = []
     edges: list[int] = []
     for node in component:
-        for e in range(g_start[node], g_start[node + 1]):
-            t = local[g_target[e]]
-            if t >= 0:
-                target.append(t)
-                delay.append(g_delay[e])
-                tokens.append(g_tokens[e])
-                edges.append(e)
-        start.append(len(target))
+        edges += [
+            e for e in range(g_start[node], g_start[node + 1])
+            if local[g_target[e]] >= 0
+        ]
+        start.append(len(edges))
+    target = [local[g_target[e]] for e in edges]
     for node in component:
         local[node] = -1
+    delay, tokens = [graph.delay[e] for e in edges], [graph.tokens[e] for e in edges]
     return _Csr(graph.names, component, start, target, delay, tokens, edges)
 
 
-def _scc(csr: _Csr) -> _Scc | _ArrayScc:
-    """The kernel form for one component (see the module docstring)."""
-    if len(csr.nodes) >= _ARRAY_MIN_NODES:
-        try:
-            return _ArrayScc(csr)
-        except _Fallback:
-            pass
-    return _Scc(csr)
+#: Per edge of an event graph: source and target node, delay, tokens.
+_EdgeArrays = tuple[_Index32, _Index32, _Ints, _Ints]
+
+
+def _edge_arrays(graph: EventGraph) -> _EdgeArrays:
+    """``graph``'s edges as arrays (:class:`_Fallback` beyond int64)."""
+    try:
+        return (
+            np.repeat(np.arange(len(graph.names), dtype=np.int32),
+                      np.diff(graph.start)),
+            np.array(graph.target, dtype=np.int32),
+            np.array(graph.delay, dtype=np.int64),
+            np.array(graph.tokens, dtype=np.int64),
+        )
+    except OverflowError:
+        raise _Fallback from None
 
 
 def _token_free(names: list[str]) -> NotLiveError:
@@ -182,11 +189,9 @@ class _Scc:
     :class:`_Csr`)."""
 
     def __init__(self, csr: _Csr):
-        self.csr = csr
+        self.csr, self.edges = csr, csr.edges
         self.n = len(csr.nodes)
-        self.start, self.target, self.delay, self.tokens = (
-            csr.start, csr.target, csr.delay, csr.tokens
-        )
+        self.start, self.target, self.delay, self.tokens = csr[2:6]
 
     def howard(self) -> tuple[int, int, list[int], list[int]]:
         """Policy iteration: ``(num, den, cycle nodes, cycle edges)``.
@@ -423,23 +428,30 @@ class _ArrayScc:
     indices are int32 and gathered with ``np.take``; values are int64.
     """
 
-    def __init__(self, csr: _Csr):
-        self.names, self.nodes = csr.names, csr.nodes
-        start, target, delay, tokens = csr.start, csr.target, csr.delay, csr.tokens
-        n = len(self.nodes)
-        self.delay_max = max(max(delay), -min(delay))
-        self.tokens_max = max(tokens)
+    def __init__(self, graph: EventGraph, component: list[int], arrays: _EdgeArrays):
+        """Gather :func:`_csr`'s lists as arrays straight from ``arrays``,
+        ``graph``'s edge arrays, keeping the edge order."""
+        self.graph, self.nodes = graph, component
+        source, target, delay, tokens = arrays
+        n = len(component)
+        local: _Index32 = np.full(len(graph.names), -1, dtype=np.int32)
+        local[component] = np.arange(n, dtype=np.int32)
+        source, target = local.take(source), local.take(target)
+        inside = np.flatnonzero((source >= 0) & (target >= 0))
+        if not len(inside):
+            raise _Fallback  # a trivial SCC, which the list form skips
+        self.edges: _Index = inside[np.argsort(source.take(inside), kind="stable")]
+        self.source: _Index32 = source.take(self.edges)
+        self.target: _Index32 = target.take(self.edges)
+        self.delay: _Ints = delay.take(self.edges)
+        self.tokens: _Ints = tokens.take(self.edges)
+        self.start: _Index = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(self.source, minlength=n), out=self.start[1:])
+        self.delay_max = max(int(self.delay.max()), -int(self.delay.min()))
+        self.tokens_max = int(self.tokens.max())
         if n * max(self.delay_max, self.tokens_max) >= _INT64_SAFE:
             raise _Fallback  # a cycle's sums could leave int64
         self.levels = max(1, (n - 1).bit_length())  # 2**levels >= n
-        self.start: _Index = np.array(start, dtype=np.intp)
-        self.target: _Index32 = np.array(target, dtype=np.int32)
-        self.delay: _Ints = np.array(delay, dtype=np.int64)
-        self.tokens: _Ints = np.array(tokens, dtype=np.int64)
-        del start, target, delay, tokens
-        self.source: _Index32 = np.repeat(
-            np.arange(n, dtype=np.int32), np.diff(self.start)
-        )
         self.loops: _Index = np.flatnonzero(self.target == self.source)
         # The descending edges (target below source) as a reverse CSR: the
         # in-order sweep reads the final value of exactly these targets.
@@ -459,17 +471,8 @@ class _ArrayScc:
             return self._lists().howard()
 
     def _lists(self) -> _Scc:
-        """The list form of this SCC, rebuilt from the arrays (every value
-        fits int64, so the ints are exact)."""
-        return _Scc(_Csr(
-            self.names,
-            self.nodes,
-            self.start.tolist(),
-            self.target.tolist(),
-            self.delay.tolist(),
-            self.tokens.tolist(),
-            [],
-        ))
+        """The list form of this SCC."""
+        return _Scc(_csr(self.graph, self.nodes))
 
     def _iterate(self) -> tuple[int, int, list[int], list[int]]:
         n = len(self.nodes)

@@ -134,9 +134,11 @@ class TestInitialOrderingValidation:
         with pytest.raises(ValidationError, match="not a permutation"):
             channel_ordering_with_labels(motivating, bad)
 
-    def test_default_ordering_validates_only_the_output(
-        self, motivating, monkeypatch
+    def test_only_a_caller_ordering_is_validated(
+        self, motivating, suboptimal_ordering, monkeypatch
     ):
+        # The result is a permutation by construction; the property in
+        # tests/ordering/test_final_ordering.py carries that guarantee.
         checked = []
         validate = ChannelOrdering.validate
 
@@ -145,5 +147,7 @@ class TestInitialOrderingValidation:
             validate(ordering, system)
 
         monkeypatch.setattr(ChannelOrdering, "validate", spy)
-        result = channel_ordering(motivating)
-        assert checked == [result]
+        channel_ordering(motivating)
+        assert checked == []
+        channel_ordering(motivating, suboptimal_ordering)
+        assert checked == [suboptimal_ordering]

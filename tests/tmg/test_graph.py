@@ -1,8 +1,11 @@
 """Unit tests for the TimedMarkedGraph structure and token game."""
 
+import random
+
 import pytest
 
 from repro.errors import ValidationError
+from repro.tmg.event_graph import contract
 from repro.tmg.graph import TimedMarkedGraph
 from tests.tmg.enumeration import tmg_cycles
 
@@ -138,3 +141,36 @@ class TestCycles:
         (cycle,) = tmg_cycles(tmg)
         assert "light" in cycle
         assert "heavy" not in cycle
+
+
+def reference_contract(n, source, target, tokens):
+    """:func:`contract` written out: per node, its kept edges in order of
+    the first row between their endpoints, each the fewest-token row."""
+    kept = {}  # (s, t) -> row, in first-row order
+    for row, pair in enumerate(zip(source, target)):
+        if pair not in kept or tokens[row] < tokens[kept[pair]]:
+            kept[pair] = row
+    rows = [row for u in range(n) for (s, _), row in kept.items() if s == u]
+    start = [0]
+    for u in range(n):
+        start.append(start[-1] + sum(1 for s, _ in kept if s == u))
+    return (
+        start, [target[r] for r in rows], [tokens[r] for r in rows], rows
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_contract_matches_reference(seed):
+    # Few nodes and many rows, so that most seeds draw parallel places;
+    # seed 0 draws none, which takes the duplicate-free path.
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    rows = rng.randint(0, 30) if seed else n
+    source = [rng.randrange(n) for _ in range(rows)]
+    target = [rng.randrange(n) for _ in range(rows)]
+    if not seed:
+        source, target = list(range(n)), [(u + 1) % n for u in range(n)]
+    tokens = [rng.randint(0, 3) for _ in range(rows)]
+    assert contract(n, source, target, tokens) == reference_contract(
+        n, source, target, tokens
+    )

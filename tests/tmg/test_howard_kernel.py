@@ -12,6 +12,7 @@ brute-force enumeration (:mod:`tests.tmg.enumeration`).
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,14 @@ from repro.ordering import channel_ordering
 from repro.tmg import build_event_graph, howard
 from repro.tmg.graph import TimedMarkedGraph
 from repro.tmg.event_graph import _components
-from repro.tmg.howard import _ArrayScc, _csr, _Fallback, _Scc
+from repro.tmg.howard import (
+    _ArrayScc,
+    _csr,
+    _edge_arrays,
+    _Fallback,
+    _maximum_cycle_ratio,
+    _Scc,
+)
 from repro.workloads import generate
 
 from tests.strategies import live_tmgs
@@ -150,6 +158,11 @@ def components(graph):
     ]
 
 
+def array_scc(graph, component):
+    """The array form of one component (its :class:`_Csr` lists)."""
+    return _ArrayScc(graph, component.nodes, _edge_arrays(graph))
+
+
 def outcome(kernel):
     """A kernel's result, or the message and cycle of its NotLiveError."""
     try:
@@ -217,7 +230,7 @@ class TestArrayFormMatchesReference:
         assert array_form(graph) == fraction_maximum_cycle_ratio(graph)
         for component in components(graph):
             assert (
-                _ArrayScc(component)._iterate()
+                array_scc(graph, component)._iterate()
                 == _Scc(component).howard()
             )
 
@@ -233,7 +246,7 @@ class TestArrayFormMatchesReference:
         assert array_form(graph) == fraction_maximum_cycle_ratio(graph)
         (component,) = components(graph)
         with pytest.raises(_Fallback):
-            _ArrayScc(component)._iterate()
+            array_scc(graph, component)._iterate()
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -258,7 +271,7 @@ class TestArrayFormMatchesReference:
         for component in components(graph):
             sizes.append(len(component.nodes))
             assert (
-                _ArrayScc(component)._iterate()
+                array_scc(graph, component)._iterate()
                 == _Scc(component).howard()
             )
         # The 1,000-process graph's large SCC is above the cut-over.
@@ -274,7 +287,7 @@ class TestArrayFormMatchesReference:
         graph = build_event_graph(build_tmg(system, channel_ordering(system)).tmg)
         for component in components(graph):
             assert (
-                _ArrayScc(component)._iterate()
+                array_scc(graph, component)._iterate()
                 == _Scc(component).howard()
             )
 
@@ -290,7 +303,7 @@ class TestArrayFormMatchesReference:
         graph = build_event_graph(tmg)
         (component,) = components(graph)
         with pytest.raises(_Fallback):
-            _ArrayScc(component)._iterate()
+            array_scc(graph, component)._iterate()
         assert array_form(graph) == fraction_maximum_cycle_ratio(graph)
 
     def test_values_beyond_int64_fall_back(self):
@@ -302,7 +315,7 @@ class TestArrayFormMatchesReference:
         graph = build_event_graph(tmg)
         (component,) = components(graph)
         with pytest.raises(_Fallback):
-            _ArrayScc(component)
+            array_scc(graph, component)
         assert array_form(graph).ratio == 2**63 + 1
 
     def test_seeded_random_graphs(self):
@@ -315,6 +328,117 @@ class TestArrayFormMatchesReference:
             graph = build_event_graph(random_graph(rng))
             for component in components(graph):
                 expected = outcome(_Scc(component))
-                assert outcome(_ArrayScc(component)) == expected
+                assert outcome(array_scc(graph, component)) == expected
                 not_live += isinstance(expected[0], str)
         assert not_live > 0
+
+
+def soc_graph(n_processes):
+    system = synthetic_soc(n_processes, seed=0)
+    return build_event_graph(build_tmg(system, channel_ordering(system)).tmg)
+
+
+#: ``(process count, size of the largest SCC)``: the 1,000-process SoC
+#: takes the array form at the default cut-over, the 500-process one only
+#: below it.
+SOCS = [(1000, 2947), (500, None)]
+
+class TestGatherMatchesCsr:
+    """:class:`_ArrayScc` gathers its arrays straight from the event
+    graph.  They must be the arrays the list form's CSR lists gave it
+    before (``np.array`` of :func:`_csr`'s lists, ``source`` repeated
+    from ``start``), and :func:`_maximum_cycle_ratio` must return what
+    the list form returns."""
+
+    @staticmethod
+    def cyclic_sizes(graph):
+        """Check every SCC's gathered arrays; the sizes of those with a
+        cycle."""
+        arrays = _edge_arrays(graph)
+        sizes = []
+        for component in _components(graph.start, graph.target):
+            csr = _csr(graph, component)
+            if not csr.target:
+                with pytest.raises(_Fallback):
+                    _ArrayScc(graph, component, arrays)
+                continue
+            sizes.append(len(component))
+            got = _ArrayScc(graph, component, arrays)
+            n = len(component)
+            want = {
+                "start": np.array(csr.start, dtype=np.intp),
+                "target": np.array(csr.target, dtype=np.int32),
+                "delay": np.array(csr.delay, dtype=np.int64),
+                "tokens": np.array(csr.tokens, dtype=np.int64),
+                "edges": np.array(csr.edges, dtype=np.intp),
+                "source": np.repeat(
+                    np.arange(n, dtype=np.int32), np.diff(csr.start)
+                ),
+            }
+            for field, expected in want.items():
+                array = getattr(got, field)
+                assert array.dtype == expected.dtype, field
+                assert np.array_equal(array, expected), field
+            assert got.delay_max == max(max(csr.delay), -min(csr.delay))
+            assert got.tokens_max == max(csr.tokens)
+        return sizes
+
+    @pytest.mark.parametrize("n_processes,largest", SOCS)
+    def test_arrays_equal_the_csr_lists(self, n_processes, largest):
+        sizes = self.cyclic_sizes(soc_graph(n_processes))
+        if largest is not None:
+            assert max(sizes) == largest
+
+    def test_arrays_equal_the_csr_lists_across_sccs(self):
+        # Two random rings and one-way bridges between them: the bridges
+        # leave one SCC for the other, and the gather must drop them.
+        rng = random.Random(1)
+        for _ in range(30):
+            tmg = random_graph(rng)
+            other = random_graph(rng)
+            for t in other.transitions:
+                tmg.add_transition("b" + t.name, delay=t.delay)
+            for p in other.places:
+                tmg.add_place("b" + p.name, "b" + p.source, "b" + p.target, p.tokens)
+            for k in range(rng.randint(1, 4)):
+                a = rng.choice(tmg.transition_names[: -len(other.transitions)])
+                tmg.add_place(f"bridge{k}", a, "b" + other.transition_names[0])
+            graph = build_event_graph(tmg)
+            assert len(self.cyclic_sizes(graph)) == 2
+
+    @pytest.mark.parametrize("n_processes", [n for n, _ in SOCS])
+    @pytest.mark.parametrize("cut_over", [1, howard._ARRAY_MIN_NODES])
+    def test_ratio_and_cycle_match_the_list_form(self, n_processes, cut_over):
+        graph = soc_graph(n_processes)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(howard, "_ARRAY_MIN_NODES", cut_over)
+            got = _maximum_cycle_ratio(graph)
+            patch.setattr(howard, "_ARRAY_MIN_NODES", len(graph.names) + 1)
+            lists = _maximum_cycle_ratio(graph)
+        assert got == lists
+
+    @pytest.mark.parametrize("n_processes", [n for n, _ in SOCS])
+    def test_forced_fallback_reruns_the_list_form(self, n_processes):
+        graph = soc_graph(n_processes)
+        want = _maximum_cycle_ratio(graph)
+        reruns = []
+        howard_of_lists = _Scc.howard
+
+        def fall_back(self):
+            raise _Fallback
+
+        def spy(self):
+            reruns.append(self.n)
+            return howard_of_lists(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(howard, "_ARRAY_MIN_NODES", 1)
+            patch.setattr(_ArrayScc, "_iterate", fall_back)
+            patch.setattr(_Scc, "howard", spy)
+            assert _maximum_cycle_ratio(graph) == want
+        cyclic = [
+            len(c) for c in _components(graph.start, graph.target)
+            if _csr(graph, c).target
+        ]
+        # Every SCC took the array form, failed and reran as lists.
+        assert reruns == cyclic

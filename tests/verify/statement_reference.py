@@ -10,6 +10,7 @@ that decoding as the reference for :meth:`blocked_map`,
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.ir import OP_GET
@@ -24,10 +25,25 @@ class CommStatement:
     channel: str
 
 
-def chains(ts: TransitionSystem) -> dict[str, tuple[CommStatement, ...]]:
-    """Every communicating process's chain, in pid order."""
+_Chains = dict[str, tuple[CommStatement, ...]]
+
+_decoded: weakref.WeakKeyDictionary[TransitionSystem, _Chains] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def chains(ts: TransitionSystem) -> _Chains:
+    """Every communicating process's chain, in pid order.  Decoded once
+    per transition system: the search oracles ask for it per state."""
+    decoded = _decoded.get(ts)
+    if decoded is None:
+        decoded = _decoded[ts] = _decode(ts)
+    return decoded
+
+
+def _decode(ts: TransitionSystem) -> _Chains:
     ir = ts.ir
-    decoded: dict[str, tuple[CommStatement, ...]] = {}
+    decoded: _Chains = {}
     for pid, process in enumerate(ir.processes):
         kinds, args = ir.op_kinds[pid], ir.op_args[pid]
         comm = ir.comm_indices[pid]
