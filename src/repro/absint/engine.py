@@ -27,7 +27,7 @@ The per-channel view forgets cross-channel correlations, so on feedback
 loops the interval reaches full capacity; the cycle-invariant pass
 (:mod:`repro.absint.invariants`) restores the lost bound by intersecting
 with the minimum token count over directed cycles through each channel.
-Results are cached under the IR's content address with the same
+Results are cached under the lowered IR itself, with the same
 :class:`~repro.cache.LruCache` semantics every other analysis uses.
 """
 
@@ -128,7 +128,7 @@ class AbsIntResult:
         return None
 
 
-#: Analysis results keyed by IR content address (perf/ LRU semantics).
+#: Analysis results keyed by the lowered IR (perf/ LRU semantics).
 _CACHE = memo("absint", maxsize=256)
 
 
@@ -142,11 +142,11 @@ def analyze(
 
 def analyze_ir(ir: LoweredIR) -> AbsIntResult:
     """The cached full analysis of one lowered configuration."""
-    cached = _CACHE.get(ir.structural_hash)
+    cached = _CACHE.get(ir)
     if cached is not MISS:
         return cast(AbsIntResult, cached)
     result = _analyze_uncached(ir)
-    _CACHE.put(ir.structural_hash, result)
+    _CACHE.put(ir, result)
     return result
 
 

@@ -1,15 +1,15 @@
 """Bounded LRU cache with hit/miss/eviction accounting.
 
 The one in-process memo type of the package: the performance engine's
-result and structure caches, memoized
-:func:`~repro.ordering.algorithm.channel_ordering` results, and the
-process-wide memos of lowering (:mod:`repro.ir.lowering`), the
-pre-flight (:mod:`repro.lint`), symmetry analysis
-(:mod:`repro.sym.canonical`), abstract interpretation
+result and structure caches, and the process-wide memos of lowering
+(:mod:`repro.ir.lowering`), the pre-flight (:mod:`repro.lint`), symmetry
+analysis (:mod:`repro.sym.canonical`), abstract interpretation
 (:mod:`repro.absint.engine`) and the simulator's control walks
-(:mod:`repro.sim.engine`).  Keys are content identities (a walk's is its
-lowered IR object), values are immutable once stored, so sharing a
-cached value across callers is safe.  Each process-wide memo is made by
+(:mod:`repro.sim.engine`).  Every memo of a fact derived from a
+configuration keys on the :class:`~repro.ir.LoweredIR` that
+:func:`~repro.ir.lower` returns for it (a walk on that object's id), and
+values are immutable once stored, so sharing a cached value across
+callers is safe.  Each process-wide memo is made by
 :func:`memo`, which names it for :func:`memos` (``ermes profile``
 reports their counters).
 
@@ -90,11 +90,15 @@ class LruCache:
     def put(self, key: Hashable, value: Any) -> None:
         if self.maxsize <= 0:
             return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        # One store per put: an unchanged size means the key was already
+        # there, and a refreshed key moves to the most recent end.
+        entries = self._entries
+        size = len(entries)
+        entries[key] = value
+        if len(entries) == size:
+            entries.move_to_end(key)
+        while len(entries) > self.maxsize:
+            entries.popitem(last=False)
             self.stats.evictions += 1
 
     def clear(self) -> None:

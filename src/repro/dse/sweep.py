@@ -114,7 +114,7 @@ def sweep_targets(
     # One structural pre-flight up front, hoisted out of the per-target
     # loop: failing here reports the codes before any ILP work, and the
     # pre-flight success memo turns every per-target re-check inside
-    # Explorer.run into a hash lookup.
+    # Explorer.run into a lowering-memo hit and one lookup.
     preflight(config.system, config.ordering)
     explorer_kwargs.setdefault("perf_engine", PerformanceEngine())
     # One orbit-canonical verified set across all per-target explorers:

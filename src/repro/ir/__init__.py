@@ -7,7 +7,7 @@ Depends only on ``repro.core`` and ``repro.errors`` — everything else in
 the stack sits above this package (see ``docs/ARCHITECTURE.md``).
 """
 
-from repro.ir.lowering import clear_lowering_cache, lower, structural_hash_of
+from repro.ir.lowering import clear_lowering_cache, lower
 from repro.ir.program import (
     KIND_ORDER,
     OP_COMPUTE,
@@ -26,5 +26,4 @@ __all__ = [
     "LoweredIR",
     "clear_lowering_cache",
     "lower",
-    "structural_hash_of",
 ]

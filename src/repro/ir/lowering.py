@@ -7,22 +7,19 @@ so the four downstream consumers (simulator, TMG builder, verifier,
 lint/perf caches) can each call :func:`lower` independently and still
 share one compiled object.
 
-Two identities of the same structure are used deliberately:
-
-* the **memo key** is the declared content as nested tuples, in
-  declaration order, so a cache hit is guaranteed to return tables whose
-  process/channel ids match the caller's system exactly (the TMG
-  builder's transition order depends on declaration order, and analysis
-  results must stay bit-identical); building it renders no text;
-* the **structural hash**
-  (:attr:`~repro.ir.program.LoweredIR.structural_hash`, computed on first
-  use) renders each section sorted by name, so two systems that express
-  the same design with different dict-insertion order hash identically —
-  the property external caches and fingerprints rely on.
+The memo key is the declared content as nested tuples, in declaration
+order, so a cache hit is guaranteed to return tables whose
+process/channel ids match the caller's system exactly (the TMG builder's
+transition order depends on declaration order, and analysis results must
+stay bit-identical); building it renders no text.  The returned
+:class:`LoweredIR` compares equal exactly when that content does, so it
+is itself the key of every memo of a fact derived from the pair.  Its
+:attr:`~repro.ir.program.LoweredIR.structural_hash` (computed on first
+use) renders each section sorted by name instead: a content address that
+two declaration orders of one design share.
 
 The memo is a :class:`~repro.cache.LruCache` (the leaf module every
-layer shares; this package sits *below* ``repro.perf`` in the layer
-diagram, since the perf engine's cache keys are the IR hash).
+layer shares).
 """
 
 from __future__ import annotations
@@ -38,15 +35,13 @@ from repro.ir.program import (
     OP_PUT,
     LoweredIR,
     kind_code,
-    structural_digest,
 )
 
 _KIND = attrgetter("kind")
-#: The declared content of a channel, in the rendering's field order.
+#: The declared content of a channel, by column.
 _CHANNEL_FIELDS = (
     "name", "producer", "consumer", "latency", "capacity", "initial_tokens"
 )
-_CHANNEL_ROW = attrgetter(*_CHANNEL_FIELDS)
 _CHANNEL_COLUMNS = tuple(map(attrgetter, _CHANNEL_FIELDS))
 
 _memo = memo("lower", maxsize=256)
@@ -55,23 +50,6 @@ _memo = memo("lower", maxsize=256)
 def clear_lowering_cache() -> None:
     """Drop every memoized :class:`LoweredIR` (test isolation hook)."""
     _memo.clear()
-
-
-def structural_hash_of(system: SystemGraph, ordering: ChannelOrdering) -> str:
-    """The canonical content hash of a ``(system, ordering)`` pair.
-
-    Insertion-order independent: each section is sorted by name before
-    hashing, so the digest identifies the *design*, not the accident of
-    construction order.  ``lower(...).structural_hash`` equals this.  The
-    ordering is not validated.
-    """
-    return structural_digest(
-        system.name,
-        ((p.name, p.kind.value) for p in system.processes),
-        map(_CHANNEL_ROW, system.channels),
-        ((name, ordering.gets_of(name), ordering.puts_of(name))
-         for name in system.process_names),
-    )
 
 
 def lower(

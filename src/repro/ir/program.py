@@ -17,7 +17,9 @@ process's communication program flattened to **dense integer arrays**
 (endpoints, latency, capacity, initial tokens).  It is
 
 * **immutable** — a frozen dataclass of tuples; safe to share between the
-  simulator, the TMG builder, the verifier, and any cache;
+  simulator, the TMG builder, the verifier, and any cache.  ``==``
+  compares the tables in declaration order, so the IR itself is the key
+  of every memo of a fact derived from it;
 * **content-addressed** — :attr:`LoweredIR.structural_hash` is a SHA-256
   digest of a canonical (name-sorted) rendering, so two systems that
   differ only in dict-insertion order hash identically, and the hash is
@@ -26,7 +28,7 @@ process's communication program flattened to **dense integer arrays**
   part of the IR (channel latencies are: they are structural transfer
   costs).  The ERMES explorer re-analyzes the same structure under many
   latency selections; keeping latencies out lets one IR (and everything
-  keyed on its hash) serve them all.  Consumers combine the IR with an
+  keyed on it) serve them all.  Consumers combine the IR with an
   effective-latency table at execution time.
 
 Opcodes are deliberately tiny: :data:`OP_GET`, :data:`OP_COMPUTE`,
@@ -184,8 +186,8 @@ class LoweredIR:
 
     @cached_property
     def structural_hash(self) -> str:
-        """The content hash of the canonical rendering (equal to
-        :func:`repro.ir.structural_hash_of` of the source pair)."""
+        """The content hash of the canonical rendering: equal for every
+        declaration order of one design."""
         names, channels = self.processes, self.channels
         # Each program is its gets, the compute, then its puts.
         splits = [ops.index(OP_COMPUTE) for ops in self.op_kinds]

@@ -96,23 +96,14 @@ class LintContext:
         ``None`` when the configuration is not sound (an invalid ordering
         has no well-defined lowering).  Served from the process-wide
         lowering memo, so the simulator, verifier, and performance engine
-        the lint run precedes all reuse this exact object.
+        the lint run precedes all reuse this exact object, and it is the
+        key of every memo of a fact derived from it.
         """
         if not self.sound:
             return None
         from repro.ir import lower
 
         return lower(self.system, self.ordering)
-
-    @property
-    def ir_hash(self) -> str | None:
-        """The canonical content hash of the configuration, or ``None``.
-
-        The structural hash of the lowered IR — the shared cache key of
-        every IR consumer.
-        """
-        ir = self.ir
-        return ir.structural_hash if ir is not None else None
 
     @cached_property
     def absint(self) -> "AbsIntResult | None":
@@ -121,9 +112,8 @@ class LintContext:
         Occupancy bounds, dead channels, unreachable statements, and the
         deadlock-freedom certificate (:func:`repro.absint.analyze_ir`),
         or ``None`` when the configuration is not sound.  Served from the
-        absint result cache keyed on the IR's content address, so the
-        verifier and the explorer running after a lint pre-flight reuse
-        this exact result.
+        absint result cache keyed on :attr:`ir`, so the verifier and the
+        explorer running after a lint pre-flight reuse this exact result.
         """
         ir = self.ir
         if ir is None:

@@ -11,6 +11,7 @@ from repro.cache import MISS, memo
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.diagnostics import Diagnostic, LintError, Severity
 from repro.diagnostics import sorted_diagnostics
+from repro.errors import ValidationError
 from repro.lint import context, registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -92,9 +93,9 @@ def lint_system(
     )
 
 
-#: Successful pre-flights, keyed by the IR structural
-#: hash.  Success-only by design: a failing specification must re-report
-#: its diagnostics every time (and failures are rare and already cheap).
+#: Successful pre-flights, keyed by the lowered IR.  Success-only by
+#: design: a failing specification must re-report its diagnostics every
+#: time (and failures are rare and already cheap).
 _preflight_passed = memo("preflight", maxsize=512)
 
 
@@ -111,29 +112,29 @@ def preflight(
     and target sweeps call this so a broken specification fails with rule
     codes instead of an ad-hoc exception deep in an analysis.
 
-    Successful runs are memoized on the IR structural hash
-    (:func:`repro.ir.structural_hash_of`): every quantity the
-    pre-flight rules read — process kinds, the channel tables including
-    ``initial_tokens``, and the per-process get/put orders — is part of
-    that hash, so a repeated pre-flight of an already-passed design (the
-    explorer re-checks on every ``run``, sweeps once per target) is one
-    hash and one set lookup.  Orderings that name processes the system
-    does not have are never memoized (the hash renders only declared
-    processes, so such entries would alias).
+    Successful runs are memoized on :func:`repro.ir.lower` of the pair,
+    which carries every quantity the pre-flight rules read, so a repeated
+    pre-flight of an already-passed design (the explorer re-checks on
+    every ``run``, sweeps once per target) is one lowering-memo hit and
+    one lookup.  An ordering that ``lower`` rejects, or that names
+    processes the system does not have (which ``lower`` ignores), is
+    never memoized.
     """
-    from repro.ir import structural_hash_of
+    from repro.ir import lower
 
     checked = ordering or ChannelOrdering.declaration_order(system)
-    known = set(system.process_names)
-    memoable = set(checked.gets) | set(checked.puts) <= known
-    key = ""
-    if memoable:
-        key = structural_hash_of(system, checked)
-        if _preflight_passed.get(key) is not MISS:
-            return
+    key = None
+    if set(checked.gets) | set(checked.puts) <= set(system.process_names):
+        try:
+            key = lower(system, checked)
+        except ValidationError:
+            pass  # the rules below report it
+        else:
+            if _preflight_passed.get(key) is not MISS:
+                return
     result = lint_system(system, checked, select=list(PREFLIGHT_RULES))
     errors = result.errors
     if errors:
         raise LintError(errors)
-    if memoable:
+    if key is not None:
         _preflight_passed.put(key, True)

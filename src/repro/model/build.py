@@ -293,8 +293,8 @@ class StructureEntry:
     latencies in one pass over ``target``.
     """
 
-    #: The lowered IR this structure was compiled from; its
-    #: ``structural_hash`` is the entry's cache key.
+    #: The lowered IR this structure was compiled from (the entry's
+    #: cache key).
     ir: LoweredIR
     names: tuple[str, ...]
     start: list[int]

@@ -6,10 +6,8 @@ analysis cheap — the single hottest lever of the DSE loop (ISSUE 1; see
 also the exploration-cost arguments in Alias 2018 and Chavet et al.).
 Three mechanisms stack, each preserving the uncached semantics:
 
-1. **Result memoization** — an LRU keyed on the IR's structural hash
-   plus the effective latencies, sorted by process name (the hash does
-   not depend on declaration order, so the latencies must stay
-   name-keyed).  A hit returns the previously computed
+1. **Result memoization** — an LRU keyed on the lowered IR plus the
+   effective latencies in pid order.  A hit returns the previously computed
    :class:`~repro.model.performance.SystemPerformance` (or re-raises the
    previously diagnosed :class:`~repro.errors.DeadlockError`) without any
    graph work.  Values are frozen dataclasses, safe to share.
@@ -92,8 +90,8 @@ class PerformanceEngine:
             ordering = ChannelOrdering.declaration_order(system)
         latencies = effective_latencies(system, process_latencies)
         ir = lower(system, ordering)
-        structure_key = ir.structural_hash
-        result_key = (structure_key, tuple(sorted(latencies.items())))
+        # ``effective_latencies`` lists the processes in pid order.
+        result_key = (ir, tuple(latencies.values()))
 
         cached = self.results.get(result_key)
         if cached is not MISS:
@@ -101,10 +99,10 @@ class PerformanceEngine:
                 raise cached.error()
             return cached
 
-        entry = self.structures.get(structure_key)
+        entry = self.structures.get(ir)
         if entry is MISS:
             entry = build_structure(ir)
-            self.structures.put(structure_key, entry)
+            self.structures.put(ir, entry)
         if entry.circular_wait is not None:
             error = _system_deadlock(ir.system_name, entry.circular_wait)
             diagnosis = _CachedDeadlock(str(error), tuple(error.cycle or ()))

@@ -11,8 +11,9 @@ i.e. when the IR has a nontrivial automorphism.  This module computes:
   permutations (one process permutation + one channel permutation each),
 * the process and channel **orbits** under that group, and
 * an orbit-invariant **canonical hash** (:attr:`SymmetryAnalysis.canonical_hash`)
-  — equal for any two IRs that are isomorphic, sitting alongside the
-  declaration-faithful :attr:`~repro.ir.LoweredIR.structural_hash`.
+  — equal for any two IRs that are isomorphic, sitting alongside
+  :attr:`~repro.ir.LoweredIR.structural_hash`, the name-sorted digest
+  that ignores declaration order but not names.
 
 The algorithm is classic individualization–refinement (the McKay
 family, scaled down to this IR's shape): a fixpoint color refinement
@@ -577,20 +578,12 @@ def analyze_symmetry(
     of the tree must be walked and which generators survive a budget
     exhaustion.
 
-    Memoized process-wide on the IR's content *and declaration order*
-    (labelings are declaration-order-sensitive even though the
-    structural hash is not), the policy, the budget, and the seeds.
+    Memoized process-wide on the lowered IR (labelings follow its
+    declaration order), the policy, the budget, and the seeds.
     """
     if node_budget is None:
         node_budget = default_node_budget(ir)
-    key: tuple[object, ...] = (
-        ir.structural_hash,
-        ir.processes,
-        ir.channels,
-        tuple(policy),
-        node_budget,
-        tuple(seeds),
-    )
+    key = (ir, tuple(policy), node_budget, tuple(seeds))
     hit = _memo.get(key)
     if hit is not MISS:
         return cast(SymmetryAnalysis, hit)

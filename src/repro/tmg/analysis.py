@@ -8,7 +8,7 @@ maximum-cycle-ratio computation with Howard's algorithm, and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.errors import NotLiveError, ReproError
@@ -36,15 +36,14 @@ class PerformanceReport:
             row names ``critical_places[j]``).
 
     The ids are positions in the analyzed graph, whose node order follows
-    the design's declaration order; they take no part in ``==``, so two
-    reports on one design compare by what they say about it.
+    the design's declaration order.
     """
 
     cycle_time: Fraction
     critical_cycle: tuple[str, ...]
     critical_places: tuple[str, ...]
-    critical_nodes: tuple[int, ...] = field(compare=False)
-    critical_edges: tuple[int, ...] = field(compare=False)
+    critical_nodes: tuple[int, ...]
+    critical_edges: tuple[int, ...]
 
     @property
     def throughput(self) -> Fraction:

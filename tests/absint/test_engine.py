@@ -167,7 +167,7 @@ class TestDeadStructure:
 
 
 class TestCaching:
-    def test_results_are_cached_by_structural_hash(self, motivating):
+    def test_results_are_cached_by_ir(self, motivating):
         clear_analysis_cache()
         ir = lower(motivating, ChannelOrdering.declaration_order(motivating))
         first = analyze_ir(ir)

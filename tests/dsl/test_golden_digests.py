@@ -24,7 +24,7 @@ from repro.core import (
     synthetic_soc,
 )
 from repro.core.serialization import system_to_dict
-from repro.ir import structural_hash_of
+from repro.ir import lower
 
 GOLDEN = {
     "motivating": (
@@ -62,9 +62,9 @@ GOLDEN = {
 def test_generator_digest_is_pinned(case):
     factory, expected = GOLDEN[case]
     system = factory()
-    digest = structural_hash_of(
+    digest = lower(
         system, ChannelOrdering.declaration_order(system)
-    )
+    ).structural_hash
     assert digest == expected, (
         f"{case}: structural hash drifted — the DSL elaboration no longer "
         "reproduces the pre-refactor system"

@@ -14,9 +14,14 @@ from repro.ir import (
     OP_PUT,
     clear_lowering_cache,
     lower,
-    structural_hash_of,
 )
-from repro.ir.program import KIND_SINK, KIND_SOURCE, KIND_WORKER, kind_code
+from repro.ir.program import (
+    KIND_SINK,
+    KIND_SOURCE,
+    KIND_WORKER,
+    kind_code,
+    structural_digest,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -166,11 +171,18 @@ class TestMemo:
 
 class TestStructuralHash:
     def test_matches_standalone_hash(self, motivating):
+        # The digest of the object model's own rendering: the IR decodes
+        # its integer tables back to the declared content.
         ordering = ChannelOrdering.declaration_order(motivating)
-        assert (
-            lower(motivating, ordering).structural_hash
-            == structural_hash_of(motivating, ordering)
+        standalone = structural_digest(
+            motivating.name,
+            ((p.name, p.kind.value) for p in motivating.processes),
+            ((c.name, c.producer, c.consumer, c.latency, c.capacity,
+              c.initial_tokens) for c in motivating.channels),
+            ((name, ordering.gets_of(name), ordering.puts_of(name))
+             for name in motivating.process_names),
         )
+        assert lower(motivating, ordering).structural_hash == standalone
 
     def test_process_latency_is_not_structural(self):
         def build(latency):

@@ -1,4 +1,4 @@
-"""LintContext serves the lowered IR and its hash as shared cache keys."""
+"""LintContext serves the lowered IR, the shared key of every memo."""
 
 from repro.core import ChannelOrdering
 from repro.ir import lower
@@ -12,14 +12,14 @@ class TestContextIr:
         assert context.ir is lower(motivating)
         assert context.ir is context.ir
 
-    def test_ir_hash_equals_the_perf_fingerprint(self, motivating):
+    def test_engine_structure_key_is_the_context_ir(self, motivating):
         context = LintContext(motivating)
         engine = PerformanceEngine()
         engine.analyze(motivating, context.ordering)
-        assert list(engine.structures) == [context.ir_hash]
+        [key] = engine.structures
+        assert key is context.ir
 
     def test_unsound_configuration_has_no_ir(self, motivating):
         broken = ChannelOrdering(gets={"P6": ("d", "e")}, puts={})
         context = LintContext(motivating, broken)
         assert context.ir is None
-        assert context.ir_hash is None

@@ -53,6 +53,15 @@ class TestEviction:
         assert "c" in cache
         assert cache.stats.evictions == 1
 
+    def test_put_refreshes_a_stored_key(self):
+        cache = LruCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 3)  # refresh a; b becomes least recently used
+        cache.put("c", 4)
+        assert list(cache) == ["a", "c"]
+        assert cache.get("a") == 3
+
     def test_bounded_size(self):
         cache = LruCache(3)
         for i in range(10):
@@ -93,3 +102,25 @@ class TestStats:
         text = str(LruCache(4).stats)
         for word in ("hits", "misses", "evictions"):
             assert word in text
+
+
+class CountingKey:
+    """A key that counts the calls of its ``__hash__``."""
+
+    def __init__(self):
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return 0
+
+
+class TestHashing:
+    def test_miss_then_put_hashes_the_key_twice(self):
+        # One hash for the lookup and one for the store; a tuple's hash
+        # is not cached, and a big content key costs milliseconds each.
+        cache = LruCache(4)
+        key = CountingKey()
+        assert cache.get(key) is MISS
+        cache.put(key, 1)
+        assert key.hashes == 2

@@ -1,8 +1,10 @@
 """The invalidation keys of the analysis caches.
 
 :class:`~repro.perf.PerformanceEngine` keys its structure cache on the
-lowered IR's :attr:`~repro.ir.LoweredIR.structural_hash` and its result
-cache on that hash plus the effective latencies, sorted by process name.
+lowered IR and its result cache on the IR plus the effective latencies
+in pid order.  The fingerprints below are the IR's
+:attr:`~repro.ir.LoweredIR.structural_hash`, the content address that
+ignores process latencies and declaration order.
 """
 
 from repro.core import ChannelOrdering, SystemBuilder
@@ -131,18 +133,24 @@ class TestAnalysisFingerprint:
         assert spelled is partial
         assert engine.results.stats.hits == 1
 
-    def test_latencies_stay_keyed_by_name(self):
+    def test_declaration_orders_keep_their_own_entries(self):
         # Same structure, declared in the other order, with the latencies
-        # swapped: a positional latency vector would be (1, 3, 9, 1) for
-        # both, so only a name-keyed key tells them apart.
+        # swapped: the latency vectors in pid order are (1, 3, 9, 1) for
+        # both and the structural hashes agree, so only the IR, which
+        # compares its tables in declaration order, tells them apart.
         first = pipeline(("A", "B"), {"A": 3, "B": 9})
         second = pipeline(("B", "A"), {"A": 9, "B": 3})
         assert structure_fingerprint(first, declaration(first)) == \
             structure_fingerprint(second, declaration(second))
         engine = PerformanceEngine()
-        engine.analyze(first)
-        got = engine.analyze(second)
-        assert engine.structures.stats.hits == 1
+        got_first = engine.analyze(first)
+        got_second = engine.analyze(second)
+        assert engine.structures.stats.hits == 0
         assert engine.results.stats.hits == 0
-        assert got == analyze_system(second)
-        assert got != analyze_system(first)
+        assert len(engine.structures) == 2
+        for system, got in ((first, got_first), (second, got_second)):
+            fresh = analyze_system(system)
+            assert got == fresh
+            assert got.report.critical_nodes == fresh.report.critical_nodes
+            assert got.report.critical_edges == fresh.report.critical_edges
+        assert got_second != got_first
