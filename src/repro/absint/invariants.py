@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.ir import LoweredIR
 from repro.model.build import _MarkedRows
+from repro.tmg.event_graph import _components
 
 
 @dataclass(frozen=True)
@@ -126,32 +128,54 @@ def min_cycle_occupancy_bounds(
     token-weighted shortest path back.  The credit place alone closes a
     two-place cycle of exactly the effective capacity, so the search is
     bounded: paths of weight ``>= capacity - m0`` cannot improve on it
-    and are pruned.  Token-free places are never pruned, though, so one
-    search can still reach every node downstream of ``get(c)``.  ``rows``
+    and are pruned.  Every place on a path that is not pruned is lighter
+    than that threshold, so with ``c``'s data place it lies in one
+    strongly connected component of the graph of every data place and
+    every place lighter than the largest threshold.  Those components
+    are found once: a channel whose put and get fall in different ones
+    is skipped, and the others search only inside their own.  ``rows``
     are ``ir``'s marked rows, whose first places are each buffered
     channel's data and credit places, in cid order.
 
     Channels without an entry provably have no cycle tighter than their
     capacity.
     """
-    successors: list[list[tuple[int, int]]] = [[] for _ in rows.names]
-    for source, target, tokens in zip(rows.source, rows.target, rows.tokens):
-        successors[source].append((target, tokens))
-    bounds: dict[int, int] = {}
     buffered = [cid for cid in range(ir.n_channels) if ir.buffered[cid]]
-    for data_row, cid in zip(range(0, 2 * len(buffered), 2), buffered):
-        initial = ir.initial_tokens[cid]
-        threshold = ir.effective_capacities[cid] - initial
-        if threshold <= 0:
-            continue  # the credit cycle is already optimal
+    thresholds = [
+        ir.effective_capacities[cid] - ir.initial_tokens[cid] for cid in buffered
+    ]
+    limit = max(thresholds, default=0)
+    if limit <= 0:
+        return {}  # every credit cycle is already optimal
+    kept = [
+        row for row, tokens in enumerate(rows.tokens)
+        if tokens < limit or (row < 2 * len(buffered) and row % 2 == 0)
+    ]
+    kept.sort(key=rows.source.__getitem__)  # a CSR by source, rows in order
+    start = [0] * (len(rows.names) + 1)
+    for row in kept:
+        start[rows.source[row] + 1] += 1
+    component = [0] * len(rows.names)
+    heads = [rows.target[row] for row in kept]
+    for k, members in enumerate(_components(list(accumulate(start)), heads)):
+        for node in members:
+            component[node] = k
+    successors: list[list[tuple[int, int]]] = [[] for _ in rows.names]
+    for row in kept:
+        source, target = rows.source[row], rows.target[row]
+        if component[source] == component[target]:
+            successors[source].append((target, rows.tokens[row]))
+    bounds: dict[int, int] = {}
+    data_rows = range(0, 2 * len(buffered), 2)
+    for data_row, cid, threshold in zip(data_rows, buffered, thresholds):
+        get, put = rows.target[data_row], rows.source[data_row]
+        if threshold <= 0 or component[get] != component[put]:
+            continue  # the credit cycle is optimal, or no path leads back
         distance = _bounded_shortest_path(
-            successors,
-            start=rows.target[data_row],
-            goal=rows.source[data_row],
-            threshold=threshold,
+            successors, start=get, goal=put, threshold=threshold
         )
         if distance is not None:
-            bounds[cid] = initial + distance
+            bounds[cid] = ir.initial_tokens[cid] + distance
     return bounds
 
 
@@ -166,17 +190,18 @@ def _bounded_shortest_path(
     exists.  The channel's own credit place, the direct ``start -> goal``
     edge, weighs exactly ``threshold``, so it is pruned like any other
     path that cannot beat the capacity."""
-    best: dict[int, int] = {start: 0}
+    best = [threshold] * len(successors)  # no path yet: the pruning bound
+    best[start] = 0
     heap: list[tuple[int, int]] = [(0, start)]
     while heap:
         distance, node = heapq.heappop(heap)
-        if distance > best.get(node, threshold):
+        if distance > best[node]:
             continue
         if node == goal:
             return distance
         for successor, weight in successors[node]:
             candidate = distance + weight
-            if candidate < best.get(successor, threshold):
+            if candidate < best[successor]:
                 best[successor] = candidate
                 heapq.heappush(heap, (candidate, successor))
     return None

@@ -28,17 +28,12 @@ Potentials are only ever compared between nodes of equal ``λ`` (hence equal
 exact rational arithmetic would make.  ``fractions.Fraction`` appears only
 at the result boundary.
 
-The kernel has two forms of one iteration.  Below ``_ARRAY_MIN_NODES``
-nodes an SCC runs the list form (:class:`_Scc`), whose pure-Python loops
-win on small graphs.  From there on it runs the array form
-(:class:`_ArrayScc`), gathered straight from the event graph's edges,
-which replays the list form decision for decision
-with numpy: pointer doubling evaluates a policy, and a vector Jacobi pass
-plus an ascending visit of the nodes whose values moved reproduces the
-in-order improvement sweep.  Where it cannot replay exactly (an int64
-bound, a positive self-loop, a token-free policy cycle) it reruns the SCC
-on the list form, so both forms return the same ratio and critical
-cycle and raise the same errors on every input.
+The kernel has two forms of one iteration (docs/API.md).  Below
+``_ARRAY_MIN_NODES`` nodes an SCC runs the list form (:class:`_Scc`),
+whose pure-Python loops win on small graphs; from there on the array form
+(:class:`_ArrayScc`) replays it decision for decision with numpy, or
+reruns the SCC on the list form where it cannot, so both forms return the
+same ratio and critical cycle and raise the same errors on every input.
 
 :func:`_maximum_cycle_ratio` does not check liveness:
 :func:`repro.tmg.analysis.analyze` checks it before it calls
@@ -59,12 +54,13 @@ import numpy.typing as npt
 from repro.errors import NotLiveError
 from repro.tmg.event_graph import EventGraph, _components
 
-#: SCCs with at least this many nodes run the array form.  Howard on one
-#: SCC, list vs array, medians of 15 interleaved pairs on one core of an
-#: Intel Xeon: 77 nodes 0.4 vs 1.2 ms, 307 nodes 1.7 vs 2.2 ms, 446 and
-#: 539 nodes even, 576-610 nodes 7-20 % faster as arrays, 1,471 nodes
-#: 12.7 vs 7.7 ms (docs/API.md).
-_ARRAY_MIN_NODES = 600
+#: SCCs with at least this many nodes run the array form (the cut-over
+#: table of docs/API.md).
+_ARRAY_MIN_NODES = 400
+
+#: :func:`_settle` runs at most ``_WAVES`` vector waves, each on at least
+#: ``_WAVE_MIN_NODES`` moving nodes, before its ordered finish.
+_WAVES, _WAVE_MIN_NODES = 4, 64
 
 #: Every int64 the array form computes stays below this magnitude, so no
 #: sum of two of them can wrap.
@@ -462,6 +458,7 @@ class _ArrayScc:
         self.down_start: _Index = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(self.target.take(down), minlength=n),
                   out=self.down_start[1:])
+        self.flags = bytearray(n)  # _settle's scratch, zero between steps
 
     def howard(self) -> tuple[int, int, list[int], list[int]]:
         """:meth:`_Scc.howard`, replayed on arrays."""
@@ -521,7 +518,7 @@ class _ArrayScc:
         """
         n = len(self.nodes)
         f: _Index32 = self.target.take(policy)
-        on_cycle, label = _cycles(f, self.levels)
+        on_cycle, members, label = _cycles(f, self.levels)
         # The list form walks roots in index order, so it finds each cycle
         # from the smallest node of its basin and pins the first cycle
         # node that root reaches.
@@ -536,9 +533,7 @@ class _ArrayScc:
         cls = index.take(label)
         del root, index, label
 
-        delay = self.delay.take(policy)
-        tokens = self.tokens.take(policy)
-        members = np.flatnonzero(on_cycle)
+        delay, tokens = self.delay.take(policy), self.tokens.take(policy)
         member_cls = cls.take(members)
         delay_sum: _Ints = np.zeros(cycles, dtype=np.int64)
         token_sum: _Ints = np.zeros(cycles, dtype=np.int64)
@@ -547,23 +542,19 @@ class _ArrayScc:
         if not token_sum.all():
             raise _Fallback  # the list form raises NotLiveError here
         g = np.gcd(delay_sum, token_sum)
-        cycle_num = delay_sum // g
-        cycle_den = token_sum // g
+        cycle_num, cycle_den = delay_sum // g, token_sum // g
         num_max = int(np.abs(cycle_num).max())
         den_max = int(cycle_den.max())
-        if 2 * n * (self.delay_max * den_max + num_max * self.tokens_max) >= (
-            _INT64_SAFE
-        ):
+        bound = 2 * n * (self.delay_max * den_max + num_max * self.tokens_max)
+        if bound >= _INT64_SAFE:
             raise _Fallback
 
         pairs = list(zip(cycle_num.tolist(), cycle_den.tolist()))
         if cycles == 1:
             ratios = pairs
         else:
-            ratios = sorted(
-                set(pairs),
-                key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]),
-            )
+            by_value = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
+            ratios = sorted(set(pairs), key=by_value)
         rank_of = {ratio: r for r, ratio in enumerate(ratios)}
         cycle_rank = np.array([rank_of[p] for p in pairs], dtype=np.int32)
         top = int(np.argmax(cycle_rank))  # first found of maximal ratio
@@ -604,38 +595,26 @@ class _ArrayScc:
 
         Without ``weight`` this is the first criterion and ``old`` is the
         rank; with it, the second, ``old`` is the potential, and an edge
-        offers its target's potential plus its weight.  The sweep reads
-        the new value of targets below ``u`` and the old value of the
-        rest.  A vector Jacobi pass (old values everywhere) already gives
-        every node whose descending targets keep their values its final
-        value; :func:`_settle` finishes the others.  Each improved node
-        takes its first edge that attains the new value.  Updates
-        ``policy``; True iff any node improved.
+        offers its target's potential plus its weight.  A vector Jacobi
+        pass (old values everywhere), then :func:`_settle`, give the
+        sweep's values (docs/API.md).  Each improved node takes its first
+        edge that attains the new value.  Updates ``policy``; True iff
+        any node improved.
         """
         offer = old.take(self.target)
         if weight is not None:
             offer += weight
         new = np.maximum(old, np.maximum.reduceat(offer, self.start[:-1]))
         del offer
-        changed = new > old
-        if not changed.any():
+        moved = np.flatnonzero(new > old)
+        if not len(moved):
             return False
-        _settle(
-            new,
-            self.down_start,
-            self.down_source,
-            np.zeros(len(self.down_edge), dtype=np.int64)
-            if weight is None
-            else weight.take(self.down_edge),
-            bytearray(changed),
-        )
+        down = self.down_edge
+        _settle(new, moved, self.down_start, self.down_source, self.flags,
+                np.zeros(len(down), np.int64) if weight is None else weight.take(down))
 
         nodes = np.flatnonzero(new > old)
-        first = self.start.take(nodes)
-        count = self.start.take(nodes + 1) - first
-        ends = np.cumsum(count)
-        at = np.arange(int(ends[-1]))  # the out-edges of the improved nodes
-        at += np.repeat(first - ends + count, count)
+        at, count = _expand(self.start, nodes)  # the improved nodes' edges
         source = np.repeat(nodes, count)
         target = self.target.take(at)
         seen = np.where(target < source, new.take(target), old.take(target))
@@ -649,29 +628,44 @@ class _ArrayScc:
         return True
 
 
+def _expand(start: _Index, nodes: _Index) -> tuple[_Index, _Index]:
+    """The CSR slots ``start[u]:start[u + 1]`` of the (non-empty)
+    ``nodes``, concatenated, and how many each node has."""
+    first = start.take(nodes)
+    count = start.take(nodes + 1) - first
+    ends = np.cumsum(count)
+    at = np.arange(int(ends[-1])) + np.repeat(first - ends + count, count)
+    return at, count
+
+
 def _settle(
     value: npt.NDArray[np.signedinteger[Any]],
+    moved: _Index,
     down_start: _Index,
     down_source: _Index32,
+    flags: bytearray,
     down_weight: _Ints,
-    pending: bytearray,
 ) -> None:
-    """Finish an in-order sweep after its Jacobi pass.
-
-    ``pending`` flags the nodes whose value changed.  Visiting them in
-    ascending order, each raises its descending predecessors ``u`` (edges
-    ``u → t`` with ``t < u``, the reverse CSR ``down_*``) to at least its
-    value plus the edge's weight, and flags those it raised.  A node is
-    visited after every smaller one, so its value is final by then and it
-    is visited once: the sweep's own order, restricted to where values
-    move.  The loop runs on memoryviews of the arrays (``.data``), element
-    by element.
-    """
-    values = value.data
-    start = down_start.data
-    source = down_source.data
-    weight = down_weight.data
-    t = pending.find(1)
+    """Finish an in-order sweep whose Jacobi pass changed ``moved``
+    (docs/API.md): vector waves relax the descending edges (the reverse
+    CSR ``down_*``), then an ascending visit on memoryviews, from the nodes
+    still moving, reaches the fixpoint.  ``flags`` is zero on entry and exit."""
+    pending = np.frombuffer(flags, dtype=np.bool_)
+    for _ in range(_WAVES):
+        if len(moved) < _WAVE_MIN_NODES:
+            break
+        at, count = _expand(down_start, moved)
+        preds = down_source.take(at)
+        lift = np.repeat(value.take(moved), count) + down_weight.take(at)
+        raised = lift > value.take(preds)
+        np.maximum.at(value, preds[raised], lift[raised])
+        pending[preds[raised]] = True
+        moved = np.flatnonzero(pending)
+        pending[moved] = False
+    pending[moved] = True
+    values, start = value.data, down_start.data
+    source, weight = down_source.data, down_weight.data
+    t = flags.find(1)
     while t >= 0:
         offer = values[t]
         for k in range(start[t], start[t + 1]):
@@ -679,23 +673,29 @@ def _settle(
             candidate = offer + weight[k]
             if candidate > values[u]:
                 values[u] = candidate
-                pending[u] = 1
-        t = pending.find(1, t + 1)
+                flags[u] = 1
+        t = flags.find(1, t + 1)
+    pending[:] = False
 
 
-def _cycles(f: _Index32, levels: int) -> tuple[_Mask, _Index32]:
-    """Which nodes lie on a cycle of ``f``, and per node the smallest node
-    of the cycle it reaches.  ``f^(2**levels)`` with ``2**levels >= n``
-    puts every node on its cycle, and the minimum doubled alongside covers
-    a whole cycle."""
+def _cycles(f: _Index32, levels: int) -> tuple[_Mask, _Index, _Index]:
+    """Which nodes lie on a cycle of ``f``, those nodes ascending, and per
+    node the smallest node of the cycle it reaches.  ``f^(2**levels)`` with
+    ``2**levels >= n`` puts every node on its cycle, and the minimum is
+    doubled over the cycle nodes only, through their ``local`` index."""
     hop = f
-    low: _Index32 = np.arange(len(f), dtype=np.int32)
     for _ in range(levels):
-        low = np.minimum(low, low.take(hop))
         hop = hop.take(hop)
     on_cycle: _Mask = np.zeros(len(f), dtype=np.bool_)
     on_cycle[hop] = True
-    return on_cycle, low.take(hop)
+    members = np.flatnonzero(on_cycle)
+    local: _Index = np.zeros(len(f), dtype=np.intp)
+    local[members] = low = np.arange(len(members))
+    step = local.take(f.take(members))
+    for _ in range(len(members).bit_length()):  # 2**k > any cycle's length
+        low = np.minimum(low, low.take(step))
+        step = step.take(step)
+    return on_cycle, members, members.take(low).take(local.take(hop))
 
 
 def _first_in(f: _Index32, stop: _Mask) -> _Index32:
