@@ -338,9 +338,8 @@ def soc_graph(n_processes):
     return build_event_graph(build_tmg(system, channel_ordering(system)).tmg)
 
 
-#: ``(process count, size of the largest SCC)``: the 1,000-process SoC
-#: takes the array form at the default cut-over, the 500-process one only
-#: below it.
+#: ``(process count, size of the largest SCC)``: each SoC's event graph
+#: is one SCC (2,947 and 1,471 nodes), above the default cut-over.
 SOCS = [(1000, 2947), (500, None)]
 
 class TestGatherMatchesCsr:
@@ -407,7 +406,11 @@ class TestGatherMatchesCsr:
             assert len(self.cyclic_sizes(graph)) == 2
 
     @pytest.mark.parametrize("n_processes", [n for n, _ in SOCS])
-    @pytest.mark.parametrize("cut_over", [1, howard._ARRAY_MIN_NODES])
+    # The default cut-over, 1 and 600 (the cut-over before the default
+    # moved to 400) all send both SoCs' SCCs to the array form.
+    @pytest.mark.parametrize(
+        "cut_over", sorted({1, 600, howard._ARRAY_MIN_NODES})
+    )
     def test_ratio_and_cycle_match_the_list_form(self, n_processes, cut_over):
         graph = soc_graph(n_processes)
         with pytest.MonkeyPatch.context() as patch:
