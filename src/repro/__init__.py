@@ -28,46 +28,52 @@ Typical use::
     print(performance.cycle_time, performance.critical_processes)
 """
 
-from repro.core import (
-    ChannelOrdering,
-    SystemBuilder,
-    motivating_deadlock_ordering,
-    motivating_example,
-    motivating_suboptimal_ordering,
-    synthetic_soc,
-)
-from repro.dse import SystemConfiguration
-from repro.errors import SimulationDeadlock
-from repro.hls import ImplementationLibrary, synthesize_pareto_set
-from repro.lint import lint_system
-from repro.model import analyze_system, deadlock_cycle
-from repro.ordering import (
-    channel_ordering,
-    declaration_ordering,
-    exhaustive_search,
-)
-from repro.sim import simulate
-from repro.sizing import minimize_buffers
+import typing
+
+from repro import _lazy
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChannelOrdering",
-    "ImplementationLibrary",
-    "SimulationDeadlock",
-    "SystemBuilder",
-    "SystemConfiguration",
-    "analyze_system",
-    "channel_ordering",
-    "deadlock_cycle",
-    "declaration_ordering",
-    "exhaustive_search",
-    "lint_system",
-    "minimize_buffers",
-    "motivating_deadlock_ordering",
-    "motivating_example",
-    "motivating_suboptimal_ordering",
-    "simulate",
-    "synthesize_pareto_set",
-    "synthetic_soc",
-]
+if typing.TYPE_CHECKING:
+    from repro.core.builder import SystemBuilder as SystemBuilder
+    from repro.core.generators import (
+        motivating_deadlock_ordering as motivating_deadlock_ordering,
+        motivating_example as motivating_example,
+        motivating_suboptimal_ordering as motivating_suboptimal_ordering,
+        synthetic_soc as synthetic_soc,
+    )
+    from repro.core.system import ChannelOrdering as ChannelOrdering
+    from repro.dse.config import SystemConfiguration as SystemConfiguration
+    from repro.errors import SimulationDeadlock as SimulationDeadlock
+    from repro.hls.knobs import synthesize_pareto_set as synthesize_pareto_set
+    from repro.hls.pareto import ImplementationLibrary as ImplementationLibrary
+    from repro.lint.engine import lint_system as lint_system
+    from repro.model.performance import (
+        analyze_system as analyze_system,
+        deadlock_cycle as deadlock_cycle,
+    )
+    from repro.ordering.algorithm import channel_ordering as channel_ordering
+    from repro.ordering.baselines import declaration_ordering as declaration_ordering
+    from repro.ordering.exhaustive import exhaustive_search as exhaustive_search
+    from repro.sim.engine import simulate as simulate
+    from repro.sizing.capacity import minimize_buffers as minimize_buffers
+else:
+    __all__, __getattr__ = _lazy.exports(__name__, {
+        ".core.builder": ("SystemBuilder",),
+        ".core.generators": (
+            "motivating_deadlock_ordering", "motivating_example",
+            "motivating_suboptimal_ordering", "synthetic_soc",
+        ),
+        ".core.system": ("ChannelOrdering",),
+        ".dse.config": ("SystemConfiguration",),
+        ".errors": ("SimulationDeadlock",),
+        ".hls.knobs": ("synthesize_pareto_set",),
+        ".hls.pareto": ("ImplementationLibrary",),
+        ".lint.engine": ("lint_system",),
+        ".model.performance": ("analyze_system", "deadlock_cycle"),
+        ".ordering.algorithm": ("channel_ordering",),
+        ".ordering.baselines": ("declaration_ordering",),
+        ".ordering.exhaustive": ("exhaustive_search",),
+        ".sim.engine": ("simulate",),
+        ".sizing.capacity": ("minimize_buffers",),
+    })

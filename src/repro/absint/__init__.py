@@ -17,22 +17,28 @@ Explorer's static preflight (:mod:`repro.dse.explorer`), and the
 ``ermes analyze`` subcommand.
 """
 
-from repro.absint.certificate import CertificateError, check_certificate
-from repro.absint.engine import (
-    AbsIntResult,
-    analyze,
-    analyze_ir,
-    clear_analysis_cache,
-)
-from repro.absint.report import format_result, result_to_dict
+import typing
 
-__all__ = [
-    "AbsIntResult",
-    "CertificateError",
-    "analyze",
-    "analyze_ir",
-    "check_certificate",
-    "clear_analysis_cache",
-    "format_result",
-    "result_to_dict",
-]
+from repro import _lazy
+
+if typing.TYPE_CHECKING:
+    from repro.absint.certificate import (
+        CertificateError as CertificateError,
+        check_certificate as check_certificate,
+    )
+    from repro.absint.engine import (
+        AbsIntResult as AbsIntResult,
+        analyze as analyze,
+        analyze_ir as analyze_ir,
+        clear_analysis_cache as clear_analysis_cache,
+    )
+    from repro.absint.report import (
+        format_result as format_result,
+        result_to_dict as result_to_dict,
+    )
+else:
+    __all__, __getattr__ = _lazy.exports(__name__, {
+        ".certificate": ("CertificateError", "check_certificate"),
+        ".engine": ("AbsIntResult", "analyze", "analyze_ir", "clear_analysis_cache"),
+        ".report": ("format_result", "result_to_dict"),
+    })

@@ -1,7 +1,12 @@
 """Benchmark-harness support: the experiment registry."""
 
-from repro.bench.registry import format_registry
+import typing
 
-__all__ = [
-    "format_registry",
-]
+from repro import _lazy
+
+if typing.TYPE_CHECKING:
+    from repro.bench.registry import format_registry as format_registry
+else:
+    __all__, __getattr__ = _lazy.exports(__name__, {
+        ".registry": ("format_registry",),
+    })

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import TYPE_CHECKING
-
 from repro.core.system import (
     Channel,
     ChannelOrdering,
@@ -44,25 +42,8 @@ from repro.core.system import (
     SystemGraph,
 )
 from repro.core.validation import validate_system
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dsl.design import Design
-    from repro.dsl.wire import Wire
-
-
-def _design(name: str) -> "Design":
-    # Deferred: repro.core's package __init__ imports this module, and the
-    # composition layer imports repro.core submodules — binding at call
-    # time keeps both package initializations cycle-free.
-    from repro.dsl.design import Design
-
-    return Design(name)
-
-
-def _latency_wire(latency: int, initial_tokens: int = 0) -> "Wire":
-    from repro.dsl.wire import wire_for_latency
-
-    return wire_for_latency(latency, tokens=initial_tokens)
+from repro.dsl.design import Design
+from repro.dsl.wire import wire_for_latency
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +82,13 @@ def motivating_example() -> SystemGraph:
     declaration ordering has P2 writing (b, d, f) — the order that, combined
     with P6 reading (g, d, e), deadlocks.
     """
-    design = _design("motivating")
+    design = Design("motivating")
     design.source("Psrc", latency=MOTIVATING_PROCESS_LATENCIES["Psrc"])
     for name in ("P2", "P3", "P4", "P5", "P6"):
         design.worker(name, latency=MOTIVATING_PROCESS_LATENCIES[name])
     design.sink("Psnk", latency=MOTIVATING_PROCESS_LATENCIES["Psnk"])
     for cname, (producer, consumer, latency) in MOTIVATING_CHANNELS.items():
-        design.connect(cname, producer, consumer, wire=_latency_wire(latency))
+        design.connect(cname, producer, consumer, wire=wire_for_latency(latency))
     return design.build()
 
 
@@ -164,7 +145,7 @@ def pipeline(
     """A linear pipeline: source → stage0 → … → stage(n-1) → sink."""
     if n_stages < 1:
         raise ValueError("pipeline needs at least one stage")
-    design = _design(f"pipeline{n_stages}")
+    design = Design(f"pipeline{n_stages}")
     design.source("src")
     for i in range(n_stages):
         design.worker(f"stage{i}", latency=process_latency)
@@ -172,7 +153,7 @@ def pipeline(
     names = ["src"] + [f"stage{i}" for i in range(n_stages)] + ["snk"]
     for i, (producer, consumer) in enumerate(zip(names, names[1:])):
         design.connect(
-            f"c{i}", producer, consumer, wire=_latency_wire(channel_latency)
+            f"c{i}", producer, consumer, wire=wire_for_latency(channel_latency)
         )
     return design.build()
 
@@ -197,14 +178,14 @@ def fork_join(
     latencies = branch_latencies or tuple(2 + i for i in range(n_branches))
     if len(latencies) != n_branches:
         raise ValueError("one latency per branch required")
-    design = _design(f"forkjoin{n_branches}")
+    design = Design(f"forkjoin{n_branches}")
     design.source("src")
     design.worker("fork", latency=1)
     for i, latency in enumerate(latencies):
         design.worker(f"branch{i}", latency=latency)
     design.worker("join", latency=1)
     design.sink("snk")
-    hop = _latency_wire(channel_latency)
+    hop = wire_for_latency(channel_latency)
     design.connect("c_in", "src", "fork", wire=hop)
     for i in range(n_branches):
         design.connect(f"c_up{i}", "fork", f"branch{i}", wire=hop)
@@ -240,12 +221,12 @@ def ring_soc(
         raise ValueError("a ring needs at least two workers")
     if initial_tokens < 1:
         raise ValueError("the closing channel needs at least one token")
-    design = _design(f"ring{n_stages}")
+    design = Design(f"ring{n_stages}")
     design.source("src")
     for i in range(n_stages):
         design.worker(f"w{i}", latency=process_latency)
     design.sink("snk")
-    hop = _latency_wire(channel_latency)
+    hop = wire_for_latency(channel_latency)
     design.connect("inject", "src", "w0", wire=hop)
     for i in range(n_stages - 1):
         design.connect(f"hop{i}", f"w{i}", f"w{i + 1}", wire=hop)
@@ -253,7 +234,7 @@ def ring_soc(
         "close",
         f"w{n_stages - 1}",
         "w0",
-        wire=_latency_wire(channel_latency, initial_tokens=initial_tokens),
+        wire=wire_for_latency(channel_latency, tokens=initial_tokens),
     )
     design.connect("drain", f"w{n_stages - 1}", "snk", wire=hop)
     return design.build()
@@ -282,13 +263,13 @@ def mesh_soc(
         raise ValueError("mesh needs at least one row and one column")
     if rows * cols < 2:
         raise ValueError("mesh needs at least two workers")
-    design = _design(f"mesh{rows}x{cols}")
+    design = Design(f"mesh{rows}x{cols}")
     design.source("src")
     for r in range(rows):
         for c in range(cols):
             design.worker(f"n{r}_{c}", latency=process_latency)
     design.sink("snk")
-    hop = _latency_wire(channel_latency)
+    hop = wire_for_latency(channel_latency)
     design.connect("inject", "src", "n0_0", wire=hop)
     for r in range(rows):
         for c in range(cols):

@@ -25,6 +25,15 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Union
 
+# The run looks these engines up through their package roots at call
+# time (``from repro.lint import preflight`` in a method body); importing
+# their modules here loads them with the explorer, not inside the first
+# call.
+import repro.absint.certificate  # noqa: F401
+import repro.absint.engine  # noqa: F401
+import repro.lint.engine  # noqa: F401
+import repro.sym.canonical  # noqa: F401
+import repro.sym.declared  # noqa: F401
 from repro.core.system import ChannelOrdering
 from repro.dse.config import SystemConfiguration
 from repro.dse.problems import (

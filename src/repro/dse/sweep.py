@@ -13,6 +13,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+# ``sweep_targets`` calls ``preflight`` through ``repro.lint`` at call
+# time; importing its module here loads it with the sweep.
+import repro.lint.engine  # noqa: F401
 from repro.dse.config import SystemConfiguration
 from repro.dse.explorer import ExplorationResult, Explorer
 from repro.obs.metrics import count, timed

@@ -24,34 +24,35 @@ declared orbit families without rediscovery and the explorer's orbit
 dedup seeds its canonical search from them.  See ``docs/DSL.md``.
 """
 
-from repro.dsl.combinators import (
-    butterfly,
-    mesh,
-    parallel,
-    pipe,
-    replicate,
-    sink_stage,
-    source_stage,
-    stage,
-    testbenched,
-)
-from repro.dsl.design import Design
-from repro.dsl.sdf import rate_chain, streaming_design
-from repro.dsl.wire import Wire, wire_for_latency
+import typing
 
-__all__ = [
-    "Design",
-    "Wire",
-    "butterfly",
-    "mesh",
-    "parallel",
-    "pipe",
-    "rate_chain",
-    "replicate",
-    "sink_stage",
-    "source_stage",
-    "stage",
-    "streaming_design",
-    "testbenched",
-    "wire_for_latency",
-]
+from repro import _lazy
+
+if typing.TYPE_CHECKING:
+    from repro.dsl.combinators import (
+        butterfly as butterfly,
+        mesh as mesh,
+        parallel as parallel,
+        pipe as pipe,
+        replicate as replicate,
+        sink_stage as sink_stage,
+        source_stage as source_stage,
+        stage as stage,
+        testbenched as testbenched,
+    )
+    from repro.dsl.design import Design as Design
+    from repro.dsl.sdf import (
+        rate_chain as rate_chain,
+        streaming_design as streaming_design,
+    )
+    from repro.dsl.wire import Wire as Wire, wire_for_latency as wire_for_latency
+else:
+    __all__, __getattr__ = _lazy.exports(__name__, {
+        ".combinators": (
+            "butterfly", "mesh", "parallel", "pipe", "replicate", "sink_stage",
+            "source_stage", "stage", "testbenched",
+        ),
+        ".design": ("Design",),
+        ".sdf": ("rate_chain", "streaming_design"),
+        ".wire": ("Wire", "wire_for_latency"),
+    })

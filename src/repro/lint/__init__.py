@@ -23,28 +23,30 @@ The CLI front end is ``ermes lint`` (text, JSON, or SARIF 2.1.0 output;
 error-only subset the explorer and the simulator run before starting.
 """
 
-from repro.diagnostics import LintError, Severity
-from repro.lint.engine import (
-    PREFLIGHT_RULES,
-    LintResult,
-    lint_system,
-    preflight,
-)
-from repro.lint.fixes import FixOutcome, apply_fixes
-from repro.lint.render import render_json, render_sarif, render_text
-from repro.lint.witness import format_witness
+import typing
 
-__all__ = [
-    "FixOutcome",
-    "LintError",
-    "LintResult",
-    "PREFLIGHT_RULES",
-    "Severity",
-    "apply_fixes",
-    "format_witness",
-    "lint_system",
-    "preflight",
-    "render_json",
-    "render_sarif",
-    "render_text",
-]
+from repro import _lazy
+
+if typing.TYPE_CHECKING:
+    from repro.diagnostics import LintError as LintError, Severity as Severity
+    from repro.lint.engine import (
+        PREFLIGHT_RULES as PREFLIGHT_RULES,
+        LintResult as LintResult,
+        lint_system as lint_system,
+        preflight as preflight,
+    )
+    from repro.lint.fixes import FixOutcome as FixOutcome, apply_fixes as apply_fixes
+    from repro.lint.render import (
+        render_json as render_json,
+        render_sarif as render_sarif,
+        render_text as render_text,
+    )
+    from repro.lint.witness import format_witness as format_witness
+else:
+    __all__, __getattr__ = _lazy.exports(__name__, {
+        "repro.diagnostics": ("LintError", "Severity"),
+        ".engine": ("PREFLIGHT_RULES", "LintResult", "lint_system", "preflight"),
+        ".fixes": ("FixOutcome", "apply_fixes"),
+        ".render": ("render_json", "render_sarif", "render_text"),
+        ".witness": ("format_witness",),
+    })

@@ -12,32 +12,32 @@ of the companion technical report), so the all-FIFO model of a system is
 is the one-call façade used by the methodology.
 """
 
-from repro.model.build import (
-    StructureEntry,
-    SystemTmg,
-    build_structure,
-    build_tmg,
-)
-from repro.model.performance import (
-    SystemPerformance,
-    analyze_system,
-    deadlock_cycle,
-)
-from repro.model.sensitivity import (
-    SensitivityReport,
-    format_sensitivity,
-    sensitivity_report,
-)
+import typing
 
-__all__ = [
-    "SensitivityReport",
-    "SystemPerformance",
-    "StructureEntry",
-    "SystemTmg",
-    "analyze_system",
-    "build_structure",
-    "build_tmg",
-    "deadlock_cycle",
-    "format_sensitivity",
-    "sensitivity_report",
-]
+from repro import _lazy
+
+if typing.TYPE_CHECKING:
+    from repro.model.build import (
+        StructureEntry as StructureEntry,
+        SystemTmg as SystemTmg,
+        build_structure as build_structure,
+        build_tmg as build_tmg,
+    )
+    from repro.model.performance import (
+        SystemPerformance as SystemPerformance,
+        analyze_system as analyze_system,
+        deadlock_cycle as deadlock_cycle,
+    )
+    from repro.model.sensitivity import (
+        SensitivityReport as SensitivityReport,
+        format_sensitivity as format_sensitivity,
+        sensitivity_report as sensitivity_report,
+    )
+else:
+    __all__, __getattr__ = _lazy.exports(__name__, {
+        ".build": ("StructureEntry", "SystemTmg", "build_structure", "build_tmg"),
+        ".performance": ("SystemPerformance", "analyze_system", "deadlock_cycle"),
+        ".sensitivity": (
+            "SensitivityReport", "format_sensitivity", "sensitivity_report",
+        ),
+    })

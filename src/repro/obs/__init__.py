@@ -20,33 +20,36 @@ summarized:
 Everything here is pay-for-what-you-use: with no sink attached and no
 registry active, the instrumented code paths cost one predicate check
 (guarded by ``benchmarks/test_bench_obs_overhead.py``).  The instrumented
-layers import :mod:`repro.obs.metrics` alone; the names below load their
-module on first use, so that import stays off the exporters and sinks.
+layers import :mod:`repro.obs.metrics` alone; like every lazy package
+root (:mod:`repro._lazy`), the names below load their module on first
+use, so that import stays off the exporters and sinks.
 """
 
-import importlib
+import typing
 
-_EXPORTS = {
-    "MetricsRegistry": "metrics",
-    "collect": "metrics",
-    "format_metrics": "metrics",
-    "render_chrome_trace": "perfetto",
-    "JsonlSink": "sinks",
-    "MemorySink": "sinks",
-    "NullSink": "sinks",
-    "RingBufferSink": "sinks",
-    "event_to_dict": "sinks",
-    "to_vcd": "vcd",
-}
+from repro import _lazy
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> object:
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+if typing.TYPE_CHECKING:
+    from repro.obs.metrics import (
+        MetricsRegistry as MetricsRegistry,
+        collect as collect,
+        format_metrics as format_metrics,
+    )
+    from repro.obs.perfetto import render_chrome_trace as render_chrome_trace
+    from repro.obs.sinks import (
+        JsonlSink as JsonlSink,
+        MemorySink as MemorySink,
+        NullSink as NullSink,
+        RingBufferSink as RingBufferSink,
+        event_to_dict as event_to_dict,
+    )
+    from repro.obs.vcd import to_vcd as to_vcd
+else:
+    __all__, __getattr__ = _lazy.exports(__name__, {
+        ".metrics": ("MetricsRegistry", "collect", "format_metrics"),
+        ".perfetto": ("render_chrome_trace",),
+        ".sinks": (
+            "JsonlSink", "MemorySink", "NullSink", "RingBufferSink", "event_to_dict",
+        ),
+        ".vcd": ("to_vcd",),
+    })

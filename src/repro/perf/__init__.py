@@ -13,10 +13,15 @@ package makes those repeats cheap without changing any observable result:
 See ``docs/API.md`` ("Analysis caching") for the caching contract.
 """
 
-from repro.cache import LruCache
-from repro.perf.engine import PerformanceEngine
+import typing
 
-__all__ = [
-    "LruCache",
-    "PerformanceEngine",
-]
+from repro import _lazy
+
+if typing.TYPE_CHECKING:
+    from repro.cache import LruCache as LruCache
+    from repro.perf.engine import PerformanceEngine as PerformanceEngine
+else:
+    __all__, __getattr__ = _lazy.exports(__name__, {
+        "repro.cache": ("LruCache",),
+        ".engine": ("PerformanceEngine",),
+    })

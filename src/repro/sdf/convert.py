@@ -30,14 +30,12 @@ composition order — that the hash-pinned generators rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.system import ChannelOrdering, SystemGraph
+from repro.dsl.design import Design
+from repro.dsl.wire import wire_for_latency
 from repro.errors import ValidationError
 from repro.sdf.graph import SdfGraph
-
-if TYPE_CHECKING:
-    from repro.dsl.design import Design
 
 
 def instance_name(actor: str, index: int, count: int) -> str:
@@ -68,7 +66,7 @@ def expansion_design(
     graph: SdfGraph,
     serialize_actors: bool = True,
     sync_latency: int = 1,
-) -> tuple["Design", dict[str, int]]:
+) -> tuple[Design, dict[str, int]]:
     """The homogeneous expansion as an *open* composition-layer design.
 
     Returns the :class:`~repro.dsl.design.Design` holding every firing
@@ -83,12 +81,6 @@ def expansion_design(
             enough delay are implied by serialization and are dropped;
             under-delayed ones would deadlock every schedule).
     """
-    # Deferred: repro.dsl re-exports its sdf helpers, which import this
-    # module — resolving the composition layer at call time keeps both
-    # package __init__ orders cycle-free.
-    from repro.dsl.design import Design
-    from repro.dsl.wire import wire_for_latency
-
     repetitions = graph.repetition_vector()
     design = Design(f"{graph.name}.hsdf")
 

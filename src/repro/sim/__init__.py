@@ -9,13 +9,8 @@ ends: :class:`Simulator` (one lane, exact int clocks, payloads) and
 """
 
 from repro.sim.engine import (
-    BatchLane,
-    BatchSimulator,
-    SimulationResult,
-    Simulator,
-    default_watch,
-    simulate,
-    simulate_batch,
+    BatchLane, BatchSimulator, SimulationResult, Simulator, default_watch,
+    simulate, simulate_batch,
 )
 
 __all__ = [

@@ -39,6 +39,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, cast
 
 import numpy as np
 
+import repro.lint.engine  # noqa: F401  (``preflight``, looked up per run)
 from repro.cache import MISS, memo
 from repro.core.system import ChannelOrdering, SystemGraph
 from repro.errors import ReproError, SimulationDeadlock, SimulationError

@@ -17,27 +17,31 @@ result:
   representative, composing with stubborn-set reduction.
 """
 
-from repro.sym.canonical import (
-    EXACT,
-    ORDER_RELAXED,
-    TOPOLOGY_RELAXED,
-    SigPolicy,
-    SymmetryAnalysis,
-    analyze_symmetry,
-)
-from repro.sym.declared import VerifiedFamily, declared_seeds, verify_families
-from repro.sym.perm import PairPerm, closure
+import typing
 
-__all__ = [
-    "EXACT",
-    "ORDER_RELAXED",
-    "PairPerm",
-    "SigPolicy",
-    "SymmetryAnalysis",
-    "TOPOLOGY_RELAXED",
-    "VerifiedFamily",
-    "analyze_symmetry",
-    "closure",
-    "declared_seeds",
-    "verify_families",
-]
+from repro import _lazy
+
+if typing.TYPE_CHECKING:
+    from repro.sym.canonical import (
+        EXACT as EXACT,
+        ORDER_RELAXED as ORDER_RELAXED,
+        TOPOLOGY_RELAXED as TOPOLOGY_RELAXED,
+        SigPolicy as SigPolicy,
+        SymmetryAnalysis as SymmetryAnalysis,
+        analyze_symmetry as analyze_symmetry,
+    )
+    from repro.sym.declared import (
+        VerifiedFamily as VerifiedFamily,
+        declared_seeds as declared_seeds,
+        verify_families as verify_families,
+    )
+    from repro.sym.perm import PairPerm as PairPerm, closure as closure
+else:
+    __all__, __getattr__ = _lazy.exports(__name__, {
+        ".canonical": (
+            "EXACT", "ORDER_RELAXED", "TOPOLOGY_RELAXED", "SigPolicy",
+            "SymmetryAnalysis", "analyze_symmetry",
+        ),
+        ".declared": ("VerifiedFamily", "declared_seeds", "verify_families"),
+        ".perm": ("PairPerm", "closure"),
+    })

@@ -6,11 +6,18 @@ see :mod:`repro.workloads.suite` for the catalog and ``ermes gen`` for
 the CLI front end.
 """
 
-from repro.workloads.suite import FAMILIES, Workload, family_names, generate
+import typing
 
-__all__ = [
-    "FAMILIES",
-    "Workload",
-    "family_names",
-    "generate",
-]
+from repro import _lazy
+
+if typing.TYPE_CHECKING:
+    from repro.workloads.suite import (
+        FAMILIES as FAMILIES,
+        Workload as Workload,
+        family_names as family_names,
+        generate as generate,
+    )
+else:
+    __all__, __getattr__ = _lazy.exports(__name__, {
+        ".suite": ("FAMILIES", "Workload", "family_names", "generate"),
+    })
